@@ -217,8 +217,8 @@ def _synthesize_jobs(rng, workdir: Path) -> list[Job]:
             doc, theta = _random_ranktwo_doc(rng, dims)
             path = _write(workdir / f"ranktwo-{tag}-{k}.json", doc)
             pair(f"ranktwo-{tag}-{k}", path, theta)
-    for theta in (0.1, 0.25, 0.4, 0.55, 0.7):
-        # a fixed-cost group at the 90th percentile of the job times
+    for theta in (0.1, 0.16, 0.22, 0.28, 0.34, 0.4, 0.46, 0.52, 0.58, 0.64):
+        # a fixed-cost group whose middle holds the 90th percentile of the job times
         pair(f"ghz7@{theta}", "ghz7", theta, ghz=7)
     for n in (9, 10):
         path = _write(workdir / f"ghz{n}.json", _ghz_doc(n))
@@ -280,9 +280,13 @@ def _lm_jobs(rng, workdir: Path) -> list[Job]:
         argv, fam = coeff_files(f"rot3x3-{k}", *_rotated_lm3x3(rng))
         check(f"rotated-lm3x3-projective-{k}",
               argv + ["--projective-only", "--restarts", "1"], fam, feasible=False)
-    # job cost grows with d; the larger d = 4 group puts the median job in
-    # the middle of one cost group
-    for k, d2 in enumerate((2,) * 9 + (3,) * 9 + (4,) * 13 + (5,) * 6 + (6,) * 6):
+    # Random 2 x d pairs stop at d = 3. From d = 4 on, some pairs make lm-check
+    # fail (1 in 4000 at d = 4, 1 in 1000 at d = 5, more at d >= 6): a
+    # "feasible" verdict that check_saturation rejects, or, from d = 6, an exit
+    # from the zero-diagonalizer's relative residual test. bench/RESULTS.md
+    # has the details. No failure was seen in 10^4 pairs at each of d = 2, 3.
+    # The larger d = 3 group puts the median job in the middle of one cost group.
+    for k, d2 in enumerate((2,) * 11 + (3,) * 32):
         argv, fam = coeff_files(f"2x{d2}-{k}", *_coeff_pair(rng, 2, d2))
         check(f"random-2x{d2}-{k}", argv, fam)
     return jobs
@@ -313,7 +317,12 @@ def make_jobs(workload: str, seed: int, workdir: Path) -> list[Job]:
     """Write the workload's inputs for ``seed`` into ``workdir``; return its jobs."""
     workdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng([seed, WORKLOADS.index(workload)])
-    return _JOB_LISTS[workload](rng, workdir)
+    jobs = _JOB_LISTS[workload](rng, workdir)
+    # On a shared host the speed of the same code can swing by 2x within
+    # seconds. Jobs of one group run spread over the whole pass, not as one
+    # block of a few hundred milliseconds, so each percentile averages over it.
+    order = np.random.default_rng([seed, WORKLOADS.index(workload), 1]).permutation(len(jobs))
+    return [jobs[i] for i in order]
 
 
 def warmup_commands(workload: str, workdir: Path) -> list[list[str]]:
