@@ -9,9 +9,8 @@ from .metrology import (MixedGenericFamily, Povm, PureNumericFamily,
                         UnitaryGeneratorFamily, check_saturation, eval_state,
                         fisher_info, perp_component, qfi, saturation_matrices,
                         sld)
-from .zerodiag import (BlockSplit, TwoByTwoRotation, ZeroDiagConvergenceError,
-                       find_null_vector, simultaneous_zero_diag, solve_2x2,
-                       zero_diag_basis)
+from .zerodiag import (ZeroDiagConvergenceError, find_null_vector,
+                       simultaneous_zero_diag, solve_2x2, zero_diag_basis)
 from .locc import (DiscriminationReport, MeasurementTree, SynthesisError,
                    TreeNode, bloch_rows, discriminate, flatten, leaf_vectors,
                    synthesize_tree, tree_from_json, tree_to_json, verify_tree)

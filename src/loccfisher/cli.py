@@ -27,7 +27,8 @@ def _load_scenario(arg: str) -> scenarios.Scenario:
 
 
 def _emit(doc: dict, out: str | None = None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # a non-finite number raises ValueError (exit 1) instead of printing NaN
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:

@@ -22,7 +22,6 @@ from .zerodiag import simultaneous_zero_diag, zero_diag_basis
 
 PHASE_TOL = 1e-8
 SUPPORT_TOL = 1e-8
-C_ZERO_REL = 1e-9       # |C_ij| below this (relative to max |C|) counts as zero
 
 
 @dataclass
@@ -107,8 +106,8 @@ def check_lm_conditions(pair: IsometryPair, coeffs: BipartiteCoeffs,
     """Evaluate the phase and support conditions for a measurement pair."""
     c, d = pair.cd(coeffs)
     phase = float(np.abs(c * np.conj(d) - np.conj(c) * d).max())
-    c_tol = C_ZERO_REL * max(float(np.abs(c).max()), 1e-300)
-    zeros = np.abs(c) < c_tol
+    # |C_ij|^2 is the outcome probability at theta; zero by check_saturation's rule
+    zeros = np.abs(c) ** 2 < metrology.Thresholds().p_tol
     support = float(np.abs(d)[zeros].max()) if zeros.any() else 0.0
     return LmFeasibilityReport(
         phase_residual=phase,
@@ -146,20 +145,14 @@ def lm_povm_from_pair(pair: IsometryPair) -> metrology.Povm:
     """Rank-one product POVM encoded by the pair.
 
     Columns of U are the subsystem-1 vectors and columns of V the conjugated
-    subsystem-2 vectors; the row-orthonormality of U and V is exactly the
-    completeness of the product elements.
+    subsystem-2 vectors; row (i, j) is kron(u_i, conj(v_j)), and the
+    row-orthonormality of U and V is exactly the completeness of the elements.
     """
     u, v = pair.u_mat, pair.v_mat
-    elements, labels = [], []
-    for i in range(u.shape[1]):
-        e1 = np.outer(u[:, i], u[:, i].conj())
-        for j in range(v.shape[1]):
-            w = np.conj(v[:, j])
-            elements.append(np.kron(e1, np.outer(w, w.conj())))
-            labels.append((i, j))
-    povm = metrology.Povm(elements=elements, labels=labels)
-    povm.validate(sum_tol=1e-8)
-    return povm
+    (d1, n1), (d2, n2) = u.shape, v.shape
+    vectors = np.einsum("ai,bj->ijab", u, v.conj()).reshape(n1 * n2, d1 * d2)
+    labels = [(i, j) for i in range(n1) for j in range(n2)]
+    return metrology.Povm(vectors=vectors, labels=labels)
 
 
 @dataclass

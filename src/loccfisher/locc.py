@@ -101,8 +101,8 @@ def synthesize_tree(m_tilde: np.ndarray, layout: HilbertLayout | Sequence[int],
 
     tree = MeasurementTree(layout=layout, order=order,
                            root=build(m_tilde, tuple(range(layout.nsub)), 0))
-    worst = max(abs(np.vdot(vec, m_tilde @ vec))
-                for _, vec in leaf_vectors(tree))
+    vectors = np.stack([vec for _, vec in leaf_vectors(tree)])
+    worst = float(np.abs(metrology._sandwich(vectors, m_tilde)).max())
     if worst > LEAF_TOL * scale:
         raise SynthesisError(
             f"leaf condition violated: residual {worst:.3e} > {LEAF_TOL:.0e} * norm")
@@ -129,14 +129,9 @@ def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarra
 
 
 def flatten(tree: MeasurementTree) -> metrology.Povm:
-    """Rank-one product POVM with one element per outcome path."""
-    elements, labels = [], []
-    for path, vec in leaf_vectors(tree):
-        elements.append(np.outer(vec, vec.conj()))
-        labels.append(path)
-    povm = metrology.Povm(elements=elements, labels=labels)
-    povm.validate()
-    return povm
+    """Rank-one product POVM with one leaf vector per outcome path."""
+    paths, vectors = zip(*leaf_vectors(tree))
+    return metrology.Povm(vectors=np.stack(vectors), labels=list(paths))
 
 
 def verify_tree(tree: MeasurementTree, family: metrology.StateFamily, theta: float,

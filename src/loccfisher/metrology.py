@@ -17,7 +17,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .tensor import HilbertLayout, herm_eig, sqrt_psd
+# sqrt_psd is unused here; it stays importable because the benchmark tracer patches it.
+from .tensor import HilbertLayout, herm_eig, sqrt_psd  # noqa: F401
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_FD_STEP = 1e-4
@@ -193,29 +194,27 @@ class SaturationMatrices:
 
 @dataclass
 class Povm:
-    """Finite POVM: PSD elements summing to the identity."""
+    """Rank-one POVM: row e of ``vectors`` is the element |e><e|.
 
-    elements: list[np.ndarray]
+    Rows need not be unit vectors (a padded isometry gives shorter ones).
+    Every element is PSD and Hermitian by construction, so validation is the
+    completeness check sum_e |e><e| = I, run once on construction.
+    """
+
+    vectors: np.ndarray
     labels: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.elements = [np.asarray(e, dtype=complex) for e in self.elements]
+        self.vectors = np.asarray(self.vectors, dtype=complex)
         if not self.labels:
-            self.labels = list(range(len(self.elements)))
+            self.labels = list(range(len(self.vectors)))
+        self.validate()
 
-    def validate(self, psd_tol: float = 1e-9, sum_tol: float = 1e-8) -> None:
-        if not self.elements:
-            raise ValueError("POVM has no elements")
-        d = self.elements[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in self.elements:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements have inconsistent shapes")
-            _check_hermitian(e, "POVM element")
-            if np.linalg.eigvalsh((e + e.conj().T) / 2).min() < -psd_tol:
-                raise ValueError("POVM element is not PSD")
-            total += e
-        if np.abs(total - np.eye(d)).max() > sum_tol:
+    def validate(self, sum_tol: float = 1e-8) -> None:
+        v = self.vectors
+        if v.ndim != 2 or v.shape[0] == 0:
+            raise ValueError("POVM needs a non-empty (outcomes x dimension) vector array")
+        if np.abs(v.T @ v.conj() - np.eye(v.shape[1])).max() > sum_tol:
             raise ValueError("POVM elements do not sum to the identity")
 
 
@@ -294,21 +293,21 @@ def qfi(family: StateFamily, theta: float,
     return sld(rho, drho, rank_tol).qfi
 
 
+def _sandwich(vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<e|m|e> for every row e of ``vectors``."""
+    return np.einsum("ea,ea->e", vectors.conj() @ m, vectors)
+
+
 def fisher_info(povm: Povm, rho: np.ndarray, drho: np.ndarray,
                 p_tol: float = 1e-12) -> float:
     """Classical Fisher information of the POVM outcome distribution.
 
     Outcomes with probability below p_tol are excluded from the sum.
     """
-    povm.validate()
-    total = 0.0
-    for e in povm.elements:
-        p = float(np.real(np.trace(e @ rho)))
-        if p < p_tol:
-            continue
-        dp = float(np.real(np.trace(e @ drho)))
-        total += dp * dp / p
-    return total
+    p = _sandwich(povm.vectors, rho).real
+    dp = _sandwich(povm.vectors, drho).real
+    keep = p >= p_tol
+    return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
 def perp_component(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
@@ -351,6 +350,17 @@ def _detect_fixed_rank_two(family: MixedGenericFamily, theta: float,
     return vecs[:, 0], vecs[:, 1]
 
 
+def _commutator_targets(res: SldResult) -> list[np.ndarray]:
+    """M_ij = |psi_i><psi_j| L - L |psi_i><psi_j| over the support of rho."""
+    support = res.eigvecs[:, res.eigvals > res.rank_tol]
+    m_set = []
+    for i in range(support.shape[1]):
+        for j in range(support.shape[1]):
+            ket_bra = np.outer(support[:, i], support[:, j].conj())
+            m_set.append(ket_bra @ res.L - res.L @ ket_bra)
+    return m_set
+
+
 def saturation_matrices(family: StateFamily, theta: float,
                         rank_tol: float = DEFAULT_RANK_TOL) -> SaturationMatrices:
     """Traceless zero-sandwich targets for the family at theta.
@@ -382,13 +392,8 @@ def saturation_matrices(family: StateFamily, theta: float,
         return SaturationMatrices(m_set=[m], m_tilde=m, state_type="rank-two")
     rho, drho = eval_state(family, theta)
     res = sld(rho, drho, rank_tol)
-    support = np.flatnonzero(res.eigvals > rank_tol)
-    m_set = []
-    for i in support:
-        for j in support:
-            ket_bra = np.outer(res.eigvecs[:, i], res.eigvecs[:, j].conj())
-            m_set.append(ket_bra @ res.L - res.L @ ket_bra)
-    return SaturationMatrices(m_set=m_set, m_tilde=None, state_type="mixed")
+    return SaturationMatrices(m_set=_commutator_targets(res), m_tilde=None,
+                              state_type="mixed")
 
 
 def check_saturation(povm: Povm, family: StateFamily, theta: float,
@@ -396,36 +401,27 @@ def check_saturation(povm: Povm, family: StateFamily, theta: float,
                      rank_tol: float = DEFAULT_RANK_TOL) -> SaturationReport:
     """Full saturation check of a POVM against a family at theta.
 
-    Evaluates the zero-sandwich condition sqrt(E) M_ij sqrt(E) = 0 on every
-    outcome (M_ij built from the SLD spectral data over the support of rho)
+    Evaluates the zero-sandwich condition <e|M_ij|e> = 0 on every outcome
+    |e><e| (M_ij built from the SLD spectral data over the support of rho)
     and, for outcomes of zero probability, the regularity condition
-    sqrt(E) L |psi_i> = 0. The verdict additionally requires fi to reach qfi.
+    <e|L|psi_i> = 0. For a rank-one element these equal the norms of
+    sqrt(E) M_ij sqrt(E) and sqrt(E) L |psi_i> whatever the norm of e. The
+    verdict additionally requires fi to reach qfi.
     """
     thr = thresholds or Thresholds()
-    povm.validate()
     rho, drho = eval_state(family, theta)
     res = sld(rho, drho, rank_tol)
-    support = np.flatnonzero(res.eigvals > rank_tol)
-    m_set = []
-    for i in support:
-        for j in support:
-            ket_bra = np.outer(res.eigvecs[:, i], res.eigvecs[:, j].conj())
-            m_set.append(ket_bra @ res.L - res.L @ ket_bra)
+    m_set = _commutator_targets(res)
     scale = max((float(np.linalg.norm(m)) for m in m_set), default=0.0)
+    vectors = povm.vectors
 
     fi = fisher_info(povm, rho, drho, p_tol=thr.p_tol)
-    l_support = res.L @ res.eigvecs[:, support]
-
-    cond_res = 0.0
-    reg_res = 0.0
-    for e in povm.elements:
-        root = sqrt_psd(e)
-        for m in m_set:
-            cond_res = max(cond_res, float(np.linalg.norm(root @ m @ root)))
-        p = float(np.real(np.trace(e @ rho)))
-        if p < thr.p_tol:
-            reg_res = max(reg_res, float(np.linalg.norm(root @ l_support, axis=0).max()
-                                         if support.size else 0.0))
+    cond_res = max((float(np.abs(_sandwich(vectors, m)).max()) for m in m_set),
+                   default=0.0)
+    null = _sandwich(vectors, rho).real < thr.p_tol
+    l_support = res.L @ res.eigvecs[:, res.eigvals > rank_tol]
+    reg = np.abs(vectors[null].conj() @ l_support)
+    reg_res = float(reg.max()) if reg.size else 0.0
 
     saturating = (cond_res <= thr.condition_rel * scale
                   and reg_res <= thr.regularity_rel * scale

@@ -49,6 +49,11 @@ class SimConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
+def _finite_or_none(x: float) -> float | None:
+    # variance, ratio and ci95 are undefined (NaN) below two usable trials
+    return x if np.isfinite(x) else None
+
+
 @dataclass
 class SimReport:
     theta_true: float
@@ -69,9 +74,9 @@ class SimReport:
             "N": self.shots,
             "trials": self.trials,
             "J": self.qfi,
-            "variance": self.variance,
-            "ratio": self.ratio,
-            "ci95": list(self.ci95),
+            "variance": _finite_or_none(self.variance),
+            "ratio": _finite_or_none(self.ratio),
+            "ci95": [_finite_or_none(x) for x in self.ci95],
             "seed": self.seed,
             "degenerate_trials": self.degenerate_trials,
             "boundary_hits": self.boundary_hits,

@@ -81,3 +81,49 @@ def ghz_product_basis_fi(n, theta, h=1e-6):
               - abs(np.vdot(e, psi(theta - h))) ** 2) / (2 * h)
         total += dp * dp / p
     return total
+
+
+def dense_saturation(elements, rho, drho, rank_tol=1e-9, p_tol=1e-12,
+                     condition_rel=1e-7, regularity_rel=1e-7, fi_rel=1e-6):
+    """Saturation check of dense POVM elements through their square roots.
+
+    The SLD comes from the spectral formula over pairs with p_j + p_k above
+    rank_tol. Every element is eigendecomposed; eigenvalues below 1e-14 of its
+    largest one are rounding noise of a singular element and are floored to
+    zero before the square root. Residuals are max ||sqrt(E) M_ij sqrt(E)||
+    over all outcomes and max ||sqrt(E) L |psi_i>|| over null outcomes, with
+    M_ij = |psi_i><psi_j| L - L |psi_i><psi_j| on the support of rho.
+    """
+    w, v = sla.eigh(rho)
+    t = v.conj().T @ drho @ v
+    denom = w[:, None] + w[None, :]
+    keep = denom > rank_tol
+    coeff = np.zeros_like(t)
+    coeff[keep] = 2 * t[keep] / denom[keep]
+    sld = v @ coeff @ v.conj().T
+    qfi = float(np.trace(rho @ sld @ sld).real)
+    support = v[:, w > rank_tol]
+    m_set = []
+    for i in range(support.shape[1]):
+        for j in range(support.shape[1]):
+            ket_bra = np.outer(support[:, i], support[:, j].conj())
+            m_set.append(ket_bra @ sld - sld @ ket_bra)
+    scale = max(float(np.linalg.norm(m)) for m in m_set)
+
+    fi = cond = reg = 0.0
+    for e in elements:
+        ew, ev = sla.eigh(e)
+        ew = np.where(ew < 1e-14 * max(ew.max(), 1.0), 0.0, ew)
+        root = (ev * np.sqrt(ew)) @ ev.conj().T
+        for m in m_set:
+            cond = max(cond, float(np.linalg.norm(root @ m @ root)))
+        p = float(np.trace(e @ rho).real)
+        if p < p_tol:
+            reg = max(reg, float(np.linalg.norm(root @ sld @ support, axis=0).max()))
+            continue
+        dp = float(np.trace(e @ drho).real)
+        fi += dp * dp / p
+    saturating = (cond <= condition_rel * scale and reg <= regularity_rel * scale
+                  and qfi - fi <= fi_rel * qfi)
+    return {"fi": fi, "qfi": qfi, "condition_residual": cond,
+            "regularity_residual": reg, "scale": scale, "saturating": saturating}

@@ -64,7 +64,8 @@ def test_criterion_2_type_i_locc_saturation():
         target = saturation_matrices(fam, th).m_tilde
         tree = synthesize_tree(target, layout)
         povm = flatten(tree)
-        ok &= np.abs(sum(povm.elements) - np.eye(d)).max() < 1e-8
+        ok &= np.abs(sum(np.outer(v, v.conj()) for v in povm.vectors)
+                     - np.eye(d)).max() < 1e-8
         scale = np.linalg.norm(target)
         ok &= max(abs(np.vdot(v, target @ v)) for _, v in leaf_vectors(tree)) \
             < 1e-7 * scale
@@ -190,7 +191,7 @@ def test_criterion_6_explicit_product_measurements():
                               BipartiteCoeffs(A_3X3, B_3X3))
     ok &= rep.phase_residual < 1e-10 and rep.support_residual < 1e-10
     povm = lm_povm_from_pair(IsometryPair(U_3X3, V_3X4))
-    ok &= len(povm.elements) == 12
+    ok &= len(povm.vectors) == 12
     sat = check_saturation(povm, interpolation_family(A_3X3, B_3X3), 0.0)
     ok &= sat.saturating
     # two-qubit gap pair: the pi/8 product basis saturates but does not
@@ -269,10 +270,10 @@ def test_criterion_9_oracle_equivalence():
         th = float(rng.uniform(0.1, 0.9))
         q, _ = np.linalg.qr(rng.standard_normal((d, d))
                             + 1j * rng.standard_normal((d, d)))
-        povm = Povm([np.outer(q[:, i], q[:, i].conj()) for i in range(d)])
+        povm = Povm(vectors=q.T)
         rho, drho = eval_state(fam, th)
         fi_lib = fisher_info(povm, rho, drho)
-        fi_ora = fisher_fd(povm.elements,
+        fi_ora = fisher_fd([np.outer(v, v.conj()) for v in povm.vectors],
                            lambda t: fam.rho_drho(t)[0], th)
         ok &= abs(fi_lib - fi_ora) < 1e-6
         ok &= abs(qfi(fam, th) - qfi_double_sum(rho, drho)) < 1e-8

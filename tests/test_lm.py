@@ -150,16 +150,18 @@ class TestLmPovm:
     def test_identity_pair_computational(self):
         pair = IsometryPair(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
         povm = lm_povm_from_pair(pair)
-        assert len(povm.elements) == 4
-        for (i, j), e in zip(povm.labels, povm.elements):
+        assert len(povm.vectors) == 4
+        for (i, j), v in zip(povm.labels, povm.vectors):
+            e = np.outer(v, v.conj())
             want = np.zeros((4, 4), dtype=complex)
             want[2 * i + j, 2 * i + j] = 1.0
             assert np.abs(e - want).max() < 1e-12
 
     def test_explicit_pair_completeness_and_saturation(self):
         povm = lm_povm_from_pair(IsometryPair(U_3X3, V_3X4))
-        assert len(povm.elements) == 12
-        assert np.abs(sum(povm.elements) - np.eye(9)).max() < 1e-10
+        assert len(povm.vectors) == 12
+        total = sum(np.outer(v, v.conj()) for v in povm.vectors)
+        assert np.abs(total - np.eye(9)).max() < 1e-10
         fam = interpolation_family(A_3X3, B_3X3)
         rep = check_saturation(povm, fam, 0.0)
         assert rep.saturating and abs(rep.fi - 4.0) < 1e-8
@@ -240,3 +242,19 @@ class TestLmGapSeparation:
         fam = interpolation_family(A_GAP, B_GAP)
         sat = check_saturation(lm_povm_from_pair(pair), fam, 0.0)
         assert sat.saturating
+
+
+class TestLmThresholdAgreement:
+    def test_tiny_amplitude_counts_as_zero(self):
+        # |C_01|^2 ~ 1e-14 lies below the outcome-probability cut of
+        # check_saturation, so that outcome faces the support condition
+        a = np.array([[0.8, 1e-7], [0, 0.6]], dtype=complex)
+        a /= np.linalg.norm(a)
+        b = np.array([[0.3, 0.2], [0, 0]], dtype=complex)
+        b[1, 1] = -np.vdot(a, b) / np.conj(a[1, 1])
+        coeffs = BipartiteCoeffs(a, b)
+        pair = IsometryPair(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+        rep = check_lm_conditions(pair, coeffs)
+        sat = check_saturation(lm_povm_from_pair(pair), interpolation_family(a, b), 0.0)
+        assert rep.feasible == sat.saturating
+        assert not sat.saturating and abs(sat.qfi - 1.16) < 1e-6

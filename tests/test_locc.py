@@ -64,11 +64,11 @@ class TestFlatten:
     def test_depth_two_completeness(self):
         fam = ghz_family(2)
         povm = flatten(synth(fam, 0.1))
-        assert len(povm.elements) == 4
-        total = sum(povm.elements)
+        assert len(povm.vectors) == 4
+        total = sum(np.outer(v, v.conj()) for v in povm.vectors)
         assert np.abs(total - np.eye(4)).max() < 1e-8
-        for e in povm.elements:
-            assert abs(np.trace(e) - 1.0) < 1e-9
+        for v in povm.vectors:
+            assert abs(np.vdot(v, v) - 1.0) < 1e-9
 
     def test_identical_bases_is_product_measurement(self):
         basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -77,7 +77,8 @@ class TestFlatten:
         root = TreeNode(subsystem=0, basis=basis.copy(), children=[leaf0, leaf1])
         tree = MeasurementTree(HilbertLayout((2, 2)), (0, 1), root)
         povm = flatten(tree)
-        for (i, j), e in zip(povm.labels, povm.elements):
+        for (i, j), v in zip(povm.labels, povm.vectors):
+            e = np.outer(v, v.conj())
             want = np.outer(kron([basis[:, i], basis[:, j]]),
                             kron([basis[:, i], basis[:, j]]).conj())
             assert np.abs(e - want).max() < 1e-12
@@ -85,8 +86,8 @@ class TestFlatten:
     def test_four_qubit_sixteen_elements(self):
         sc = builtin_scenario("chain4")
         povm = flatten(synth(sc.family, 0.2))
-        assert len(povm.elements) == 16
-        assert all(abs(np.trace(e) - 1.0) < 1e-9 for e in povm.elements)
+        assert len(povm.vectors) == 16
+        assert all(abs(np.vdot(v, v) - 1.0) < 1e-9 for v in povm.vectors)
 
 
 class TestVerifyTree:

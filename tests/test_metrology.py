@@ -23,7 +23,7 @@ def phase_qubit():
 
 
 def projector_povm(vectors):
-    return Povm(elements=[np.outer(v, v.conj()) for v in vectors])
+    return Povm(vectors=np.array(vectors))
 
 
 class TestEvalState:
@@ -171,9 +171,8 @@ class TestFisherInfo:
     def test_invalid_povm(self):
         fam = phase_qubit()
         rho, drho = eval_state(fam, 0.3)
-        bad = Povm(elements=[np.eye(2, dtype=complex) * 0.4])
         with pytest.raises(ValueError):
-            fisher_info(bad, rho, drho)
+            fisher_info(Povm(vectors=np.eye(2, dtype=complex) * 0.4), rho, drho)
 
 
 class TestPerpComponent:
@@ -296,14 +295,12 @@ class TestCheckSaturation:
         minus = np.zeros(d, dtype=complex)
         minus[0], minus[-1] = 1 / np.sqrt(2), -1j * np.exp(1j * n * th) / np.sqrt(2)
         rest = [np.eye(d, dtype=complex)[:, k] for k in range(1, d - 1)]
-        rep = check_saturation(Povm([np.outer(v, v.conj())
-                                     for v in [plus, minus] + rest]), fam, th)
+        rep = check_saturation(projector_povm([plus, minus] + rest), fam, th)
         assert rep.saturating and abs(rep.fi - n * n) < 1e-8
 
     def test_computational_basis_fails(self):
         fam = phase_qubit()
-        povm = Povm([np.diag([1.0, 0.0]).astype(complex),
-                     np.diag([0.0, 1.0]).astype(complex)])
+        povm = projector_povm(np.eye(2, dtype=complex))
         rep = check_saturation(povm, fam, 0.3)
         assert not rep.saturating and abs(rep.fi) < 1e-12
 
@@ -313,7 +310,7 @@ class TestCheckSaturation:
         psi = fam.psi(th)
         perp = perp_component(psi, fam.dpsi(th))
         phi = perp / np.linalg.norm(perp)      # orthogonal to psi, along psi_perp
-        povm = Povm([np.outer(phi, phi.conj()), np.outer(psi, psi.conj())])
+        povm = projector_povm([phi, psi])
         rep = check_saturation(povm, fam, th)
         assert rep.regularity_residual > 1e-3
         assert not rep.saturating

@@ -123,6 +123,15 @@ class TestCliCore:
         assert cli_main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_simulate_single_trial_valid_json(self, capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        assert cli_main(["simulate", "ghz2", "--trials", "1", "--shots", "100"]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["variance"] is None and doc["ratio"] is None
+        assert doc["ci95"] == [None, None]
+
     def test_scenario_file_ingestion(self, tmp_path, capsys):
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         doc = {

@@ -171,7 +171,7 @@ class TestRunTrials:
         tree = single_node_tree(basis)
         th = 1.1
         rho, drho = eval_state(fam, th)
-        povm = Povm([np.outer(basis[:, i], basis[:, i].conj()) for i in range(2)])
+        povm = Povm(vectors=basis.T)
         f = fisher_info(povm, rho, drho)
         assert 0.01 < f < 0.999
         rep = run_trials(SimConfig(family=fam, theta_true=th, shots=40_000,
