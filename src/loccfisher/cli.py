@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +75,9 @@ def _cmd_synthesize(args) -> int:
                                 _order_arg(args.order))
     _emit(locc.tree_to_json(tree), args.out)
     if args.out:
+        # a tree has one leaf per product basis state
         print(json.dumps({"scenario": sc.name, "theta": theta, "out": args.out,
-                          "leaves": len(locc.leaf_vectors(tree))}, sort_keys=True))
+                          "leaves": tree.layout.total}, sort_keys=True))
     return 0
 
 
@@ -85,7 +87,7 @@ def _cmd_verify(args) -> int:
     with open(args.tree) as fh:
         tree = locc.tree_from_json(json.load(fh))
     report = locc.verify_tree(tree, sc.family, theta)
-    _emit({"scenario": sc.name, "theta": theta, **report.to_json()})
+    _emit({"scenario": sc.name, "theta": theta, **asdict(report)})
     return 0
 
 
@@ -133,13 +135,13 @@ def _cmd_lm_check(args) -> int:
         pair = lm.construct_lm_2xd(coeffs)
         report = lm.check_lm_conditions(pair, coeffs)
         if report.feasible:
-            doc = report.to_json()
+            doc = asdict(report)
             doc["method"] = "qubit-constructive"
     if doc is None:
         pair, search = lm.heuristic_lm_search(
             coeffs, restarts=args.restarts, seed=args.seed,
             allow_isometry_padding=not args.projective_only)
-        doc = search.to_json()
+        doc = asdict(search)
         doc["method"] = "heuristic-search"
     doc["U"] = complex_to_pairs(pair.u_mat)
     doc["V"] = complex_to_pairs(pair.v_mat)

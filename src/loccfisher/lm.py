@@ -11,14 +11,14 @@ D vanishes wherever C does (support condition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import metrology
-from .tensor import HilbertLayout, as_layout
-from .zerodiag import simultaneous_zero_diag, zero_diag_basis
+from .tensor import HilbertLayout, as_layout, check_traceless
+from .zerodiag import ZeroDiagConvergenceError, simultaneous_zero_diag, zero_diag_basis
 
 PHASE_TOL = 1e-8
 SUPPORT_TOL = 1e-8
@@ -77,14 +77,6 @@ class LmFeasibilityReport:
     feasible: bool
     projective: bool
 
-    def to_json(self) -> dict:
-        return {
-            "phase_residual": self.phase_residual,
-            "support_residual": self.support_residual,
-            "feasible": self.feasible,
-            "projective": self.projective,
-        }
-
 
 def coefficient_matrices(psi: np.ndarray, psi_perp: np.ndarray,
                          layout: HilbertLayout) -> BipartiteCoeffs:
@@ -134,8 +126,8 @@ def construct_lm_2xd(coeffs: BipartiteCoeffs) -> IsometryPair:
     for i in range(2):
         p = np.outer(u[:, i], u[:, i].conj())
         t = b.conj().T @ p @ a - a.conj().T @ p @ b
-        if abs(np.trace(t)) > 1e-10 * max(1.0, float(np.linalg.norm(t))):
-            raise RuntimeError("conditioned target lost tracelessness")
+        # traceless iff u zero-diagonalizes the skew form; simultaneous_zero_diag re-centers
+        check_traceless(t, f"conditioned target {i}", error=ZeroDiagConvergenceError)
         targets.append(-1j * t)     # anti-Hermitian target over i gives a Hermitian pair
     v = simultaneous_zero_diag(targets[0], targets[1])
     return IsometryPair(u_mat=u, v_mat=v)
@@ -156,24 +148,10 @@ def lm_povm_from_pair(pair: IsometryPair) -> metrology.Povm:
 
 
 @dataclass
-class SearchReport:
-    phase_residual: float
-    support_residual: float
-    feasible: bool
-    projective: bool
+class SearchReport(LmFeasibilityReport):
     restarts: int
     note: str = ("heuristic local search: a negative outcome is evidence of "
                  "infeasibility, not a proof")
-
-    def to_json(self) -> dict:
-        return {
-            "phase_residual": self.phase_residual,
-            "support_residual": self.support_residual,
-            "feasible": self.feasible,
-            "projective": self.projective,
-            "restarts": self.restarts,
-            "note": self.note,
-        }
 
 
 def _herm_from_params(x: np.ndarray, d: int) -> np.ndarray:
@@ -246,8 +224,4 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
         if rep.feasible and val < 1e-10:
             break
 
-    return best_pair, SearchReport(phase_residual=best_rep.phase_residual,
-                                   support_residual=best_rep.support_residual,
-                                   feasible=best_rep.feasible,
-                                   projective=best_pair.projective,
-                                   restarts=used)
+    return best_pair, SearchReport(**asdict(best_rep), restarts=used)

@@ -16,8 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import metrology
-from .tensor import (HilbertLayout, as_layout, complex_to_pairs, kron,
-                     pairs_to_complex, partial_expectation, partial_trace)
+from .tensor import (HilbertLayout, as_layout, check_traceless, check_unit,
+                     complex_to_pairs, kron, pairs_to_complex,
+                     partial_expectation, partial_trace)
 from .zerodiag import zero_diag_basis
 
 LEAF_TOL = 1e-7           # admissible |<E|target|E>| relative to target norm
@@ -70,9 +71,9 @@ def synthesize_tree(m_tilde: np.ndarray, layout: HilbertLayout | Sequence[int],
     layout = as_layout(layout)
     order = _check_order(layout, order)
     m_tilde = np.asarray(m_tilde, dtype=complex)
-    scale = max(float(np.linalg.norm(m_tilde)), 1e-300)
-    if abs(np.trace(m_tilde)) > 1e-9 * scale:
-        raise ValueError(f"target matrix is not traceless (trace {np.trace(m_tilde):.3e})")
+    # checked only: the target is conditioned as given, each node re-centers its reduction
+    check_traceless(m_tilde, "target matrix", 1e-9)
+    scale = float(np.linalg.norm(m_tilde))
 
     def build(m_cur: np.ndarray, rem_ids: tuple[int, ...], depth: int) -> TreeNode:
         sub = order[depth]
@@ -83,13 +84,10 @@ def synthesize_tree(m_tilde: np.ndarray, layout: HilbertLayout | Sequence[int],
         else:
             reduced = partial_trace(m_cur, rem_layout,
                                     [i for i in range(len(rem_ids)) if i != pos])
-        drift = abs(np.trace(reduced))
-        if drift > NODE_TRACE_TOL * max(1.0, scale):
-            raise SynthesisError(
-                f"conditioned matrix at depth {depth} has trace drift {drift:.3e}")
-        d = reduced.shape[0]
-        reduced = reduced - (np.trace(reduced) / d) * np.eye(d)
+        reduced = check_traceless(reduced, f"conditioned matrix at depth {depth}",
+                                  NODE_TRACE_TOL, scale, SynthesisError)
         basis = zero_diag_basis(reduced)
+        d = basis.shape[0]
         if depth == layout.nsub - 1:
             return TreeNode(subsystem=sub, basis=basis, children=None)
         children = []
@@ -158,11 +156,8 @@ def discriminate(psi0: np.ndarray, psi1: np.ndarray,
     with certainty. Leaves are assigned to the larger-overlap hypothesis.
     """
     layout = as_layout(layout)
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    psi1 = np.asarray(psi1, dtype=complex).reshape(-1)
-    for name, v in (("psi0", psi0), ("psi1", psi1)):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise ValueError(f"{name} must be a unit vector")
+    psi0 = check_unit(psi0, "psi0")
+    psi1 = check_unit(psi1, "psi1")
     if abs(np.vdot(psi0, psi1)) > 1e-10:
         raise ValueError("psi0 and psi1 must be orthogonal")
 

@@ -18,25 +18,11 @@ from typing import Callable, Union
 import numpy as np
 
 # sqrt_psd is unused here; it stays importable because the benchmark tracer patches it.
-from .tensor import HilbertLayout, herm_eig, sqrt_psd  # noqa: F401
+from .tensor import (HilbertLayout, check_hermitian, check_traceless, check_unit,
+                     herm_eig, sqrt_psd)  # noqa: F401
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_FD_STEP = 1e-4
-
-
-def _unit(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"state vector norm {nrm!r} is not 1")
-    return vec
-
-
-def _check_hermitian(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if np.abs(m - m.conj().T).max() > tol * max(1.0, np.abs(m).max()):
-        raise ValueError(f"{name} is not Hermitian")
-    return (m + m.conj().T) / 2
 
 
 @dataclass
@@ -48,8 +34,8 @@ class UnitaryGeneratorFamily:
     generator: np.ndarray
 
     def __post_init__(self) -> None:
-        self.psi_in = _unit(self.psi_in)
-        self.generator = _check_hermitian(self.generator, "generator")
+        self.psi_in = check_unit(self.psi_in, "psi_in", 1e-12)
+        self.generator = check_hermitian(self.generator, "generator")
         d = self.layout.total
         if self.psi_in.shape != (d,) or self.generator.shape != (d, d):
             raise ValueError("psi_in / generator shapes do not match the layout")
@@ -88,13 +74,10 @@ class PureNumericFamily:
     state_type = "pure"
 
     def psi(self, theta: float) -> np.ndarray:
-        vec = np.asarray(self.evaluator(theta), dtype=complex).reshape(-1)
+        vec = check_unit(self.evaluator(theta), "evaluator output", 1e-9)
         if vec.shape != (self.layout.total,):
             raise ValueError("evaluator output does not match the layout")
-        nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"evaluator output norm {nrm!r} is not 1")
-        return vec / nrm
+        return vec / np.linalg.norm(vec)
 
     def dpsi(self, theta: float) -> np.ndarray:
         h = self.step
@@ -120,8 +103,8 @@ class RankTwoFixedBasisFamily:
     dp_fn: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        self.psi0 = _unit(self.psi0)
-        self.psi1 = _unit(self.psi1)
+        self.psi0 = check_unit(self.psi0, "psi0", 1e-12)
+        self.psi1 = check_unit(self.psi1, "psi1", 1e-12)
         if abs(np.vdot(self.psi0, self.psi1)) > 1e-10:
             raise ValueError("psi0 and psi1 must be orthogonal")
 
@@ -153,7 +136,7 @@ class MixedGenericFamily:
 
     def rho(self, theta: float) -> np.ndarray:
         d = self.layout.total
-        rho = _check_hermitian(np.asarray(self.evaluator(theta), dtype=complex), "rho", 1e-9)
+        rho = check_hermitian(self.evaluator(theta), "rho", 1e-9)
         if rho.shape != (d, d):
             raise ValueError("evaluator output does not match the layout")
         w = np.linalg.eigvalsh(rho)
@@ -236,23 +219,13 @@ class SaturationReport:
     regularity_residual: float
     saturating: bool
 
-    def to_json(self) -> dict:
-        return {
-            "fi": self.fi,
-            "qfi": self.qfi,
-            "condition_residual": self.condition_residual,
-            "regularity_residual": self.regularity_residual,
-            "saturating": self.saturating,
-        }
-
 
 def eval_state(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Density matrix and derivative at theta, validated Hermitian/traceless."""
     rho, drho = family.rho_drho(theta)
-    rho = _check_hermitian(rho, "rho", 1e-9)
-    drho = _check_hermitian(drho, "drho", 1e-8)
-    if abs(np.trace(drho)) > 1e-8 * max(1.0, np.abs(drho).max()):
-        raise ValueError("drho is not traceless")
+    rho = check_hermitian(rho, "rho", 1e-9)
+    drho = check_hermitian(drho, "drho", 1e-8)
+    check_traceless(drho, "drho", 1e-8)
     return rho, drho
 
 
@@ -264,8 +237,8 @@ def sld(rho: np.ndarray, drho: np.ndarray,
     pairs with p_j + p_k above rank_tol. Components of drho connecting two
     kernel directions cannot be represented by any L and raise.
     """
-    rho = _check_hermitian(rho, "rho")
-    drho = _check_hermitian(drho, "drho", 1e-8)
+    rho = check_hermitian(rho, "rho")
+    drho = check_hermitian(drho, "drho", 1e-8)
     w, v = herm_eig(rho)
     t = v.conj().T @ drho @ v
     support = w > rank_tol
@@ -312,7 +285,7 @@ def fisher_info(povm: Povm, rho: np.ndarray, drho: np.ndarray,
 
 def perp_component(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """Component of dpsi orthogonal to psi (invariant under phase gauge)."""
-    psi = _unit(psi, tol=1e-10)
+    psi = check_unit(psi, "psi")
     dpsi = np.asarray(dpsi, dtype=complex).reshape(-1)
     return dpsi - np.vdot(psi, dpsi) * psi
 

@@ -4,6 +4,12 @@ All operators are plain complex numpy arrays in row-major layout. The basis
 index of a product state is big-endian in the subsystem order: for dims
 (d1, ..., dn) the computational state |x1 ... xn> sits at index
 x1*d2*...*dn + ... + xn.
+
+Input from outside the package is validated once, at each public entry, by
+``check_hermitian``, ``check_traceless`` and ``check_unit``. Their tolerances
+are relative to max(1, scale of the caller's matrix): the largest entry for
+the Hermitian test, the Frobenius norm for the trace test. Each call site
+states its own tolerance value.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 HERM_TOL = 1e-10       # max-entry deviation allowed between M and M-dagger
+TRACE_TOL = 1e-10      # |trace| allowed relative to the Frobenius norm
+UNIT_TOL = 1e-10       # | ||v|| - 1 | allowed for a unit vector
 PSD_CLIP = 1e-10       # eigenvalues in [-PSD_CLIP, 0) are clipped to zero
 
 
@@ -67,6 +75,52 @@ def _as_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def check_hermitian(m: np.ndarray, name: str = "matrix",
+                    tol: float = HERM_TOL) -> np.ndarray:
+    """(M + M^dag)/2, after checking max |M - M^dag| <= tol * max(1, max |M_ij|)."""
+    m = _as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    dev = np.abs(m - m.conj().T).max()
+    if dev > tol * max(1.0, np.abs(m).max()):
+        raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
+    return (m + m.conj().T) / 2
+
+
+def check_traceless(m: np.ndarray, name: str = "matrix", tol: float = TRACE_TOL,
+                    scale: float | None = None, error: type = ValueError) -> np.ndarray:
+    """M - (Tr M / d) I, after checking |Tr M| <= tol * max(1, scale).
+
+    ``scale`` defaults to the Frobenius norm of M; a caller checking a matrix
+    derived from a larger one passes that one's norm. ``error`` is the
+    exception raised on failure.
+    """
+    m = _as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    tr = np.trace(m)
+    if scale is None:
+        scale = float(np.linalg.norm(m))
+    if abs(tr) > tol * max(1.0, scale):
+        raise error(f"{name} is not traceless (trace {tr:.3e})")
+    return recenter(m)
+
+
+def recenter(m: np.ndarray) -> np.ndarray:
+    """M - (Tr M / d) I: the traceless part of a square matrix."""
+    d = m.shape[0]
+    return m - (np.trace(m) / d) * np.eye(d)
+
+
+def check_unit(v: np.ndarray, name: str = "vector", tol: float = UNIT_TOL) -> np.ndarray:
+    """v as a flat complex array, after checking | ||v|| - 1 | <= tol."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    nrm = np.linalg.norm(v)
+    if abs(nrm - 1.0) > tol:
+        raise ValueError(f"{name} norm {nrm!r} is not 1")
+    return v
+
+
 def kron(factors: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of the factors, composed in the given order."""
     out = None
@@ -112,11 +166,9 @@ def partial_expectation(m: np.ndarray, layout: HilbertLayout | Sequence[int],
     layout._check_index(k)
     if m.shape != (layout.total, layout.total):
         raise ValueError(f"matrix shape {m.shape} does not match layout {dims}")
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = check_unit(v, "subsystem vector")
     if v.shape != (dims[k],):
         raise ValueError(f"vector length {v.size} does not match subsystem dim {dims[k]}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise ValueError("subsystem vector must have unit norm")
     n = len(dims)
     t = m.reshape(dims + dims)
     t = np.tensordot(np.conj(v), t, axes=([0], [k]))      # row index of subsystem k
@@ -132,14 +184,7 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors as columns. The input is symmetrized as (M + M^dag)/2 before
     decomposition; deviations beyond HERM_TOL raise.
     """
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"herm_eig needs a square matrix, got {m.shape}")
-    dev = np.abs(m - m.conj().T).max()
-    if dev > HERM_TOL * max(1.0, np.abs(m).max()):
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    sym = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh(check_hermitian(m))
     return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
 
 

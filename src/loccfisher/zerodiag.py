@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.optimize import least_squares
 
-TRACE_TOL = 1e-10      # admissible |trace| relative to matrix scale on input
-DIAG_TOL = 1e-8        # admissible diagonal residual relative to matrix norm
-_TINY = 1e-12
+from .tensor import check_hermitian, check_traceless, recenter
+
+DIAG_TOL = 1e-8        # admissible diagonal residual relative to the pair scale
+NULL_TOL = 1e-9        # admissible null-vector residual relative to the pair scale
+_TINY = 1e-12          # relative zero floor, mostly against the pair scale
 
 
 class ZeroDiagConvergenceError(RuntimeError):
@@ -39,7 +40,8 @@ class BlockSplit:
 
     ``pos_basis`` collects eigenvectors with eigenvalue >= 0 (zeros included),
     ``neg_basis`` the strictly negative ones. ``sigma1``, ``sigma2`` and
-    ``offdiag`` are the corresponding blocks of the (possibly rescaled) H2.
+    ``offdiag`` are the corresponding blocks of the (possibly rescaled) H2,
+    and ``scale`` is the scale of the rescaled pair.
     """
 
     pos_basis: np.ndarray
@@ -50,24 +52,31 @@ class BlockSplit:
     sigma2: np.ndarray
     offdiag: np.ndarray
     case: str            # "a" (rescaled to matching block traces) or "b"
+    scale: float
 
 
 def _norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def _check_traceless_hermitian(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.conj().T).max() > 1e-10 * scale:
-        raise ValueError(f"{name} is not Hermitian")
-    if abs(np.trace(m)) > TRACE_TOL * max(1.0, _norm(m)):
-        raise ValueError(f"{name} is not traceless (trace {np.trace(m):.3e})")
-    m = (m + m.conj().T) / 2
-    d = m.shape[0]
-    return m - (np.trace(m) / d) * np.eye(d)
+def _check_pair(h1: np.ndarray, h2: np.ndarray) -> float:
+    """Scale max(1, ||h1||, ||h2||) of a public input pair, checked traceless Hermitian.
+
+    Every floor and bound of the construction is relative to this scale;
+    sub-problems inherit it, so a deflated pair that is rounding noise at
+    the caller's scale counts as zero. The private steps below trust their
+    input and only project it exactly onto traceless Hermitian matrices.
+    """
+    h1 = check_traceless(check_hermitian(h1, "h1"), "h1")
+    h2 = check_traceless(check_hermitian(h2, "h2"), "h2")
+    if h1.shape != h2.shape:
+        raise ValueError("dimension mismatch")
+    return max(1.0, _norm(h1), _norm(h2))
+
+
+def _traceless_hermitian(m: np.ndarray) -> np.ndarray:
+    """Re-centered Hermitian part of a matrix that is traceless Hermitian up to rounding."""
+    return recenter((m + m.conj().T) / 2)
 
 
 def _canonical_sign(m: np.ndarray) -> np.ndarray:
@@ -90,24 +99,28 @@ def solve_2x2(h1: np.ndarray, h2: np.ndarray) -> TwoByTwoRotation:
     alpha is solved from the linear trigonometric compatibility equation, then
     beta from either matrix with a nonzero diagonal.
     """
-    h1 = _canonical_sign(_check_traceless_hermitian(h1, "h1"))
-    h2 = _canonical_sign(_check_traceless_hermitian(h2, "h2"))
-    if h1.shape != (2, 2) or h2.shape != (2, 2):
+    _check_pair(h1, h2)
+    if np.shape(h1) != (2, 2):
         raise ValueError("solve_2x2 expects 2x2 matrices")
+    return _solve_2x2(h1, h2)
 
+
+def _solve_2x2(h1: np.ndarray, h2: np.ndarray) -> TwoByTwoRotation:
+    h1 = _canonical_sign(_traceless_hermitian(h1))
+    h2 = _canonical_sign(_traceless_hermitian(h2))
     a1 = float(np.real(h1[0, 0]))
     a2 = float(np.real(h2[0, 0]))
     b1, phi1 = abs(h1[0, 1]), float(np.angle(h1[0, 1]))
     b2, phi2 = abs(h2[0, 1]), float(np.angle(h2[0, 1]))
-    scale = max(_norm(h1), _norm(h2), _TINY)
+    size = max(_norm(h1), _norm(h2), _TINY)     # the closed form is scale-free
 
-    if abs(a1) <= _TINY * scale and abs(a2) <= _TINY * scale:
+    if abs(a1) <= _TINY * size and abs(a2) <= _TINY * size:
         # Both diagonals already vanish.
         alpha, beta = 0.0, 0.0
     else:
         x = b1 * a2 * np.cos(phi1) - b2 * a1 * np.cos(phi2)
         y = b1 * a2 * np.sin(phi1) - b2 * a1 * np.sin(phi2)
-        alpha = 0.0 if max(abs(x), abs(y)) <= _TINY * scale ** 2 else float(np.arctan2(-x, y))
+        alpha = 0.0 if max(abs(x), abs(y)) <= _TINY * size ** 2 else float(np.arctan2(-x, y))
         k_star = (a1, b1, phi1) if abs(a1) >= abs(a2) else (a2, b2, phi2)
         a, b, phi = k_star
         beta = 0.5 * float(np.arctan2(-a, b * np.cos(alpha - phi)))
@@ -118,25 +131,23 @@ def solve_2x2(h1: np.ndarray, h2: np.ndarray) -> TwoByTwoRotation:
     return TwoByTwoRotation(alpha=alpha, beta=beta, unitary=u)
 
 
-def _zero_diag_single(h: np.ndarray) -> np.ndarray:
-    """Basis zero-diagonalizing one traceless Hermitian matrix."""
-    return simultaneous_zero_diag(h, np.zeros_like(h))
-
-
-def block_split(h1: np.ndarray, h2: np.ndarray) -> BlockSplit:
+def _block_split(h1: np.ndarray, h2: np.ndarray, scale: float) -> BlockSplit:
     """Split by the eigenvalue sign of h1 and rescale h2 per the case analysis.
 
     Zero eigenvalues of h1 join the positive block; only the block traces
-    matter and they stay strictly signed. Case "a" rescales h2 so the block
-    traces of both matrices agree; case "b" applies when h2's blocks are
-    already traceless.
+    matter and they stay strictly signed. The zero floor is relative to
+    h1's own spectrum, so a traceless h1 always has both signs. Case "a"
+    rescales h2 by gamma so the block traces of both matrices agree; an error
+    e in the rescaled blocks costs e in h1 and e/|gamma| in h2, so the block
+    sub-problems get the scale min(1, |gamma|) * scale. Case "b" applies when
+    h2's blocks are already traceless.
     """
     w, v = np.linalg.eigh(h1)
-    zero_tol = _TINY * max(1.0, float(np.abs(w).max()))
-    pos = w >= -zero_tol
+    pos = w >= -_TINY * np.abs(w).max()
     neg = ~pos
     if not pos.any() or not neg.any():
-        raise ValueError("h1 must have eigenvalues of both signs (traceless, nonzero)")
+        raise ZeroDiagConvergenceError(
+            "h1 must have eigenvalues of both signs (traceless, nonzero)")
     p_basis, n_basis = v[:, pos], v[:, neg]
     lam1 = p_basis.conj().T @ h1 @ p_basis
     lam2 = n_basis.conj().T @ h1 @ n_basis
@@ -146,22 +157,20 @@ def block_split(h1: np.ndarray, h2: np.ndarray) -> BlockSplit:
 
     t_lam1 = float(np.real(np.trace(lam1)))
     t_sig1 = float(np.real(np.trace(sig1)))
-    if abs(t_sig1) < _TINY * max(1.0, _norm(h2)):
+    if abs(t_sig1) < _TINY * scale:
         case = "b"
     else:
         case = "a"
         gamma = t_lam1 / t_sig1
         sig1, sig2, b = gamma * sig1, gamma * sig2, gamma * b
+        scale *= min(1.0, abs(gamma))
     return BlockSplit(pos_basis=p_basis, neg_basis=n_basis, lambda1=lam1,
-                      lambda2=lam2, sigma1=sig1, sigma2=sig2, offdiag=b, case=case)
+                      lambda2=lam2, sigma1=sig1, sigma2=sig2, offdiag=b, case=case,
+                      scale=scale)
 
 
-def _recenter(m: np.ndarray) -> np.ndarray:
-    d = m.shape[0]
-    return m - (np.trace(m) / d) * np.eye(d)
-
-
-def _pick_block_vector(lam: np.ndarray, target: np.ndarray, want_max: bool) -> tuple[np.ndarray, float, float]:
+def _pick_block_vector(lam: np.ndarray, target: np.ndarray, want_max: bool,
+                       scale: float) -> tuple[np.ndarray, float, float]:
     """Vector u with <u|target|u> = 0 maximizing (or minimizing) <u|lam|u>.
 
     ``target`` is traceless on the block, so a zero-diagonalizing basis
@@ -172,7 +181,8 @@ def _pick_block_vector(lam: np.ndarray, target: np.ndarray, want_max: bool) -> t
     if p == 1:
         u = np.array([1.0 + 0j])
         return u, float(np.real(lam[0, 0])), float(np.real(target[0, 0]))
-    basis = _zero_diag_single(_recenter((target + target.conj().T) / 2))
+    h = _traceless_hermitian(target)
+    basis = _zero_diag_pair(h, np.zeros_like(h), scale)
     scores = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, lam, basis))
     idx = int(np.argmax(scores) if want_max else np.argmin(scores))
     u = basis[:, idx]
@@ -188,24 +198,25 @@ def find_null_vector(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     obtain block vectors v1 (positive diagonal value) and v2 (negative), and
     combine them as cos(beta) v1 + sin(beta) e^{-i alpha} v2.
     """
-    h1 = _check_traceless_hermitian(h1, "h1")
-    h2 = _check_traceless_hermitian(h2, "h2")
+    return _null_vector(h1, h2, _check_pair(h1, h2))
+
+
+def _null_vector(h1: np.ndarray, h2: np.ndarray, scale: float) -> np.ndarray:
+    h1, h2 = _traceless_hermitian(h1), _traceless_hermitian(h2)
     d = h1.shape[0]
-    if h2.shape[0] != d:
-        raise ValueError("dimension mismatch")
     n1, n2 = _norm(h1), _norm(h2)
-    if n1 <= _TINY and n2 <= _TINY:
+    if max(n1, n2) <= _TINY * scale:
         v = np.zeros(d, dtype=complex)
         v[0] = 1.0
         return v
-    if n1 <= _TINY * max(1.0, n2):
-        return find_null_vector(h2, h1)
+    if n1 <= _TINY * scale:
+        return _null_vector(h2, h1, scale)
 
-    split = block_split(h1, h2)
+    split = _block_split(h1, h2, scale)
     target1 = split.lambda1 - split.sigma1 if split.case == "a" else split.sigma1
     target2 = split.lambda2 - split.sigma2 if split.case == "a" else split.sigma2
-    v1, lam1, t1 = _pick_block_vector(split.lambda1, target1, want_max=True)
-    v2, lam2, t2 = _pick_block_vector(split.lambda2, target2, want_max=False)
+    v1, lam1, t1 = _pick_block_vector(split.lambda1, target1, True, split.scale)
+    v2, lam2, t2 = _pick_block_vector(split.lambda2, target2, False, split.scale)
     # Sandwich values of the (rescaled) h2 blocks; near-zero inner residuals
     # t1, t2 are carried along so alpha can cancel them exactly below.
     sig1 = lam1 - t1 if split.case == "a" else t1
@@ -218,14 +229,11 @@ def find_null_vector(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     cb, sb = np.cos(beta), np.sin(beta)
     cross = complex(v1.conj() @ split.offdiag @ v2)
     base = cb * cb * sig1 + sb * sb * sig2
-    if abs(cross) > _TINY * max(1.0, n2):
+    if abs(cross) > _TINY * split.scale:
         # Solve cos(arg(cross) - alpha) exactly so the residual block term and
-        # the cross term cancel, falling back to the quadrature angle.
+        # the cross term cancel; |target| exceeds 1 only by rounding.
         target = -base / (2 * cb * sb * abs(cross))
-        if abs(target) <= 1.0:
-            alpha = float(np.angle(cross) - np.arccos(target))
-        else:
-            alpha = float(np.angle(cross) + np.pi / 2)
+        alpha = float(np.angle(cross) - np.arccos(np.clip(target, -1.0, 1.0)))
     else:
         alpha = 0.0
 
@@ -235,33 +243,10 @@ def find_null_vector(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     v /= np.linalg.norm(v)
 
     res = max(abs(v.conj() @ h1 @ v), abs(v.conj() @ h2 @ v))
-    tol = 1e-9 * (n1 + n2)
-    if res > tol:
-        v = _polish_null_vector(h1, h2, split, v1, v2, alpha, beta)
-        res = max(abs(v.conj() @ h1 @ v), abs(v.conj() @ h2 @ v))
-        if res > tol:
-            raise ZeroDiagConvergenceError(
-                f"null-vector residual {res:.3e} exceeds tolerance {tol:.3e}")
+    if res > NULL_TOL * scale:
+        raise ZeroDiagConvergenceError(
+            f"null-vector residual {res:.3e} exceeds {NULL_TOL:.0e} * scale {scale:.3e}")
     return v
-
-
-def _polish_null_vector(h1, h2, split, v1, v2, alpha, beta) -> np.ndarray:
-    """Damped Newton (Levenberg-Marquardt) polish of (alpha, beta)."""
-    e1 = split.pos_basis @ v1
-    e2 = split.neg_basis @ v2
-
-    def vec(x):
-        a, b = x
-        v = np.cos(b) * e1 + np.sin(b) * np.exp(-1j * a) * e2
-        return v / np.linalg.norm(v)
-
-    def resid(x):
-        v = vec(x)
-        return [float(np.real(v.conj() @ h1 @ v)), float(np.real(v.conj() @ h2 @ v))]
-
-    sol = least_squares(resid, x0=[alpha, beta], method="lm", max_nfev=200,
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    return vec(sol.x)
 
 
 def simultaneous_zero_diag(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -271,33 +256,33 @@ def simultaneous_zero_diag(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     pair is re-centered to exactly traceless before descending, which is
     admissible because the peeled vector carries zero diagonal value.
     """
-    h1 = _check_traceless_hermitian(h1, "h1")
-    h2 = _check_traceless_hermitian(h2, "h2")
-    d = h1.shape[0]
-    if h2.shape[0] != d:
-        raise ValueError("dimension mismatch")
-    n1, n2 = _norm(h1), _norm(h2)
-    if d == 1 or (n1 <= _TINY and n2 <= _TINY):
-        return np.eye(d, dtype=complex)
-    if n1 <= _TINY * max(1.0, n2):
-        return simultaneous_zero_diag(h2, h1)
-    if d == 2:
-        return solve_2x2(h1, h2).unitary
+    return _zero_diag_pair(h1, h2, _check_pair(h1, h2))
 
-    v = find_null_vector(h1, h2)
+
+def _zero_diag_pair(h1: np.ndarray, h2: np.ndarray, scale: float) -> np.ndarray:
+    h1, h2 = _traceless_hermitian(h1), _traceless_hermitian(h2)
+    d = h1.shape[0]
+    n1, n2 = _norm(h1), _norm(h2)
+    if d == 1 or max(n1, n2) <= _TINY * scale:
+        return np.eye(d, dtype=complex)
+    if n1 <= _TINY * scale:
+        return _zero_diag_pair(h2, h1, scale)
+    if d == 2:
+        return _solve_2x2(h1, h2).unitary
+
+    v = _null_vector(h1, h2, scale)
     w = sla.null_space(v.conj()[None, :])          # d x (d-1) orthonormal complement
-    h1_sub = _recenter(w.conj().T @ h1 @ w)
-    h2_sub = _recenter(w.conj().T @ h2 @ w)
-    u_sub = simultaneous_zero_diag(h1_sub, h2_sub)
+    u_sub = _zero_diag_pair(recenter(w.conj().T @ h1 @ w),
+                            recenter(w.conj().T @ h2 @ w), scale)
     u = np.empty((d, d), dtype=complex)
     u[:, 0] = v
     u[:, 1:] = w @ u_sub
 
-    for h, n in ((h1, n1), (h2, n2)):
+    for h in (h1, h2):
         res = float(np.abs(np.diag(u.conj().T @ h @ u)).max())
-        if res > DIAG_TOL * max(n, _TINY):
+        if res > DIAG_TOL * scale:
             raise ZeroDiagConvergenceError(
-                f"diagonal residual {res:.3e} exceeds {DIAG_TOL:.0e} * norm")
+                f"diagonal residual {res:.3e} exceeds {DIAG_TOL:.0e} * scale {scale:.3e}")
     return u
 
 
@@ -307,14 +292,6 @@ def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
     Splits the matrix into its Hermitian and anti-Hermitian parts and
     simultaneously zero-diagonalizes the resulting traceless Hermitian pair.
     """
-    m = np.asarray(m_tilde, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(_norm(m), _TINY)
-    if abs(np.trace(m)) > 1e-9 * scale:
-        raise ValueError(f"matrix is not traceless (trace {np.trace(m):.3e})")
-    d = m.shape[0]
-    m = m - (np.trace(m) / d) * np.eye(d)
-    h1 = (m + m.conj().T) / 2
-    h2 = (m - m.conj().T) / 2j
-    return simultaneous_zero_diag(h1, h2)
+    m = check_traceless(m_tilde, "matrix", 1e-9)
+    h1, h2 = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
+    return _zero_diag_pair(h1, h2, max(1.0, _norm(h1), _norm(h2)))

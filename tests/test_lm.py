@@ -1,13 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+import loccfisher.lm as lm
 from loccfisher import (BipartiteCoeffs, IsometryPair, UnitaryGeneratorFamily,
                         check_lm_conditions, check_saturation,
                         coefficient_matrices, construct_lm_2xd,
                         heuristic_lm_search, lm_povm_from_pair,
                         perp_component)
+from loccfisher.cli import cli_main
+from loccfisher.lm import PHASE_TOL
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import HilbertLayout
+from loccfisher.tensor import HilbertLayout, complex_to_pairs
 
 from conftest import random_state
 
@@ -258,3 +263,49 @@ class TestLmThresholdAgreement:
         sat = check_saturation(lm_povm_from_pair(pair), interpolation_family(a, b), 0.0)
         assert rep.feasible == sat.saturating
         assert not sat.saturating and abs(sat.qfi - 1.16) < 1e-6
+
+
+def _seeded_2xd_pairs():
+    """1500 random 2 x 6 pairs, then 1500 random 2 x 7 pairs, from one seed."""
+    rng = np.random.default_rng(12345)
+    pairs = {}
+    for d2 in (6, 7):
+        for k in range(1500):
+            a = rng.standard_normal((2, d2)) + 1j * rng.standard_normal((2, d2))
+            b = rng.standard_normal((2, d2)) + 1j * rng.standard_normal((2, d2))
+            a /= np.linalg.norm(a)
+            b -= np.vdot(a, b) * a
+            pairs[d2, k] = (a, b / np.linalg.norm(b))
+    return pairs
+
+
+class TestDeflatedNoisePairs:
+    # Pairs on which zero-diagonalization once failed: a deflated sub-problem,
+    # rounding noise at the scale of its parent pair, met absolute floors.
+    FAILED = [(6, k) for k in (331, 515, 564, 605, 930)] + \
+        [(7, k) for k in (103, 105, 146, 147, 184, 354, 447, 582, 1041, 1178, 1264)]
+
+    def test_construction_succeeds(self):
+        pairs = _seeded_2xd_pairs()
+        for key in self.FAILED:
+            coeffs = BipartiteCoeffs(*pairs[key])
+            rep = check_lm_conditions(construct_lm_2xd(coeffs), coeffs)
+            assert rep.phase_residual <= PHASE_TOL, key
+
+
+class TestConstructFailureExit:
+    def test_lost_tracelessness_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a basis that does not zero-diagonalize the skew form leaves the
+        # conditioned targets with a trace: numerical failure, not a crash
+        rng = np.random.default_rng(3)
+        coeffs = random_coeffs(2, 3, rng)
+        a, b = coeffs.a_mat, coeffs.b_mat
+        assert np.abs(np.diag(a @ b.conj().T - b @ a.conj().T)).min() > 1e-3
+        monkeypatch.setattr(lm, "zero_diag_basis", lambda m: np.eye(2, dtype=complex))
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(complex_to_pairs(a)))
+        pb.write_text(json.dumps(complex_to_pairs(b)))
+        assert cli_main(["lm-check", "--a-mat", str(pa), "--b-mat", str(pb)]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["kind"] == "non-convergence"
+        assert "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 
 from loccfisher import qfi, sld, eval_state
 from loccfisher.cli import cli_main
+from loccfisher.locc import leaf_vectors, tree_from_json
 from loccfisher.scenarios import (PauliStringTerm, bell_states, builtin_names,
                                   builtin_scenario, hamiltonian_from_pauli,
                                   parse_scenario, pauli_term_matrix)
@@ -114,6 +115,16 @@ class TestCliCore:
         doc = json.loads(capsys.readouterr().out)
         assert doc["saturating"] is True
         assert abs(doc["fi"] - doc["qfi"]) <= 1e-6 * doc["qfi"]
+
+    @pytest.mark.parametrize("scenario, dim", [("ghz3", 8), ("lm3x3", 9)])
+    def test_synthesize_reports_one_leaf_per_basis_state(self, tmp_path, capsys,
+                                                         scenario, dim):
+        tree_path = tmp_path / "tree.json"
+        assert cli_main(["synthesize", scenario, "--theta", "0.3",
+                         "--out", str(tree_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["leaves"] == dim
+        tree = tree_from_json(json.loads(tree_path.read_text()))
+        assert len(leaf_vectors(tree)) == dim
 
     def test_simulate_reproducible(self, capsys):
         argv = ["simulate", "ghz2", "--theta", "0.4", "--shots", "1000",

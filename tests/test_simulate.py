@@ -7,7 +7,8 @@ from loccfisher import (DegenerateLikelihoodError, Povm,
                         UnitaryGeneratorFamily, eval_state, fisher_info,
                         leaf_distribution, mle, run_trials, sample_path,
                         saturation_matrices, synthesize_tree, two_step)
-from loccfisher.locc import MeasurementTree, TreeNode, leaf_vectors
+from loccfisher.locc import MeasurementTree, TreeNode, flatten, leaf_vectors
+from loccfisher.scenarios import builtin_scenario
 from loccfisher.simulate import _trial_rng
 from loccfisher.tensor import HilbertLayout
 
@@ -84,6 +85,21 @@ class TestSamplePath:
         _, p_gof = stats.chisquare(walk_counts[keep],
                                    n * probs[keep] / probs[keep].sum())
         assert p_gof > 0.01
+
+
+class TestLeafDistribution:
+    def test_mixed_family_outcome_law(self):
+        # bellmix is a generic mixed family: its law is <e|rho|e> per leaf
+        bellmix = builtin_scenario("bellmix").family
+        ranktwo = builtin_scenario("ranktwo").family
+        th = 0.3
+        tree = synth(ranktwo, th)
+        paths, probs = leaf_distribution(bellmix, tree, th)
+        povm = flatten(tree)
+        rho = bellmix.rho_drho(th)[0]
+        want = np.array([np.vdot(e, rho @ e).real for e in povm.vectors])
+        assert paths == povm.labels
+        assert np.abs(probs - want / want.sum()).max() < 1e-12
 
 
 class TestMle:

@@ -111,18 +111,50 @@ class TestSimultaneousZeroDiag:
 
     def test_recursion_visits_every_dimension(self, rng, monkeypatch):
         seen = []
-        original = zd.simultaneous_zero_diag
+        original = zd._zero_diag_pair
 
-        def spy(h1, h2):
+        def spy(h1, h2, scale):
             seen.append(h1.shape[0])
-            return original(h1, h2)
+            return original(h1, h2, scale)
 
-        monkeypatch.setattr(zd, "simultaneous_zero_diag", spy)
+        monkeypatch.setattr(zd, "_zero_diag_pair", spy)
         h1 = random_traceless_hermitian(6, rng)
         h2 = random_traceless_hermitian(6, rng)
-        spy(h1, h2)
+        zd.simultaneous_zero_diag(h1, h2)
         # one peel per level: the main chain passes through every dimension
         assert set(range(2, 7)).issubset(set(seen))
+
+
+class TestScaleRelativeFloors:
+    # Floors and tolerances are relative to max(1, ||h1||, ||h2||) of the
+    # caller's pair, and sub-problems keep that scale.
+
+    def test_deflated_pair_is_noise_at_parent_scale(self):
+        # After the first null vector is peeled off, the deflated h1 vanishes
+        # exactly, so it holds only rounding noise of the 3e3 scale, which is
+        # above 1e-12 in absolute terms.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                                + 1j * rng.standard_normal((4, 4)))
+            h1 = 3e3 * (np.outer(q[:, 0], q[:, 0].conj())
+                        - np.outer(q[:, 1], q[:, 1].conj()))
+            u = simultaneous_zero_diag(h1, np.zeros_like(h1))
+            assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10
+            assert diag_residual(u, h1) < zd.DIAG_TOL * 3e3
+
+    @pytest.mark.parametrize("c1, c2", [(1e-10, 1.0), (1e-6, 1.0), (1.0, 1e-9),
+                                        (1e-8, 1e-8), (1e8, 1e3), (1e4, 1e8)])
+    def test_scale_sweep(self, rng, c1, c2):
+        for d in range(3, 7):
+            for _ in range(5):
+                h1 = c1 * random_traceless_hermitian(d, rng)
+                h2 = c2 * random_traceless_hermitian(d, rng)
+                u = simultaneous_zero_diag(h1, h2)
+                scale = max(1.0, np.linalg.norm(h1), np.linalg.norm(h2))
+                assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-10
+                assert max(diag_residual(u, h1), diag_residual(u, h2)) \
+                    < zd.DIAG_TOL * scale
 
 
 class TestZeroDiagBasis:
