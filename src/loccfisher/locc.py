@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import metrology
-from .tensor import (HilbertLayout, as_layout, check_traceless, check_unit,
+# kron is unused here; it stays importable because the benchmark tracer patches it.
+from .tensor import (HilbertLayout, as_layout, check_traceless, check_unit,  # noqa: F401
                      complex_to_pairs, kron, pairs_to_complex,
                      partial_expectation, partial_trace)
 from .zerodiag import zero_diag_basis
@@ -108,22 +109,37 @@ def synthesize_tree(m_tilde: np.ndarray, layout: HilbertLayout | Sequence[int],
 
 
 def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """All (outcome path, product vector) pairs, vectors in layout order."""
-    out: list[tuple[tuple[int, ...], np.ndarray]] = []
+    """All (outcome path, product vector) pairs, vectors in layout order.
 
-    def walk(node: TreeNode, path: tuple[int, ...], parts: dict[int, np.ndarray]) -> None:
-        d = node.basis.shape[1]
-        for x in range(d):
-            parts[node.subsystem] = node.basis[:, x]
-            if node.children is None:
-                vec = kron([parts[k] for k in range(tree.layout.nsub)])
-                out.append((path + (x,), vec))
-            else:
-                walk(node.children[x], path + (x,), parts)
-        del parts[node.subsystem]
-
-    walk(tree.root, (), {})
-    return out
+    Built one depth at a time: every node at depth t measures order[t], so
+    one broadcast product extends all prefixes at once. The factors multiply
+    in measurement order; for the identity order that is the left fold of
+    ``kron`` over the layout, entry for entry.
+    """
+    order = tree.order
+    nodes = [tree.root]
+    paths: list[tuple[int, ...]] = [()]
+    vecs = None
+    for depth, sub in enumerate(order):
+        if any(node.subsystem != sub for node in nodes):
+            raise ValueError(f"a node at depth {depth} does not measure subsystem {sub}")
+        cols = np.stack([node.basis.T for node in nodes], dtype=complex)
+        if not np.isfinite(cols).all():
+            raise ValueError("kron factor contains non-finite entries")
+        d = cols.shape[1]
+        # row p * d + x is prefix p extended by column x of its node's basis
+        vecs = cols.reshape(-1, d) if vecs is None else (
+            vecs[:, None, :, None] * cols[:, :, None, :]).reshape(len(paths) * d, -1)
+        paths = [p + (x,) for p in paths for x in range(d)]
+        if depth < len(order) - 1:
+            nodes = [child for node in nodes for child in node.children or ()]
+            if len(nodes) != len(paths):
+                raise ValueError(f"a node at depth {depth} lacks one child per outcome")
+    if order != tuple(range(len(order))):
+        dims = tuple(tree.layout.dims[k] for k in order)
+        vecs = vecs.reshape((len(paths),) + dims).transpose(
+            (0,) + tuple(1 + order.index(k) for k in range(len(order)))).reshape(len(paths), -1)
+    return list(zip(paths, vecs))
 
 
 def flatten(tree: MeasurementTree) -> metrology.Povm:
@@ -197,23 +213,31 @@ def tree_to_json(tree: MeasurementTree) -> dict:
 
 
 def tree_from_json(doc: dict) -> MeasurementTree:
+    """Tree of a JSON document; every node at depth t must measure order[t]."""
     layout = HilbertLayout(tuple(doc["layout"]))
     order = _check_order(layout, doc["order"])
 
-    def parse(node_doc: dict) -> TreeNode:
+    def parse(node_doc: dict, depth: int) -> TreeNode:
+        sub, d = order[depth], layout.dims[order[depth]]
         basis = np.stack([pairs_to_complex(v) for v in node_doc["basis"]], axis=1)
-        d = basis.shape[0]
+        last = depth == layout.nsub - 1
+        if (int(node_doc["subsystem"]) != sub or basis.shape != (d, d)
+                or last == ("children" in node_doc)):
+            raise ValueError(f"node at depth {depth} does not fit layout "
+                             f"{list(layout.dims)} and order {list(order)}")
+        # NaN fails every comparison, so the orthonormality test alone would pass it
+        if not np.isfinite(basis).all():
+            raise ValueError("node basis contains non-finite entries")
         if np.abs(basis.conj().T @ basis - np.eye(d)).max() > 1e-9:
             raise ValueError("node basis is not orthonormal")
         children = None
-        if "children" in node_doc:
-            children = [parse(c) for c in node_doc["children"]]
+        if not last:
+            children = [parse(c, depth + 1) for c in node_doc["children"]]
             if len(children) != d:
                 raise ValueError("child count does not match basis size")
-        return TreeNode(subsystem=int(node_doc["subsystem"]), basis=basis,
-                        children=children)
+        return TreeNode(subsystem=sub, basis=basis, children=children)
 
-    return MeasurementTree(layout=layout, order=order, root=parse(doc["node"]))
+    return MeasurementTree(layout=layout, order=order, root=parse(doc["node"], 0))
 
 
 def bloch_rows(tree: MeasurementTree, theta: float) -> list[dict]:

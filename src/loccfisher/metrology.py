@@ -19,7 +19,7 @@ import numpy as np
 
 # sqrt_psd is unused here; it stays importable because the benchmark tracer patches it.
 from .tensor import (HilbertLayout, check_hermitian, check_traceless, check_unit,
-                     herm_eig, sqrt_psd)  # noqa: F401
+                     eigh_desc, herm_eig, sqrt_psd)  # noqa: F401
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_FD_STEP = 1e-4
@@ -237,9 +237,14 @@ def sld(rho: np.ndarray, drho: np.ndarray,
     pairs with p_j + p_k above rank_tol. Components of drho connecting two
     kernel directions cannot be represented by any L and raise.
     """
-    rho = check_hermitian(rho, "rho")
-    drho = check_hermitian(drho, "drho", 1e-8)
-    w, v = herm_eig(rho)
+    return _sld(check_hermitian(rho, "rho"), check_hermitian(drho, "drho", 1e-8),
+                rank_tol)
+
+
+def _sld(rho: np.ndarray, drho: np.ndarray, rank_tol: float) -> SldResult:
+    # rho and drho come from check_hermitian (here or in eval_state), which
+    # returns exactly Hermitian matrices, so they are not checked again.
+    w, v = eigh_desc(rho)
     t = v.conj().T @ drho @ v
     support = w > rank_tol
     kernel = ~support
@@ -263,7 +268,7 @@ def qfi(family: StateFamily, theta: float,
         rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Quantum Fisher information Tr(rho L^2) at theta."""
     rho, drho = eval_state(family, theta)
-    return sld(rho, drho, rank_tol).qfi
+    return _sld(rho, drho, rank_tol).qfi
 
 
 def _sandwich(vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -364,7 +369,7 @@ def saturation_matrices(family: StateFamily, theta: float,
         m = np.outer(pair[0], pair[1].conj())
         return SaturationMatrices(m_set=[m], m_tilde=m, state_type="rank-two")
     rho, drho = eval_state(family, theta)
-    res = sld(rho, drho, rank_tol)
+    res = _sld(rho, drho, rank_tol)
     return SaturationMatrices(m_set=_commutator_targets(res), m_tilde=None,
                               state_type="mixed")
 
@@ -383,7 +388,7 @@ def check_saturation(povm: Povm, family: StateFamily, theta: float,
     """
     thr = thresholds or Thresholds()
     rho, drho = eval_state(family, theta)
-    res = sld(rho, drho, rank_tol)
+    res = _sld(rho, drho, rank_tol)
     m_set = _commutator_targets(res)
     scale = max((float(np.linalg.norm(m)) for m in m_set), default=0.0)
     vectors = povm.vectors

@@ -10,7 +10,7 @@ substreams so runs are reproducible bit for bit and trivially parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -131,9 +131,8 @@ def sample_path(tree: locc.MeasurementTree, rho: np.ndarray,
 
 
 def _path_prob_fn(family: metrology.StateFamily,
-                  tree: locc.MeasurementTree) -> Callable[[float], np.ndarray]:
-    """Outcome distribution theta -> probabilities, in leaf order."""
-    vecs = np.stack([v for _, v in locc.leaf_vectors(tree)])
+                  vecs: np.ndarray) -> Callable[[float], np.ndarray]:
+    """Outcome distribution theta -> probabilities over the rows of ``vecs``."""
     if family.state_type == "pure":
         def probs(theta: float) -> np.ndarray:
             return np.abs(vecs @ np.conj(family.psi(theta))) ** 2
@@ -151,13 +150,35 @@ def _path_prob_fn(family: metrology.StateFamily,
     return probs
 
 
+class _OutcomeLaw:
+    """One tree's outcome law for one family, tabulated on the prior grid.
+
+    ``log_table[e, g]`` is log(max(P_e(grid[g]), LOG_FLOOR)), each column
+    filled by the per-theta law, so every family check runs at every grid
+    point. ``run_trials`` builds it once per tree and passes it where a tree
+    is expected (``mle``'s ``tree``, ``two_step``'s ``config.tree``).
+    """
+
+    def __init__(self, family: metrology.StateFamily, tree: locc.MeasurementTree,
+                 prior: tuple[float, float], grid_points: int = GRID_POINTS):
+        paths, vecs = zip(*locc.leaf_vectors(tree))
+        self.paths = list(paths)
+        self.prob_fn = _path_prob_fn(family, np.stack(vecs))
+        self.grid = np.linspace(prior[0], prior[1], grid_points)
+        self.log_table = np.log(np.clip(
+            np.stack([self.prob_fn(t) for t in self.grid], axis=1), LOG_FLOOR, None))
+
+    def distribution(self, theta: float) -> np.ndarray:
+        probs = np.clip(self.prob_fn(theta), 0.0, None)
+        return probs / probs.sum()
+
+
 def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
                       theta: float) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Outcome paths and their probabilities at theta."""
-    paths = [p for p, _ in locc.leaf_vectors(tree)]
-    probs = _path_prob_fn(family, tree)(theta)
-    probs = np.clip(probs, 0.0, None)
-    return paths, probs / probs.sum()
+    paths, vecs = zip(*locc.leaf_vectors(tree))
+    probs = np.clip(_path_prob_fn(family, np.stack(vecs))(theta), 0.0, None)
+    return list(paths), probs / probs.sum()
 
 
 def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
@@ -171,19 +192,19 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     """
     if not counts:
         raise ValueError("no counts")
-    paths = [p for p, _ in locc.leaf_vectors(tree)]
-    count_vec = np.array([counts.get(p, 0) for p in paths], dtype=float)
+    law = (tree if isinstance(tree, _OutcomeLaw)
+           else _OutcomeLaw(family, tree, prior, grid_points))
+    count_vec = np.array([counts.get(p, 0) for p in law.paths], dtype=float)
     if count_vec.sum() <= 0:
         raise ValueError("no counts")
-    prob_fn = _path_prob_fn(family, tree)
 
     def loglik(theta: float) -> float:
-        probs = np.clip(prob_fn(theta), LOG_FLOOR, None)
+        probs = np.clip(law.prob_fn(theta), LOG_FLOOR, None)
         return float(count_vec @ np.log(probs))
 
     lo, hi = prior
-    grid = np.linspace(lo, hi, grid_points)
-    values = np.array([loglik(t) for t in grid])
+    grid = law.grid
+    values = count_vec @ law.log_table
     spread = values.max() - values.min()
     if spread < 1e-9 * (abs(values.max()) + 1.0):
         raise DegenerateLikelihoodError("likelihood is flat on the prior interval")
@@ -193,7 +214,7 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     best = int(ties[np.argmin(np.abs(grid[ties] - mid))])
 
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
+    b = grid[min(best + 1, grid.size - 1)]
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
     fc, fd = loglik(c), loglik(d)
     while b - a > 1e-10:
@@ -208,14 +229,12 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     return float(0.5 * (a + b))
 
 
-def _draw_counts(family: metrology.StateFamily, tree: locc.MeasurementTree,
-                 theta: float, shots: int,
+def _draw_counts(law: _OutcomeLaw, theta: float, shots: int,
                  rng: np.random.Generator) -> dict[tuple[int, ...], int]:
     # Multinomial over the flattened outcome law; equal in distribution to
     # per-shot conditional sampling (sample_path) and far cheaper.
-    paths, probs = leaf_distribution(family, tree, theta)
-    draws = rng.multinomial(shots, probs)
-    return {p: int(n) for p, n in zip(paths, draws) if n > 0}
+    draws = rng.multinomial(shots, law.distribution(theta))
+    return {p: int(n) for p, n in zip(law.paths, draws) if n > 0}
 
 
 def _synthesize_at(family: metrology.StateFamily, theta: float,
@@ -224,6 +243,16 @@ def _synthesize_at(family: metrology.StateFamily, theta: float,
     if target.m_tilde is None:
         raise ValueError("family has no rank-one synthesis target")
     return locc.synthesize_tree(target.m_tilde, layout)
+
+
+def _reference_law(config: SimConfig) -> _OutcomeLaw:
+    """Law of the two-step reference tree: config.tree, else synthesized at the midpoint."""
+    if isinstance(config.tree, _OutcomeLaw):
+        return config.tree
+    lo, hi = config.prior
+    tree = config.tree or _synthesize_at(config.family, 0.5 * (lo + hi),
+                                         config.family.layout)
+    return _OutcomeLaw(config.family, tree, config.prior)
 
 
 def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float:
@@ -236,18 +265,17 @@ def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float
     if config.shots < 16:
         raise ValueError("two-step needs at least 16 shots")
     rng = rng or _trial_rng(config.seed, 0)
-    lo, hi = config.prior
+    family, prior = config.family, config.prior
+    lo, hi = prior
     n_rough = int(np.ceil(np.sqrt(config.shots)))
-    mid = 0.5 * (lo + hi)
-    ref_tree = config.tree or _synthesize_at(config.family, mid, config.family.layout)
-    counts = _draw_counts(config.family, ref_tree, config.theta_true, n_rough, rng)
-    rough = mle(counts, config.family, ref_tree, config.prior)
+    ref = _reference_law(config)
+    counts = _draw_counts(ref, config.theta_true, n_rough, rng)
+    rough = mle(counts, family, ref, prior)
     pad = 1e-9 * (hi - lo)
     rough = float(np.clip(rough, lo + pad, hi - pad))
-    tree = _synthesize_at(config.family, rough, config.family.layout)
-    counts = _draw_counts(config.family, tree, config.theta_true,
-                          config.shots - n_rough, rng)
-    return mle(counts, config.family, tree, config.prior)
+    main = _OutcomeLaw(family, _synthesize_at(family, rough, family.layout), prior)
+    counts = _draw_counts(main, config.theta_true, config.shots - n_rough, rng)
+    return mle(counts, family, main, prior)
 
 
 def run_trials(config: SimConfig) -> SimReport:
@@ -258,22 +286,25 @@ def run_trials(config: SimConfig) -> SimReport:
     The 95% interval on r comes from a percentile bootstrap over trials.
     """
     j = metrology.qfi(config.family, config.theta_true)
-    fixed_tree = None
+    family, prior = config.family, config.prior
+    lo, hi = prior
+    # One outcome law per tree and run: the fixed tree's, or the two-step
+    # reference tree's, which every trial reaches through config.tree.
     if config.strategy == "fixed":
-        fixed_tree = config.tree or _synthesize_at(config.family, config.theta_true,
-                                                   config.family.layout)
+        law = _OutcomeLaw(family, config.tree or _synthesize_at(
+            family, config.theta_true, family.layout), prior)
+    else:
+        trial_config = replace(config, tree=_reference_law(config))
     estimates = []
     degenerate = 0
-    lo, hi = config.prior
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, trial)
         try:
             if config.strategy == "fixed":
-                counts = _draw_counts(config.family, fixed_tree, config.theta_true,
-                                      config.shots, rng)
-                estimates.append(mle(counts, config.family, fixed_tree, config.prior))
+                counts = _draw_counts(law, config.theta_true, config.shots, rng)
+                estimates.append(mle(counts, family, law, prior))
             else:
-                estimates.append(two_step(config, rng))
+                estimates.append(two_step(trial_config, rng))
         except DegenerateLikelihoodError:
             degenerate += 1
     estimates = np.asarray(estimates)
@@ -285,12 +316,11 @@ def run_trials(config: SimConfig) -> SimReport:
         variance = float("nan")
     ratio = config.shots * j * variance
 
-    boot_rng = _trial_rng(config.seed, config.trials)
     if estimates.size >= 2:
-        ratios = []
-        for _ in range(1000):
-            idx = boot_rng.integers(0, estimates.size, estimates.size)
-            ratios.append(config.shots * j * float(np.var(estimates[idx], ddof=1)))
+        # one draw of all resamples: the same stream as drawing them one by one
+        idx = _trial_rng(config.seed, config.trials).integers(
+            0, estimates.size, (1000, estimates.size))
+        ratios = config.shots * j * np.var(estimates[idx], axis=1, ddof=1)
         ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
     else:
         ci = (float("nan"), float("nan"))

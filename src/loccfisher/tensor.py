@@ -184,7 +184,12 @@ def herm_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors as columns. The input is symmetrized as (M + M^dag)/2 before
     decomposition; deviations beyond HERM_TOL raise.
     """
-    w, v = np.linalg.eigh(check_hermitian(m))
+    return eigh_desc(check_hermitian(m))
+
+
+def eigh_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig`` without the check, for a matrix ``check_hermitian`` returned."""
+    w, v = np.linalg.eigh(m)
     return w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
 
 

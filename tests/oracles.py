@@ -127,3 +127,28 @@ def dense_saturation(elements, rho, drho, rank_tol=1e-9, p_tol=1e-12,
                   and qfi - fi <= fi_rel * qfi)
     return {"fi": fi, "qfi": qfi, "condition_residual": cond,
             "regularity_residual": reg, "scale": scale, "saturating": saturating}
+
+
+def leaf_vectors_kron(tree):
+    """(path, vector) per leaf, each vector one np.kron fold in layout order.
+
+    Walks the tree depth first, keeping the basis column chosen on every
+    subsystem so far, and composes a leaf's factors from scratch.
+    """
+    n = tree.layout.nsub
+    out = []
+
+    def walk(node, path, parts):
+        for x in range(node.basis.shape[1]):
+            parts[node.subsystem] = node.basis[:, x]
+            if node.children is None:
+                vec = parts[0]
+                for k in range(1, n):
+                    vec = np.kron(vec, parts[k])
+                out.append((path + (x,), vec))
+            else:
+                walk(node.children[x], path + (x,), parts)
+        del parts[node.subsystem]
+
+    walk(tree.root, (), {})
+    return out

@@ -11,8 +11,10 @@ from loccfisher import (RankTwoFixedBasisFamily, discriminate, flatten,
 from loccfisher.locc import MeasurementTree, TreeNode, bloch_rows
 from loccfisher.scenarios import bell_states, builtin_scenario
 from loccfisher.tensor import HilbertLayout, kron
+from scipy.stats import unitary_group
 
 from conftest import ghz_family, random_pure_family
+from oracles import leaf_vectors_kron
 
 
 def synth(family, theta, order=None):
@@ -88,6 +90,48 @@ class TestFlatten:
         povm = flatten(synth(sc.family, 0.2))
         assert len(povm.vectors) == 16
         assert all(abs(np.vdot(v, v) - 1.0) < 1e-9 for v in povm.vectors)
+
+
+def random_tree(dims, order, rng):
+    """Tree of Haar-random bases measuring the subsystems in ``order``."""
+    def build(depth):
+        d = dims[order[depth]]
+        basis = unitary_group.rvs(d, random_state=rng)
+        children = (None if depth == len(order) - 1
+                    else [build(depth + 1) for _ in range(d)])
+        return TreeNode(order[depth], basis, children)
+    return MeasurementTree(HilbertLayout(dims), tuple(order), build(0))
+
+
+class TestLeafVectors:
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3, 3)])
+    def test_matches_per_leaf_kron(self, dims, rng):
+        for order in itertools.permutations(range(len(dims))):
+            tree = random_tree(dims, order, rng)
+            got, want = leaf_vectors(tree), leaf_vectors_kron(tree)
+            assert [p for p, _ in got] == [p for p, _ in want]
+            got_v = np.stack([v for _, v in got])
+            want_v = np.stack([v for _, v in want])
+            if order == tuple(range(len(dims))):
+                # same products, associated as the left fold: equal bits
+                assert np.array_equal(got_v, want_v)
+            else:
+                assert np.abs(got_v - want_v).max() <= 1e-15
+
+    def test_rejects_non_finite_factor(self):
+        basis = np.eye(2, dtype=complex)
+        basis[0, 0] = np.nan
+        tree = MeasurementTree(HilbertLayout((2,)), (0,), TreeNode(0, basis, None))
+        with pytest.raises(ValueError, match="non-finite"):
+            leaf_vectors(tree)
+
+    def test_rejects_node_off_order(self):
+        basis = np.eye(2, dtype=complex)
+        tree = MeasurementTree(HilbertLayout((2, 2)), (0, 1),
+                               TreeNode(1, basis, [TreeNode(0, basis, None),
+                                                   TreeNode(0, basis, None)]))
+        with pytest.raises(ValueError, match="subsystem"):
+            leaf_vectors(tree)
 
 
 class TestVerifyTree:
@@ -218,6 +262,25 @@ class TestTreeJson:
         doc = tree_to_json(synth(fam, 0.3))
         doc["node"]["basis"][0][0] = [2.0, 0.0]
         with pytest.raises(ValueError):
+            tree_from_json(doc)
+
+    def test_rejects_non_finite_basis(self):
+        # NaN compares false, so the orthonormality bound alone lets it through
+        doc = tree_to_json(synth(ghz_family(2), 0.3))
+        doc["node"]["children"][1]["basis"][0][1] = [float("nan"), 0.0]
+        with pytest.raises(ValueError, match="non-finite"):
+            tree_from_json(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(order=[1, 0]),
+        lambda doc: doc["node"].pop("children"),
+        lambda doc: doc["node"]["children"][0].update(children=[]),
+        lambda doc: doc.update(layout=[3, 2]),
+    ], ids=["order", "missing-children", "extra-children", "layout"])
+    def test_rejects_structure_off_layout_and_order(self, edit):
+        doc = tree_to_json(synth(ghz_family(2), 0.3))
+        edit(doc)
+        with pytest.raises(ValueError, match="does not fit layout"):
             tree_from_json(doc)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loccfisher import metrology
 from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily,
                         RankTwoFixedBasisFamily, UnitaryGeneratorFamily,
                         check_saturation, eval_state, fisher_info,
@@ -97,8 +98,26 @@ class TestSld:
         with pytest.raises(ValueError):
             sld(rho, drho)
 
+    def test_checks_outside_input(self):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        drho = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            sld(rho, drho)
+
 
 class TestQfi:
+    def test_state_checked_once(self, monkeypatch):
+        # eval_state checks rho and drho; the SLD core takes them as returned
+        fam = ghz_family(4)
+        calls = []
+        check = metrology.check_hermitian
+        monkeypatch.setattr(metrology, "check_hermitian",
+                            lambda m, *a: calls.append(a) or check(m, *a))
+        qfi(fam, 0.3)
+        assert len(calls) == 2
+        rho, drho = fam.rho_drho(0.3)
+        assert qfi(fam, 0.3) == sld(rho, drho).qfi
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_ghz(self, n):
         fam = ghz_family(n)

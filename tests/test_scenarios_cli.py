@@ -116,6 +116,19 @@ class TestCliCore:
         assert doc["saturating"] is True
         assert abs(doc["fi"] - doc["qfi"]) <= 1e-6 * doc["qfi"]
 
+    def test_verify_rejects_non_finite_tree(self, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        assert cli_main(["synthesize", "ghz2", "--theta", "0.3",
+                         "--out", str(tree_path)]) == 0
+        doc = json.loads(tree_path.read_text())
+        doc["node"]["basis"][1][0] = [float("nan"), 0.0]
+        tree_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["verify", "ghz2", "--tree", str(tree_path),
+                         "--theta", "0.3"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "validation" and "non-finite" in err["error"]
+
     @pytest.mark.parametrize("scenario, dim", [("ghz3", 8), ("lm3x3", 9)])
     def test_synthesize_reports_one_leaf_per_basis_state(self, tmp_path, capsys,
                                                          scenario, dim):

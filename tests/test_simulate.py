@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from loccfisher import locc
 from loccfisher import (DegenerateLikelihoodError, Povm,
                         RankTwoFixedBasisFamily, SimConfig,
                         UnitaryGeneratorFamily, eval_state, fisher_info,
@@ -195,6 +196,41 @@ class TestRunTrials:
         classical_ratio = rep.ratio * f / rep.qfi
         assert 0.9 < classical_ratio < 1.1
         assert rep.ratio > 1.5
+
+    def test_fixed_tree_law_tabulated_once(self, monkeypatch):
+        # one 512-point table for the run, then a draw and a golden-section
+        # search per trial; re-scoring the grid per trial costs 20 * 512 more
+        fam = ghz_family(2)
+        calls = []
+        psi = fam.psi
+        monkeypatch.setattr(fam, "psi", lambda t: calls.append(t) or psi(t))
+        run_trials(SimConfig(family=fam, theta_true=0.4, shots=2000, trials=20,
+                             seed=4, prior=(0.0, 1.0)))
+        assert len(calls) < 512 + 20 * 200
+
+    def test_two_step_synthesizes_reference_once(self, monkeypatch):
+        trials = 4
+        calls = []
+        synthesize = locc.synthesize_tree
+        monkeypatch.setattr(locc, "synthesize_tree",
+                            lambda *a: calls.append(a) or synthesize(*a))
+        run_trials(SimConfig(family=ghz_family(2), theta_true=0.4, shots=400,
+                             trials=trials, seed=8, prior=(0.0, 1.0),
+                             strategy="two-step"))
+        assert len(calls) == trials + 1
+
+    def test_ci95_is_percentile_bootstrap(self):
+        seed, trials, shots = 21, 30, 1000
+        rep = run_trials(SimConfig(family=ghz_family(2), theta_true=0.4, shots=shots,
+                                   trials=trials, seed=seed, prior=(0.0, 1.0)))
+        est = rep.estimates
+        boot = _trial_rng(seed, trials)
+        ratios = []
+        for _ in range(1000):
+            idx = boot.integers(0, est.size, est.size)
+            ratios.append(shots * rep.qfi * float(np.var(est[idx], ddof=1)))
+        assert rep.ci95 == (float(np.percentile(ratios, 2.5)),
+                            float(np.percentile(ratios, 97.5)))
 
     def test_report_json_fields(self):
         fam = ghz_family(2)
