@@ -154,20 +154,40 @@ class SearchReport(LmFeasibilityReport):
                  "infeasibility, not a proof")
 
 
-def _herm_from_params(x: np.ndarray, d: int) -> np.ndarray:
-    h = np.zeros((d, d), dtype=complex)
-    diag, rest = x[:d], x[d:]
-    h[np.diag_indices(d)] = diag
-    iu = np.triu_indices(d, k=1)
-    n_off = len(iu[0])
-    h[iu] = rest[:n_off] + 1j * rest[n_off:]
-    h[(iu[1], iu[0])] = np.conj(h[iu])
-    return h
+class _ExpMap:
+    """x -> U = exp(iH) with H = sum_j x_j E_j, and every dU/dx_j.
 
+    The d*d basis matrices E_j are, in parameter order, the diagonal units,
+    then the real and then the imaginary unit pairs of the upper triangle.
+    """
 
-def _unitary_from_params(x: np.ndarray, d: int) -> np.ndarray:
-    w, v = np.linalg.eigh(_herm_from_params(x, d))
-    return (v * np.exp(1j * w)) @ v.conj().T
+    def __init__(self, d: int):
+        iu = np.triu_indices(d, k=1)
+        n_off = len(iu[0])
+        re, im = d + np.arange(n_off), d + n_off + np.arange(n_off)
+        self.basis = np.zeros((d * d, d, d), dtype=complex)
+        self.basis[np.arange(d), np.arange(d), np.arange(d)] = 1
+        self.basis[re, iu[0], iu[1]] = self.basis[re, iu[1], iu[0]] = 1
+        self.basis[im, iu[0], iu[1]] = 1j
+        self.basis[im, iu[1], iu[0]] = -1j
+
+    def eig(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(np.tensordot(x, self.basis, axes=1))
+
+    @staticmethod
+    def unitary(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return (v * np.exp(1j * w)) @ v.conj().T
+
+    def derivative(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """dU/dx_j = V (G o V^dag E_j V) V^dag for all j (Daleckii-Krein).
+
+        G_kl = i e^{i(w_k + w_l)/2} sinc((w_k - w_l)/2pi) is the divided
+        difference of e^{iw}, exact for equal eigenvalues too.
+        """
+        gamma = (1j * np.exp(0.5j * (w[:, None] + w[None, :]))
+                 * np.sinc((w[:, None] - w[None, :]) / (2 * np.pi)))
+        vh = v.conj().T
+        return v @ (gamma * (vh @ self.basis @ v)) @ vh
 
 
 def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
@@ -182,28 +202,54 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     padding enabled, V gains one extra column by taking the first d2 rows of
     a (d2+1)-dimensional unitary. Each restart minimizes the squared phase
     residual plus a narrowly weighted support penalty by damped least
-    squares; the search stops early once a pair meets the tolerances and
-    always returns the best pair found.
+    squares with the exact Jacobian: the derivative of each exponential
+    comes from the Daleckii-Krein divided differences, and the support
+    term's kink at |D_ij| = 0 gets the zero subgradient. The search stops
+    early once a pair meets the tolerances and always returns the best pair
+    found.
     """
-    d1, d2 = coeffs.a_mat.shape
+    a, b = coeffs.a_mat, coeffs.b_mat
+    d1, d2 = a.shape
     m2 = d2 + 1 if allow_isometry_padding else d2
     n_u, n_v = d1 * d1, m2 * m2
+    exp_u, exp_v = _ExpMap(d1), _ExpMap(m2)
     # Penalty window for "C entry is zero": narrow, so exact solutions with
     # small but genuinely nonzero C entries are not distorted.
     eps = 1e-3
+    # least_squares asks for the Jacobian at the x it just evaluated, so the
+    # last evaluation is kept for it
+    last = {}
 
-    def build(x):
-        u = _unitary_from_params(x[:n_u], d1)
-        v = _unitary_from_params(x[n_u:], m2)[:d2, :]
-        return u, v
+    def evaluate(x):
+        """(eigenpairs of both exponents, U, V, C, D) at x."""
+        key = x.tobytes()
+        if key not in last:
+            eig_u, eig_v = exp_u.eig(x[:n_u]), exp_v.eig(x[n_u:])
+            u = _ExpMap.unitary(*eig_u)
+            v = _ExpMap.unitary(*eig_v)[:d2, :]
+            last.clear()
+            last[key] = (eig_u, eig_v, u, v, u.conj().T @ a @ v, u.conj().T @ b @ v)
+        return last[key]
 
     def resid_vec(x):
-        u, v = build(x)
-        c = u.conj().T @ coeffs.a_mat @ v
-        d = u.conj().T @ coeffs.b_mat @ v
+        *_, c, d = evaluate(x)
         weight = np.sqrt(np.exp(-np.abs(c) ** 2 / eps ** 2)).ravel()
         return np.concatenate([np.imag(np.conj(c) * d).ravel(),
                                weight * np.abs(d).ravel()])
+
+    def jacobian(x):
+        eig_u, eig_v, u, v, c, d = evaluate(x)
+        du_h = exp_u.derivative(*eig_u).conj().transpose(0, 2, 1)
+        dv = exp_v.derivative(*eig_v)[:, :d2, :]
+        dc, dd = (np.concatenate([du_h @ (m @ v), (u.conj().T @ m) @ dv]) for m in (a, b))
+        weight = np.sqrt(np.exp(-np.abs(c) ** 2 / eps ** 2))
+        mag = np.abs(d)
+        d_phase = np.imag(np.conj(dc) * d + np.conj(c) * dd)
+        d_weight = -weight * np.real(np.conj(c) * dc) / eps ** 2
+        d_mag = np.divide(np.real(np.conj(d) * dd), mag, out=np.zeros(dd.shape),
+                          where=mag > 0)
+        d_support = d_weight * mag + weight * d_mag
+        return np.concatenate([d_phase, d_support], axis=1).reshape(len(x), -1).T
 
     def score(pair):
         rep = check_lm_conditions(pair, coeffs, phase_tol, support_tol)
@@ -215,9 +261,9 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     for _ in range(restarts):
         used += 1
         x0 = rng.standard_normal(n_u + n_v)
-        sol = least_squares(resid_vec, x0, method="trf", max_nfev=iters,
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        pair = IsometryPair(*build(sol.x))
+        sol = least_squares(resid_vec, x0, jac=jacobian, method="trf",
+                            max_nfev=iters, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        pair = IsometryPair(*evaluate(sol.x)[2:4])
         val, rep = score(pair)
         if val < best_val:
             best_pair, best_rep, best_val = pair, rep, val

@@ -17,7 +17,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-# sqrt_psd is unused here; it stays importable because the benchmark tracer patches it.
+# herm_eig and sqrt_psd are unused here; they stay importable because the
+# benchmark tracer patches them.
 from .tensor import (HilbertLayout, check_hermitian, check_traceless, check_unit,
                      eigh_desc, herm_eig, sqrt_psd)  # noqa: F401
 
@@ -302,20 +303,21 @@ def _pure_psi_dpsi(family: StateFamily, theta: float) -> tuple[np.ndarray, np.nd
 
 
 def _detect_fixed_rank_two(family: MixedGenericFamily, theta: float,
-                           rank_tol: float, drift_tol: float = 1e-8):
+                           rho: np.ndarray, rank_tol: float, drift_tol: float = 1e-8):
     """Support eigenvectors if the rank-2 eigenbasis is theta-independent.
 
+    ``rho`` is the checked density matrix at theta (from ``eval_state``).
     Compares the support eigenprojectors at theta and theta +- h; drift above
     drift_tol means the basis moves with theta and the rank-two shortcut does
     not apply.
     """
-    w0, v0 = herm_eig(family.rho(theta))
+    w0, v0 = eigh_desc(rho)
     support = w0 > rank_tol
     if support.sum() != 2:
         return None
     vecs = v0[:, support]
     for t in (theta - family.step, theta + family.step):
-        w1, v1 = herm_eig(family.rho(t))
+        w1, v1 = eigh_desc(family.rho(t))     # family.rho checked it
         sup1 = v1[:, w1 > rank_tol]
         if sup1.shape[1] != 2:
             raise ValueError("rank changes across theta +- h")
@@ -364,11 +366,11 @@ def saturation_matrices(family: StateFamily, theta: float,
         m = np.outer(family.psi0, family.psi1.conj())
         return SaturationMatrices(m_set=[m], m_tilde=m, state_type="rank-two")
 
-    pair = _detect_fixed_rank_two(family, theta, rank_tol)
+    rho, drho = eval_state(family, theta)
+    pair = _detect_fixed_rank_two(family, theta, rho, rank_tol)
     if pair is not None:
         m = np.outer(pair[0], pair[1].conj())
         return SaturationMatrices(m_set=[m], m_tilde=m, state_type="rank-two")
-    rho, drho = eval_state(family, theta)
     res = _sld(rho, drho, rank_tol)
     return SaturationMatrices(m_set=_commutator_targets(res), m_tilde=None,
                               state_type="mixed")

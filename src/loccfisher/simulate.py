@@ -145,7 +145,7 @@ def _path_prob_fn(family: metrology.StateFamily,
             return p * o0 + (1 - p) * o1
     else:
         def probs(theta: float) -> np.ndarray:
-            rho = family.rho_drho(theta)[0]
+            rho = family.rho(theta)
             return np.real(np.einsum("xi,ij,xj->x", vecs.conj(), rho, vecs))
     return probs
 

@@ -152,3 +152,43 @@ def leaf_vectors_kron(tree):
 
     walk(tree.root, (), {})
     return out
+
+
+def lm_search_residuals(a, b, x, padded, eps=1e-3):
+    """Residuals of the product-measurement search at parameters x.
+
+    U = expm(i H1) and V = the first d2 rows of expm(i H2), each H filled from
+    x one entry at a time (diagonal entries, then real and then imaginary
+    parts of the upper triangle, row by row); the residuals are Im(conj(C) D)
+    and exp(-|C|^2 / 2 eps^2) |D| for C = U^dag A V, D = U^dag B V.
+    """
+    d1, d2 = a.shape
+    m2 = d2 + 1 if padded else d2
+
+    def herm(p, d):
+        h = np.zeros((d, d), dtype=complex)
+        upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        for i in range(d):
+            h[i, i] = p[i]
+        for k, (i, j) in enumerate(upper):
+            z = p[d + k] + 1j * p[d + len(upper) + k]
+            h[i, j], h[j, i] = z, np.conj(z)
+        return h
+
+    u = sla.expm(1j * herm(x[:d1 * d1], d1))
+    v = sla.expm(1j * herm(x[d1 * d1:], m2))[:d2, :]
+    c = u.conj().T @ a @ v
+    d = u.conj().T @ b @ v
+    weight = np.exp(-np.abs(c) ** 2 / (2 * eps ** 2))
+    return np.concatenate([np.imag(np.conj(c) * d).ravel(),
+                           (weight * np.abs(d)).ravel()])
+
+
+def central_jacobian(fun, x, h=1e-6):
+    """Jacobian of fun at x by central differences, one column per parameter."""
+    cols = []
+    for j in range(len(x)):
+        step = np.zeros(len(x))
+        step[j] = h
+        cols.append((fun(x + step) - fun(x - step)) / (2 * h))
+    return np.stack(cols, axis=1)

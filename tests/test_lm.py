@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loccfisher.lm as lm
 from loccfisher import (BipartiteCoeffs, IsometryPair, UnitaryGeneratorFamily,
@@ -15,6 +17,7 @@ from loccfisher.scenarios import bell_states, builtin_scenario
 from loccfisher.tensor import HilbertLayout, complex_to_pairs
 
 from conftest import random_state
+from oracles import central_jacobian, lm_search_residuals
 
 S2 = np.sqrt(2)
 
@@ -197,6 +200,95 @@ class TestHeuristicSearch:
         b = (-1j / 2) * np.diag([1 / S2, -1 / S2]).astype(complex)
         _, rep = heuristic_lm_search(BipartiteCoeffs(a, b), restarts=20, seed=2)
         assert rep.feasible
+
+
+def search_problem(coeffs, padded):
+    """The residual and Jacobian callables a search hands to least_squares."""
+    seen = {}
+    real = lm.least_squares
+
+    def spy(fun, x0, jac, **kw):
+        seen.update(fun=fun, jac=jac)
+        return real(fun, x0, jac=jac, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lm, "least_squares", spy)
+        heuristic_lm_search(coeffs, restarts=1, iters=1,
+                            allow_isometry_padding=padded)
+    return seen["fun"], seen["jac"]
+
+
+def params_from_herm(h):
+    """Search parameters of a Hermitian matrix: diagonal, Re and Im of the upper triangle."""
+    iu = np.triu_indices(h.shape[0], k=1)
+    return np.concatenate([h.diagonal().real, h[iu].real, h[iu].imag])
+
+
+def assert_jacobian_matches_oracle(coeffs, padded, x):
+    fun, jac = search_problem(coeffs, padded)
+
+    def oracle(y):
+        return lm_search_residuals(coeffs.a_mat, coeffs.b_mat, y, padded)
+
+    assert np.abs(fun(x) - oracle(x)).max() < 1e-12
+    want = central_jacobian(oracle, x)
+    assert np.abs(jac(x) - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
+
+
+class TestSearchJacobian:
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 3), (3, 2)])
+    def test_matches_central_differences(self, rng, d1, d2, padded):
+        coeffs = random_coeffs(d1, d2, rng)
+        m2 = d2 + 1 if padded else d2
+        n_u = d1 * d1
+        q, _ = np.linalg.qr(rng.standard_normal((m2, m2))
+                            + 1j * rng.standard_normal((m2, m2)))
+        # all eigenvalues equal at x = 0; V's exponent has a repeated pair
+        repeated = np.concatenate([
+            rng.standard_normal(n_u),
+            params_from_herm((q * np.r_[1.3, 1.3, -0.4, 0.7][:m2]) @ q.conj().T)])
+        for x in (rng.standard_normal(n_u + m2 * m2), np.zeros(n_u + m2 * m2),
+                  repeated):
+            assert_jacobian_matches_oracle(coeffs, padded, x)
+
+    def test_lm3x3_padded_at_zero(self):
+        # x = 0 puts |D_ij| = 0 in the padding column: the zero subgradient
+        assert_jacobian_matches_oracle(BipartiteCoeffs(A_3X3, B_3X3), True,
+                                       np.zeros(9 + 16))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(d1=st.integers(1, 4), d2=st.integers(1, 4), padded=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_matches_central_differences(self, d1, d2, padded, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = random_coeffs(d1, d2, rng)
+        m2 = d2 + 1 if padded else d2
+        assert_jacobian_matches_oracle(coeffs, padded,
+                                       rng.standard_normal(d1 * d1 + m2 * m2))
+
+    def test_one_residual_call_per_evaluation(self, monkeypatch):
+        # the exact Jacobian replaces n + 1 residual calls per step
+        calls = []
+        real = lm.least_squares
+
+        def spy(fun, x0, **kw):
+            return real(lambda x: calls.append(1) or fun(x), x0, **kw)
+
+        monkeypatch.setattr(lm, "least_squares", spy)
+        iters = 150
+        heuristic_lm_search(BipartiteCoeffs(A_3X3, B_3X3), restarts=1, iters=iters)
+        assert 0 < len(calls) <= iters + 1
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_same_seed_same_result(self, padded):
+        coeffs = BipartiteCoeffs(A_3X3, B_3X3)
+        (p1, r1), (p2, r2) = (heuristic_lm_search(coeffs, restarts=2, seed=3,
+                                                  allow_isometry_padding=padded)
+                              for _ in range(2))
+        assert np.array_equal(p1.u_mat, p2.u_mat)
+        assert np.array_equal(p1.v_mat, p2.v_mat)
+        assert r1 == r2
 
 
 class TestConjugationBookkeeping:

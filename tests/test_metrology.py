@@ -7,7 +7,7 @@ from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily,
                         check_saturation, eval_state, fisher_info,
                         perp_component, qfi, saturation_matrices, sld)
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import HilbertLayout, kron
+from loccfisher.tensor import HilbertLayout, herm_eig, kron
 
 from conftest import (PAULI_Z, ghz_family, random_density,
                       random_pure_family, random_state,
@@ -271,6 +271,29 @@ class TestSaturationMatrices:
         overlap = max(abs(np.trace(out.m_tilde.conj().T @ direction)),
                       abs(np.trace(out.m_tilde.conj().T @ direction.conj().T)))
         assert abs(overlap - 1) < 1e-8
+
+    def test_mixed_state_evaluated_once(self):
+        # eval_state's rho is reused by the fixed-basis rank-two test
+        bellmix = builtin_scenario("bellmix").family
+        calls = []
+        counted = MixedGenericFamily(
+            bellmix.layout, lambda t: calls.append(t) or bellmix.evaluator(t))
+        out = saturation_matrices(counted, 0.5)
+        assert len(calls) == 3      # rho at theta and theta +- h for drho
+        want = saturation_matrices(bellmix, 0.5)
+        assert all(np.array_equal(m, w) for m, w in zip(out.m_set, want.m_set))
+
+    def test_mixed_rank_two_target_from_checked_rho(self):
+        # same bits as the spectral decomposition of family.rho at theta
+        bells = bell_states()
+        p0 = np.outer(bells["phi+"], bells["phi+"].conj())
+        p1 = np.outer(bells["psi+"], bells["psi+"].conj())
+        fam = MixedGenericFamily(HilbertLayout((2, 2)),
+                                 lambda t: t * p0 + (1 - t) * p1)
+        w, v = herm_eig(fam.rho(0.4))
+        vecs = v[:, w > 1e-9]
+        out = saturation_matrices(fam, 0.4)
+        assert np.array_equal(out.m_tilde, np.outer(vecs[:, 0], vecs[:, 1].conj()))
 
     def test_mixed_rank_two_drifting_basis_rejected(self):
         def rho_fn(t):

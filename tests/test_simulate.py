@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from loccfisher import locc
-from loccfisher import (DegenerateLikelihoodError, Povm,
+from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
                         RankTwoFixedBasisFamily, SimConfig,
                         UnitaryGeneratorFamily, eval_state, fisher_info,
                         leaf_distribution, mle, run_trials, sample_path,
@@ -101,6 +101,16 @@ class TestLeafDistribution:
         want = np.array([np.vdot(e, rho @ e).real for e in povm.vectors])
         assert paths == povm.labels
         assert np.abs(probs - want / want.sum()).max() < 1e-12
+
+    def test_mixed_family_law_evaluates_rho_once(self):
+        bellmix = builtin_scenario("bellmix").family
+        calls = []
+        counted = MixedGenericFamily(
+            bellmix.layout, lambda t: calls.append(t) or bellmix.evaluator(t))
+        tree = synth(builtin_scenario("ranktwo").family, 0.3)
+        _, probs = leaf_distribution(counted, tree, 0.3)
+        assert calls == [0.3]
+        assert np.array_equal(probs, leaf_distribution(bellmix, tree, 0.3)[1])
 
 
 class TestMle:
