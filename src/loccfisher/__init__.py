@@ -18,8 +18,7 @@ from .lm import (BipartiteCoeffs, IsometryPair, LmFeasibilityReport,
                  SearchReport, check_lm_conditions, coefficient_matrices,
                  construct_lm_2xd, heuristic_lm_search, lm_povm_from_pair)
 from .simulate import (DegenerateLikelihoodError, SimConfig, SimReport,
-                       leaf_distribution, mle, run_trials, sample_path,
-                       two_step)
+                       leaf_distribution, mle, run_trials, two_step)
 from .scenarios import (PauliStringTerm, Scenario, bell_states,
                         builtin_names, builtin_scenario,
                         hamiltonian_from_pauli, parse_scenario)

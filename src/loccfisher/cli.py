@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lm, locc, metrology, scenarios, simulate
-from .tensor import complex_to_pairs, pairs_to_complex
+from .tensor import QFI_FLOOR, complex_to_pairs, pairs_to_complex
 from .zerodiag import ZeroDiagConvergenceError
 
 
@@ -64,7 +64,7 @@ def _cmd_qfi(args) -> int:
 def _cmd_synthesize(args) -> int:
     sc = _load_scenario(args.scenario)
     theta = args.theta if args.theta is not None else float(np.median(sc.theta_grid))
-    if metrology.qfi(sc.family, theta) < 1e-12:
+    if metrology.qfi(sc.family, theta) < QFI_FLOOR:
         raise ValueError(
             f"scenario {sc.name!r} carries no information at theta={theta}; "
             "synthesis skipped")

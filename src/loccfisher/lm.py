@@ -17,7 +17,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import metrology
-from .tensor import HilbertLayout, as_layout, check_traceless
+from .tensor import (ISOMETRY_TOL, P_TOL, PERP_TOL, UNIT_TOL, HilbertLayout, as_layout,
+                     check_traceless)
 from .zerodiag import ZeroDiagConvergenceError, simultaneous_zero_diag, zero_diag_basis
 
 PHASE_TOL = 1e-8
@@ -36,9 +37,9 @@ class BipartiteCoeffs:
         self.b_mat = np.asarray(self.b_mat, dtype=complex)
         if self.a_mat.shape != self.b_mat.shape or self.a_mat.ndim != 2:
             raise ValueError("coefficient matrices must share a 2-D shape")
-        if abs(np.trace(self.a_mat.conj().T @ self.a_mat) - 1.0) > 1e-10:
+        if abs(np.trace(self.a_mat.conj().T @ self.a_mat) - 1.0) > UNIT_TOL:
             raise ValueError("state coefficients are not normalized")
-        if abs(np.trace(self.a_mat.conj().T @ self.b_mat)) > 1e-9:
+        if abs(np.trace(self.a_mat.conj().T @ self.b_mat)) > PERP_TOL:
             raise ValueError("coefficient matrices are not orthogonal")
 
 
@@ -56,7 +57,7 @@ class IsometryPair:
             d, cols = m.shape
             if cols < d:
                 raise ValueError(f"{name} must have at least as many columns as rows")
-            if np.abs(m @ m.conj().T - np.eye(d)).max() > 1e-9:
+            if np.abs(m @ m.conj().T - np.eye(d)).max() > ISOMETRY_TOL:
                 raise ValueError(f"{name} is not an isometry (rows not orthonormal)")
 
     @property
@@ -78,7 +79,7 @@ class LmFeasibilityReport:
     projective: bool
 
 
-def coefficient_matrices(psi: np.ndarray, psi_perp: np.ndarray,
+def coefficient_matrices(psi: np.ndarray, perp: np.ndarray,
                          layout: HilbertLayout) -> BipartiteCoeffs:
     """Reshape a bipartite state and its perpendicular derivative to matrices."""
     layout = as_layout(layout)
@@ -86,10 +87,10 @@ def coefficient_matrices(psi: np.ndarray, psi_perp: np.ndarray,
         raise ValueError("coefficient matrices require a bipartite layout")
     d1, d2 = layout.dims
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    psi_perp = np.asarray(psi_perp, dtype=complex).reshape(-1)
-    if psi.size != d1 * d2 or psi_perp.size != d1 * d2:
+    perp = np.asarray(perp, dtype=complex).reshape(-1)
+    if psi.size != d1 * d2 or perp.size != d1 * d2:
         raise ValueError("vector length does not match the layout")
-    return BipartiteCoeffs(a_mat=psi.reshape(d1, d2), b_mat=psi_perp.reshape(d1, d2))
+    return BipartiteCoeffs(a_mat=psi.reshape(d1, d2), b_mat=perp.reshape(d1, d2))
 
 
 def check_lm_conditions(pair: IsometryPair, coeffs: BipartiteCoeffs,
@@ -99,7 +100,7 @@ def check_lm_conditions(pair: IsometryPair, coeffs: BipartiteCoeffs,
     c, d = pair.cd(coeffs)
     phase = float(np.abs(c * np.conj(d) - np.conj(c) * d).max())
     # |C_ij|^2 is the outcome probability at theta; zero by check_saturation's rule
-    zeros = np.abs(c) ** 2 < metrology.Thresholds().p_tol
+    zeros = np.abs(c) ** 2 < P_TOL
     support = float(np.abs(d)[zeros].max()) if zeros.any() else 0.0
     return LmFeasibilityReport(
         phase_residual=phase,
@@ -208,6 +209,8 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     early once a pair meets the tolerances and always returns the best pair
     found.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     a, b = coeffs.a_mat, coeffs.b_mat
     d1, d2 = a.shape
     m2 = d2 + 1 if allow_isometry_padding else d2

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import metrology
 # kron is unused here; it stays importable because the benchmark tracer patches it.
-from .tensor import (HilbertLayout, as_layout, check_traceless, check_unit,  # noqa: F401
+from .tensor import (ISOMETRY_TOL, ORTHOGONAL_TOL, TARGET_TRACE_TOL,  # noqa: F401
+                     HilbertLayout, as_layout, check_traceless, check_unit,
                      complex_to_pairs, kron, pairs_to_complex,
                      partial_expectation, partial_trace)
 from .zerodiag import zero_diag_basis
@@ -73,7 +74,7 @@ def synthesize_tree(m_tilde: np.ndarray, layout: HilbertLayout | Sequence[int],
     order = _check_order(layout, order)
     m_tilde = np.asarray(m_tilde, dtype=complex)
     # checked only: the target is conditioned as given, each node re-centers its reduction
-    check_traceless(m_tilde, "target matrix", 1e-9)
+    check_traceless(m_tilde, "target matrix", TARGET_TRACE_TOL)
     scale = float(np.linalg.norm(m_tilde))
 
     def build(m_cur: np.ndarray, rem_ids: tuple[int, ...], depth: int) -> TreeNode:
@@ -174,7 +175,7 @@ def discriminate(psi0: np.ndarray, psi1: np.ndarray,
     layout = as_layout(layout)
     psi0 = check_unit(psi0, "psi0")
     psi1 = check_unit(psi1, "psi1")
-    if abs(np.vdot(psi0, psi1)) > 1e-10:
+    if abs(np.vdot(psi0, psi1)) > ORTHOGONAL_TOL:
         raise ValueError("psi0 and psi1 must be orthogonal")
 
     tree = synthesize_tree(np.outer(psi0, psi1.conj()), layout, order)
@@ -228,7 +229,7 @@ def tree_from_json(doc: dict) -> MeasurementTree:
         # NaN fails every comparison, so the orthonormality test alone would pass it
         if not np.isfinite(basis).all():
             raise ValueError("node basis contains non-finite entries")
-        if np.abs(basis.conj().T @ basis - np.eye(d)).max() > 1e-9:
+        if np.abs(basis.conj().T @ basis - np.eye(d)).max() > ISOMETRY_TOL:
             raise ValueError("node basis is not orthonormal")
         children = None
         if not last:

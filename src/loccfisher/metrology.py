@@ -17,12 +17,14 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .tensor import (COMPLETENESS_TOL, CONDITION_REL, DRHO_TOL, DRIFT_TOL,
+                     EVAL_UNIT_TOL, FAMILY_UNIT_TOL, FI_REL, ORTHOGONAL_TOL, P_TOL,
+                     RANK_TOL, REGULARITY_REL, RHO_TOL, HilbertLayout, check_hermitian,
+                     check_traceless, check_unit, eigh_desc)
 # herm_eig and sqrt_psd are unused here; they stay importable because the
 # benchmark tracer patches them.
-from .tensor import (HilbertLayout, check_hermitian, check_traceless, check_unit,
-                     eigh_desc, herm_eig, sqrt_psd)  # noqa: F401
+from .tensor import herm_eig, sqrt_psd  # noqa: F401
 
-DEFAULT_RANK_TOL = 1e-9
 DEFAULT_FD_STEP = 1e-4
 
 
@@ -35,7 +37,7 @@ class UnitaryGeneratorFamily:
     generator: np.ndarray
 
     def __post_init__(self) -> None:
-        self.psi_in = check_unit(self.psi_in, "psi_in", 1e-12)
+        self.psi_in = check_unit(self.psi_in, "psi_in", FAMILY_UNIT_TOL)
         self.generator = check_hermitian(self.generator, "generator")
         d = self.layout.total
         if self.psi_in.shape != (d,) or self.generator.shape != (d, d):
@@ -75,7 +77,7 @@ class PureNumericFamily:
     state_type = "pure"
 
     def psi(self, theta: float) -> np.ndarray:
-        vec = check_unit(self.evaluator(theta), "evaluator output", 1e-9)
+        vec = check_unit(self.evaluator(theta), "evaluator output", EVAL_UNIT_TOL)
         if vec.shape != (self.layout.total,):
             raise ValueError("evaluator output does not match the layout")
         return vec / np.linalg.norm(vec)
@@ -104,9 +106,9 @@ class RankTwoFixedBasisFamily:
     dp_fn: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        self.psi0 = check_unit(self.psi0, "psi0", 1e-12)
-        self.psi1 = check_unit(self.psi1, "psi1", 1e-12)
-        if abs(np.vdot(self.psi0, self.psi1)) > 1e-10:
+        self.psi0 = check_unit(self.psi0, "psi0", FAMILY_UNIT_TOL)
+        self.psi1 = check_unit(self.psi1, "psi1", FAMILY_UNIT_TOL)
+        if abs(np.vdot(self.psi0, self.psi1)) > ORTHOGONAL_TOL:
             raise ValueError("psi0 and psi1 must be orthogonal")
 
     state_type = "rank-two"
@@ -137,18 +139,23 @@ class MixedGenericFamily:
 
     def rho(self, theta: float) -> np.ndarray:
         d = self.layout.total
-        rho = check_hermitian(self.evaluator(theta), "rho", 1e-9)
+        rho = check_hermitian(self.evaluator(theta), "rho", RHO_TOL)
         if rho.shape != (d, d):
             raise ValueError("evaluator output does not match the layout")
         w = np.linalg.eigvalsh(rho)
-        if w.min() < -1e-9 or abs(np.trace(rho).real - 1.0) > 1e-9:
+        if w.min() < -RHO_TOL or abs(np.trace(rho).real - 1.0) > RHO_TOL:
             raise ValueError("evaluator output is not a unit-trace PSD matrix")
         return rho
 
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        return self.rho_drho_sides(theta)[:2]
+
+    def rho_drho_sides(self, theta: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """rho and drho at theta, and the checked rho at theta - h and theta + h."""
         h = self.step
-        drho = (self.rho(theta + h) - self.rho(theta - h)) / (2 * h)
-        return self.rho(theta), (drho + drho.conj().T) / 2
+        plus, minus = self.rho(theta + h), self.rho(theta - h)
+        drho = (plus - minus) / (2 * h)
+        return self.rho(theta), (drho + drho.conj().T) / 2, (minus, plus)
 
 
 StateFamily = Union[UnitaryGeneratorFamily, PureNumericFamily,
@@ -163,7 +170,6 @@ class SldResult:
     eigvals: np.ndarray
     eigvecs: np.ndarray
     qfi: float
-    rank_tol: float
 
 
 @dataclass
@@ -173,7 +179,6 @@ class SaturationMatrices:
     m_set: list[np.ndarray]
     m_tilde: np.ndarray | None
     state_type: str
-    psi_perp: np.ndarray | None = None
 
 
 @dataclass
@@ -194,22 +199,22 @@ class Povm:
             self.labels = list(range(len(self.vectors)))
         self.validate()
 
-    def validate(self, sum_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         v = self.vectors
         if v.ndim != 2 or v.shape[0] == 0:
             raise ValueError("POVM needs a non-empty (outcomes x dimension) vector array")
-        if np.abs(v.T @ v.conj() - np.eye(v.shape[1])).max() > sum_tol:
+        if np.abs(v.T @ v.conj() - np.eye(v.shape[1])).max() > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
 
 
 @dataclass
 class Thresholds:
-    """Tolerances entering the saturation verdict."""
+    """Tolerances entering the saturation verdict; defaults from the tensor table."""
 
-    condition_rel: float = 1e-7     # zero-sandwich residual, relative to target norm
-    regularity_rel: float = 1e-7    # null-outcome residual, same scale
-    fi_rel: float = 1e-6            # admissible (qfi - fi) relative to qfi
-    p_tol: float = 1e-12            # outcome probability treated as zero
+    condition_rel: float = CONDITION_REL
+    regularity_rel: float = REGULARITY_REL
+    fi_rel: float = FI_REL
+    p_tol: float = P_TOL
 
 
 @dataclass
@@ -223,53 +228,51 @@ class SaturationReport:
 
 def eval_state(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Density matrix and derivative at theta, validated Hermitian/traceless."""
-    rho, drho = family.rho_drho(theta)
-    rho = check_hermitian(rho, "rho", 1e-9)
-    drho = check_hermitian(drho, "drho", 1e-8)
-    check_traceless(drho, "drho", 1e-8)
+    return _checked_state(*family.rho_drho(theta))
+
+
+def _checked_state(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rho = check_hermitian(rho, "rho", RHO_TOL)
+    drho = check_hermitian(drho, "drho", DRHO_TOL)
+    check_traceless(drho, "drho", DRHO_TOL)
     return rho, drho
 
 
-def sld(rho: np.ndarray, drho: np.ndarray,
-        rank_tol: float = DEFAULT_RANK_TOL) -> SldResult:
+def sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
     """Symmetric logarithmic derivative L solving drho = (L rho + rho L)/2.
 
     Built on the eigenbasis of rho: L_jk = 2 <j|drho|k> / (p_j + p_k) over
-    pairs with p_j + p_k above rank_tol. Components of drho connecting two
+    pairs with p_j + p_k above RANK_TOL. Components of drho connecting two
     kernel directions cannot be represented by any L and raise.
     """
-    return _sld(check_hermitian(rho, "rho"), check_hermitian(drho, "drho", 1e-8),
-                rank_tol)
+    return _sld(check_hermitian(rho, "rho"), check_hermitian(drho, "drho", DRHO_TOL))
 
 
-def _sld(rho: np.ndarray, drho: np.ndarray, rank_tol: float) -> SldResult:
-    # rho and drho come from check_hermitian (here or in eval_state), which
+def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
+    # rho and drho come from check_hermitian (here or in _checked_state), which
     # returns exactly Hermitian matrices, so they are not checked again.
     w, v = eigh_desc(rho)
     t = v.conj().T @ drho @ v
-    support = w > rank_tol
-    kernel = ~support
+    kernel = w <= RANK_TOL
     if kernel.any():
         blocked = np.abs(t[np.ix_(kernel, kernel)]).max()
-        if blocked > 1e-8:
+        if blocked > DRHO_TOL:
             raise ValueError(
                 f"drho has weight {blocked:.3e} between kernel directions; "
                 "no SLD reproduces it")
     denom = w[:, None] + w[None, :]
-    mask = denom > rank_tol
+    mask = denom > RANK_TOL
     coeff = np.zeros_like(t)
     coeff[mask] = 2 * t[mask] / denom[mask]
     L = v @ coeff @ v.conj().T
     L = (L + L.conj().T) / 2
     qfi = float(np.real(np.trace(rho @ L @ L)))
-    return SldResult(L=L, eigvals=w, eigvecs=v, qfi=qfi, rank_tol=rank_tol)
+    return SldResult(L=L, eigvals=w, eigvecs=v, qfi=qfi)
 
 
-def qfi(family: StateFamily, theta: float,
-        rank_tol: float = DEFAULT_RANK_TOL) -> float:
+def qfi(family: StateFamily, theta: float) -> float:
     """Quantum Fisher information Tr(rho L^2) at theta."""
-    rho, drho = eval_state(family, theta)
-    return _sld(rho, drho, rank_tol).qfi
+    return _sld(*eval_state(family, theta)).qfi
 
 
 def _sandwich(vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -278,7 +281,7 @@ def _sandwich(vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def fisher_info(povm: Povm, rho: np.ndarray, drho: np.ndarray,
-                p_tol: float = 1e-12) -> float:
+                p_tol: float = P_TOL) -> float:
     """Classical Fisher information of the POVM outcome distribution.
 
     Outcomes with probability below p_tol are excluded from the sum.
@@ -302,29 +305,28 @@ def _pure_psi_dpsi(family: StateFamily, theta: float) -> tuple[np.ndarray, np.nd
     return family.psi(theta), family.dpsi(theta)
 
 
-def _detect_fixed_rank_two(family: MixedGenericFamily, theta: float,
-                           rho: np.ndarray, rank_tol: float, drift_tol: float = 1e-8):
+def _detect_fixed_rank_two(rho: np.ndarray, sides: tuple[np.ndarray, np.ndarray]):
     """Support eigenvectors if the rank-2 eigenbasis is theta-independent.
 
-    ``rho`` is the checked density matrix at theta (from ``eval_state``).
-    Compares the support eigenprojectors at theta and theta +- h; drift above
-    drift_tol means the basis moves with theta and the rank-two shortcut does
-    not apply.
+    ``rho`` is the checked density matrix at theta and ``sides`` the checked
+    ones at theta -+ h that its derivative came from. Drift of the support
+    eigenprojectors above DRIFT_TOL means the basis moves with theta and the
+    rank-two shortcut does not apply.
     """
     w0, v0 = eigh_desc(rho)
-    support = w0 > rank_tol
+    support = w0 > RANK_TOL
     if support.sum() != 2:
         return None
     vecs = v0[:, support]
-    for t in (theta - family.step, theta + family.step):
-        w1, v1 = eigh_desc(family.rho(t))     # family.rho checked it
-        sup1 = v1[:, w1 > rank_tol]
+    for side in sides:
+        w1, v1 = eigh_desc(side)
+        sup1 = v1[:, w1 > RANK_TOL]
         if sup1.shape[1] != 2:
             raise ValueError("rank changes across theta +- h")
         # per-vector drift, matched through the overlap matrix
         ov = np.abs(vecs.conj().T @ sup1)
         drift = np.abs(ov @ ov.T - np.eye(2)).max()
-        if drift > drift_tol:
+        if drift > DRIFT_TOL:
             raise ValueError(
                 f"rank-two family has a theta-dependent eigenbasis (drift {drift:.3e})")
     return vecs[:, 0], vecs[:, 1]
@@ -332,7 +334,7 @@ def _detect_fixed_rank_two(family: MixedGenericFamily, theta: float,
 
 def _commutator_targets(res: SldResult) -> list[np.ndarray]:
     """M_ij = |psi_i><psi_j| L - L |psi_i><psi_j| over the support of rho."""
-    support = res.eigvecs[:, res.eigvals > res.rank_tol]
+    support = res.eigvecs[:, res.eigvals > RANK_TOL]
     m_set = []
     for i in range(support.shape[1]):
         for j in range(support.shape[1]):
@@ -341,8 +343,7 @@ def _commutator_targets(res: SldResult) -> list[np.ndarray]:
     return m_set
 
 
-def saturation_matrices(family: StateFamily, theta: float,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> SaturationMatrices:
+def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices:
     """Traceless zero-sandwich targets for the family at theta.
 
     Pure families: M = |psi><perp| - |perp><psi| (anti-Hermitian) and the
@@ -360,25 +361,24 @@ def saturation_matrices(family: StateFamily, theta: float,
         perp = perp_component(psi, dpsi)
         m = np.outer(psi, perp.conj()) - np.outer(perp, psi.conj())
         m_tilde = m + (np.outer(psi, psi.conj()) - np.eye(d) / d)
-        return SaturationMatrices(m_set=[m], m_tilde=m_tilde,
-                                  state_type="pure", psi_perp=perp)
+        return SaturationMatrices(m_set=[m], m_tilde=m_tilde, state_type="pure")
     if family.state_type == "rank-two":
         m = np.outer(family.psi0, family.psi1.conj())
         return SaturationMatrices(m_set=[m], m_tilde=m, state_type="rank-two")
 
-    rho, drho = eval_state(family, theta)
-    pair = _detect_fixed_rank_two(family, theta, rho, rank_tol)
+    rho, drho, sides = family.rho_drho_sides(theta)
+    rho, drho = _checked_state(rho, drho)
+    pair = _detect_fixed_rank_two(rho, sides)
     if pair is not None:
         m = np.outer(pair[0], pair[1].conj())
         return SaturationMatrices(m_set=[m], m_tilde=m, state_type="rank-two")
-    res = _sld(rho, drho, rank_tol)
+    res = _sld(rho, drho)
     return SaturationMatrices(m_set=_commutator_targets(res), m_tilde=None,
                               state_type="mixed")
 
 
 def check_saturation(povm: Povm, family: StateFamily, theta: float,
-                     thresholds: Thresholds | None = None,
-                     rank_tol: float = DEFAULT_RANK_TOL) -> SaturationReport:
+                     thresholds: Thresholds | None = None) -> SaturationReport:
     """Full saturation check of a POVM against a family at theta.
 
     Evaluates the zero-sandwich condition <e|M_ij|e> = 0 on every outcome
@@ -390,7 +390,7 @@ def check_saturation(povm: Povm, family: StateFamily, theta: float,
     """
     thr = thresholds or Thresholds()
     rho, drho = eval_state(family, theta)
-    res = _sld(rho, drho, rank_tol)
+    res = _sld(rho, drho)
     m_set = _commutator_targets(res)
     scale = max((float(np.linalg.norm(m)) for m in m_set), default=0.0)
     vectors = povm.vectors
@@ -399,7 +399,7 @@ def check_saturation(povm: Povm, family: StateFamily, theta: float,
     cond_res = max((float(np.abs(_sandwich(vectors, m)).max()) for m in m_set),
                    default=0.0)
     null = _sandwich(vectors, rho).real < thr.p_tol
-    l_support = res.L @ res.eigvecs[:, res.eigvals > rank_tol]
+    l_support = res.L @ res.eigvecs[:, res.eigvals > RANK_TOL]
     reg = np.abs(vectors[null].conj() @ l_support)
     reg_res = float(reg.max()) if reg.size else 0.0
 

@@ -79,9 +79,13 @@ def _p_functions(p_doc: dict):
 
 def _grid(doc) -> np.ndarray:
     if isinstance(doc, dict):
-        return np.linspace(float(doc["start"]), float(doc["stop"]),
+        grid = np.linspace(float(doc["start"]), float(doc["stop"]),
                            int(doc.get("points", 32)))
-    return np.asarray(doc, dtype=float)
+    else:
+        grid = np.asarray(doc, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+        raise ValueError("theta_grid must be a non-empty 1-D list of finite numbers")
+    return grid
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -207,7 +211,7 @@ def _ranktwo_doc() -> dict:
 
 def _interpolation_doc(name: str, a_mat: np.ndarray, b_mat: np.ndarray,
                        notes: str) -> dict:
-    # Pure family psi(theta) = cos(theta) psi0 + sin(theta) psi_perp realized
+    # Pure family psi(theta) = cos(theta) psi0 + sin(theta) perp realized
     # by a unitary generator, so derivatives at theta = 0 are analytic.
     psi0 = a_mat.reshape(-1)
     perp = b_mat.reshape(-1)

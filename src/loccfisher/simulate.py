@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import locc, metrology
+from .tensor import FLAT_REL, MLE_WIDTH, PRIOR_EDGE_REL
 
 LOG_FLOOR = 1e-300
 GRID_POINTS = 512
@@ -89,47 +90,6 @@ def _trial_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_path(tree: locc.MeasurementTree, rho: np.ndarray,
-                rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one outcome path by conditional per-subsystem sampling.
-
-    Subsystem k's outcome is drawn from the distribution conditioned on the
-    outcomes so far; the induced joint law equals the flattened-measurement
-    distribution Tr(rho E_path).
-    """
-    from .tensor import HilbertLayout, partial_expectation, partial_trace
-
-    layout = tree.layout
-    rem_ids = tuple(range(layout.nsub))
-    m_cur = np.asarray(rho, dtype=complex)
-    node = tree.root
-    path: list[int] = []
-    while True:
-        pos = rem_ids.index(node.subsystem)
-        rem_layout = HilbertLayout(tuple(layout.dims[i] for i in rem_ids))
-        if len(rem_ids) == 1:
-            reduced = m_cur
-        else:
-            reduced = partial_trace(m_cur, rem_layout,
-                                    [i for i in range(len(rem_ids)) if i != pos])
-        probs = np.real(np.einsum("ij,ji->i", node.basis.conj().T,
-                                  reduced @ node.basis))
-        if probs.min() < -1e-10:
-            raise ValueError(f"negative conditional probability {probs.min():.3e}")
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if total <= 0:
-            raise ValueError("conditional distribution has zero mass")
-        x = int(rng.choice(len(probs), p=probs / total))
-        path.append(x)
-        if node.children is None:
-            return tuple(path)
-        m_cur = partial_expectation(m_cur, rem_layout, pos, node.basis[:, x])
-        m_cur = m_cur / max(probs[x], LOG_FLOOR)
-        rem_ids = rem_ids[:pos] + rem_ids[pos + 1:]
-        node = node.children[x]
-
-
 def _path_prob_fn(family: metrology.StateFamily,
                   vecs: np.ndarray) -> Callable[[float], np.ndarray]:
     """Outcome distribution theta -> probabilities over the rows of ``vecs``."""
@@ -160,11 +120,11 @@ class _OutcomeLaw:
     """
 
     def __init__(self, family: metrology.StateFamily, tree: locc.MeasurementTree,
-                 prior: tuple[float, float], grid_points: int = GRID_POINTS):
+                 prior: tuple[float, float]):
         paths, vecs = zip(*locc.leaf_vectors(tree))
         self.paths = list(paths)
         self.prob_fn = _path_prob_fn(family, np.stack(vecs))
-        self.grid = np.linspace(prior[0], prior[1], grid_points)
+        self.grid = np.linspace(prior[0], prior[1], GRID_POINTS)
         self.log_table = np.log(np.clip(
             np.stack([self.prob_fn(t) for t in self.grid], axis=1), LOG_FLOOR, None))
 
@@ -182,18 +142,16 @@ def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
 
 
 def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
-        tree: locc.MeasurementTree, prior: tuple[float, float],
-        grid_points: int = GRID_POINTS) -> float:
+        tree: locc.MeasurementTree, prior: tuple[float, float]) -> float:
     """Maximum-likelihood estimate from outcome counts on the prior interval.
 
     Scans a uniform grid, breaking exact ties toward the interval midpoint,
-    then refines by golden-section search down to 1e-10 interval width.
+    then refines by golden-section search down to MLE_WIDTH interval width.
     Raises DegenerateLikelihoodError if the likelihood is flat on the grid.
     """
     if not counts:
         raise ValueError("no counts")
-    law = (tree if isinstance(tree, _OutcomeLaw)
-           else _OutcomeLaw(family, tree, prior, grid_points))
+    law = tree if isinstance(tree, _OutcomeLaw) else _OutcomeLaw(family, tree, prior)
     count_vec = np.array([counts.get(p, 0) for p in law.paths], dtype=float)
     if count_vec.sum() <= 0:
         raise ValueError("no counts")
@@ -206,7 +164,7 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     grid = law.grid
     values = count_vec @ law.log_table
     spread = values.max() - values.min()
-    if spread < 1e-9 * (abs(values.max()) + 1.0):
+    if spread < FLAT_REL * (abs(values.max()) + 1.0):
         raise DegenerateLikelihoodError("likelihood is flat on the prior interval")
     peak = values.max()
     ties = np.flatnonzero(values >= peak)
@@ -217,7 +175,7 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     b = grid[min(best + 1, grid.size - 1)]
     c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
     fc, fd = loglik(c), loglik(d)
-    while b - a > 1e-10:
+    while b - a > MLE_WIDTH:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -232,7 +190,7 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
 def _draw_counts(law: _OutcomeLaw, theta: float, shots: int,
                  rng: np.random.Generator) -> dict[tuple[int, ...], int]:
     # Multinomial over the flattened outcome law; equal in distribution to
-    # per-shot conditional sampling (sample_path) and far cheaper.
+    # drawing each shot's path node by node through the tree, and far cheaper.
     draws = rng.multinomial(shots, law.distribution(theta))
     return {p: int(n) for p, n in zip(law.paths, draws) if n > 0}
 
@@ -271,7 +229,7 @@ def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float
     ref = _reference_law(config)
     counts = _draw_counts(ref, config.theta_true, n_rough, rng)
     rough = mle(counts, family, ref, prior)
-    pad = 1e-9 * (hi - lo)
+    pad = PRIOR_EDGE_REL * (hi - lo)
     rough = float(np.clip(rough, lo + pad, hi - pad))
     main = _OutcomeLaw(family, _synthesize_at(family, rough, family.layout), prior)
     counts = _draw_counts(main, config.theta_true, config.shots - n_rough, rng)
@@ -308,8 +266,8 @@ def run_trials(config: SimConfig) -> SimReport:
         except DegenerateLikelihoodError:
             degenerate += 1
     estimates = np.asarray(estimates)
-    boundary = int(np.sum((np.abs(estimates - lo) < 1e-9 * (hi - lo))
-                          | (np.abs(estimates - hi) < 1e-9 * (hi - lo))))
+    edge = PRIOR_EDGE_REL * (hi - lo)
+    boundary = int(np.sum((np.abs(estimates - lo) < edge) | (np.abs(estimates - hi) < edge)))
     if estimates.size >= 2:
         variance = float(np.var(estimates, ddof=1))
     else:

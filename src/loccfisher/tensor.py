@@ -8,8 +8,8 @@ x1*d2*...*dn + ... + xn.
 Input from outside the package is validated once, at each public entry, by
 ``check_hermitian``, ``check_traceless`` and ``check_unit``. Their tolerances
 are relative to max(1, scale of the caller's matrix): the largest entry for
-the Hermitian test, the Frobenius norm for the trace test. Each call site
-states its own tolerance value.
+the Hermitian test, the Frobenius norm for the trace test. Every tolerance a
+call site passes comes from the table below, which states each one's scale.
 """
 
 from __future__ import annotations
@@ -20,10 +20,33 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HERM_TOL = 1e-10       # max-entry deviation allowed between M and M-dagger
-TRACE_TOL = 1e-10      # |trace| allowed relative to the Frobenius norm
-UNIT_TOL = 1e-10       # | ||v|| - 1 | allowed for a unit vector
-PSD_CLIP = 1e-10       # eigenvalues in [-PSD_CLIP, 0) are clipped to zero
+# The tolerance table: one entry per decision, with its scale rule. Constants
+# that one module owns stay there: DIAG_TOL, NULL_TOL and _TINY in zerodiag,
+# LEAF_TOL and NODE_TRACE_TOL in locc, PHASE_TOL and SUPPORT_TOL in lm.
+HERM_TOL = 1e-10          # max |M - M^dag|, relative to max(1, max |M_ij|)
+TRACE_TOL = 1e-10         # |Tr M|, relative to max(1, ||M||_F)
+UNIT_TOL = 1e-10          # | ||v|| - 1 | (or | ||A||_F^2 - 1 |), absolute
+PSD_CLIP = 1e-10          # negative eigenvalue clipped to zero, relative to max(1, max |w|)
+PSD_FLOOR = 1e-14         # eigenvalue floored to zero by sqrt_psd, relative to max(1, max |w|)
+FAMILY_UNIT_TOL = 1e-12   # | ||psi|| - 1 | of a family's fixed input vectors, absolute
+EVAL_UNIT_TOL = 1e-9      # | ||psi(theta)|| - 1 | of a pure evaluator's output, absolute
+ORTHOGONAL_TOL = 1e-10    # |<psi0|psi1>| of two unit vectors, absolute
+PERP_TOL = 1e-9           # |Tr(A^dag B)| of lm coefficient matrices, absolute
+ISOMETRY_TOL = 1e-9       # max |B^dag B - I| of orthonormal columns (or rows), absolute
+TARGET_TRACE_TOL = 1e-9   # |Tr m_tilde| of a synthesis target, relative to max(1, ||m_tilde||_F)
+RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace, absolute
+DRHO_TOL = 1e-8           # drho Hermitian, traceless (rel. max(1, scale)); kernel weight, absolute
+RANK_TOL = 1e-9           # eigenvalue (or eigenvalue pair sum) of rho counted as support, absolute
+DRIFT_TOL = 1e-8          # rank-two support-projector drift across theta +- h, absolute
+COMPLETENESS_TOL = 1e-8   # max |sum_e |e><e| - I| of a POVM, absolute
+P_TOL = 1e-12             # outcome probability treated as zero, absolute
+CONDITION_REL = 1e-7      # zero-sandwich residual, relative to the largest target norm
+REGULARITY_REL = 1e-7     # null-outcome residual, relative to the largest target norm
+FI_REL = 1e-6             # admissible qfi - fi, relative to qfi
+QFI_FLOOR = 1e-12         # qfi below which a scenario carries no information, absolute
+FLAT_REL = 1e-9           # log-likelihood spread of a flat grid, relative to |max| + 1
+MLE_WIDTH = 1e-10         # golden-section stopping width of the MLE, absolute
+PRIOR_EDGE_REL = 1e-9     # distance from a prior endpoint, relative to hi - lo
 
 
 @dataclass(frozen=True)
@@ -47,13 +70,6 @@ class HilbertLayout:
     @property
     def nsub(self) -> int:
         return len(self.dims)
-
-    def drop(self, k: int) -> "HilbertLayout":
-        """Layout with subsystem ``k`` removed."""
-        self._check_index(k)
-        if self.nsub == 1:
-            raise ValueError("cannot drop the only subsystem")
-        return HilbertLayout(self.dims[:k] + self.dims[k + 1:])
 
     def _check_index(self, k: int) -> None:
         if not 0 <= k < self.nsub:
@@ -196,7 +212,7 @@ def eigh_desc(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Positive-semidefinite square root, clipping tiny negative eigenvalues.
 
-    Eigenvalues within rounding distance of zero (relative 1e-14) are floored
+    Eigenvalues within rounding distance of zero (relative PSD_FLOOR) are floored
     to zero as well; the square root would otherwise amplify spectral noise
     of near-singular inputs by half its order.
     """
@@ -205,7 +221,7 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     if w.min() < -PSD_CLIP * scale:
         raise ValueError(f"matrix has negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
-    w[w < 1e-14 * scale] = 0.0
+    w[w < PSD_FLOOR * scale] = 0.0
     return (v * np.sqrt(w)) @ v.conj().T
 
 

@@ -9,12 +9,10 @@ null-vector construction that peels off one basis vector per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import linalg as sla
 
-from .tensor import check_hermitian, check_traceless, recenter
+from .tensor import TARGET_TRACE_TOL, check_hermitian, check_traceless, recenter
 
 DIAG_TOL = 1e-8        # admissible diagonal residual relative to the pair scale
 NULL_TOL = 1e-9        # admissible null-vector residual relative to the pair scale
@@ -23,36 +21,6 @@ _TINY = 1e-12          # relative zero floor, mostly against the pair scale
 
 class ZeroDiagConvergenceError(RuntimeError):
     """Raised when the construction cannot reach the residual target."""
-
-
-@dataclass(frozen=True)
-class TwoByTwoRotation:
-    """Closed-form 2x2 rotation zero-diagonalizing a traceless Hermitian pair."""
-
-    alpha: float
-    beta: float
-    unitary: np.ndarray
-
-
-@dataclass(frozen=True)
-class BlockSplit:
-    """Sign-split of H1's eigenbasis with H2 expressed in the same blocks.
-
-    ``pos_basis`` collects eigenvectors with eigenvalue >= 0 (zeros included),
-    ``neg_basis`` the strictly negative ones. ``sigma1``, ``sigma2`` and
-    ``offdiag`` are the corresponding blocks of the (possibly rescaled) H2,
-    and ``scale`` is the scale of the rescaled pair.
-    """
-
-    pos_basis: np.ndarray
-    neg_basis: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    offdiag: np.ndarray
-    case: str            # "a" (rescaled to matching block traces) or "b"
-    scale: float
 
 
 def _norm(m: np.ndarray) -> float:
@@ -90,8 +58,8 @@ def _canonical_sign(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def solve_2x2(h1: np.ndarray, h2: np.ndarray) -> TwoByTwoRotation:
-    """Closed-form rotation zero-diagonalizing two traceless Hermitian 2x2 matrices.
+def solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Closed-form rotation (alpha, beta, U) zero-diagonalizing a traceless Hermitian 2x2 pair.
 
     With H_k = [[a_k, b_k e^{i phi_k}], [b_k e^{-i phi_k}, -a_k]] the unitary
     U = [[cos b, -sin b e^{i a}], [sin b e^{-i a}, cos b]] has zero-diagonal
@@ -105,7 +73,7 @@ def solve_2x2(h1: np.ndarray, h2: np.ndarray) -> TwoByTwoRotation:
     return _solve_2x2(h1, h2)
 
 
-def _solve_2x2(h1: np.ndarray, h2: np.ndarray) -> TwoByTwoRotation:
+def _solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float, np.ndarray]:
     h1 = _canonical_sign(_traceless_hermitian(h1))
     h2 = _canonical_sign(_traceless_hermitian(h2))
     a1 = float(np.real(h1[0, 0]))
@@ -128,45 +96,7 @@ def _solve_2x2(h1: np.ndarray, h2: np.ndarray) -> TwoByTwoRotation:
     c, s = np.cos(beta), np.sin(beta)
     u = np.array([[c, -s * np.exp(1j * alpha)],
                   [s * np.exp(-1j * alpha), c]])
-    return TwoByTwoRotation(alpha=alpha, beta=beta, unitary=u)
-
-
-def _block_split(h1: np.ndarray, h2: np.ndarray, scale: float) -> BlockSplit:
-    """Split by the eigenvalue sign of h1 and rescale h2 per the case analysis.
-
-    Zero eigenvalues of h1 join the positive block; only the block traces
-    matter and they stay strictly signed. The zero floor is relative to
-    h1's own spectrum, so a traceless h1 always has both signs. Case "a"
-    rescales h2 by gamma so the block traces of both matrices agree; an error
-    e in the rescaled blocks costs e in h1 and e/|gamma| in h2, so the block
-    sub-problems get the scale min(1, |gamma|) * scale. Case "b" applies when
-    h2's blocks are already traceless.
-    """
-    w, v = np.linalg.eigh(h1)
-    pos = w >= -_TINY * np.abs(w).max()
-    neg = ~pos
-    if not pos.any() or not neg.any():
-        raise ZeroDiagConvergenceError(
-            "h1 must have eigenvalues of both signs (traceless, nonzero)")
-    p_basis, n_basis = v[:, pos], v[:, neg]
-    lam1 = p_basis.conj().T @ h1 @ p_basis
-    lam2 = n_basis.conj().T @ h1 @ n_basis
-    sig1 = p_basis.conj().T @ h2 @ p_basis
-    sig2 = n_basis.conj().T @ h2 @ n_basis
-    b = p_basis.conj().T @ h2 @ n_basis
-
-    t_lam1 = float(np.real(np.trace(lam1)))
-    t_sig1 = float(np.real(np.trace(sig1)))
-    if abs(t_sig1) < _TINY * scale:
-        case = "b"
-    else:
-        case = "a"
-        gamma = t_lam1 / t_sig1
-        sig1, sig2, b = gamma * sig1, gamma * sig2, gamma * b
-        scale *= min(1.0, abs(gamma))
-    return BlockSplit(pos_basis=p_basis, neg_basis=n_basis, lambda1=lam1,
-                      lambda2=lam2, sigma1=sig1, sigma2=sig2, offdiag=b, case=case,
-                      scale=scale)
+    return alpha, beta, u
 
 
 def _pick_block_vector(lam: np.ndarray, target: np.ndarray, want_max: bool,
@@ -212,24 +142,49 @@ def _null_vector(h1: np.ndarray, h2: np.ndarray, scale: float) -> np.ndarray:
     if n1 <= _TINY * scale:
         return _null_vector(h2, h1, scale)
 
-    split = _block_split(h1, h2, scale)
-    target1 = split.lambda1 - split.sigma1 if split.case == "a" else split.sigma1
-    target2 = split.lambda2 - split.sigma2 if split.case == "a" else split.sigma2
-    v1, lam1, t1 = _pick_block_vector(split.lambda1, target1, True, split.scale)
-    v2, lam2, t2 = _pick_block_vector(split.lambda2, target2, False, split.scale)
+    # Split by the eigenvalue sign of h1. Zero eigenvalues join the positive
+    # block; only the block traces matter and they stay strictly signed. The
+    # zero floor is relative to h1's own spectrum, so a traceless h1 always
+    # has both signs.
+    w, vecs = np.linalg.eigh(h1)
+    pos = w >= -_TINY * np.abs(w).max()
+    if pos.all() or not pos.any():
+        raise ZeroDiagConvergenceError(
+            "h1 must have eigenvalues of both signs (traceless, nonzero)")
+    p_basis, n_basis = vecs[:, pos], vecs[:, ~pos]
+    lam_p = p_basis.conj().T @ h1 @ p_basis
+    lam_n = n_basis.conj().T @ h1 @ n_basis
+    sig_p = p_basis.conj().T @ h2 @ p_basis
+    sig_n = n_basis.conj().T @ h2 @ n_basis
+    offdiag = p_basis.conj().T @ h2 @ n_basis
+    # Case "a" rescales h2 by gamma so the block traces of both matrices
+    # agree; an error e in the rescaled blocks costs e in h1 and e/|gamma| in
+    # h2, so the block sub-problems get the scale min(1, |gamma|) * scale.
+    # Case "b" applies when h2's blocks are already traceless.
+    t_sig = float(np.real(np.trace(sig_p)))
+    case_a = abs(t_sig) >= _TINY * scale
+    sub_scale = scale
+    if case_a:
+        gamma = float(np.real(np.trace(lam_p))) / t_sig
+        sig_p, sig_n, offdiag = gamma * sig_p, gamma * sig_n, gamma * offdiag
+        sub_scale *= min(1.0, abs(gamma))
+    target1 = lam_p - sig_p if case_a else sig_p
+    target2 = lam_n - sig_n if case_a else sig_n
+    v1, lam1, t1 = _pick_block_vector(lam_p, target1, True, sub_scale)
+    v2, lam2, t2 = _pick_block_vector(lam_n, target2, False, sub_scale)
     # Sandwich values of the (rescaled) h2 blocks; near-zero inner residuals
     # t1, t2 are carried along so alpha can cancel them exactly below.
-    sig1 = lam1 - t1 if split.case == "a" else t1
-    sig2 = lam2 - t2 if split.case == "a" else t2
+    sig1 = lam1 - t1 if case_a else t1
+    sig2 = lam2 - t2 if case_a else t2
     if not (lam1 > 0 and lam2 < 0):
         raise ZeroDiagConvergenceError(
             f"block construction produced non-signed values {lam1:.3e}, {lam2:.3e}")
 
     beta = float(np.arctan2(np.sqrt(lam1), np.sqrt(-lam2)))
     cb, sb = np.cos(beta), np.sin(beta)
-    cross = complex(v1.conj() @ split.offdiag @ v2)
+    cross = complex(v1.conj() @ offdiag @ v2)
     base = cb * cb * sig1 + sb * sb * sig2
-    if abs(cross) > _TINY * split.scale:
+    if abs(cross) > _TINY * sub_scale:
         # Solve cos(arg(cross) - alpha) exactly so the residual block term and
         # the cross term cancel; |target| exceeds 1 only by rounding.
         target = -base / (2 * cb * sb * abs(cross))
@@ -238,8 +193,8 @@ def _null_vector(h1: np.ndarray, h2: np.ndarray, scale: float) -> np.ndarray:
         alpha = 0.0
 
     v = np.zeros(d, dtype=complex)
-    v += cb * (split.pos_basis @ v1)
-    v += sb * np.exp(-1j * alpha) * (split.neg_basis @ v2)
+    v += cb * (p_basis @ v1)
+    v += sb * np.exp(-1j * alpha) * (n_basis @ v2)
     v /= np.linalg.norm(v)
 
     res = max(abs(v.conj() @ h1 @ v), abs(v.conj() @ h2 @ v))
@@ -268,7 +223,7 @@ def _zero_diag_pair(h1: np.ndarray, h2: np.ndarray, scale: float) -> np.ndarray:
     if n1 <= _TINY * scale:
         return _zero_diag_pair(h2, h1, scale)
     if d == 2:
-        return _solve_2x2(h1, h2).unitary
+        return _solve_2x2(h1, h2)[2]
 
     v = _null_vector(h1, h2, scale)
     w = sla.null_space(v.conj()[None, :])          # d x (d-1) orthonormal complement
@@ -292,6 +247,6 @@ def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
     Splits the matrix into its Hermitian and anti-Hermitian parts and
     simultaneously zero-diagonalizes the resulting traceless Hermitian pair.
     """
-    m = check_traceless(m_tilde, "matrix", 1e-9)
+    m = check_traceless(m_tilde, "matrix", TARGET_TRACE_TOL)
     h1, h2 = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
     return _zero_diag_pair(h1, h2, max(1.0, _norm(h1), _norm(h2)))

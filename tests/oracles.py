@@ -192,3 +192,36 @@ def central_jacobian(fun, x, h=1e-6):
         step[j] = h
         cols.append((fun(x + step) - fun(x - step)) / (2 * h))
     return np.stack(cols, axis=1)
+
+
+def sample_path(tree, rho, rng):
+    """One outcome path of the per-shot one-way LOCC protocol.
+
+    Each node measures its subsystem on the state conditioned on the outcomes
+    so far: the subsystem's reduced density matrix is an explicit partial
+    trace of the reshaped tensor, and the conditioned state contracts the
+    observed basis vector on that subsystem. The joint law of the path is
+    Tr(rho E_path), the law of the flattened measurement.
+    """
+    dims = list(tree.layout.dims)
+    ids = list(range(len(dims)))          # layout indices of the subsystems left
+    t = np.asarray(rho, dtype=complex).reshape(dims * 2)
+    node, path = tree.root, []
+    while True:
+        k, n, d = ids.index(node.subsystem), len(ids), dims[node.subsystem]
+        rest = int(np.prod([dims[i] for i in ids if i != node.subsystem]))
+        # axes (row k, column k, rows of the rest, columns of the rest)
+        blocks = np.moveaxis(t, (k, n + k), (0, 1)).reshape(d, d, rest, rest)
+        reduced = np.einsum("abrr->ab", blocks)
+        basis = node.basis
+        probs = np.real(np.einsum("ax,ab,bx->x", basis.conj(), reduced, basis))
+        probs = np.clip(probs, 0.0, None)
+        x = int(rng.choice(d, p=probs / probs.sum()))
+        path.append(x)
+        if node.children is None:
+            return tuple(path)
+        v = basis[:, x]
+        ids.remove(node.subsystem)
+        t = (np.einsum("a,abrs,b->rs", v.conj(), blocks, v) / probs[x]).reshape(
+            [dims[i] for i in ids] * 2)
+        node = node.children[x]

@@ -201,6 +201,11 @@ class TestHeuristicSearch:
         _, rep = heuristic_lm_search(BipartiteCoeffs(a, b), restarts=20, seed=2)
         assert rep.feasible
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_rejects_fewer_than_one_restart(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            heuristic_lm_search(BipartiteCoeffs(A_3X3, B_3X3), restarts=restarts)
+
 
 def search_problem(coeffs, padded):
     """The residual and Jacobian callables a search hands to least_squares."""

@@ -295,6 +295,18 @@ class TestSaturationMatrices:
         out = saturation_matrices(fam, 0.4)
         assert np.array_equal(out.m_tilde, np.outer(vecs[:, 0], vecs[:, 1].conj()))
 
+    def test_mixed_rank_two_evaluated_once(self):
+        # the rank-two test reuses the rho(theta -+ h) the derivative evaluated
+        bells = bell_states()
+        p0 = np.outer(bells["phi+"], bells["phi+"].conj())
+        p1 = np.outer(bells["psi+"], bells["psi+"].conj())
+        calls = []
+        fam = MixedGenericFamily(HilbertLayout((2, 2)),
+                                 lambda t: calls.append(t) or t * p0 + (1 - t) * p1)
+        out = saturation_matrices(fam, 0.4)
+        assert out.state_type == "rank-two"
+        assert len(calls) == 3      # rho at theta and theta +- h
+
     def test_mixed_rank_two_drifting_basis_rejected(self):
         def rho_fn(t):
             c, s = np.cos(t), np.sin(t)

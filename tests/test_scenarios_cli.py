@@ -275,3 +275,32 @@ class TestCliErrors:
         path.write_text(json.dumps(doc))
         assert cli_main(["synthesize", str(path), "--theta", "0.5"]) == 1
         assert "no information" in capsys.readouterr().err
+
+    def test_lm_check_zero_restarts_exit_1(self, capsys):
+        assert cli_main(["lm-check", "lm3x3", "--projective-only",
+                         "--restarts", "0"]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["kind"] == "validation" and "restarts" in err["error"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("grid", [{"start": 0.0, "stop": 1.0, "points": 0}, [],
+                                      [[0.1, 0.2]], 0.3, [0.1, float("nan")]])
+    @pytest.mark.parametrize("command", [["qfi"], ["synthesize"],
+                                         ["simulate", "--shots", "100", "--trials", "2"]])
+    def test_bad_theta_grid_exit_1(self, tmp_path, capsys, recwarn, command, grid):
+        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+        doc = {
+            "type": "unitary-generator",
+            "layout": [2],
+            "psi_in": complex_to_pairs(plus),
+            "hamiltonian": {"pauli": [{"coeff": 0.5, "string": "Z"}]},
+            "theta_grid": grid,
+        }
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main([command[0], str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["kind"] == "validation" and "theta_grid" in err["error"]
+        assert captured.out == "" and len(recwarn) == 0

@@ -6,7 +6,7 @@ from loccfisher import locc
 from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
                         RankTwoFixedBasisFamily, SimConfig,
                         UnitaryGeneratorFamily, eval_state, fisher_info,
-                        leaf_distribution, mle, run_trials, sample_path,
+                        leaf_distribution, mle, run_trials,
                         saturation_matrices, synthesize_tree, two_step)
 from loccfisher.locc import MeasurementTree, TreeNode, flatten, leaf_vectors
 from loccfisher.scenarios import builtin_scenario
@@ -14,6 +14,7 @@ from loccfisher.simulate import _trial_rng
 from loccfisher.tensor import HilbertLayout
 
 from conftest import ghz_family
+from oracles import sample_path
 
 
 def synth(family, theta):
@@ -33,6 +34,7 @@ def single_node_tree(basis):
 
 
 class TestSamplePath:
+    # the per-shot one-way LOCC oracle, and its agreement with the flattened law
     def test_deterministic_on_eigenstate(self):
         # computational basis on |00>: the path is always (0, 0)
         basis = np.eye(2, dtype=complex)

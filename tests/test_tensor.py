@@ -16,7 +16,6 @@ class TestLayout:
     def test_totals(self):
         lay = HilbertLayout((2, 3, 2))
         assert lay.total == 12 and lay.nsub == 3
-        assert lay.drop(1).dims == (2, 2)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
