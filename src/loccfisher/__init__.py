@@ -1,6 +1,6 @@
 """Quantum Fisher information and adaptive local-measurement protocol synthesis."""
 
-from .tensor import (HilbertLayout, complex_to_pairs, herm_eig, kron,
+from .tensor import (HilbertLayout, KetBraSum, complex_to_pairs, herm_eig, kron,
                      pairs_to_complex, partial_expectation, partial_trace,
                      sqrt_psd)
 from .metrology import (MixedGenericFamily, Povm, PureNumericFamily,
@@ -13,7 +13,8 @@ from .zerodiag import (ZeroDiagConvergenceError, find_null_vector,
                        simultaneous_zero_diag, solve_2x2, zero_diag_basis)
 from .locc import (DiscriminationReport, MeasurementTree, SynthesisError,
                    TreeNode, bloch_rows, discriminate, flatten, leaf_vectors,
-                   synthesize_tree, tree_from_json, tree_to_json, verify_tree)
+                   synthesize_tree, tree_amplitudes, tree_from_json, tree_to_json,
+                   verify_tree)
 from .lm import (BipartiteCoeffs, IsometryPair, LmFeasibilityReport,
                  SearchReport, check_lm_conditions, coefficient_matrices,
                  construct_lm_2xd, heuristic_lm_search, lm_povm_from_pair)
@@ -21,6 +22,6 @@ from .simulate import (DegenerateLikelihoodError, SimConfig, SimReport,
                        leaf_distribution, mle, run_trials, two_step)
 from .scenarios import (PauliStringTerm, Scenario, bell_states,
                         builtin_names, builtin_scenario,
-                        hamiltonian_from_pauli, parse_scenario)
+                        hamiltonian_from_pauli, parse_scenario, pauli_diagonal)
 
 __version__ = "0.1.0"

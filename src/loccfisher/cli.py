@@ -36,6 +36,21 @@ def _emit(doc: dict, out: str | None = None) -> None:
         print(text)
 
 
+def _finite(value: str) -> float:
+    """argparse type for --theta and --prior: a finite number."""
+    x = float(value)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a finite number")
+    return x
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a validation error (exit 1, JSON on stderr)."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _order_arg(value: str | None):
     if value is None:
         return None
@@ -68,11 +83,10 @@ def _cmd_synthesize(args) -> int:
         raise ValueError(
             f"scenario {sc.name!r} carries no information at theta={theta}; "
             "synthesis skipped")
-    target = metrology.saturation_matrices(sc.family, theta)
-    if target.m_tilde is None:
+    target = metrology.saturation_matrices(sc.family, theta).target
+    if target is None:
         raise ValueError(f"scenario {sc.name!r} has no rank-one synthesis target")
-    tree = locc.synthesize_tree(target.m_tilde, sc.family.layout,
-                                _order_arg(args.order))
+    tree = locc.synthesize_tree(target, sc.family.layout, _order_arg(args.order))
     _emit(locc.tree_to_json(tree), args.out)
     if args.out:
         # a tree has one leaf per product basis state
@@ -119,9 +133,8 @@ def _coeffs_from_args(args) -> lm.BipartiteCoeffs:
     sc = _load_scenario(args.scenario)
     if sc.family.state_type != "pure" or sc.family.layout.nsub != 2:
         raise ValueError("lm-check needs a bipartite pure scenario")
-    theta = args.theta
-    psi = sc.family.psi(theta)
-    perp = metrology.perp_component(psi, sc.family.dpsi(theta))
+    psi, dpsi = sc.family.psi_dpsi(args.theta)
+    perp = metrology.perp_component(psi, dpsi)
     return lm.coefficient_matrices(psi, perp, sc.family.layout)
 
 
@@ -163,12 +176,11 @@ def _cmd_export_bloch(args) -> int:
         if args.grid_points:
             grid = np.linspace(grid[0], grid[-1], args.grid_points)
         for theta in grid:
-            target = metrology.saturation_matrices(sc.family, float(theta))
-            if target.m_tilde is None:
+            target = metrology.saturation_matrices(sc.family, float(theta)).target
+            if target is None:
                 raise ValueError(
                     f"scenario {sc.name!r} has no rank-one synthesis target")
-            tree = locc.synthesize_tree(target.m_tilde, sc.family.layout,
-                                        _order_arg(args.order))
+            tree = locc.synthesize_tree(target, sc.family.layout, _order_arg(args.order))
             rows.extend(locc.bloch_rows(tree, float(theta)))
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -179,7 +191,7 @@ def _cmd_export_bloch(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loccfisher",
         description=("Fisher-information analysis and adaptive local "
                      "measurement synthesis for single-parameter estimation"))
@@ -191,12 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qfi", help="quantum Fisher information of a scenario")
     p.add_argument("scenario")
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_finite, default=None)
     p.set_defaults(fn=_cmd_qfi)
 
     p = sub.add_parser("synthesize", help="synthesize an adaptive measurement tree")
     p.add_argument("scenario")
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_finite, default=None)
     p.add_argument("--order", type=str, default=None,
                    help="comma-separated subsystem permutation, e.g. 2,0,1")
     p.add_argument("--out", type=str, default=None)
@@ -205,22 +217,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a tree against a scenario")
     p.add_argument("scenario")
     p.add_argument("--tree", type=str, required=True)
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_finite, default=None)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte-Carlo estimation trials")
     p.add_argument("scenario")
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_finite, default=None)
     p.add_argument("--shots", type=int, default=10000)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--two-step", action="store_true")
-    p.add_argument("--prior", type=float, nargs=2, default=None)
+    p.add_argument("--prior", type=_finite, nargs=2, default=None)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("lm-check", help="product-measurement feasibility analysis")
     p.add_argument("scenario", nargs="?", default=None)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=_finite, default=0.0)
     p.add_argument("--a-mat", type=str, default=None)
     p.add_argument("--b-mat", type=str, default=None)
     p.add_argument("--projective-only", action="store_true")
@@ -232,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-bloch", help="Bloch coordinates of qubit nodes as CSV")
     p.add_argument("scenario", nargs="?", default=None)
     p.add_argument("--tree", type=str, default=None)
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_finite, default=None)
     p.add_argument("--grid-points", type=int, default=None)
     p.add_argument("--order", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
@@ -245,10 +257,9 @@ def cli_main(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    try:
         return args.fn(args)
+    except SystemExit as exc:       # --help
+        return 0 if exc.code == 0 else 1
     except (ZeroDiagConvergenceError, locc.SynthesisError,
             simulate.DegenerateLikelihoodError) as exc:
         print(json.dumps({"error": str(exc), "kind": "non-convergence"}),

@@ -5,6 +5,12 @@ on each subsystem depends on the outcomes observed so far (one-way classical
 communication). Synthesis takes a traceless target matrix, zero-diagonalizes
 its reduction onto the first subsystem, conditions on each outcome and
 recurses, so that every leaf product vector E satisfies <E|target|E> = 0.
+
+Trees are walked one depth at a time: every node at depth t measures
+subsystem order[t], so the P nodes of a depth stack into one (P, d, d) array
+of bases and a whole depth is one batched contraction. Vectors being
+conditioned are kept as (P, K, *remaining dims) arrays, rows in outcome-path
+order.
 """
 
 from __future__ import annotations
@@ -16,10 +22,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import metrology
-# kron is unused here; it stays importable because the benchmark tracer patches it.
+# kron, partial_expectation and partial_trace are unused here; they stay
+# importable because the benchmark tracer patches them.
 from .tensor import (ISOMETRY_TOL, ORTHOGONAL_TOL, TARGET_TRACE_TOL,  # noqa: F401
-                     HilbertLayout, as_layout, check_traceless, check_unit,
-                     complex_to_pairs, kron, pairs_to_complex,
+                     HilbertLayout, KetBraSum, as_layout, check_traceless,
+                     check_unit, complex_to_pairs, kron, pairs_to_complex,
                      partial_expectation, partial_trace)
 from .zerodiag import zero_diag_basis
 
@@ -60,82 +67,142 @@ def _check_order(layout: HilbertLayout, order: Sequence[int] | None) -> tuple[in
     return order
 
 
-def synthesize_tree(m_tilde: np.ndarray, layout: HilbertLayout | Sequence[int],
+def _levels(tree: MeasurementTree):
+    """(subsystem, stacked bases (P, d, d)) per depth, nodes in outcome-path order.
+
+    Checks that every node at depth t measures order[t] with finite entries
+    and has one child per outcome.
+    """
+    order = tree.order
+    nodes = [tree.root]
+    for depth, sub in enumerate(order):
+        if any(node.subsystem != sub for node in nodes):
+            raise ValueError(f"a node at depth {depth} does not measure subsystem {sub}")
+        bases = np.stack([node.basis for node in nodes], dtype=complex)
+        if not np.isfinite(bases).all():
+            raise ValueError("kron factor contains non-finite entries")
+        yield sub, bases
+        if depth < len(order) - 1:
+            nodes = [child for node in nodes for child in node.children or ()]
+            if len(nodes) != bases.shape[0] * bases.shape[1]:
+                raise ValueError(f"a node at depth {depth} lacks one child per outcome")
+
+
+def _lead(cur: np.ndarray, pos: int) -> np.ndarray:
+    """(P, K, *dims) -> (P, d, K, rest): axis ``pos`` of dims first, the others flattened."""
+    p, k = cur.shape[:2]
+    return np.moveaxis(cur, 2 + pos, 1).reshape(p, cur.shape[2 + pos], k, -1)
+
+
+def _condition(lead: np.ndarray, bases: np.ndarray, rest_dims: tuple[int, ...]) -> np.ndarray:
+    """Contract <u_x| of node p's basis column x into the lead axis; row p * d + x."""
+    p, d, k, r = lead.shape
+    out = bases.conj().transpose(0, 2, 1) @ lead.reshape(p, d, k * r)
+    return out.reshape((p * d, k) + rest_dims)
+
+
+def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Sequence[int],
                     order: Sequence[int] | None = None) -> MeasurementTree:
     """Adaptive tree whose leaves zero-sandwich the traceless target matrix.
 
-    At each node the target, conditioned on all previous outcomes, is traced
-    down to the current subsystem and zero-diagonalized; each basis vector
-    spawns one child on the remaining subsystems. Conditioned matrices stay
-    traceless by construction; their numerical trace drift is re-centered and
-    asserted small.
+    The target is factored, m_tilde = sum_k |a_k><b_k| + c I; a dense matrix
+    enters as its D ket-bra rows. At each node the target, conditioned on all
+    previous outcomes, is traced down to the current subsystem and
+    zero-diagonalized; each basis vector spawns one child on the remaining
+    subsystems. Conditioning on outcome u maps a_k, b_k to (<u| x I) a_k,
+    (<u| x I) b_k and keeps c, so a node's reduction is A B^dag + c rest I with
+    A, B the d x (K rest) reshapes of its conditioned kets and bras. The
+    nodes of one depth are conditioned together. Conditioned matrices stay
+    traceless by construction; their numerical trace drift is re-centered
+    and asserted small.
     """
     layout = as_layout(layout)
     order = _check_order(layout, order)
-    m_tilde = np.asarray(m_tilde, dtype=complex)
+    target = m_tilde if isinstance(m_tilde, KetBraSum) else KetBraSum.from_dense(m_tilde)
+    if target.dim != layout.total:
+        raise ValueError(f"target dimension {target.dim} does not match layout "
+                         f"{list(layout.dims)}")
+    scale = target.norm()
     # checked only: the target is conditioned as given, each node re-centers its reduction
-    check_traceless(m_tilde, "target matrix", TARGET_TRACE_TOL)
-    scale = float(np.linalg.norm(m_tilde))
+    trace = target.trace()
+    if abs(trace) > TARGET_TRACE_TOL * max(1.0, scale):
+        raise ValueError(f"target matrix is not traceless (trace {trace:.3e})")
 
-    def build(m_cur: np.ndarray, rem_ids: tuple[int, ...], depth: int) -> TreeNode:
-        sub = order[depth]
-        pos = rem_ids.index(sub)
-        rem_layout = HilbertLayout(tuple(layout.dims[i] for i in rem_ids))
-        if len(rem_ids) == 1:
-            reduced = m_cur
-        else:
-            reduced = partial_trace(m_cur, rem_layout,
-                                    [i for i in range(len(rem_ids)) if i != pos])
-        reduced = check_traceless(reduced, f"conditioned matrix at depth {depth}",
-                                  NODE_TRACE_TOL, scale, SynthesisError)
-        basis = zero_diag_basis(reduced)
-        d = basis.shape[0]
-        if depth == layout.nsub - 1:
-            return TreeNode(subsystem=sub, basis=basis, children=None)
-        children = []
-        next_ids = rem_ids[:pos] + rem_ids[pos + 1:]
-        for x in range(d):
-            m_next = partial_expectation(m_cur, rem_layout, pos, basis[:, x])
-            children.append(build(m_next, next_ids, depth + 1))
-        return TreeNode(subsystem=sub, basis=basis, children=children)
+    k = target.kets.shape[0]
+    vectors = np.concatenate([target.kets, target.bras])
+    cur = vectors.reshape((1, 2 * k) + layout.dims)
+    remaining = list(range(layout.nsub))
+    levels: list[list[TreeNode]] = []
+    for depth, sub in enumerate(order):
+        lead = _lead(cur, remaining.index(sub))
+        remaining.remove(sub)
+        p, d, _, rest = lead.shape
+        kets = lead[:, :, :k].reshape(p, d, k * rest)
+        bras = lead[:, :, k:].reshape(p, d, k * rest)
+        reduced = kets @ bras.conj().transpose(0, 2, 1) + (target.shift * rest) * np.eye(d)
+        bases = [zero_diag_basis(check_traceless(
+            m, f"conditioned matrix at depth {depth}", NODE_TRACE_TOL, scale,
+            SynthesisError)) for m in reduced]
+        levels.append([TreeNode(subsystem=sub, basis=u, children=None) for u in bases])
+        if remaining:
+            cur = _condition(lead, np.stack(bases),
+                             tuple(layout.dims[i] for i in remaining))
+    for parents, children in zip(levels, levels[1:]):
+        d = len(children) // len(parents)
+        for i, node in enumerate(parents):
+            node.children = children[i * d:(i + 1) * d]
 
-    tree = MeasurementTree(layout=layout, order=order,
-                           root=build(m_tilde, tuple(range(layout.nsub)), 0))
-    vectors = np.stack([vec for _, vec in leaf_vectors(tree)])
-    worst = float(np.abs(metrology._sandwich(vectors, m_tilde)).max())
+    tree = MeasurementTree(layout=layout, order=order, root=levels[0][0])
+    amps = tree_amplitudes(tree, vectors)
+    leaf = np.sum(amps[:, :k] * amps[:, k:].conj(), axis=1) + target.shift
+    worst = float(np.abs(leaf).max())
     if worst > LEAF_TOL * scale:
         raise SynthesisError(
             f"leaf condition violated: residual {worst:.3e} > {LEAF_TOL:.0e} * norm")
     return tree
 
 
+def tree_amplitudes(tree: MeasurementTree, vectors: np.ndarray) -> np.ndarray:
+    """<e|v> for every leaf e (rows, in ``leaf_vectors`` order) and row v of ``vectors``.
+
+    ``vectors`` is K x D (or one length-D vector, giving a length-L result).
+    Each depth contracts the conjugated node bases into one subsystem axis,
+    so the cost is O(K D (d_1 + ... + d_n)) and no leaf vector is built.
+    """
+    v = np.asarray(vectors, dtype=complex)
+    dims = tree.layout.dims
+    flat = np.atleast_2d(v)
+    if flat.ndim != 2 or flat.shape[1] != tree.layout.total:
+        raise ValueError(f"vectors of shape {v.shape} do not match layout {list(dims)}")
+    if not np.isfinite(flat).all():
+        raise ValueError("vectors contain non-finite entries")
+    cur = flat.reshape((1, flat.shape[0]) + dims)
+    remaining = list(range(len(dims)))
+    for sub, bases in _levels(tree):
+        lead = _lead(cur, remaining.index(sub))
+        remaining.remove(sub)
+        cur = _condition(lead, bases, tuple(dims[i] for i in remaining))
+    amps = cur.reshape(-1, flat.shape[0])
+    return amps[:, 0] if v.ndim == 1 else amps
+
+
 def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """All (outcome path, product vector) pairs, vectors in layout order.
 
-    Built one depth at a time: every node at depth t measures order[t], so
-    one broadcast product extends all prefixes at once. The factors multiply
-    in measurement order; for the identity order that is the left fold of
-    ``kron`` over the layout, entry for entry.
+    Built one depth at a time: one broadcast product extends all prefixes at
+    once. The factors multiply in measurement order; for the identity order
+    that is the left fold of ``kron`` over the layout, entry for entry.
     """
     order = tree.order
-    nodes = [tree.root]
     paths: list[tuple[int, ...]] = [()]
     vecs = None
-    for depth, sub in enumerate(order):
-        if any(node.subsystem != sub for node in nodes):
-            raise ValueError(f"a node at depth {depth} does not measure subsystem {sub}")
-        cols = np.stack([node.basis.T for node in nodes], dtype=complex)
-        if not np.isfinite(cols).all():
-            raise ValueError("kron factor contains non-finite entries")
+    for sub, bases in _levels(tree):
+        cols = bases.transpose(0, 2, 1)
         d = cols.shape[1]
         # row p * d + x is prefix p extended by column x of its node's basis
         vecs = cols.reshape(-1, d) if vecs is None else (
             vecs[:, None, :, None] * cols[:, :, None, :]).reshape(len(paths) * d, -1)
         paths = [p + (x,) for p in paths for x in range(d)]
-        if depth < len(order) - 1:
-            nodes = [child for node in nodes for child in node.children or ()]
-            if len(nodes) != len(paths):
-                raise ValueError(f"a node at depth {depth} lacks one child per outcome")
     if order != tuple(range(len(order))):
         dims = tuple(tree.layout.dims[k] for k in order)
         vecs = vecs.reshape((len(paths),) + dims).transpose(
@@ -178,19 +245,17 @@ def discriminate(psi0: np.ndarray, psi1: np.ndarray,
     if abs(np.vdot(psi0, psi1)) > ORTHOGONAL_TOL:
         raise ValueError("psi0 and psi1 must be orthogonal")
 
-    tree = synthesize_tree(np.outer(psi0, psi1.conj()), layout, order)
-    assignment: dict[tuple[int, ...], int] = {}
-    residual = 0.0
-    success = 0.0
-    for path, vec in leaf_vectors(tree):
-        o0, o1 = np.vdot(vec, psi0), np.vdot(vec, psi1)
-        residual = max(residual, abs(o0 * np.conj(o1)))
-        hyp = 0 if abs(o0) >= abs(o1) else 1
-        assignment[path] = hyp
-        success += 0.5 * max(abs(o0) ** 2, abs(o1) ** 2)
-    return tree, DiscriminationReport(success_prob=float(success),
+    tree = synthesize_tree(KetBraSum(psi0, psi1), layout, order)
+    amps = tree_amplitudes(tree, np.stack([psi0, psi1]))
+    mag = np.abs(amps)
+    hyps = (mag[:, 0] < mag[:, 1]).astype(int)
+    paths = np.ndindex(*(layout.dims[k] for k in tree.order))
+    assignment = {path: int(h) for path, h in zip(paths, hyps)}
+    residual = float(np.abs(amps[:, 0] * amps[:, 1].conj()).max())
+    success = 0.5 * float(np.sum(mag.max(axis=1) ** 2))
+    return tree, DiscriminationReport(success_prob=success,
                                       leaf_assignment=assignment,
-                                      residual=float(residual))
+                                      residual=residual)
 
 
 def tree_to_json(tree: MeasurementTree) -> dict:

@@ -19,8 +19,9 @@ import numpy as np
 
 from .tensor import (COMPLETENESS_TOL, CONDITION_REL, DRHO_TOL, DRIFT_TOL,
                      EVAL_UNIT_TOL, FAMILY_UNIT_TOL, FI_REL, ORTHOGONAL_TOL, P_TOL,
-                     RANK_TOL, REGULARITY_REL, RHO_TOL, HilbertLayout, check_hermitian,
-                     check_traceless, check_unit, eigh_desc)
+                     RANK_TOL, REGULARITY_REL, RHO_TOL, HilbertLayout, KetBraSum,
+                     check_hermitian, check_real_diagonal, check_traceless, check_unit,
+                     eigh_desc)
 # herm_eig and sqrt_psd are unused here; they stay importable because the
 # benchmark tracer patches them.
 from .tensor import herm_eig, sqrt_psd  # noqa: F401
@@ -30,7 +31,13 @@ DEFAULT_FD_STEP = 1e-4
 
 @dataclass
 class UnitaryGeneratorFamily:
-    """Pure family psi_theta = exp(-i theta G) psi_in with Hermitian G."""
+    """Pure family psi_theta = exp(-i theta G) psi_in with Hermitian G.
+
+    ``generator`` is either the D x D matrix G or, for a G diagonal in the
+    computational basis, its length-D real diagonal g. The diagonal route
+    evaluates psi = exp(-i theta g) psi_in and dpsi = -i g psi elementwise and
+    never builds a D x D array; a dense G is applied through its eigenbasis.
+    """
 
     layout: HilbertLayout
     psi_in: np.ndarray
@@ -38,25 +45,38 @@ class UnitaryGeneratorFamily:
 
     def __post_init__(self) -> None:
         self.psi_in = check_unit(self.psi_in, "psi_in", FAMILY_UNIT_TOL)
-        self.generator = check_hermitian(self.generator, "generator")
         d = self.layout.total
-        if self.psi_in.shape != (d,) or self.generator.shape != (d, d):
+        self._diagonal = np.ndim(self.generator) == 1
+        if self._diagonal:
+            self.generator = check_real_diagonal(self.generator, "generator")
+        else:
+            self.generator = check_hermitian(self.generator, "generator")
+        if self.psi_in.shape != (d,) or self.generator.shape != (d,) * self.generator.ndim:
             raise ValueError("psi_in / generator shapes do not match the layout")
-        w, v = np.linalg.eigh(self.generator)
-        self._gen_eigvals = w
-        self._gen_eigvecs = v
-        self._coeffs = v.conj().T @ self.psi_in
+        if self._diagonal:
+            # the eigenbasis is the computational one
+            self._gen_eigvals, self._gen_eigvecs, self._coeffs = self.generator, None, self.psi_in
+        else:
+            w, v = np.linalg.eigh(self.generator)
+            self._gen_eigvals, self._gen_eigvecs, self._coeffs = w, v, v.conj().T @ self.psi_in
 
     state_type = "pure"
 
     def psi(self, theta: float) -> np.ndarray:
-        return self._gen_eigvecs @ (np.exp(-1j * theta * self._gen_eigvals) * self._coeffs)
+        phased = np.exp(-1j * theta * self._gen_eigvals) * self._coeffs
+        return phased if self._diagonal else self._gen_eigvecs @ phased
+
+    def psi_dpsi(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """psi and dpsi = -i G psi at theta, from one evaluation of psi."""
+        psi = self.psi(theta)
+        gpsi = self.generator * psi if self._diagonal else self.generator @ psi
+        return psi, -1j * gpsi
 
     def dpsi(self, theta: float) -> np.ndarray:
-        return -1j * (self.generator @ self.psi(theta))
+        return self.psi_dpsi(theta)[1]
 
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        psi, dpsi = self.psi(theta), self.dpsi(theta)
+        psi, dpsi = self.psi_dpsi(theta)
         rho = np.outer(psi, psi.conj())
         drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
         return rho, drho
@@ -85,6 +105,9 @@ class PureNumericFamily:
     def dpsi(self, theta: float) -> np.ndarray:
         h = self.step
         return (self.psi(theta + h) - self.psi(theta - h)) / (2 * h)
+
+    def psi_dpsi(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        return self.psi(theta), self.dpsi(theta)
 
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         h = self.step
@@ -119,9 +142,15 @@ class RankTwoFixedBasisFamily:
             raise ValueError(f"p(theta) = {p} outside (0, 1)")
         return p
 
+    def p_dp(self, theta: float) -> tuple[float, float]:
+        """p(theta) inside (0, 1) and its finite derivative."""
+        p, dp = self.p(theta), float(self.dp_fn(theta))
+        if not np.isfinite(dp):
+            raise ValueError(f"dp/dtheta = {dp} is not finite")
+        return p, dp
+
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        p = self.p(theta)
-        dp = float(self.dp_fn(theta))
+        p, dp = self.p_dp(theta)
         p0 = np.outer(self.psi0, self.psi0.conj())
         p1 = np.outer(self.psi1, self.psi1.conj())
         return p * p0 + (1 - p) * p1, dp * (p0 - p1)
@@ -174,11 +203,25 @@ class SldResult:
 
 @dataclass
 class SaturationMatrices:
-    """Traceless targets whose zero-sandwich condition characterizes saturation."""
+    """Traceless zero-sandwich targets whose condition characterizes saturation.
 
-    m_set: list[np.ndarray]
-    m_tilde: np.ndarray | None
+    ``conditions`` holds the matrices M_ij and ``target`` the synthesis target
+    m_tilde. For pure and rank-two families both are factored
+    (``KetBraSum``); a generic mixed family of rank > 2 has dense M_ij and no
+    target. ``m_set`` and ``m_tilde`` are the dense matrices, built on access.
+    """
+
+    conditions: list
+    target: KetBraSum | None
     state_type: str
+
+    @property
+    def m_set(self) -> list[np.ndarray]:
+        return [m.dense() if isinstance(m, KetBraSum) else m for m in self.conditions]
+
+    @property
+    def m_tilde(self) -> np.ndarray | None:
+        return None if self.target is None else self.target.dense()
 
 
 @dataclass
@@ -271,7 +314,19 @@ def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
 
 
 def qfi(family: StateFamily, theta: float) -> float:
-    """Quantum Fisher information Tr(rho L^2) at theta."""
+    """Quantum Fisher information at theta.
+
+    Closed forms for the families the synthesis covers, with no D x D
+    algebra: 4 (||dpsi||^2 - |<psi|dpsi>|^2) for pure families and
+    p'^2 / (p (1 - p)) for fixed-basis rank-two families. Generic mixed
+    families get Tr(rho L^2) from the SLD.
+    """
+    if family.state_type == "pure":
+        psi, dpsi = _psi_dpsi(family, theta)
+        return max(0.0, float(4 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)))
+    if family.state_type == "rank-two":
+        p, dp = family.p_dp(theta)
+        return dp * dp / (p * (1 - p))
     return _sld(*eval_state(family, theta)).qfi
 
 
@@ -299,10 +354,12 @@ def perp_component(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     return dpsi - np.vdot(psi, dpsi) * psi
 
 
-def _pure_psi_dpsi(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    if family.state_type != "pure":
-        raise ValueError("state vector access requires a pure family")
-    return family.psi(theta), family.dpsi(theta)
+def _psi_dpsi(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """psi and dpsi of a pure family at theta, checked finite."""
+    psi, dpsi = family.psi_dpsi(theta)
+    if not (np.isfinite(psi).all() and np.isfinite(dpsi).all()):
+        raise ValueError("state vector contains non-finite entries")
+    return psi, dpsi
 
 
 def _detect_fixed_rank_two(rho: np.ndarray, sides: tuple[np.ndarray, np.ndarray]):
@@ -354,26 +411,30 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     fixed-basis families: m_tilde = |psi0><psi1| (the scale-invariant
     direction, with the real prefactor dropped). Generic mixed families of
     rank > 2 get the full M_ij list and no m_tilde.
+
+    Pure and rank-two targets are factored with no D x D array:
+    m_tilde = |psi><perp + psi| - |perp><psi| - I/D (two ket-bras) and
+    |psi0><psi1| (one).
     """
-    d = family.layout.total
     if family.state_type == "pure":
-        psi, dpsi = _pure_psi_dpsi(family, theta)
+        psi, dpsi = _psi_dpsi(family, theta)
         perp = perp_component(psi, dpsi)
-        m = np.outer(psi, perp.conj()) - np.outer(perp, psi.conj())
-        m_tilde = m + (np.outer(psi, psi.conj()) - np.eye(d) / d)
-        return SaturationMatrices(m_set=[m], m_tilde=m_tilde, state_type="pure")
+        kets = np.stack([psi, -perp])
+        m = KetBraSum(kets, np.stack([perp, psi]))
+        m_tilde = KetBraSum(kets, np.stack([perp + psi, psi]), -1.0 / family.layout.total)
+        return SaturationMatrices(conditions=[m], target=m_tilde, state_type="pure")
     if family.state_type == "rank-two":
-        m = np.outer(family.psi0, family.psi1.conj())
-        return SaturationMatrices(m_set=[m], m_tilde=m, state_type="rank-two")
+        m = KetBraSum(family.psi0, family.psi1)
+        return SaturationMatrices(conditions=[m], target=m, state_type="rank-two")
 
     rho, drho, sides = family.rho_drho_sides(theta)
     rho, drho = _checked_state(rho, drho)
     pair = _detect_fixed_rank_two(rho, sides)
     if pair is not None:
-        m = np.outer(pair[0], pair[1].conj())
-        return SaturationMatrices(m_set=[m], m_tilde=m, state_type="rank-two")
+        m = KetBraSum(*pair)
+        return SaturationMatrices(conditions=[m], target=m, state_type="rank-two")
     res = _sld(rho, drho)
-    return SaturationMatrices(m_set=_commutator_targets(res), m_tilde=None,
+    return SaturationMatrices(conditions=_commutator_targets(res), target=None,
                               state_type="mixed")
 
 

@@ -34,20 +34,45 @@ class PauliStringTerm:
             raise ValueError(f"invalid Pauli string {self.string!r}")
 
 
+# diagonals of the Paulis that are diagonal in the computational basis
+PAULI_DIAG = {"I": np.array([1.0, 1.0]), "Z": np.array([1.0, -1.0])}
+
+
 def pauli_term_matrix(term: PauliStringTerm) -> np.ndarray:
     return term.coeff * kron([PAULI[ch] for ch in term.string])
 
 
-def hamiltonian_from_pauli(terms: list[PauliStringTerm],
-                           layout: HilbertLayout) -> np.ndarray:
+def _check_terms(terms: list[PauliStringTerm], layout: HilbertLayout) -> None:
     if any(d != 2 for d in layout.dims):
         raise ValueError("Pauli-string Hamiltonians require a qubit layout")
-    h = np.zeros((layout.total, layout.total), dtype=complex)
     for term in terms:
         if len(term.string) != layout.nsub:
             raise ValueError(f"string {term.string!r} does not match {layout.nsub} qubits")
+
+
+def hamiltonian_from_pauli(terms: list[PauliStringTerm],
+                           layout: HilbertLayout) -> np.ndarray:
+    _check_terms(terms, layout)
+    h = np.zeros((layout.total, layout.total), dtype=complex)
+    for term in terms:
         h += pauli_term_matrix(term)
     return h
+
+
+def _is_diagonal(terms: list[PauliStringTerm]) -> bool:
+    """Whether every string uses only I and Z, so the sum is diagonal."""
+    return all(ch in PAULI_DIAG for term in terms for ch in term.string)
+
+
+def pauli_diagonal(terms: list[PauliStringTerm], layout: HilbertLayout) -> np.ndarray:
+    """Real diagonal of a sum of I/Z strings: a kron of +-1 vectors per term, O(D n)."""
+    _check_terms(terms, layout)
+    if not _is_diagonal(terms):
+        raise ValueError("pauli_diagonal needs strings of I and Z only")
+    g = np.zeros(layout.total)
+    for term in terms:
+        g += term.coeff * kron([PAULI_DIAG[ch] for ch in term.string]).real
+    return g
 
 
 @dataclass
@@ -99,7 +124,9 @@ def parse_scenario(doc: dict) -> Scenario:
         if "pauli" in ham:
             terms = [PauliStringTerm(float(t["coeff"]), str(t["string"]))
                      for t in ham["pauli"]]
-            gen = hamiltonian_from_pauli(terms, layout)
+            # an I/Z sum is kept as its diagonal and never becomes a matrix
+            gen = (pauli_diagonal if _is_diagonal(terms) else hamiltonian_from_pauli)(
+                terms, layout)
         elif "dense" in ham:
             gen = pairs_to_complex(ham["dense"])
         else:

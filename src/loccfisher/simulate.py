@@ -19,6 +19,7 @@ from . import locc, metrology
 from .tensor import FLAT_REL, MLE_WIDTH, PRIOR_EDGE_REL
 
 LOG_FLOOR = 1e-300
+LAW_DECIMALS = 15   # decimals an outcome law keeps for drawing, far above rounding noise
 GRID_POINTS = 512
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -129,8 +130,15 @@ class _OutcomeLaw:
             np.stack([self.prob_fn(t) for t in self.grid], axis=1), LOG_FLOOR, None))
 
     def distribution(self, theta: float) -> np.ndarray:
+        """The law at theta, rounded to LAW_DECIMALS for drawing.
+
+        numpy draws a multinomial as a chain of binomials and takes another
+        branch at p = 0.5 than at p = 0.5 + 1 ulp, so a law that is uniform up
+        to rounding (every tree synthesized at the true theta gives one) would
+        draw different counts from trees that differ only by rounding noise.
+        """
         probs = np.clip(self.prob_fn(theta), 0.0, None)
-        return probs / probs.sum()
+        return np.round(probs / probs.sum(), LAW_DECIMALS)
 
 
 def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
@@ -197,10 +205,10 @@ def _draw_counts(law: _OutcomeLaw, theta: float, shots: int,
 
 def _synthesize_at(family: metrology.StateFamily, theta: float,
                    layout) -> locc.MeasurementTree:
-    target = metrology.saturation_matrices(family, theta)
-    if target.m_tilde is None:
+    target = metrology.saturation_matrices(family, theta).target
+    if target is None:
         raise ValueError("family has no rank-one synthesis target")
-    return locc.synthesize_tree(target.m_tilde, layout)
+    return locc.synthesize_tree(target, layout)
 
 
 def _reference_law(config: SimConfig) -> _OutcomeLaw:

@@ -6,7 +6,8 @@ index of a product state is big-endian in the subsystem order: for dims
 x1*d2*...*dn + ... + xn.
 
 Input from outside the package is validated once, at each public entry, by
-``check_hermitian``, ``check_traceless`` and ``check_unit``. Their tolerances
+``check_hermitian``, ``check_traceless``, ``check_unit`` and, for a diagonal
+generator, ``check_real_diagonal``. Their tolerances
 are relative to max(1, scale of the caller's matrix): the largest entry for
 the Hermitian test, the Frobenius norm for the trace test. Every tolerance a
 call site passes comes from the table below, which states each one's scale.
@@ -135,6 +136,79 @@ def check_unit(v: np.ndarray, name: str = "vector", tol: float = UNIT_TOL) -> np
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"{name} norm {nrm!r} is not 1")
     return v
+
+
+def check_real_diagonal(g: np.ndarray, name: str = "diagonal",
+                        tol: float = HERM_TOL) -> np.ndarray:
+    """Diagonal of a Hermitian matrix as a real array, after the checks of
+    ``check_hermitian``: finite, and max |Im g| <= tol * max(1, max |g|)."""
+    g = np.asarray(g)
+    if g.ndim != 1:
+        raise ValueError(f"{name} must be a vector, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    dev = float(np.abs(np.imag(g)).max(initial=0.0))
+    if dev > tol * max(1.0, float(np.abs(g).max(initial=0.0))):
+        raise ValueError(f"{name} is not real (max imaginary part {dev:.3e})")
+    return np.real(g).astype(float)
+
+
+@dataclass
+class KetBraSum:
+    """The matrix sum_k |a_k><b_k| + shift * I, kept as its factors.
+
+    ``kets`` and ``bras`` are K x D arrays whose rows are a_k and b_k. Every
+    construction checks shapes and finiteness; trace and Frobenius norm come
+    from the factors (the norm from the K x K Gram matrices), so no D x D
+    array is built unless ``dense`` is called.
+    """
+
+    kets: np.ndarray
+    bras: np.ndarray
+    shift: complex = 0.0
+
+    def __post_init__(self) -> None:
+        self.kets = np.atleast_2d(np.asarray(self.kets, dtype=complex))
+        self.bras = np.atleast_2d(np.asarray(self.bras, dtype=complex))
+        if self.kets.ndim != 2 or self.kets.shape != self.bras.shape:
+            raise ValueError(f"kets {self.kets.shape} and bras {self.bras.shape} "
+                             "must be K x D arrays of one shape")
+        if not (np.isfinite(self.kets).all() and np.isfinite(self.bras).all()
+                and np.isfinite(self.shift)):
+            raise ValueError("matrix contains non-finite entries")
+
+    @classmethod
+    def from_dense(cls, m: np.ndarray) -> "KetBraSum":
+        """The D ket-bra rows |i><row i| of a square matrix."""
+        m = _as_matrix(m)
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {m.shape}")
+        return cls(np.eye(m.shape[0], dtype=complex), m.conj())
+
+    @property
+    def dim(self) -> int:
+        return self.kets.shape[1]
+
+    def trace(self) -> complex:
+        return complex(np.sum(self.bras.conj() * self.kets) + self.shift * self.dim)
+
+    def norm(self) -> float:
+        """Frobenius norm, from
+        sum_kl <a_k|a_l><b_l|b_k> + 2 Re(conj(shift) sum_k <b_k|a_k>) + |shift|^2 D."""
+        gram_a = self.kets.conj() @ self.kets.T
+        gram_b = self.bras.conj() @ self.bras.T
+        sq = float(np.real(np.sum(gram_a * gram_b.T)))
+        if self.shift:
+            low_rank_trace = complex(np.sum(self.bras.conj() * self.kets))
+            sq += (2 * float(np.real(np.conj(self.shift) * low_rank_trace))
+                   + abs(self.shift) ** 2 * self.dim)
+        return float(np.sqrt(max(sq, 0.0)))
+
+    def dense(self) -> np.ndarray:
+        m = sum(np.outer(a, b.conj()) for a, b in zip(self.kets, self.bras))
+        if self.shift:
+            m = m + self.shift * np.eye(self.dim)
+        return m
 
 
 def kron(factors: Iterable[np.ndarray]) -> np.ndarray:

@@ -21,6 +21,26 @@ def qfi_double_sum(rho, drho, tol=1e-12):
     return total
 
 
+def dense_target(family, theta):
+    """The synthesis target m_tilde of a pure or rank-two family as a D x D matrix.
+
+    Pure families (unitary generator, dense or diagonal): psi = expm(-i theta
+    G) psi_in, dpsi = -i G psi, perp = dpsi - <psi|dpsi> psi and m_tilde =
+    |psi><perp| - |perp><psi| + |psi><psi| - I/D. Rank-two families:
+    |psi0><psi1|.
+    """
+    if family.state_type == "rank-two":
+        return np.outer(family.psi0, family.psi1.conj())
+    gen = np.asarray(family.generator)
+    gen = np.diag(gen) if gen.ndim == 1 else gen
+    psi = sla.expm(-1j * theta * gen) @ family.psi_in
+    dpsi = -1j * gen @ psi
+    perp = dpsi - np.vdot(psi, dpsi) * psi
+    d = psi.size
+    return (np.outer(psi, perp.conj()) - np.outer(perp, psi.conj())
+            + np.outer(psi, psi.conj()) - np.eye(d) / d)
+
+
 def fisher_fd(elements, rho_fn, theta, h=1e-5, p_tol=1e-12):
     """Classical Fisher information by finite differences of Tr(E rho(theta))."""
     total = 0.0

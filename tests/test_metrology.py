@@ -40,6 +40,32 @@ class TestEvalState:
         want_drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
         assert np.abs(drho - want_drho).max() < 1e-12
 
+    def test_dense_generator_route_unchanged(self, rng):
+        # psi through the eigenbasis, dpsi = -i G psi from that same psi
+        fam = random_pure_family((2, 3), rng)
+        psi = fam._gen_eigvecs @ (np.exp(-0.4j * fam._gen_eigvals) * fam._coeffs)
+        dpsi = -1j * (fam.generator @ psi)
+        rho, drho = fam.rho_drho(0.4)
+        assert np.array_equal(rho, np.outer(psi, psi.conj()))
+        assert np.array_equal(drho, np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj()))
+
+    def test_diagonal_generator_is_a_vector(self):
+        fam = UnitaryGeneratorFamily(QUBIT, np.array([1, 1], complex) / np.sqrt(2),
+                                     np.array([0.0, -1.0]))
+        psi, dpsi = fam.psi_dpsi(0.7)
+        assert np.abs(psi - phase_qubit().psi(0.7)).max() < 1e-15
+        assert np.array_equal(dpsi, -1j * np.array([0.0, -1.0]) * psi)
+        assert fam.generator.shape == (2,) and fam.generator.dtype == float
+
+    @pytest.mark.parametrize("gen, match", [
+        (np.array([0.5, np.nan]), "non-finite"),
+        (np.array([0.5, 0.5j]), "not real"),
+        (np.array([0.5, 0.5, 0.5]), "shapes"),
+        (np.zeros((2, 2, 2)), "expected a matrix")])
+    def test_diagonal_generator_checked(self, gen, match):
+        with pytest.raises(ValueError, match=match):
+            UnitaryGeneratorFamily(QUBIT, np.array([1, 0], complex), gen)
+
     def test_rank_two_linear(self):
         bells = bell_states()
         fam = RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
@@ -106,17 +132,31 @@ class TestSld:
 
 
 class TestQfi:
-    def test_state_checked_once(self, monkeypatch):
+    def test_mixed_state_checked_once(self, monkeypatch):
+        # the family checks its three evaluator outputs (theta and theta -+ h),
         # eval_state checks rho and drho; the SLD core takes them as returned
-        fam = ghz_family(4)
+        fam = builtin_scenario("bellmix").family
         calls = []
         check = metrology.check_hermitian
         monkeypatch.setattr(metrology, "check_hermitian",
                             lambda m, *a: calls.append(a) or check(m, *a))
         qfi(fam, 0.3)
-        assert len(calls) == 2
+        assert len(calls) == 5
         rho, drho = fam.rho_drho(0.3)
         assert qfi(fam, 0.3) == sld(rho, drho).qfi
+
+    def test_pure_qfi_builds_no_matrix(self, monkeypatch):
+        # the closed form 4 (||dpsi||^2 - |<psi|dpsi>|^2) from one psi evaluation
+        fam = ghz_family(4)
+        calls = []
+        check, psi = metrology.check_hermitian, fam.psi
+        monkeypatch.setattr(metrology, "check_hermitian",
+                            lambda m, *a: calls.append(a) or check(m, *a))
+        monkeypatch.setattr(fam, "psi", lambda t: calls.append(t) or psi(t))
+        value = qfi(fam, 0.3)
+        assert calls == [0.3]
+        rho, drho = fam.rho_drho(0.3)
+        assert abs(value - sld(rho, drho).qfi) <= 1e-12 * value
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_ghz(self, n):
@@ -271,6 +311,28 @@ class TestSaturationMatrices:
         overlap = max(abs(np.trace(out.m_tilde.conj().T @ direction)),
                       abs(np.trace(out.m_tilde.conj().T @ direction.conj().T)))
         assert abs(overlap - 1) < 1e-8
+
+    @pytest.mark.parametrize("entry", [qfi, saturation_matrices])
+    def test_pure_state_evaluated_once(self, monkeypatch, entry):
+        fam = ghz_family(3)
+        calls = []
+        psi = fam.psi
+        monkeypatch.setattr(fam, "psi", lambda t: calls.append(t) or psi(t))
+        entry(fam, 0.3)
+        assert calls == [0.3]
+
+    def test_pure_target_is_factored(self):
+        fam = ghz_family(3)
+        out = saturation_matrices(fam, 0.3)
+        psi, dpsi = fam.psi_dpsi(0.3)
+        perp = perp_component(psi, dpsi)
+        assert out.target.kets.shape == (2, 8) and out.target.shift == -1 / 8
+        low_rank = out.target.kets.T @ out.target.bras.conj()
+        assert np.abs(low_rank - np.eye(8) / 8 - out.m_tilde).max() < 1e-12
+        assert np.abs(out.m_tilde - out.m_set[0] - np.outer(psi, psi.conj())
+                      + np.eye(8) / 8).max() < 1e-12
+        assert abs(out.target.trace()) < 1e-12
+        assert abs(np.linalg.norm(perp) - np.sqrt(qfi(fam, 0.3)) / 2) < 1e-12
 
     def test_mixed_state_evaluated_once(self):
         # eval_state's rho is reused by the fixed-basis rank-two test

@@ -4,22 +4,29 @@ Pure and fixed-basis rank-two families get an adaptive tree that is complete,
 zero-sandwiches the target on every leaf and reaches fi = qfi; rank-two trees
 tell the two basis states apart with certainty; and the Bell-mixture control
 saturates under no synthesized two-qubit tree. Verdicts and Fisher
-information are cross-checked against the dense sqrt(E) oracle.
+information are cross-checked against the dense sqrt(E) oracle, and the
+vector-only route (closed-form qfi, diagonal generators, factored targets,
+leaf amplitudes) against the dense matrices it replaces.
 """
 
+import itertools
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccfisher import (check_saturation, discriminate, flatten, leaf_vectors,
-                        saturation_matrices, synthesize_tree)
-from loccfisher.locc import LEAF_TOL
+from loccfisher import (UnitaryGeneratorFamily, check_saturation, discriminate,
+                        flatten, leaf_vectors, qfi, saturation_matrices, sld,
+                        synthesize_tree)
+from loccfisher.locc import LEAF_TOL, tree_amplitudes
 from loccfisher.scenarios import builtin_scenario
+from loccfisher.tensor import HilbertLayout
 
-from conftest import random_pure_family
-from oracles import dense_saturation
+from conftest import random_pure_family, random_state
+from oracles import dense_saturation, dense_target
+from test_locc import random_tree
 from test_oracle_crosscheck import random_rank_two_family
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -100,3 +107,85 @@ def test_bell_mixture_never_saturates(seed, order, rank_two, theta):
     rep = check_saturation(povm, bellmix, theta)
     assert not rep.saturating
     assert not oracle_report(povm, bellmix, theta)["saturating"]
+
+
+def random_diagonal_family(dims, rng):
+    """Pure family whose generator is diagonal, given as its real diagonal."""
+    layout = HilbertLayout(dims)
+    return UnitaryGeneratorFamily(layout, random_state(layout.total, rng),
+                                  rng.standard_normal(layout.total))
+
+
+@st.composite
+def families(draw):
+    """(family, theta, order): pure (dense or diagonal generator) or rank-two."""
+    dims = draw(layouts())
+    order = draw(st.permutations(range(len(dims))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    make = draw(st.sampled_from([random_pure_family, random_diagonal_family,
+                                 random_rank_two_family]))
+    return make(dims, rng), draw(st.floats(0.1, 0.9)), order
+
+
+@PROPERTY
+@given(families())
+def test_closed_form_qfi_matches_the_dense_sld(case):
+    family, theta, _ = case
+    dense = sld(*family.rho_drho(theta)).qfi
+    assert abs(qfi(family, theta) - dense) <= 1e-10 * max(1.0, dense)
+
+
+@PROPERTY
+@given(dims=layouts(), seed=st.integers(0, 2 ** 32 - 1), theta=st.floats(-3.0, 3.0))
+def test_diagonal_generator_matches_its_dense_matrix(dims, seed, theta):
+    rng = np.random.default_rng(seed)
+    layout = HilbertLayout(dims)
+    psi_in, g = random_state(layout.total, rng), rng.standard_normal(layout.total)
+    diagonal = UnitaryGeneratorFamily(layout, psi_in, g)
+    dense = UnitaryGeneratorFamily(layout, psi_in, np.diag(g))
+    for fast, slow in zip(diagonal.psi_dpsi(theta), dense.psi_dpsi(theta)):
+        assert np.abs(fast - slow).max() <= 1e-12
+
+
+@PROPERTY
+@given(families())
+def test_factored_target_zero_sandwiched_under_the_dense_oracle(case):
+    family, theta, order = case
+    target = saturation_matrices(family, theta).target
+    m_tilde = dense_target(family, theta)
+    norm = np.linalg.norm(m_tilde)
+    assert np.abs(target.dense() - m_tilde).max() <= 1e-12 * max(1.0, norm)
+    assert abs(target.norm() - norm) <= 1e-12 * max(1.0, norm)
+    assert abs(target.trace()) <= 1e-12 * max(1.0, norm)
+    tree = synthesize_tree(target, family.layout, order)
+    vectors = np.stack([vec for _, vec in leaf_vectors(tree)])
+    sandwich = np.einsum("ea,ab,eb->e", vectors.conj(), m_tilde, vectors)
+    assert np.abs(sandwich).max() <= LEAF_TOL * norm
+
+
+@pytest.mark.parametrize("dims,order", [
+    (dims, order) for dims in ((2, 3, 2), (3, 3, 3))
+    for order in itertools.permutations(range(3))])
+def test_tree_amplitudes_match_leaf_vectors(dims, order):
+    rng = np.random.default_rng([*dims, *order])
+    tree = random_tree(dims, order, rng)
+    vectors = rng.standard_normal((3, prod(dims))) + 1j * rng.standard_normal((3, prod(dims)))
+    leaves = np.stack([vec for _, vec in leaf_vectors(tree)])
+    want = leaves.conj() @ vectors.T
+    assert np.abs(tree_amplitudes(tree, vectors) - want).max() <= 1e-13
+    assert np.abs(tree_amplitudes(tree, vectors[1]) - want[:, 1]).max() <= 1e-13
+
+
+@PROPERTY
+@given(dims=layouts(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_discrimination_matches_the_per_leaf_loop(dims, data, seed):
+    family = random_rank_two_family(dims, np.random.default_rng(seed))
+    order = data.draw(st.permutations(range(len(dims))))
+    tree, report = discriminate(family.psi0, family.psi1, family.layout, order)
+    assignment, success = {}, 0.0
+    for path, vec in leaf_vectors(tree):
+        o0, o1 = np.vdot(vec, family.psi0), np.vdot(vec, family.psi1)
+        assignment[path] = 0 if abs(o0) >= abs(o1) else 1
+        success += 0.5 * max(abs(o0) ** 2, abs(o1) ** 2)
+    assert report.leaf_assignment == assignment
+    assert abs(report.success_prob - success) <= 1e-12

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from loccfisher.cli import cli_main
 from loccfisher.locc import leaf_vectors, tree_from_json
 from loccfisher.scenarios import (PauliStringTerm, bell_states, builtin_names,
                                   builtin_scenario, hamiltonian_from_pauli,
-                                  parse_scenario, pauli_term_matrix)
+                                  parse_scenario, pauli_diagonal, pauli_term_matrix)
 from loccfisher.tensor import HilbertLayout, complex_to_pairs, kron
 
 from conftest import I2, PAULI_X, PAULI_Z
@@ -42,6 +43,21 @@ class TestPauliStrings:
         with pytest.raises(ValueError):
             hamiltonian_from_pauli([PauliStringTerm(1.0, "XX")],
                                    HilbertLayout((2, 3)))
+
+    def test_iz_sum_diagonal_matches_dense(self):
+        lay = HilbertLayout((2, 2, 2))
+        terms = [PauliStringTerm(0.5, "ZII"), PauliStringTerm(-1.5, "IZZ"),
+                 PauliStringTerm(0.25, "III")]
+        dense = hamiltonian_from_pauli(terms, lay)
+        assert np.array_equal(np.diag(pauli_diagonal(terms, lay)), dense)
+        with pytest.raises(ValueError, match="I and Z"):
+            pauli_diagonal([PauliStringTerm(1.0, "XZI")], lay)
+        with pytest.raises(ValueError, match="qubits"):
+            pauli_diagonal([PauliStringTerm(1.0, "ZZ")], lay)
+
+    def test_iz_scenario_keeps_a_diagonal_generator(self):
+        assert builtin_scenario("ghz4").family.generator.shape == (16,)
+        assert builtin_scenario("chain4").family.generator.shape == (16, 16)
 
 
 class TestBuiltins:
@@ -173,6 +189,33 @@ class TestCliCore:
         assert abs(out["qfi"] - 1.0) < 1e-9
 
 
+class TestVectorRoute:
+    def test_ghz12_qfi_and_synthesis_stay_vector_sized(self, tmp_path, capsys):
+        # one dense 4096 x 4096 complex matrix would take 268 MB
+        n = 12
+        psi_in = np.zeros(2 ** n, dtype=complex)
+        psi_in[0] = psi_in[-1] = 1 / np.sqrt(2)
+        terms = [{"coeff": 0.5, "string": "".join("Z" if i == j else "I" for i in range(n))}
+                 for j in range(n)]
+        doc = {"name": "ghz12", "type": "unitary-generator", "layout": [2] * n,
+               "psi_in": complex_to_pairs(psi_in), "hamiltonian": {"pauli": terms},
+               "theta_grid": [0.3]}
+        path, out = tmp_path / "ghz12.json", tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            assert cli_main(["qfi", str(path), "--theta", "0.3"]) == 0
+            assert cli_main(["synthesize", str(path), "--theta", "0.3",
+                             "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = capsys.readouterr().out.splitlines()
+        assert abs(json.loads("".join(lines[:-1]))["qfi"] - n * n) < 1e-9 * n * n
+        assert json.loads(lines[-1])["leaves"] == 2 ** n
+        assert peak < 64 * 2 ** 20
+
+
 class TestCliLmCheck:
     def test_padded_vs_projective(self, capsys):
         assert cli_main(["lm-check", "lm3x3", "--restarts", "10",
@@ -283,6 +326,18 @@ class TestCliErrors:
         err = json.loads(captured.err)
         assert err["kind"] == "validation" and "restarts" in err["error"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["qfi", "ghz2", "--theta", "inf"],
+        ["synthesize", "ghz2", "--theta", "nan"],
+        ["simulate", "ghz2", "--prior", "0", "inf", "--shots", "100", "--trials", "2"],
+        ["lm-check", "lm3x3", "--theta=-inf"]])
+    def test_non_finite_argument_exit_1(self, capsys, recwarn, argv):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["kind"] == "validation" and "not a finite number" in err["error"]
+        assert captured.out == "" and len(recwarn) == 0
 
     @pytest.mark.parametrize("grid", [{"start": 0.0, "stop": 1.0, "points": 0}, [],
                                       [[0.1, 0.2]], 0.3, [0.1, float("nan")]])

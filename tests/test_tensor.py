@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from loccfisher.tensor import (HilbertLayout, complex_to_pairs, herm_eig,
-                               kron, pairs_to_complex, partial_expectation,
-                               partial_trace, sqrt_psd)
+from loccfisher.tensor import (HilbertLayout, KetBraSum, check_real_diagonal,
+                               complex_to_pairs, herm_eig, kron, pairs_to_complex,
+                               partial_expectation, partial_trace, sqrt_psd)
 
 from conftest import (PAULI_X, PAULI_Z, ghz_family, random_density,
                       random_hermitian, random_state)
@@ -22,6 +22,37 @@ class TestLayout:
             HilbertLayout(())
         with pytest.raises(ValueError):
             HilbertLayout((2, 1))
+
+
+class TestKetBraSum:
+    @pytest.mark.parametrize("shift", [0.0, -0.25, 0.5 - 1.5j])
+    def test_trace_and_norm_match_dense(self, rng, shift):
+        kets = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        bras = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        m = KetBraSum(kets, bras, shift)
+        dense = kets.T @ bras.conj() + shift * np.eye(8)
+        assert np.abs(m.dense() - dense).max() < 1e-13
+        assert abs(m.trace() - np.trace(dense)) < 1e-13
+        assert abs(m.norm() - np.linalg.norm(dense)) < 1e-12 * np.linalg.norm(dense)
+
+    def test_from_dense_rows(self, rng):
+        m = random_hermitian(5, rng) + 1j * random_hermitian(5, rng)
+        rows = KetBraSum.from_dense(m)
+        assert np.array_equal(rows.dense(), m)
+        assert abs(rows.norm() - np.linalg.norm(m)) < 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("kets, bras, shift", [
+        (np.ones((2, 4)), np.ones((2, 3)), 0.0),
+        (np.full((1, 4), np.nan), np.ones((1, 4)), 0.0),
+        (np.ones((1, 4)), np.ones((1, 4)), np.inf)])
+    def test_rejects_bad_factors(self, kets, bras, shift):
+        with pytest.raises(ValueError):
+            KetBraSum(kets, bras, shift)
+
+    def test_real_diagonal_check(self):
+        assert check_real_diagonal(np.array([1.0, 2.0 + 1e-14j])).dtype == float
+        with pytest.raises(ValueError, match="not real"):
+            check_real_diagonal(np.array([1.0, 2.0 + 1e-6j]))
 
 
 class TestKron:

@@ -1,0 +1,210 @@
+"""Run every benchmark job against two source trees and compare the outputs.
+
+Usage (from the repository root):
+
+    python3 tools/compare_jobs.py BASE CHANGE [--seeds 1 2 3] [--workloads verify ...]
+
+BASE and CHANGE are checkouts that each hold ``src/loccfisher`` (for example
+the parent commit unpacked with ``git archive`` into a temporary directory, and
+this repository). For each workload and seed, ``make_jobs`` from this
+repository's ``bench/workloads.py`` writes the job inputs into a temporary
+directory; the file is compiled from its source, so nothing is written
+under ``bench/``. Every command of every job then runs once per tree, in
+process through ``cli_main``, each tree in its own child interpreter with one
+BLAS thread.
+
+Per workload the report gives the exit-code and verdict mismatches and, per
+numeric JSON field, the largest relative difference (absolute, on the
+verdict scale, for residuals). A mismatch is:
+
+- a different exit code, or a different error kind on a failing command;
+- a different boolean, string or integer (verdicts, ``leaves``, degenerate
+  trials, boundary hits, ...);
+- a residual whose difference exceeds RESIDUAL_ABS * max(1, qfi of the report);
+- any other number whose relative difference exceeds NUMBER_REL.
+
+The exit status is 1 if any workload shows a mismatch, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS_PY = ROOT / "bench" / "workloads.py"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+NUMBER_REL = 1e-9       # qfi, fi, J, theta, variance, ratio, ci95, U, V, ...
+RESIDUAL_ABS = 1e-12    # residual fields, times max(1, the report's qfi)
+PLACEHOLDER = "{workdir}"
+
+
+def load_workloads() -> types.ModuleType:
+    module = types.ModuleType("workloads")
+    module.__file__ = str(WORKLOADS_PY)
+    sys.modules["workloads"] = module       # dataclasses look their module up here
+    exec(compile(WORKLOADS_PY.read_text(), str(WORKLOADS_PY), "exec"), module.__dict__)
+    return module
+
+
+def run_child(src: str, workload: str, seed: int) -> list[dict]:
+    """Every command of the workload's jobs at ``seed``, run against ``src``."""
+    sys.path.insert(0, src)
+    from loccfisher.cli import cli_main
+
+    workloads = load_workloads()
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for job in workloads.make_jobs(workload, seed, Path(tmp)):
+            runs = []
+            for argv in job.commands:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli_main(argv)
+                runs.append({"argv": [a.replace(tmp, PLACEHOLDER) for a in argv],
+                             "code": code,
+                             "stdout": out.getvalue().replace(tmp, PLACEHOLDER),
+                             "stderr": err.getvalue().replace(tmp, PLACEHOLDER)})
+                if code != 0:
+                    break
+            results.append({"label": job.label, "runs": runs})
+    return results
+
+
+def _spawn(tree: Path, workload: str, seed: int) -> subprocess.Popen:
+    env = {**os.environ, **{v: "1" for v in THREAD_VARS}, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "--child", str(tree / "src"),
+         "--workloads", workload, "--seeds", str(seed)],
+        stdout=subprocess.PIPE, text=True, env=env)
+
+
+def _error_kind(text: str):
+    try:
+        return json.loads(text).get("kind")
+    except (json.JSONDecodeError, AttributeError):
+        return text.strip()[-200:]
+
+
+class Comparison:
+    """Mismatches and per-field largest differences of one workload."""
+
+    def __init__(self):
+        self.exit_mismatches: list[str] = []
+        self.verdict_mismatches: list[str] = []
+        self.number_mismatches: list[str] = []
+        self.largest: dict[str, float] = {}
+
+    @property
+    def ok(self) -> bool:
+        return not (self.exit_mismatches or self.verdict_mismatches or self.number_mismatches)
+
+    def _note(self, field: str, diff: float) -> None:
+        self.largest[field] = max(self.largest.get(field, 0.0), diff)
+
+    def values(self, where: str, field: str, a, b, qfi_scale: float) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            if a.keys() != b.keys():
+                self.verdict_mismatches.append(f"{where}: keys {sorted(a)} vs {sorted(b)}")
+                return
+            for key in a:
+                self.values(where, key, a[key], b[key], qfi_scale)
+        elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                self.verdict_mismatches.append(f"{where}: {field} lengths {len(a)} vs {len(b)}")
+                return
+            for x, y in zip(a, b):
+                self.values(where, field, x, y, qfi_scale)
+        elif (isinstance(a, (bool, str)) or a is None or isinstance(b, (bool, str)) or b is None
+              or (isinstance(a, int) and isinstance(b, int))):
+            if a != b:
+                self.verdict_mismatches.append(f"{where}: {field} {a!r} vs {b!r}")
+        elif "residual" in field:
+            diff = abs(a - b) / qfi_scale
+            self._note(f"{field} (abs / max(1, qfi))", diff)
+            if diff > RESIDUAL_ABS:
+                self.number_mismatches.append(f"{where}: {field} {a!r} vs {b!r}")
+        else:
+            diff = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+            self._note(field, diff)
+            if diff > NUMBER_REL:
+                self.number_mismatches.append(f"{where}: {field} {a!r} vs {b!r}")
+
+    def jobs(self, base: list[dict], change: list[dict]) -> None:
+        for jb, jc in zip(base, change):
+            for rb, rc in zip(jb["runs"], jc["runs"]):
+                where = f"{jb['label']} {rb['argv'][0]}"
+                if rb["code"] != rc["code"]:
+                    self.exit_mismatches.append(f"{where}: exit {rb['code']} vs {rc['code']}")
+                    break
+                if rb["code"] != 0:
+                    kb, kc = _error_kind(rb["stderr"]), _error_kind(rc["stderr"])
+                    if kb != kc:
+                        self.exit_mismatches.append(f"{where}: error {kb!r} vs {kc!r}")
+                    continue
+                db, dc = json.loads(rb["stdout"]), json.loads(rc["stdout"])
+                scale = max(1.0, abs(db.get("qfi", 0.0)) if isinstance(db, dict) else 1.0)
+                self.values(where, "", db, dc, scale)
+            if len(jb["runs"]) != len(jc["runs"]):
+                self.exit_mismatches.append(f"{jb['label']}: {len(jb['runs'])} vs "
+                                            f"{len(jc['runs'])} commands ran")
+
+    def report(self, title: str, jobs: int) -> str:
+        lines = [f"{title}: {jobs} jobs, {len(self.exit_mismatches)} exit-code, "
+                 f"{len(self.verdict_mismatches)} verdict and "
+                 f"{len(self.number_mismatches)} numeric mismatches"]
+        for msg in (self.exit_mismatches + self.verdict_mismatches
+                    + self.number_mismatches)[:10]:
+            lines.append(f"  MISMATCH {msg}")
+        for field, diff in sorted(self.largest.items()):
+            lines.append(f"  {field or '(value)':<40} largest difference {diff:.3e}")
+        return "\n".join(lines)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", nargs="?")
+    parser.add_argument("change", nargs="?")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--workloads", nargs="+", default=None)
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(run_child(args.child, args.workloads[0], args.seeds[0])))
+        return 0
+    if not (args.base and args.change):
+        parser.error("give the BASE and CHANGE source trees")
+    trees = [Path(args.base).resolve(), Path(args.change).resolve()]
+    for tree in trees:
+        if not (tree / "src" / "loccfisher" / "__init__.py").is_file():
+            parser.error(f"no src/loccfisher under {tree}")
+    names = args.workloads or list(load_workloads().WORKLOADS)
+
+    status = 0
+    for name in names:
+        for seed in args.seeds:
+            # the two trees run side by side, one child each
+            procs = [_spawn(tree, name, seed) for tree in trees]
+            outs = [proc.communicate()[0] for proc in procs]
+            if any(proc.returncode != 0 for proc in procs):
+                print(f"{name} seed {seed}: a child run failed")
+                status = 1
+                continue
+            base, change = (json.loads(out) for out in outs)
+            comparison = Comparison()
+            comparison.jobs(base, change)
+            print(comparison.report(f"{name} seed {seed}", len(base)), flush=True)
+            status |= not comparison.ok
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
