@@ -37,6 +37,9 @@ class BipartiteCoeffs:
         self.b_mat = np.asarray(self.b_mat, dtype=complex)
         if self.a_mat.shape != self.b_mat.shape or self.a_mat.ndim != 2:
             raise ValueError("coefficient matrices must share a 2-D shape")
+        # NaN fails every comparison, so the tests below alone would pass it
+        if not (np.isfinite(self.a_mat).all() and np.isfinite(self.b_mat).all()):
+            raise ValueError("coefficient matrix contains non-finite entries")
         if abs(np.trace(self.a_mat.conj().T @ self.a_mat) - 1.0) > UNIT_TOL:
             raise ValueError("state coefficients are not normalized")
         if abs(np.trace(self.a_mat.conj().T @ self.b_mat)) > PERP_TOL:
@@ -57,6 +60,8 @@ class IsometryPair:
             d, cols = m.shape
             if cols < d:
                 raise ValueError(f"{name} must have at least as many columns as rows")
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} contains non-finite entries")
             if np.abs(m @ m.conj().T - np.eye(d)).max() > ISOMETRY_TOL:
                 raise ValueError(f"{name} is not an isometry (rows not orthonormal)")
 

@@ -118,7 +118,7 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
     """
     layout = as_layout(layout)
     order = _check_order(layout, order)
-    target = m_tilde if isinstance(m_tilde, KetBraSum) else KetBraSum.from_dense(m_tilde)
+    target = KetBraSum.of(m_tilde)
     if target.dim != layout.total:
         raise ValueError(f"target dimension {target.dim} does not match layout "
                          f"{list(layout.dims)}")
@@ -219,6 +219,9 @@ def flatten(tree: MeasurementTree) -> metrology.Povm:
 def verify_tree(tree: MeasurementTree, family: metrology.StateFamily, theta: float,
                 thresholds: metrology.Thresholds | None = None) -> metrology.SaturationReport:
     """Flatten the tree and run the full saturation check at theta."""
+    if tree.layout != family.layout:
+        raise ValueError(f"tree layout {list(tree.layout.dims)} does not match "
+                         f"family layout {list(family.layout.dims)}")
     return metrology.check_saturation(flatten(tree), family, theta, thresholds)
 
 

@@ -76,10 +76,8 @@ class UnitaryGeneratorFamily:
         return self.psi_dpsi(theta)[1]
 
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        psi, dpsi = self.psi_dpsi(theta)
-        rho = np.outer(psi, psi.conj())
-        drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
-        return rho, drho
+        frame = _frame(self, theta)
+        return frame.rho.dense(), frame.drho.dense()
 
 
 @dataclass
@@ -150,10 +148,8 @@ class RankTwoFixedBasisFamily:
         return p, dp
 
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        p, dp = self.p_dp(theta)
-        p0 = np.outer(self.psi0, self.psi0.conj())
-        p1 = np.outer(self.psi1, self.psi1.conj())
-        return p * p0 + (1 - p) * p1, dp * (p0 - p1)
+        frame = _frame(self, theta)
+        return frame.rho.dense(), frame.drho.dense()
 
 
 @dataclass
@@ -206,22 +202,13 @@ class SaturationMatrices:
     """Traceless zero-sandwich targets whose condition characterizes saturation.
 
     ``conditions`` holds the matrices M_ij and ``target`` the synthesis target
-    m_tilde. For pure and rank-two families both are factored
-    (``KetBraSum``); a generic mixed family of rank > 2 has dense M_ij and no
-    target. ``m_set`` and ``m_tilde`` are the dense matrices, built on access.
+    m_tilde, both factored (``KetBraSum``; ``dense()`` builds the matrix). A
+    generic mixed family of rank > 2 has the M_ij of its frame and no target.
     """
 
-    conditions: list
+    conditions: list[KetBraSum]
     target: KetBraSum | None
     state_type: str
-
-    @property
-    def m_set(self) -> list[np.ndarray]:
-        return [m.dense() if isinstance(m, KetBraSum) else m for m in self.conditions]
-
-    @property
-    def m_tilde(self) -> np.ndarray | None:
-        return None if self.target is None else self.target.dense()
 
 
 @dataclass
@@ -246,6 +233,9 @@ class Povm:
         v = self.vectors
         if v.ndim != 2 or v.shape[0] == 0:
             raise ValueError("POVM needs a non-empty (outcomes x dimension) vector array")
+        # NaN fails every comparison, so the completeness test alone would pass it
+        if not np.isfinite(v).all():
+            raise ValueError("POVM contains non-finite entries")
         if np.abs(v.T @ v.conj() - np.eye(v.shape[1])).max() > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
 
@@ -313,36 +303,74 @@ def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
     return SldResult(L=L, eigvals=w, eigvecs=v, qfi=qfi)
 
 
-def qfi(family: StateFamily, theta: float) -> float:
-    """Quantum Fisher information at theta.
+@dataclass
+class _Frame:
+    """A family at theta as the saturation conditions read it.
 
-    Closed forms for the families the synthesis covers, with no D x D
-    algebra: 4 (||dpsi||^2 - |<psi|dpsi>|^2) for pure families and
-    p'^2 / (p (1 - p)) for fixed-basis rank-two families. Generic mixed
-    families get Tr(rho L^2) from the SLD.
+    ``rho`` and ``drho`` are exact. The rows of ``support`` span the support
+    of rho and the rows of ``l_support`` are their images L psi_i under the SLD.
+    """
+
+    rho: KetBraSum
+    drho: KetBraSum
+    support: np.ndarray
+    l_support: np.ndarray
+    qfi: float
+
+    def conditions(self) -> list[KetBraSum]:
+        """M_ij = |psi_i><psi_j| L - L |psi_i><psi_j| = |psi_i><L psi_j| - |L psi_i><psi_j|."""
+        return [KetBraSum(np.stack([a, -la]), np.stack([lb, b]))
+                for a, la in zip(self.support, self.l_support)
+                for b, lb in zip(self.support, self.l_support)]
+
+
+def _frame(family: StateFamily, theta: float) -> _Frame:
+    """The frame of the family at theta.
+
+    Pure families: rho = |psi><psi|, L psi = 2 perp and qfi = 4 (||dpsi||^2 -
+    |<psi|dpsi>|^2) (Liu et al., J. Phys. A 53, 023001 (2020)). Fixed-basis
+    rank-two families: L is diagonal on {psi0, psi1} with eigenvalues p'/p and
+    -p'/(1 - p), and qfi = p'^2 / (p (1 - p)). Neither builds a D x D array.
+    Generic mixed families: the checked dense rho and drho and the SLD.
     """
     if family.state_type == "pure":
-        psi, dpsi = _psi_dpsi(family, theta)
-        return max(0.0, float(4 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)))
+        psi, dpsi = family.psi_dpsi(theta)
+        # the factors check that psi and dpsi are finite
+        rho = KetBraSum(psi, psi)
+        drho = KetBraSum(np.stack([dpsi, psi]), np.stack([psi, dpsi]))
+        qfi = max(0.0, float(4 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)))
+        return _Frame(rho, drho, rho.kets, 2 * perp_component(psi, dpsi)[None], qfi)
     if family.state_type == "rank-two":
         p, dp = family.p_dp(theta)
-        return dp * dp / (p * (1 - p))
-    return _sld(*eval_state(family, theta)).qfi
+        kets = np.stack([family.psi0, family.psi1])
+        rho = KetBraSum(kets, np.array([[p], [1 - p]]) * kets)
+        drho = KetBraSum(kets, np.array([[dp], [-dp]]) * kets)
+        l_support = np.array([[dp / p], [-dp / (1 - p)]]) * kets
+        return _Frame(rho, drho, kets, l_support, dp * dp / (p * (1 - p)))
+    return _dense_frame(*eval_state(family, theta))
 
 
-def _sandwich(vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """<e|m|e> for every row e of ``vectors``."""
-    return np.einsum("ea,ea->e", vectors.conj() @ m, vectors)
+def _dense_frame(rho: np.ndarray, drho: np.ndarray) -> _Frame:
+    """The frame of a checked dense rho and drho, support and L psi_i from the SLD."""
+    res = _sld(rho, drho)
+    support = res.eigvecs[:, res.eigvals > RANK_TOL].T
+    return _Frame(KetBraSum.from_dense(rho), KetBraSum.from_dense(drho),
+                  support, support @ res.L.T, res.qfi)
 
 
-def fisher_info(povm: Povm, rho: np.ndarray, drho: np.ndarray,
+def qfi(family: StateFamily, theta: float) -> float:
+    """Quantum Fisher information at theta, as the family's frame gives it."""
+    return _frame(family, theta).qfi
+
+
+def fisher_info(povm: Povm, rho: KetBraSum | np.ndarray, drho: KetBraSum | np.ndarray,
                 p_tol: float = P_TOL) -> float:
     """Classical Fisher information of the POVM outcome distribution.
 
-    Outcomes with probability below p_tol are excluded from the sum.
+    ``rho`` and ``drho`` are factored or dense. Outcomes with probability
+    below p_tol are excluded from the sum.
     """
-    p = _sandwich(povm.vectors, rho).real
-    dp = _sandwich(povm.vectors, drho).real
+    p, dp = (KetBraSum.of(m).sandwich(povm.vectors).real for m in (rho, drho))
     keep = p >= p_tol
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
@@ -354,50 +382,28 @@ def perp_component(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     return dpsi - np.vdot(psi, dpsi) * psi
 
 
-def _psi_dpsi(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """psi and dpsi of a pure family at theta, checked finite."""
-    psi, dpsi = family.psi_dpsi(theta)
-    if not (np.isfinite(psi).all() and np.isfinite(dpsi).all()):
-        raise ValueError("state vector contains non-finite entries")
-    return psi, dpsi
+def _detect_fixed_rank_two(support: np.ndarray, sides: tuple[np.ndarray, np.ndarray]):
+    """The two support rows of a dense frame if the rank-2 eigenbasis is theta-independent.
 
-
-def _detect_fixed_rank_two(rho: np.ndarray, sides: tuple[np.ndarray, np.ndarray]):
-    """Support eigenvectors if the rank-2 eigenbasis is theta-independent.
-
-    ``rho`` is the checked density matrix at theta and ``sides`` the checked
-    ones at theta -+ h that its derivative came from. Drift of the support
-    eigenprojectors above DRIFT_TOL means the basis moves with theta and the
-    rank-two shortcut does not apply.
+    ``sides`` are the checked density matrices at theta -+ h that the
+    frame's derivative came from. Drift of the support eigenprojectors above
+    DRIFT_TOL means the basis moves with theta and the rank-two shortcut does
+    not apply.
     """
-    w0, v0 = eigh_desc(rho)
-    support = w0 > RANK_TOL
-    if support.sum() != 2:
+    if len(support) != 2:
         return None
-    vecs = v0[:, support]
     for side in sides:
         w1, v1 = eigh_desc(side)
         sup1 = v1[:, w1 > RANK_TOL]
         if sup1.shape[1] != 2:
             raise ValueError("rank changes across theta +- h")
         # per-vector drift, matched through the overlap matrix
-        ov = np.abs(vecs.conj().T @ sup1)
+        ov = np.abs(support.conj() @ sup1)
         drift = np.abs(ov @ ov.T - np.eye(2)).max()
         if drift > DRIFT_TOL:
             raise ValueError(
                 f"rank-two family has a theta-dependent eigenbasis (drift {drift:.3e})")
-    return vecs[:, 0], vecs[:, 1]
-
-
-def _commutator_targets(res: SldResult) -> list[np.ndarray]:
-    """M_ij = |psi_i><psi_j| L - L |psi_i><psi_j| over the support of rho."""
-    support = res.eigvecs[:, res.eigvals > RANK_TOL]
-    m_set = []
-    for i in range(support.shape[1]):
-        for j in range(support.shape[1]):
-            ket_bra = np.outer(support[:, i], support[:, j].conj())
-            m_set.append(ket_bra @ res.L - res.L @ ket_bra)
-    return m_set
+    return support
 
 
 def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices:
@@ -410,62 +416,62 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     anti-Hermitian part would let the two contributions cancel. Rank-two
     fixed-basis families: m_tilde = |psi0><psi1| (the scale-invariant
     direction, with the real prefactor dropped). Generic mixed families of
-    rank > 2 get the full M_ij list and no m_tilde.
+    rank > 2 get the M_ij of their frame, the ones ``check_saturation``
+    evaluates, and no m_tilde.
 
     Pure and rank-two targets are factored with no D x D array:
     m_tilde = |psi><perp + psi| - |perp><psi| - I/D (two ket-bras) and
     |psi0><psi1| (one).
     """
     if family.state_type == "pure":
-        psi, dpsi = _psi_dpsi(family, theta)
-        perp = perp_component(psi, dpsi)
+        psi, dpsi = family.psi_dpsi(theta)
+        perp = perp_component(psi, dpsi)        # the factors check both finite
         kets = np.stack([psi, -perp])
         m = KetBraSum(kets, np.stack([perp, psi]))
         m_tilde = KetBraSum(kets, np.stack([perp + psi, psi]), -1.0 / family.layout.total)
         return SaturationMatrices(conditions=[m], target=m_tilde, state_type="pure")
     if family.state_type == "rank-two":
-        m = KetBraSum(family.psi0, family.psi1)
-        return SaturationMatrices(conditions=[m], target=m, state_type="rank-two")
-
-    rho, drho, sides = family.rho_drho_sides(theta)
-    rho, drho = _checked_state(rho, drho)
-    pair = _detect_fixed_rank_two(rho, sides)
-    if pair is not None:
-        m = KetBraSum(*pair)
-        return SaturationMatrices(conditions=[m], target=m, state_type="rank-two")
-    res = _sld(rho, drho)
-    return SaturationMatrices(conditions=_commutator_targets(res), target=None,
-                              state_type="mixed")
+        pair = family.psi0, family.psi1
+    else:
+        rho, drho, sides = family.rho_drho_sides(theta)
+        frame = _dense_frame(*_checked_state(rho, drho))
+        pair = _detect_fixed_rank_two(frame.support, sides)
+        if pair is None:
+            return SaturationMatrices(conditions=frame.conditions(), target=None,
+                                      state_type="mixed")
+    m = KetBraSum(*pair)
+    return SaturationMatrices(conditions=[m], target=m, state_type="rank-two")
 
 
 def check_saturation(povm: Povm, family: StateFamily, theta: float,
                      thresholds: Thresholds | None = None) -> SaturationReport:
     """Full saturation check of a POVM against a family at theta.
 
-    Evaluates the zero-sandwich condition <e|M_ij|e> = 0 on every outcome
-    |e><e| (M_ij built from the SLD spectral data over the support of rho)
-    and, for outcomes of zero probability, the regularity condition
-    <e|L|psi_i> = 0. For a rank-one element these equal the norms of
-    sqrt(E) M_ij sqrt(E) and sqrt(E) L |psi_i> whatever the norm of e. The
-    verdict additionally requires fi to reach qfi.
+    The family enters through its frame: exact rho and drho, the rows psi_i
+    spanning the support of rho and their images L psi_i under the SLD.
+    Every outcome |e><e| must satisfy the zero-sandwich condition
+    <e|M_ij|e> = 0 for M_ij = |psi_i><L psi_j| - |L psi_i><psi_j|, and every
+    outcome of zero probability the regularity condition <e|L|psi_i> = 0
+    (Braunstein & Caves, PRL 72, 3439 (1994)). For a rank-one element these
+    equal the norms of sqrt(E) M_ij sqrt(E) and sqrt(E) L |psi_i> whatever
+    the norm of e. The verdict additionally requires fi to reach qfi.
     """
     thr = thresholds or Thresholds()
-    rho, drho = eval_state(family, theta)
-    res = _sld(rho, drho)
-    m_set = _commutator_targets(res)
-    scale = max((float(np.linalg.norm(m)) for m in m_set), default=0.0)
     vectors = povm.vectors
+    if vectors.shape[1] != family.layout.total:
+        raise ValueError(f"POVM vectors of length {vectors.shape[1]} do not match "
+                         f"layout {list(family.layout.dims)}")
+    frame = _frame(family, theta)
+    m_set = frame.conditions()
+    scale = max(m.norm() for m in m_set)
 
-    fi = fisher_info(povm, rho, drho, p_tol=thr.p_tol)
-    cond_res = max((float(np.abs(_sandwich(vectors, m)).max()) for m in m_set),
-                   default=0.0)
-    null = _sandwich(vectors, rho).real < thr.p_tol
-    l_support = res.L @ res.eigvecs[:, res.eigvals > RANK_TOL]
-    reg = np.abs(vectors[null].conj() @ l_support)
-    reg_res = float(reg.max()) if reg.size else 0.0
+    fi = fisher_info(povm, frame.rho, frame.drho, p_tol=thr.p_tol)
+    cond_res = max(float(np.abs(m.sandwich(vectors)).max()) for m in m_set)
+    null = frame.rho.sandwich(vectors).real < thr.p_tol
+    reg_res = float(np.abs(vectors @ frame.l_support.conj().T)[null].max(initial=0.0))
 
     saturating = (cond_res <= thr.condition_rel * scale
                   and reg_res <= thr.regularity_rel * scale
-                  and (res.qfi - fi) <= thr.fi_rel * res.qfi)
-    return SaturationReport(fi=fi, qfi=res.qfi, condition_residual=cond_res,
+                  and (frame.qfi - fi) <= thr.fi_rel * frame.qfi)
+    return SaturationReport(fi=fi, qfi=frame.qfi, condition_residual=cond_res,
                             regularity_residual=reg_res, saturating=bool(saturating))

@@ -178,6 +178,11 @@ class KetBraSum:
             raise ValueError("matrix contains non-finite entries")
 
     @classmethod
+    def of(cls, m: "KetBraSum | np.ndarray") -> "KetBraSum":
+        """``m`` itself if it is factored, else its dense rows (``from_dense``)."""
+        return m if isinstance(m, KetBraSum) else cls.from_dense(m)
+
+    @classmethod
     def from_dense(cls, m: np.ndarray) -> "KetBraSum":
         """The D ket-bra rows |i><row i| of a square matrix."""
         m = _as_matrix(m)
@@ -203,6 +208,14 @@ class KetBraSum:
             sq += (2 * float(np.real(np.conj(self.shift) * low_rank_trace))
                    + abs(self.shift) ** 2 * self.dim)
         return float(np.sqrt(max(sq, 0.0)))
+
+    def sandwich(self, vectors: np.ndarray) -> np.ndarray:
+        """<e|M|e> for every row e of ``vectors``, from E x K overlaps only."""
+        v = np.asarray(vectors, dtype=complex)
+        out = np.sum((v @ self.kets.conj().T).conj() * (v @ self.bras.conj().T), axis=1)
+        if self.shift:
+            out = out + self.shift * np.sum(np.abs(v) ** 2, axis=1)
+        return out
 
     def dense(self) -> np.ndarray:
         m = sum(np.outer(a, b.conj()) for a, b in zip(self.kets, self.bras))

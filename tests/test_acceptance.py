@@ -61,7 +61,7 @@ def test_criterion_2_type_i_locc_saturation():
         fam = UnitaryGeneratorFamily(layout, random_state(d, rng),
                                      random_hermitian(d, rng))
         th = float(rng.uniform(0.05, 0.9))
-        target = saturation_matrices(fam, th).m_tilde
+        target = saturation_matrices(fam, th).target.dense()
         tree = synthesize_tree(target, layout)
         povm = flatten(tree)
         ok &= np.abs(sum(np.outer(v, v.conj()) for v in povm.vectors)
@@ -95,7 +95,7 @@ def test_criterion_3_type_ii_locc_saturation():
         th = float(rng.uniform(0.1, 0.9))
         p, dp = c0 + c1 * th, c1
         want = dp * dp / (p * (1 - p))
-        rep = verify_tree(synthesize_tree(saturation_matrices(fam, th).m_tilde,
+        rep = verify_tree(synthesize_tree(saturation_matrices(fam, th).target.dense(),
                                           layout), fam, th)
         ok &= rep.saturating
         ok &= abs(rep.fi - want) <= 1e-6 * want
@@ -134,10 +134,10 @@ def test_criterion_5_chain4_grid_invariants():
     for th in sc.theta_grid:
         th = float(th)
         sm = saturation_matrices(sc.family, th)
-        tree = synthesize_tree(sm.m_tilde, layout)
+        tree = synthesize_tree(sm.target.dense(), layout)
         rep = verify_tree(tree, sc.family, th)
         ok &= rep.saturating and abs(rep.fi - rep.qfi) <= 1e-6 * rep.qfi
-        reduced_target = partial_trace(sm.m_tilde, layout, [1, 2, 3])
+        reduced_target = partial_trace(sm.target.dense(), layout, [1, 2, 3])
         rho = eval_state(sc.family, th)[0]
         reduced_dev = partial_trace(rho - np.eye(16) / 16, layout, [1, 2, 3])
         for r in (reduced_target, reduced_dev):

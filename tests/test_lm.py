@@ -84,6 +84,12 @@ class TestCoefficientMatrices:
             coefficient_matrices(random_state(8, rng), random_state(8, rng),
                                  HilbertLayout((2, 2, 2)))
 
+    def test_rejects_non_finite(self):
+        # NaN fails the normalization and orthogonality comparisons
+        a = np.array([[np.nan, 0], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            BipartiteCoeffs(a, np.zeros((2, 2)))
+
     def test_rejects_non_orthogonal(self, rng):
         psi = random_state(4, rng)
         with pytest.raises(ValueError):
@@ -173,6 +179,12 @@ class TestLmPovm:
         fam = interpolation_family(A_3X3, B_3X3)
         rep = check_saturation(povm, fam, 0.0)
         assert rep.saturating and abs(rep.fi - 4.0) < 1e-8
+
+    def test_rejects_non_finite_isometry(self):
+        # NaN fails the isometry comparison
+        u = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="U contains non-finite"):
+            IsometryPair(u, np.eye(2, dtype=complex))
 
     def test_rejects_non_isometry(self):
         with pytest.raises(ValueError):

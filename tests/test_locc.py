@@ -18,7 +18,7 @@ from oracles import leaf_vectors_kron
 
 
 def synth(family, theta, order=None):
-    return synthesize_tree(saturation_matrices(family, theta).m_tilde,
+    return synthesize_tree(saturation_matrices(family, theta).target.dense(),
                            family.layout, order)
 
 
@@ -32,7 +32,7 @@ class TestSynthesizeTree:
     def test_leaf_condition_and_flat_probability(self, rng):
         fam = random_pure_family((2, 2, 2), rng)
         th = 0.45
-        target = saturation_matrices(fam, th).m_tilde
+        target = saturation_matrices(fam, th).target.dense()
         tree = synthesize_tree(target, fam.layout)
         psi = fam.psi(th)
         scale = np.linalg.norm(target)
@@ -57,7 +57,7 @@ class TestSynthesizeTree:
 
     def test_rejects_bad_order(self):
         fam = ghz_family(2)
-        target = saturation_matrices(fam, 0.3).m_tilde
+        target = saturation_matrices(fam, 0.3).target.dense()
         with pytest.raises(ValueError):
             synthesize_tree(target, fam.layout, order=[0, 0])
 
@@ -235,8 +235,8 @@ class TestNegativeControl:
         sc = builtin_scenario("bellmix")
         th = 0.5
         out = saturation_matrices(sc.family, th)
-        assert out.m_tilde is None
-        for m in out.m_set:
+        assert out.target is None
+        for m in (c.dense() for c in out.conditions):
             if np.linalg.norm(m) < 1e-9:
                 continue
             tree = synthesize_tree(m, sc.family.layout)

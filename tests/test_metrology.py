@@ -227,6 +227,11 @@ class TestFisherInfo:
             povm = projector_povm([q[:, i] for i in range(d)])
             assert fisher_info(povm, rho, drho) <= qfi(fam, th) + 1e-6
 
+    def test_povm_rejects_non_finite_vectors(self):
+        # NaN fails the completeness comparison, so only the finite check stops it
+        with pytest.raises(ValueError, match="non-finite"):
+            Povm(vectors=[[np.nan, 0], [0, 1]])
+
     def test_invalid_povm(self):
         fam = phase_qubit()
         rho, drho = eval_state(fam, 0.3)
@@ -268,9 +273,10 @@ class TestSaturationMatrices:
         psi, dpsi = fam.psi(th), fam.dpsi(th)
         perp = dpsi - np.vdot(psi, dpsi) * psi
         m = np.outer(psi, perp.conj()) - np.outer(perp, psi.conj())
-        assert np.abs(out.m_set[0] - m).max() < 1e-12
-        assert np.abs(out.m_tilde - (m + np.outer(psi, psi.conj()) - np.eye(4) / 4)).max() < 1e-12
-        assert np.abs(out.m_set[0] + out.m_set[0].conj().T).max() < 1e-9
+        m_set, m_tilde = [c.dense() for c in out.conditions], out.target.dense()
+        assert np.abs(m_set[0] - m).max() < 1e-12
+        assert np.abs(m_tilde - (m + np.outer(psi, psi.conj()) - np.eye(4) / 4)).max() < 1e-12
+        assert np.abs(m_set[0] + m_set[0].conj().T).max() < 1e-9
 
     def test_rank_two_value(self):
         bells = bell_states()
@@ -278,19 +284,19 @@ class TestSaturationMatrices:
                                       bells["phi-"], lambda t: t, lambda t: 1.0)
         out = saturation_matrices(fam, 0.5)
         want = np.outer(bells["phi+"], bells["phi-"].conj())
-        assert np.abs(out.m_tilde - want).max() < 1e-12
+        assert np.abs(out.target.dense() - want).max() < 1e-12
 
     def test_traceless(self, rng):
         fam = random_pure_family((2, 2, 2), rng)
         out = saturation_matrices(fam, 0.3)
-        assert abs(np.trace(out.m_tilde)) < 1e-12
+        assert abs(np.trace(out.target.dense())) < 1e-12
 
     def test_anti_hermitian_pairing(self, rng):
         # eigenvalues of the anti-Hermitian part come in +/- i conjugate pairs
         fam = random_pure_family((2, 3), rng)
         psi = fam.psi(0.4)
         out = saturation_matrices(fam, 0.4)
-        m = out.m_tilde - (np.outer(psi, psi.conj()) - np.eye(6) / 6)
+        m = out.target.dense() - (np.outer(psi, psi.conj()) - np.eye(6) / 6)
         vals = np.linalg.eigvals(m)
         assert np.abs(vals.real).max() < 1e-10
         imag = np.sort(vals.imag)
@@ -304,12 +310,12 @@ class TestSaturationMatrices:
                                  lambda t: t * p0 + (1 - t) * p1)
         out = saturation_matrices(fam, 0.4)
         assert out.state_type == "rank-two"
-        assert out.m_tilde is not None
+        assert out.target is not None
         # the target spans the cross direction of the two fixed eigenvectors,
         # up to phase and adjoint (both carry the same zero-sandwich condition)
         direction = np.outer(bells["phi+"], bells["psi+"].conj())
-        overlap = max(abs(np.trace(out.m_tilde.conj().T @ direction)),
-                      abs(np.trace(out.m_tilde.conj().T @ direction.conj().T)))
+        overlap = max(abs(np.trace(out.target.dense().conj().T @ direction)),
+                      abs(np.trace(out.target.dense().conj().T @ direction.conj().T)))
         assert abs(overlap - 1) < 1e-8
 
     @pytest.mark.parametrize("entry", [qfi, saturation_matrices])
@@ -328,8 +334,8 @@ class TestSaturationMatrices:
         perp = perp_component(psi, dpsi)
         assert out.target.kets.shape == (2, 8) and out.target.shift == -1 / 8
         low_rank = out.target.kets.T @ out.target.bras.conj()
-        assert np.abs(low_rank - np.eye(8) / 8 - out.m_tilde).max() < 1e-12
-        assert np.abs(out.m_tilde - out.m_set[0] - np.outer(psi, psi.conj())
+        assert np.abs(low_rank - np.eye(8) / 8 - out.target.dense()).max() < 1e-12
+        assert np.abs(out.target.dense() - out.conditions[0].dense() - np.outer(psi, psi.conj())
                       + np.eye(8) / 8).max() < 1e-12
         assert abs(out.target.trace()) < 1e-12
         assert abs(np.linalg.norm(perp) - np.sqrt(qfi(fam, 0.3)) / 2) < 1e-12
@@ -343,7 +349,8 @@ class TestSaturationMatrices:
         out = saturation_matrices(counted, 0.5)
         assert len(calls) == 3      # rho at theta and theta +- h for drho
         want = saturation_matrices(bellmix, 0.5)
-        assert all(np.array_equal(m, w) for m, w in zip(out.m_set, want.m_set))
+        assert all(np.array_equal(m.dense(), w.dense())
+                   for m, w in zip(out.conditions, want.conditions))
 
     def test_mixed_rank_two_target_from_checked_rho(self):
         # same bits as the spectral decomposition of family.rho at theta
@@ -355,7 +362,7 @@ class TestSaturationMatrices:
         w, v = herm_eig(fam.rho(0.4))
         vecs = v[:, w > 1e-9]
         out = saturation_matrices(fam, 0.4)
-        assert np.array_equal(out.m_tilde, np.outer(vecs[:, 0], vecs[:, 1].conj()))
+        assert np.array_equal(out.target.dense(), np.outer(vecs[:, 0], vecs[:, 1].conj()))
 
     def test_mixed_rank_two_evaluated_once(self):
         # the rank-two test reuses the rho(theta -+ h) the derivative evaluated
@@ -383,8 +390,8 @@ class TestSaturationMatrices:
     def test_bell_mixture_directions(self):
         sc = builtin_scenario("bellmix")
         out = saturation_matrices(sc.family, 0.5)
-        assert out.m_tilde is None
-        nonzero = [m for m in out.m_set if np.linalg.norm(m) > 1e-9]
+        assert out.target is None
+        nonzero = [m for m in (c.dense() for c in out.conditions) if np.linalg.norm(m) > 1e-9]
         assert len(nonzero) == 6
         bells = bell_states()
         basis = [bells["phi+"], bells["phi-"], bells["psi+"]]
@@ -420,6 +427,11 @@ class TestCheckSaturation:
         rep = check_saturation(povm, fam, 0.3)
         assert not rep.saturating and abs(rep.fi) < 1e-12
 
+    def test_povm_of_another_dimension_rejected(self):
+        # a ghz2 POVM against a ghz3 family: named, not a matmul shape error
+        with pytest.raises(ValueError, match=r"length 4 do not match layout \[2, 2, 2\]"):
+            check_saturation(projector_povm(np.eye(4, dtype=complex)), ghz_family(3), 0.3)
+
     def test_regularity_violation(self):
         fam = phase_qubit()
         th = 0.3
@@ -440,8 +452,8 @@ class TestInvariantProperties:
                                         base.generator - 0.9 * np.eye(4))
         th = 0.37
         assert abs(qfi(base, th) - qfi(gauged, th)) < 1e-9
-        m1 = saturation_matrices(base, th).m_tilde
-        m2 = saturation_matrices(gauged, th).m_tilde
+        m1 = saturation_matrices(base, th).target.dense()
+        m2 = saturation_matrices(gauged, th).target.dense()
         assert np.abs(m1 - m2).max() < 1e-9
 
     def test_gauge_invariance_numeric_route(self, rng):
@@ -452,8 +464,8 @@ class TestInvariantProperties:
                                    step=1e-5)
         th = 0.37
         assert abs(qfi(base, th) - qfi(gauged, th)) < 1e-6
-        m1 = saturation_matrices(base, th).m_tilde
-        m2 = saturation_matrices(gauged, th).m_tilde
+        m1 = saturation_matrices(base, th).target.dense()
+        m2 = saturation_matrices(gauged, th).target.dense()
         assert np.abs(m1 - m2).max() < 1e-6
 
     def test_sld_equation_residual_full_rank(self, rng):

@@ -48,7 +48,7 @@ def test_random_trees(dims, rng):
     for make in (random_pure_family, random_rank_two_family):
         fam = make(dims, rng)
         th = float(rng.uniform(0.1, 0.9))
-        povm = flatten(synthesize_tree(saturation_matrices(fam, th).m_tilde,
+        povm = flatten(synthesize_tree(saturation_matrices(fam, th).target.dense(),
                                        fam.layout))
         verdicts.add(assert_matches_oracle(povm, fam, th).saturating)
         if fam.state_type == "pure":
@@ -78,6 +78,6 @@ def test_null_outcome_povm():
 def test_bell_mixture_against_rank_two_tree():
     ranktwo = builtin_scenario("ranktwo").family
     bellmix = builtin_scenario("bellmix").family
-    tree = synthesize_tree(saturation_matrices(ranktwo, 0.5).m_tilde, ranktwo.layout)
+    tree = synthesize_tree(saturation_matrices(ranktwo, 0.5).target.dense(), ranktwo.layout)
     rep = assert_matches_oracle(flatten(tree), bellmix, 0.5)
     assert not rep.saturating

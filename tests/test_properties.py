@@ -17,17 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccfisher import (UnitaryGeneratorFamily, check_saturation, discriminate,
-                        flatten, leaf_vectors, qfi, saturation_matrices, sld,
-                        synthesize_tree)
+from loccfisher import (MixedGenericFamily, Povm, UnitaryGeneratorFamily,
+                        check_saturation, discriminate, flatten, leaf_vectors, qfi,
+                        saturation_matrices, sld, synthesize_tree)
 from loccfisher.locc import LEAF_TOL, tree_amplitudes
 from loccfisher.scenarios import builtin_scenario
 from loccfisher.tensor import HilbertLayout
 
-from conftest import random_pure_family, random_state
+from conftest import random_hermitian, random_pure_family, random_state
 from oracles import dense_saturation, dense_target
 from test_locc import random_tree
-from test_oracle_crosscheck import random_rank_two_family
+from test_oracle_crosscheck import assert_matches_oracle, random_rank_two_family
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # the dense oracle eigendecomposes every element, so it gets fewer examples
@@ -52,7 +52,7 @@ def synthesized(draw):
     make = draw(st.sampled_from([random_pure_family, random_rank_two_family]))
     family = make(dims, rng)
     theta = draw(st.floats(0.1, 0.9))
-    m_tilde = saturation_matrices(family, theta).m_tilde
+    m_tilde = saturation_matrices(family, theta).target.dense()
     return family, theta, synthesize_tree(m_tilde, family.layout, order), m_tilde
 
 
@@ -102,7 +102,8 @@ def test_bell_mixture_never_saturates(seed, order, rank_two, theta):
     bellmix = builtin_scenario("bellmix").family
     make = random_rank_two_family if rank_two else random_pure_family
     family = make((2, 2), np.random.default_rng(seed))
-    tree = synthesize_tree(saturation_matrices(family, theta).m_tilde, family.layout, order)
+    tree = synthesize_tree(saturation_matrices(family, theta).target.dense(), family.layout,
+                           order)
     povm = flatten(tree)
     rep = check_saturation(povm, bellmix, theta)
     assert not rep.saturating
@@ -189,3 +190,60 @@ def test_discrimination_matches_the_per_leaf_loop(dims, data, seed):
         success += 0.5 * max(abs(o0) ** 2, abs(o1) ** 2)
     assert report.leaf_assignment == assignment
     assert abs(report.success_prob - success) <= 1e-12
+
+
+def haar_unitary(d, rng):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def generic_mixed(draw):
+    """(family, theta, povm): rho(theta) = U(theta) diag(w) U(theta)^dag, D <= 16.
+
+    U(theta) = V exp(-i theta H) with V Haar. Full rank: H acts on all of C^D
+    and every weight is at least 0.01. Fixed kernel: H acts on the first r
+    coordinates only, the rest carry weight 0 and, in some draws, one weight
+    in (0, RANK_TOL]; the kernel then does not move with theta. (A kernel
+    that moves with theta is out of reach: the central-difference drho puts
+    noise above DRHO_TOL on it, which the SLD rejects.) The POVM is the rows
+    of a Haar unitary with one pair of rows padded to three through a 2 x 3
+    isometry, so it is complete and rank-one with non-unit rows.
+    """
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3),
+                                 (2, 2, 2, 2), (4, 4)]))
+    layout = HilbertLayout(dims)
+    d = layout.total
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    r = d if draw(st.booleans()) else draw(st.integers(2, d - 1))
+    w = np.zeros(d)
+    w[:r] = rng.uniform(0.01, 1.0, r)
+    if r < d and draw(st.booleans()):
+        w[r] = draw(st.floats(1e-13, 0.5e-9))
+    w /= w.sum()
+    h = np.zeros((d, d), dtype=complex)
+    h[:r, :r] = random_hermitian(r, rng)
+    lam, q = np.linalg.eigh(h)
+    v = haar_unitary(d, rng)
+
+    def rho(theta):
+        u = v @ (q * np.exp(-1j * theta * lam)) @ q.conj().T
+        return (u * w) @ u.conj().T
+
+    rows = haar_unitary(d, rng)
+    k, l = rng.choice(d, size=2, replace=False)
+    pad = haar_unitary(3, rng)[:2]
+    vectors = np.concatenate([np.delete(rows, [k, l], axis=0),
+                              pad.conj().T @ rows[[k, l]]])
+    family = MixedGenericFamily(layout, rho)
+    return family, draw(st.floats(-1.0, 1.0)), Povm(vectors=vectors)
+
+
+@ORACLE
+@given(generic_mixed())
+def test_generic_mixed_check_matches_the_dense_oracle(case):
+    # rho and drho enter the check exactly as the family gives them, so every
+    # field meets the oracle at the bounds of assert_matches_oracle
+    family, theta, povm = case
+    assert_matches_oracle(povm, family, theta)

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loccfisher import qfi, sld, eval_state
+from loccfisher import (check_saturation, eval_state, flatten, qfi, saturation_matrices,
+                        sld, synthesize_tree)
 from loccfisher.cli import cli_main
 from loccfisher.locc import leaf_vectors, tree_from_json
 from loccfisher.scenarios import (PauliStringTerm, bell_states, builtin_names,
@@ -145,6 +146,35 @@ class TestCliCore:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "validation" and "non-finite" in err["error"]
 
+    @staticmethod
+    def verify_error(tmp_path, capsys, synth, scenario):
+        """The error of verifying a tree synthesized for ``synth`` against ``scenario``."""
+        tree_path = str(tmp_path / "tree.json")
+        assert cli_main(["synthesize", synth, "--theta", "0.3", "--out", tree_path]) == 0
+        capsys.readouterr()
+        assert cli_main(["verify", scenario, "--tree", tree_path, "--theta", "0.3"]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["kind"] == "validation" and captured.out == ""
+        return err["error"]
+
+    def test_verify_rejects_a_tree_of_another_layout(self, tmp_path, capsys):
+        # ghz3 (2, 2, 2) and (4, 2) share the dimension 8
+        psi_in = np.zeros(8, dtype=complex)
+        psi_in[0] = psi_in[-1] = 1 / np.sqrt(2)
+        doc = {"type": "unitary-generator", "layout": [4, 2],
+               "psi_in": complex_to_pairs(psi_in),
+               "hamiltonian": {"dense": complex_to_pairs(np.diag(np.arange(8.0)))},
+               "theta_grid": [0.3]}
+        path = tmp_path / "qudit-qubit.json"
+        path.write_text(json.dumps(doc))
+        error = self.verify_error(tmp_path, capsys, "ghz3", str(path))
+        assert "[2, 2, 2]" in error and "[4, 2]" in error
+
+    def test_verify_rejects_a_tree_of_another_dimension(self, tmp_path, capsys):
+        error = self.verify_error(tmp_path, capsys, "ghz2", "ghz3")
+        assert "[2, 2]" in error and "[2, 2, 2]" in error
+
     @pytest.mark.parametrize("scenario, dim", [("ghz3", 8), ("lm3x3", 9)])
     def test_synthesize_reports_one_leaf_per_basis_state(self, tmp_path, capsys,
                                                          scenario, dim):
@@ -214,6 +244,30 @@ class TestVectorRoute:
         assert abs(json.loads("".join(lines[:-1]))["qfi"] - n * n) < 1e-9 * n * n
         assert json.loads(lines[-1])["leaves"] == 2 ** n
         assert peak < 64 * 2 ** 20
+
+
+    def test_ghz10_check_saturation_stays_povm_sized(self):
+        # the check forms outcome-by-K overlaps only: no D x D array, no copy
+        # of the 16 MB POVM (built-in ghz scenarios stop at n = 8)
+        n = 10
+        psi_in = np.zeros(2 ** n, dtype=complex)
+        psi_in[0] = psi_in[-1] = 1 / np.sqrt(2)
+        terms = [{"coeff": 0.5, "string": "".join("Z" if i == j else "I" for i in range(n))}
+                 for j in range(n)]
+        family = parse_scenario({"type": "unitary-generator", "layout": [2] * n,
+                                 "psi_in": complex_to_pairs(psi_in),
+                                 "hamiltonian": {"pauli": terms},
+                                 "theta_grid": [0.3]}).family
+        povm = flatten(synthesize_tree(saturation_matrices(family, 0.3).target,
+                                       family.layout))
+        tracemalloc.start()
+        try:
+            report = check_saturation(povm, family, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.saturating and abs(report.fi - n * n) < 1e-9 * n * n
+        assert peak <= 2 * povm.vectors.nbytes
 
 
 class TestCliLmCheck:

@@ -18,7 +18,7 @@ from oracles import sample_path
 
 
 def synth(family, theta):
-    return synthesize_tree(saturation_matrices(family, theta).m_tilde,
+    return synthesize_tree(saturation_matrices(family, theta).target.dense(),
                            family.layout)
 
 

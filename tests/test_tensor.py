@@ -35,6 +35,15 @@ class TestKetBraSum:
         assert abs(m.trace() - np.trace(dense)) < 1e-13
         assert abs(m.norm() - np.linalg.norm(dense)) < 1e-12 * np.linalg.norm(dense)
 
+    @pytest.mark.parametrize("shift", [0.0, 0.3 - 0.2j])
+    def test_sandwich_matches_dense(self, rng, shift):
+        kets = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        bras = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        m = KetBraSum(kets, bras, shift)
+        vectors = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+        want = np.einsum("ea,ab,eb->e", vectors.conj(), m.dense(), vectors)
+        assert np.abs(m.sandwich(vectors) - want).max() < 1e-12 * np.abs(want).max()
+
     def test_from_dense_rows(self, rng):
         m = random_hermitian(5, rng) + 1j * random_hermitian(5, rng)
         rows = KetBraSum.from_dense(m)
@@ -126,7 +135,7 @@ class TestPartialExpectation:
         # conditioning the GHZ2 synthesis target on |+> of the first qubit
         from loccfisher.metrology import saturation_matrices
         fam = ghz_family(2)
-        target = saturation_matrices(fam, 0.0).m_tilde
+        target = saturation_matrices(fam, 0.0).target.dense()
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         got = partial_expectation(target, fam.layout, 0, plus)
         want = sandwich_index_sum(target, (2, 2), 0, plus)

@@ -171,7 +171,7 @@ class TestZeroDiagBasis:
     def test_ghz2_target_end_to_end(self):
         from loccfisher.metrology import saturation_matrices
         fam = ghz_family(2)
-        m = saturation_matrices(fam, 0.3).m_tilde
+        m = saturation_matrices(fam, 0.3).target.dense()
         u = zero_diag_basis(m)
         assert np.abs(np.diag(u.conj().T @ m @ u)).max() < 1e-8 * np.linalg.norm(m)
 

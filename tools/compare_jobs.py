@@ -15,12 +15,17 @@ BLAS thread.
 
 Per workload the report gives the exit-code and verdict mismatches and, per
 numeric JSON field, the largest relative difference (absolute, on the
-verdict scale, for residuals). A mismatch is:
+verdict scale, for residuals). The file a command writes with ``--out`` (a
+tree document, or an ``lm-check`` report with U and V) is compared too, and
+the report counts how many of those files are byte-identical. A mismatch is:
 
 - a different exit code, or a different error kind on a failing command;
 - a different boolean, string or integer (verdicts, ``leaves``, degenerate
   trials, boundary hits, ...);
 - a residual whose difference exceeds RESIDUAL_ABS * max(1, qfi of the report);
+- a number in an ``--out`` file whose absolute difference exceeds OUT_ABS
+  (their entries are components of unit vectors, where a relative
+  difference means nothing near 0);
 - any other number whose relative difference exceeds NUMBER_REL.
 
 The exit status is 1 if any workload shows a mismatch, else 0.
@@ -44,6 +49,7 @@ WORKLOADS_PY = ROOT / "bench" / "workloads.py"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 NUMBER_REL = 1e-9       # qfi, fi, J, theta, variance, ratio, ci95, U, V, ...
 RESIDUAL_ABS = 1e-12    # residual fields, times max(1, the report's qfi)
+OUT_ABS = 1e-9          # every number of an --out file, absolute
 PLACEHOLDER = "{workdir}"
 
 
@@ -73,6 +79,8 @@ def run_child(src: str, workload: str, seed: int) -> list[dict]:
                              "code": code,
                              "stdout": out.getvalue().replace(tmp, PLACEHOLDER),
                              "stderr": err.getvalue().replace(tmp, PLACEHOLDER)})
+                if code == 0 and "--out" in argv:
+                    runs[-1]["out_file"] = Path(argv[argv.index("--out") + 1]).read_text()
                 if code != 0:
                     break
             results.append({"label": job.label, "runs": runs})
@@ -94,6 +102,14 @@ def _error_kind(text: str):
         return text.strip()[-200:]
 
 
+def _document(text: str):
+    """The JSON document of an output; CSV (export-bloch) and empty output stay text."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 class Comparison:
     """Mismatches and per-field largest differences of one workload."""
 
@@ -102,6 +118,7 @@ class Comparison:
         self.verdict_mismatches: list[str] = []
         self.number_mismatches: list[str] = []
         self.largest: dict[str, float] = {}
+        self.out_files = self.out_identical = 0
 
     @property
     def ok(self) -> bool:
@@ -110,19 +127,20 @@ class Comparison:
     def _note(self, field: str, diff: float) -> None:
         self.largest[field] = max(self.largest.get(field, 0.0), diff)
 
-    def values(self, where: str, field: str, a, b, qfi_scale: float) -> None:
+    def values(self, where: str, field: str, a, b, qfi_scale: float,
+               out_file: bool = False) -> None:
         if isinstance(a, dict) and isinstance(b, dict):
             if a.keys() != b.keys():
                 self.verdict_mismatches.append(f"{where}: keys {sorted(a)} vs {sorted(b)}")
                 return
             for key in a:
-                self.values(where, key, a[key], b[key], qfi_scale)
+                self.values(where, key, a[key], b[key], qfi_scale, out_file)
         elif isinstance(a, list) and isinstance(b, list):
             if len(a) != len(b):
                 self.verdict_mismatches.append(f"{where}: {field} lengths {len(a)} vs {len(b)}")
                 return
             for x, y in zip(a, b):
-                self.values(where, field, x, y, qfi_scale)
+                self.values(where, field, x, y, qfi_scale, out_file)
         elif (isinstance(a, (bool, str)) or a is None or isinstance(b, (bool, str)) or b is None
               or (isinstance(a, int) and isinstance(b, int))):
             if a != b:
@@ -132,6 +150,11 @@ class Comparison:
             self._note(f"{field} (abs / max(1, qfi))", diff)
             if diff > RESIDUAL_ABS:
                 self.number_mismatches.append(f"{where}: {field} {a!r} vs {b!r}")
+        elif out_file:
+            diff = abs(a - b)
+            self._note(f"--out {field or '(value)'} (abs)", diff)
+            if diff > OUT_ABS:
+                self.number_mismatches.append(f"{where} --out: {field} {a!r} vs {b!r}")
         else:
             diff = abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
             self._note(field, diff)
@@ -150,9 +173,14 @@ class Comparison:
                     if kb != kc:
                         self.exit_mismatches.append(f"{where}: error {kb!r} vs {kc!r}")
                     continue
-                db, dc = json.loads(rb["stdout"]), json.loads(rc["stdout"])
+                db, dc = _document(rb["stdout"]), _document(rc["stdout"])
                 scale = max(1.0, abs(db.get("qfi", 0.0)) if isinstance(db, dict) else 1.0)
                 self.values(where, "", db, dc, scale)
+                if "out_file" in rb:
+                    self.out_files += 1
+                    self.out_identical += rb["out_file"] == rc["out_file"]
+                    self.values(where, "", _document(rb["out_file"]),
+                                _document(rc["out_file"]), 1.0, out_file=True)
             if len(jb["runs"]) != len(jc["runs"]):
                 self.exit_mismatches.append(f"{jb['label']}: {len(jb['runs'])} vs "
                                             f"{len(jc['runs'])} commands ran")
@@ -160,7 +188,8 @@ class Comparison:
     def report(self, title: str, jobs: int) -> str:
         lines = [f"{title}: {jobs} jobs, {len(self.exit_mismatches)} exit-code, "
                  f"{len(self.verdict_mismatches)} verdict and "
-                 f"{len(self.number_mismatches)} numeric mismatches"]
+                 f"{len(self.number_mismatches)} numeric mismatches; "
+                 f"{self.out_identical} of {self.out_files} --out files byte-identical"]
         for msg in (self.exit_mismatches + self.verdict_mismatches
                     + self.number_mismatches)[:10]:
             lines.append(f"  MISMATCH {msg}")
