@@ -7,6 +7,7 @@ All outputs are deterministic JSON (or CSV for Bloch exports). Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -28,12 +29,14 @@ def _load_scenario(arg: str) -> scenarios.Scenario:
 
 
 def _emit(doc: dict, out: str | None = None) -> None:
-    # a non-finite number raises ValueError (exit 1) instead of printing NaN
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    # A non-finite number raises ValueError (exit 1) instead of printing NaN.
+    # A file is one compact line (json's C encoder); indent=2 would run the
+    # pure-Python encoder over trees of many MB.
     if out:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False, separators=(",", ":"))
         Path(out).write_text(text + "\n")
     else:
-        print(text)
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _finite(value: str) -> float:
@@ -253,10 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def cli_main(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:       # --help
         return 0 if exc.code == 0 else 1

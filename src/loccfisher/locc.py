@@ -25,10 +25,10 @@ from . import metrology
 # kron, partial_expectation and partial_trace are unused here; they stay
 # importable because the benchmark tracer patches them.
 from .tensor import (ISOMETRY_TOL, ORTHOGONAL_TOL, TARGET_TRACE_TOL,  # noqa: F401
-                     HilbertLayout, KetBraSum, as_layout, check_traceless,
-                     check_unit, complex_to_pairs, kron, pairs_to_complex,
-                     partial_expectation, partial_trace)
-from .zerodiag import zero_diag_basis
+                     HilbertLayout, KetBraSum, as_layout, check_unit,
+                     complex_to_pairs, kron, pairs_to_complex, partial_expectation,
+                     partial_trace, recenter)
+from .zerodiag import zero_diag_basis, zero_diag_qubits
 
 LEAF_TOL = 1e-7           # admissible |<E|target|E>| relative to target norm
 NODE_TRACE_TOL = 1e-9     # admissible conditioned-trace drift, absolute vs target scale
@@ -101,6 +101,26 @@ def _condition(lead: np.ndarray, bases: np.ndarray, rest_dims: tuple[int, ...]) 
     return out.reshape((p * d, k) + rest_dims)
 
 
+def _node_bases(reduced: np.ndarray, depth: int, scale: float) -> np.ndarray:
+    """Zero-diagonalizing bases (P, d, d) of the P node reductions of one depth.
+
+    One trace test bounds every node's drift by NODE_TRACE_TOL * max(1, scale)
+    and the nodes are re-centered together. A qubit depth is solved in one
+    pass; other nodes go one by one through ``zero_diag_basis``.
+    """
+    if not np.isfinite(reduced).all():
+        raise ValueError("matrix contains non-finite entries")
+    trace = np.trace(reduced, axis1=1, axis2=2)
+    drift = np.abs(trace) > NODE_TRACE_TOL * max(1.0, scale)
+    if drift.any():
+        raise SynthesisError(f"conditioned matrix at depth {depth} is not traceless "
+                             f"(trace {trace[drift.argmax()]:.3e})")
+    reduced = recenter(reduced)
+    if reduced.shape[1] == 2:
+        return zero_diag_qubits(reduced)
+    return np.stack([zero_diag_basis(m) for m in reduced])
+
+
 def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Sequence[int],
                     order: Sequence[int] | None = None) -> MeasurementTree:
     """Adaptive tree whose leaves zero-sandwich the traceless target matrix.
@@ -140,13 +160,10 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
         kets = lead[:, :, :k].reshape(p, d, k * rest)
         bras = lead[:, :, k:].reshape(p, d, k * rest)
         reduced = kets @ bras.conj().transpose(0, 2, 1) + (target.shift * rest) * np.eye(d)
-        bases = [zero_diag_basis(check_traceless(
-            m, f"conditioned matrix at depth {depth}", NODE_TRACE_TOL, scale,
-            SynthesisError)) for m in reduced]
+        bases = _node_bases(reduced, depth, scale)
         levels.append([TreeNode(subsystem=sub, basis=u, children=None) for u in bases])
         if remaining:
-            cur = _condition(lead, np.stack(bases),
-                             tuple(layout.dims[i] for i in remaining))
+            cur = _condition(lead, bases, tuple(layout.dims[i] for i in remaining))
     for parents, children in zip(levels, levels[1:]):
         d = len(children) // len(parents)
         for i, node in enumerate(parents):

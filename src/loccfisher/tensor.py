@@ -124,9 +124,9 @@ def check_traceless(m: np.ndarray, name: str = "matrix", tol: float = TRACE_TOL,
 
 
 def recenter(m: np.ndarray) -> np.ndarray:
-    """M - (Tr M / d) I: the traceless part of a square matrix."""
-    d = m.shape[0]
-    return m - (np.trace(m) / d) * np.eye(d)
+    """M - (Tr M / d) I: the traceless part of a square matrix, or of each matrix of a stack."""
+    d = m.shape[-1]
+    return m - (m.trace(axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d)
 
 
 def check_unit(v: np.ndarray, name: str = "vector", tol: float = UNIT_TOL) -> np.ndarray:

@@ -43,19 +43,27 @@ def _check_pair(h1: np.ndarray, h2: np.ndarray) -> float:
 
 
 def _traceless_hermitian(m: np.ndarray) -> np.ndarray:
-    """Re-centered Hermitian part of a matrix that is traceless Hermitian up to rounding."""
-    return recenter((m + m.conj().T) / 2)
+    """Re-centered Hermitian part of a matrix (or of each matrix of a stack)
+    that is traceless Hermitian up to rounding."""
+    return recenter((m + m.conj().swapaxes(-1, -2)) / 2)
+
+
+def _norms(h: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (P, d, d) stack, equal bit for bit to ``_norm``."""
+    v = h.reshape(len(h), 1, h.shape[1] * h.shape[2])
+    sq = v.real @ v.real.swapaxes(1, 2) + v.imag @ v.imag.swapaxes(1, 2)
+    return np.sqrt(sq[:, 0, 0])
 
 
 def _canonical_sign(m: np.ndarray) -> np.ndarray:
     # Zero-diagonalization is invariant under scaling; fixing the sign of the
-    # leading diagonal entry keeps the returned basis stable across inputs
-    # that differ only by a (theta-dependent) negative factor.
-    d = np.real(np.diag(m))
-    idx = np.flatnonzero(np.abs(d) > _TINY * max(1.0, np.abs(m).max()))
-    if idx.size and d[idx[0]] < 0:
-        return -m
-    return m
+    # leading diagonal entry of each 2x2 matrix of the stack keeps the
+    # returned basis stable across inputs that differ only by a
+    # (theta-dependent) negative factor.
+    d = m.diagonal(axis1=1, axis2=2).real
+    big = np.abs(d) > _TINY * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))[:, None]
+    lead = np.where(big[:, 0], d[:, 0], d[:, 1])
+    return np.where(((big[:, 0] | big[:, 1]) & (lead < 0))[:, None, None], -m, m)
 
 
 def solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -70,32 +78,46 @@ def solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float, np.ndarray]
     _check_pair(h1, h2)
     if np.shape(h1) != (2, 2):
         raise ValueError("solve_2x2 expects 2x2 matrices")
-    return _solve_2x2(h1, h2)
+    alpha, beta, u = _solve_2x2(np.asarray(h1, dtype=complex)[None],
+                                np.asarray(h2, dtype=complex)[None])
+    return float(alpha[0]), float(beta[0]), u[0]
 
 
-def _solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float, np.ndarray]:
-    h1 = _canonical_sign(_traceless_hermitian(h1))
-    h2 = _canonical_sign(_traceless_hermitian(h2))
-    a1 = float(np.real(h1[0, 0]))
-    a2 = float(np.real(h2[0, 0]))
-    b1, phi1 = abs(h1[0, 1]), float(np.angle(h1[0, 1]))
-    b2, phi2 = abs(h2[0, 1]), float(np.angle(h2[0, 1]))
-    size = max(_norm(h1), _norm(h2), _TINY)     # the closed form is scale-free
+def _solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_2x2`` for every pair of two (P, 2, 2) stacks, elementwise.
 
-    if abs(a1) <= _TINY * size and abs(a2) <= _TINY * size:
-        # Both diagonals already vanish.
-        alpha, beta = 0.0, 0.0
-    else:
-        x = b1 * a2 * np.cos(phi1) - b2 * a1 * np.cos(phi2)
-        y = b1 * a2 * np.sin(phi1) - b2 * a1 * np.sin(phi2)
-        alpha = 0.0 if max(abs(x), abs(y)) <= _TINY * size ** 2 else float(np.arctan2(-x, y))
-        k_star = (a1, b1, phi1) if abs(a1) >= abs(a2) else (a2, b2, phi2)
-        a, b, phi = k_star
-        beta = 0.5 * float(np.arctan2(-a, b * np.cos(alpha - phi)))
+    The branches (both diagonals zero, a vanishing compatibility vector, the
+    larger diagonal choosing beta) are masks, so every pair takes the same
+    floating-point steps it would alone. Moduli are hypot(re, im), which
+    rounds like scalar abs(); numpy's complex-array abs does not. The
+    matrices of all pairs are prepared as one (2P, 2, 2) stack.
+    """
+    p = len(h1)
+    h = _canonical_sign(_traceless_hermitian(np.concatenate([h1, h2])))
+    a, z = h[:, 0, 0].real, h[:, 0, 1]
+    b, phi = np.hypot(z.real, z.imag), np.arctan2(z.imag, z.real)
+    norms = _norms(h)
+    size = np.maximum(np.maximum(norms[:p], norms[p:]), _TINY)   # the closed form is scale-free
+
+    # x = b1 a2 cos(phi1) - b2 a1 cos(phi2), y likewise with sin; row k of ba is b_k a_(3-k)
+    ba = b.reshape(2, p) * a.reshape(2, p)[::-1]
+    cos_t, sin_t = ba * np.cos(phi).reshape(2, p), ba * np.sin(phi).reshape(2, p)
+    x, y = cos_t[0] - cos_t[1], sin_t[0] - sin_t[1]
+    alpha = np.where(np.maximum(np.abs(x), np.abs(y)) <= _TINY * size ** 2,
+                     0.0, np.arctan2(-x, y))
+    mag = np.abs(a).reshape(2, p)
+    k = np.where(mag[0] >= mag[1], 0, p) + np.arange(p)
+    beta = 0.5 * np.arctan2(-a[k], b[k] * np.cos(alpha - phi[k]))
+    # both diagonals already vanish
+    done = (mag <= _TINY * size).all(axis=0)
+    alpha, beta = np.where(done, 0.0, alpha), np.where(done, 0.0, beta)
 
     c, s = np.cos(beta), np.sin(beta)
-    u = np.array([[c, -s * np.exp(1j * alpha)],
-                  [s * np.exp(-1j * alpha), c]])
+    phase = np.exp(np.multiply.outer((1j, -1j), alpha))
+    u = np.empty((p, 2, 2), dtype=complex)
+    u[:, 0, 0] = u[:, 1, 1] = c
+    u[:, 0, 1] = -s * phase[0]
+    u[:, 1, 0] = s * phase[1]
     return alpha, beta, u
 
 
@@ -223,7 +245,7 @@ def _zero_diag_pair(h1: np.ndarray, h2: np.ndarray, scale: float) -> np.ndarray:
     if n1 <= _TINY * scale:
         return _zero_diag_pair(h2, h1, scale)
     if d == 2:
-        return _solve_2x2(h1, h2)[2]
+        return _solve_2x2(h1[None], h2[None])[2][0]
 
     v = _null_vector(h1, h2, scale)
     w = sla.null_space(v.conj()[None, :])          # d x (d-1) orthonormal complement
@@ -250,3 +272,31 @@ def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
     m = check_traceless(m_tilde, "matrix", TARGET_TRACE_TOL)
     h1, h2 = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
     return _zero_diag_pair(h1, h2, max(1.0, _norm(h1), _norm(h2)))
+
+
+def zero_diag_qubits(m_tilde: np.ndarray) -> np.ndarray:
+    """``zero_diag_basis`` of every matrix of a (P, 2, 2) stack, bit for bit, in one pass.
+
+    The caller has checked that each matrix is traceless. Each step of the
+    per-matrix route is replayed elementwise: the re-centering of its trace
+    check, the Hermitian and anti-Hermitian split, the re-centering of
+    ``_zero_diag_pair`` with its zero pair (identity) and swap (the Hermitian
+    part vanishes) branches as masks, then the closed form.
+    """
+    m = recenter(m_tilde)
+    mh = m.conj().swapaxes(1, 2)
+    h1, h2 = (m + mh) / 2, (m - mh) / 2j
+    floor = _TINY * np.maximum(1.0, np.maximum(_norms(h1), _norms(h2)))
+    zero = np.zeros(len(m), dtype=bool)
+    # the recursion of _zero_diag_pair: pairs whose first matrix vanishes
+    # come round again swapped, and are re-centered again
+    live = np.arange(len(m))
+    while live.size:
+        h1[live], h2[live] = _traceless_hermitian(h1[live]), _traceless_hermitian(h2[live])
+        n1, n2 = _norms(h1[live]), _norms(h2[live])
+        zero[live] = np.maximum(n1, n2) <= floor[live]
+        live = live[~zero[live] & (n1 <= floor[live])]
+        h1[live], h2[live] = h2[live], h1[live]
+    u = np.broadcast_to(np.eye(2, dtype=complex), m.shape).copy()
+    u[~zero] = _solve_2x2(h1[~zero], h2[~zero])[2]
+    return u

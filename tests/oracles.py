@@ -245,3 +245,32 @@ def sample_path(tree, rho, rng):
         t = (np.einsum("a,abrs,b->rs", v.conj(), blocks, v) / probs[x]).reshape(
             [dims[i] for i in ids] * 2)
         node = node.children[x]
+
+
+def closed_form_2x2(h1, h2, tiny=1e-12):
+    """(alpha, beta, U) zero-diagonalizing a traceless Hermitian 2x2 pair, one
+    pair at a time in scalar arithmetic (abs, angle and max of Python and
+    numpy scalars), with ``tiny`` the relative zero floor."""
+    def prepare(m):
+        m = (m + m.conj().T) / 2
+        m = m - (np.trace(m) / 2) * np.eye(2)
+        d = np.real(np.diag(m))
+        big = np.flatnonzero(np.abs(d) > tiny * max(1.0, np.abs(m).max()))
+        return -m if big.size and d[big[0]] < 0 else m
+
+    h1, h2 = prepare(h1), prepare(h2)
+    a1, a2 = float(np.real(h1[0, 0])), float(np.real(h2[0, 0]))
+    b1, phi1 = abs(h1[0, 1]), float(np.angle(h1[0, 1]))
+    b2, phi2 = abs(h2[0, 1]), float(np.angle(h2[0, 1]))
+    size = max(np.linalg.norm(h1), np.linalg.norm(h2), tiny)
+    if abs(a1) <= tiny * size and abs(a2) <= tiny * size:
+        alpha, beta = 0.0, 0.0
+    else:
+        x = b1 * a2 * np.cos(phi1) - b2 * a1 * np.cos(phi2)
+        y = b1 * a2 * np.sin(phi1) - b2 * a1 * np.sin(phi2)
+        alpha = 0.0 if max(abs(x), abs(y)) <= tiny * size ** 2 else float(np.arctan2(-x, y))
+        a, b, phi = (a1, b1, phi1) if abs(a1) >= abs(a2) else (a2, b2, phi2)
+        beta = 0.5 * float(np.arctan2(-a, b * np.cos(alpha - phi)))
+    c, s = np.cos(beta), np.sin(beta)
+    return alpha, beta, np.array([[c, -s * np.exp(1j * alpha)],
+                                  [s * np.exp(-1j * alpha), c]])

@@ -3,18 +3,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loccfisher import (RankTwoFixedBasisFamily, discriminate, flatten,
                         leaf_vectors, qfi, saturation_matrices,
                         synthesize_tree, tree_from_json, tree_to_json,
                         verify_tree)
-from loccfisher.locc import MeasurementTree, TreeNode, bloch_rows
+from loccfisher import locc
+from loccfisher.locc import (NODE_TRACE_TOL, MeasurementTree, SynthesisError, TreeNode,
+                             _node_bases, bloch_rows)
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import HilbertLayout, kron
+from loccfisher.tensor import HilbertLayout, check_traceless, kron
+from loccfisher.zerodiag import zero_diag_basis
 from scipy.stats import unitary_group
 
 from conftest import ghz_family, random_pure_family
 from oracles import leaf_vectors_kron
+from test_zerodiag import qubit_node
 
 
 def synth(family, theta, order=None):
@@ -60,6 +66,40 @@ class TestSynthesizeTree:
         target = saturation_matrices(fam, 0.3).target.dense()
         with pytest.raises(ValueError):
             synthesize_tree(target, fam.layout, order=[0, 0])
+
+
+class TestNodeBases:
+    @given(st.lists(qubit_node(), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_qubit_level_matches_each_node_bit_for_bit(self, nodes):
+        scale = max(np.linalg.norm(m) for m in nodes)
+        got = _node_bases(np.stack(nodes), 3, scale).view(float)
+        want = np.stack([zero_diag_basis(check_traceless(
+            m, "conditioned matrix at depth 3", NODE_TRACE_TOL, scale, SynthesisError))
+            for m in nodes]).view(float)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_drifting_node_names_its_depth(self, rng, d):
+        nodes = np.stack([np.diag(rng.standard_normal(d)).astype(complex)
+                          for _ in range(4)])
+        nodes -= np.trace(nodes, axis1=1, axis2=2)[:, None, None] / d * np.eye(d)
+        nodes[2] += 1e-6 * np.eye(d)
+        with pytest.raises(SynthesisError, match="at depth 5 is not traceless"):
+            _node_bases(nodes, 5, 1.0)
+
+    def test_only_qudit_nodes_reach_zero_diag_basis(self, rng, monkeypatch):
+        seen = []
+
+        def spy(m):
+            seen.append(m.shape[0])
+            return zero_diag_basis(m)
+
+        monkeypatch.setattr(locc, "zero_diag_basis", spy)
+        fam = random_pure_family((2, 3, 2), rng)
+        synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
+        assert seen == [3, 3]
 
 
 class TestFlatten:

@@ -7,8 +7,9 @@ import pytest
 
 from loccfisher import (check_saturation, eval_state, flatten, qfi, saturation_matrices,
                         sld, synthesize_tree)
-from loccfisher.cli import cli_main
-from loccfisher.locc import leaf_vectors, tree_from_json
+from loccfisher import cli
+from loccfisher.cli import build_parser, cli_main
+from loccfisher.locc import leaf_vectors, tree_from_json, tree_to_json
 from loccfisher.scenarios import (PauliStringTerm, bell_states, builtin_names,
                                   builtin_scenario, hamiltonian_from_pauli,
                                   parse_scenario, pauli_diagonal, pauli_term_matrix)
@@ -184,6 +185,41 @@ class TestCliCore:
         assert json.loads(capsys.readouterr().out)["leaves"] == dim
         tree = tree_from_json(json.loads(tree_path.read_text()))
         assert len(leaf_vectors(tree)) == dim
+
+    def test_out_file_is_one_compact_line_of_the_tree(self, tmp_path, capsys):
+        tree_path = tmp_path / "tree.json"
+        assert cli_main(["synthesize", "ghz3", "--theta", "0.3",
+                         "--out", str(tree_path)]) == 0
+        capsys.readouterr()
+        text = tree_path.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1 and ", " not in text
+        fam = builtin_scenario("ghz3").family
+        tree = synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
+        assert json.loads(text) == tree_to_json(tree)
+        assert cli_main(["verify", "ghz3", "--tree", str(tree_path),
+                         "--theta", "0.3"]) == 0
+        assert json.loads(capsys.readouterr().out)["saturating"] is True
+
+    def test_parser_is_reused_and_unchanged_by_parsing(self, tmp_path, capsys):
+        out = tmp_path / "tree.json"
+        calls = [["qfi", "ghz2", "--theta", "nan"], ["qfi", "ghz3"],
+                 ["synthesize", "ghz2", "--out", str(out)]]
+
+        def run(argv):
+            code = cli_main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, out.read_bytes() if out.exists() else b""
+
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+        reused = [run(argv) for argv in calls]
+        out.unlink()
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [r[0] for r in reused] == [1, 0, 0] and reused[2][3]
 
     def test_simulate_reproducible(self, capsys):
         argv = ["simulate", "ghz2", "--theta", "0.4", "--shots", "1000",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loccfisher.zerodiag as zd
 from loccfisher.zerodiag import (find_null_vector, simultaneous_zero_diag,
@@ -7,10 +9,33 @@ from loccfisher.zerodiag import (find_null_vector, simultaneous_zero_diag,
 
 from conftest import (PAULI_X, PAULI_Y, PAULI_Z, ghz_family,
                       random_traceless_hermitian)
+from oracles import closed_form_2x2
 
 
 def diag_residual(u, h):
     return np.abs(np.diag(u.conj().T @ h @ u)).max()
+
+
+@st.composite
+def qubit_node(draw):
+    """A traceless 2x2 reduction reaching one branch of the zero-diagonalization."""
+    kind = draw(st.sampled_from(["zero", "generic", "hermitian", "anti-hermitian",
+                                 "near-zero diagonal", "negative diagonal"]))
+    x = draw(st.lists(st.floats(-1, 1), min_size=6, max_size=6))
+    diag, upper, lower = complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5])
+    if kind == "zero":
+        return np.zeros((2, 2), dtype=complex)
+    if kind == "hermitian":                 # zero anti-Hermitian part
+        diag, lower = complex(diag.real), upper.conjugate()
+    elif kind == "anti-hermitian":          # zero Hermitian part: the swap branch
+        diag, lower = complex(0, diag.imag), -upper.conjugate()
+    elif kind == "near-zero diagonal":      # both diagonals below the floor, or just above
+        diag *= 10.0 ** -draw(st.sampled_from([11, 12, 13, 16]))
+    elif kind == "negative diagonal":       # the canonical sign flips both parts
+        diag = complex(-abs(diag.real) - 0.1, -abs(diag.imag))
+    m = np.array([[diag, upper], [lower, -diag]]) * 10.0 ** draw(st.integers(-8, 8))
+    # trace drift of rounding size, which the level's trace check re-centers
+    return m + draw(st.sampled_from([0.0, 1e-17, -3e-16])) * np.abs(m).max() * np.eye(2)
 
 
 class TestSolve2x2:
@@ -42,6 +67,18 @@ class TestSolve2x2:
     def test_rejects_non_traceless(self):
         with pytest.raises(ValueError):
             solve_2x2(np.eye(2), PAULI_Z)
+
+    @given(st.lists(qubit_node(), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_stack_matches_scalar_closed_form_bit_for_bit(self, nodes):
+        m = np.stack(nodes)
+        h1, h2 = (m + m.conj().swapaxes(1, 2)) / 2, (m - m.conj().swapaxes(1, 2)) / 2j
+        alpha, beta, u = zd._solve_2x2(h1, h2)
+        for p in range(len(m)):
+            want = closed_form_2x2(h1[p], h2[p], zd._TINY)
+            assert (alpha[p], beta[p]) == want[:2]
+            got, ref = u[p].view(float), want[2].view(float)
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestFindNullVector:

@@ -13,11 +13,14 @@ under ``bench/``. Every command of every job then runs once per tree, in
 process through ``cli_main``, each tree in its own child interpreter with one
 BLAS thread.
 
-Per workload the report gives the exit-code and verdict mismatches and, per
-numeric JSON field, the largest relative difference (absolute, on the
+Per workload the report gives the exit-code and verdict mismatches, how many
+outputs of succeeding commands are byte-identical and, per numeric JSON
+field, the largest relative difference (absolute, on the
 verdict scale, for residuals). The file a command writes with ``--out`` (a
 tree document, or an ``lm-check`` report with U and V) is compared too, and
-the report counts how many of those files are byte-identical. A mismatch is:
+the report counts how many of those files are byte-identical and how many
+parse to equal (``==``) JSON values, which differ in whitespace at most. A
+mismatch is:
 
 - a different exit code, or a different error kind on a failing command;
 - a different boolean, string or integer (verdicts, ``leaves``, degenerate
@@ -118,7 +121,8 @@ class Comparison:
         self.verdict_mismatches: list[str] = []
         self.number_mismatches: list[str] = []
         self.largest: dict[str, float] = {}
-        self.out_files = self.out_identical = 0
+        self.outputs = self.outputs_identical = 0
+        self.out_files = self.out_identical = self.out_equal = 0
 
     @property
     def ok(self) -> bool:
@@ -173,14 +177,17 @@ class Comparison:
                     if kb != kc:
                         self.exit_mismatches.append(f"{where}: error {kb!r} vs {kc!r}")
                     continue
+                self.outputs += 1
+                self.outputs_identical += rb["stdout"] == rc["stdout"]
                 db, dc = _document(rb["stdout"]), _document(rc["stdout"])
                 scale = max(1.0, abs(db.get("qfi", 0.0)) if isinstance(db, dict) else 1.0)
                 self.values(where, "", db, dc, scale)
                 if "out_file" in rb:
                     self.out_files += 1
                     self.out_identical += rb["out_file"] == rc["out_file"]
-                    self.values(where, "", _document(rb["out_file"]),
-                                _document(rc["out_file"]), 1.0, out_file=True)
+                    ob, oc = _document(rb["out_file"]), _document(rc["out_file"])
+                    self.out_equal += ob == oc
+                    self.values(where, "", ob, oc, 1.0, out_file=True)
             if len(jb["runs"]) != len(jc["runs"]):
                 self.exit_mismatches.append(f"{jb['label']}: {len(jb['runs'])} vs "
                                             f"{len(jc['runs'])} commands ran")
@@ -189,7 +196,9 @@ class Comparison:
         lines = [f"{title}: {jobs} jobs, {len(self.exit_mismatches)} exit-code, "
                  f"{len(self.verdict_mismatches)} verdict and "
                  f"{len(self.number_mismatches)} numeric mismatches; "
-                 f"{self.out_identical} of {self.out_files} --out files byte-identical"]
+                 f"{self.outputs_identical} of {self.outputs} outputs byte-identical; "
+                 f"{self.out_identical} of {self.out_files} --out files byte-identical, "
+                 f"{self.out_equal} parse-equal"]
         for msg in (self.exit_mismatches + self.verdict_mismatches
                     + self.number_mismatches)[:10]:
             lines.append(f"  MISMATCH {msg}")
