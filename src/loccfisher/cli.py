@@ -176,7 +176,9 @@ def _cmd_export_bloch(args) -> int:
             raise ValueError("give a scenario or --tree")
         sc = _load_scenario(args.scenario)
         grid = sc.theta_grid
-        if args.grid_points:
+        if args.grid_points is not None:
+            if args.grid_points < 1:
+                raise ValueError(f"--grid-points {args.grid_points} is not a positive integer")
             grid = np.linspace(grid[0], grid[-1], args.grid_points)
         for theta in grid:
             target = metrology.saturation_matrices(sc.family, float(theta)).target

@@ -6,17 +6,17 @@ communication). Synthesis takes a traceless target matrix, zero-diagonalizes
 its reduction onto the first subsystem, conditions on each outcome and
 recurses, so that every leaf product vector E satisfies <E|target|E> = 0.
 
-Trees are walked one depth at a time: every node at depth t measures
-subsystem order[t], so the P nodes of a depth stack into one (P, d, d) array
-of bases and a whole depth is one batched contraction. Vectors being
-conditioned are kept as (P, K, *remaining dims) arrays, rows in outcome-path
-order.
+Every node at depth t measures subsystem order[t], so a tree is one
+(P, d, d) stack of node bases per depth and a whole depth is one batched
+contraction. Vectors being conditioned are kept as (P, K, *remaining dims)
+arrays, rows in outcome-path order.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,26 +38,6 @@ class SynthesisError(RuntimeError):
     """Raised when a synthesized tree violates its leaf condition."""
 
 
-@dataclass
-class TreeNode:
-    """One measurement node: a local orthonormal basis on one subsystem.
-
-    ``basis`` holds the measurement vectors as columns; ``children[x]`` is the
-    node measured next after outcome x (None at the last subsystem).
-    """
-
-    subsystem: int
-    basis: np.ndarray
-    children: list["TreeNode"] | None
-
-
-@dataclass
-class MeasurementTree:
-    layout: HilbertLayout
-    order: tuple[int, ...]
-    root: TreeNode
-
-
 def _check_order(layout: HilbertLayout, order: Sequence[int] | None) -> tuple[int, ...]:
     if order is None:
         return tuple(range(layout.nsub))
@@ -67,25 +47,73 @@ def _check_order(layout: HilbertLayout, order: Sequence[int] | None) -> tuple[in
     return order
 
 
-def _levels(tree: MeasurementTree):
-    """(subsystem, stacked bases (P, d, d)) per depth, nodes in outcome-path order.
+@dataclass
+class MeasurementTree:
+    """An adaptive local measurement as one stack of node bases per depth.
 
-    Checks that every node at depth t measures order[t] with finite entries
-    and has one child per outcome.
+    ``bases[t]`` is the (P_t, d, d) stack of the nodes at depth t, which all
+    measure subsystem order[t] of dimension d. A node's basis holds its
+    measurement vectors as columns, and the child of node p after outcome x
+    is node p * d + x of the next depth. Construction checks the order, the
+    count and shapes of the stacks, finiteness and every node's
+    orthonormality, once; readers trust the stacks.
     """
-    order = tree.order
-    nodes = [tree.root]
-    for depth, sub in enumerate(order):
-        if any(node.subsystem != sub for node in nodes):
-            raise ValueError(f"a node at depth {depth} does not measure subsystem {sub}")
-        bases = np.stack([node.basis for node in nodes], dtype=complex)
-        if not np.isfinite(bases).all():
-            raise ValueError("kron factor contains non-finite entries")
-        yield sub, bases
-        if depth < len(order) - 1:
-            nodes = [child for node in nodes for child in node.children or ()]
-            if len(nodes) != bases.shape[0] * bases.shape[1]:
-                raise ValueError(f"a node at depth {depth} lacks one child per outcome")
+
+    layout: HilbertLayout
+    order: tuple[int, ...]
+    bases: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        self.order = _check_order(self.layout, self.order)
+        self.bases = tuple(np.ascontiguousarray(b, dtype=complex) for b in self.bases)
+        if len(self.bases) != self.layout.nsub:
+            raise ValueError(f"{len(self.bases)} depths of bases for {self.layout.nsub} subsystems")
+        nodes = 1
+        for depth, (sub, stack) in enumerate(zip(self.order, self.bases)):
+            d = self.layout.dims[sub]
+            if stack.shape != (nodes, d, d):
+                raise ValueError(f"bases at depth {depth} have shape {stack.shape}, "
+                                 f"not {(nodes, d, d)}")
+            # NaN fails every comparison, so the orthonormality test alone would pass it
+            if not np.isfinite(stack).all():
+                raise ValueError(f"bases at depth {depth} contain non-finite entries")
+            if np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d)).max() > ISOMETRY_TOL:
+                raise ValueError(f"a basis at depth {depth} is not orthonormal")
+            nodes *= d
+
+    @property
+    def root(self) -> SimpleNamespace:
+        """Nodes linked through ``children`` only, for the benchmark tracer's node
+        count; nothing else reads it, and it goes when the tracer stops walking it."""
+        nodes = [SimpleNamespace(children=None) for _ in self.bases[-1]]
+        for stack in reversed(self.bases[:-1]):
+            d = stack.shape[1]
+            nodes = [SimpleNamespace(children=nodes[p * d:(p + 1) * d])
+                     for p in range(len(stack))]
+        return nodes[0]
+
+    def amplitudes(self, rows: np.ndarray) -> np.ndarray:
+        """<e|v> for every leaf e (rows, in ``leaf_vectors`` order) and row v of ``rows``.
+
+        ``rows`` is K x D (or one length-D vector, giving a length-L result).
+        Each depth contracts the conjugated node bases into one subsystem axis,
+        so the cost is O(K D (d_1 + ... + d_n)) and no leaf vector is built.
+        """
+        v = np.asarray(rows, dtype=complex)
+        dims = self.layout.dims
+        flat = np.atleast_2d(v)
+        if flat.ndim != 2 or flat.shape[1] != self.layout.total:
+            raise ValueError(f"vectors of shape {v.shape} do not match layout {list(dims)}")
+        if not np.isfinite(flat).all():
+            raise ValueError("vectors contain non-finite entries")
+        cur = flat.reshape((1, flat.shape[0]) + dims)
+        remaining = list(range(len(dims)))
+        for sub, bases in zip(self.order, self.bases):
+            lead = _lead(cur, remaining.index(sub))
+            remaining.remove(sub)
+            cur = _condition(lead, bases, tuple(dims[i] for i in remaining))
+        amps = cur.reshape(-1, flat.shape[0])
+        return amps[:, 0] if v.ndim == 1 else amps
 
 
 def _lead(cur: np.ndarray, pos: int) -> np.ndarray:
@@ -152,7 +180,7 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
     vectors = np.concatenate([target.kets, target.bras])
     cur = vectors.reshape((1, 2 * k) + layout.dims)
     remaining = list(range(layout.nsub))
-    levels: list[list[TreeNode]] = []
+    levels = []
     for depth, sub in enumerate(order):
         lead = _lead(cur, remaining.index(sub))
         remaining.remove(sub)
@@ -161,46 +189,17 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
         bras = lead[:, :, k:].reshape(p, d, k * rest)
         reduced = kets @ bras.conj().transpose(0, 2, 1) + (target.shift * rest) * np.eye(d)
         bases = _node_bases(reduced, depth, scale)
-        levels.append([TreeNode(subsystem=sub, basis=u, children=None) for u in bases])
+        levels.append(bases)
         if remaining:
             cur = _condition(lead, bases, tuple(layout.dims[i] for i in remaining))
-    for parents, children in zip(levels, levels[1:]):
-        d = len(children) // len(parents)
-        for i, node in enumerate(parents):
-            node.children = children[i * d:(i + 1) * d]
 
-    tree = MeasurementTree(layout=layout, order=order, root=levels[0][0])
-    amps = tree_amplitudes(tree, vectors)
-    leaf = np.sum(amps[:, :k] * amps[:, k:].conj(), axis=1) + target.shift
-    worst = float(np.abs(leaf).max())
+    tree = MeasurementTree(layout, order, levels)
+    amps = tree.amplitudes(vectors)
+    worst = float(np.abs(target.sandwich(amps[:, :k], amps[:, k:])).max())
     if worst > LEAF_TOL * scale:
         raise SynthesisError(
             f"leaf condition violated: residual {worst:.3e} > {LEAF_TOL:.0e} * norm")
     return tree
-
-
-def tree_amplitudes(tree: MeasurementTree, vectors: np.ndarray) -> np.ndarray:
-    """<e|v> for every leaf e (rows, in ``leaf_vectors`` order) and row v of ``vectors``.
-
-    ``vectors`` is K x D (or one length-D vector, giving a length-L result).
-    Each depth contracts the conjugated node bases into one subsystem axis,
-    so the cost is O(K D (d_1 + ... + d_n)) and no leaf vector is built.
-    """
-    v = np.asarray(vectors, dtype=complex)
-    dims = tree.layout.dims
-    flat = np.atleast_2d(v)
-    if flat.ndim != 2 or flat.shape[1] != tree.layout.total:
-        raise ValueError(f"vectors of shape {v.shape} do not match layout {list(dims)}")
-    if not np.isfinite(flat).all():
-        raise ValueError("vectors contain non-finite entries")
-    cur = flat.reshape((1, flat.shape[0]) + dims)
-    remaining = list(range(len(dims)))
-    for sub, bases in _levels(tree):
-        lead = _lead(cur, remaining.index(sub))
-        remaining.remove(sub)
-        cur = _condition(lead, bases, tuple(dims[i] for i in remaining))
-    amps = cur.reshape(-1, flat.shape[0])
-    return amps[:, 0] if v.ndim == 1 else amps
 
 
 def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -213,7 +212,7 @@ def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarra
     order = tree.order
     paths: list[tuple[int, ...]] = [()]
     vecs = None
-    for sub, bases in _levels(tree):
+    for bases in tree.bases:
         cols = bases.transpose(0, 2, 1)
         d = cols.shape[1]
         # row p * d + x is prefix p extended by column x of its node's basis
@@ -235,11 +234,11 @@ def flatten(tree: MeasurementTree) -> metrology.Povm:
 
 def verify_tree(tree: MeasurementTree, family: metrology.StateFamily, theta: float,
                 thresholds: metrology.Thresholds | None = None) -> metrology.SaturationReport:
-    """Flatten the tree and run the full saturation check at theta."""
+    """The full saturation check at theta, from leaf amplitudes (no leaf vector is built)."""
     if tree.layout != family.layout:
         raise ValueError(f"tree layout {list(tree.layout.dims)} does not match "
                          f"family layout {list(family.layout.dims)}")
-    return metrology.check_saturation(flatten(tree), family, theta, thresholds)
+    return metrology.check_saturation(tree, family, theta, thresholds)
 
 
 @dataclass
@@ -259,17 +258,16 @@ def discriminate(psi0: np.ndarray, psi1: np.ndarray,
     at most one of the two hypotheses, so the outcome identifies the state
     with certainty. Leaves are assigned to the larger-overlap hypothesis.
     """
-    layout = as_layout(layout)
     psi0 = check_unit(psi0, "psi0")
     psi1 = check_unit(psi1, "psi1")
     if abs(np.vdot(psi0, psi1)) > ORTHOGONAL_TOL:
         raise ValueError("psi0 and psi1 must be orthogonal")
 
     tree = synthesize_tree(KetBraSum(psi0, psi1), layout, order)
-    amps = tree_amplitudes(tree, np.stack([psi0, psi1]))
+    amps = tree.amplitudes(np.stack([psi0, psi1]))
     mag = np.abs(amps)
     hyps = (mag[:, 0] < mag[:, 1]).astype(int)
-    paths = np.ndindex(*(layout.dims[k] for k in tree.order))
+    paths = np.ndindex(*(tree.layout.dims[k] for k in tree.order))
     assignment = {path: int(h) for path, h in zip(paths, hyps)}
     residual = float(np.abs(amps[:, 0] * amps[:, 1].conj()).max())
     success = 0.5 * float(np.sum(mag.max(axis=1) ** 2))
@@ -279,22 +277,18 @@ def discriminate(psi0: np.ndarray, psi1: np.ndarray,
 
 
 def tree_to_json(tree: MeasurementTree) -> dict:
-    """JSON document for the tree; child order equals outcome label order."""
-
-    def node_doc(node: TreeNode) -> dict:
-        doc = {
-            "subsystem": node.subsystem,
-            "basis": [complex_to_pairs(node.basis[:, x])
-                      for x in range(node.basis.shape[1])],
-        }
-        if node.children is not None:
-            doc["children"] = [node_doc(c) for c in node.children]
-        return doc
-
+    """JSON document for the tree, built bottom-up; child order equals outcome label order."""
+    docs = None
+    for sub, bases in zip(reversed(tree.order), reversed(tree.bases)):
+        d, below = bases.shape[1], docs
+        docs = [{"subsystem": sub, "basis": cols}
+                for cols in complex_to_pairs(bases.transpose(0, 2, 1))]
+        for p, node in enumerate(docs if below else ()):
+            node["children"] = below[p * d:(p + 1) * d]
     return {
         "layout": list(tree.layout.dims),
         "order": list(tree.order),
-        "node": node_doc(tree.root),
+        "node": docs[0],
     }
 
 
@@ -302,55 +296,45 @@ def tree_from_json(doc: dict) -> MeasurementTree:
     """Tree of a JSON document; every node at depth t must measure order[t]."""
     layout = HilbertLayout(tuple(doc["layout"]))
     order = _check_order(layout, doc["order"])
-
-    def parse(node_doc: dict, depth: int) -> TreeNode:
-        sub, d = order[depth], layout.dims[order[depth]]
-        basis = np.stack([pairs_to_complex(v) for v in node_doc["basis"]], axis=1)
-        last = depth == layout.nsub - 1
-        if (int(node_doc["subsystem"]) != sub or basis.shape != (d, d)
-                or last == ("children" in node_doc)):
+    nodes, levels = [doc["node"]], []
+    for depth, sub in enumerate(order):
+        d, last = layout.dims[sub], depth == layout.nsub - 1
+        try:        # an entry of the wrong JSON type fits nowhere
+            cols = pairs_to_complex([node["basis"] for node in nodes])
+            fits = cols.shape == (len(nodes), d, d) and all(
+                node["subsystem"] == sub and ("children" in node) != last
+                and (last or len(node["children"]) == d) for node in nodes)
+        except (AttributeError, TypeError, ValueError):
+            fits = False
+        if not fits:
             raise ValueError(f"node at depth {depth} does not fit layout "
                              f"{list(layout.dims)} and order {list(order)}")
-        # NaN fails every comparison, so the orthonormality test alone would pass it
-        if not np.isfinite(basis).all():
-            raise ValueError("node basis contains non-finite entries")
-        if np.abs(basis.conj().T @ basis - np.eye(d)).max() > ISOMETRY_TOL:
-            raise ValueError("node basis is not orthonormal")
-        children = None
-        if not last:
-            children = [parse(c, depth + 1) for c in node_doc["children"]]
-            if len(children) != d:
-                raise ValueError("child count does not match basis size")
-        return TreeNode(subsystem=sub, basis=basis, children=children)
-
-    return MeasurementTree(layout=layout, order=order, root=parse(doc["node"], 0))
+        levels.append(cols.transpose(0, 2, 1))
+        nodes = [child for node in nodes for child in node.get("children", ())]
+    return MeasurementTree(layout, order, levels)
 
 
 def bloch_rows(tree: MeasurementTree, theta: float) -> list[dict]:
     """Bloch coordinates of the first basis vector of every qubit node.
 
     Coordinates are (x, y, z) = <E|sigma|E> for the vector labeled outcome 0;
-    the antipodal point corresponds to the other basis vector.
+    the antipodal point corresponds to the other basis vector. Rows run depth
+    first: sorted by outcome path, as the path string would not be past 9.
     """
-    rows: list[dict] = []
-
-    def walk(node: TreeNode, path: tuple[int, ...]) -> None:
-        if node.basis.shape[0] == 2:
-            a, b = node.basis[0, 0], node.basis[1, 0]
-            rows.append({
+    keyed = []
+    for depth, (sub, bases) in enumerate(zip(tree.order, tree.bases)):
+        paths = np.ndindex(*(tree.layout.dims[k] for k in tree.order[:depth]))
+        # scalar arithmetic per node: numpy's array loops round differently
+        for path, (a, b) in zip(paths, bases[:, :, 0] if bases.shape[1] == 2 else ()):
+            keyed.append((path, {
                 "theta": theta,
                 "path": "".join(str(x) for x in path),
-                "subsystem": node.subsystem,
+                "subsystem": sub,
                 "x": float(2 * np.real(np.conj(a) * b)),
                 "y": float(2 * np.imag(np.conj(a) * b)),
                 "z": float(abs(a) ** 2 - abs(b) ** 2),
-            })
-        if node.children is not None:
-            for x, child in enumerate(node.children):
-                walk(child, path + (x,))
-
-    walk(tree.root, ())
-    return rows
+            }))
+    return [row for _, row in sorted(keyed, key=lambda item: item[0])]
 
 
 def write_bloch_csv(rows: Iterable[dict], stream) -> None:

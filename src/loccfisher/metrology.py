@@ -239,6 +239,11 @@ class Povm:
         if np.abs(v.T @ v.conj() - np.eye(v.shape[1])).max() > COMPLETENESS_TOL:
             raise ValueError("POVM elements do not sum to the identity")
 
+    def amplitudes(self, rows: np.ndarray) -> np.ndarray:
+        """The E x K overlaps <e|v> of every element e with every row v of ``rows``."""
+        # conj(vectors) @ rows^T, formed without an E x D copy of the vectors
+        return (self.vectors @ np.asarray(rows).conj().T).conj()
+
 
 @dataclass
 class Thresholds:
@@ -365,14 +370,20 @@ def qfi(family: StateFamily, theta: float) -> float:
 
 def fisher_info(povm: Povm, rho: KetBraSum | np.ndarray, drho: KetBraSum | np.ndarray,
                 p_tol: float = P_TOL) -> float:
-    """Classical Fisher information of the POVM outcome distribution.
+    """Classical Fisher information of the outcomes of a POVM or ``locc.MeasurementTree``.
 
     ``rho`` and ``drho`` are factored or dense. Outcomes with probability
     below p_tol are excluded from the sum.
     """
-    p, dp = (KetBraSum.of(m).sandwich(povm.vectors).real for m in (rho, drho))
+    p, dp = (_sandwich(povm, KetBraSum.of(m)).real for m in (rho, drho))
     keep = p >= p_tol
     return float(np.sum(dp[keep] ** 2 / p[keep]))
+
+
+def _sandwich(povm: Povm, m: KetBraSum) -> np.ndarray:
+    """<e|M|e> per outcome of a Povm or tree; ||e||^2, read by a shift only, is 1 on leaves."""
+    norms = np.sum(np.abs(povm.vectors) ** 2, axis=1) if isinstance(povm, Povm) and m.shift else 1.0
+    return m.sandwich(povm.amplitudes(m.kets), povm.amplitudes(m.bras), norms)
 
 
 def perp_component(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
@@ -445,11 +456,12 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
 
 def check_saturation(povm: Povm, family: StateFamily, theta: float,
                      thresholds: Thresholds | None = None) -> SaturationReport:
-    """Full saturation check of a POVM against a family at theta.
+    """Full saturation check of a POVM or ``locc.MeasurementTree`` against a family at theta.
 
-    The family enters through its frame: exact rho and drho, the rows psi_i
-    spanning the support of rho and their images L psi_i under the SLD.
-    Every outcome |e><e| must satisfy the zero-sandwich condition
+    Outcomes are read only through ``povm.amplitudes(rows)``, their overlaps
+    <e|row>. The family enters through its frame: exact rho and drho, the
+    rows psi_i spanning the support of rho and their images L psi_i under
+    the SLD. Every outcome |e><e| must satisfy the zero-sandwich condition
     <e|M_ij|e> = 0 for M_ij = |psi_i><L psi_j| - |L psi_i><psi_j|, and every
     outcome of zero probability the regularity condition <e|L|psi_i> = 0
     (Braunstein & Caves, PRL 72, 3439 (1994)). For a rank-one element these
@@ -457,18 +469,17 @@ def check_saturation(povm: Povm, family: StateFamily, theta: float,
     the norm of e. The verdict additionally requires fi to reach qfi.
     """
     thr = thresholds or Thresholds()
-    vectors = povm.vectors
-    if vectors.shape[1] != family.layout.total:
-        raise ValueError(f"POVM vectors of length {vectors.shape[1]} do not match "
+    if isinstance(povm, Povm) and povm.vectors.shape[1] != family.layout.total:
+        raise ValueError(f"POVM vectors of length {povm.vectors.shape[1]} do not match "
                          f"layout {list(family.layout.dims)}")
     frame = _frame(family, theta)
     m_set = frame.conditions()
     scale = max(m.norm() for m in m_set)
 
     fi = fisher_info(povm, frame.rho, frame.drho, p_tol=thr.p_tol)
-    cond_res = max(float(np.abs(m.sandwich(vectors)).max()) for m in m_set)
-    null = frame.rho.sandwich(vectors).real < thr.p_tol
-    reg_res = float(np.abs(vectors @ frame.l_support.conj().T)[null].max(initial=0.0))
+    cond_res = max(float(np.abs(_sandwich(povm, m)).max()) for m in m_set)
+    null = _sandwich(povm, frame.rho).real < thr.p_tol
+    reg_res = float(np.abs(povm.amplitudes(frame.l_support))[null].max(initial=0.0))
 
     saturating = (cond_res <= thr.condition_rel * scale
                   and reg_res <= thr.regularity_rel * scale

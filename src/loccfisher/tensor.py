@@ -209,12 +209,13 @@ class KetBraSum:
                    + abs(self.shift) ** 2 * self.dim)
         return float(np.sqrt(max(sq, 0.0)))
 
-    def sandwich(self, vectors: np.ndarray) -> np.ndarray:
-        """<e|M|e> for every row e of ``vectors``, from E x K overlaps only."""
-        v = np.asarray(vectors, dtype=complex)
-        out = np.sum((v @ self.kets.conj().T).conj() * (v @ self.bras.conj().T), axis=1)
+    def sandwich(self, ket_amps: np.ndarray, bra_amps: np.ndarray,
+                 sq_norms: np.ndarray | float = 1.0) -> np.ndarray:
+        """<e|M|e> = sum_k <e|a_k> <b_k|e> + shift ||e||^2 for E outcomes e, from their
+        E x K overlaps <e|a_k> and <e|b_k> and their ||e||^2 (1 for unit outcomes)."""
+        out = np.sum(ket_amps * bra_amps.conj(), axis=1)
         if self.shift:
-            out = out + self.shift * np.sum(np.abs(v) ** 2, axis=1)
+            out = out + self.shift * sq_norms
         return out
 
     def dense(self) -> np.ndarray:

@@ -152,25 +152,21 @@ def dense_saturation(elements, rho, drho, rank_tol=1e-9, p_tol=1e-12,
 def leaf_vectors_kron(tree):
     """(path, vector) per leaf, each vector one np.kron fold in layout order.
 
-    Walks the tree depth first, keeping the basis column chosen on every
-    subsystem so far, and composes a leaf's factors from scratch.
+    For every outcome path, finds the node measured at each depth (node
+    p * d + x follows outcome x at node p), keeps the basis column it chose
+    on every subsystem and composes the leaf's factors from scratch.
     """
-    n = tree.layout.nsub
+    dims = [tree.layout.dims[k] for k in tree.order]
     out = []
-
-    def walk(node, path, parts):
-        for x in range(node.basis.shape[1]):
-            parts[node.subsystem] = node.basis[:, x]
-            if node.children is None:
-                vec = parts[0]
-                for k in range(1, n):
-                    vec = np.kron(vec, parts[k])
-                out.append((path + (x,), vec))
-            else:
-                walk(node.children[x], path + (x,), parts)
-        del parts[node.subsystem]
-
-    walk(tree.root, (), {})
+    for path in np.ndindex(*dims):
+        parts, node = {}, 0
+        for sub, bases, d, x in zip(tree.order, tree.bases, dims, path):
+            parts[sub] = bases[node][:, x]
+            node = node * d + x
+        vec = parts[0]
+        for k in range(1, len(dims)):
+            vec = np.kron(vec, parts[k])
+        out.append((path, vec))
     return out
 
 
@@ -226,25 +222,24 @@ def sample_path(tree, rho, rng):
     dims = list(tree.layout.dims)
     ids = list(range(len(dims)))          # layout indices of the subsystems left
     t = np.asarray(rho, dtype=complex).reshape(dims * 2)
-    node, path = tree.root, []
-    while True:
-        k, n, d = ids.index(node.subsystem), len(ids), dims[node.subsystem]
-        rest = int(np.prod([dims[i] for i in ids if i != node.subsystem]))
+    node, path = 0, []
+    for sub, bases in zip(tree.order, tree.bases):
+        k, n, d = ids.index(sub), len(ids), dims[sub]
+        rest = int(np.prod([dims[i] for i in ids if i != sub]))
         # axes (row k, column k, rows of the rest, columns of the rest)
         blocks = np.moveaxis(t, (k, n + k), (0, 1)).reshape(d, d, rest, rest)
         reduced = np.einsum("abrr->ab", blocks)
-        basis = node.basis
+        basis = bases[node]
         probs = np.real(np.einsum("ax,ab,bx->x", basis.conj(), reduced, basis))
         probs = np.clip(probs, 0.0, None)
         x = int(rng.choice(d, p=probs / probs.sum()))
         path.append(x)
-        if node.children is None:
-            return tuple(path)
         v = basis[:, x]
-        ids.remove(node.subsystem)
+        ids.remove(sub)
         t = (np.einsum("a,abrs,b->rs", v.conj(), blocks, v) / probs[x]).reshape(
             [dims[i] for i in ids] * 2)
-        node = node.children[x]
+        node = node * d + x       # the child measured after outcome x
+    return tuple(path)
 
 
 def closed_form_2x2(h1, h2, tiny=1e-12):

@@ -11,8 +11,8 @@ from loccfisher import (RankTwoFixedBasisFamily, discriminate, flatten,
                         synthesize_tree, tree_from_json, tree_to_json,
                         verify_tree)
 from loccfisher import locc
-from loccfisher.locc import (NODE_TRACE_TOL, MeasurementTree, SynthesisError, TreeNode,
-                             _node_bases, bloch_rows)
+from loccfisher.locc import (NODE_TRACE_TOL, MeasurementTree, SynthesisError, _node_bases,
+                             bloch_rows)
 from loccfisher.scenarios import bell_states, builtin_scenario
 from loccfisher.tensor import HilbertLayout, check_traceless, kron
 from loccfisher.zerodiag import zero_diag_basis
@@ -114,10 +114,8 @@ class TestFlatten:
 
     def test_identical_bases_is_product_measurement(self):
         basis = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        leaf0 = TreeNode(subsystem=1, basis=basis.copy(), children=None)
-        leaf1 = TreeNode(subsystem=1, basis=basis.copy(), children=None)
-        root = TreeNode(subsystem=0, basis=basis.copy(), children=[leaf0, leaf1])
-        tree = MeasurementTree(HilbertLayout((2, 2)), (0, 1), root)
+        tree = MeasurementTree(HilbertLayout((2, 2)), (0, 1),
+                               [basis[None], np.stack([basis, basis])])
         povm = flatten(tree)
         for (i, j), v in zip(povm.labels, povm.vectors):
             e = np.outer(v, v.conj())
@@ -134,13 +132,12 @@ class TestFlatten:
 
 def random_tree(dims, order, rng):
     """Tree of Haar-random bases measuring the subsystems in ``order``."""
-    def build(depth):
-        d = dims[order[depth]]
-        basis = unitary_group.rvs(d, random_state=rng)
-        children = (None if depth == len(order) - 1
-                    else [build(depth + 1) for _ in range(d)])
-        return TreeNode(order[depth], basis, children)
-    return MeasurementTree(HilbertLayout(dims), tuple(order), build(0))
+    bases, nodes = [], 1
+    for sub in order:
+        bases.append(np.stack([unitary_group.rvs(dims[sub], random_state=rng)
+                               for _ in range(nodes)]))
+        nodes *= dims[sub]
+    return MeasurementTree(HilbertLayout(dims), tuple(order), bases)
 
 
 class TestLeafVectors:
@@ -158,20 +155,51 @@ class TestLeafVectors:
             else:
                 assert np.abs(got_v - want_v).max() <= 1e-15
 
-    def test_rejects_non_finite_factor(self):
-        basis = np.eye(2, dtype=complex)
-        basis[0, 0] = np.nan
-        tree = MeasurementTree(HilbertLayout((2,)), (0,), TreeNode(0, basis, None))
-        with pytest.raises(ValueError, match="non-finite"):
-            leaf_vectors(tree)
 
-    def test_rejects_node_off_order(self):
-        basis = np.eye(2, dtype=complex)
-        tree = MeasurementTree(HilbertLayout((2, 2)), (0, 1),
-                               TreeNode(1, basis, [TreeNode(0, basis, None),
-                                                   TreeNode(0, basis, None)]))
-        with pytest.raises(ValueError, match="subsystem"):
-            leaf_vectors(tree)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+class TestMeasurementTree:
+    # construction checks the stacks once, naming the depth at fault
+    LAYOUT = HilbertLayout((2, 2, 3))
+
+    @staticmethod
+    def stacks():
+        return [HADAMARD[None], np.stack([HADAMARD, np.eye(2)]),
+                np.stack([np.eye(3)] * 4)]
+
+    def test_accepts_one_orthonormal_stack_per_depth(self):
+        tree = MeasurementTree(self.LAYOUT, (0, 1, 2), self.stacks())
+        assert [b.shape for b in tree.bases] == [(1, 2, 2), (2, 2, 2), (4, 3, 3)]
+        assert np.array_equal(tree.bases[1][1], np.eye(2))
+
+    def test_rejects_wrong_number_of_depths(self):
+        with pytest.raises(ValueError, match="2 depths of bases for 3 subsystems"):
+            MeasurementTree(self.LAYOUT, (0, 1, 2), self.stacks()[:2])
+
+    @pytest.mark.parametrize("depth,stack", [
+        (0, HADAMARD),                          # a bare basis, not a stack of one
+        (1, np.stack([np.eye(2)] * 3)),         # three nodes where two outcomes lead
+        (2, np.stack([np.eye(2)] * 4)),         # qubit bases on the qutrit
+    ], ids=["unstacked", "node-count", "node-shape"])
+    def test_rejects_wrong_node_count_or_shape(self, depth, stack):
+        bases = self.stacks()
+        bases[depth] = stack
+        with pytest.raises(ValueError, match=f"bases at depth {depth} have shape"):
+            MeasurementTree(self.LAYOUT, (0, 1, 2), bases)
+
+    def test_rejects_non_finite_entries(self):
+        # NaN compares false, so the orthonormality bound alone lets it through
+        bases = self.stacks()
+        bases[2][3, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="bases at depth 2 contain non-finite"):
+            MeasurementTree(self.LAYOUT, (0, 1, 2), bases)
+
+    def test_rejects_non_orthonormal_basis(self):
+        bases = self.stacks()
+        bases[1][1, 0, 1] = 1e-6
+        with pytest.raises(ValueError, match="basis at depth 1 is not orthonormal"):
+            MeasurementTree(self.LAYOUT, (0, 1, 2), bases)
 
 
 class TestVerifyTree:
@@ -200,8 +228,9 @@ class TestVerifyTree:
         tree = synth(fam, 0.3)
         c, s = np.cos(0.1), np.sin(0.1)
         rot = np.array([[c, -s], [s, c]], dtype=complex)
-        tree.root.children[0].basis = tree.root.children[0].basis @ rot
-        rep = verify_tree(tree, fam, 0.3)
+        bases = [b.copy() for b in tree.bases]
+        bases[1][0] = bases[1][0] @ rot
+        rep = verify_tree(MeasurementTree(tree.layout, tree.order, bases), fam, 0.3)
         assert not rep.saturating
 
 
@@ -316,7 +345,12 @@ class TestTreeJson:
         lambda doc: doc["node"].pop("children"),
         lambda doc: doc["node"]["children"][0].update(children=[]),
         lambda doc: doc.update(layout=[3, 2]),
-    ], ids=["order", "missing-children", "extra-children", "layout"])
+        lambda doc: doc["node"].update(subsystem=None),
+        lambda doc: doc["node"].update(children=2),
+        lambda doc: doc["node"]["children"].__setitem__(1, "leaf"),
+        lambda doc: doc["node"]["children"].append(doc["node"]["children"][0]),
+    ], ids=["order", "missing-children", "extra-children", "layout", "subsystem-null",
+            "children-not-a-list", "child-not-an-object", "three-children"])
     def test_rejects_structure_off_layout_and_order(self, edit):
         doc = tree_to_json(synth(ghz_family(2), 0.3))
         edit(doc)
@@ -333,6 +367,15 @@ class TestBlochRows:
         for r in rows:
             norm = r["x"] ** 2 + r["y"] ** 2 + r["z"] ** 2
             assert abs(norm - 1.0) < 1e-9
+
+    def test_rows_run_depth_first_past_ten_outcomes(self, rng):
+        # the path strings of a 12-outcome root do not sort as its outcomes do
+        tree = random_tree((12, 2), (0, 1), rng)
+        rows = bloch_rows(tree, 0.0)
+        assert [r["path"] for r in rows] == [str(x) for x in range(12)]
+        assert all(np.isclose(r["z"], abs(tree.bases[1][x, 0, 0]) ** 2
+                              - abs(tree.bases[1][x, 1, 0]) ** 2)
+                   for x, r in enumerate(rows))
 
     def test_skips_non_qubit_nodes(self, rng):
         fam = random_pure_family((3, 2), rng)

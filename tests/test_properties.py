@@ -4,7 +4,8 @@ Pure and fixed-basis rank-two families get an adaptive tree that is complete,
 zero-sandwiches the target on every leaf and reaches fi = qfi; rank-two trees
 tell the two basis states apart with certainty; and the Bell-mixture control
 saturates under no synthesized two-qubit tree. Verdicts and Fisher
-information are cross-checked against the dense sqrt(E) oracle, and the
+information are cross-checked against the dense sqrt(E) oracle, the check
+through tree amplitudes against the check of the flattened POVM, and the
 vector-only route (closed-form qfi, diagonal generators, factored targets,
 leaf amplitudes) against the dense matrices it replaces.
 """
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 
 from loccfisher import (MixedGenericFamily, Povm, UnitaryGeneratorFamily,
                         check_saturation, discriminate, flatten, leaf_vectors, qfi,
-                        saturation_matrices, sld, synthesize_tree)
-from loccfisher.locc import LEAF_TOL, tree_amplitudes
+                        saturation_matrices, sld, synthesize_tree, verify_tree)
+from loccfisher.locc import LEAF_TOL
+from loccfisher.metrology import _frame
 from loccfisher.scenarios import builtin_scenario
 from loccfisher.tensor import HilbertLayout
 
@@ -110,6 +112,37 @@ def test_bell_mixture_never_saturates(seed, order, rank_two, theta):
     assert not oracle_report(povm, bellmix, theta)["saturating"]
 
 
+def assert_verify_matches_flattened(tree, family, theta):
+    """verify_tree (leaf amplitudes) against check_saturation of the leaf-vector POVM."""
+    rep = verify_tree(tree, family, theta)
+    flat = check_saturation(flatten(tree), family, theta)
+    scale = max(m.norm() for m in _frame(family, theta).conditions())
+    assert rep.saturating == flat.saturating
+    assert abs(rep.fi - flat.fi) <= 1e-12 * flat.qfi
+    assert abs(rep.condition_residual - flat.condition_residual) <= 1e-12 * scale
+    assert abs(rep.regularity_residual - flat.regularity_residual) <= 1e-12 * scale
+    return rep
+
+
+@PROPERTY
+@given(synthesized())
+def test_verify_tree_matches_the_flattened_check(case):
+    family, theta, tree, _ = case
+    assert assert_verify_matches_flattened(tree, family, theta).saturating
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.permutations([0, 1]),
+       rank_two=st.booleans(), theta=st.floats(0.1, 0.9))
+def test_verify_tree_matches_the_flattened_check_on_the_bell_mixture(seed, order, rank_two,
+                                                                      theta):
+    bellmix = builtin_scenario("bellmix").family
+    make = random_rank_two_family if rank_two else random_pure_family
+    family = make((2, 2), np.random.default_rng(seed))
+    tree = synthesize_tree(saturation_matrices(family, theta).target, family.layout, order)
+    assert not assert_verify_matches_flattened(tree, bellmix, theta).saturating
+
+
 def random_diagonal_family(dims, rng):
     """Pure family whose generator is diagonal, given as its real diagonal."""
     layout = HilbertLayout(dims)
@@ -173,8 +206,8 @@ def test_tree_amplitudes_match_leaf_vectors(dims, order):
     vectors = rng.standard_normal((3, prod(dims))) + 1j * rng.standard_normal((3, prod(dims)))
     leaves = np.stack([vec for _, vec in leaf_vectors(tree)])
     want = leaves.conj() @ vectors.T
-    assert np.abs(tree_amplitudes(tree, vectors) - want).max() <= 1e-13
-    assert np.abs(tree_amplitudes(tree, vectors[1]) - want[:, 1]).max() <= 1e-13
+    assert np.abs(tree.amplitudes(vectors) - want).max() <= 1e-13
+    assert np.abs(tree.amplitudes(vectors[1]) - want[:, 1]).max() <= 1e-13
 
 
 @PROPERTY

@@ -257,7 +257,8 @@ class TestCliCore:
 
 class TestVectorRoute:
     def test_ghz12_qfi_and_synthesis_stay_vector_sized(self, tmp_path, capsys):
-        # one dense 4096 x 4096 complex matrix would take 268 MB
+        # one dense 4096 x 4096 complex matrix would take 268 MB; verify reads
+        # the written tree through leaf amplitudes, with no leaf-vector POVM
         n = 12
         psi_in = np.zeros(2 ** n, dtype=complex)
         psi_in[0] = psi_in[-1] = 1 / np.sqrt(2)
@@ -271,14 +272,18 @@ class TestVectorRoute:
         tracemalloc.start()
         try:
             assert cli_main(["qfi", str(path), "--theta", "0.3"]) == 0
+            qfi_doc = json.loads(capsys.readouterr().out)
             assert cli_main(["synthesize", str(path), "--theta", "0.3",
                              "--out", str(out)]) == 0
+            synth_doc = json.loads(capsys.readouterr().out)
+            assert cli_main(["verify", str(path), "--tree", str(out), "--theta", "0.3"]) == 0
+            verify_doc = json.loads(capsys.readouterr().out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        lines = capsys.readouterr().out.splitlines()
-        assert abs(json.loads("".join(lines[:-1]))["qfi"] - n * n) < 1e-9 * n * n
-        assert json.loads(lines[-1])["leaves"] == 2 ** n
+        assert abs(qfi_doc["qfi"] - n * n) < 1e-9 * n * n
+        assert synth_doc["leaves"] == 2 ** n
+        assert verify_doc["saturating"] and abs(verify_doc["fi"] - n * n) < 1e-9 * n * n
         assert peak < 64 * 2 ** 20
 
 
@@ -428,6 +433,15 @@ class TestCliErrors:
         err = json.loads(captured.err)
         assert err["kind"] == "validation" and "not a finite number" in err["error"]
         assert captured.out == "" and len(recwarn) == 0
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_export_bloch_non_positive_grid_points_exit_1(self, capsys, points):
+        # 0 must not fall back to the scenario's default grid
+        assert cli_main(["export-bloch", "chain4", f"--grid-points={points}"]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["kind"] == "validation" and "not a positive integer" in err["error"]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("grid", [{"start": 0.0, "stop": 1.0, "points": 0}, [],
                                       [[0.1, 0.2]], 0.3, [0.1, float("nan")]])

@@ -8,7 +8,7 @@ from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
                         UnitaryGeneratorFamily, eval_state, fisher_info,
                         leaf_distribution, mle, run_trials,
                         saturation_matrices, synthesize_tree, two_step)
-from loccfisher.locc import MeasurementTree, TreeNode, flatten, leaf_vectors
+from loccfisher.locc import MeasurementTree, flatten, leaf_vectors
 from loccfisher.scenarios import builtin_scenario
 from loccfisher.simulate import _trial_rng
 from loccfisher.tensor import HilbertLayout
@@ -29,8 +29,12 @@ def phase_qubit():
 
 
 def single_node_tree(basis):
-    return MeasurementTree(HilbertLayout((2,)), (0,),
-                           TreeNode(0, np.asarray(basis, dtype=complex), None))
+    return MeasurementTree(HilbertLayout((2,)), (0,), [np.asarray(basis)[None]])
+
+
+def product_tree(basis):
+    """Two qubits, each measured in ``basis`` whatever the first outcome."""
+    return MeasurementTree(HilbertLayout((2, 2)), (0, 1), [basis[None], np.stack([basis] * 2)])
 
 
 class TestSamplePath:
@@ -38,10 +42,7 @@ class TestSamplePath:
     def test_deterministic_on_eigenstate(self):
         # computational basis on |00>: the path is always (0, 0)
         basis = np.eye(2, dtype=complex)
-        tree = MeasurementTree(
-            HilbertLayout((2, 2)), (0, 1),
-            TreeNode(0, basis, [TreeNode(1, basis.copy(), None),
-                                TreeNode(1, basis.copy(), None)]))
+        tree = product_tree(basis)
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
         rng = _trial_rng(1, 0)
@@ -52,10 +53,7 @@ class TestSamplePath:
         plus = np.array([1, 1], complex) / np.sqrt(2)
         rho = np.outer(np.kron(plus, plus), np.kron(plus, plus).conj())
         basis = np.eye(2, dtype=complex)
-        tree = MeasurementTree(
-            HilbertLayout((2, 2)), (0, 1),
-            TreeNode(0, basis, [TreeNode(1, basis.copy(), None),
-                                TreeNode(1, basis.copy(), None)]))
+        tree = product_tree(basis)
         rng = _trial_rng(2, 0)
         counts = np.zeros((2, 2))
         n = 4000
