@@ -93,7 +93,7 @@ class MeasurementTree:
         return nodes[0]
 
     def amplitudes(self, rows: np.ndarray) -> np.ndarray:
-        """<e|v> for every leaf e (rows, in ``leaf_vectors`` order) and row v of ``rows``.
+        """<e|v> for every leaf e (rows, in np.ndindex path order) and row v of ``rows``.
 
         ``rows`` is K x D (or one length-D vector, giving a length-L result).
         Each depth contracts the conjugated node bases into one subsystem axis,
@@ -205,9 +205,11 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
 def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """All (outcome path, product vector) pairs, vectors in layout order.
 
-    Built one depth at a time: one broadcast product extends all prefixes at
-    once. The factors multiply in measurement order; for the identity order
-    that is the left fold of ``kron`` over the layout, entry for entry.
+    A reference helper of O(L D) memory; the package reads leaves only through
+    ``MeasurementTree.amplitudes``. Built one depth at a time: one broadcast
+    product extends all prefixes at once. The factors multiply in measurement
+    order; for the identity order that is the left fold of ``kron`` over the
+    layout, entry for entry.
     """
     order = tree.order
     paths: list[tuple[int, ...]] = [()]
@@ -227,7 +229,7 @@ def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarra
 
 
 def flatten(tree: MeasurementTree) -> metrology.Povm:
-    """Rank-one product POVM with one leaf vector per outcome path."""
+    """Rank-one product POVM with one leaf vector per outcome path (a reference helper)."""
     paths, vectors = zip(*leaf_vectors(tree))
     return metrology.Povm(vectors=np.stack(vectors), labels=list(paths))
 
@@ -294,8 +296,11 @@ def tree_to_json(tree: MeasurementTree) -> dict:
 
 def tree_from_json(doc: dict) -> MeasurementTree:
     """Tree of a JSON document; every node at depth t must measure order[t]."""
-    layout = HilbertLayout(tuple(doc["layout"]))
-    order = _check_order(layout, doc["order"])
+    try:        # a document, layout or order of the wrong JSON type
+        layout = HilbertLayout(tuple(doc["layout"]))
+        order = _check_order(layout, doc["order"])
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"tree layout and order must be lists of integers ({exc})") from None
     nodes, levels = [doc["node"]], []
     for depth, sub in enumerate(order):
         d, last = layout.dims[sub], depth == layout.nsub - 1

@@ -75,6 +75,14 @@ class UnitaryGeneratorFamily:
     def dpsi(self, theta: float) -> np.ndarray:
         return self.psi_dpsi(theta)[1]
 
+    def components(self) -> tuple[np.ndarray, np.ndarray]:
+        """Levels lam (K,) and rows C (K x D), psi(theta) = exp(-i theta lam) @ C: a row c_j v_j
+        per eigenvector v_j of G with c_j = <v_j|psi_in> nonzero (V = I for a diagonal G)."""
+        touched = np.flatnonzero(self._coeffs)
+        vecs = (touched[:, None] == np.arange(self.layout.total) if self._diagonal
+                else self._gen_eigvecs[:, touched].T)
+        return self._gen_eigvals[touched], self._coeffs[touched, None] * vecs
+
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         frame = _frame(self, theta)
         return frame.rho.dense(), frame.drho.dense()

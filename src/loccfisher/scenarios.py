@@ -114,7 +114,14 @@ def _grid(doc) -> np.ndarray:
 
 
 def parse_scenario(doc: dict) -> Scenario:
-    """Build a scenario from its JSON document."""
+    """Build a scenario from its JSON document; an entry of the wrong JSON type is a ValueError."""
+    try:
+        return _scenario_of(doc)
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"scenario document has an entry of the wrong JSON type ({exc})") from None
+
+
+def _scenario_of(doc: dict) -> Scenario:
     name = doc.get("name", "scenario")
     layout = HilbertLayout(tuple(int(d) for d in doc["layout"]))
     kind = doc["type"]
@@ -156,8 +163,8 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def _ghz_doc(n: int) -> dict:
-    if not 2 <= n <= 8:
-        raise ValueError("ghz scenarios cover 2 to 8 qubits")
+    if not 2 <= n <= 16:
+        raise ValueError("ghz scenarios cover 2 to 16 qubits")
     psi_in = np.zeros(2 ** n, dtype=complex)
     psi_in[0] = psi_in[-1] = 1 / np.sqrt(2)
     terms = [{"coeff": 0.5, "string": "".join("Z" if i == j else "I" for i in range(n))}
@@ -168,7 +175,8 @@ def _ghz_doc(n: int) -> dict:
         "layout": [2] * n,
         "psi_in": complex_to_pairs(psi_in),
         "hamiltonian": {"pauli": terms},
-        "theta_grid": {"start": 0.0, "stop": np.pi / 4, "points": 32},
+        # the law of a tree synthesized at theta repeats at theta +- pi/n
+        "theta_grid": {"start": 0.0, "stop": min(np.pi / 4, np.pi / n), "points": 32},
         "notes": f"{n}-qubit GHZ phase estimation; qfi = n^2 at every theta",
     }
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import locc, metrology
-from .tensor import FLAT_REL, MLE_WIDTH, PRIOR_EDGE_REL
+from .tensor import FLAT_REL, MLE_WIDTH, PRIOR_EDGE_REL, KetBraSum
 
 LOG_FLOOR = 1e-300
 LAW_DECIMALS = 15   # decimals an outcome law keeps for drawing, far above rounding noise
@@ -92,39 +92,44 @@ def _trial_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _path_prob_fn(family: metrology.StateFamily,
-                  vecs: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Outcome distribution theta -> probabilities over the rows of ``vecs``."""
-    if family.state_type == "pure":
+                  tree: locc.MeasurementTree) -> Callable[[float], np.ndarray]:
+    """Outcome law theta -> leaf probabilities, from ``tree.amplitudes`` of fixed rows (the K
+    unitary components, O(L K) per theta; psi0 and psi1) or of psi(theta) and rho(theta)."""
+    if isinstance(family, metrology.UnitaryGeneratorFamily):
+        levels, rows = family.components()
+        amps = tree.amplitudes(rows)
+
         def probs(theta: float) -> np.ndarray:
-            return np.abs(vecs @ np.conj(family.psi(theta))) ** 2
+            return np.abs(amps @ np.exp(-1j * theta * levels)) ** 2
+    elif family.state_type == "pure":
+        def probs(theta: float) -> np.ndarray:
+            return np.abs(tree.amplitudes(family.psi(theta))) ** 2
     elif family.state_type == "rank-two":
-        o0 = np.abs(vecs @ np.conj(family.psi0)) ** 2
-        o1 = np.abs(vecs @ np.conj(family.psi1)) ** 2
+        o0, o1 = (np.abs(tree.amplitudes(np.stack([family.psi0, family.psi1]))) ** 2).T
 
         def probs(theta: float) -> np.ndarray:
             p = family.p(theta)
             return p * o0 + (1 - p) * o1
     else:
         def probs(theta: float) -> np.ndarray:
-            rho = family.rho(theta)
-            return np.real(np.einsum("xi,ij,xj->x", vecs.conj(), rho, vecs))
+            return metrology._sandwich(tree, KetBraSum.from_dense(family.rho(theta))).real
     return probs
 
 
 class _OutcomeLaw:
     """One tree's outcome law for one family, tabulated on the prior grid.
 
-    ``log_table[e, g]`` is log(max(P_e(grid[g]), LOG_FLOOR)), each column
-    filled by the per-theta law, so every family check runs at every grid
-    point. ``run_trials`` builds it once per tree and passes it where a tree
-    is expected (``mle``'s ``tree``, ``two_step``'s ``config.tree``).
+    ``paths`` run in ``tree.amplitudes`` row order and ``prob_fn`` reads leaf
+    amplitudes, never leaf vectors. ``log_table[e, g]`` is log(max(P_e(grid[g]),
+    LOG_FLOOR)), each column filled by ``prob_fn``, so every family check runs at
+    every grid point. ``run_trials`` builds it once per tree and passes it where
+    a tree is expected (``mle``'s ``tree``, ``two_step``'s ``config.tree``).
     """
 
     def __init__(self, family: metrology.StateFamily, tree: locc.MeasurementTree,
                  prior: tuple[float, float]):
-        paths, vecs = zip(*locc.leaf_vectors(tree))
-        self.paths = list(paths)
-        self.prob_fn = _path_prob_fn(family, np.stack(vecs))
+        self.paths = list(np.ndindex(*(tree.layout.dims[k] for k in tree.order)))
+        self.prob_fn = _path_prob_fn(family, tree)
         self.grid = np.linspace(prior[0], prior[1], GRID_POINTS)
         self.log_table = np.log(np.clip(
             np.stack([self.prob_fn(t) for t in self.grid], axis=1), LOG_FLOOR, None))
@@ -144,9 +149,8 @@ class _OutcomeLaw:
 def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
                       theta: float) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Outcome paths and their probabilities at theta."""
-    paths, vecs = zip(*locc.leaf_vectors(tree))
-    probs = np.clip(_path_prob_fn(family, np.stack(vecs))(theta), 0.0, None)
-    return list(paths), probs / probs.sum()
+    probs = np.clip(_path_prob_fn(family, tree)(theta), 0.0, None)
+    return list(np.ndindex(*(tree.layout.dims[k] for k in tree.order))), probs / probs.sum()
 
 
 def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
@@ -171,10 +175,9 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     lo, hi = prior
     grid = law.grid
     values = count_vec @ law.log_table
-    spread = values.max() - values.min()
-    if spread < FLAT_REL * (abs(values.max()) + 1.0):
-        raise DegenerateLikelihoodError("likelihood is flat on the prior interval")
     peak = values.max()
+    if peak - values.min() < FLAT_REL * (abs(peak) + 1.0):
+        raise DegenerateLikelihoodError("likelihood is flat on the prior interval")
     ties = np.flatnonzero(values >= peak)
     mid = 0.5 * (lo + hi)
     best = int(ties[np.argmin(np.abs(grid[ties] - mid))])
@@ -197,18 +200,17 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
 
 def _draw_counts(law: _OutcomeLaw, theta: float, shots: int,
                  rng: np.random.Generator) -> dict[tuple[int, ...], int]:
-    # Multinomial over the flattened outcome law; equal in distribution to
+    # Multinomial over the leaves' outcome law; equal in distribution to
     # drawing each shot's path node by node through the tree, and far cheaper.
     draws = rng.multinomial(shots, law.distribution(theta))
     return {p: int(n) for p, n in zip(law.paths, draws) if n > 0}
 
 
-def _synthesize_at(family: metrology.StateFamily, theta: float,
-                   layout) -> locc.MeasurementTree:
+def _synthesize_at(family: metrology.StateFamily, theta: float) -> locc.MeasurementTree:
     target = metrology.saturation_matrices(family, theta).target
     if target is None:
         raise ValueError("family has no rank-one synthesis target")
-    return locc.synthesize_tree(target, layout)
+    return locc.synthesize_tree(target, family.layout)
 
 
 def _reference_law(config: SimConfig) -> _OutcomeLaw:
@@ -216,8 +218,7 @@ def _reference_law(config: SimConfig) -> _OutcomeLaw:
     if isinstance(config.tree, _OutcomeLaw):
         return config.tree
     lo, hi = config.prior
-    tree = config.tree or _synthesize_at(config.family, 0.5 * (lo + hi),
-                                         config.family.layout)
+    tree = config.tree or _synthesize_at(config.family, 0.5 * (lo + hi))
     return _OutcomeLaw(config.family, tree, config.prior)
 
 
@@ -239,7 +240,7 @@ def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float
     rough = mle(counts, family, ref, prior)
     pad = PRIOR_EDGE_REL * (hi - lo)
     rough = float(np.clip(rough, lo + pad, hi - pad))
-    main = _OutcomeLaw(family, _synthesize_at(family, rough, family.layout), prior)
+    main = _OutcomeLaw(family, _synthesize_at(family, rough), prior)
     counts = _draw_counts(main, config.theta_true, config.shots - n_rough, rng)
     return mle(counts, family, main, prior)
 
@@ -257,8 +258,7 @@ def run_trials(config: SimConfig) -> SimReport:
     # One outcome law per tree and run: the fixed tree's, or the two-step
     # reference tree's, which every trial reaches through config.tree.
     if config.strategy == "fixed":
-        law = _OutcomeLaw(family, config.tree or _synthesize_at(
-            family, config.theta_true, family.layout), prior)
+        law = _OutcomeLaw(family, config.tree or _synthesize_at(family, config.theta_true), prior)
     else:
         trial_config = replace(config, tree=_reference_law(config))
     estimates = []
@@ -276,20 +276,15 @@ def run_trials(config: SimConfig) -> SimReport:
     estimates = np.asarray(estimates)
     edge = PRIOR_EDGE_REL * (hi - lo)
     boundary = int(np.sum((np.abs(estimates - lo) < edge) | (np.abs(estimates - hi) < edge)))
+    variance, ci = float("nan"), (float("nan"), float("nan"))
     if estimates.size >= 2:
         variance = float(np.var(estimates, ddof=1))
-    else:
-        variance = float("nan")
-    ratio = config.shots * j * variance
-
-    if estimates.size >= 2:
         # one draw of all resamples: the same stream as drawing them one by one
         idx = _trial_rng(config.seed, config.trials).integers(
             0, estimates.size, (1000, estimates.size))
         ratios = config.shots * j * np.var(estimates[idx], axis=1, ddof=1)
         ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
-    else:
-        ci = (float("nan"), float("nan"))
+    ratio = config.shots * j * variance
 
     return SimReport(theta_true=config.theta_true, shots=config.shots,
                      trials=config.trials, qfi=j, estimates=estimates,

@@ -322,6 +322,6 @@ def complex_to_pairs(a: np.ndarray) -> list:
 def pairs_to_complex(data) -> np.ndarray:
     """Decode the nested [re, im] pair representation back to a complex array."""
     arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError("expected trailing [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loccfisher import UnitaryGeneratorFamily
+from loccfisher import UnitaryGeneratorFamily, locc
 from loccfisher.tensor import HilbertLayout, kron
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,3 +52,12 @@ def ghz_family(n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def no_leaf_vectors(monkeypatch):
+    """Fail the test if it builds leaf vectors (``locc.leaf_vectors`` or ``locc.flatten``)."""
+    def refuse(*_):
+        raise AssertionError("a leaf vector was built")
+    monkeypatch.setattr(locc, "leaf_vectors", refuse)
+    monkeypatch.setattr(locc, "flatten", refuse)

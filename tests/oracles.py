@@ -210,36 +210,43 @@ def central_jacobian(fun, x, h=1e-6):
     return np.stack(cols, axis=1)
 
 
-def sample_path(tree, rho, rng):
-    """One outcome path of the per-shot one-way LOCC protocol.
+def sample_paths(tree, rho, shots, rng):
+    """``shots`` outcome paths of the one-way LOCC protocol, a (shots, n) array.
 
-    Each node measures its subsystem on the state conditioned on the outcomes
-    so far: the subsystem's reduced density matrix is an explicit partial
-    trace of the reshaped tensor, and the conditioned state contracts the
-    observed basis vector on that subsystem. The joint law of the path is
-    Tr(rho E_path), the law of the flattened measurement.
+    Each depth groups the shots by the node they reached. A node measures its
+    subsystem on the state conditioned on its outcome path: the subsystem's
+    reduced density matrix is an explicit partial trace of the conditioned
+    state's reshaped tensor, its outcome law is computed once, and all of the
+    node's outcomes are drawn together; each child's conditioned state
+    contracts the observed basis vector on that subsystem. The joint law of a
+    path is Tr(rho E_path), the law of the flattened measurement.
     """
     dims = list(tree.layout.dims)
     ids = list(range(len(dims)))          # layout indices of the subsystems left
-    t = np.asarray(rho, dtype=complex).reshape(dims * 2)
-    node, path = 0, []
-    for sub, bases in zip(tree.order, tree.bases):
+    states = {0: np.asarray(rho, dtype=complex).reshape(dims * 2)}   # node -> state
+    node = np.zeros(shots, dtype=int)
+    paths = np.zeros((shots, len(dims)), dtype=int)
+    for depth, (sub, bases) in enumerate(zip(tree.order, tree.bases)):
         k, n, d = ids.index(sub), len(ids), dims[sub]
         rest = int(np.prod([dims[i] for i in ids if i != sub]))
-        # axes (row k, column k, rows of the rest, columns of the rest)
-        blocks = np.moveaxis(t, (k, n + k), (0, 1)).reshape(d, d, rest, rest)
-        reduced = np.einsum("abrr->ab", blocks)
-        basis = bases[node]
-        probs = np.real(np.einsum("ax,ab,bx->x", basis.conj(), reduced, basis))
-        probs = np.clip(probs, 0.0, None)
-        x = int(rng.choice(d, p=probs / probs.sum()))
-        path.append(x)
-        v = basis[:, x]
         ids.remove(sub)
-        t = (np.einsum("a,abrs,b->rs", v.conj(), blocks, v) / probs[x]).reshape(
-            [dims[i] for i in ids] * 2)
-        node = node * d + x       # the child measured after outcome x
-    return tuple(path)
+        children = {}
+        for p in np.unique(node):
+            # axes (row k, column k, rows of the rest, columns of the rest)
+            blocks = np.moveaxis(states[p], (k, n + k), (0, 1)).reshape(d, d, rest, rest)
+            reduced = np.einsum("abrr->ab", blocks)
+            basis = bases[p]
+            probs = np.real(np.einsum("ax,ab,bx->x", basis.conj(), reduced, basis))
+            probs = np.clip(probs, 0.0, None)
+            at = np.flatnonzero(node == p)
+            paths[at, depth] = rng.choice(d, size=at.size, p=probs / probs.sum())
+            for x in np.unique(paths[at, depth]):
+                v = basis[:, x]
+                children[p * d + x] = (np.einsum("a,abrs,b->rs", v.conj(), blocks, v)
+                                       / probs[x]).reshape([dims[i] for i in ids] * 2)
+        node = node * d + paths[:, depth]     # the child measured after outcome x
+        states = children
+    return paths
 
 
 def closed_form_2x2(h1, h2, tiny=1e-12):

@@ -18,16 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccfisher import (MixedGenericFamily, Povm, UnitaryGeneratorFamily,
-                        check_saturation, discriminate, flatten, leaf_vectors, qfi,
-                        saturation_matrices, sld, synthesize_tree, verify_tree)
+from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily, UnitaryGeneratorFamily,
+                        check_saturation, discriminate, flatten, leaf_distribution,
+                        leaf_vectors, qfi, saturation_matrices, sld, synthesize_tree,
+                        verify_tree)
 from loccfisher.locc import LEAF_TOL
 from loccfisher.metrology import _frame
 from loccfisher.scenarios import builtin_scenario
+from loccfisher.simulate import _OutcomeLaw, _path_prob_fn
 from loccfisher.tensor import HilbertLayout
 
-from conftest import random_hermitian, random_pure_family, random_state
-from oracles import dense_saturation, dense_target
+from conftest import random_density, random_hermitian, random_pure_family, random_state
+from oracles import dense_saturation, dense_target, leaf_vectors_kron
 from test_locc import random_tree
 from test_oracle_crosscheck import assert_matches_oracle, random_rank_two_family
 
@@ -280,3 +282,56 @@ def test_generic_mixed_check_matches_the_dense_oracle(case):
     # field meets the oracle at the bounds of assert_matches_oracle
     family, theta, povm = case
     assert_matches_oracle(povm, family, theta)
+
+
+def random_numeric_family(dims, rng):
+    """PureNumericFamily whose evaluator is a random dense-generator family's psi."""
+    family = random_pure_family(dims, rng)
+    return PureNumericFamily(family.layout, family.psi)
+
+
+def random_mixed_family(dims, rng):
+    """Generic mixed family theta rho1 + (1 - theta) rho2, as the Bell mixture is built."""
+    layout = HilbertLayout(dims)
+    rho1, rho2 = random_density(layout.total, rng), random_density(layout.total, rng)
+    return MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2)
+
+
+def assert_law_matches_leaf_vectors(family, tree, thetas):
+    """The amplitude law against <e|rho|e> over the oracle's kron-built leaf vectors."""
+    leaves = leaf_vectors_kron(tree)
+    vectors = np.stack([vec for _, vec in leaves])
+    prob_fn = _path_prob_fn(family, tree)
+    for theta in thetas:
+        rho = family.rho_drho(theta)[0]
+        want = np.einsum("ea,ab,eb->e", vectors.conj(), rho, vectors).real
+        assert np.abs(prob_fn(theta) - want).max() <= 1e-12
+        paths, probs = leaf_distribution(family, tree, theta)
+        assert paths == [path for path, _ in leaves]
+        assert np.abs(probs - want / want.sum()).max() <= 1e-12
+    assert _OutcomeLaw(family, tree, (0.1, 0.9)).paths == paths
+
+
+@PROPERTY
+@given(dims=layouts(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       make=st.sampled_from([random_pure_family, random_diagonal_family,
+                             random_numeric_family, random_rank_two_family,
+                             random_mixed_family]))
+def test_outcome_law_from_amplitudes_matches_leaf_vectors(dims, data, seed, make):
+    rng = np.random.default_rng(seed)
+    family = make(dims, rng)
+    tree = random_tree(dims, data.draw(st.permutations(range(len(dims)))), rng)
+    assert_law_matches_leaf_vectors(family, tree, data.draw(
+        st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3)))
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("tree_from", ["random", "ranktwo", "ghz2"])
+def test_bell_mixture_law_from_amplitudes_matches_leaf_vectors(order, tree_from):
+    bellmix = builtin_scenario("bellmix").family
+    if tree_from == "random":
+        tree = random_tree((2, 2), order, np.random.default_rng(list(order)))
+    else:
+        family = builtin_scenario(tree_from).family
+        tree = synthesize_tree(saturation_matrices(family, 0.3).target, family.layout, order)
+    assert_law_matches_leaf_vectors(bellmix, tree, (0.1, 0.5, 0.9))

@@ -10,7 +10,7 @@ from loccfisher import (check_saturation, eval_state, flatten, qfi, saturation_m
 from loccfisher import cli
 from loccfisher.cli import build_parser, cli_main
 from loccfisher.locc import leaf_vectors, tree_from_json, tree_to_json
-from loccfisher.scenarios import (PauliStringTerm, bell_states, builtin_names,
+from loccfisher.scenarios import (PauliStringTerm, _ghz_doc, bell_states, builtin_names,
                                   builtin_scenario, hamiltonian_from_pauli,
                                   parse_scenario, pauli_diagonal, pauli_term_matrix)
 from loccfisher.tensor import HilbertLayout, complex_to_pairs, kron
@@ -82,10 +82,12 @@ class TestBuiltins:
         assert np.abs(res.L - want).max() < 1e-9
 
     def test_ghz_range(self):
-        with pytest.raises(ValueError):
-            builtin_scenario("ghz9")
+        # any ghzN with 2 <= N <= 16 parses; builtin_names lists 2 to 8
+        assert builtin_scenario("ghz9").family.layout.nsub == 9
         with pytest.raises(ValueError):
             builtin_scenario("ghz1")
+        with pytest.raises(ValueError):
+            builtin_scenario("ghz17")
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -237,6 +239,27 @@ class TestCliCore:
         doc = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert doc["variance"] is None and doc["ratio"] is None
         assert doc["ci95"] == [None, None]
+
+    def test_simulate_ghz7_default_prior_holds_one_maximum(self, capsys):
+        # the law of a tree synthesized at theta repeats at theta +- pi/7; a
+        # [0, pi/4] prior also held the alias 0.3 + pi/7 and gave ratio 2.6e5
+        assert builtin_scenario("ghz7").theta_grid[-1] == np.pi / 7
+        assert cli_main(["simulate", "ghz7", "--theta", "0.3", "--shots", "100000",
+                         "--trials", "20", "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert 0.5 < doc["ratio"] < 2.0 and doc["boundary_hits"] == 0
+
+    def test_no_command_builds_leaf_vectors(self, tmp_path, capsys, no_leaf_vectors):
+        tree = str(tmp_path / "tree.json")
+        for argv in (["scenario", "list"], ["qfi", "ghz3"],
+                     ["synthesize", "ghz3", "--theta", "0.3", "--out", tree],
+                     ["verify", "ghz3", "--tree", tree, "--theta", "0.3"],
+                     ["simulate", "ghz3", "--shots", "400", "--trials", "2"],
+                     ["simulate", "ranktwo", "--shots", "400", "--trials", "2", "--two-step"],
+                     ["lm-check", "lm2x2"], ["export-bloch", "--tree", tree],
+                     ["export-bloch", "chain4", "--grid-points", "2"]):
+            assert cli_main(argv) == 0, argv
+        capsys.readouterr()
 
     def test_scenario_file_ingestion(self, tmp_path, capsys):
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -442,6 +465,33 @@ class TestCliErrors:
         err = json.loads(captured.err)
         assert err["kind"] == "validation" and "not a positive integer" in err["error"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, edit", [
+        ("verify", lambda d: {**d, "order": [None, 1]}),
+        ("verify", lambda d: {**d, "order": 5}),
+        ("verify", lambda d: {**d, "layout": 5}),
+        ("verify", lambda d: {**d, "layout": [None, 2]}),
+        ("verify", lambda d: [d]),
+        ("verify", lambda d: None),
+        ("qfi", lambda d: {**d, "layout": 5}),
+        ("qfi", lambda d: [d]),
+        ("qfi", lambda d: "ghz2"),
+        ("qfi", lambda d: {**d, "hamiltonian": 5}),
+        ("qfi", lambda d: {**d, "hamiltonian": {"pauli": [5]}}),
+        ("qfi", lambda d: {**d, "psi_in": 5}),
+        ("qfi", lambda d: {**d, "theta_grid": {"start": None, "stop": 1.0}})])
+    def test_document_of_the_wrong_json_shape_exit_1(self, tmp_path, capsys, command, edit):
+        # a tree (verify) or scenario (qfi) document whose entries have the wrong JSON type
+        tree = tmp_path / "tree.json"
+        assert cli_main(["synthesize", "ghz2", "--theta", "0.3", "--out", str(tree)]) == 0
+        doc = json.loads(tree.read_text()) if command == "verify" else _ghz_doc(2)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(edit(doc)))
+        capsys.readouterr()
+        argv = ["verify", "ghz2", "--tree"] if command == "verify" else ["qfi"]
+        assert cli_main([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["kind"] == "validation" and captured.out == ""
 
     @pytest.mark.parametrize("grid", [{"start": 0.0, "stop": 1.0, "points": 0}, [],
                                       [[0.1, 0.2]], 0.3, [0.1, float("nan")]])

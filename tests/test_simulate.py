@@ -14,7 +14,7 @@ from loccfisher.simulate import _trial_rng
 from loccfisher.tensor import HilbertLayout
 
 from conftest import ghz_family
-from oracles import sample_path
+from oracles import sample_paths
 
 
 def synth(family, theta):
@@ -45,21 +45,16 @@ class TestSamplePath:
         tree = product_tree(basis)
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        rng = _trial_rng(1, 0)
-        for _ in range(20):
-            assert sample_path(tree, rho, rng) == (0, 0)
+        assert not sample_paths(tree, rho, 20, _trial_rng(1, 0)).any()
 
     def test_product_state_independent_marginals(self):
         plus = np.array([1, 1], complex) / np.sqrt(2)
         rho = np.outer(np.kron(plus, plus), np.kron(plus, plus).conj())
         basis = np.eye(2, dtype=complex)
         tree = product_tree(basis)
-        rng = _trial_rng(2, 0)
         counts = np.zeros((2, 2))
         n = 4000
-        for _ in range(n):
-            x, y = sample_path(tree, rho, rng)
-            counts[x, y] += 1
+        np.add.at(counts, tuple(sample_paths(tree, rho, n, _trial_rng(2, 0)).T), 1)
         # all four joint outcomes near 1/4
         assert np.abs(counts / n - 0.25).max() < 0.05
 
@@ -73,10 +68,9 @@ class TestSamplePath:
         paths, probs = leaf_distribution(fam, tree, th)
         index = {p: i for i, p in enumerate(paths)}
         n = 100_000
-        rng = _trial_rng(3, 0)
         walk_counts = np.zeros(len(paths))
-        for _ in range(n):
-            walk_counts[index[sample_path(tree, rho, rng)]] += 1
+        for path in sample_paths(tree, rho, n, _trial_rng(3, 0)):
+            walk_counts[index[tuple(path)]] += 1
         flat_counts = _trial_rng(3, 1).multinomial(n, probs)
         keep = (walk_counts + flat_counts) > 0
         _, p_value, _, _ = stats.chi2_contingency(
@@ -111,6 +105,24 @@ class TestLeafDistribution:
         _, probs = leaf_distribution(counted, tree, 0.3)
         assert calls == [0.3]
         assert np.array_equal(probs, leaf_distribution(bellmix, tree, 0.3)[1])
+
+
+class TestLawReadsAmplitudes:
+    @pytest.mark.parametrize("strategy", ["fixed", "two-step"])
+    @pytest.mark.parametrize("name", ["ghz3", "ranktwo"])
+    def test_run_trials(self, no_leaf_vectors, strategy, name):
+        fam = builtin_scenario(name).family
+        rep = run_trials(SimConfig(family=fam, theta_true=0.4, shots=400, trials=3,
+                                   seed=1, prior=(0.2, 0.7), strategy=strategy))
+        assert rep.estimates.size == 3
+
+    @pytest.mark.parametrize("name", ["ghz3", "ranktwo", "bellmix"])
+    def test_mle_and_leaf_distribution(self, no_leaf_vectors, name):
+        fam = builtin_scenario(name).family
+        tree = synth(builtin_scenario("ranktwo" if name == "bellmix" else name).family, 0.4)
+        paths, probs = leaf_distribution(fam, tree, 0.4)
+        counts = dict(zip(paths, _trial_rng(1, 0).multinomial(10_000, probs)))
+        assert 0.2 <= mle(counts, fam, tree, (0.2, 0.7)) <= 0.7
 
 
 class TestMle:
