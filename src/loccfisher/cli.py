@@ -23,7 +23,8 @@ from .zerodiag import ZeroDiagConvergenceError
 def _load_scenario(arg: str) -> scenarios.Scenario:
     path = Path(arg)
     if path.suffix == ".json" or path.exists():
-        return scenarios.parse_scenario(json.loads(path.read_text()))
+        with open(path) as fh:
+            return scenarios.parse_scenario(json.load(fh))
     return scenarios.builtin_scenario(arg)
 
 
@@ -60,8 +61,13 @@ def _order_arg(value: str | None):
 
 
 def _cmd_scenario(args) -> int:
-    _emit({"scenarios": [{"name": name, "notes": scenarios.builtin_scenario(name).notes}
-                         for name in scenarios.builtin_names()]})
+    if args.action != "list":
+        raise ValueError(f"unknown scenario action {args.action!r}")
+    entries = []
+    for name in scenarios.builtin_names():
+        sc = scenarios.builtin_scenario(name)
+        entries.append({"name": name, "notes": sc.notes})
+    _emit({"scenarios": entries})
     return 0
 
 
@@ -95,7 +101,8 @@ def _cmd_synthesize(args) -> int:
 def _cmd_verify(args) -> int:
     sc = _load_scenario(args.scenario)
     theta = args.theta if args.theta is not None else float(np.median(sc.theta_grid))
-    tree = locc.tree_from_json(json.loads(Path(args.tree).read_text()))
+    with open(args.tree) as fh:
+        tree = locc.tree_from_json(json.load(fh))
     report = locc.verify_tree(tree, sc.family, theta)
     _emit({"scenario": sc.name, "theta": theta, **asdict(report)})
     return 0
@@ -119,8 +126,11 @@ def _coeffs_from_args(args) -> lm.BipartiteCoeffs:
     if args.a_mat or args.b_mat:
         if not (args.a_mat and args.b_mat):
             raise ValueError("--a-mat and --b-mat must be given together")
-        return lm.BipartiteCoeffs(*(pairs_to_complex(json.loads(Path(f).read_text()))
-                                    for f in (args.a_mat, args.b_mat)))
+        with open(args.a_mat) as fh:
+            a = pairs_to_complex(json.load(fh))
+        with open(args.b_mat) as fh:
+            b = pairs_to_complex(json.load(fh))
+        return lm.BipartiteCoeffs(a, b)
     if not args.scenario:
         raise ValueError("give a scenario or --a-mat/--b-mat")
     sc = _load_scenario(args.scenario)
@@ -158,7 +168,8 @@ def _cmd_lm_check(args) -> int:
 def _cmd_export_bloch(args) -> int:
     rows = []
     if args.tree:
-        tree = locc.tree_from_json(json.loads(Path(args.tree).read_text()))
+        with open(args.tree) as fh:
+            tree = locc.tree_from_json(json.load(fh))
         rows.extend(locc.bloch_rows(tree, args.theta if args.theta is not None else 0.0))
     else:
         if not args.scenario:

@@ -203,13 +203,11 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
 
 
 def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """All (outcome path, product vector) pairs, vectors in layout order.
+    """All (outcome path, product vector) pairs, vectors in layout order (a reference helper).
 
-    A reference helper of O(L D) memory; the package reads leaves only through
-    ``MeasurementTree.amplitudes``. Built one depth at a time: one broadcast
-    product extends all prefixes at once. The factors multiply in measurement
-    order; for the identity order that is the left fold of ``kron`` over the
-    layout, entry for entry.
+    Built one depth at a time: one broadcast product extends all prefixes at
+    once. The factors multiply in measurement order; for the identity order
+    that is the left fold of ``kron`` over the layout, entry for entry.
     """
     order = tree.order
     paths: list[tuple[int, ...]] = [()]

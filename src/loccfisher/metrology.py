@@ -75,13 +75,20 @@ class UnitaryGeneratorFamily:
     def dpsi(self, theta: float) -> np.ndarray:
         return self.psi_dpsi(theta)[1]
 
-    def components(self) -> tuple[np.ndarray, np.ndarray]:
-        """Levels lam (K,) and rows C (K x D), psi(theta) = exp(-i theta lam) @ C: a row c_j v_j
-        per eigenvector v_j of G with c_j = <v_j|psi_in> nonzero (V = I for a diagonal G)."""
+    def components(self, max_rows: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Levels lam (K,) and rows C (K x D) with psi(theta) = exp(-i theta lam) @ C.
+
+        Row k is psi_in projected onto the generator eigenvectors of level lam_k
+        (equal eigenvalues, bit for bit), one row per level psi_in touches; None
+        when psi_in touches more than ``max_rows`` levels. Built on call only.
+        """
         touched = np.flatnonzero(self._coeffs)
-        vecs = (touched[:, None] == np.arange(self.layout.total) if self._diagonal
-                else self._gen_eigvecs[:, touched].T)
-        return self._gen_eigvals[touched], self._coeffs[touched, None] * vecs
+        levels, level_of = np.unique(self._gen_eigvals[touched], return_inverse=True)
+        if levels.size > max_rows:
+            return None
+        weights = np.zeros((levels.size, self.layout.total), dtype=complex)
+        weights[level_of, touched] = self._coeffs[touched]
+        return levels, weights if self._diagonal else weights @ self._gen_eigvecs.T
 
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         frame = _frame(self, theta)

@@ -9,6 +9,7 @@ be given as weighted Pauli strings; qudit generators as dense matrices.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,40 +114,43 @@ def _grid(doc) -> np.ndarray:
     return grid
 
 
-def parse_scenario(doc: dict) -> Scenario:
-    """Build a scenario from its JSON document; an entry of the wrong JSON type is a ValueError."""
+@contextmanager
+def _json_types():
+    """Report a TypeError or AttributeError of reading document entries as a ValueError."""
     try:
-        return _scenario_of(doc)
+        yield
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"scenario document has an entry of the wrong JSON type ({exc})") from None
 
 
-def _scenario_of(doc: dict) -> Scenario:
-    name = doc.get("name", "scenario")
-    layout = HilbertLayout(tuple(int(d) for d in doc["layout"]))
-    kind = doc["type"]
+def parse_scenario(doc: dict) -> Scenario:
+    """Build a scenario from its JSON document; an entry of the wrong JSON type is a ValueError."""
+    with _json_types():
+        name, kind = doc.get("name", "scenario"), doc["type"]
+        layout = HilbertLayout(tuple(int(d) for d in doc["layout"]))
     if kind == "unitary-generator":
-        psi_in = pairs_to_complex(doc["psi_in"])
-        ham = doc["hamiltonian"]
-        if "pauli" in ham:
-            terms = [PauliStringTerm(float(t["coeff"]), str(t["string"]))
-                     for t in ham["pauli"]]
+        with _json_types():
+            psi_in, ham = pairs_to_complex(doc["psi_in"]), doc["hamiltonian"]
+            terms = ([PauliStringTerm(float(t["coeff"]), str(t["string"]))
+                      for t in ham["pauli"]] if "pauli" in ham else None)
+            dense = pairs_to_complex(ham["dense"]) if terms is None and "dense" in ham else None
+        if terms is not None:
             # an I/Z sum is kept as its diagonal and never becomes a matrix
             gen = (pauli_diagonal if _is_diagonal(terms) else hamiltonian_from_pauli)(
                 terms, layout)
-        elif "dense" in ham:
-            gen = pairs_to_complex(ham["dense"])
+        elif dense is not None:
+            gen = dense
         else:
             raise ValueError("hamiltonian needs a 'pauli' or 'dense' entry")
         family = metrology.UnitaryGeneratorFamily(layout, psi_in, gen)
     elif kind == "rank-two":
-        p_fn, dp_fn = _p_functions(doc["p"])
-        family = metrology.RankTwoFixedBasisFamily(
-            layout, pairs_to_complex(doc["psi0"]), pairs_to_complex(doc["psi1"]),
-            p_fn, dp_fn)
+        with _json_types():
+            p_fn, dp_fn = _p_functions(doc["p"])
+            psi0, psi1 = pairs_to_complex(doc["psi0"]), pairs_to_complex(doc["psi1"])
+        family = metrology.RankTwoFixedBasisFamily(layout, psi0, psi1, p_fn, dp_fn)
     elif kind == "mixed":
-        rho1 = pairs_to_complex(doc["rho1"])
-        rho2 = pairs_to_complex(doc["rho2"])
+        with _json_types():
+            rho1, rho2 = pairs_to_complex(doc["rho1"]), pairs_to_complex(doc["rho2"])
 
         def rho_fn(t: float, rho1=rho1, rho2=rho2) -> np.ndarray:
             return t * rho1 + (1 - t) * rho2
@@ -154,7 +158,9 @@ def _scenario_of(doc: dict) -> Scenario:
         family = metrology.MixedGenericFamily(layout, rho_fn)
     else:
         raise ValueError(f"unknown scenario type {kind!r}")
-    return Scenario(name=name, family=family, theta_grid=_grid(doc["theta_grid"]),
+    with _json_types():
+        grid = _grid(doc["theta_grid"])
+    return Scenario(name=name, family=family, theta_grid=grid,
                     notes=doc.get("notes", ""), doc=doc)
 
 

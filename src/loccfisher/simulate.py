@@ -16,11 +16,12 @@ from typing import Callable
 import numpy as np
 
 from . import locc, metrology
-from .tensor import FLAT_REL, MLE_WIDTH, PRIOR_EDGE_REL, KetBraSum
+from .tensor import FLAT_REL, MLE_WIDTH, PRIOR_EDGE_REL
 
 LOG_FLOOR = 1e-300
 LAW_DECIMALS = 15   # decimals an outcome law keeps for drawing, far above rounding noise
 GRID_POINTS = 512
+SMALL_LAW = 2 ** 16   # K * D up to which a unitary family is always read through its components
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -93,11 +94,20 @@ def _trial_rng(seed: int, stream: int) -> np.random.Generator:
 
 def _path_prob_fn(family: metrology.StateFamily,
                   tree: locc.MeasurementTree) -> Callable[[float], np.ndarray]:
-    """Outcome law theta -> leaf probabilities, from ``tree.amplitudes`` of fixed rows (the K
-    unitary components, O(L K) per theta; psi0 and psi1) or of psi(theta) and rho(theta)."""
-    if isinstance(family, metrology.UnitaryGeneratorFamily):
-        levels, rows = family.components()
-        amps = tree.amplitudes(rows)
+    """Outcome law theta -> leaf probabilities, read through ``tree.amplitudes``.
+
+    A unitary family whose psi_in touches K generator levels is read through
+    its components C: their amplitudes are taken once and each theta costs
+    O(L K). That holds when K <= d_1 + ... + d_n, where this cost meets the
+    O(D (d_1 + ... + d_n)) per theta of the amplitudes of psi(theta), which
+    every other pure family reads, or when K D <= SMALL_LAW, below the fixed
+    overhead of one tree contraction.
+    """
+    cap = max(sum(tree.layout.dims), SMALL_LAW // tree.layout.total)
+    parts = (family.components(cap)
+             if isinstance(family, metrology.UnitaryGeneratorFamily) else None)
+    if parts is not None:
+        levels, amps = parts[0], tree.amplitudes(parts[1])
 
         def probs(theta: float) -> np.ndarray:
             return np.abs(amps @ np.exp(-1j * theta * levels)) ** 2
@@ -111,8 +121,11 @@ def _path_prob_fn(family: metrology.StateFamily,
             p = family.p(theta)
             return p * o0 + (1 - p) * o1
     else:
+        amps = tree.amplitudes(np.eye(tree.layout.total))   # <e|i>, fixed per tree
+
         def probs(theta: float) -> np.ndarray:
-            return metrology._sandwich(tree, KetBraSum.from_dense(family.rho(theta))).real
+            rho = family.rho(theta)
+            return np.sum(amps * np.conj(amps @ rho.conj().T), axis=1).real
     return probs
 
 
@@ -175,9 +188,10 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     lo, hi = prior
     grid = law.grid
     values = count_vec @ law.log_table
-    peak = values.max()
-    if peak - values.min() < FLAT_REL * (abs(peak) + 1.0):
+    spread = values.max() - values.min()
+    if spread < FLAT_REL * (abs(values.max()) + 1.0):
         raise DegenerateLikelihoodError("likelihood is flat on the prior interval")
+    peak = values.max()
     ties = np.flatnonzero(values >= peak)
     mid = 0.5 * (lo + hi)
     best = int(ties[np.argmin(np.abs(grid[ties] - mid))])
@@ -206,11 +220,12 @@ def _draw_counts(law: _OutcomeLaw, theta: float, shots: int,
     return {p: int(n) for p, n in zip(law.paths, draws) if n > 0}
 
 
-def _synthesize_at(family: metrology.StateFamily, theta: float) -> locc.MeasurementTree:
+def _synthesize_at(family: metrology.StateFamily, theta: float,
+                   layout) -> locc.MeasurementTree:
     target = metrology.saturation_matrices(family, theta).target
     if target is None:
         raise ValueError("family has no rank-one synthesis target")
-    return locc.synthesize_tree(target, family.layout)
+    return locc.synthesize_tree(target, layout)
 
 
 def _reference_law(config: SimConfig) -> _OutcomeLaw:
@@ -218,7 +233,8 @@ def _reference_law(config: SimConfig) -> _OutcomeLaw:
     if isinstance(config.tree, _OutcomeLaw):
         return config.tree
     lo, hi = config.prior
-    tree = config.tree or _synthesize_at(config.family, 0.5 * (lo + hi))
+    tree = config.tree or _synthesize_at(config.family, 0.5 * (lo + hi),
+                                         config.family.layout)
     return _OutcomeLaw(config.family, tree, config.prior)
 
 
@@ -240,7 +256,7 @@ def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float
     rough = mle(counts, family, ref, prior)
     pad = PRIOR_EDGE_REL * (hi - lo)
     rough = float(np.clip(rough, lo + pad, hi - pad))
-    main = _OutcomeLaw(family, _synthesize_at(family, rough), prior)
+    main = _OutcomeLaw(family, _synthesize_at(family, rough, family.layout), prior)
     counts = _draw_counts(main, config.theta_true, config.shots - n_rough, rng)
     return mle(counts, family, main, prior)
 
@@ -258,7 +274,8 @@ def run_trials(config: SimConfig) -> SimReport:
     # One outcome law per tree and run: the fixed tree's, or the two-step
     # reference tree's, which every trial reaches through config.tree.
     if config.strategy == "fixed":
-        law = _OutcomeLaw(family, config.tree or _synthesize_at(family, config.theta_true), prior)
+        law = _OutcomeLaw(family, config.tree or _synthesize_at(
+            family, config.theta_true, family.layout), prior)
     else:
         trial_config = replace(config, tree=_reference_law(config))
     estimates = []
@@ -276,15 +293,20 @@ def run_trials(config: SimConfig) -> SimReport:
     estimates = np.asarray(estimates)
     edge = PRIOR_EDGE_REL * (hi - lo)
     boundary = int(np.sum((np.abs(estimates - lo) < edge) | (np.abs(estimates - hi) < edge)))
-    variance, ci = float("nan"), (float("nan"), float("nan"))
     if estimates.size >= 2:
         variance = float(np.var(estimates, ddof=1))
+    else:
+        variance = float("nan")
+    ratio = config.shots * j * variance
+
+    if estimates.size >= 2:
         # one draw of all resamples: the same stream as drawing them one by one
         idx = _trial_rng(config.seed, config.trials).integers(
             0, estimates.size, (1000, estimates.size))
         ratios = config.shots * j * np.var(estimates[idx], axis=1, ddof=1)
         ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
-    ratio = config.shots * j * variance
+    else:
+        ci = (float("nan"), float("nan"))
 
     return SimReport(theta_true=config.theta_true, shots=config.shots,
                      trials=config.trials, qfi=j, estimates=estimates,

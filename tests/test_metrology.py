@@ -131,6 +131,42 @@ class TestSld:
             sld(rho, drho)
 
 
+class TestComponents:
+    """psi(theta) = exp(-i theta lam) @ C, one row per generator level psi_in touches."""
+
+    @staticmethod
+    def assert_spectral_form(fam, levels, rows):
+        for theta in (-0.7, 0.0, 0.3, 2.1):
+            assert np.abs(np.exp(-1j * theta * levels) @ rows - fam.psi(theta)).max() < 1e-12
+        # rows project psi_in onto distinct eigenspaces: orthogonal, norms summing to 1
+        gram = rows.conj() @ rows.T
+        assert np.abs(gram - np.diag(np.diag(gram))).max() < 1e-12
+        assert abs(np.trace(gram).real - 1) < 1e-12
+
+    def test_ghz_has_two_levels(self):
+        levels, rows = ghz_family(5).components(10)
+        assert levels.tolist() == [-2.5, 2.5] and rows.shape == (2, 32)
+        self.assert_spectral_form(ghz_family(5), levels, rows)
+
+    def test_product_input_groups_equal_levels(self):
+        # sum_i Z_i / 2 on |+>^4 touches all 16 entries but only 5 levels
+        layout = HilbertLayout((2,) * 4)
+        g = sum(kron([np.diag(PAULI_Z) if i == j else np.ones(2) for i in range(4)]).real
+                for j in range(4)) / 2
+        fam = UnitaryGeneratorFamily(layout, np.full(16, 0.25, dtype=complex), g)
+        levels, rows = fam.components(5)
+        assert levels.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        self.assert_spectral_form(fam, levels, rows)
+        assert fam.components(4) is None
+
+    def test_dense_generator(self, rng):
+        fam = random_pure_family((2, 3), rng)
+        levels, rows = fam.components(6)
+        assert rows.shape == (6, 6)
+        self.assert_spectral_form(fam, levels, rows)
+        assert fam.components(5) is None
+
+
 class TestQfi:
     def test_mixed_state_checked_once(self, monkeypatch):
         # the family checks its three evaluator outputs (theta and theta -+ h),

@@ -25,6 +25,7 @@ from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily, UnitaryGene
 from loccfisher.locc import LEAF_TOL
 from loccfisher.metrology import _frame
 from loccfisher.scenarios import builtin_scenario
+from loccfisher import simulate
 from loccfisher.simulate import _OutcomeLaw, _path_prob_fn
 from loccfisher.tensor import HilbertLayout
 
@@ -321,8 +322,13 @@ def test_outcome_law_from_amplitudes_matches_leaf_vectors(dims, data, seed, make
     rng = np.random.default_rng(seed)
     family = make(dims, rng)
     tree = random_tree(dims, data.draw(st.permutations(range(len(dims)))), rng)
-    assert_law_matches_leaf_vectors(family, tree, data.draw(
-        st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3)))
+    thetas = data.draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=3))
+    # a unitary family is read through its components, or, with the small-law
+    # bound at zero and more levels than d_1 + ... + d_n, through psi(theta)
+    for small_law in (simulate.SMALL_LAW, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "SMALL_LAW", small_law)
+            assert_law_matches_leaf_vectors(family, tree, thetas)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])

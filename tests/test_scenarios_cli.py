@@ -479,6 +479,10 @@ class TestCliErrors:
         ("qfi", lambda d: {**d, "hamiltonian": 5}),
         ("qfi", lambda d: {**d, "hamiltonian": {"pauli": [5]}}),
         ("qfi", lambda d: {**d, "psi_in": 5}),
+        ("qfi", lambda d: {**d, "hamiltonian": {"dense": {"re": 1.0}}}),
+        ("qfi", lambda d: {**builtin_scenario("ranktwo").doc, "p": 5}),
+        ("qfi", lambda d: {**builtin_scenario("ranktwo").doc, "psi0": {"re": 1.0}}),
+        ("qfi", lambda d: {**builtin_scenario("bellmix").doc, "rho1": {"re": 1.0}}),
         ("qfi", lambda d: {**d, "theta_grid": {"start": None, "stop": 1.0}})])
     def test_document_of_the_wrong_json_shape_exit_1(self, tmp_path, capsys, command, edit):
         # a tree (verify) or scenario (qfi) document whose entries have the wrong JSON type
