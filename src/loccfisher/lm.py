@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import metrology
 from .tensor import (ISOMETRY_TOL, P_TOL, PERP_TOL, UNIT_TOL, HilbertLayout, as_layout,
@@ -194,6 +193,12 @@ class _ExpMap:
                  * np.sinc((w[:, None] - w[None, :]) / (2 * np.pi)))
         vh = v.conj().T
         return v @ (gamma * (vh @ self.basis @ v)) @ vh
+
+
+def least_squares(*args, **kwargs):
+    """scipy's least_squares, imported by the first search: importing the package loads no scipy."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,

@@ -28,7 +28,7 @@ from .tensor import (ISOMETRY_TOL, ORTHOGONAL_TOL, TARGET_TRACE_TOL,  # noqa: F4
                      HilbertLayout, KetBraSum, as_layout, check_unit,
                      complex_to_pairs, kron, pairs_to_complex, partial_expectation,
                      partial_trace, recenter)
-from .zerodiag import zero_diag_basis, zero_diag_qubits
+from .zerodiag import zero_diag_basis
 
 LEAF_TOL = 1e-7           # admissible |<E|target|E>| relative to target norm
 NODE_TRACE_TOL = 1e-9     # admissible conditioned-trace drift, absolute vs target scale
@@ -132,9 +132,9 @@ def _condition(lead: np.ndarray, bases: np.ndarray, rest_dims: tuple[int, ...]) 
 def _node_bases(reduced: np.ndarray, depth: int, scale: float) -> np.ndarray:
     """Zero-diagonalizing bases (P, d, d) of the P node reductions of one depth.
 
-    One trace test bounds every node's drift by NODE_TRACE_TOL * max(1, scale)
-    and the nodes are re-centered together. A qubit depth is solved in one
-    pass; other nodes go one by one through ``zero_diag_basis``.
+    One trace test bounds every node's drift by NODE_TRACE_TOL * max(1, scale);
+    the nodes are re-centered together and the whole stack goes through one
+    ``zero_diag_basis`` call, whatever d is.
     """
     if not np.isfinite(reduced).all():
         raise ValueError("matrix contains non-finite entries")
@@ -143,10 +143,7 @@ def _node_bases(reduced: np.ndarray, depth: int, scale: float) -> np.ndarray:
     if drift.any():
         raise SynthesisError(f"conditioned matrix at depth {depth} is not traceless "
                              f"(trace {trace[drift.argmax()]:.3e})")
-    reduced = recenter(reduced)
-    if reduced.shape[1] == 2:
-        return zero_diag_qubits(reduced)
-    return np.stack([zero_diag_basis(m) for m in reduced])
+    return zero_diag_basis(recenter(reduced))
 
 
 def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Sequence[int],

@@ -144,8 +144,10 @@ class _OutcomeLaw:
         self.paths = list(np.ndindex(*(tree.layout.dims[k] for k in tree.order)))
         self.prob_fn = _path_prob_fn(family, tree)
         self.grid = np.linspace(prior[0], prior[1], GRID_POINTS)
-        self.log_table = np.log(np.clip(
-            np.stack([self.prob_fn(t) for t in self.grid], axis=1), LOG_FLOOR, None))
+        table = np.empty((len(self.paths), GRID_POINTS))     # logged in place: one table at peak
+        for g, theta in enumerate(self.grid):
+            table[:, g] = self.prob_fn(theta)
+        self.log_table = np.log(np.clip(table, LOG_FLOOR, None, out=table), out=table)
 
     def distribution(self, theta: float) -> np.ndarray:
         """The law at theta, rounded to LAW_DECIMALS for drawing.

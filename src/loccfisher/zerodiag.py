@@ -1,16 +1,17 @@
 """Constructive simultaneous zero-diagonalization of traceless Hermitian pairs.
 
 Any traceless matrix admits an orthonormal basis in which all its diagonal
-entries vanish. Splitting the matrix into Hermitian and anti-Hermitian parts
-reduces the problem to zero-diagonalizing two traceless Hermitian matrices at
-once, which is solved here by a closed-form 2x2 rotation plus a recursive
-null-vector construction that peels off one basis vector per step.
+entries vanish. Its Hermitian and anti-Hermitian parts form a traceless
+Hermitian pair to zero-diagonalize at once. One recursion solves a stack of
+P such d x d pairs: a 2x2 pair by a closed-form rotation, a larger one by the
+inductive construction, which finds a common null vector v and solves the
+deflated (P, d-1, d-1) stack on v's complement. Every branch is a mask, so a
+pair's basis does not depend on the rest of its stack; one pair is a stack of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from .tensor import TARGET_TRACE_TOL, check_hermitian, check_traceless, recenter
 
@@ -23,36 +24,40 @@ class ZeroDiagConvergenceError(RuntimeError):
     """Raised when the construction cannot reach the residual target."""
 
 
-def _norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
-
-
 def _check_pair(h1: np.ndarray, h2: np.ndarray) -> float:
     """Scale max(1, ||h1||, ||h2||) of a public input pair, checked traceless Hermitian.
 
     Every floor and bound of the construction is relative to this scale;
     sub-problems inherit it, so a deflated pair that is rounding noise at
-    the caller's scale counts as zero. The private steps below trust their
-    input and only project it exactly onto traceless Hermitian matrices.
+    the caller's scale counts as zero. The recursion trusts its input and
+    only projects it exactly onto traceless Hermitian matrices.
     """
     h1 = check_traceless(check_hermitian(h1, "h1"), "h1")
     h2 = check_traceless(check_hermitian(h2, "h2"), "h2")
     if h1.shape != h2.shape:
         raise ValueError("dimension mismatch")
-    return max(1.0, _norm(h1), _norm(h2))
+    return max(1.0, float(np.linalg.norm(h1)), float(np.linalg.norm(h2)))
 
 
 def _traceless_hermitian(m: np.ndarray) -> np.ndarray:
-    """Re-centered Hermitian part of a matrix (or of each matrix of a stack)
-    that is traceless Hermitian up to rounding."""
+    """Re-centered Hermitian part of each matrix of a stack, traceless Hermitian up to rounding."""
     return recenter((m + m.conj().swapaxes(-1, -2)) / 2)
 
 
 def _norms(h: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a (P, d, d) stack, equal bit for bit to ``_norm``."""
+    """Frobenius norm of each matrix of a (P, d, d) stack, bit for bit ``np.linalg.norm``'s."""
     v = h.reshape(len(h), 1, h.shape[1] * h.shape[2])
     sq = v.real @ v.real.swapaxes(1, 2) + v.imag @ v.imag.swapaxes(1, 2)
     return np.sqrt(sq[:, 0, 0])
+
+
+def _check_residual(res: np.ndarray, tol: float, scale: np.ndarray, node: np.ndarray,
+                    what: str) -> None:
+    worst = np.argmax(res / scale)
+    if res[worst] > tol * scale[worst]:
+        raise ZeroDiagConvergenceError(
+            f"{what} residual {res[worst]:.3e} of node {node[worst]} exceeds "
+            f"{tol:.0e} * scale {scale[worst]:.3e}")
 
 
 def _canonical_sign(m: np.ndarray) -> np.ndarray:
@@ -121,109 +126,136 @@ def _solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return alpha, beta, u
 
 
-def _pick_block_vector(lam: np.ndarray, target: np.ndarray, want_max: bool,
-                       scale: float) -> tuple[np.ndarray, float, float]:
-    """Vector u with <u|target|u> = 0 maximizing (or minimizing) <u|lam|u>.
+def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Unitaries (P, d, d) whose columns zero-diagonalize both matrices of each pair.
 
-    ``target`` is traceless on the block, so a zero-diagonalizing basis
-    exists; the extremal diagonal value of ``lam`` in that basis inherits the
-    sign of Tr(lam). Ties resolve to the lowest index via argmax/argmin.
+    ``h`` (P, 2, d, d) holds the pairs, ``scale`` (P,) their scales and
+    ``node`` (P,) the indices by which an error names them. A vanishing pair
+    gets the identity, a pair whose first matrix vanishes is swapped, a 2x2
+    pair gets the closed form, and a larger pair gets its common null vector
+    as first column and the solved deflated pair on the complement.
     """
-    p = lam.shape[0]
-    if p == 1:
-        u = np.array([1.0 + 0j])
-        return u, float(np.real(lam[0, 0])), float(np.real(target[0, 0]))
-    h = _traceless_hermitian(target)
-    basis = _zero_diag_pair(h, np.zeros_like(h), scale)
-    scores = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, lam, basis))
-    idx = int(np.argmax(scores) if want_max else np.argmin(scores))
-    u = basis[:, idx]
-    t_val = float(np.real(u.conj() @ target @ u))
-    return u, float(scores[idx]), t_val
+    p, _, d = h.shape[:3]
+    u = np.zeros((p, d, d), dtype=complex)
+    u.reshape(p, -1)[:, ::d + 1] = 1
+    if d == 1:
+        return u
+    h = _traceless_hermitian(h)
+    n = _norms(h.reshape(2 * p, d, d)).reshape(p, 2)
+    floor = _TINY * scale
+    live = np.maximum(n[:, 0], n[:, 1]) > floor
+    if not live.any():
+        return u
+    h = np.where((n[:, 0] <= floor)[:, None, None, None], h[:, ::-1], h)[live]
+    if d == 2:
+        u[live] = _solve_2x2(h[:, 0], h[:, 1])[2]
+        return u
+    scale, node = scale[live], node[live]
+
+    v = _null_vectors(h, scale, node)
+    w = np.linalg.qr(v[:, :, None], mode="complete")[0][:, :, 1:]   # v's complement
+    sub = _zero_diag(recenter(w.conj().swapaxes(1, 2)[:, None] @ h @ w[:, None]), scale, node)
+    ul = np.concatenate([v[:, :, None], w @ sub], axis=2)
+    diag = (ul.conj()[:, None] * (h @ ul[:, None])).sum(axis=2)
+    _check_residual(np.abs(diag).max(axis=(1, 2)), DIAG_TOL, scale, node, "diagonal")
+    u[live] = ul
+    return u
+
+
+def _null_vectors(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Unit v (P, d) with <v|h1|v> = <v|h2|v> = 0 for each pair (h1, h2) with h1 nonzero.
+
+    The inductive block construction: split by the sign of h1, rescale h2
+    (case "a") or use its traceless blocks directly (case "b"), obtain block
+    vectors v1 (positive diagonal value) and v2 (negative), and combine them
+    as cos(beta) v1 + sin(beta) e^{-i alpha} v2.
+    """
+    p, _, d = h.shape[:3]
+    # Split by the eigenvalue sign of h1. Zero eigenvalues join the positive
+    # block; only the block traces matter and they stay strictly signed. The
+    # zero floor is relative to h1's own spectrum, so a traceless h1 always
+    # has both signs. eigh is ascending: a node's positive block is its last
+    # c eigenvectors.
+    w, vecs = np.linalg.eigh(h[:, 0])
+    c = (w >= -_TINY * np.maximum(-w[:, :1], w[:, -1:])).sum(axis=1)
+    split = (c > 0) & (c < d)
+    if not split.all():
+        raise ZeroDiagConvergenceError(f"h1 of node {node[split.argmin()]} must have "
+                                       "eigenvalues of both signs (traceless, nonzero)")
+    pos = np.arange(d) >= (d - c)[:, None]
+    blocks = vecs.conj().swapaxes(1, 2)[:, None] @ h @ vecs[:, None]
+    # Case "a" rescales h2 by gamma so the block traces of both matrices
+    # agree; an error e in the rescaled blocks costs e in h1 and e/|gamma| in
+    # h2, so the block sub-problems get the scale min(1, |gamma|) * scale.
+    # Case "b" applies when h2's blocks are already traceless.
+    t_lam, t_sig = np.where(pos[:, None], blocks.diagonal(axis1=2, axis2=3).real, 0.0).sum(axis=2).T
+    case_a = np.abs(t_sig) >= _TINY * scale
+    gamma = np.where(case_a, t_lam / np.where(case_a, t_sig, 1.0), 1.0)
+    lam, sig = blocks[:, 0], blocks[:, 1] * gamma[:, None, None]
+    sub_scale = scale * np.minimum(1.0, np.abs(gamma))
+    target = np.where(case_a[:, None, None], lam - sig, sig)
+
+    # Per node and block, the unit u with <u|target|u> = 0 maximizing (on the
+    # positive block) or minimizing <u|lam|u>: the best column of the block's
+    # zero-diagonalizing basis, ties to the lowest index. The extremal value
+    # inherits the sign of the block's trace of lam. Nodes split alike share
+    # one call per block; a 1x1 block is its own basis.
+    y = np.ones((p, d), dtype=complex)  # block vectors in eigenbasis coordinates
+    vals = np.empty((2, 2, p))          # (<u|lam|u>, <u|target|u>) x (positive, negative)
+    groups = set(c.tolist())
+    for k in groups:
+        at = np.flatnonzero(c == k) if len(groups) > 1 else slice(None)   # one: views
+        for blk, part in enumerate((slice(d - k, d), slice(0, d - k))):
+            lam_b, target_b = lam[at, part, part], target[at, part, part]
+            if part.stop - part.start == 1:
+                vals[:, blk, at] = lam_b[:, 0, 0].real, target_b[:, 0, 0].real
+                continue
+            pair = np.zeros((len(lam_b), 2) + lam_b.shape[1:], dtype=complex)
+            pair[:, 0] = target_b
+            basis = _zero_diag(pair, sub_scale[at], node[at])
+            scores = (basis.conj() * (lam_b @ basis)).sum(axis=1).real
+            best = scores.argmax(axis=1) if blk == 0 else scores.argmin(axis=1)
+            rows = np.arange(len(best))
+            ub = basis[rows, :, best]
+            y[at, part] = ub
+            vals[:, blk, at] = (scores[rows, best],
+                                (ub.conj()[:, None] @ target_b @ ub[:, :, None]).real[:, 0, 0])
+    (lam1, lam2), _ = vals
+    signed = (lam1 > 0) & (lam2 < 0)
+    if not signed.all():
+        k = signed.argmin()
+        raise ZeroDiagConvergenceError(f"block construction produced non-signed values "
+                                       f"{lam1[k]:.3e}, {lam2[k]:.3e} at node {node[k]}")
+
+    # Sandwich values of the (rescaled) h2 blocks; the near-zero inner
+    # residuals <u|target|u> are carried along so alpha can cancel them
+    # exactly below.
+    sig1, sig2 = np.where(case_a, vals[0] - vals[1], vals[1])
+    beta = np.arctan2(np.sqrt(lam1), np.sqrt(-lam2))
+    cb, sb = np.cos(beta), np.sin(beta)
+    cross = ((y.conj() * pos)[:, None] @ sig @ (y * ~pos)[:, :, None])[:, 0, 0]
+    base = cb * cb * sig1 + sb * sb * sig2
+    # Solve cos(arg(cross) - alpha) exactly so the residual block term and
+    # the cross term cancel; |ratio| exceeds 1 only by rounding.
+    mag = np.abs(cross)
+    turn = mag > _TINY * sub_scale
+    ratio = -base / np.where(turn, 2 * cb * sb * mag, 1.0)
+    alpha = np.where(turn, np.angle(cross) - np.arccos(np.clip(ratio, -1.0, 1.0)), 0.0)
+    y *= np.where(pos, cb[:, None], (sb * np.exp(-1j * alpha))[:, None])
+    v = (vecs @ y[:, :, None])[:, :, 0]
+    v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=1, keepdims=True))
+    res = np.abs(v.conj()[:, None, None] @ h @ v[:, None, :, None]).max(axis=(1, 2, 3))
+    _check_residual(res, NULL_TOL, scale, node, "null-vector")
+    return v
 
 
 def find_null_vector(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Unit vector v with <v|h1|v> = <v|h2|v> = 0 for traceless Hermitian inputs.
 
-    Follows the inductive block construction: split by the sign of h1,
-    rescale h2 (case "a") or use its traceless blocks directly (case "b"),
-    obtain block vectors v1 (positive diagonal value) and v2 (negative), and
-    combine them as cos(beta) v1 + sin(beta) e^{-i alpha} v2.
+    The first column of ``simultaneous_zero_diag``: for d >= 3 the vector
+    of the inductive block construction, for d = 2 a column of the closed form.
     """
-    return _null_vector(h1, h2, _check_pair(h1, h2))
-
-
-def _null_vector(h1: np.ndarray, h2: np.ndarray, scale: float) -> np.ndarray:
-    h1, h2 = _traceless_hermitian(h1), _traceless_hermitian(h2)
-    d = h1.shape[0]
-    n1, n2 = _norm(h1), _norm(h2)
-    if max(n1, n2) <= _TINY * scale:
-        v = np.zeros(d, dtype=complex)
-        v[0] = 1.0
-        return v
-    if n1 <= _TINY * scale:
-        return _null_vector(h2, h1, scale)
-
-    # Split by the eigenvalue sign of h1. Zero eigenvalues join the positive
-    # block; only the block traces matter and they stay strictly signed. The
-    # zero floor is relative to h1's own spectrum, so a traceless h1 always
-    # has both signs.
-    w, vecs = np.linalg.eigh(h1)
-    pos = w >= -_TINY * np.abs(w).max()
-    if pos.all() or not pos.any():
-        raise ZeroDiagConvergenceError(
-            "h1 must have eigenvalues of both signs (traceless, nonzero)")
-    p_basis, n_basis = vecs[:, pos], vecs[:, ~pos]
-    lam_p = p_basis.conj().T @ h1 @ p_basis
-    lam_n = n_basis.conj().T @ h1 @ n_basis
-    sig_p = p_basis.conj().T @ h2 @ p_basis
-    sig_n = n_basis.conj().T @ h2 @ n_basis
-    offdiag = p_basis.conj().T @ h2 @ n_basis
-    # Case "a" rescales h2 by gamma so the block traces of both matrices
-    # agree; an error e in the rescaled blocks costs e in h1 and e/|gamma| in
-    # h2, so the block sub-problems get the scale min(1, |gamma|) * scale.
-    # Case "b" applies when h2's blocks are already traceless.
-    t_sig = float(np.real(np.trace(sig_p)))
-    case_a = abs(t_sig) >= _TINY * scale
-    sub_scale = scale
-    if case_a:
-        gamma = float(np.real(np.trace(lam_p))) / t_sig
-        sig_p, sig_n, offdiag = gamma * sig_p, gamma * sig_n, gamma * offdiag
-        sub_scale *= min(1.0, abs(gamma))
-    target1 = lam_p - sig_p if case_a else sig_p
-    target2 = lam_n - sig_n if case_a else sig_n
-    v1, lam1, t1 = _pick_block_vector(lam_p, target1, True, sub_scale)
-    v2, lam2, t2 = _pick_block_vector(lam_n, target2, False, sub_scale)
-    # Sandwich values of the (rescaled) h2 blocks; near-zero inner residuals
-    # t1, t2 are carried along so alpha can cancel them exactly below.
-    sig1 = lam1 - t1 if case_a else t1
-    sig2 = lam2 - t2 if case_a else t2
-    if not (lam1 > 0 and lam2 < 0):
-        raise ZeroDiagConvergenceError(
-            f"block construction produced non-signed values {lam1:.3e}, {lam2:.3e}")
-
-    beta = float(np.arctan2(np.sqrt(lam1), np.sqrt(-lam2)))
-    cb, sb = np.cos(beta), np.sin(beta)
-    cross = complex(v1.conj() @ offdiag @ v2)
-    base = cb * cb * sig1 + sb * sb * sig2
-    if abs(cross) > _TINY * sub_scale:
-        # Solve cos(arg(cross) - alpha) exactly so the residual block term and
-        # the cross term cancel; |target| exceeds 1 only by rounding.
-        target = -base / (2 * cb * sb * abs(cross))
-        alpha = float(np.angle(cross) - np.arccos(np.clip(target, -1.0, 1.0)))
-    else:
-        alpha = 0.0
-
-    v = np.zeros(d, dtype=complex)
-    v += cb * (p_basis @ v1)
-    v += sb * np.exp(-1j * alpha) * (n_basis @ v2)
-    v /= np.linalg.norm(v)
-
-    res = max(abs(v.conj() @ h1 @ v), abs(v.conj() @ h2 @ v))
-    if res > NULL_TOL * scale:
-        raise ZeroDiagConvergenceError(
-            f"null-vector residual {res:.3e} exceeds {NULL_TOL:.0e} * scale {scale:.3e}")
-    return v
+    return simultaneous_zero_diag(h1, h2)[:, 0]
 
 
 def simultaneous_zero_diag(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -233,70 +265,32 @@ def simultaneous_zero_diag(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     pair is re-centered to exactly traceless before descending, which is
     admissible because the peeled vector carries zero diagonal value.
     """
-    return _zero_diag_pair(h1, h2, _check_pair(h1, h2))
-
-
-def _zero_diag_pair(h1: np.ndarray, h2: np.ndarray, scale: float) -> np.ndarray:
-    h1, h2 = _traceless_hermitian(h1), _traceless_hermitian(h2)
-    d = h1.shape[0]
-    n1, n2 = _norm(h1), _norm(h2)
-    if d == 1 or max(n1, n2) <= _TINY * scale:
-        return np.eye(d, dtype=complex)
-    if n1 <= _TINY * scale:
-        return _zero_diag_pair(h2, h1, scale)
-    if d == 2:
-        return _solve_2x2(h1[None], h2[None])[2][0]
-
-    v = _null_vector(h1, h2, scale)
-    w = sla.null_space(v.conj()[None, :])          # d x (d-1) orthonormal complement
-    u_sub = _zero_diag_pair(recenter(w.conj().T @ h1 @ w),
-                            recenter(w.conj().T @ h2 @ w), scale)
-    u = np.empty((d, d), dtype=complex)
-    u[:, 0] = v
-    u[:, 1:] = w @ u_sub
-
-    for h in (h1, h2):
-        res = float(np.abs(np.diag(u.conj().T @ h @ u)).max())
-        if res > DIAG_TOL * scale:
-            raise ZeroDiagConvergenceError(
-                f"diagonal residual {res:.3e} exceeds {DIAG_TOL:.0e} * scale {scale:.3e}")
-    return u
+    scale = _check_pair(h1, h2)
+    return _zero_diag(np.asarray([[h1, h2]], dtype=complex), np.array([scale]),
+                      np.zeros(1, dtype=int))[0]
 
 
 def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
     """Orthonormal basis u_i with <u_i| m_tilde |u_i> = 0 for traceless m_tilde.
 
-    Splits the matrix into its Hermitian and anti-Hermitian parts and
-    simultaneously zero-diagonalizes the resulting traceless Hermitian pair.
+    ``m_tilde`` is one (d, d) matrix or a (P, d, d) stack, which gives one
+    basis per matrix. Each matrix's trace is checked against TARGET_TRACE_TOL
+    times max(1, its norm); its Hermitian and anti-Hermitian parts are then
+    zero-diagonalized together at the scale max(1, ||h1||, ||h2||).
     """
-    m = check_traceless(m_tilde, "matrix", TARGET_TRACE_TOL)
-    h1, h2 = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
-    return _zero_diag_pair(h1, h2, max(1.0, _norm(h1), _norm(h2)))
-
-
-def zero_diag_qubits(m_tilde: np.ndarray) -> np.ndarray:
-    """``zero_diag_basis`` of every matrix of a (P, 2, 2) stack, bit for bit, in one pass.
-
-    The caller has checked that each matrix is traceless. Each step of the
-    per-matrix route is replayed elementwise: the re-centering of its trace
-    check, the Hermitian and anti-Hermitian split, the re-centering of
-    ``_zero_diag_pair`` with its zero pair (identity) and swap (the Hermitian
-    part vanishes) branches as masks, then the closed form.
-    """
-    m = recenter(m_tilde)
-    mh = m.conj().swapaxes(1, 2)
-    h1, h2 = (m + mh) / 2, (m - mh) / 2j
-    floor = _TINY * np.maximum(1.0, np.maximum(_norms(h1), _norms(h2)))
-    zero = np.zeros(len(m), dtype=bool)
-    # the recursion of _zero_diag_pair: pairs whose first matrix vanishes
-    # come round again swapped, and are re-centered again
-    live = np.arange(len(m))
-    while live.size:
-        h1[live], h2[live] = _traceless_hermitian(h1[live]), _traceless_hermitian(h2[live])
-        n1, n2 = _norms(h1[live]), _norms(h2[live])
-        zero[live] = np.maximum(n1, n2) <= floor[live]
-        live = live[~zero[live] & (n1 <= floor[live])]
-        h1[live], h2[live] = h2[live], h1[live]
-    u = np.broadcast_to(np.eye(2, dtype=complex), m.shape).copy()
-    u[~zero] = _solve_2x2(h1[~zero], h2[~zero])[2]
-    return u
+    m = np.asarray(m_tilde, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    stack = m.reshape((-1,) + m.shape[-2:])
+    trace = np.trace(stack, axis1=1, axis2=2)
+    drift = np.abs(trace) > TARGET_TRACE_TOL * np.maximum(1.0, _norms(stack))
+    if drift.any():
+        raise ValueError(f"matrix is not traceless (trace {trace[drift.argmax()]:.3e})")
+    mh = stack.conj().swapaxes(1, 2)
+    h = np.empty((len(stack), 2) + stack.shape[1:], dtype=complex)
+    h[:, 0], h[:, 1] = (stack + mh) / 2, (stack - mh) / 2j
+    n = _norms(h.reshape((-1,) + stack.shape[1:])).reshape(-1, 2)
+    u = _zero_diag(h, np.maximum(1.0, np.maximum(n[:, 0], n[:, 1])), np.arange(len(stack)))
+    return u if m.ndim == 3 else u[0]

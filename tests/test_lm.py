@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,14 +223,14 @@ class TestHeuristicSearch:
 def search_problem(coeffs, padded):
     """The residual and Jacobian callables a search hands to least_squares."""
     seen = {}
-    real = lm.least_squares
+    real = scipy.optimize.least_squares
 
     def spy(fun, x0, jac, **kw):
         seen.update(fun=fun, jac=jac)
         return real(fun, x0, jac=jac, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lm, "least_squares", spy)
+        mp.setattr(scipy.optimize, "least_squares", spy)
         heuristic_lm_search(coeffs, restarts=1, iters=1,
                             allow_isometry_padding=padded)
     return seen["fun"], seen["jac"]

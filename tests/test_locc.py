@@ -20,7 +20,7 @@ from scipy.stats import unitary_group
 
 from conftest import ghz_family, random_pure_family
 from oracles import leaf_vectors_kron
-from test_zerodiag import qubit_node
+from test_zerodiag import qubit_node, qudit_node
 
 
 def synth(family, theta, order=None):
@@ -68,17 +68,30 @@ class TestSynthesizeTree:
             synthesize_tree(target, fam.layout, order=[0, 0])
 
 
+def assert_level_matches_each_node(nodes):
+    """``_node_bases`` of the stack equals ``zero_diag_basis`` of each node alone, sign bits too."""
+    scale = max(np.linalg.norm(m) for m in nodes)
+    got = _node_bases(np.stack(nodes), 3, scale).view(float)
+    want = np.stack([zero_diag_basis(check_traceless(
+        m, "conditioned matrix at depth 3", NODE_TRACE_TOL, scale, SynthesisError))
+        for m in nodes]).view(float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestNodeBases:
     @given(st.lists(qubit_node(), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def test_qubit_level_matches_each_node_bit_for_bit(self, nodes):
-        scale = max(np.linalg.norm(m) for m in nodes)
-        got = _node_bases(np.stack(nodes), 3, scale).view(float)
-        want = np.stack([zero_diag_basis(check_traceless(
-            m, "conditioned matrix at depth 3", NODE_TRACE_TOL, scale, SynthesisError))
-            for m in nodes]).view(float)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert_level_matches_each_node(nodes)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    def test_qudit_level_matches_each_node_bit_for_bit(self, d, data):
+        # stacks mix zero nodes, swapped nodes and positive blocks of every size
+        assert_level_matches_each_node(data.draw(st.lists(qudit_node(d), min_size=1,
+                                                          max_size=6)))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_one_drifting_node_names_its_depth(self, rng, d):
@@ -89,17 +102,17 @@ class TestNodeBases:
         with pytest.raises(SynthesisError, match="at depth 5 is not traceless"):
             _node_bases(nodes, 5, 1.0)
 
-    def test_only_qudit_nodes_reach_zero_diag_basis(self, rng, monkeypatch):
+    def test_each_depth_calls_zero_diag_basis_once(self, rng, monkeypatch):
         seen = []
 
         def spy(m):
-            seen.append(m.shape[0])
+            seen.append(m.shape)
             return zero_diag_basis(m)
 
         monkeypatch.setattr(locc, "zero_diag_basis", spy)
         fam = random_pure_family((2, 3, 2), rng)
         synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
-        assert seen == [3, 3]
+        assert seen == [(1, 2, 2), (2, 3, 3), (6, 2, 2)]
 
 
 class TestFlatten:

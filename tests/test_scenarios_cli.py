@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loccfisher import (check_saturation, eval_state, flatten, qfi, saturation_matrices,
                         sld, synthesize_tree)
+import loccfisher
 from loccfisher import cli
 from loccfisher.cli import build_parser, cli_main
 from loccfisher.locc import leaf_vectors, tree_from_json, tree_to_json
@@ -115,6 +120,15 @@ class TestBuiltins:
 
 
 class TestCliCore:
+    def test_import_loads_no_scipy(self):
+        # scipy.optimize is imported by the first lm search, not by the package
+        code = ("import sys, loccfisher.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        env = dict(os.environ, PYTHONPATH=str(Path(loccfisher.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert run.stdout.strip() == "[]"
+
     def test_scenario_list(self, capsys):
         assert cli_main(["scenario", "list"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -38,6 +38,53 @@ def qubit_node(draw):
     return m + draw(st.sampled_from([0.0, 1e-17, -3e-16])) * np.abs(m).max() * np.eye(2)
 
 
+@st.composite
+def qudit_node(draw, d):
+    """A traceless d x d reduction: zero, or with a Hermitian part that has a
+    drawn number of positive eigenvalues, or anti-Hermitian (the swap branch)."""
+    kind = draw(st.sampled_from(["zero", "generic", "hermitian", "anti-hermitian"]))
+    if kind == "zero":
+        return np.zeros((d, d), dtype=complex)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    c = draw(st.integers(1, d - 1))             # positive eigenvalues of the Hermitian part
+    w = rng.uniform(0.1, 1.0, d)
+    w[c:] *= -w[:c].sum() / w[c:].sum()
+    h1, h2 = (q * w) @ q.conj().T, random_traceless_hermitian(d, rng)
+    m = {"generic": h1 + 1j * h2, "hermitian": h1, "anti-hermitian": 1j * h2}[kind]
+    m = m * 10.0 ** draw(st.integers(-8, 8))
+    return m + draw(st.sampled_from([0.0, 1e-17, -3e-16])) * np.abs(m).max() * np.eye(d)
+
+
+def spectral_matrix(d, rng, kind):
+    """A traceless Hermitian d x d matrix: random, low-rank, or with two repeated eigenvalues."""
+    if kind == "random":
+        return random_traceless_hermitian(d, rng)
+    q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    w = np.zeros(d)
+    if kind == "low-rank":
+        k = rng.integers(1, d // 2 + 1)
+        w[:k] = rng.uniform(0.5, 1.5, k)
+        w[k:2 * k] = -w[:k]
+    else:
+        c = rng.integers(1, d)
+        w[:c], w[c:] = d - c, -c
+    return (q * w) @ q.conj().T
+
+
+@st.composite
+def adversarial_pair(draw, d):
+    """A traceless Hermitian pair at a scale from 1e-8 to 1e8 whose smaller
+    matrix (first or second) has 1 or 1e-4 ... 1e-14 of the other's norm."""
+    kinds = st.sampled_from(["random", "low-rank", "repeated"])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from([-8, -4, 0, 4, 8]))
+    ratio = 10.0 ** -draw(st.sampled_from([0, 4, 6, 8, 10, 12, 14]))
+    g, h = spectral_matrix(d, rng, draw(kinds)), spectral_matrix(d, rng, draw(kinds))
+    g, h = g * scale / np.linalg.norm(g), h * scale * ratio / np.linalg.norm(h)
+    return (h, g) if draw(st.booleans()) else (g, h)
+
+
 class TestSolve2x2:
     def test_z_y_pair(self):
         _, _, u = solve_2x2(PAULI_Z, PAULI_Y)
@@ -148,18 +195,33 @@ class TestSimultaneousZeroDiag:
 
     def test_recursion_visits_every_dimension(self, rng, monkeypatch):
         seen = []
-        original = zd._zero_diag_pair
+        original = zd._zero_diag
 
-        def spy(h1, h2, scale):
-            seen.append(h1.shape[0])
-            return original(h1, h2, scale)
+        def spy(h, scale, node):
+            seen.append(h.shape[2])
+            return original(h, scale, node)
 
-        monkeypatch.setattr(zd, "_zero_diag_pair", spy)
+        monkeypatch.setattr(zd, "_zero_diag", spy)
         h1 = random_traceless_hermitian(6, rng)
         h2 = random_traceless_hermitian(6, rng)
         zd.simultaneous_zero_diag(h1, h2)
         # one peel per level: the main chain passes through every dimension
         assert set(range(2, 7)).issubset(set(seen))
+
+
+class TestAdversarialStacks:
+    @given(st.integers(3, 7).flatmap(lambda d: st.lists(adversarial_pair(d), min_size=1,
+                                                        max_size=4)))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_unitary_and_zero_diagonal(self, pairs):
+        h1, h2 = (np.stack(hs) for hs in zip(*pairs))
+        u = zero_diag_basis(h1 + 1j * h2)
+        d = h1.shape[1]
+        for p in range(len(pairs)):
+            scale = max(1.0, np.linalg.norm(h1[p]), np.linalg.norm(h2[p]))
+            assert np.abs(u[p].conj().T @ u[p] - np.eye(d)).max() <= 1e-10
+            assert max(diag_residual(u[p], h1[p]), diag_residual(u[p], h2[p])) \
+                <= zd.DIAG_TOL * scale
 
 
 class TestScaleRelativeFloors:
