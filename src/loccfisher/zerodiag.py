@@ -146,11 +146,10 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
     live = np.maximum(n[:, 0], n[:, 1]) > floor
     if not live.any():
         return u
-    h = np.where((n[:, 0] <= floor)[:, None, None, None], h[:, ::-1], h)[live]
+    h = np.where((n[:, 0] <= floor)[:, None, None, None], h[:, ::-1], h)
     if d == 2:
-        u[live] = _solve_2x2(h[:, 0], h[:, 1])[2]
-        return u
-    scale, node = scale[live], node[live]
+        return np.where(live[:, None, None], _solve_2x2(h[:, 0], h[:, 1])[2], u)
+    h, scale, node = h[live], scale[live], node[live]
 
     v = _null_vectors(h, scale, node)
     w = np.linalg.qr(v[:, :, None], mode="complete")[0][:, :, 1:]   # v's complement
