@@ -5,7 +5,7 @@ from .tensor import (HilbertLayout, KetBraSum, complex_to_pairs, herm_eig, kron,
                      sqrt_psd)
 from .metrology import (MixedGenericFamily, Povm, PureNumericFamily,
                         RankTwoFixedBasisFamily, SaturationMatrices,
-                        SaturationReport, SldResult, StateFamily, Thresholds,
+                        SaturationReport, SldResult, StateFamily,
                         UnitaryGeneratorFamily, check_saturation, eval_state,
                         fisher_info, perp_component, qfi, saturation_matrices,
                         sld)

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import metrology
-from .tensor import (ISOMETRY_TOL, P_TOL, PERP_TOL, UNIT_TOL, HilbertLayout, as_layout,
-                     check_traceless)
+from .tensor import (P_TOL, PERP_TOL, UNIT_TOL, HilbertLayout, as_layout, check_finite,
+                     check_orthonormal, check_trace)
 from .zerodiag import ZeroDiagConvergenceError, simultaneous_zero_diag, zero_diag_basis
 
 PHASE_TOL = 1e-8
@@ -36,9 +36,8 @@ class BipartiteCoeffs:
         self.b_mat = np.asarray(self.b_mat, dtype=complex)
         if self.a_mat.shape != self.b_mat.shape or self.a_mat.ndim != 2:
             raise ValueError("coefficient matrices must share a 2-D shape")
-        # NaN fails every comparison, so the tests below alone would pass it
-        if not (np.isfinite(self.a_mat).all() and np.isfinite(self.b_mat).all()):
-            raise ValueError("coefficient matrix contains non-finite entries")
+        check_finite(self.a_mat, "coefficient matrix")
+        check_finite(self.b_mat, "coefficient matrix")
         if abs(np.trace(self.a_mat.conj().T @ self.a_mat) - 1.0) > UNIT_TOL:
             raise ValueError("state coefficients are not normalized")
         if abs(np.trace(self.a_mat.conj().T @ self.b_mat)) > PERP_TOL:
@@ -59,10 +58,8 @@ class IsometryPair:
             d, cols = m.shape
             if cols < d:
                 raise ValueError(f"{name} must have at least as many columns as rows")
-            if not np.isfinite(m).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            if np.abs(m @ m.conj().T - np.eye(d)).max() > ISOMETRY_TOL:
-                raise ValueError(f"{name} is not an isometry (rows not orthonormal)")
+            check_finite(m, name)
+            check_orthonormal(m.T, f"{name} is not an isometry (rows not orthonormal)")
 
     @property
     def projective(self) -> bool:
@@ -132,7 +129,7 @@ def construct_lm_2xd(coeffs: BipartiteCoeffs) -> IsometryPair:
         p = np.outer(u[:, i], u[:, i].conj())
         t = b.conj().T @ p @ a - a.conj().T @ p @ b
         # traceless iff u zero-diagonalizes the skew form; simultaneous_zero_diag re-centers
-        check_traceless(t, f"conditioned target {i}", error=ZeroDiagConvergenceError)
+        check_trace(t, f"conditioned target {i}", error=ZeroDiagConvergenceError)
         targets.append(-1j * t)     # anti-Hermitian target over i gives a Hermitian pair
     v = simultaneous_zero_diag(targets[0], targets[1])
     return IsometryPair(u_mat=u, v_mat=v)

@@ -24,10 +24,10 @@ import numpy as np
 from . import metrology
 # kron, partial_expectation and partial_trace are unused here; they stay
 # importable because the benchmark tracer patches them.
-from .tensor import (ISOMETRY_TOL, ORTHOGONAL_TOL, TARGET_TRACE_TOL,  # noqa: F401
-                     HilbertLayout, KetBraSum, as_layout, check_unit,
-                     complex_to_pairs, kron, pairs_to_complex, partial_expectation,
-                     partial_trace, recenter)
+from .tensor import (ORTHOGONAL_TOL, TARGET_TRACE_TOL, HilbertLayout,  # noqa: F401
+                     KetBraSum, as_layout, check_finite, check_orthonormal, check_trace,
+                     check_traceless, check_unit, complex_to_pairs, kron,
+                     pairs_to_complex, partial_expectation, partial_trace)
 from .zerodiag import zero_diag_basis
 
 LEAF_TOL = 1e-7           # admissible |<E|target|E>| relative to target norm
@@ -74,11 +74,10 @@ class MeasurementTree:
             if stack.shape != (nodes, d, d):
                 raise ValueError(f"bases at depth {depth} have shape {stack.shape}, "
                                  f"not {(nodes, d, d)}")
-            # NaN fails every comparison, so the orthonormality test alone would pass it
+            # the orthonormality test fails NaN too, but this names the cause
             if not np.isfinite(stack).all():
                 raise ValueError(f"bases at depth {depth} contain non-finite entries")
-            if np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d)).max() > ISOMETRY_TOL:
-                raise ValueError(f"a basis at depth {depth} is not orthonormal")
+            check_orthonormal(stack, f"a basis at depth {depth} is not orthonormal")
             nodes *= d
 
     @property
@@ -104,8 +103,7 @@ class MeasurementTree:
         flat = np.atleast_2d(v)
         if flat.ndim != 2 or flat.shape[1] != self.layout.total:
             raise ValueError(f"vectors of shape {v.shape} do not match layout {list(dims)}")
-        if not np.isfinite(flat).all():
-            raise ValueError("vectors contain non-finite entries")
+        check_finite(flat, "vector array")
         cur = flat.reshape((1, flat.shape[0]) + dims)
         remaining = list(range(len(dims)))
         for sub, bases in zip(self.order, self.bases):
@@ -136,14 +134,8 @@ def _node_bases(reduced: np.ndarray, depth: int, scale: float) -> np.ndarray:
     the nodes are re-centered together and the whole stack goes through one
     ``zero_diag_basis`` call, whatever d is.
     """
-    if not np.isfinite(reduced).all():
-        raise ValueError("matrix contains non-finite entries")
-    trace = np.trace(reduced, axis1=1, axis2=2)
-    drift = np.abs(trace) > NODE_TRACE_TOL * max(1.0, scale)
-    if drift.any():
-        raise SynthesisError(f"conditioned matrix at depth {depth} is not traceless "
-                             f"(trace {trace[drift.argmax()]:.3e})")
-    return zero_diag_basis(recenter(reduced))
+    return zero_diag_basis(check_traceless(reduced, f"conditioned matrix at depth {depth}",
+                                           NODE_TRACE_TOL, scale, SynthesisError))
 
 
 def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Sequence[int],
@@ -168,14 +160,11 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
         raise ValueError(f"target dimension {target.dim} does not match layout "
                          f"{list(layout.dims)}")
     scale = target.norm()
-    # checked only: the target is conditioned as given, each node re-centers its reduction
-    trace = target.trace()
-    if abs(trace) > TARGET_TRACE_TOL * max(1.0, scale):
-        raise ValueError(f"target matrix is not traceless (trace {trace:.3e})")
+    # tested only: the target is conditioned as given, each node re-centers its reduction
+    check_trace(target, "target matrix", TARGET_TRACE_TOL, scale)
 
     k = target.kets.shape[0]
-    vectors = np.concatenate([target.kets, target.bras])
-    cur = vectors.reshape((1, 2 * k) + layout.dims)
+    cur = np.concatenate([target.kets, target.bras]).reshape((1, 2 * k) + layout.dims)
     remaining = list(range(layout.nsub))
     levels = []
     for depth, sub in enumerate(order):
@@ -187,11 +176,10 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
         reduced = kets @ bras.conj().transpose(0, 2, 1) + (target.shift * rest) * np.eye(d)
         bases = _node_bases(reduced, depth, scale)
         levels.append(bases)
-        if remaining:
-            cur = _condition(lead, bases, tuple(layout.dims[i] for i in remaining))
+        cur = _condition(lead, bases, tuple(layout.dims[i] for i in remaining))
 
     tree = MeasurementTree(layout, order, levels)
-    amps = tree.amplitudes(vectors)
+    amps = cur.reshape(-1, 2 * k)       # every leaf's overlaps with the kets and bras
     worst = float(np.abs(target.sandwich(amps[:, :k], amps[:, k:])).max())
     if worst > LEAF_TOL * scale:
         raise SynthesisError(
@@ -229,13 +217,13 @@ def flatten(tree: MeasurementTree) -> metrology.Povm:
     return metrology.Povm(vectors=np.stack(vectors), labels=list(paths))
 
 
-def verify_tree(tree: MeasurementTree, family: metrology.StateFamily, theta: float,
-                thresholds: metrology.Thresholds | None = None) -> metrology.SaturationReport:
+def verify_tree(tree: MeasurementTree, family: metrology.StateFamily,
+                theta: float) -> metrology.SaturationReport:
     """The full saturation check at theta, from leaf amplitudes (no leaf vector is built)."""
     if tree.layout != family.layout:
         raise ValueError(f"tree layout {list(tree.layout.dims)} does not match "
                          f"family layout {list(family.layout.dims)}")
-    return metrology.check_saturation(tree, family, theta, thresholds)
+    return metrology.check_saturation(tree, family, theta)
 
 
 @dataclass

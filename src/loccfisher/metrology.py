@@ -20,13 +20,19 @@ import numpy as np
 from .tensor import (COMPLETENESS_TOL, CONDITION_REL, DRHO_TOL, DRIFT_TOL,
                      EVAL_UNIT_TOL, FAMILY_UNIT_TOL, FI_REL, ORTHOGONAL_TOL, P_TOL,
                      RANK_TOL, REGULARITY_REL, RHO_TOL, HilbertLayout, KetBraSum,
-                     check_hermitian, check_real_diagonal, check_traceless, check_unit,
-                     eigh_desc)
+                     check_finite, check_hermitian, check_orthonormal, check_real_diagonal,
+                     check_trace, check_unit, eigh_desc)
 # herm_eig and sqrt_psd are unused here; they stay importable because the
 # benchmark tracer patches them.
 from .tensor import herm_eig, sqrt_psd  # noqa: F401
 
 DEFAULT_FD_STEP = 1e-4
+
+
+def _frame_rho_drho(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rho and drho of a pure or rank-two family, read from its frame."""
+    frame = _frame(family, theta)
+    return frame.rho.dense(), frame.drho.dense()
 
 
 @dataclass
@@ -75,6 +81,8 @@ class UnitaryGeneratorFamily:
     def dpsi(self, theta: float) -> np.ndarray:
         return self.psi_dpsi(theta)[1]
 
+    rho_drho = _frame_rho_drho
+
     def components(self, max_rows: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Levels lam (K,) and rows C (K x D) with psi(theta) = exp(-i theta lam) @ C.
 
@@ -89,10 +97,6 @@ class UnitaryGeneratorFamily:
         weights = np.zeros((levels.size, self.layout.total), dtype=complex)
         weights[level_of, touched] = self._coeffs[touched]
         return levels, weights if self._diagonal else weights @ self._gen_eigvecs.T
-
-    def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        frame = _frame(self, theta)
-        return frame.rho.dense(), frame.drho.dense()
 
 
 @dataclass
@@ -122,13 +126,7 @@ class PureNumericFamily:
     def psi_dpsi(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         return self.psi(theta), self.dpsi(theta)
 
-    def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        h = self.step
-        psi = self.psi(theta)
-        rho = np.outer(psi, psi.conj())
-        pp, pm = self.psi(theta + h), self.psi(theta - h)
-        drho = (np.outer(pp, pp.conj()) - np.outer(pm, pm.conj())) / (2 * h)
-        return rho, drho
+    rho_drho = _frame_rho_drho
 
 
 @dataclass
@@ -162,9 +160,7 @@ class RankTwoFixedBasisFamily:
             raise ValueError(f"dp/dtheta = {dp} is not finite")
         return p, dp
 
-    def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        frame = _frame(self, theta)
-        return frame.rho.dense(), frame.drho.dense()
+    rho_drho = _frame_rho_drho
 
 
 @dataclass
@@ -248,11 +244,9 @@ class Povm:
         v = self.vectors
         if v.ndim != 2 or v.shape[0] == 0:
             raise ValueError("POVM needs a non-empty (outcomes x dimension) vector array")
-        # NaN fails every comparison, so the completeness test alone would pass it
-        if not np.isfinite(v).all():
-            raise ValueError("POVM contains non-finite entries")
-        if np.abs(v.T @ v.conj() - np.eye(v.shape[1])).max() > COMPLETENESS_TOL:
-            raise ValueError("POVM elements do not sum to the identity")
+        # sum_e |e><e| = I says the columns of the vector array are orthonormal
+        check_finite(v, "POVM")
+        check_orthonormal(v, "POVM elements do not sum to the identity", COMPLETENESS_TOL)
 
     def amplitudes(self, rows: np.ndarray) -> np.ndarray:
         """The E x K overlaps <e|v> of every element e with every row v of ``rows``."""
@@ -262,7 +256,8 @@ class Povm:
 
 @dataclass
 class Thresholds:
-    """Tolerances entering the saturation verdict; defaults from the tensor table."""
+    """The verdict's tolerances from the tensor table, which ``check_saturation`` reads
+    directly; kept only for the benchmark checker, which reads them on import."""
 
     condition_rel: float = CONDITION_REL
     regularity_rel: float = REGULARITY_REL
@@ -287,7 +282,7 @@ def eval_state(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarra
 def _checked_state(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = check_hermitian(rho, "rho", RHO_TOL)
     drho = check_hermitian(drho, "drho", DRHO_TOL)
-    check_traceless(drho, "drho", DRHO_TOL)
+    check_trace(drho, "drho", DRHO_TOL)
     return rho, drho
 
 
@@ -383,15 +378,14 @@ def qfi(family: StateFamily, theta: float) -> float:
     return _frame(family, theta).qfi
 
 
-def fisher_info(povm: Povm, rho: KetBraSum | np.ndarray, drho: KetBraSum | np.ndarray,
-                p_tol: float = P_TOL) -> float:
+def fisher_info(povm: Povm, rho: KetBraSum | np.ndarray, drho: KetBraSum | np.ndarray) -> float:
     """Classical Fisher information of the outcomes of a POVM or ``locc.MeasurementTree``.
 
     ``rho`` and ``drho`` are factored or dense. Outcomes with probability
-    below p_tol are excluded from the sum.
+    below P_TOL are excluded from the sum.
     """
     p, dp = (_sandwich(povm, KetBraSum.of(m)).real for m in (rho, drho))
-    keep = p >= p_tol
+    keep = p >= P_TOL
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
@@ -469,8 +463,7 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     return SaturationMatrices(conditions=[m], target=m, state_type="rank-two")
 
 
-def check_saturation(povm: Povm, family: StateFamily, theta: float,
-                     thresholds: Thresholds | None = None) -> SaturationReport:
+def check_saturation(povm: Povm, family: StateFamily, theta: float) -> SaturationReport:
     """Full saturation check of a POVM or ``locc.MeasurementTree`` against a family at theta.
 
     Outcomes are read only through ``povm.amplitudes(rows)``, their overlaps
@@ -481,9 +474,9 @@ def check_saturation(povm: Povm, family: StateFamily, theta: float,
     outcome of zero probability the regularity condition <e|L|psi_i> = 0
     (Braunstein & Caves, PRL 72, 3439 (1994)). For a rank-one element these
     equal the norms of sqrt(E) M_ij sqrt(E) and sqrt(E) L |psi_i> whatever
-    the norm of e. The verdict additionally requires fi to reach qfi.
+    the norm of e. The verdict additionally requires fi to reach qfi. Its
+    tolerances are CONDITION_REL, REGULARITY_REL, FI_REL and P_TOL of the table.
     """
-    thr = thresholds or Thresholds()
     if isinstance(povm, Povm) and povm.vectors.shape[1] != family.layout.total:
         raise ValueError(f"POVM vectors of length {povm.vectors.shape[1]} do not match "
                          f"layout {list(family.layout.dims)}")
@@ -491,13 +484,13 @@ def check_saturation(povm: Povm, family: StateFamily, theta: float,
     m_set = frame.conditions()
     scale = max(m.norm() for m in m_set)
 
-    fi = fisher_info(povm, frame.rho, frame.drho, p_tol=thr.p_tol)
+    fi = fisher_info(povm, frame.rho, frame.drho)
     cond_res = max(float(np.abs(_sandwich(povm, m)).max()) for m in m_set)
-    null = _sandwich(povm, frame.rho).real < thr.p_tol
+    null = _sandwich(povm, frame.rho).real < P_TOL
     reg_res = float(np.abs(povm.amplitudes(frame.l_support))[null].max(initial=0.0))
 
-    saturating = (cond_res <= thr.condition_rel * scale
-                  and reg_res <= thr.regularity_rel * scale
-                  and (frame.qfi - fi) <= thr.fi_rel * frame.qfi)
+    saturating = (cond_res <= CONDITION_REL * scale
+                  and reg_res <= REGULARITY_REL * scale
+                  and (frame.qfi - fi) <= FI_REL * frame.qfi)
     return SaturationReport(fi=fi, qfi=frame.qfi, condition_residual=cond_res,
                             regularity_residual=reg_res, saturating=bool(saturating))

@@ -6,8 +6,9 @@ index of a product state is big-endian in the subsystem order: for dims
 x1*d2*...*dn + ... + xn.
 
 Input from outside the package is validated once, at each public entry, by
-``check_hermitian``, ``check_traceless``, ``check_unit`` and, for a diagonal
-generator, ``check_real_diagonal``. Their tolerances
+the checks written here and nowhere else: ``check_finite``, ``check_hermitian``,
+``check_trace``/``check_traceless`` (of a matrix or each matrix of a stack),
+``check_unit``, ``check_real_diagonal`` and ``check_orthonormal``. Their tolerances
 are relative to max(1, scale of the caller's matrix): the largest entry for
 the Hermitian test, the Frobenius norm for the trace test. Every tolerance a
 call site passes comes from the table below, which states each one's scale.
@@ -83,19 +84,31 @@ def as_layout(layout: HilbertLayout | Sequence[int]) -> HilbertLayout:
     return HilbertLayout(tuple(layout))
 
 
-def _as_matrix(m: np.ndarray) -> np.ndarray:
+def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``a`` unchanged, after checking every entry finite: a tolerance test alone passes NaN."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def _as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    return m
+    return check_finite(m, name)
+
+
+def frobenius_norms(h: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (P, d, d) stack, bit for bit ``np.linalg.norm``'s."""
+    v = h.reshape(len(h), 1, h.shape[1] * h.shape[2])
+    sq = v.real @ v.real.swapaxes(1, 2) + v.imag @ v.imag.swapaxes(1, 2)
+    return np.sqrt(sq[:, 0, 0])
 
 
 def check_hermitian(m: np.ndarray, name: str = "matrix",
                     tol: float = HERM_TOL) -> np.ndarray:
     """(M + M^dag)/2, after checking max |M - M^dag| <= tol * max(1, max |M_ij|)."""
-    m = _as_matrix(m)
+    m = _as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     dev = np.abs(m - m.conj().T).max()
@@ -104,23 +117,38 @@ def check_hermitian(m: np.ndarray, name: str = "matrix",
     return (m + m.conj().T) / 2
 
 
+def check_trace(m: KetBraSum | np.ndarray, name: str = "matrix", tol: float = TRACE_TOL,
+                scale: float | None = None, error: type = ValueError) -> KetBraSum | np.ndarray:
+    """M unchanged, after checking |Tr M| <= tol * max(1, scale) for M or each matrix of a stack.
+
+    M is a ``KetBraSum`` or a finite square matrix or (P, d, d) stack. ``scale``
+    defaults to each matrix's own Frobenius norm; a caller checking matrices
+    derived from a larger one passes that one's norm. ``error``, raised on a
+    drifting trace, names the first one.
+    """
+    factored = isinstance(m, KetBraSum)
+    if factored:
+        tr = np.array([m.trace()])
+    else:
+        m = np.asarray(m, dtype=complex)
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+            raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+        stack = check_finite(m, name).reshape((-1,) + m.shape[-2:])
+        tr = np.trace(stack, axis1=1, axis2=2)
+    drift = np.abs(tr) > tol
+    if drift.any():     # max(1, scale) >= 1, so the norms are needed only past tol
+        if scale is None:
+            scale = m.norm() if factored else frobenius_norms(stack)
+        drift &= np.abs(tr) > tol * np.maximum(1.0, scale)
+        if drift.any():
+            raise error(f"{name} is not traceless (trace {tr[drift.argmax()]:.3e})")
+    return m
+
+
 def check_traceless(m: np.ndarray, name: str = "matrix", tol: float = TRACE_TOL,
                     scale: float | None = None, error: type = ValueError) -> np.ndarray:
-    """M - (Tr M / d) I, after checking |Tr M| <= tol * max(1, scale).
-
-    ``scale`` defaults to the Frobenius norm of M; a caller checking a matrix
-    derived from a larger one passes that one's norm. ``error`` is the
-    exception raised on failure.
-    """
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {m.shape}")
-    tr = np.trace(m)
-    if scale is None:
-        scale = float(np.linalg.norm(m))
-    if abs(tr) > tol * max(1.0, scale):
-        raise error(f"{name} is not traceless (trace {tr:.3e})")
-    return recenter(m)
+    """M - (Tr M / d) I of a matrix or of each matrix of a stack, after ``check_trace``."""
+    return recenter(check_trace(m, name, tol, scale, error))
 
 
 def recenter(m: np.ndarray) -> np.ndarray:
@@ -130,12 +158,22 @@ def recenter(m: np.ndarray) -> np.ndarray:
 
 
 def check_unit(v: np.ndarray, name: str = "vector", tol: float = UNIT_TOL) -> np.ndarray:
-    """v as a flat complex array, after checking | ||v|| - 1 | <= tol."""
+    """v as a flat complex array, after checking it finite and | ||v|| - 1 | <= tol."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol:
+    if not abs(nrm - 1.0) <= tol:       # a non-finite entry fails here, and is named
+        check_finite(v, name)
         raise ValueError(f"{name} norm {nrm!r} is not 1")
     return v
+
+
+def check_orthonormal(b: np.ndarray, failure: str, tol: float = ISOMETRY_TOL) -> np.ndarray:
+    """``b`` after checking max |B^dag B - I| <= tol (orthonormal columns; for rows pass B^T)
+    for B or each matrix of a stack, else ValueError(failure). NaN fails it too."""
+    dev = np.abs(b.conj().swapaxes(-1, -2) @ b - np.eye(b.shape[-1])).max()
+    if not dev <= tol:
+        raise ValueError(failure)
+    return b
 
 
 def check_real_diagonal(g: np.ndarray, name: str = "diagonal",
@@ -145,8 +183,7 @@ def check_real_diagonal(g: np.ndarray, name: str = "diagonal",
     g = np.asarray(g)
     if g.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {g.shape}")
-    if not np.isfinite(g).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    check_finite(g, name)
     dev = float(np.abs(np.imag(g)).max(initial=0.0))
     if dev > tol * max(1.0, float(np.abs(g).max(initial=0.0))):
         raise ValueError(f"{name} is not real (max imaginary part {dev:.3e})")
@@ -173,9 +210,8 @@ class KetBraSum:
         if self.kets.ndim != 2 or self.kets.shape != self.bras.shape:
             raise ValueError(f"kets {self.kets.shape} and bras {self.bras.shape} "
                              "must be K x D arrays of one shape")
-        if not (np.isfinite(self.kets).all() and np.isfinite(self.bras).all()
-                and np.isfinite(self.shift)):
-            raise ValueError("matrix contains non-finite entries")
+        for part in (self.kets, self.bras, self.shift):
+            check_finite(part)
 
     @classmethod
     def of(cls, m: "KetBraSum | np.ndarray") -> "KetBraSum":
@@ -229,9 +265,7 @@ def kron(factors: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of the factors, composed in the given order."""
     out = None
     for f in factors:
-        f = np.asarray(f, dtype=complex)
-        if not np.isfinite(f).all():
-            raise ValueError("kron factor contains non-finite entries")
+        f = check_finite(np.asarray(f, dtype=complex), "kron factor")
         out = f.copy() if out is None else np.kron(out, f)
     if out is None:
         raise ValueError("kron needs at least one factor")

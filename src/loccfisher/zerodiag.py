@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import TARGET_TRACE_TOL, check_hermitian, check_traceless, recenter
+from .tensor import (TARGET_TRACE_TOL, check_hermitian, check_trace, check_traceless,
+                     frobenius_norms, recenter)
 
 DIAG_TOL = 1e-8        # admissible diagonal residual relative to the pair scale
 NULL_TOL = 1e-9        # admissible null-vector residual relative to the pair scale
@@ -42,13 +43,6 @@ def _check_pair(h1: np.ndarray, h2: np.ndarray) -> float:
 def _traceless_hermitian(m: np.ndarray) -> np.ndarray:
     """Re-centered Hermitian part of each matrix of a stack, traceless Hermitian up to rounding."""
     return recenter((m + m.conj().swapaxes(-1, -2)) / 2)
-
-
-def _norms(h: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a (P, d, d) stack, bit for bit ``np.linalg.norm``'s."""
-    v = h.reshape(len(h), 1, h.shape[1] * h.shape[2])
-    sq = v.real @ v.real.swapaxes(1, 2) + v.imag @ v.imag.swapaxes(1, 2)
-    return np.sqrt(sq[:, 0, 0])
 
 
 def _check_residual(res: np.ndarray, tol: float, scale: np.ndarray, node: np.ndarray,
@@ -101,7 +95,7 @@ def _solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     h = _canonical_sign(_traceless_hermitian(np.concatenate([h1, h2])))
     a, z = h[:, 0, 0].real, h[:, 0, 1]
     b, phi = np.hypot(z.real, z.imag), np.arctan2(z.imag, z.real)
-    norms = _norms(h)
+    norms = frobenius_norms(h)
     size = np.maximum(np.maximum(norms[:p], norms[p:]), _TINY)   # the closed form is scale-free
 
     # x = b1 a2 cos(phi1) - b2 a1 cos(phi2), y likewise with sin; row k of ba is b_k a_(3-k)
@@ -141,7 +135,7 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
     if d == 1:
         return u
     h = _traceless_hermitian(h)
-    n = _norms(h.reshape(2 * p, d, d)).reshape(p, 2)
+    n = frobenius_norms(h.reshape(2 * p, d, d)).reshape(p, 2)
     floor = _TINY * scale
     live = np.maximum(n[:, 0], n[:, 1]) > floor
     if not live.any():
@@ -277,19 +271,12 @@ def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
     times max(1, its norm); its Hermitian and anti-Hermitian parts are then
     zero-diagonalized together at the scale max(1, ||h1||, ||h2||).
     """
-    m = np.asarray(m_tilde, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
+    # tested only: the recursion gets the stack as given, not re-centered
+    m = check_trace(m_tilde, "matrix", TARGET_TRACE_TOL)
     stack = m.reshape((-1,) + m.shape[-2:])
-    trace = np.trace(stack, axis1=1, axis2=2)
-    drift = np.abs(trace) > TARGET_TRACE_TOL * np.maximum(1.0, _norms(stack))
-    if drift.any():
-        raise ValueError(f"matrix is not traceless (trace {trace[drift.argmax()]:.3e})")
     mh = stack.conj().swapaxes(1, 2)
     h = np.empty((len(stack), 2) + stack.shape[1:], dtype=complex)
     h[:, 0], h[:, 1] = (stack + mh) / 2, (stack - mh) / 2j
-    n = _norms(h.reshape((-1,) + stack.shape[1:])).reshape(-1, 2)
+    n = frobenius_norms(h.reshape((-1,) + stack.shape[1:])).reshape(-1, 2)
     u = _zero_diag(h, np.maximum(1.0, np.maximum(n[:, 0], n[:, 1])), np.arange(len(stack)))
     return u if m.ndim == 3 else u[0]

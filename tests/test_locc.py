@@ -11,6 +11,7 @@ from loccfisher import (RankTwoFixedBasisFamily, discriminate, flatten,
                         synthesize_tree, tree_from_json, tree_to_json,
                         verify_tree)
 from loccfisher import locc
+from loccfisher.cli import cli_main
 from loccfisher.locc import (NODE_TRACE_TOL, MeasurementTree, SynthesisError, _node_bases,
                              bloch_rows)
 from loccfisher.scenarios import bell_states, builtin_scenario
@@ -101,6 +102,23 @@ class TestNodeBases:
         nodes[2] += 1e-6 * np.eye(d)
         with pytest.raises(SynthesisError, match="at depth 5 is not traceless"):
             _node_bases(nodes, 5, 1.0)
+
+    @staticmethod
+    def identity_at_last_depth(m):
+        """ghz3's bases, but the identity for the four nodes of the last depth."""
+        return np.broadcast_to(np.eye(2), m.shape).copy() if len(m) == 4 else zero_diag_basis(m)
+
+    def test_violated_leaf_condition_raises(self, monkeypatch):
+        monkeypatch.setattr(locc, "zero_diag_basis", self.identity_at_last_depth)
+        fam = ghz_family(3)
+        with pytest.raises(SynthesisError, match="leaf condition violated"):
+            synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
+
+    def test_violated_leaf_condition_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(locc, "zero_diag_basis", self.identity_at_last_depth)
+        assert cli_main(["synthesize", "ghz3", "--theta", "0.3"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "non-convergence" and "leaf condition" in err["error"]
 
     def test_each_depth_calls_zero_diag_basis_once(self, rng, monkeypatch):
         seen = []
@@ -293,6 +311,12 @@ class TestDiscriminate:
         v0 = np.array([1, 0, 0, 0], dtype=complex)
         v1 = np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2)
         with pytest.raises(ValueError):
+            discriminate(v0, v1, HilbertLayout((2, 2)))
+
+    def test_rejects_nan_state(self):
+        v0 = np.array([np.nan, 1, 0, 0], dtype=complex)
+        v1 = np.array([0, 0, 1, 0], dtype=complex)
+        with pytest.raises(ValueError, match="psi0 contains non-finite entries"):
             discriminate(v0, v1, HilbertLayout((2, 2)))
 
     def test_correspondence_with_saturation(self, rng):

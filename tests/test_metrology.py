@@ -66,6 +66,18 @@ class TestEvalState:
         with pytest.raises(ValueError, match=match):
             UnitaryGeneratorFamily(QUBIT, np.array([1, 0], complex), gen)
 
+    @pytest.mark.parametrize("name", ["psi_in", "psi0", "psi1"])
+    def test_nan_input_vector_named(self, name):
+        # |nan - 1| > tol is False: the norm test alone passed NaN on to a later check
+        vecs = {"psi0": np.array([1, 0], complex), "psi1": np.array([0, 1], complex)}
+        bad = np.array([np.nan, 1.0], complex)
+        with pytest.raises(ValueError, match=f"{name} contains non-finite entries"):
+            if name == "psi_in":
+                UnitaryGeneratorFamily(QUBIT, bad, np.array([0.0, 1.0]))
+            else:
+                RankTwoFixedBasisFamily(QUBIT, **{**vecs, name: bad},
+                                        p_fn=lambda t: 0.5, dp_fn=lambda t: 1.0)
+
     def test_rank_two_linear(self):
         bells = bell_states()
         fam = RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],

@@ -451,6 +451,19 @@ class TestCliErrors:
         assert cli_main(["synthesize", str(path), "--theta", "0.5"]) == 1
         assert "no information" in capsys.readouterr().err
 
+    def test_nan_psi_in_exit_1(self, tmp_path, capsys):
+        # JSON NaN parses; the family names the vector instead of a later anonymous check
+        doc = {"type": "unitary-generator", "layout": [2],
+               "psi_in": [[float("nan"), 0.0], [1.0, 0.0]],
+               "hamiltonian": {"pauli": [{"coeff": 1.0, "string": "Z"}]},
+               "theta_grid": [0.3]}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["qfi", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "validation"
+        assert err["error"] == "psi_in contains non-finite entries"
+
     def test_lm_check_zero_restarts_exit_1(self, capsys):
         assert cli_main(["lm-check", "lm3x3", "--projective-only",
                          "--restarts", "0"]) == 1

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
-from loccfisher.tensor import (HilbertLayout, KetBraSum, check_real_diagonal,
+from loccfisher.tensor import (HilbertLayout, KetBraSum, check_finite, check_orthonormal,
+                               check_real_diagonal, check_trace, check_traceless, check_unit,
                                complex_to_pairs, herm_eig, kron, pairs_to_complex,
-                               partial_expectation, partial_trace, sqrt_psd)
+                               partial_expectation, partial_trace, recenter, sqrt_psd)
 
 from conftest import (PAULI_X, PAULI_Z, ghz_family, random_density,
                       random_hermitian, random_state)
@@ -64,6 +66,79 @@ class TestKetBraSum:
         assert check_real_diagonal(np.array([1.0, 2.0 + 1e-14j])).dtype == float
         with pytest.raises(ValueError, match="not real"):
             check_real_diagonal(np.array([1.0, 2.0 + 1e-6j]))
+
+
+class TestChecks:
+    def test_finite_names_the_array(self):
+        a = np.array([1.0, 2.0])
+        assert check_finite(a, "psi") is a
+        for bad in (np.array([1.0, np.nan]), np.array([[0, np.inf * 1j]]), np.nan):
+            with pytest.raises(ValueError, match="^psi contains non-finite entries$"):
+                check_finite(bad, "psi")
+
+    def test_unit_rejects_nan(self):
+        # |nan - 1| > tol is False, so the norm test alone lets NaN through
+        with pytest.raises(ValueError, match="psi_in contains non-finite entries"):
+            check_unit(np.array([np.nan, 1.0]), "psi_in")
+
+    @staticmethod
+    def drifting(trace, norm):
+        """A 2x2 diagonal matrix of Frobenius norm about ``norm`` and trace ``trace``."""
+        return np.diag([norm / np.sqrt(2), -norm / np.sqrt(2) + trace]).astype(complex)
+
+    def test_traceless_stack_scales_each_matrix_by_its_own_norm(self):
+        # a trace of 1e-5 passes at norm 1e6 (bound 1e-4) but not at norm 1 (bound 1e-10)
+        big, small = self.drifting(1e-5, 1e6), self.drifting(1e-5, 1.0)
+        assert np.array_equal(check_traceless(big[None]), recenter(big[None]))
+        with pytest.raises(ValueError, match="trace 1.000e-05"):
+            check_traceless(np.stack([big, small]))
+        # an explicit scale applies to every matrix of the stack
+        check_traceless(np.stack([big, small]), scale=1e6)
+
+    def test_traceless_stack_names_the_first_drifting_trace(self):
+        stack = np.stack([self.drifting(0.0, 1.0), self.drifting(2e-5, 1.0),
+                          self.drifting(3e-5, 1.0)])
+        with pytest.raises(RuntimeError, match=r"^stack is not traceless \(trace 2.000e-05"):
+            check_traceless(stack, "stack", error=RuntimeError)
+
+    def test_traceless_matrix_is_a_stack_of_one(self, rng):
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m -= np.trace(m) / 3 * np.eye(3)
+        m[0, 0] += 1e-12
+        assert np.array_equal(check_traceless(m), check_traceless(m[None])[0])
+        assert check_trace(m) is m          # tested only, not re-centered
+        m[0, 0] += 1e-6
+        for arg in (m, m[None]):
+            with pytest.raises(ValueError, match=r"trace 1.000e-06"):
+                check_traceless(arg)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3, 3)])
+    def test_traceless_rejects_non_square_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix or a stack"):
+            check_traceless(np.zeros(shape))
+
+    def test_traceless_rejects_nan_in_a_stack(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="nodes contains non-finite entries"):
+            check_trace(stack, "nodes")
+
+    def test_orthonormal_stack(self):
+        stack = unitary_group.rvs(3, size=4, random_state=5)
+        assert check_orthonormal(stack, "bad") is stack
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="^bad$"):
+            check_orthonormal(stack, "bad")
+        stack[2, 0, 1] = np.nan         # NaN fails the bound instead of slipping past it
+        with pytest.raises(ValueError, match="^bad$"):
+            check_orthonormal(stack, "bad")
+
+    def test_orthonormal_rows(self):
+        # an isometry 2 x 3 with orthonormal rows: its columns are not orthonormal
+        u = unitary_group.rvs(3, random_state=2)[:2]
+        check_orthonormal(u.T, "rows")
+        with pytest.raises(ValueError, match="columns"):
+            check_orthonormal(u, "columns")
 
 
 class TestKron:
