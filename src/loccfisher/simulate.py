@@ -10,7 +10,8 @@ substreams so runs are reproducible bit for bit and trivially parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         lo, hi = self.prior
+        if not np.isfinite(self.prior).all():
+            raise ValueError(f"prior {list(self.prior)} is not finite")
         if not lo < hi:
             raise ValueError("prior interval is empty")
         if not lo <= self.theta_true <= hi:
@@ -101,8 +104,9 @@ def _path_prob_fn(family: metrology.StateFamily,
     O(L K). That holds when K <= d_1 + ... + d_n, where this cost meets the
     O(D (d_1 + ... + d_n)) per theta of the amplitudes of psi(theta), which
     every other pure family reads, or when K D <= SMALL_LAW, below the fixed
-    overhead of one tree contraction.
+    overhead of one tree contraction. The tree must measure the family's layout.
     """
+    locc.check_layout(tree, family)
     cap = max(sum(tree.layout.dims), SMALL_LAW // tree.layout.total)
     parts = (family.components(cap)
              if isinstance(family, metrology.UnitaryGeneratorFamily) else None)
@@ -132,19 +136,18 @@ def _path_prob_fn(family: metrology.StateFamily,
 class _OutcomeLaw:
     """One tree's outcome law for one family, tabulated on the prior grid.
 
-    ``paths`` run in ``tree.amplitudes`` row order and ``prob_fn`` reads leaf
-    amplitudes, never leaf vectors. ``log_table[e, g]`` is log(max(P_e(grid[g]),
-    LOG_FLOOR)), each column filled by ``prob_fn``, so every family check runs at
-    every grid point. ``run_trials`` builds it once per tree and passes it where
-    a tree is expected (``mle``'s ``tree``, ``two_step``'s ``config.tree``).
+    Outcomes are leaf indices in ``tree.amplitudes`` row order, so counts are
+    the vector that ``draw`` returns, and ``prob_fn`` reads leaf amplitudes,
+    never leaf vectors. ``log_table[e, g]`` is log(max(P_e(grid[g]), LOG_FLOOR)),
+    each column filled by ``prob_fn``, so every family check runs at every grid
+    point. A run builds one law per tree and draws and estimates with it.
     """
 
     def __init__(self, family: metrology.StateFamily, tree: locc.MeasurementTree,
                  prior: tuple[float, float]):
-        self.paths = list(np.ndindex(*(tree.layout.dims[k] for k in tree.order)))
         self.prob_fn = _path_prob_fn(family, tree)
         self.grid = np.linspace(prior[0], prior[1], GRID_POINTS)
-        table = np.empty((len(self.paths), GRID_POINTS))     # logged in place: one table at peak
+        table = np.empty((tree.layout.total, GRID_POINTS))    # logged in place: one table at peak
         for g, theta in enumerate(self.grid):
             table[:, g] = self.prob_fn(theta)
         self.log_table = np.log(np.clip(table, LOG_FLOOR, None, out=table), out=table)
@@ -160,6 +163,11 @@ class _OutcomeLaw:
         probs = np.clip(self.prob_fn(theta), 0.0, None)
         return np.round(probs / probs.sum(), LAW_DECIMALS)
 
+    def draw(self, theta: float, shots: int, rng: np.random.Generator) -> np.ndarray:
+        # Leaf-indexed counts: equal in distribution to drawing each shot's
+        # path node by node through the tree, and far cheaper.
+        return rng.multinomial(shots, self.distribution(theta))
+
 
 def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
                       theta: float) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -168,34 +176,21 @@ def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
     return list(np.ndindex(*(tree.layout.dims[k] for k in tree.order))), probs / probs.sum()
 
 
-def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
-        tree: locc.MeasurementTree, prior: tuple[float, float]) -> float:
-    """Maximum-likelihood estimate from outcome counts on the prior interval.
-
-    Scans a uniform grid, breaking exact ties toward the interval midpoint,
-    then refines by golden-section search down to MLE_WIDTH interval width.
-    Raises DegenerateLikelihoodError if the likelihood is flat on the grid.
-    """
-    if not counts:
-        raise ValueError("no counts")
-    law = tree if isinstance(tree, _OutcomeLaw) else _OutcomeLaw(family, tree, prior)
-    count_vec = np.array([counts.get(p, 0) for p in law.paths], dtype=float)
-    if count_vec.sum() <= 0:
-        raise ValueError("no counts")
+def _mle(law: _OutcomeLaw, counts: np.ndarray, prior: tuple[float, float]) -> float:
+    """Maximum-likelihood estimate from leaf-indexed counts; see ``mle``."""
+    count_vec = np.asarray(counts, dtype=float)
 
     def loglik(theta: float) -> float:
         probs = np.clip(law.prob_fn(theta), LOG_FLOOR, None)
         return float(count_vec @ np.log(probs))
 
-    lo, hi = prior
     grid = law.grid
     values = count_vec @ law.log_table
-    spread = values.max() - values.min()
-    if spread < FLAT_REL * (abs(values.max()) + 1.0):
-        raise DegenerateLikelihoodError("likelihood is flat on the prior interval")
     peak = values.max()
+    if peak - values.min() < FLAT_REL * (abs(peak) + 1.0):
+        raise DegenerateLikelihoodError("likelihood is flat on the prior interval")
     ties = np.flatnonzero(values >= peak)
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * (prior[0] + prior[1])
     best = int(ties[np.argmin(np.abs(grid[ties] - mid))])
 
     a = grid[max(best - 1, 0)]
@@ -214,53 +209,61 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     return float(0.5 * (a + b))
 
 
-def _draw_counts(law: _OutcomeLaw, theta: float, shots: int,
-                 rng: np.random.Generator) -> dict[tuple[int, ...], int]:
-    # Multinomial over the leaves' outcome law; equal in distribution to
-    # drawing each shot's path node by node through the tree, and far cheaper.
-    draws = rng.multinomial(shots, law.distribution(theta))
-    return {p: int(n) for p, n in zip(law.paths, draws) if n > 0}
+def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
+        tree: locc.MeasurementTree, prior: tuple[float, float]) -> float:
+    """Maximum-likelihood estimate from outcome counts on the prior interval.
+
+    Scans a uniform grid, breaking exact ties toward the interval midpoint,
+    then refines by golden-section search down to MLE_WIDTH interval width.
+    Raises ValueError if a counted path is not a leaf of the tree, and
+    DegenerateLikelihoodError if the likelihood is flat on the grid.
+    """
+    if sum(counts.values()) <= 0:
+        raise ValueError("no counts")
+    dims = tuple(tree.layout.dims[k] for k in tree.order)
+    for path in counts:
+        if len(path) != len(dims) or not all(0 <= x < d for x, d in zip(path, dims)):
+            raise ValueError(f"outcome path {path} is not a leaf of the tree")
+    count_vec = np.zeros(tree.layout.total)
+    count_vec[np.ravel_multi_index(np.array(list(counts)).T, dims)] = list(counts.values())
+    return _mle(_OutcomeLaw(family, tree, prior), count_vec, prior)
 
 
-def _synthesize_at(family: metrology.StateFamily, theta: float,
-                   layout) -> locc.MeasurementTree:
+def _synthesize_at(family: metrology.StateFamily, theta: float) -> locc.MeasurementTree:
     target = metrology.saturation_matrices(family, theta).target
     if target is None:
         raise ValueError("family has no rank-one synthesis target")
-    return locc.synthesize_tree(target, layout)
+    return locc.synthesize_tree(target, family.layout)
 
 
 def _reference_law(config: SimConfig) -> _OutcomeLaw:
     """Law of the two-step reference tree: config.tree, else synthesized at the midpoint."""
-    if isinstance(config.tree, _OutcomeLaw):
-        return config.tree
     lo, hi = config.prior
-    tree = config.tree or _synthesize_at(config.family, 0.5 * (lo + hi),
-                                         config.family.layout)
+    tree = config.tree or _synthesize_at(config.family, 0.5 * (lo + hi))
     return _OutcomeLaw(config.family, tree, config.prior)
+
+
+def _two_step(config: SimConfig, ref: _OutcomeLaw, rng: np.random.Generator) -> float:
+    if config.shots < 16:
+        raise ValueError("two-step needs at least 16 shots")
+    family, prior = config.family, config.prior
+    n_rough = int(np.ceil(np.sqrt(config.shots)))
+    rough = _mle(ref, ref.draw(config.theta_true, n_rough, rng), prior)
+    pad = PRIOR_EDGE_REL * (prior[1] - prior[0])
+    rough = float(np.clip(rough, prior[0] + pad, prior[1] - pad))
+    main = _OutcomeLaw(family, _synthesize_at(family, rough), prior)
+    return _mle(main, main.draw(config.theta_true, config.shots - n_rough, rng), prior)
 
 
 def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float:
     """Two-stage estimate: rough scan, re-synthesis, main measurement.
 
-    Spends ceil(sqrt(N)) shots on a reference tree synthesized at the prior
-    midpoint, re-synthesizes the measurement at the rough estimate (clamped
-    inside the prior), and returns the MLE of the remaining shots.
+    Spends ceil(sqrt(N)) shots on the reference tree (config.tree, else one
+    synthesized at the prior midpoint), re-synthesizes at the rough estimate
+    (clamped inside the prior) and returns the MLE of the remaining shots,
+    drawn from ``rng``, else from the substream of trial 0.
     """
-    if config.shots < 16:
-        raise ValueError("two-step needs at least 16 shots")
-    rng = rng or _trial_rng(config.seed, 0)
-    family, prior = config.family, config.prior
-    lo, hi = prior
-    n_rough = int(np.ceil(np.sqrt(config.shots)))
-    ref = _reference_law(config)
-    counts = _draw_counts(ref, config.theta_true, n_rough, rng)
-    rough = mle(counts, family, ref, prior)
-    pad = PRIOR_EDGE_REL * (hi - lo)
-    rough = float(np.clip(rough, lo + pad, hi - pad))
-    main = _OutcomeLaw(family, _synthesize_at(family, rough, family.layout), prior)
-    counts = _draw_counts(main, config.theta_true, config.shots - n_rough, rng)
-    return mle(counts, family, main, prior)
+    return _two_step(config, _reference_law(config), rng or _trial_rng(config.seed, 0))
 
 
 def run_trials(config: SimConfig) -> SimReport:
@@ -273,23 +276,19 @@ def run_trials(config: SimConfig) -> SimReport:
     j = metrology.qfi(config.family, config.theta_true)
     family, prior = config.family, config.prior
     lo, hi = prior
-    # One outcome law per tree and run: the fixed tree's, or the two-step
-    # reference tree's, which every trial reaches through config.tree.
+    # One outcome law per run: the fixed tree's, or the two-step reference tree's.
     if config.strategy == "fixed":
-        law = _OutcomeLaw(family, config.tree or _synthesize_at(
-            family, config.theta_true, family.layout), prior)
+        law = _OutcomeLaw(family, config.tree or _synthesize_at(family, config.theta_true), prior)
+
+        def estimate(rng: np.random.Generator) -> float:
+            return _mle(law, law.draw(config.theta_true, config.shots, rng), prior)
     else:
-        trial_config = replace(config, tree=_reference_law(config))
+        estimate = partial(_two_step, config, _reference_law(config))
     estimates = []
     degenerate = 0
     for trial in range(config.trials):
-        rng = _trial_rng(config.seed, trial)
         try:
-            if config.strategy == "fixed":
-                counts = _draw_counts(law, config.theta_true, config.shots, rng)
-                estimates.append(mle(counts, family, law, prior))
-            else:
-                estimates.append(two_step(trial_config, rng))
+            estimates.append(estimate(_trial_rng(config.seed, trial)))
         except DegenerateLikelihoodError:
             degenerate += 1
     estimates = np.asarray(estimates)
@@ -297,21 +296,15 @@ def run_trials(config: SimConfig) -> SimReport:
     boundary = int(np.sum((np.abs(estimates - lo) < edge) | (np.abs(estimates - hi) < edge)))
     if estimates.size >= 2:
         variance = float(np.var(estimates, ddof=1))
-    else:
-        variance = float("nan")
-    ratio = config.shots * j * variance
-
-    if estimates.size >= 2:
         # one draw of all resamples: the same stream as drawing them one by one
         idx = _trial_rng(config.seed, config.trials).integers(
             0, estimates.size, (1000, estimates.size))
         ratios = config.shots * j * np.var(estimates[idx], axis=1, ddof=1)
         ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
     else:
-        ci = (float("nan"), float("nan"))
-
+        variance, ci = float("nan"), (float("nan"), float("nan"))
     return SimReport(theta_true=config.theta_true, shots=config.shots,
                      trials=config.trials, qfi=j, estimates=estimates,
-                     variance=variance, ratio=float(ratio), ci95=ci,
+                     variance=variance, ratio=float(config.shots * j * variance), ci95=ci,
                      seed=config.seed, degenerate_trials=degenerate,
                      boundary_hits=boundary)

@@ -26,7 +26,7 @@ from loccfisher.locc import LEAF_TOL
 from loccfisher.metrology import _frame
 from loccfisher.scenarios import builtin_scenario
 from loccfisher import simulate
-from loccfisher.simulate import _OutcomeLaw, _path_prob_fn
+from loccfisher.simulate import LOG_FLOOR, _OutcomeLaw, _path_prob_fn
 from loccfisher.tensor import HilbertLayout
 
 from conftest import random_density, random_hermitian, random_pure_family, random_state
@@ -310,7 +310,9 @@ def assert_law_matches_leaf_vectors(family, tree, thetas):
         paths, probs = leaf_distribution(family, tree, theta)
         assert paths == [path for path, _ in leaves]
         assert np.abs(probs - want / want.sum()).max() <= 1e-12
-    assert _OutcomeLaw(family, tree, (0.1, 0.9)).paths == paths
+    law = _OutcomeLaw(family, tree, (0.1, 0.9))
+    assert np.array_equal(law.log_table[:, 0],
+                          np.log(np.clip(prob_fn(law.grid[0]), LOG_FLOOR, None)))
 
 
 @PROPERTY

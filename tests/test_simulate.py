@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,10 +12,10 @@ from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
                         saturation_matrices, synthesize_tree, two_step)
 from loccfisher.locc import MeasurementTree, flatten, leaf_vectors
 from loccfisher.scenarios import builtin_scenario
-from loccfisher.simulate import _trial_rng
+from loccfisher.simulate import _OutcomeLaw, _trial_rng
 from loccfisher.tensor import HilbertLayout
 
-from conftest import ghz_family
+from conftest import ghz_family, random_pure_family
 from oracles import sample_paths
 
 
@@ -156,6 +158,68 @@ class TestMle:
         with pytest.raises(DegenerateLikelihoodError):
             mle({(0,): 7, (1,): 3}, fam, tree, (0.0, 1.0))
 
+    @pytest.mark.parametrize("path", [(7, 7), (0,), (0, 0, 0), (0, -1)])
+    def test_path_off_the_tree_rejected(self, path):
+        # counts on a path the tree does not have are named, not dropped
+        fam = ghz_family(2)
+        tree = synth(fam, 0.4)
+        paths, probs = leaf_distribution(fam, tree, 0.4)
+        counts = dict(zip(paths, _trial_rng(2, 0).multinomial(1000, probs)))
+        counts[path] = 5
+        with pytest.raises(ValueError, match=re.escape(f"outcome path {path}")):
+            mle(counts, fam, tree, (0.0, 1.0))
+
+    def test_matches_run_trials_on_the_same_draw(self):
+        # public mle on the dict of one fixed-strategy draw is trial 0's estimate
+        fam, prior = ghz_family(3), (0.1, 0.8)
+        tree = synth(fam, 0.4)
+        cfg = SimConfig(family=fam, theta_true=0.4, shots=3000, trials=1, seed=13,
+                        prior=prior, tree=tree)
+        draw = _OutcomeLaw(fam, tree, prior).draw(0.4, 3000, _trial_rng(13, 0))
+        paths = leaf_distribution(fam, tree, 0.4)[0]
+        counts = {p: int(n) for p, n in zip(paths, draw) if n > 0}
+        assert mle(counts, fam, tree, prior) == run_trials(cfg).estimates[0]
+
+
+class TestLayoutMismatch:
+    # a tree of another layout with the same D is rejected wherever a law is built
+    MISMATCH = r"tree layout \[3, 2\] does not match family layout \[2, 3\]"
+
+    @pytest.fixture
+    def family_and_tree(self):
+        fam = random_pure_family((2, 3), np.random.default_rng(5))
+        tree = synthesize_tree(saturation_matrices(fam, 0.3).target, HilbertLayout((3, 2)))
+        return fam, tree
+
+    def test_leaf_distribution(self, family_and_tree):
+        with pytest.raises(ValueError, match=self.MISMATCH):
+            leaf_distribution(*family_and_tree, 0.3)
+
+    def test_mle(self, family_and_tree):
+        with pytest.raises(ValueError, match=self.MISMATCH):
+            mle({(0, 0): 3, (2, 1): 4}, *family_and_tree, (0.0, 1.0))
+
+    @pytest.mark.parametrize("strategy", ["fixed", "two-step"])
+    def test_run_trials(self, family_and_tree, strategy):
+        fam, tree = family_and_tree
+        cfg = SimConfig(family=fam, theta_true=0.3, shots=400, trials=3, seed=1,
+                        prior=(0.0, 1.0), strategy=strategy, tree=tree)
+        with pytest.raises(ValueError, match=self.MISMATCH):
+            run_trials(cfg)
+
+    def test_verify_tree(self, family_and_tree):
+        fam, tree = family_and_tree
+        with pytest.raises(ValueError, match=self.MISMATCH):
+            locc.verify_tree(tree, fam, 0.3)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("prior", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+    def test_non_finite_prior_rejected(self, prior):
+        with pytest.raises(ValueError, match=re.escape(f"prior {list(prior)} is not finite")):
+            SimConfig(family=ghz_family(2), theta_true=0.5, shots=100, trials=2,
+                      seed=0, prior=prior)
+
 
 class TestTwoStep:
     def test_minimal_split_runs(self):
@@ -164,6 +228,12 @@ class TestTwoStep:
                         seed=5, prior=(0.0, 1.0), strategy="two-step")
         est = two_step(cfg)
         assert 0.0 <= est <= 1.0
+
+    def test_is_trial_zero_of_run_trials(self):
+        # both draw from the substream of trial 0 and share the reference tree
+        cfg = SimConfig(family=ghz_family(2), theta_true=0.4, shots=900, trials=1,
+                        seed=7, prior=(0.0, 1.0), strategy="two-step")
+        assert two_step(cfg) == run_trials(cfg).estimates[0]
 
     def test_boundary_theta_clamped(self):
         fam = ghz_family(2)
