@@ -95,9 +95,10 @@ def _trial_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _path_prob_fn(family: metrology.StateFamily,
-                  tree: locc.MeasurementTree) -> Callable[[float], np.ndarray]:
-    """Outcome law theta -> leaf probabilities, read through ``tree.amplitudes``.
+def _path_prob_fns(family: metrology.StateFamily, tree: locc.MeasurementTree
+                   ) -> tuple[Callable[[float], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """Outcome law theta -> leaf probabilities, read through ``tree.amplitudes``,
+    and the same law over a block of m thetas as one L x m array.
 
     A unitary family whose psi_in touches K generator levels is read through
     its components C: their amplitudes are taken once and each theta costs
@@ -105,6 +106,9 @@ def _path_prob_fn(family: metrology.StateFamily,
     O(D (d_1 + ... + d_n)) per theta of the amplitudes of psi(theta), which
     every other pure family reads, or when K D <= SMALL_LAW, below the fixed
     overhead of one tree contraction. The tree must measure the family's layout.
+    A block is one product (components), one contraction of the stacked
+    psi(theta) (pure) or one outer product by p(theta) (rank two), each within
+    rounding of the per-theta law; a generic mixed family stacks its columns.
     """
     locc.check_layout(tree, family)
     cap = max(sum(tree.layout.dims), SMALL_LAW // tree.layout.total)
@@ -115,22 +119,36 @@ def _path_prob_fn(family: metrology.StateFamily,
 
         def probs(theta: float) -> np.ndarray:
             return np.abs(amps @ np.exp(-1j * theta * levels)) ** 2
+
+        def block(thetas: np.ndarray) -> np.ndarray:
+            return np.abs(amps @ np.exp(np.outer(levels, -1j * thetas))) ** 2
     elif family.state_type == "pure":
         def probs(theta: float) -> np.ndarray:
             return np.abs(tree.amplitudes(family.psi(theta))) ** 2
+
+        def block(thetas: np.ndarray) -> np.ndarray:
+            return np.abs(tree.amplitudes(np.stack([family.psi(t) for t in thetas]))) ** 2
     elif family.state_type == "rank-two":
         o0, o1 = (np.abs(tree.amplitudes(np.stack([family.psi0, family.psi1]))) ** 2).T
 
         def probs(theta: float) -> np.ndarray:
             p = family.p(theta)
             return p * o0 + (1 - p) * o1
+
+        def block(thetas: np.ndarray) -> np.ndarray:
+            # p is a user callable: evaluated (and checked) point by point, in order
+            p = np.array([family.p(t) for t in thetas])
+            return np.outer(o0, p) + np.outer(o1, 1 - p)
     else:
         amps = tree.amplitudes(np.eye(tree.layout.total))   # <e|i>, fixed per tree
 
         def probs(theta: float) -> np.ndarray:
             rho = family.rho(theta)
             return np.sum(amps * np.conj(amps @ rho.conj().T), axis=1).real
-    return probs
+
+        def block(thetas: np.ndarray) -> np.ndarray:
+            return np.stack([probs(t) for t in thetas], axis=1)
+    return probs, block
 
 
 class _OutcomeLaw:
@@ -139,18 +157,22 @@ class _OutcomeLaw:
     Outcomes are leaf indices in ``tree.amplitudes`` row order, so counts are
     the vector that ``draw`` returns, and ``prob_fn`` reads leaf amplitudes,
     never leaf vectors. ``log_table[e, g]`` is log(max(P_e(grid[g]), LOG_FLOOR)),
-    each column filled by ``prob_fn``, so every family check runs at every grid
-    point. A run builds one law per tree and draws and estimates with it.
+    filled by the batched law max(1, SMALL_LAW // L) grid columns at a time, so
+    a block holds at most SMALL_LAW entries beside the table; psi(theta) and
+    p(theta) are still evaluated, and checked, at every grid point. Only the
+    grid scan reads the table: draws and golden-section steps call ``prob_fn``.
+    A run builds one law per tree and draws and estimates with it.
     """
 
     def __init__(self, family: metrology.StateFamily, tree: locc.MeasurementTree,
                  prior: tuple[float, float]):
-        self.prob_fn = _path_prob_fn(family, tree)
+        self.prob_fn, block = _path_prob_fns(family, tree)
         self.grid = np.linspace(prior[0], prior[1], GRID_POINTS)
         table = np.empty((tree.layout.total, GRID_POINTS))    # logged in place: one table at peak
-        for g, theta in enumerate(self.grid):
-            table[:, g] = self.prob_fn(theta)
-        self.log_table = np.log(np.clip(table, LOG_FLOOR, None, out=table), out=table)
+        width = max(1, SMALL_LAW // tree.layout.total)
+        for start in range(0, GRID_POINTS, width):
+            table[:, start:start + width] = block(self.grid[start:start + width])
+        self.log_table = np.log(np.maximum(table, LOG_FLOOR, out=table), out=table)
 
     def distribution(self, theta: float) -> np.ndarray:
         """The law at theta, rounded to LAW_DECIMALS for drawing.
@@ -172,7 +194,7 @@ class _OutcomeLaw:
 def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
                       theta: float) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Outcome paths and their probabilities at theta."""
-    probs = np.clip(_path_prob_fn(family, tree)(theta), 0.0, None)
+    probs = np.clip(_path_prob_fns(family, tree)[0](theta), 0.0, None)
     return list(np.ndindex(*(tree.layout.dims[k] for k in tree.order))), probs / probs.sum()
 
 
@@ -181,7 +203,7 @@ def _mle(law: _OutcomeLaw, counts: np.ndarray, prior: tuple[float, float]) -> fl
     count_vec = np.asarray(counts, dtype=float)
 
     def loglik(theta: float) -> float:
-        probs = np.clip(law.prob_fn(theta), LOG_FLOOR, None)
+        probs = np.maximum(law.prob_fn(theta), LOG_FLOOR)
         return float(count_vec @ np.log(probs))
 
     grid = law.grid

@@ -26,7 +26,7 @@ from loccfisher.locc import LEAF_TOL
 from loccfisher.metrology import _frame
 from loccfisher.scenarios import builtin_scenario
 from loccfisher import simulate
-from loccfisher.simulate import LOG_FLOOR, _OutcomeLaw, _path_prob_fn
+from loccfisher.simulate import GRID_POINTS, LOG_FLOOR, _OutcomeLaw, _path_prob_fns
 from loccfisher.tensor import HilbertLayout
 
 from conftest import random_density, random_hermitian, random_pure_family, random_state
@@ -302,7 +302,7 @@ def assert_law_matches_leaf_vectors(family, tree, thetas):
     """The amplitude law against <e|rho|e> over the oracle's kron-built leaf vectors."""
     leaves = leaf_vectors_kron(tree)
     vectors = np.stack([vec for _, vec in leaves])
-    prob_fn = _path_prob_fn(family, tree)
+    prob_fn = _path_prob_fns(family, tree)[0]
     for theta in thetas:
         rho = family.rho_drho(theta)[0]
         want = np.einsum("ea,ab,eb->e", vectors.conj(), rho, vectors).real
@@ -310,9 +310,16 @@ def assert_law_matches_leaf_vectors(family, tree, thetas):
         paths, probs = leaf_distribution(family, tree, theta)
         assert paths == [path for path, _ in leaves]
         assert np.abs(probs - want / want.sum()).max() <= 1e-12
+    # every grid column of the tabulated law against the per-theta law: the
+    # rank-two and mixed blocks combine the same products, bit for bit; a pure
+    # block is one BLAS product or contraction, equal to rounding
     law = _OutcomeLaw(family, tree, (0.1, 0.9))
-    assert np.array_equal(law.log_table[:, 0],
-                          np.log(np.clip(prob_fn(law.grid[0]), LOG_FLOOR, None)))
+    assert law.log_table.shape == (tree.layout.total, GRID_POINTS)
+    per_theta = np.stack([np.maximum(prob_fn(t), LOG_FLOOR) for t in law.grid], axis=1)
+    if family.state_type == "pure":
+        assert np.abs(np.exp(law.log_table) - per_theta).max() <= 1e-12
+    else:
+        assert np.array_equal(law.log_table, np.log(per_theta))
 
 
 @PROPERTY

@@ -472,6 +472,17 @@ class TestCliErrors:
         assert err["kind"] == "validation" and "restarts" in err["error"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("prior, error", [
+        (("0.0", "0.9"), "p(theta) = 0.0 outside (0, 1)"),
+        (("0.2", "1.3"), "p(theta) = 1.0007827788649708 outside (0, 1)")])
+    def test_simulate_prior_outside_p_range_names_first_grid_point(self, capsys, prior, error):
+        # the outcome law checks p at every grid point in ascending order, so the
+        # error names the first offending point
+        assert cli_main(["simulate", "ranktwo", "--theta", "0.5", "--prior", *prior]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": error, "kind": "validation"}
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["qfi", "ghz2", "--theta", "inf"],
         ["synthesize", "ghz2", "--theta", "nan"],

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,20 @@ class TestRunTrials:
         run_trials(SimConfig(family=fam, theta_true=0.4, shots=2000, trials=20,
                              seed=4, prior=(0.0, 1.0)))
         assert len(calls) < 512 + 20 * 200
+
+    def test_law_table_built_in_bounded_blocks(self):
+        # ghz12 has L = 4096 leaves: a law built from one L x 512 complex product
+        # would hold twice the table at once
+        fam = builtin_scenario("ghz12").family
+        tree = synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
+        tracemalloc.start()
+        try:
+            law = _OutcomeLaw(fam, tree, (0.1, 0.9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert law.log_table.shape == (4096, 512)
+        assert peak <= 1.25 * 4096 * 512 * 8
 
     def test_two_step_synthesizes_reference_once(self, monkeypatch):
         trials = 4
