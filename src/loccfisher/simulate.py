@@ -23,7 +23,6 @@ LOG_FLOOR = 1e-300
 LAW_DECIMALS = 15   # decimals an outcome law keeps for drawing, far above rounding noise
 GRID_POINTS = 512
 SMALL_LAW = 2 ** 16   # K * D up to which a unitary family is always read through its components
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class DegenerateLikelihoodError(RuntimeError):
@@ -95,20 +94,30 @@ def _trial_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _path_prob_fns(family: metrology.StateFamily, tree: locc.MeasurementTree
-                   ) -> tuple[Callable[[float], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Outcome law theta -> leaf probabilities, read through ``tree.amplitudes``,
-    and the same law over a block of m thetas as one L x m array.
+def _p_dp(a: np.ndarray, da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # |a|^2 and its derivative, from amplitudes a and their derivative da
+    return np.abs(a) ** 2, 2 * (a.conj() * da).real
+
+
+def _path_prob_fns(family: metrology.StateFamily, tree: locc.MeasurementTree,
+                   prior: tuple[float, float] = (-np.inf, np.inf)
+                   ) -> tuple[Callable, Callable, Callable]:
+    """A tree's outcome law, read through ``tree.amplitudes``, as theta -> P (the
+    L leaf probabilities), theta -> (P, dP/dtheta) and a block of m thetas -> P
+    as one L x m array. P at one theta is the block law of that theta alone;
+    a wider block is within rounding of it. The derivative is exact except for
+    a numeric family (``PureNumericFamily``, ``MixedGenericFamily``): there it is
+    the central difference of P with the family's step, one-sided within a step
+    of a prior end, so no theta outside the prior is evaluated.
 
     A unitary family whose psi_in touches K generator levels is read through
     its components C: their amplitudes are taken once and each theta costs
     O(L K). That holds when K <= d_1 + ... + d_n, where this cost meets the
     O(D (d_1 + ... + d_n)) per theta of the amplitudes of psi(theta), which
     every other pure family reads, or when K D <= SMALL_LAW, below the fixed
-    overhead of one tree contraction. The tree must measure the family's layout.
-    A block is one product (components), one contraction of the stacked
-    psi(theta) (pure) or one outer product by p(theta) (rank two), each within
-    rounding of the per-theta law; a generic mixed family stacks its columns.
+    overhead of one tree contraction. A rank-two family mixes its basis laws by
+    p(theta); a generic mixed family sandwiches rho(theta), one theta at a time.
+    The tree must measure the family's layout.
     """
     locc.check_layout(tree, family)
     cap = max(sum(tree.layout.dims), SMALL_LAW // tree.layout.total)
@@ -117,38 +126,45 @@ def _path_prob_fns(family: metrology.StateFamily, tree: locc.MeasurementTree
     if parts is not None:
         levels, amps = parts[0], tree.amplitudes(parts[1])
 
-        def probs(theta: float) -> np.ndarray:
-            return np.abs(amps @ np.exp(-1j * theta * levels)) ** 2
-
         def block(thetas: np.ndarray) -> np.ndarray:
             return np.abs(amps @ np.exp(np.outer(levels, -1j * thetas))) ** 2
-    elif family.state_type == "pure":
-        def probs(theta: float) -> np.ndarray:
-            return np.abs(tree.amplitudes(family.psi(theta))) ** 2
 
+        def prob_dprob(theta: float) -> tuple[np.ndarray, np.ndarray]:
+            phases = np.exp(-1j * theta * levels)
+            return _p_dp(*(amps @ np.stack([phases, -1j * levels * phases], axis=1)).T)
+    elif family.state_type == "pure":
         def block(thetas: np.ndarray) -> np.ndarray:
             return np.abs(tree.amplitudes(np.stack([family.psi(t) for t in thetas]))) ** 2
+
+        def prob_dprob(theta: float) -> tuple[np.ndarray, np.ndarray]:
+            # a unitary family's; a numeric family's is replaced below
+            return _p_dp(*tree.amplitudes(np.stack(family.psi_dpsi(theta))).T)
     elif family.state_type == "rank-two":
         o0, o1 = (np.abs(tree.amplitudes(np.stack([family.psi0, family.psi1]))) ** 2).T
-
-        def probs(theta: float) -> np.ndarray:
-            p = family.p(theta)
-            return p * o0 + (1 - p) * o1
 
         def block(thetas: np.ndarray) -> np.ndarray:
             # p is a user callable: evaluated (and checked) point by point, in order
             p = np.array([family.p(t) for t in thetas])
             return np.outer(o0, p) + np.outer(o1, 1 - p)
+
+        def prob_dprob(theta: float) -> tuple[np.ndarray, np.ndarray]:
+            p, dp = family.p_dp(theta)
+            return p * o0 + (1 - p) * o1, dp * (o0 - o1)
     else:
         amps = tree.amplitudes(np.eye(tree.layout.total))   # <e|i>, fixed per tree
 
-        def probs(theta: float) -> np.ndarray:
-            rho = family.rho(theta)
-            return np.sum(amps * np.conj(amps @ rho.conj().T), axis=1).real
-
         def block(thetas: np.ndarray) -> np.ndarray:
-            return np.stack([probs(t) for t in thetas], axis=1)
-    return probs, block
+            return np.stack([np.sum(amps * np.conj(amps @ family.rho(t).conj().T), axis=1).real
+                             for t in thetas], axis=1)
+
+    def probs(theta: float) -> np.ndarray:
+        return block(np.array([theta]))[:, 0]
+
+    if isinstance(family, (metrology.PureNumericFamily, metrology.MixedGenericFamily)):
+        def prob_dprob(theta: float) -> tuple[np.ndarray, np.ndarray]:
+            up, down = min(theta + family.step, prior[1]), max(theta - family.step, prior[0])
+            return probs(theta), (probs(up) - probs(down)) / (up - down)
+    return probs, prob_dprob, block
 
 
 class _OutcomeLaw:
@@ -160,13 +176,13 @@ class _OutcomeLaw:
     filled by the batched law max(1, SMALL_LAW // L) grid columns at a time, so
     a block holds at most SMALL_LAW entries beside the table; psi(theta) and
     p(theta) are still evaluated, and checked, at every grid point. Only the
-    grid scan reads the table: draws and golden-section steps call ``prob_fn``.
-    A run builds one law per tree and draws and estimates with it.
+    grid scan reads the table: draws call ``prob_fn`` and the MLE's score steps
+    call ``prob_dprob``. A run builds one law per tree and draws and estimates with it.
     """
 
     def __init__(self, family: metrology.StateFamily, tree: locc.MeasurementTree,
                  prior: tuple[float, float]):
-        self.prob_fn, block = _path_prob_fns(family, tree)
+        self.prob_fn, self.prob_dprob, block = _path_prob_fns(family, tree, prior)
         self.grid = np.linspace(prior[0], prior[1], GRID_POINTS)
         table = np.empty((tree.layout.total, GRID_POINTS))    # logged in place: one table at peak
         width = max(1, SMALL_LAW // tree.layout.total)
@@ -198,13 +214,49 @@ def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
     return list(np.ndindex(*(tree.layout.dims[k] for k in tree.order))), probs / probs.sum()
 
 
+def _score_root(score: Callable[[float], float], a: float, b: float,
+                fa: float, fb: float) -> float:
+    """Root of the score in [a, b], where fa = score(a) > 0 > score(b) = fb, by
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973, ch. 4):
+    b is the best point, a the previous one and c the other end of the bracket."""
+    tol = 0.5 * MLE_WIDTH
+    c, fc, d, e = a, fa, b - a, b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0:
+            return b
+        bisect = True
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:                          # secant
+                p, q = 2 * m * s, 1 - s
+            else:                               # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            p, q = abs(p), -q if p > 0 else q
+            # the step must stay inside the bracket and shrink faster than bisection
+            bisect = 2 * p >= min(3 * m * q - abs(tol * q), abs(e * q))
+        e, d = (m, m) if bisect else (d, p / q)
+        if abs(d) < tol:
+            return b + d
+        a, fa, b = b, fb, b + d
+        fb = score(b)
+        if (fb > 0) == (fc > 0):
+            c, fc, d, e = a, fa, b - a, b - a
+
+
 def _mle(law: _OutcomeLaw, counts: np.ndarray, prior: tuple[float, float]) -> float:
     """Maximum-likelihood estimate from leaf-indexed counts; see ``mle``."""
     count_vec = np.asarray(counts, dtype=float)
+    seen = np.flatnonzero(count_vec)
+    n_seen = count_vec[seen]
 
-    def loglik(theta: float) -> float:
-        probs = np.maximum(law.prob_fn(theta), LOG_FLOOR)
-        return float(count_vec @ np.log(probs))
+    def score(theta: float) -> float:
+        probs, dprobs = law.prob_dprob(theta)
+        return float(n_seen @ (dprobs[seen] / np.maximum(probs[seen], LOG_FLOOR)))
 
     grid = law.grid
     values = count_vec @ law.log_table
@@ -215,20 +267,11 @@ def _mle(law: _OutcomeLaw, counts: np.ndarray, prior: tuple[float, float]) -> fl
     mid = 0.5 * (prior[0] + prior[1])
     best = int(ties[np.argmin(np.abs(grid[ties] - mid))])
 
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid.size - 1)]
-    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
-    fc, fd = loglik(c), loglik(d)
-    while b - a > MLE_WIDTH:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = loglik(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = loglik(d)
-    return float(0.5 * (a + b))
+    ia, ib = max(best - 1, 0), min(best + 1, grid.size - 1)
+    fa, fb = score(grid[ia]), score(grid[ib])
+    if not fa > 0 > fb:     # no maximum inside: the grid end with the larger likelihood
+        return float(grid[ia] if values[ia] >= values[ib] else grid[ib])
+    return float(_score_root(score, grid[ia], grid[ib], fa, fb))
 
 
 def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
@@ -236,7 +279,10 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     """Maximum-likelihood estimate from outcome counts on the prior interval.
 
     Scans a uniform grid, breaking exact ties toward the interval midpoint,
-    then refines by golden-section search down to MLE_WIDTH interval width.
+    then follows the score sum_e n_e P_e'/P_e of the observed outcomes to its
+    root in the two grid cells around the grid maximum by safeguarded secant
+    steps, down to MLE_WIDTH; if the score does not fall through zero there,
+    the cell end with the larger likelihood is the estimate.
     Raises ValueError if a counted path is not a leaf of the tree, and
     DegenerateLikelihoodError if the likelihood is flat on the grid.
     """

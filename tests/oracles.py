@@ -276,3 +276,46 @@ def closed_form_2x2(h1, h2, tiny=1e-12):
     c, s = np.cos(beta), np.sin(beta)
     return alpha, beta, np.array([[c, -s * np.exp(1j * alpha)],
                                   [s * np.exp(-1j * alpha), c]])
+
+
+def golden_mle(law, counts, prior):
+    """Maximum-likelihood estimate by the grid scan and golden-section search.
+
+    ``law`` is a ``simulate._OutcomeLaw`` and ``counts`` its leaf-indexed
+    counts. The grid scan (ties toward the interval midpoint, flat-grid
+    rejection) is the library's; the refinement compares log-likelihoods of
+    ``law.prob_fn`` down to an MLE_WIDTH bracket and returns its midpoint.
+    """
+    from loccfisher.simulate import LOG_FLOOR, DegenerateLikelihoodError
+    from loccfisher.tensor import FLAT_REL, MLE_WIDTH
+
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    count_vec = np.asarray(counts, dtype=float)
+
+    def loglik(theta):
+        probs = np.maximum(law.prob_fn(theta), LOG_FLOOR)
+        return float(count_vec @ np.log(probs))
+
+    grid = law.grid
+    values = count_vec @ law.log_table
+    peak = values.max()
+    if peak - values.min() < FLAT_REL * (abs(peak) + 1.0):
+        raise DegenerateLikelihoodError("likelihood is flat on the prior interval")
+    ties = np.flatnonzero(values >= peak)
+    mid = 0.5 * (prior[0] + prior[1])
+    best = int(ties[np.argmin(np.abs(grid[ties] - mid))])
+
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, grid.size - 1)]
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    fc, fd = loglik(c), loglik(d)
+    while b - a > MLE_WIDTH:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = loglik(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = loglik(d)
+    return float(0.5 * (a + b))

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily, UnitaryGeneratorFamily,
+from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
+                        PureNumericFamily, UnitaryGeneratorFamily,
                         check_saturation, discriminate, flatten, leaf_distribution,
                         leaf_vectors, qfi, saturation_matrices, sld, synthesize_tree,
                         verify_tree)
@@ -26,11 +27,11 @@ from loccfisher.locc import LEAF_TOL
 from loccfisher.metrology import _frame
 from loccfisher.scenarios import builtin_scenario
 from loccfisher import simulate
-from loccfisher.simulate import GRID_POINTS, LOG_FLOOR, _OutcomeLaw, _path_prob_fns
+from loccfisher.simulate import GRID_POINTS, LOG_FLOOR, _mle, _OutcomeLaw, _path_prob_fns
 from loccfisher.tensor import HilbertLayout
 
 from conftest import random_density, random_hermitian, random_pure_family, random_state
-from oracles import dense_saturation, dense_target, leaf_vectors_kron
+from oracles import dense_saturation, dense_target, golden_mle, leaf_vectors_kron
 from test_locc import random_tree
 from test_oracle_crosscheck import assert_matches_oracle, random_rank_two_family
 
@@ -350,3 +351,46 @@ def test_bell_mixture_law_from_amplitudes_matches_leaf_vectors(order, tree_from)
         family = builtin_scenario(tree_from).family
         tree = synthesize_tree(saturation_matrices(family, 0.3).target, family.layout, order)
     assert_law_matches_leaf_vectors(bellmix, tree, (0.1, 0.5, 0.9))
+
+
+def mle_family(name):
+    """(family, family whose saturating tree measures it) for one outcome-law route.
+
+    ghzN and chain4 are read through their components; psi-unitary, a dense
+    three-qubit generator with eight levels, takes the psi(theta) route once
+    SMALL_LAW is 0; ``psi:`` wraps a built-in family's psi in a PureNumericFamily
+    (the psi(theta) route, with a difference derivative); ranktwo is the
+    rank-two route and bellmix, measured by the ranktwo tree, the generic mixed one.
+    """
+    if name.startswith("psi:"):
+        family = builtin_scenario(name[4:]).family
+        return PureNumericFamily(family.layout, family.psi), family
+    if name == "psi-unitary":
+        family = random_pure_family((2, 2, 2), np.random.default_rng(7))
+        return family, family
+    family = builtin_scenario(name).family
+    return family, builtin_scenario("ranktwo").family if name == "bellmix" else family
+
+
+@PROPERTY
+@given(name=st.sampled_from(["ghz2", "ghz3", "ghz4", "chain4", "psi-unitary", "psi:ghz3",
+                             "psi:chain4", "ranktwo", "bellmix"]),
+       shots=st.sampled_from([10 ** 2, 10 ** 4, 10 ** 5]), theta=st.floats(0.2, 0.6),
+       shift=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_score_root_meets_golden_section(name, shots, theta, shift, seed):
+    # the root of the score is the maximum that golden section brackets down to
+    # MLE_WIDTH, up to what its rounding-limited comparisons resolve (~1e-8)
+    family, tree_family = mle_family(name)
+    prior = (0.1, 0.7)
+    tree = synthesize_tree(saturation_matrices(tree_family, theta + shift).target, family.layout)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "SMALL_LAW", 0 if name == "psi-unitary" else simulate.SMALL_LAW)
+        law = _OutcomeLaw(family, tree, prior)
+    counts = law.draw(theta, shots, np.random.default_rng(seed))
+    try:
+        want = golden_mle(law, counts, prior)
+    except DegenerateLikelihoodError:
+        with pytest.raises(DegenerateLikelihoodError):
+            _mle(law, counts, prior)
+        return
+    assert abs(_mle(law, counts, prior) - want) <= 1e-7

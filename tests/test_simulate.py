@@ -7,17 +7,18 @@ from scipy import stats
 
 from loccfisher import locc
 from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
-                        RankTwoFixedBasisFamily, SimConfig,
+                        PureNumericFamily, RankTwoFixedBasisFamily, SimConfig,
                         UnitaryGeneratorFamily, eval_state, fisher_info,
                         leaf_distribution, mle, run_trials,
                         saturation_matrices, synthesize_tree, two_step)
 from loccfisher.locc import MeasurementTree, flatten, leaf_vectors
 from loccfisher.scenarios import builtin_scenario
-from loccfisher.simulate import _OutcomeLaw, _trial_rng
-from loccfisher.tensor import HilbertLayout
+from loccfisher import simulate
+from loccfisher.simulate import _mle, _OutcomeLaw, _path_prob_fns, _synthesize_at, _trial_rng
+from loccfisher.tensor import PRIOR_EDGE_REL, HilbertLayout
 
 from conftest import ghz_family, random_pure_family
-from oracles import sample_paths
+from oracles import golden_mle, sample_paths
 
 
 def synth(family, theta):
@@ -182,6 +183,105 @@ class TestMle:
         assert mle(counts, fam, tree, prior) == run_trials(cfg).estimates[0]
 
 
+def route_case(route, monkeypatch):
+    """(family, tree) whose outcome law takes one route of ``_path_prob_fns``."""
+    ghz3, ranktwo = builtin_scenario("ghz3").family, builtin_scenario("ranktwo").family
+    if route == "components":
+        return ghz3, synth(ghz3, 0.4)
+    if route == "psi":
+        # eight levels on three qubits: above the component cap once SMALL_LAW is 0
+        monkeypatch.setattr(simulate, "SMALL_LAW", 0)
+        fam = random_pure_family((2, 2, 2), np.random.default_rng(3))
+        assert fam.components(6) is None
+        return fam, synth(fam, 0.4)
+    if route == "psi-numeric":
+        return PureNumericFamily(ghz3.layout, ghz3.psi), synth(ghz3, 0.4)
+    if route == "rank-two":
+        return ranktwo, synth(ranktwo, 0.4)
+    return builtin_scenario("bellmix").family, synth(ranktwo, 0.4)
+
+
+ROUTES = ["components", "psi", "psi-numeric", "rank-two", "mixed"]
+
+
+class TestScoreSteps:
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_prob_dprob_matches_the_law(self, route, monkeypatch):
+        # P from the (P, dP) product is the per-theta law: the same products for
+        # rank two and the numeric families, one more BLAS column otherwise; dP
+        # is its slope
+        family, tree = route_case(route, monkeypatch)
+        prob_fn, prob_dprob, _ = _path_prob_fns(family, tree)
+        h = 1e-5
+        for theta in (0.25, 0.4, 0.55):
+            p, dp = prob_dprob(theta)
+            if route in ("psi-numeric", "rank-two", "mixed"):
+                assert np.array_equal(p, prob_fn(theta))
+            else:
+                assert np.abs(p - prob_fn(theta)).max() <= 1e-14
+            central = (prob_fn(theta + h) - prob_fn(theta - h)) / (2 * h)
+            assert np.abs(dp - central).max() <= 1e-6 * np.abs(dp).max()
+
+    def test_peak_at_a_prior_end_returns_that_end(self):
+        # theta_true = lo: about half the draws peak at lo, where the score is
+        # negative on the whole bracket; those estimates are lo itself and count
+        # as boundary hits, the trials golden section ends within MLE_WIDTH of lo
+        fam, prior, shots, seed = builtin_scenario("ranktwo").family, (0.2, 0.8), 10_000, 3
+        rep = run_trials(SimConfig(family=fam, theta_true=0.2, shots=shots, trials=20,
+                                   seed=seed, prior=prior))
+        law = _OutcomeLaw(fam, _synthesize_at(fam, 0.2), prior)
+        golden = np.array([golden_mle(law, law.draw(0.2, shots, _trial_rng(seed, t)), prior)
+                           for t in range(20)])
+        hits = int(np.sum(rep.estimates == 0.2))
+        assert hits > 0 and rep.boundary_hits == hits
+        assert hits == int(np.sum(np.abs(golden - 0.2) < PRIOR_EDGE_REL * 0.6))
+        assert np.abs(rep.estimates - golden).max() <= 1e-7
+
+    def test_numeric_family_evaluated_inside_the_prior(self):
+        # a mixing weight near 0 with prior [0, 1]: rho(-step) is no state, and
+        # most draws peak at 0, where the difference derivative turns one-sided
+        phi_p, phi_m = (np.outer(v, v.conj()) for v in
+                        (np.array([1, 0, 0, s], complex) / np.sqrt(2) for s in (1, -1)))
+        seen = []
+        fam = MixedGenericFamily(HilbertLayout((2, 2)),
+                                 lambda t: seen.append(t) or t * phi_p + (1 - t) * phi_m)
+        tree = synth(builtin_scenario("ranktwo").family, 0.3)
+        cfg = SimConfig(family=fam, theta_true=0.003, shots=100, trials=20, seed=1,
+                        prior=(0.0, 1.0), tree=tree)
+        rep = run_trials(cfg)
+        assert 0.0 <= min(seen) and max(seen) <= 1.0
+        law = _OutcomeLaw(fam, tree, cfg.prior)
+        golden = np.array([golden_mle(law, law.draw(0.003, 100, _trial_rng(1, t)), cfg.prior)
+                           for t in range(20)])
+        assert rep.boundary_hits == int(np.sum(golden < PRIOR_EDGE_REL)) > 0
+        assert np.abs(rep.estimates - golden).max() <= 1e-7
+
+    def test_flat_likelihood_raises_before_any_score_step(self):
+        law = _OutcomeLaw(phase_qubit(), single_node_tree(np.eye(2)), (0.0, 1.0))
+        calls = []
+        law.prob_dprob = lambda theta: calls.append(theta)
+        with pytest.raises(DegenerateLikelihoodError):
+            _mle(law, np.array([7.0, 3.0]), (0.0, 1.0))
+        assert calls == []
+
+    def test_score_steps_per_mle(self):
+        # golden section takes 38 law evaluations per estimate from the two-cell
+        # bracket; the score root takes two bracket ends and a few steps
+        steps = []
+        for name in ("ghz3", "ghz4", "chain4", "ranktwo"):
+            fam = builtin_scenario(name).family
+            law = _OutcomeLaw(fam, synth(fam, 0.4), (0.2, 0.7))
+            prob_dprob = law.prob_dprob
+            calls = []
+            law.prob_dprob = lambda theta: calls.append(theta) or prob_dprob(theta)
+            for shots in (10 ** 2, 10 ** 5):
+                for trial in range(25):
+                    calls.clear()
+                    _mle(law, law.draw(0.4, shots, _trial_rng(shots, trial)), (0.2, 0.7))
+                    steps.append(len(calls))
+        assert np.mean(steps) <= 8 and max(steps) <= 38
+
+
 class TestLayoutMismatch:
     # a tree of another layout with the same D is rejected wherever a law is built
     MISMATCH = r"tree layout \[3, 2\] does not match family layout \[2, 3\]"
@@ -291,14 +391,16 @@ class TestRunTrials:
         assert rep.ratio > 1.5
 
     def test_fixed_tree_law_tabulated_once(self, monkeypatch):
-        # one 512-point table for the run, then a draw and a golden-section
-        # search per trial; re-scoring the grid per trial costs 20 * 512 more
-        fam = ghz_family(2)
+        # one 512-point table for the run, then per trial a draw and a few
+        # score steps (three psi each: psi_dpsi differences psi at theta +- h);
+        # re-scoring the grid per trial costs 20 * 512 more
+        ghz2 = ghz_family(2)
+        fam = PureNumericFamily(ghz2.layout, ghz2.psi)
         calls = []
         psi = fam.psi
         monkeypatch.setattr(fam, "psi", lambda t: calls.append(t) or psi(t))
         run_trials(SimConfig(family=fam, theta_true=0.4, shots=2000, trials=20,
-                             seed=4, prior=(0.0, 1.0)))
+                             seed=4, prior=(0.0, 1.0), tree=synth(ghz2, 0.4)))
         assert len(calls) < 512 + 20 * 200
 
     def test_law_table_built_in_bounded_blocks(self):
