@@ -7,7 +7,8 @@ saturates under no synthesized two-qubit tree. Verdicts and Fisher
 information are cross-checked against the dense sqrt(E) oracle, the check
 through tree amplitudes against the check of the flattened POVM, and the
 vector-only route (closed-form qfi, diagonal generators, factored targets,
-leaf amplitudes) against the dense matrices it replaces.
+leaf amplitudes) against the dense matrices it replaces, and the MLE's score
+root against golden section.
 """
 
 import itertools
@@ -384,7 +385,8 @@ def test_score_root_meets_golden_section(name, shots, theta, shift, seed):
     prior = (0.1, 0.7)
     tree = synthesize_tree(saturation_matrices(tree_family, theta + shift).target, family.layout)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "SMALL_LAW", 0 if name == "psi-unitary" else simulate.SMALL_LAW)
+        if name == "psi-unitary":
+            mp.setattr(simulate, "SMALL_LAW", 0)
         law = _OutcomeLaw(family, tree, prior)
     counts = law.draw(theta, shots, np.random.default_rng(seed))
     try:
