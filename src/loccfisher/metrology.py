@@ -18,8 +18,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .tensor import (COMPLETENESS_TOL, CONDITION_REL, DRHO_TOL, DRIFT_TOL,
-                     EVAL_UNIT_TOL, FAMILY_UNIT_TOL, FI_REL, ORTHOGONAL_TOL, P_TOL,
-                     RANK_TOL, REGULARITY_REL, RHO_TOL, HilbertLayout, KetBraSum,
+                     EVAL_UNIT_TOL, FAMILY_UNIT_TOL, FI_REL, KRYLOV_TOL, ORTHOGONAL_TOL,
+                     P_TOL, RANK_TOL, REGULARITY_REL, RHO_TOL, HilbertLayout, KetBraSum,
                      check_finite, check_hermitian, check_orthonormal, check_real_diagonal,
                      check_trace, check_unit, eigh_desc)
 # herm_eig and sqrt_psd are unused here; they stay importable because the
@@ -27,6 +27,8 @@ from .tensor import (COMPLETENESS_TOL, CONDITION_REL, DRHO_TOL, DRIFT_TOL,
 from .tensor import herm_eig, sqrt_psd  # noqa: F401
 
 DEFAULT_FD_STEP = 1e-4
+KRYLOV_CAP = 512        # Lanczos steps before a matrix-free generator is built as a matrix
+DENSE_LIMIT = 2 ** 12   # largest D whose generator that fallback builds and factors
 
 
 def _frame_rho_drho(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -39,44 +41,59 @@ def _frame_rho_drho(family: StateFamily, theta: float) -> tuple[np.ndarray, np.n
 class UnitaryGeneratorFamily:
     """Pure family psi_theta = exp(-i theta G) psi_in with Hermitian G.
 
-    ``generator`` is either the D x D matrix G or, for a G diagonal in the
-    computational basis, its length-D real diagonal g. The diagonal route
-    evaluates psi = exp(-i theta g) psi_in and dpsi = -i g psi elementwise and
-    never builds a D x D array; a dense G is applied through its eigenbasis.
+    ``generator`` gives G in one of three forms:
+
+    - its length-D real diagonal g, for G diagonal in the computational
+      basis. ``generator`` stays g, and psi = exp(-i theta g) psi_in and
+      dpsi = -i g psi are taken elementwise;
+    - a D x D Hermitian matrix, factored once by ``eigh``;
+    - a callable v -> G v on length-D vectors, such as a Pauli sum of
+      ``scenarios``. Lanczos from psi_in (``_krylov_levels``) finds the
+      levels psi_in touches. If its Krylov space does not close within
+      KRYLOV_CAP steps, G is built column by column and factored like a
+      matrix; above D = DENSE_LIMIT that fallback is refused.
+
+    The last two are stored as ``generator = (lam, C)``: the K levels psi_in
+    touches and one row c_k = Pi_k psi_in per level, so psi(theta) =
+    exp(-i theta lam) @ C and dpsi = (-i lam exp(-i theta lam)) @ C, O(K D)
+    each. No D x D array is kept.
     """
 
     layout: HilbertLayout
     psi_in: np.ndarray
-    generator: np.ndarray
+    generator: np.ndarray | tuple[np.ndarray, np.ndarray] | Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         self.psi_in = check_unit(self.psi_in, "psi_in", FAMILY_UNIT_TOL)
-        d = self.layout.total
-        self._diagonal = np.ndim(self.generator) == 1
+        d, gen = self.layout.total, self.generator
+        self._diagonal = not callable(gen) and np.ndim(gen) == 1
         if self._diagonal:
-            self.generator = check_real_diagonal(self.generator, "generator")
-        else:
-            self.generator = check_hermitian(self.generator, "generator")
-        if self.psi_in.shape != (d,) or self.generator.shape != (d,) * self.generator.ndim:
+            gen = check_real_diagonal(gen, "generator")
+        if self.psi_in.shape != (d,) or (self._diagonal and gen.shape != (d,)):
             raise ValueError("psi_in / generator shapes do not match the layout")
         if self._diagonal:
-            # the eigenbasis is the computational one
-            self._gen_eigvals, self._gen_eigvecs, self._coeffs = self.generator, None, self.psi_in
+            self.generator = gen
+        elif callable(gen):
+            self.generator = (_krylov_levels(gen, self.psi_in)
+                              or _eigh_levels(_columns(gen, d), self.psi_in))
         else:
-            w, v = np.linalg.eigh(self.generator)
-            self._gen_eigvals, self._gen_eigvecs, self._coeffs = w, v, v.conj().T @ self.psi_in
+            self.generator = _eigh_levels(gen, self.psi_in)
 
     state_type = "pure"
 
     def psi(self, theta: float) -> np.ndarray:
-        phased = np.exp(-1j * theta * self._gen_eigvals) * self._coeffs
-        return phased if self._diagonal else self._gen_eigvecs @ phased
+        if self._diagonal:
+            return np.exp(-1j * theta * self.generator) * self.psi_in
+        levels, rows = self.generator
+        return np.exp(-1j * theta * levels) @ rows
 
     def psi_dpsi(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """psi and dpsi = -i G psi at theta, from one evaluation of psi."""
         psi = self.psi(theta)
-        gpsi = self.generator * psi if self._diagonal else self.generator @ psi
-        return psi, -1j * gpsi
+        if self._diagonal:
+            return psi, -1j * (self.generator * psi)
+        levels, rows = self.generator
+        return psi, (-1j * levels * np.exp(-1j * theta * levels)) @ rows
 
     def dpsi(self, theta: float) -> np.ndarray:
         return self.psi_dpsi(theta)[1]
@@ -86,17 +103,88 @@ class UnitaryGeneratorFamily:
     def components(self, max_rows: int) -> tuple[np.ndarray, np.ndarray] | None:
         """Levels lam (K,) and rows C (K x D) with psi(theta) = exp(-i theta lam) @ C.
 
-        Row k is psi_in projected onto the generator eigenvectors of level lam_k
-        (equal eigenvalues, bit for bit), one row per level psi_in touches; None
-        when psi_in touches more than ``max_rows`` levels. Built on call only.
+        Row k is psi_in projected onto the generator eigenspace of level lam_k,
+        one row per level psi_in touches; None when psi_in touches more than
+        ``max_rows`` levels. A non-diagonal family returns its stored pair; a
+        diagonal one groups the entries of psi_in by equal g (bit for bit) on call.
         """
-        touched = np.flatnonzero(self._coeffs)
-        levels, level_of = np.unique(self._gen_eigvals[touched], return_inverse=True)
+        if not self._diagonal:
+            return self.generator if len(self.generator[0]) <= max_rows else None
+        touched = np.flatnonzero(self.psi_in)
+        levels, level_of = np.unique(self.generator[touched], return_inverse=True)
         if levels.size > max_rows:
             return None
-        weights = np.zeros((levels.size, self.layout.total), dtype=complex)
-        weights[level_of, touched] = self._coeffs[touched]
-        return levels, weights if self._diagonal else weights @ self._gen_eigvecs.T
+        rows = np.zeros((levels.size, self.layout.total), dtype=complex)
+        rows[level_of, touched] = self.psi_in[touched]
+        return levels, rows
+
+
+def _krylov_levels(apply: Callable[[np.ndarray], np.ndarray],
+                   psi_in: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lam, C) of the cyclic subspace of psi_in under G = ``apply``, or None if it
+    does not close within KRYLOV_CAP steps.
+
+    Lanczos (J. Res. NBS 45, 255 (1950)) with full reorthogonalization: from
+    v_0 = psi_in, each G v_k is orthogonalized twice against every v_j, which
+    gives alpha_k = <v_k|G v_k>; the rest, of norm beta_k, is v_{k+1}. The
+    space closes when beta_k <= KRYLOV_TOL times the largest ||G v_j|| so far.
+    With T = S diag(lam) S^T the tridiagonal of the alphas and betas, level k
+    has the eigenvector y_k = sum_j S_jk v_j and the row c_k = S_0k y_k.
+    """
+    d = psi_in.size
+    basis = np.empty((min(16, d), d), dtype=complex)
+    alpha: list[float] = []
+    beta: list[float] = []
+    scale, v = 0.0, psi_in
+    for k in range(min(KRYLOV_CAP, d)):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[k] = v
+        w = check_finite(np.asarray(apply(v), dtype=complex), "generator")
+        scale = max(scale, float(np.linalg.norm(w)))
+        span = basis[:k + 1]
+        overlap = span.conj() @ w
+        w = w - overlap @ span
+        again = span.conj() @ w
+        w = w - again @ span
+        alpha.append(float((overlap[k] + again[k]).real))
+        b = float(np.linalg.norm(w))
+        if b <= KRYLOV_TOL * scale:
+            lam, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            return lam, (s[0][:, None] * s.T) @ span
+        beta.append(b)
+        v = w / b
+    return None
+
+
+def _columns(apply: Callable[[np.ndarray], np.ndarray], d: int) -> np.ndarray:
+    """The D x D matrix of G = ``apply``, one column G e_j at a time, for D <= DENSE_LIMIT:
+    the fallback for a Krylov space that does not close within KRYLOV_CAP steps."""
+    if d > DENSE_LIMIT:
+        raise ValueError(
+            f"the Krylov space of psi_in does not close within {KRYLOV_CAP} "
+            f"Lanczos steps, and D = {d} is above the dense limit {DENSE_LIMIT}")
+    g, e = np.empty((d, d), dtype=complex), np.zeros(d, dtype=complex)
+    for j in range(d):
+        e[j] = 1.0
+        g[:, j] = apply(e)
+        e[j] = 0.0
+    return g
+
+
+def _eigh_levels(gen: np.ndarray, psi_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, C) of a D x D Hermitian matrix, after checking it: the eigenvalues psi_in
+    touches, equal ones (bit for bit) merged, and psi_in projected onto each of their
+    eigenspaces."""
+    gen = check_hermitian(gen, "generator")
+    if gen.shape != (psi_in.size,) * 2:
+        raise ValueError("psi_in / generator shapes do not match the layout")
+    w, v = np.linalg.eigh(gen)
+    coeffs = v.conj().T @ psi_in
+    touched = np.flatnonzero(coeffs)
+    # eigh sorts w, so the touched eigenvectors of one level are adjacent
+    levels, first = np.unique(w[touched], return_index=True)
+    return levels, np.add.reduceat((v[:, touched] * coeffs[touched]).T, first, axis=0)
 
 
 @dataclass
@@ -402,24 +490,31 @@ def perp_component(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     return dpsi - np.vdot(psi, dpsi) * psi
 
 
-def _detect_fixed_rank_two(support: np.ndarray, sides: tuple[np.ndarray, np.ndarray]):
-    """The two support rows of a dense frame if the rank-2 eigenbasis is theta-independent.
+def _detect_fixed_rank_two(support: np.ndarray, rho: np.ndarray, drho: np.ndarray,
+                           sides: tuple[np.ndarray, np.ndarray], step: float):
+    """The two basis rows of a dense frame's support if the rank-2 eigenbasis is theta-independent.
 
-    ``sides`` are the checked density matrices at theta -+ h that the
-    frame's derivative came from. Drift of the support eigenprojectors above
-    DRIFT_TOL means the basis moves with theta and the rank-two shortcut does
-    not apply.
+    ``support`` holds the eigenvectors of the checked ``rho``. At equal weights
+    (p = 1/2) rho fixes only its support and ``eigh`` returns any basis of it,
+    so the rows are turned to the eigenbasis of ``drho`` on the support when
+    rho's eigenvalue gap is below ``step`` times drho's there: the rounding
+    error of the central difference drho is 1/step times that of rho.
+    ``sides`` are the checked density matrices at theta -+ h that drho came
+    from. The basis is fixed if it diagonalizes both: weight of a side off
+    that diagonal, or outside the support, above DRIFT_TOL means the basis
+    moves with theta and the rank-two shortcut does not apply. A side at
+    equal weights passes as well.
     """
     if len(support) != 2:
         return None
+    weights = np.einsum("kd,de,ke->k", support.conj(), rho, support).real
+    mu, turn = np.linalg.eigh(support.conj() @ drho @ support.T)
+    if abs(weights[0] - weights[1]) < step * (mu[1] - mu[0]):
+        support = turn.T @ support
     for side in sides:
-        w1, v1 = eigh_desc(side)
-        sup1 = v1[:, w1 > RANK_TOL]
-        if sup1.shape[1] != 2:
-            raise ValueError("rank changes across theta +- h")
-        # per-vector drift, matched through the overlap matrix
-        ov = np.abs(support.conj() @ sup1)
-        drift = np.abs(ov @ ov.T - np.eye(2)).max()
+        # side minus its diagonal part sum_k <t_k|side|t_k> |t_k><t_k|
+        diag = np.einsum("kd,de,ke->k", support.conj(), side, support)
+        drift = float(np.abs(side - (support.T * diag) @ support.conj()).max())
         if drift > DRIFT_TOL:
             raise ValueError(
                 f"rank-two family has a theta-dependent eigenbasis (drift {drift:.3e})")
@@ -454,8 +549,9 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
         pair = family.psi0, family.psi1
     else:
         rho, drho, sides = family.rho_drho_sides(theta)
-        frame = _dense_frame(*_checked_state(rho, drho))
-        pair = _detect_fixed_rank_two(frame.support, sides)
+        rho, drho = _checked_state(rho, drho)
+        frame = _dense_frame(rho, drho)
+        pair = _detect_fixed_rank_two(frame.support, rho, drho, sides, family.step)
         if pair is None:
             return SaturationMatrices(conditions=frame.conditions(), target=None,
                                       state_type="mixed")

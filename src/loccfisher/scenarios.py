@@ -3,7 +3,10 @@
 A scenario bundles a named state family with a default parameter grid. Each
 built-in is defined by the same JSON document a user would put in a file, so
 file ingestion and the built-ins share one code path. Qubit Hamiltonians may
-be given as weighted Pauli strings; qudit generators as dense matrices.
+be given as weighted Pauli strings; qudit generators as dense matrices. A
+Pauli string is read once as integer masks, its first letter on the leading
+bit: a sum of I/Z strings becomes its diagonal, any other sum the product
+v -> G v, and neither is built as a D x D matrix.
 """
 
 from __future__ import annotations
@@ -15,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
-from .tensor import HilbertLayout, complex_to_pairs, kron, pairs_to_complex
+from .tensor import HilbertLayout, complex_to_pairs, pairs_to_complex
+# kron is unused here; it stays importable because the benchmark tracer patches it.
+from .tensor import kron  # noqa: F401
 
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# i^k for k Y letters in a string, by k mod 4
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,19 @@ class PauliStringTerm:
     string: str
 
     def __post_init__(self) -> None:
-        if not self.string or any(ch not in PAULI for ch in self.string):
+        if not self.string or any(ch not in "IXYZ" for ch in self.string):
             raise ValueError(f"invalid Pauli string {self.string!r}")
 
+    def masks(self) -> tuple[int, int, int]:
+        """(flip, sign, #Y): the string maps |b> to i^#Y (-1)^popcount(b & sign) |b ^ flip>.
 
-# diagonals of the Paulis that are diagonal in the computational basis
-PAULI_DIAG = {"I": np.array([1.0, 1.0]), "Z": np.array([1.0, -1.0])}
-
-
-def pauli_term_matrix(term: PauliStringTerm) -> np.ndarray:
-    return term.coeff * kron([PAULI[ch] for ch in term.string])
+        The first letter acts on the leading bit of the basis index, the
+        first qubit of the layout. X and Y flip their bit; Z and Y sign it.
+        """
+        flip = sign = 0
+        for ch in self.string:
+            flip, sign = 2 * flip + (ch in "XY"), 2 * sign + (ch in "YZ")
+        return flip, sign, self.string.count("Y")
 
 
 def _check_terms(terms: list[PauliStringTerm], layout: HilbertLayout) -> None:
@@ -51,28 +55,60 @@ def _check_terms(terms: list[PauliStringTerm], layout: HilbertLayout) -> None:
             raise ValueError(f"string {term.string!r} does not match {layout.nsub} qubits")
 
 
+def _parity_table(n: int) -> np.ndarray:
+    """popcount(b) mod 2 for every b < 2^n, built by doubling (``np.bitwise_count``
+    needs numpy 2)."""
+    parity = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        parity = np.concatenate([parity, 1 - parity])
+    return parity
+
+
+def _pauli_weights(terms: list[PauliStringTerm], layout: HilbertLayout) -> dict[int, np.ndarray]:
+    """G = sum_t c_t P_t grouped by flip mask x, as {x: w_x} with G[b, b ^ x] = w_x[b].
+
+    Each w_x adds its terms in the given order, and an entry of G receives
+    terms of its own flip only, so a matrix built from the weights equals
+    the sum of the terms' kron products bit for bit.
+    """
+    _check_terms(terms, layout)
+    index = np.arange(layout.total)
+    parity = _parity_table(layout.nsub)
+    weights: dict[int, np.ndarray] = {}
+    for term in terms:
+        flip, sign, n_y = term.masks()
+        w = weights.setdefault(flip, np.zeros(layout.total, dtype=complex))
+        # row b holds the term's phase on the column state b ^ flip
+        w += term.coeff * _I_POWERS[n_y % 4] * (1.0 - 2.0 * parity[(index ^ flip) & sign])
+    return weights
+
+
+def _pauli_generator(terms: list[PauliStringTerm], layout: HilbertLayout):
+    """G as ``UnitaryGeneratorFamily`` takes it, with no D x D array: the real
+    diagonal of a sum of I/Z strings, else the product v -> G v, O(D) per flip mask."""
+    weights = _pauli_weights(terms, layout)
+    if set(weights) <= {0}:
+        return weights.get(0, np.zeros(layout.total, dtype=complex)).real
+    index = np.arange(layout.total)
+    shifts = [(index ^ flip, w) for flip, w in weights.items()]
+    return lambda v: sum(w * v[source] for source, w in shifts)
+
+
 def hamiltonian_from_pauli(terms: list[PauliStringTerm],
                            layout: HilbertLayout) -> np.ndarray:
-    _check_terms(terms, layout)
+    """The D x D matrix of a Pauli sum, scattered from the masks of its strings."""
     h = np.zeros((layout.total, layout.total), dtype=complex)
-    for term in terms:
-        h += pauli_term_matrix(term)
+    index = np.arange(layout.total)
+    for flip, w in _pauli_weights(terms, layout).items():
+        h[index, index ^ flip] = w
     return h
 
 
-def _is_diagonal(terms: list[PauliStringTerm]) -> bool:
-    """Whether every string uses only I and Z, so the sum is diagonal."""
-    return all(ch in PAULI_DIAG for term in terms for ch in term.string)
-
-
 def pauli_diagonal(terms: list[PauliStringTerm], layout: HilbertLayout) -> np.ndarray:
-    """Real diagonal of a sum of I/Z strings: a kron of +-1 vectors per term, O(D n)."""
-    _check_terms(terms, layout)
-    if not _is_diagonal(terms):
+    """Real diagonal of a sum of I/Z strings, sum_t c_t (1 - 2 parity(b & sign_t)), O(D) per term."""
+    g = _pauli_generator(terms, layout)
+    if callable(g):
         raise ValueError("pauli_diagonal needs strings of I and Z only")
-    g = np.zeros(layout.total)
-    for term in terms:
-        g += term.coeff * kron([PAULI_DIAG[ch] for ch in term.string]).real
     return g
 
 
@@ -135,9 +171,7 @@ def parse_scenario(doc: dict) -> Scenario:
                       for t in ham["pauli"]] if "pauli" in ham else None)
             dense = pairs_to_complex(ham["dense"]) if terms is None and "dense" in ham else None
         if terms is not None:
-            # an I/Z sum is kept as its diagonal and never becomes a matrix
-            gen = (pauli_diagonal if _is_diagonal(terms) else hamiltonian_from_pauli)(
-                terms, layout)
+            gen = _pauli_generator(terms, layout)
         elif dense is not None:
             gen = dense
         else:

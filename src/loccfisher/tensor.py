@@ -39,7 +39,7 @@ TARGET_TRACE_TOL = 1e-9   # |Tr m_tilde| of a synthesis target, relative to max(
 RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace, absolute
 DRHO_TOL = 1e-8           # drho Hermitian, traceless (rel. max(1, scale)); kernel weight, absolute
 RANK_TOL = 1e-9           # eigenvalue (or eigenvalue pair sum) of rho counted as support, absolute
-DRIFT_TOL = 1e-8          # rank-two support-projector drift across theta +- h, absolute
+DRIFT_TOL = 1e-8          # max |rho(theta +- h) entry| off a rank-two basis diagonal, absolute
 COMPLETENESS_TOL = 1e-8   # max |sum_e |e><e| - I| of a POVM, absolute
 P_TOL = 1e-12             # outcome probability treated as zero, absolute
 CONDITION_REL = 1e-7      # zero-sandwich residual, relative to the largest target norm
@@ -49,6 +49,7 @@ QFI_FLOOR = 1e-12         # qfi below which a scenario carries no information, a
 FLAT_REL = 1e-9           # log-likelihood spread of a flat grid, relative to |max| + 1
 MLE_WIDTH = 1e-10         # stopping step and half-bracket of the MLE score root, absolute
 PRIOR_EDGE_REL = 1e-9     # distance from a prior endpoint, relative to hi - lo
+KRYLOV_TOL = 1e-12        # Lanczos beta that closes a Krylov space, relative to the largest ||G v||
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,14 @@ def random_density(d, rng, rank=None):
     return rho / np.trace(rho).real
 
 
-def random_pure_family(dims, rng):
+def random_pure_inputs(dims, rng):
+    """(layout, psi_in, G): a random state and a random dense Hermitian generator."""
     layout = HilbertLayout(dims)
-    d = layout.total
-    return UnitaryGeneratorFamily(layout, random_state(d, rng),
-                                  random_hermitian(d, rng))
+    return layout, random_state(layout.total, rng), random_hermitian(layout.total, rng)
+
+
+def random_pure_family(dims, rng):
+    return UnitaryGeneratorFamily(*random_pure_inputs(dims, rng))
 
 
 def ghz_family(n):

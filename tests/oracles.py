@@ -4,8 +4,30 @@ Everything here deliberately avoids the library's own code paths: plain
 numpy/scipy eigendecompositions, explicit index loops and finite differences.
 """
 
+from functools import reduce
+
 import numpy as np
 from scipy import linalg as sla
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli_term_matrix(term):
+    """coeff times the kron product of the 2 x 2 Pauli matrices of the string, first letter leading."""
+    return term.coeff * reduce(np.kron, [PAULI[ch] for ch in term.string])
+
+
+def pauli_sum_matrix(terms, d):
+    """The D x D Pauli sum, added term by term from the kron products."""
+    h = np.zeros((d, d), dtype=complex)
+    for term in terms:
+        h += pauli_term_matrix(term)
+    return h
 
 
 def qfi_double_sum(rho, drho, tol=1e-12):
@@ -21,17 +43,17 @@ def qfi_double_sum(rho, drho, tol=1e-12):
     return total
 
 
-def dense_target(family, theta):
+def dense_target(family, theta, generator=None):
     """The synthesis target m_tilde of a pure or rank-two family as a D x D matrix.
 
-    Pure families (unitary generator, dense or diagonal): psi = expm(-i theta
-    G) psi_in, dpsi = -i G psi, perp = dpsi - <psi|dpsi> psi and m_tilde =
-    |psi><perp| - |perp><psi| + |psi><psi| - I/D. Rank-two families:
-    |psi0><psi1|.
+    Pure families (unitary generator, given as the matrix or diagonal
+    ``generator`` the family was built from): psi = expm(-i theta G) psi_in,
+    dpsi = -i G psi, perp = dpsi - <psi|dpsi> psi and m_tilde = |psi><perp| -
+    |perp><psi| + |psi><psi| - I/D. Rank-two families: |psi0><psi1|.
     """
     if family.state_type == "rank-two":
         return np.outer(family.psi0, family.psi1.conj())
-    gen = np.asarray(family.generator)
+    gen = np.asarray(generator)
     gen = np.diag(gen) if gen.ndim == 1 else gen
     psi = sla.expm(-1j * theta * gen) @ family.psi_in
     dpsi = -1j * gen @ psi

@@ -10,7 +10,7 @@ from loccfisher.scenarios import bell_states, builtin_scenario
 from loccfisher.tensor import HilbertLayout, herm_eig, kron
 
 from conftest import (PAULI_Z, ghz_family, random_density,
-                      random_pure_family, random_state,
+                      random_pure_family, random_pure_inputs, random_state,
                       random_traceless_hermitian)
 from oracles import ghz_product_basis_fi, qfi_double_sum
 
@@ -41,13 +41,19 @@ class TestEvalState:
         assert np.abs(drho - want_drho).max() < 1e-12
 
     def test_dense_generator_route_unchanged(self, rng):
-        # psi through the eigenbasis, dpsi = -i G psi from that same psi
-        fam = random_pure_family((2, 3), rng)
-        psi = fam._gen_eigvecs @ (np.exp(-0.4j * fam._gen_eigvals) * fam._coeffs)
-        dpsi = -1j * (fam.generator @ psi)
+        # psi and dpsi from the stored (lam, C), which reproduce the eigenbasis
+        # route and dpsi = -i G psi
+        layout, psi_in, g = random_pure_inputs((2, 3), rng)
+        fam = UnitaryGeneratorFamily(layout, psi_in, g)
+        levels, rows = fam.generator
+        phases = np.exp(-0.4j * levels)
+        psi, dpsi = phases @ rows, (-1j * levels * phases) @ rows
         rho, drho = fam.rho_drho(0.4)
         assert np.array_equal(rho, np.outer(psi, psi.conj()))
         assert np.array_equal(drho, np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj()))
+        w, v = np.linalg.eigh(g)
+        assert np.abs(psi - v @ (np.exp(-0.4j * w) * (v.conj().T @ psi_in))).max() < 1e-12
+        assert np.abs(dpsi + 1j * (g @ psi)).max() < 1e-12
 
     def test_diagonal_generator_is_a_vector(self):
         fam = UnitaryGeneratorFamily(QUBIT, np.array([1, 1], complex) / np.sqrt(2),
@@ -495,9 +501,9 @@ class TestCheckSaturation:
 class TestInvariantProperties:
     def test_gauge_invariant_qfi_and_target(self, rng):
         # e^{i c theta} psi(theta) is the same family with generator G - c I
-        base = random_pure_family((2, 2), rng)
-        gauged = UnitaryGeneratorFamily(base.layout, base.psi_in,
-                                        base.generator - 0.9 * np.eye(4))
+        layout, psi_in, g = random_pure_inputs((2, 2), rng)
+        base = UnitaryGeneratorFamily(layout, psi_in, g)
+        gauged = UnitaryGeneratorFamily(layout, psi_in, g - 0.9 * np.eye(4))
         th = 0.37
         assert abs(qfi(base, th) - qfi(gauged, th)) < 1e-9
         m1 = saturation_matrices(base, th).target.dense()

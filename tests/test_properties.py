@@ -7,8 +7,9 @@ saturates under no synthesized two-qubit tree. Verdicts and Fisher
 information are cross-checked against the dense sqrt(E) oracle, the check
 through tree amplitudes against the check of the flattened POVM, and the
 vector-only route (closed-form qfi, diagonal generators, factored targets,
-leaf amplitudes) against the dense matrices it replaces, and the MLE's score
-root against golden section.
+leaf amplitudes) against the dense matrices it replaces, Pauli sums read
+through bit masks and Lanczos against their kron products, and the MLE's
+score root against golden section.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
@@ -26,13 +27,16 @@ from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
                         verify_tree)
 from loccfisher.locc import LEAF_TOL
 from loccfisher.metrology import _frame
-from loccfisher.scenarios import builtin_scenario
+from loccfisher.scenarios import (PauliStringTerm, builtin_scenario, hamiltonian_from_pauli,
+                                  parse_scenario, pauli_diagonal)
 from loccfisher import simulate
 from loccfisher.simulate import GRID_POINTS, LOG_FLOOR, _mle, _OutcomeLaw, _path_prob_fns
-from loccfisher.tensor import HilbertLayout
+from loccfisher.tensor import HilbertLayout, complex_to_pairs
 
-from conftest import random_density, random_hermitian, random_pure_family, random_state
-from oracles import dense_saturation, dense_target, golden_mle, leaf_vectors_kron
+from conftest import (random_density, random_hermitian, random_pure_family, random_pure_inputs,
+                      random_state)
+from oracles import (dense_saturation, dense_target, golden_mle, leaf_vectors_kron,
+                     pauli_sum_matrix)
 from test_locc import random_tree
 from test_oracle_crosscheck import assert_matches_oracle, random_rank_two_family
 
@@ -157,19 +161,26 @@ def random_diagonal_family(dims, rng):
 
 @st.composite
 def families(draw):
-    """(family, theta, order): pure (dense or diagonal generator) or rank-two."""
+    """(family, theta, order, generator): pure, with the dense or diagonal generator it
+    was built from, or rank-two, with generator None."""
     dims = draw(layouts())
     order = draw(st.permutations(range(len(dims))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    make = draw(st.sampled_from([random_pure_family, random_diagonal_family,
+    make = draw(st.sampled_from([random_pure_inputs, random_diagonal_family,
                                  random_rank_two_family]))
-    return make(dims, rng), draw(st.floats(0.1, 0.9)), order
+    if make is random_pure_inputs:
+        layout, psi_in, generator = make(dims, rng)
+        family = UnitaryGeneratorFamily(layout, psi_in, generator)
+    else:
+        family = make(dims, rng)
+        generator = family.generator if family.state_type == "pure" else None
+    return family, draw(st.floats(0.1, 0.9)), order, generator
 
 
 @PROPERTY
 @given(families())
 def test_closed_form_qfi_matches_the_dense_sld(case):
-    family, theta, _ = case
+    family, theta, _, _ = case
     dense = sld(*family.rho_drho(theta)).qfi
     assert abs(qfi(family, theta) - dense) <= 1e-10 * max(1.0, dense)
 
@@ -186,12 +197,61 @@ def test_diagonal_generator_matches_its_dense_matrix(dims, seed, theta):
         assert np.abs(fast - slow).max() <= 1e-12
 
 
+@st.composite
+def pauli_sums(draw, max_qubits, letters="IXYZ"):
+    """(layout, terms): up to eight weighted strings of ``letters`` on 1..max_qubits qubits."""
+    n = draw(st.integers(1, max_qubits))
+    strings = st.text(alphabet=letters, min_size=n, max_size=n)
+    terms = draw(st.lists(st.builds(PauliStringTerm, st.floats(-2.0, 2.0), strings),
+                          max_size=8))
+    return HilbertLayout((2,) * n), terms
+
+
+@PROPERTY
+@given(pauli_sums(6))
+def test_pauli_masks_match_the_kron_sum_bit_for_bit(case):
+    layout, terms = case
+    want = pauli_sum_matrix(terms, layout.total)
+    assert hamiltonian_from_pauli(terms, layout).tobytes() == want.tobytes()
+    if all(ch in "IZ" for term in terms for ch in term.string):
+        assert pauli_diagonal(terms, layout).tobytes() == np.diag(want).real.tobytes()
+
+
+@PROPERTY
+@given(case=pauli_sums(8), seed=st.integers(0, 2 ** 32 - 1), sparse=st.booleans(),
+       theta=st.floats(-3.0, 3.0))
+def test_lanczos_levels_match_the_dense_generator(case, seed, sparse, theta):
+    # psi_in dense, or on a few basis states (as the GHZ and W inputs are)
+    layout, terms = case
+    assume(any(ch in "XY" for term in terms for ch in term.string))
+    rng = np.random.default_rng(seed)
+    psi_in = random_state(layout.total, rng)
+    if sparse:
+        psi_in[rng.permutation(layout.total)[:layout.total - 3]] = 0.0
+        psi_in /= np.linalg.norm(psi_in)
+    doc = {"type": "unitary-generator", "layout": list(layout.dims),
+           "psi_in": complex_to_pairs(psi_in), "theta_grid": [theta],
+           "hamiltonian": {"pauli": [{"coeff": t.coeff, "string": t.string} for t in terms]}}
+    family = parse_scenario(doc).family
+    assert isinstance(family.generator, tuple)
+    g = pauli_sum_matrix(terms, layout.total)
+    w, v = np.linalg.eigh(g)
+    psi = v @ (np.exp(-1j * theta * w) * (v.conj().T @ psi_in))
+    dpsi = -1j * (g @ psi)
+    got_psi, got_dpsi = family.psi_dpsi(theta)
+    scale = max(1.0, np.abs(g).sum(axis=1).max())
+    assert np.abs(got_psi - psi).max() <= 1e-10
+    assert np.abs(got_dpsi - dpsi).max() <= 1e-10 * scale
+    want = 4 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)
+    assert abs(qfi(family, theta) - want) <= 1e-10 * scale ** 2
+
+
 @PROPERTY
 @given(families())
 def test_factored_target_zero_sandwiched_under_the_dense_oracle(case):
-    family, theta, order = case
+    family, theta, order, generator = case
     target = saturation_matrices(family, theta).target
-    m_tilde = dense_target(family, theta)
+    m_tilde = dense_target(family, theta, generator)
     norm = np.linalg.norm(m_tilde)
     assert np.abs(target.dense() - m_tilde).max() <= 1e-12 * max(1.0, norm)
     assert abs(target.norm() - norm) <= 1e-12 * max(1.0, norm)

@@ -12,15 +12,39 @@ import pytest
 from loccfisher import (check_saturation, eval_state, flatten, qfi, saturation_matrices,
                         sld, synthesize_tree)
 import loccfisher
-from loccfisher import cli
+from loccfisher import cli, metrology
 from loccfisher.cli import build_parser, cli_main
 from loccfisher.locc import leaf_vectors, tree_from_json, tree_to_json
 from loccfisher.scenarios import (PauliStringTerm, _ghz_doc, bell_states, builtin_names,
                                   builtin_scenario, hamiltonian_from_pauli,
-                                  parse_scenario, pauli_diagonal, pauli_term_matrix)
+                                  parse_scenario, pauli_diagonal)
 from loccfisher.tensor import HilbertLayout, complex_to_pairs, kron
 
 from conftest import I2, PAULI_X, PAULI_Z
+from oracles import pauli_term_matrix
+
+
+def xy_chain_w_doc(n):
+    """The W state under the open chain sum_j (X_j X_j+1 + Y_j Y_j+1) / 2.
+
+    On the one-excitation states the chain is the path graph's adjacency
+    matrix A, so qfi = 4 (<1|A^2|1>/n - (<1|A|1>/n)^2) = 4 ((4n - 6)/n - 4 (n - 1)^2/n^2).
+    """
+    psi_in = np.zeros(2 ** n, dtype=complex)
+    psi_in[[1 << k for k in range(n)]] = 1 / np.sqrt(n)
+    terms = [{"coeff": 0.5, "string": "I" * j + 2 * p + "I" * (n - j - 2)}
+             for j in range(n - 1) for p in "XY"]
+    return {"name": f"xyw{n}", "type": "unitary-generator", "layout": [2] * n,
+            "psi_in": complex_to_pairs(psi_in), "hamiltonian": {"pauli": terms},
+            "theta_grid": [0.3]}
+
+
+def bell_mixture_doc():
+    """t |phi+><phi+| + (1 - t) |phi-><phi-| as a generic mixed document."""
+    bells = bell_states()
+    return {"type": "mixed", "layout": [2, 2], "theta_grid": [0.5],
+            **{key: complex_to_pairs(np.outer(bells[name], bells[name].conj()))
+               for key, name in (("rho1", "phi+"), ("rho2", "phi-"))}}
 
 
 class TestPauliStrings:
@@ -62,9 +86,23 @@ class TestPauliStrings:
         with pytest.raises(ValueError, match="qubits"):
             pauli_diagonal([PauliStringTerm(1.0, "ZZ")], lay)
 
+    def test_dense_fallback_past_the_krylov_cap(self, monkeypatch):
+        # chain4's Krylov space needs three steps; with two, G is built column by
+        # column and factored by eigh, whose levels of -1, 1 and 3 are not equal bit
+        # for bit, and gives the same psi and dpsi
+        lanczos = builtin_scenario("chain4").family
+        monkeypatch.setattr(metrology, "KRYLOV_CAP", 2)
+        dense = builtin_scenario("chain4").family
+        assert len(lanczos.generator[0]) == 3 and len(dense.generator[0]) > 3
+        for theta in (-0.7, 0.3, 2.1):
+            for got, want in zip(dense.psi_dpsi(theta), lanczos.psi_dpsi(theta)):
+                assert np.abs(got - want).max() < 1e-12
+
     def test_iz_scenario_keeps_a_diagonal_generator(self):
         assert builtin_scenario("ghz4").family.generator.shape == (16,)
-        assert builtin_scenario("chain4").family.generator.shape == (16, 16)
+        # an X/Y sum is stored as (lam, C): chain4's W input touches three levels
+        levels, rows = builtin_scenario("chain4").family.generator
+        assert np.abs(levels - [-1.0, 1.0, 3.0]).max() < 1e-12 and rows.shape == (3, 16)
 
 
 class TestBuiltins:
@@ -245,6 +283,28 @@ class TestCliCore:
         assert cli_main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_rank_two_mixture_at_equal_weights_saturates(self, tmp_path, capsys):
+        # at t = 1/2, rho fixes only its support; drho fixes the basis on it,
+        # and at t = 1/2 + h the side at equal weights passes the basis test
+        path, tree = tmp_path / "mix.json", str(tmp_path / "tree.json")
+        path.write_text(json.dumps(bell_mixture_doc()))
+        for theta in ("0.5", "0.5001"):
+            assert cli_main(["synthesize", str(path), "--theta", theta, "--out", tree]) == 0
+            capsys.readouterr()
+            assert cli_main(["verify", str(path), "--tree", tree, "--theta", theta]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["saturating"] is True
+            assert abs(doc["fi"] - doc["qfi"]) <= 1e-6 * doc["qfi"]
+
+    def test_rank_two_mixture_two_step_from_the_prior_midpoint(self, tmp_path, capsys):
+        # the reference tree is synthesized at the prior midpoint t = 1/2
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps(bell_mixture_doc()))
+        assert cli_main(["simulate", str(path), "--two-step", "--prior", "0.1", "0.9"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["J"] - 4.0) < 1e-6 and doc["degenerate_trials"] == 0
+        assert doc["ci95"][0] <= 1.0 <= doc["ci95"][1]
+
     def test_simulate_single_trial_valid_json(self, capsys):
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -346,6 +406,22 @@ class TestVectorRoute:
             tracemalloc.stop()
         assert report.saturating and abs(report.fi - n * n) < 1e-9 * n * n
         assert peak <= 2 * povm.vectors.nbytes
+
+
+    def test_xy_chain_w14_parses_matrix_free(self, tmp_path, capsys):
+        # a dense G at n = 14 would take 4 GiB; Lanczos keeps K x D rows
+        n = 14
+        path = tmp_path / "xyw14.json"
+        path.write_text(json.dumps(xy_chain_w_doc(n)))
+        tracemalloc.start()
+        try:
+            assert cli_main(["qfi", str(path), "--theta", "0.3"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = 4 * ((4 * n - 6) / n - 4 * (n - 1) ** 2 / n ** 2)
+        assert abs(json.loads(capsys.readouterr().out)["qfi"] - want) < 1e-10
+        assert peak < 64 * 2 ** 20
 
 
 class TestCliLmCheck:
@@ -463,6 +539,16 @@ class TestCliErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "validation"
         assert err["error"] == "psi_in contains non-finite entries"
+
+    def test_krylov_space_past_the_dense_limit_exit_1(self, monkeypatch, capsys):
+        # chain4 needs three Lanczos steps and D = 16 is above the patched limit
+        monkeypatch.setattr(metrology, "KRYLOV_CAP", 2)
+        monkeypatch.setattr(metrology, "DENSE_LIMIT", 8)
+        assert cli_main(["qfi", "chain4", "--theta", "0.3"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "validation"
+        assert err["error"] == ("the Krylov space of psi_in does not close within 2 Lanczos "
+                                "steps, and D = 16 is above the dense limit 8")
 
     def test_lm_check_zero_restarts_exit_1(self, capsys):
         assert cli_main(["lm-check", "lm3x3", "--projective-only",
