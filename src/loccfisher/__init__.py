@@ -12,8 +12,8 @@ from .metrology import (MixedGenericFamily, Povm, PureNumericFamily,
 from .zerodiag import (ZeroDiagConvergenceError, find_null_vector,
                        simultaneous_zero_diag, solve_2x2, zero_diag_basis)
 from .locc import (DiscriminationReport, MeasurementTree, SynthesisError,
-                   bloch_rows, discriminate, flatten, leaf_vectors, synthesize_tree,
-                   tree_from_json, tree_to_json, verify_tree)
+                   bloch_rows, discriminate, flatten, leaf_vectors, synthesize_at,
+                   synthesize_tree, tree_from_json, tree_to_json, verify_tree)
 from .lm import (BipartiteCoeffs, IsometryPair, LmFeasibilityReport,
                  SearchReport, check_lm_conditions, coefficient_matrices,
                  construct_lm_2xd, heuristic_lm_search, lm_povm_from_pair)

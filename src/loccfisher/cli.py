@@ -20,12 +20,22 @@ from .tensor import QFI_FLOOR, complex_to_pairs, pairs_to_complex
 from .zerodiag import ZeroDiagConvergenceError
 
 
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_scenario(arg: str) -> scenarios.Scenario:
     path = Path(arg)
     if path.suffix == ".json" or path.exists():
-        with open(path) as fh:
-            return scenarios.parse_scenario(json.load(fh))
+        return scenarios.parse_scenario(_read_json(path))
     return scenarios.builtin_scenario(arg)
+
+
+def _scenario_at(args) -> tuple[scenarios.Scenario, float]:
+    """The scenario argument and --theta, by default the median of its grid."""
+    sc = _load_scenario(args.scenario)
+    return sc, args.theta if args.theta is not None else float(np.median(sc.theta_grid))
 
 
 def _emit(doc: dict, out: str | None = None) -> None:
@@ -60,9 +70,15 @@ def _order_arg(value: str | None):
     return [int(tok) for tok in value.split(",") if tok != ""]
 
 
+def _refuse(args, source: str, *names: str) -> None:
+    """A validation error if any argument of ``names`` is given, since ``source`` ignores it."""
+    given = [name for name in names
+             if getattr(args, name.lstrip("-").replace("-", "_")) is not None]
+    if given:
+        raise ValueError(f"{' and '.join(given)} cannot be used with {source}")
+
+
 def _cmd_scenario(args) -> int:
-    if args.action != "list":
-        raise ValueError(f"unknown scenario action {args.action!r}")
     entries = []
     for name in scenarios.builtin_names():
         sc = scenarios.builtin_scenario(name)
@@ -72,24 +88,19 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_qfi(args) -> int:
-    sc = _load_scenario(args.scenario)
-    theta = args.theta if args.theta is not None else float(np.median(sc.theta_grid))
+    sc, theta = _scenario_at(args)
     _emit({"scenario": sc.name, "theta": theta,
            "qfi": metrology.qfi(sc.family, theta)})
     return 0
 
 
 def _cmd_synthesize(args) -> int:
-    sc = _load_scenario(args.scenario)
-    theta = args.theta if args.theta is not None else float(np.median(sc.theta_grid))
+    sc, theta = _scenario_at(args)
     if metrology.qfi(sc.family, theta) < QFI_FLOOR:
         raise ValueError(
             f"scenario {sc.name!r} carries no information at theta={theta}; "
             "synthesis skipped")
-    target = metrology.saturation_matrices(sc.family, theta).target
-    if target is None:
-        raise ValueError(f"scenario {sc.name!r} has no rank-one synthesis target")
-    tree = locc.synthesize_tree(target, sc.family.layout, _order_arg(args.order))
+    tree = locc.synthesize_at(sc.family, theta, _order_arg(args.order))
     _emit(locc.tree_to_json(tree), args.out)
     if args.out:
         # a tree has one leaf per product basis state
@@ -99,18 +110,15 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sc = _load_scenario(args.scenario)
-    theta = args.theta if args.theta is not None else float(np.median(sc.theta_grid))
-    with open(args.tree) as fh:
-        tree = locc.tree_from_json(json.load(fh))
+    sc, theta = _scenario_at(args)
+    tree = locc.tree_from_json(_read_json(args.tree))
     report = locc.verify_tree(tree, sc.family, theta)
     _emit({"scenario": sc.name, "theta": theta, **asdict(report)})
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    sc = _load_scenario(args.scenario)
-    theta = args.theta if args.theta is not None else float(np.median(sc.theta_grid))
+    sc, theta = _scenario_at(args)
     prior = tuple(args.prior) if args.prior else (float(sc.theta_grid[0]),
                                                   float(sc.theta_grid[-1]))
     config = simulate.SimConfig(
@@ -126,17 +134,15 @@ def _coeffs_from_args(args) -> lm.BipartiteCoeffs:
     if args.a_mat or args.b_mat:
         if not (args.a_mat and args.b_mat):
             raise ValueError("--a-mat and --b-mat must be given together")
-        with open(args.a_mat) as fh:
-            a = pairs_to_complex(json.load(fh))
-        with open(args.b_mat) as fh:
-            b = pairs_to_complex(json.load(fh))
-        return lm.BipartiteCoeffs(a, b)
+        _refuse(args, "--a-mat/--b-mat", "scenario", "--theta")
+        return lm.BipartiteCoeffs(pairs_to_complex(_read_json(args.a_mat)),
+                                  pairs_to_complex(_read_json(args.b_mat)))
     if not args.scenario:
         raise ValueError("give a scenario or --a-mat/--b-mat")
     sc = _load_scenario(args.scenario)
     if sc.family.state_type != "pure" or sc.family.layout.nsub != 2:
         raise ValueError("lm-check needs a bipartite pure scenario")
-    psi, dpsi = sc.family.psi_dpsi(args.theta)
+    psi, dpsi = sc.family.psi_dpsi(0.0 if args.theta is None else args.theta)
     perp = metrology.perp_component(psi, dpsi)
     return lm.coefficient_matrices(psi, perp, sc.family.layout)
 
@@ -166,27 +172,23 @@ def _cmd_lm_check(args) -> int:
 
 
 def _cmd_export_bloch(args) -> int:
-    rows = []
     if args.tree:
-        with open(args.tree) as fh:
-            tree = locc.tree_from_json(json.load(fh))
-        rows.extend(locc.bloch_rows(tree, args.theta if args.theta is not None else 0.0))
+        _refuse(args, "--tree", "scenario", "--grid-points", "--order")
+        tree = locc.tree_from_json(_read_json(args.tree))
+        rows = locc.bloch_rows(tree, args.theta if args.theta is not None else 0.0)
     else:
         if not args.scenario:
             raise ValueError("give a scenario or --tree")
+        _refuse(args, "a scenario", "--theta")
         sc = _load_scenario(args.scenario)
         grid = sc.theta_grid
         if args.grid_points is not None:
             if args.grid_points < 1:
                 raise ValueError(f"--grid-points {args.grid_points} is not a positive integer")
             grid = np.linspace(grid[0], grid[-1], args.grid_points)
-        for theta in grid:
-            target = metrology.saturation_matrices(sc.family, float(theta)).target
-            if target is None:
-                raise ValueError(
-                    f"scenario {sc.name!r} has no rank-one synthesis target")
-            tree = locc.synthesize_tree(target, sc.family.layout, _order_arg(args.order))
-            rows.extend(locc.bloch_rows(tree, float(theta)))
+        order = _order_arg(args.order)
+        rows = [row for theta in map(float, grid)
+                for row in locc.bloch_rows(locc.synthesize_at(sc.family, theta, order), theta)]
     if args.out:
         with open(args.out, "w", newline="") as fh:
             locc.write_bloch_csv(rows, fh)
@@ -237,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lm-check", help="product-measurement feasibility analysis")
     p.add_argument("scenario", nargs="?", default=None)
-    p.add_argument("--theta", type=_finite, default=0.0)
+    p.add_argument("--theta", type=_finite, default=None)
     p.add_argument("--a-mat", type=str, default=None)
     p.add_argument("--b-mat", type=str, default=None)
     p.add_argument("--projective-only", action="store_true")

@@ -187,6 +187,20 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
     return tree
 
 
+def synthesize_at(family: metrology.StateFamily, theta: float,
+                  order: Sequence[int] | None = None) -> MeasurementTree:
+    """The tree that saturates the QCRB of a pure or fixed-basis rank-two family at theta.
+
+    Synthesizes the family's rank-one target m_tilde of ``saturation_matrices``;
+    a generic mixed family of rank > 2 has none, which is a ValueError.
+    """
+    target = metrology.saturation_matrices(family, theta).target
+    if target is None:
+        raise ValueError("family has no rank-one synthesis target "
+                         "(a generic mixed family of rank > 2)")
+    return synthesize_tree(target, family.layout, order)
+
+
 def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """All (outcome path, product vector) pairs, vectors in layout order (a reference helper).
 

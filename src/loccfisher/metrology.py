@@ -378,28 +378,37 @@ def sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
     """Symmetric logarithmic derivative L solving drho = (L rho + rho L)/2.
 
     Built on the eigenbasis of rho: L_jk = 2 <j|drho|k> / (p_j + p_k) over
-    pairs with p_j + p_k above RANK_TOL. Components of drho connecting two
-    kernel directions cannot be represented by any L and raise.
+    all pairs but those of two kernel directions (p <= RANK_TOL). Raises for
+    a rho with an eigenvalue below -RHO_TOL, and for components of drho
+    between two kernel directions, which no L represents.
     """
-    return _sld(check_hermitian(rho, "rho"), check_hermitian(drho, "drho", DRHO_TOL))
+    rho = check_hermitian(rho, "rho")
+    drho = check_hermitian(drho, "drho", DRHO_TOL)
+    low = np.linalg.eigvalsh(rho)[0]
+    if low < -RHO_TOL:
+        raise ValueError(f"rho has eigenvalue {low:.3e}; it is not PSD")
+    res = _sld(rho, drho)
+    kernel = res.eigvecs[:, res.eigvals <= RANK_TOL]
+    blocked = float(np.abs(kernel.conj().T @ drho @ kernel).max(initial=0.0))
+    if blocked > DRHO_TOL:
+        raise ValueError(f"drho has weight {blocked:.3e} between kernel directions; "
+                         "no SLD reproduces it")
+    return res
 
 
 def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
     # rho and drho come from check_hermitian (here or in _checked_state), which
     # returns exactly Hermitian matrices, so they are not checked again.
+    # The exact drho of a PSD family has no block between two kernel
+    # directions: <k|rho(theta)|k> >= 0 is at its minimum 0 for every kernel
+    # vector k, so <k|drho|k> = 0. A family's central difference does carry
+    # O(h^2) weight there when the kernel moves with theta; L leaves it out.
     w, v = eigh_desc(rho)
     t = v.conj().T @ drho @ v
     kernel = w <= RANK_TOL
-    if kernel.any():
-        blocked = np.abs(t[np.ix_(kernel, kernel)]).max()
-        if blocked > DRHO_TOL:
-            raise ValueError(
-                f"drho has weight {blocked:.3e} between kernel directions; "
-                "no SLD reproduces it")
-    denom = w[:, None] + w[None, :]
-    mask = denom > RANK_TOL
+    mask = ~(kernel[:, None] & kernel[None, :])
     coeff = np.zeros_like(t)
-    coeff[mask] = 2 * t[mask] / denom[mask]
+    coeff[mask] = 2 * t[mask] / (w[:, None] + w[None, :])[mask]
     L = v @ coeff @ v.conj().T
     L = (L + L.conj().T) / 2
     qfi = float(np.real(np.trace(rho @ L @ L)))

@@ -297,17 +297,10 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     return _mle(_OutcomeLaw(family, tree, prior), count_vec, prior)
 
 
-def _synthesize_at(family: metrology.StateFamily, theta: float) -> locc.MeasurementTree:
-    target = metrology.saturation_matrices(family, theta).target
-    if target is None:
-        raise ValueError("family has no rank-one synthesis target")
-    return locc.synthesize_tree(target, family.layout)
-
-
 def _reference_law(config: SimConfig) -> _OutcomeLaw:
     """Law of the two-step reference tree: config.tree, else synthesized at the midpoint."""
     lo, hi = config.prior
-    tree = config.tree or _synthesize_at(config.family, 0.5 * (lo + hi))
+    tree = config.tree or locc.synthesize_at(config.family, 0.5 * (lo + hi))
     return _OutcomeLaw(config.family, tree, config.prior)
 
 
@@ -319,7 +312,7 @@ def _two_step(config: SimConfig, ref: _OutcomeLaw, rng: np.random.Generator) -> 
     rough = _mle(ref, ref.draw(config.theta_true, n_rough, rng), prior)
     pad = PRIOR_EDGE_REL * (prior[1] - prior[0])
     rough = float(np.clip(rough, prior[0] + pad, prior[1] - pad))
-    main = _OutcomeLaw(family, _synthesize_at(family, rough), prior)
+    main = _OutcomeLaw(family, locc.synthesize_at(family, rough), prior)
     return _mle(main, main.draw(config.theta_true, config.shots - n_rough, rng), prior)
 
 
@@ -346,7 +339,8 @@ def run_trials(config: SimConfig) -> SimReport:
     lo, hi = prior
     # One outcome law per run: the fixed tree's, or the two-step reference tree's.
     if config.strategy == "fixed":
-        law = _OutcomeLaw(family, config.tree or _synthesize_at(family, config.theta_true), prior)
+        tree = config.tree or locc.synthesize_at(family, config.theta_true)
+        law = _OutcomeLaw(family, tree, prior)
 
         def estimate(rng: np.random.Generator) -> float:
             return _mle(law, law.draw(config.theta_true, config.shots, rng), prior)

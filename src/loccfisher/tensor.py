@@ -38,7 +38,7 @@ ISOMETRY_TOL = 1e-9       # max |B^dag B - I| of orthonormal columns (or rows), 
 TARGET_TRACE_TOL = 1e-9   # |Tr m_tilde| of a synthesis target, relative to max(1, ||m_tilde||_F)
 RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace, absolute
 DRHO_TOL = 1e-8           # drho Hermitian, traceless (rel. max(1, scale)); kernel weight, absolute
-RANK_TOL = 1e-9           # eigenvalue (or eigenvalue pair sum) of rho counted as support, absolute
+RANK_TOL = 1e-9           # eigenvalue of rho counted as support (else kernel), absolute
 DRIFT_TOL = 1e-8          # max |rho(theta +- h) entry| off a rank-two basis diagonal, absolute
 COMPLETENESS_TOL = 1e-8   # max |sum_e |e><e| - I| of a POVM, absolute
 P_TOL = 1e-12             # outcome probability treated as zero, absolute

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccfisher import (RankTwoFixedBasisFamily, discriminate, flatten,
-                        leaf_vectors, qfi, saturation_matrices,
+                        leaf_vectors, qfi, saturation_matrices, synthesize_at,
                         synthesize_tree, tree_from_json, tree_to_json,
                         verify_tree)
 from loccfisher import locc
@@ -67,6 +67,32 @@ class TestSynthesizeTree:
         target = saturation_matrices(fam, 0.3).target.dense()
         with pytest.raises(ValueError):
             synthesize_tree(target, fam.layout, order=[0, 0])
+
+
+class TestSynthesizeAt:
+    @staticmethod
+    def assert_same_tree(got, want):
+        assert got.layout == want.layout and got.order == want.order
+        for a, b in zip(got.bases, want.bases, strict=True):
+            assert np.array_equal(a.view(float), b.view(float))
+            assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
+
+    @pytest.mark.parametrize("name", ["ghz3", "chain4", "ranktwo", "lm3x3"])
+    def test_builtin_matches_the_explicit_recipe_bit_for_bit(self, name):
+        fam = builtin_scenario(name).family
+        self.assert_same_tree(synthesize_at(fam, 0.3), synthesize_tree(
+            saturation_matrices(fam, 0.3).target, fam.layout))
+
+    def test_random_family_in_another_order(self, rng):
+        fam = random_pure_family((2, 3), rng)
+        tree = synthesize_at(fam, 0.4, (1, 0))
+        assert tree.order == (1, 0)
+        self.assert_same_tree(tree, synthesize_tree(
+            saturation_matrices(fam, 0.4).target, fam.layout, (1, 0)))
+
+    def test_refuses_a_family_without_a_rank_one_target(self):
+        with pytest.raises(ValueError, match="no rank-one synthesis target"):
+            synthesize_at(builtin_scenario("bellmix").family, 0.5)
 
 
 def assert_level_matches_each_node(nodes):

@@ -9,7 +9,7 @@ from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily,
 from loccfisher.scenarios import bell_states, builtin_scenario
 from loccfisher.tensor import HilbertLayout, herm_eig, kron
 
-from conftest import (PAULI_Z, ghz_family, random_density,
+from conftest import (PAULI_Z, ghz_family, random_density, random_hermitian,
                       random_pure_family, random_pure_inputs, random_state,
                       random_traceless_hermitian)
 from oracles import ghz_product_basis_fi, qfi_double_sum
@@ -142,6 +142,12 @@ class TestSld:
         with pytest.raises(ValueError):
             sld(rho, drho)
 
+    def test_rho_with_a_negative_eigenvalue(self):
+        # p_j + p_k = 0 would divide by zero in L
+        rho = np.diag([0.5, -0.5]).astype(complex)
+        with pytest.raises(ValueError, match="not PSD"):
+            sld(rho, np.zeros((2, 2), dtype=complex))
+
     def test_checks_outside_input(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
         drho = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -211,6 +217,31 @@ class TestQfi:
         assert calls == [0.3]
         rho, drho = fam.rho_drho(0.3)
         assert abs(value - sld(rho, drho).qfi) <= 1e-12 * value
+
+    def test_kernel_moving_with_theta(self):
+        # rho(theta) = U(theta) rho0 U(theta)^dag of rank 2 on C^4: the central
+        # difference has O(h^2) weight between kernel directions, where the
+        # exact drho = -i[H, rho] has none, and the family's SLD leaves it out
+        blocked = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            h, rho0 = random_hermitian(4, rng), random_density(4, rng, rank=2)
+            lam, q = np.linalg.eigh(h)
+
+            def rho(t, lam=lam, q=q, rho0=rho0):
+                u = (q * np.exp(-1j * t * lam)) @ q.conj().T
+                return u @ rho0 @ u.conj().T
+
+            fam = MixedGenericFamily(HilbertLayout((2, 2)), rho)
+            r = rho(0.4)
+            want = qfi_double_sum(r, -1j * (h @ r - r @ h))
+            assert abs(qfi(fam, 0.4) - want) <= 1e-6 * want
+            try:
+                sld(*fam.rho_drho(0.4))
+            except ValueError:
+                blocked += 1
+        # the public sld, which takes drho as exact, refuses some of them
+        assert blocked > 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_ghz(self, n):

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
                         PureNumericFamily, UnitaryGeneratorFamily,
                         check_saturation, discriminate, flatten, leaf_distribution,
-                        leaf_vectors, qfi, saturation_matrices, sld, synthesize_tree,
-                        verify_tree)
+                        leaf_vectors, qfi, saturation_matrices, sld, synthesize_at,
+                        synthesize_tree, verify_tree)
 from loccfisher.locc import LEAF_TOL
 from loccfisher.metrology import _frame
 from loccfisher.scenarios import (PauliStringTerm, builtin_scenario, hamiltonian_from_pauli,
@@ -148,7 +148,7 @@ def test_verify_tree_matches_the_flattened_check_on_the_bell_mixture(seed, order
     bellmix = builtin_scenario("bellmix").family
     make = random_rank_two_family if rank_two else random_pure_family
     family = make((2, 2), np.random.default_rng(seed))
-    tree = synthesize_tree(saturation_matrices(family, theta).target, family.layout, order)
+    tree = synthesize_at(family, theta, order)
     assert not assert_verify_matches_flattened(tree, bellmix, theta).saturating
 
 
@@ -300,12 +300,13 @@ def haar_unitary(d, rng):
 def generic_mixed(draw):
     """(family, theta, povm): rho(theta) = U(theta) diag(w) U(theta)^dag, D <= 16.
 
-    U(theta) = V exp(-i theta H) with V Haar. Full rank: H acts on all of C^D
-    and every weight is at least 0.01. Fixed kernel: H acts on the first r
-    coordinates only, the rest carry weight 0 and, in some draws, one weight
-    in (0, RANK_TOL]; the kernel then does not move with theta. (A kernel
-    that moves with theta is out of reach: the central-difference drho puts
-    noise above DRHO_TOL on it, which the SLD rejects.) The POVM is the rows
+    U(theta) = V exp(-i theta H) with V Haar. Full rank: every weight is at
+    least 0.01. Rank r < D: the last D - r coordinates carry weight 0 and, in
+    some draws, one weight in (0, RANK_TOL]. H acts on all of C^D, or, for a
+    kernel that does not move with theta, on the first r coordinates only. A
+    moving kernel gives the central-difference drho O(h^2) weight between
+    kernel directions, above DRHO_TOL in some draws, which the SLD of a
+    family leaves out as it does the exact drho's zero block. The POVM is the rows
     of a Haar unitary with one pair of rows padded to three through a 2 x 3
     isometry, so it is complete and rank-one with non-unit rows.
     """
@@ -320,8 +321,9 @@ def generic_mixed(draw):
     if r < d and draw(st.booleans()):
         w[r] = draw(st.floats(1e-13, 0.5e-9))
     w /= w.sum()
+    m = d if draw(st.booleans()) else r
     h = np.zeros((d, d), dtype=complex)
-    h[:r, :r] = random_hermitian(r, rng)
+    h[:m, :m] = random_hermitian(m, rng)
     lam, q = np.linalg.eigh(h)
     v = haar_unitary(d, rng)
 
@@ -410,7 +412,7 @@ def test_bell_mixture_law_from_amplitudes_matches_leaf_vectors(order, tree_from)
         tree = random_tree((2, 2), order, np.random.default_rng(list(order)))
     else:
         family = builtin_scenario(tree_from).family
-        tree = synthesize_tree(saturation_matrices(family, 0.3).target, family.layout, order)
+        tree = synthesize_at(family, 0.3, order)
     assert_law_matches_leaf_vectors(bellmix, tree, (0.1, 0.5, 0.9))
 
 
@@ -443,7 +445,7 @@ def test_score_root_meets_golden_section(name, shots, theta, shift, seed):
     # MLE_WIDTH, up to what its rounding-limited comparisons resolve (~1e-8)
     family, tree_family = mle_family(name)
     prior = (0.1, 0.7)
-    tree = synthesize_tree(saturation_matrices(tree_family, theta + shift).target, family.layout)
+    tree = synthesize_at(tree_family, theta + shift)
     with pytest.MonkeyPatch.context() as mp:
         if name == "psi-unitary":
             mp.setattr(simulate, "SMALL_LAW", 0)

@@ -581,6 +581,41 @@ class TestCliErrors:
         assert err["kind"] == "validation" and "not a finite number" in err["error"]
         assert captured.out == "" and len(recwarn) == 0
 
+    @pytest.mark.parametrize("command", [["synthesize"], ["export-bloch"],
+                                         ["simulate", "--shots", "100", "--trials", "2"]])
+    def test_no_synthesis_target_exit_1_with_one_message(self, capsys, command):
+        assert cli_main([command[0], "bellmix", *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {
+            "error": "family has no rank-one synthesis target "
+                     "(a generic mixed family of rank > 2)",
+            "kind": "validation"}
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["export-bloch", "ghz2", "--theta", "0.3"], "--theta cannot be used with a scenario"),
+        (["export-bloch", "--tree", "{tree}", "--grid-points", "4"],
+         "--grid-points cannot be used with --tree"),
+        (["export-bloch", "--tree", "{tree}", "--order", "1,0"],
+         "--order cannot be used with --tree"),
+        (["export-bloch", "ghz2", "--tree", "{tree}"], "scenario cannot be used with --tree"),
+        (["lm-check", "--a-mat", "{a}", "--b-mat", "{b}", "--theta", "0"],
+         "--theta cannot be used with --a-mat/--b-mat"),
+        (["lm-check", "lm2x2", "--a-mat", "{a}", "--b-mat", "{b}"],
+         "scenario cannot be used with --a-mat/--b-mat")])
+    def test_ignored_argument_exit_1(self, tmp_path, capsys, argv, error):
+        # each input file is valid, so the ignored argument is the only error
+        files = {"tree": tmp_path / "tree.json", "a": tmp_path / "a.json",
+                 "b": tmp_path / "b.json"}
+        assert cli_main(["synthesize", "ghz2", "--theta", "0.3", "--out", str(files["tree"])]) == 0
+        files["a"].write_text(json.dumps(complex_to_pairs(np.eye(2) / np.sqrt(2))))
+        files["b"].write_text(json.dumps(complex_to_pairs(np.diag([0.5j, -0.5j]))))
+        capsys.readouterr()
+        assert cli_main([arg.format(**files) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": error, "kind": "validation"}
+        assert captured.out == ""
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_export_bloch_non_positive_grid_points_exit_1(self, capsys, points):
         # 0 must not fall back to the scenario's default grid

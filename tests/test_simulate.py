@@ -10,11 +10,11 @@ from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
                         PureNumericFamily, RankTwoFixedBasisFamily, SimConfig,
                         UnitaryGeneratorFamily, eval_state, fisher_info,
                         leaf_distribution, mle, run_trials,
-                        saturation_matrices, synthesize_tree, two_step)
+                        saturation_matrices, synthesize_at, synthesize_tree, two_step)
 from loccfisher.locc import MeasurementTree, flatten, leaf_vectors
 from loccfisher.scenarios import builtin_scenario
 from loccfisher import simulate
-from loccfisher.simulate import _mle, _OutcomeLaw, _path_prob_fns, _synthesize_at, _trial_rng
+from loccfisher.simulate import _mle, _OutcomeLaw, _path_prob_fns, _trial_rng
 from loccfisher.tensor import PRIOR_EDGE_REL, HilbertLayout
 
 from conftest import ghz_family, random_pure_family
@@ -229,7 +229,7 @@ class TestScoreSteps:
         fam, prior, shots, seed = builtin_scenario("ranktwo").family, (0.2, 0.8), 10_000, 3
         rep = run_trials(SimConfig(family=fam, theta_true=0.2, shots=shots, trials=20,
                                    seed=seed, prior=prior))
-        law = _OutcomeLaw(fam, _synthesize_at(fam, 0.2), prior)
+        law = _OutcomeLaw(fam, synthesize_at(fam, 0.2), prior)
         golden = np.array([golden_mle(law, law.draw(0.2, shots, _trial_rng(seed, t)), prior)
                            for t in range(20)])
         hits = int(np.sum(rep.estimates == 0.2))
@@ -407,7 +407,7 @@ class TestRunTrials:
         # ghz12 has L = 4096 leaves: a law built from one L x 512 complex product
         # would hold twice the table at once
         fam = builtin_scenario("ghz12").family
-        tree = synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
+        tree = synthesize_at(fam, 0.3)
         tracemalloc.start()
         try:
             law = _OutcomeLaw(fam, tree, (0.1, 0.9))
