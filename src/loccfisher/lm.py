@@ -159,7 +159,7 @@ class SearchReport(LmFeasibilityReport):
 class _ExpMap:
     """x -> U = exp(iH) with H = sum_j x_j E_j, and every dU/dx_j.
 
-    The d*d basis matrices E_j are, in parameter order, the diagonal units,
+    Row j of ``flat`` is E_j flattened: in parameter order the diagonal units,
     then the real and then the imaginary unit pairs of the upper triangle.
     """
 
@@ -167,35 +167,51 @@ class _ExpMap:
         iu = np.triu_indices(d, k=1)
         n_off = len(iu[0])
         re, im = d + np.arange(n_off), d + n_off + np.arange(n_off)
-        self.basis = np.zeros((d * d, d, d), dtype=complex)
-        self.basis[np.arange(d), np.arange(d), np.arange(d)] = 1
-        self.basis[re, iu[0], iu[1]] = self.basis[re, iu[1], iu[0]] = 1
-        self.basis[im, iu[0], iu[1]] = 1j
-        self.basis[im, iu[1], iu[0]] = -1j
+        basis = np.zeros((d * d, d, d), dtype=complex)
+        basis[np.arange(d), np.arange(d), np.arange(d)] = 1
+        basis[re, iu[0], iu[1]] = basis[re, iu[1], iu[0]] = 1
+        basis[im, iu[0], iu[1]], basis[im, iu[1], iu[0]] = 1j, -1j
+        self.d, self.flat = d, basis.reshape(d * d, d * d)
 
-    def eig(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(np.tensordot(x, self.basis, axes=1))
-
-    @staticmethod
-    def unitary(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return (v * np.exp(1j * w)) @ v.conj().T
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(eigenvalues w and eigenvectors V of H, U = V e^{iw} V^dag)."""
+        w, v = np.linalg.eigh((x @ self.flat).reshape(self.d, self.d))
+        return w, v, (v * np.exp(1j * w)) @ v.conj().T
 
     def derivative(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """dU/dx_j = V (G o V^dag E_j V) V^dag for all j (Daleckii-Krein).
+        """dU/dx_j = V (G o V^dag E_j V) V^dag for all j (Daleckii-Krein), a (d*d, d, d) stack.
 
-        G_kl = i e^{i(w_k + w_l)/2} sinc((w_k - w_l)/2pi) is the divided
-        difference of e^{iw}, exact for equal eigenvalues too.
+        G_kl = i e^{iw_k/2} e^{iw_l/2} sinc((w_k - w_l)/2pi) is the divided
+        difference of e^{iw}, exact for equal eigenvalues too. With
+        Q[(a,b),(k,l)] = conj(V_ak) V_bl, row j of flat @ Q is V^dag E_j V and
+        V M V^dag is M @ Q^dag, so all d*d derivatives take two GEMMs.
         """
-        gamma = (1j * np.exp(0.5j * (w[:, None] + w[None, :]))
-                 * np.sinc((w[:, None] - w[None, :]) / (2 * np.pi)))
-        vh = v.conj().T
-        return v @ (gamma * (vh @ self.basis @ v)) @ vh
+        half = np.exp(0.5j * w)
+        gamma = 1j * np.outer(half, half) * np.sinc(np.subtract.outer(w, w) / (2 * np.pi))
+        q = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(self.d ** 2, -1)
+        return (((self.flat @ q) * gamma.ravel()) @ q.conj().T).reshape(-1, self.d, self.d)
 
 
-def least_squares(*args, **kwargs):
-    """scipy's least_squares, imported by the first search: importing the package loads no scipy."""
+def least_squares(fun, x0, jac, **kwargs):
+    """scipy's least_squares, imported on the first call, on fun and jac bordered by zeros.
+
+    The zero column is a parameter that nothing depends on, and the returned
+    x drops it. Without it MINPACK's iterates on a rank-deficient Jacobian
+    change with the contents of newly allocated memory (glibc's
+    MALLOC_PERTURB_ shows it), so one seed could give two pairs.
+    """
     from scipy.optimize import least_squares as solve
-    return solve(*args, **kwargs)
+    n = len(x0)
+
+    def bordered(y):
+        j = jac(y[:n])
+        out = np.zeros((len(j) + 1, n + 1))
+        out[:-1, :-1] = j
+        return out
+
+    sol = solve(lambda y: np.append(fun(y[:n]), 0.0), np.append(x0, 0.0), jac=bordered, **kwargs)
+    sol.x = sol.x[:n]
+    return sol
 
 
 def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
@@ -209,75 +225,65 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     Unitaries are parameterized as exponentials of Hermitian matrices; with
     padding enabled, V gains one extra column by taking the first d2 rows of
     a (d2+1)-dimensional unitary. Each restart minimizes the squared phase
-    residual plus a narrowly weighted support penalty by damped least
-    squares with the exact Jacobian: the derivative of each exponential
-    comes from the Daleckii-Krein divided differences, and the support
-    term's kink at |D_ij| = 0 gets the zero subgradient. The search stops
-    early once a pair meets the tolerances and always returns the best pair
-    found.
+    residual plus a narrowly weighted support penalty by MINPACK's
+    Levenberg-Marquardt (lmder; More 1978) with the exact Jacobian, from
+    the Daleckii-Krein divided differences of each exponential and the zero
+    subgradient at the support term's kink |D_ij| = 0. Exact zero residuals
+    and Jacobian rows make up the count where the 2 d1 m2 residuals are
+    fewer than the d1^2 + m2^2 parameters. ``iters`` caps each restart's
+    residual evaluations; Jacobian evaluations are not counted. The search
+    stops early once a pair meets the tolerances and returns the best pair.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    a, b = coeffs.a_mat, coeffs.b_mat
-    d1, d2 = a.shape
+    ab = np.stack([coeffs.a_mat, coeffs.b_mat])
+    d1, d2 = coeffs.a_mat.shape
     m2 = d2 + 1 if allow_isometry_padding else d2
     n_u, n_v = d1 * d1, m2 * m2
     exp_u, exp_v = _ExpMap(d1), _ExpMap(m2)
-    # Penalty window for "C entry is zero": narrow, so exact solutions with
-    # small but genuinely nonzero C entries are not distorted.
-    eps = 1e-3
-    # least_squares asks for the Jacobian at the x it just evaluated, so the
-    # last evaluation is kept for it
-    last = {}
+    zeros = np.zeros(max(0, n_u + n_v - 2 * d1 * m2))     # MINPACK needs m >= n residuals
+    eps = 1e-3      # narrow "C entry is zero" window: small nonzero C entries stay undistorted
+    last = {}   # the Jacobian is asked for at the x just evaluated
 
-    def evaluate(x):
-        """(eigenpairs of both exponents, U, V, C, D) at x."""
+    def evaluate(x):    # (eigenpairs of both exponents, U, V, [C; D]) at x
         key = x.tobytes()
         if key not in last:
-            eig_u, eig_v = exp_u.eig(x[:n_u]), exp_v.eig(x[n_u:])
-            u = _ExpMap.unitary(*eig_u)
-            v = _ExpMap.unitary(*eig_v)[:d2, :]
+            (*eig_u, u), (*eig_v, v) = exp_u(x[:n_u]), exp_v(x[n_u:])
             last.clear()
-            last[key] = (eig_u, eig_v, u, v, u.conj().T @ a @ v, u.conj().T @ b @ v)
+            last[key] = (eig_u, eig_v, u, v[:d2], u.conj().T @ ab @ v[:d2])
         return last[key]
 
     def resid_vec(x):
-        *_, c, d = evaluate(x)
+        c, d = evaluate(x)[-1]
         weight = np.sqrt(np.exp(-np.abs(c) ** 2 / eps ** 2)).ravel()
-        return np.concatenate([np.imag(np.conj(c) * d).ravel(),
-                               weight * np.abs(d).ravel()])
+        return np.concatenate([np.imag(np.conj(c) * d).ravel(), weight * np.abs(d).ravel(), zeros])
 
     def jacobian(x):
-        eig_u, eig_v, u, v, c, d = evaluate(x)
-        du_h = exp_u.derivative(*eig_u).conj().transpose(0, 2, 1)
-        dv = exp_v.derivative(*eig_v)[:, :d2, :]
-        dc, dd = (np.concatenate([du_h @ (m @ v), (u.conj().T @ m) @ dv]) for m in (a, b))
-        weight = np.sqrt(np.exp(-np.abs(c) ** 2 / eps ** 2))
-        mag = np.abs(d)
-        d_phase = np.imag(np.conj(dc) * d + np.conj(c) * dd)
-        d_weight = -weight * np.real(np.conj(c) * dc) / eps ** 2
-        d_mag = np.divide(np.real(np.conj(d) * dd), mag, out=np.zeros(dd.shape),
-                          where=mag > 0)
-        d_support = d_weight * mag + weight * d_mag
-        return np.concatenate([d_phase, d_support], axis=1).reshape(len(x), -1).T
-
-    def score(pair):
-        rep = check_lm_conditions(pair, coeffs, phase_tol, support_tol)
-        return max(rep.phase_residual, rep.support_residual), rep
+        eig_u, eig_v, u, v, cd = evaluate(x)
+        # d[C; D] is dU^dag [A; B] V along U's parameters and U^dag [A; B] dV along V's
+        dcd = np.concatenate([
+            exp_u.derivative(*eig_u).conj().transpose(0, 2, 1) @ (ab @ v)[:, None],
+            (u.conj().T @ ab)[:, None] @ exp_v.derivative(*eig_v)[:, :d2]], axis=1)
+        (c_dc, c_dd), (d_dc, d_dd) = np.conj(cd)[:, None, None] * dcd
+        weight = np.sqrt(np.exp(-np.abs(cd[0]) ** 2 / eps ** 2))
+        mag = np.abs(cd[1])
+        # d Im(conj(C) D) and d(weight |D|), with d|D| = Re(conj(D) dD) / |D| and 0 at D = 0
+        d_support = weight * (np.divide(d_dd.real, mag, out=np.zeros(d_dd.shape), where=mag > 0)
+                              - mag * c_dc.real / eps ** 2)
+        rows = np.concatenate([(c_dd - d_dc).imag, d_support], axis=1).reshape(len(x), -1).T
+        return np.concatenate([rows, np.zeros((len(zeros), len(x)))])
 
     rng = np.random.default_rng(seed)
     best_pair, best_rep, best_val = None, None, np.inf
-    used = 0
-    for _ in range(restarts):
-        used += 1
-        x0 = rng.standard_normal(n_u + n_v)
-        sol = least_squares(resid_vec, x0, jac=jacobian, method="trf",
-                            max_nfev=iters, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    for used in range(1, restarts + 1):
+        sol = least_squares(resid_vec, rng.standard_normal(n_u + n_v), jac=jacobian,
+                            method="lm", x_scale="jac", max_nfev=iters,
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
         pair = IsometryPair(*evaluate(sol.x)[2:4])
-        val, rep = score(pair)
+        rep = check_lm_conditions(pair, coeffs, phase_tol, support_tol)
+        val = max(rep.phase_residual, rep.support_residual)
         if val < best_val:
             best_pair, best_rep, best_val = pair, rep, val
         if rep.feasible and val < 1e-10:
             break
-
     return best_pair, SearchReport(**asdict(best_rep), restarts=used)

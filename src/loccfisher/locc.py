@@ -192,12 +192,13 @@ def synthesize_at(family: metrology.StateFamily, theta: float,
     """The tree that saturates the QCRB of a pure or fixed-basis rank-two family at theta.
 
     Synthesizes the family's rank-one target m_tilde of ``saturation_matrices``;
-    a generic mixed family of rank > 2 has none, which is a ValueError.
+    a generic mixed family of rank > 2, or of rank two with an eigenbasis that
+    moves with theta, has none, which is a ValueError.
     """
     target = metrology.saturation_matrices(family, theta).target
     if target is None:
-        raise ValueError("family has no rank-one synthesis target "
-                         "(a generic mixed family of rank > 2)")
+        raise ValueError("family has no rank-one synthesis target (a generic mixed "
+                         "family of rank > 2, or of rank two with a moving eigenbasis)")
     return synthesize_tree(target, family.layout, order)
 
 

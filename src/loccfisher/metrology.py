@@ -302,7 +302,8 @@ class SaturationMatrices:
 
     ``conditions`` holds the matrices M_ij and ``target`` the synthesis target
     m_tilde, both factored (``KetBraSum``; ``dense()`` builds the matrix). A
-    generic mixed family of rank > 2 has the M_ij of its frame and no target.
+    generic mixed family of rank > 2, or of rank two with a theta-dependent
+    eigenbasis, has the M_ij of its frame and no target.
     """
 
     conditions: list[KetBraSum]
@@ -511,8 +512,9 @@ def _detect_fixed_rank_two(support: np.ndarray, rho: np.ndarray, drho: np.ndarra
     ``sides`` are the checked density matrices at theta -+ h that drho came
     from. The basis is fixed if it diagonalizes both: weight of a side off
     that diagonal, or outside the support, above DRIFT_TOL means the basis
-    moves with theta and the rank-two shortcut does not apply. A side at
-    equal weights passes as well.
+    moves with theta and the rank-two shortcut does not apply, so the
+    result is None, as at any rank other than two. A side at equal weights
+    passes as well.
     """
     if len(support) != 2:
         return None
@@ -523,10 +525,8 @@ def _detect_fixed_rank_two(support: np.ndarray, rho: np.ndarray, drho: np.ndarra
     for side in sides:
         # side minus its diagonal part sum_k <t_k|side|t_k> |t_k><t_k|
         diag = np.einsum("kd,de,ke->k", support.conj(), side, support)
-        drift = float(np.abs(side - (support.T * diag) @ support.conj()).max())
-        if drift > DRIFT_TOL:
-            raise ValueError(
-                f"rank-two family has a theta-dependent eigenbasis (drift {drift:.3e})")
+        if np.abs(side - (support.T * diag) @ support.conj()).max() > DRIFT_TOL:
+            return None
     return support
 
 
@@ -540,8 +540,9 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     anti-Hermitian part would let the two contributions cancel. Rank-two
     fixed-basis families: m_tilde = |psi0><psi1| (the scale-invariant
     direction, with the real prefactor dropped). Generic mixed families of
-    rank > 2 get the M_ij of their frame, the ones ``check_saturation``
-    evaluates, and no m_tilde.
+    rank > 2, or of rank two with an eigenbasis that moves with theta, get
+    the M_ij of their frame, the ones ``check_saturation`` evaluates, and no
+    m_tilde.
 
     Pure and rank-two targets are factored with no D x D array:
     m_tilde = |psi><perp + psi| - |perp><psi| - I/D (two ket-bras) and

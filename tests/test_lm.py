@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -221,16 +224,16 @@ class TestHeuristicSearch:
 
 
 def search_problem(coeffs, padded):
-    """The residual and Jacobian callables a search hands to least_squares."""
+    """The residual and Jacobian callables a search hands to ``lm.least_squares``."""
     seen = {}
-    real = scipy.optimize.least_squares
+    real = lm.least_squares
 
     def spy(fun, x0, jac, **kw):
         seen.update(fun=fun, jac=jac)
         return real(fun, x0, jac=jac, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "least_squares", spy)
+        mp.setattr(lm, "least_squares", spy)
         heuristic_lm_search(coeffs, restarts=1, iters=1,
                             allow_isometry_padding=padded)
     return seen["fun"], seen["jac"]
@@ -248,9 +251,14 @@ def assert_jacobian_matches_oracle(coeffs, padded, x):
     def oracle(y):
         return lm_search_residuals(coeffs.a_mat, coeffs.b_mat, y, padded)
 
-    assert np.abs(fun(x) - oracle(x)).max() < 1e-12
+    f, j, want_f = fun(x), jac(x), oracle(x)
+    # rows past the oracle's make up MINPACK's count of one residual per parameter
+    m = len(want_f)
+    assert f.shape == (max(m, len(x)),) and j.shape == (len(f), len(x))
+    assert not f[m:].any() and not j[m:].any()
+    assert np.abs(f[:m] - want_f).max() < 1e-12
     want = central_jacobian(oracle, x)
-    assert np.abs(jac(x) - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
+    assert np.abs(j[:m] - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
 
 
 class TestSearchJacobian:
@@ -307,6 +315,41 @@ class TestSearchJacobian:
         assert np.array_equal(p1.u_mat, p2.u_mat)
         assert np.array_equal(p1.v_mat, p2.v_mat)
         assert r1 == r2
+
+    def test_same_result_whatever_new_memory_holds(self):
+        # without the zero border of lm.least_squares, MINPACK's iterates on these
+        # rank-deficient Jacobians change with the contents of newly allocated
+        # memory, which glibc fills with the byte MALLOC_PERTURB_ names (other C
+        # libraries ignore the variable)
+        code = ("import hashlib, numpy as np\n"
+                "from loccfisher import BipartiteCoeffs, heuristic_lm_search\n"
+                "coeffs = BipartiteCoeffs(np.diag([0.5 ** 0.5, 0.5, 0.5]),\n"
+                "                         np.diag([0.5 ** 0.5 * 1j, -0.5j, -0.5j]))\n"
+                "digest = hashlib.sha256()\n"
+                "for seed in range(4):\n"
+                "    pair, _ = heuristic_lm_search(coeffs, restarts=1, seed=seed)\n"
+                "    digest.update(pair.u_mat.tobytes() + pair.v_mat.tobytes())\n"
+                "print(digest.hexdigest())\n")
+        src = str(Path(lm.__file__).parents[1])
+        runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                                 env=dict(os.environ, PYTHONPATH=src, MALLOC_PERTURB_=byte))
+                for byte in ("0", "85", "170")]
+        digests = {run.communicate()[0] for run in runs}
+        assert all(run.returncode == 0 for run in runs)
+        assert len(digests) == 1
+
+
+class TestRandomPairVerdicts:
+    # generic random pairs have saturating product measurements, projective ones included
+    @pytest.mark.parametrize("d1,d2,padded", [(3, 3, True), (3, 3, False), (2, 4, False)])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_search_finds_a_saturating_pair(self, d1, d2, padded, seed):
+        coeffs = random_coeffs(d1, d2, np.random.default_rng(seed))
+        pair, rep = heuristic_lm_search(coeffs, seed=seed, allow_isometry_padding=padded)
+        assert rep.feasible and rep.projective is not padded
+        fam = interpolation_family(coeffs.a_mat, coeffs.b_mat)
+        assert check_saturation(lm_povm_from_pair(pair), fam, 0.0).saturating
 
 
 class TestConjugationBookkeeping:

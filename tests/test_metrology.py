@@ -468,9 +468,13 @@ class TestSaturationMatrices:
             v1 = np.array([-s, c], dtype=complex)
             return 0.7 * np.outer(v0, v0.conj()) + 0.3 * np.outer(v1, v1.conj())
 
+        # the rank-two shortcut rejects it: the frame's M_ij and no target, as at rank > 2
         fam = MixedGenericFamily(QUBIT, rho_fn)
-        with pytest.raises(ValueError, match="eigenbasis"):
-            saturation_matrices(fam, 0.4)
+        out = saturation_matrices(fam, 0.4)
+        assert out.state_type == "mixed" and out.target is None
+        want = metrology._frame(fam, 0.4).conditions()
+        assert len(out.conditions) == len(want) == 4
+        assert all(np.array_equal(m.dense(), w.dense()) for m, w in zip(out.conditions, want))
 
     def test_bell_mixture_directions(self):
         sc = builtin_scenario("bellmix")

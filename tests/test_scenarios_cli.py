@@ -15,13 +15,20 @@ import loccfisher
 from loccfisher import cli, metrology
 from loccfisher.cli import build_parser, cli_main
 from loccfisher.locc import leaf_vectors, tree_from_json, tree_to_json
-from loccfisher.scenarios import (PauliStringTerm, _ghz_doc, bell_states, builtin_names,
-                                  builtin_scenario, hamiltonian_from_pauli,
+from loccfisher.scenarios import (PauliStringTerm, Scenario, _ghz_doc, bell_states,
+                                  builtin_names, builtin_scenario, hamiltonian_from_pauli,
                                   parse_scenario, pauli_diagonal)
 from loccfisher.tensor import HilbertLayout, complex_to_pairs, kron
 
-from conftest import I2, PAULI_X, PAULI_Z
+from conftest import I2, PAULI_X, PAULI_Z, random_density, random_hermitian
 from oracles import pauli_term_matrix
+
+
+NO_TARGET_COMMANDS = [["synthesize"], ["export-bloch"],
+                      ["simulate", "--shots", "100", "--trials", "2"]]
+NO_TARGET_ERROR = {"error": "family has no rank-one synthesis target (a generic mixed family "
+                            "of rank > 2, or of rank two with a moving eigenbasis)",
+                   "kind": "validation"}
 
 
 def xy_chain_w_doc(n):
@@ -581,15 +588,31 @@ class TestCliErrors:
         assert err["kind"] == "validation" and "not a finite number" in err["error"]
         assert captured.out == "" and len(recwarn) == 0
 
-    @pytest.mark.parametrize("command", [["synthesize"], ["export-bloch"],
-                                         ["simulate", "--shots", "100", "--trials", "2"]])
+    @pytest.mark.parametrize("command", NO_TARGET_COMMANDS)
     def test_no_synthesis_target_exit_1_with_one_message(self, capsys, command):
         assert cli_main([command[0], "bellmix", *command[1:]]) == 1
         captured = capsys.readouterr()
-        assert json.loads(captured.err) == {
-            "error": "family has no rank-one synthesis target "
-                     "(a generic mixed family of rank > 2)",
-            "kind": "validation"}
+        assert json.loads(captured.err) == NO_TARGET_ERROR
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", NO_TARGET_COMMANDS)
+    def test_moving_rank_two_basis_gets_the_same_message(self, capsys, monkeypatch, command):
+        # rho(theta) = e^{-i theta H} rho0 e^{i theta H}, rho0 of rank 2 on C^4
+        # (seed 1): the rank-two shortcut does not apply, and there is no target
+        rng = np.random.default_rng(1)
+        h, rho0 = random_hermitian(4, rng), random_density(4, rng, rank=2)
+        lam, q = np.linalg.eigh(h)
+
+        def rho(t):
+            u = (q * np.exp(-1j * t * lam)) @ q.conj().T
+            return u @ rho0 @ u.conj().T
+
+        rotated = Scenario(name="rotated", family=metrology.MixedGenericFamily(
+            HilbertLayout((2, 2)), rho), theta_grid=np.array([0.3, 0.4, 0.5]), notes="", doc={})
+        monkeypatch.setattr(cli, "_load_scenario", lambda arg: rotated)
+        assert cli_main([command[0], "rotated", *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == NO_TARGET_ERROR
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, error", [
