@@ -298,17 +298,30 @@ class SldResult:
 
 @dataclass
 class SaturationMatrices:
-    """Traceless zero-sandwich targets whose condition characterizes saturation.
+    """A family at theta as the saturation check and the synthesis read it.
 
-    ``conditions`` holds the matrices M_ij and ``target`` the synthesis target
-    m_tilde, both factored (``KetBraSum``; ``dense()`` builds the matrix). A
-    generic mixed family of rank > 2, or of rank two with a theta-dependent
-    eigenbasis, has the M_ij of its frame and no target.
+    ``rho`` and ``drho`` are exact, factored (``KetBraSum``; ``dense()``
+    builds the matrix). The rows of ``support`` span the support of rho and
+    the rows of ``l_support`` are their images L psi_i under the SLD; ``qfi``
+    is the quantum Fisher information. ``target`` is the factored rank-one
+    synthesis target m_tilde, or None for a generic mixed family of rank
+    > 2, or of rank two with an eigenbasis that moves with theta.
     """
 
-    conditions: list[KetBraSum]
+    rho: KetBraSum
+    drho: KetBraSum
+    support: np.ndarray
+    l_support: np.ndarray
+    qfi: float
     target: KetBraSum | None
     state_type: str
+
+    @property
+    def conditions(self) -> list[KetBraSum]:
+        """M_ij = |psi_i><psi_j| L - L |psi_i><psi_j| = |psi_i><L psi_j| - |L psi_i><psi_j|."""
+        return [KetBraSum(np.stack([a, -la]), np.stack([lb, b]))
+                for a, la in zip(self.support, self.l_support)
+                for b, lb in zip(self.support, self.l_support)]
 
 
 @dataclass
@@ -416,35 +429,23 @@ def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
     return SldResult(L=L, eigvals=w, eigvecs=v, qfi=qfi)
 
 
-@dataclass
-class _Frame:
-    """A family at theta as the saturation conditions read it.
+def _frame(family: StateFamily, theta: float) -> SaturationMatrices:
+    """The family at theta, from one evaluation of its state.
 
-    ``rho`` and ``drho`` are exact. The rows of ``support`` span the support
-    of rho and the rows of ``l_support`` are their images L psi_i under the SLD.
-    """
-
-    rho: KetBraSum
-    drho: KetBraSum
-    support: np.ndarray
-    l_support: np.ndarray
-    qfi: float
-
-    def conditions(self) -> list[KetBraSum]:
-        """M_ij = |psi_i><psi_j| L - L |psi_i><psi_j| = |psi_i><L psi_j| - |L psi_i><psi_j|."""
-        return [KetBraSum(np.stack([a, -la]), np.stack([lb, b]))
-                for a, la in zip(self.support, self.l_support)
-                for b, lb in zip(self.support, self.l_support)]
-
-
-def _frame(family: StateFamily, theta: float) -> _Frame:
-    """The frame of the family at theta.
-
-    Pure families: rho = |psi><psi|, L psi = 2 perp and qfi = 4 (||dpsi||^2 -
-    |<psi|dpsi>|^2) (Liu et al., J. Phys. A 53, 023001 (2020)). Fixed-basis
-    rank-two families: L is diagonal on {psi0, psi1} with eigenvalues p'/p and
-    -p'/(1 - p), and qfi = p'^2 / (p (1 - p)). Neither builds a D x D array.
-    Generic mixed families: the checked dense rho and drho and the SLD.
+    Pure families, one ``psi_dpsi``: rho = |psi><psi|, L psi = 2 perp, qfi =
+    4 (||dpsi||^2 - |<psi|dpsi>|^2) (Liu et al., J. Phys. A 53, 023001 (2020))
+    and the target m_tilde = M + (|psi><psi| - I/D) with M = |psi><perp| -
+    |perp><psi|, factored as |psi><perp + psi| - |perp><psi| - I/D. The
+    deviation term enters as the Hermitian part so that a zero sandwich
+    forces <E|M|E> = 0 and |<E|psi>|^2 = 1/D separately; in the
+    anti-Hermitian part the two contributions could cancel. Fixed-basis
+    rank-two families, one ``p_dp``: L is diagonal on {psi0, psi1} with
+    eigenvalues p'/p and -p'/(1 - p), qfi = p'^2 / (p (1 - p)) and the target
+    is |psi0><psi1| (the scale-invariant direction, real prefactor dropped).
+    Neither builds a D x D array. Generic mixed families, one
+    ``rho_drho_sides``: the checked dense rho and drho and the SLD, and the
+    target |t0><t1| if rho(theta -+ h) keep the support eigenbasis t0, t1
+    (``_detect_fixed_rank_two``); otherwise there is no target.
     """
     if family.state_type == "pure":
         psi, dpsi = family.psi_dpsi(theta)
@@ -452,23 +453,27 @@ def _frame(family: StateFamily, theta: float) -> _Frame:
         rho = KetBraSum(psi, psi)
         drho = KetBraSum(np.stack([dpsi, psi]), np.stack([psi, dpsi]))
         qfi = max(0.0, float(4 * (np.vdot(dpsi, dpsi).real - abs(np.vdot(psi, dpsi)) ** 2)))
-        return _Frame(rho, drho, rho.kets, 2 * perp_component(psi, dpsi)[None], qfi)
+        perp = perp_component(psi, dpsi)
+        target = KetBraSum(np.stack([psi, -perp]), np.stack([perp + psi, psi]),
+                           -1.0 / family.layout.total)
+        return SaturationMatrices(rho, drho, rho.kets, 2 * perp[None], qfi, target, "pure")
     if family.state_type == "rank-two":
         p, dp = family.p_dp(theta)
         kets = np.stack([family.psi0, family.psi1])
         rho = KetBraSum(kets, np.array([[p], [1 - p]]) * kets)
         drho = KetBraSum(kets, np.array([[dp], [-dp]]) * kets)
         l_support = np.array([[dp / p], [-dp / (1 - p)]]) * kets
-        return _Frame(rho, drho, kets, l_support, dp * dp / (p * (1 - p)))
-    return _dense_frame(*eval_state(family, theta))
-
-
-def _dense_frame(rho: np.ndarray, drho: np.ndarray) -> _Frame:
-    """The frame of a checked dense rho and drho, support and L psi_i from the SLD."""
+        return SaturationMatrices(rho, drho, kets, l_support, dp * dp / (p * (1 - p)),
+                                  KetBraSum(*kets), "rank-two")
+    rho, drho, sides = family.rho_drho_sides(theta)
+    rho, drho = _checked_state(rho, drho)
     res = _sld(rho, drho)
     support = res.eigvecs[:, res.eigvals > RANK_TOL].T
-    return _Frame(KetBraSum.from_dense(rho), KetBraSum.from_dense(drho),
-                  support, support @ res.L.T, res.qfi)
+    pair = _detect_fixed_rank_two(support, rho, drho, sides, family.step)
+    return SaturationMatrices(KetBraSum.from_dense(rho), KetBraSum.from_dense(drho),
+                              support, support @ res.L.T, res.qfi,
+                              None if pair is None else KetBraSum(*pair),
+                              "mixed" if pair is None else "rank-two")
 
 
 def qfi(family: StateFamily, theta: float) -> float:
@@ -531,42 +536,10 @@ def _detect_fixed_rank_two(support: np.ndarray, rho: np.ndarray, drho: np.ndarra
 
 
 def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices:
-    """Traceless zero-sandwich targets for the family at theta.
-
-    Pure families: M = |psi><perp| - |perp><psi| (anti-Hermitian) and the
-    rank-one-complete target m_tilde = M + (|psi><psi| - I/D). The deviation
-    term enters as the Hermitian part so that a zero sandwich forces
-    <E|M|E> = 0 and |<E|psi>|^2 = 1/D separately; folding it into the
-    anti-Hermitian part would let the two contributions cancel. Rank-two
-    fixed-basis families: m_tilde = |psi0><psi1| (the scale-invariant
-    direction, with the real prefactor dropped). Generic mixed families of
-    rank > 2, or of rank two with an eigenbasis that moves with theta, get
-    the M_ij of their frame, the ones ``check_saturation`` evaluates, and no
-    m_tilde.
-
-    Pure and rank-two targets are factored with no D x D array:
-    m_tilde = |psi><perp + psi| - |perp><psi| - I/D (two ket-bras) and
-    |psi0><psi1| (one).
-    """
-    if family.state_type == "pure":
-        psi, dpsi = family.psi_dpsi(theta)
-        perp = perp_component(psi, dpsi)        # the factors check both finite
-        kets = np.stack([psi, -perp])
-        m = KetBraSum(kets, np.stack([perp, psi]))
-        m_tilde = KetBraSum(kets, np.stack([perp + psi, psi]), -1.0 / family.layout.total)
-        return SaturationMatrices(conditions=[m], target=m_tilde, state_type="pure")
-    if family.state_type == "rank-two":
-        pair = family.psi0, family.psi1
-    else:
-        rho, drho, sides = family.rho_drho_sides(theta)
-        rho, drho = _checked_state(rho, drho)
-        frame = _dense_frame(rho, drho)
-        pair = _detect_fixed_rank_two(frame.support, rho, drho, sides, family.step)
-        if pair is None:
-            return SaturationMatrices(conditions=frame.conditions(), target=None,
-                                      state_type="mixed")
-    m = KetBraSum(*pair)
-    return SaturationMatrices(conditions=[m], target=m, state_type="rank-two")
+    """The family at theta (``_frame``): its exact rho and drho, support rows and
+    their SLD images, qfi, the conditions M_ij that ``check_saturation``
+    evaluates and the rank-one synthesis target, if it has one."""
+    return _frame(family, theta)
 
 
 def check_saturation(povm: Povm, family: StateFamily, theta: float) -> SaturationReport:
@@ -587,7 +560,7 @@ def check_saturation(povm: Povm, family: StateFamily, theta: float) -> Saturatio
         raise ValueError(f"POVM vectors of length {povm.vectors.shape[1]} do not match "
                          f"layout {list(family.layout.dims)}")
     frame = _frame(family, theta)
-    m_set = frame.conditions()
+    m_set = frame.conditions
     scale = max(m.norm() for m in m_set)
 
     fi = fisher_info(povm, frame.rho, frame.drho)

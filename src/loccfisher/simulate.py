@@ -218,12 +218,13 @@ def _score_root(score: Callable[[float], float], a: float, b: float,
                 fa: float, fb: float) -> float:
     """Root of the score in [a, b], where fa = score(a) > 0 > score(b) = fb, by
     Brent's zeroin (Algorithms for Minimization without Derivatives, 1973, ch. 4):
-    b is the best point, a the previous one and c the other end of the bracket."""
-    tol = 0.5 * MLE_WIDTH
+    b is the best point, a the previous one and c the other end of the bracket.
+    The tolerance is floored at 2 eps |b|, which no step or bracket can undercut."""
     c, fc, d, e = a, fa, b - a, b - a
     while True:
         if abs(fc) < abs(fb):
             a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = max(0.5 * MLE_WIDTH, 2 * np.finfo(float).eps * abs(b))
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0:
             return b

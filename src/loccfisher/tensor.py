@@ -47,7 +47,7 @@ REGULARITY_REL = 1e-7     # null-outcome residual, relative to the largest targe
 FI_REL = 1e-6             # admissible qfi - fi, relative to qfi
 QFI_FLOOR = 1e-12         # qfi below which a scenario carries no information, absolute
 FLAT_REL = 1e-9           # log-likelihood spread of a flat grid, relative to |max| + 1
-MLE_WIDTH = 1e-10         # stopping step and half-bracket of the MLE score root, absolute
+MLE_WIDTH = 1e-10         # stopping step and half-bracket of the MLE score root, at least 4 eps |theta|
 PRIOR_EDGE_REL = 1e-9     # distance from a prior endpoint, relative to hi - lo
 KRYLOV_TOL = 1e-12        # Lanczos beta that closes a Krylov space, relative to the largest ||G v||
 

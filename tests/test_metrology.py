@@ -27,6 +27,29 @@ def projector_povm(vectors):
     return Povm(vectors=np.array(vectors))
 
 
+def dense_conditions(family, theta, support=None):
+    """M_ij = |psi_i><psi_j| L - L |psi_i><psi_j| as D x D matrices, from the public SLD;
+    the psi_i are the rows of ``support``, by default the SLD's support eigenvectors."""
+    res = sld(*eval_state(family, theta))
+    if support is None:
+        support = res.eigvecs[:, res.eigvals > 1e-9].T
+    return [np.outer(a, b.conj()) @ res.L - res.L @ np.outer(a, b.conj())
+            for a in support for b in support]
+
+
+def saturation_families():
+    """A pure, a rank-two, a fixed-basis generic and a rank-3 generic mixed family."""
+    bells = bell_states()
+    p0 = np.outer(bells["phi+"], bells["phi+"].conj())
+    p1 = np.outer(bells["psi+"], bells["psi+"].conj())
+    return {"pure": ghz_family(3),
+            "rank-two": RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
+                                                bells["phi-"], lambda t: t, lambda t: 1.0),
+            "fixed-basis": MixedGenericFamily(HilbertLayout((2, 2)),
+                                              lambda t: t * p0 + (1 - t) * p1),
+            "rank-3": builtin_scenario("bellmix").family}
+
+
 class TestEvalState:
     def test_unitary_generator_closed_form(self):
         fam = UnitaryGeneratorFamily(QUBIT, np.array([1, 1], complex) / np.sqrt(2),
@@ -359,7 +382,8 @@ class TestSaturationMatrices:
         perp = dpsi - np.vdot(psi, dpsi) * psi
         m = np.outer(psi, perp.conj()) - np.outer(perp, psi.conj())
         m_set, m_tilde = [c.dense() for c in out.conditions], out.target.dense()
-        assert np.abs(m_set[0] - m).max() < 1e-12
+        # the condition check_saturation evaluates: |psi><L psi| - |L psi><psi| with L psi = 2 perp
+        assert np.abs(m_set[0] - 2 * m).max() < 1e-12
         assert np.abs(m_tilde - (m + np.outer(psi, psi.conj()) - np.eye(4) / 4)).max() < 1e-12
         assert np.abs(m_set[0] + m_set[0].conj().T).max() < 1e-9
 
@@ -420,8 +444,8 @@ class TestSaturationMatrices:
         assert out.target.kets.shape == (2, 8) and out.target.shift == -1 / 8
         low_rank = out.target.kets.T @ out.target.bras.conj()
         assert np.abs(low_rank - np.eye(8) / 8 - out.target.dense()).max() < 1e-12
-        assert np.abs(out.target.dense() - out.conditions[0].dense() - np.outer(psi, psi.conj())
-                      + np.eye(8) / 8).max() < 1e-12
+        assert np.abs(out.target.dense() - out.conditions[0].dense() / 2
+                      - np.outer(psi, psi.conj()) + np.eye(8) / 8).max() < 1e-12
         assert abs(out.target.trace()) < 1e-12
         assert abs(np.linalg.norm(perp) - np.sqrt(qfi(fam, 0.3)) / 2) < 1e-12
 
@@ -468,13 +492,35 @@ class TestSaturationMatrices:
             v1 = np.array([-s, c], dtype=complex)
             return 0.7 * np.outer(v0, v0.conj()) + 0.3 * np.outer(v1, v1.conj())
 
-        # the rank-two shortcut rejects it: the frame's M_ij and no target, as at rank > 2
+        # the rank-two shortcut rejects it: the M_ij of the SLD and no target, as at rank > 2
         fam = MixedGenericFamily(QUBIT, rho_fn)
         out = saturation_matrices(fam, 0.4)
         assert out.state_type == "mixed" and out.target is None
-        want = metrology._frame(fam, 0.4).conditions()
+        want = dense_conditions(fam, 0.4)
         assert len(out.conditions) == len(want) == 4
-        assert all(np.array_equal(m.dense(), w.dense()) for m, w in zip(out.conditions, want))
+        assert all(np.abs(m.dense() - w).max() < 1e-12 for m, w in zip(out.conditions, want))
+
+    @pytest.mark.parametrize("kind", ["pure", "rank-two", "fixed-basis", "rank-3"])
+    def test_conditions_are_the_ones_check_saturation_evaluates(self, monkeypatch, kind):
+        # every <e|M|e> of the verdict goes through _sandwich: fisher_info's rho and
+        # drho, then each condition, then rho for the null outcomes
+        family = saturation_families()[kind]
+        seen = []
+        sandwich = metrology._sandwich
+        monkeypatch.setattr(metrology, "_sandwich", lambda povm, m: seen.append(m) or
+                            sandwich(povm, m))
+        d = family.layout.total
+        check_saturation(projector_povm(np.eye(d, dtype=complex)), family, 0.4)
+        out = saturation_matrices(family, 0.4)
+        want = out.conditions
+        assert len(seen) == len(want) + 3
+        for m, w in zip(seen[2:-1], want):
+            assert np.array_equal(m.kets, w.kets) and np.array_equal(m.bras, w.bras)
+            assert m.shift == w.shift
+        # and they are the dense commutators with the SLD on the support rows
+        assert len(out.support) == np.linalg.matrix_rank(out.rho.dense(), tol=1e-9)
+        for m, w in zip(want, dense_conditions(family, 0.4, out.support)):
+            assert np.abs(m.dense() - w).max() < 1e-9
 
     def test_bell_mixture_directions(self):
         sc = builtin_scenario("bellmix")

@@ -312,6 +312,31 @@ class TestCliCore:
         assert abs(doc["J"] - 4.0) < 1e-6 and doc["degenerate_trials"] == 0
         assert doc["ci95"][0] <= 1.0 <= doc["ci95"][1]
 
+    def test_simulate_far_from_zero_ends(self):
+        # doubles near theta = 1e7 are farther apart than MLE_WIDTH; run as a child
+        # process so that a search that does not end fails on the timeout
+        argv = ["simulate", "ghz2", "--theta", "10000000.3", "--prior", "10000000.0",
+                "10000000.6", "--shots", "1000", "--trials", "20"]
+        env = dict(os.environ, PYTHONPATH=str(Path(loccfisher.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "loccfisher.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=30)
+        assert run.returncode == 0, run.stderr
+        doc = json.loads(run.stdout)
+        assert doc["trials"] == 20 and doc["degenerate_trials"] == 0
+
+    def test_synthesize_order_is_written_and_verifies(self, tmp_path, capsys):
+        tree = str(tmp_path / "t.json")
+        assert cli_main(["synthesize", "ghz3", "--theta", "0.3", "--order", "2,0,1",
+                         "--out", tree]) == 0
+        assert json.loads(Path(tree).read_text())["order"] == [2, 0, 1]
+        capsys.readouterr()
+        assert cli_main(["verify", "ghz3", "--tree", tree, "--theta", "0.3"]) == 0
+        assert json.loads(capsys.readouterr().out)["saturating"] is True
+
+    def test_help_exit_0(self, capsys):
+        assert cli_main(["qfi", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
     def test_simulate_single_trial_valid_json(self, capsys):
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
@@ -357,6 +382,31 @@ class TestCliCore:
         assert cli_main(["qfi", str(path), "--theta", "0.3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert abs(out["qfi"] - 1.0) < 1e-9
+
+    def test_cosine_rank_two_weight(self, tmp_path, capsys):
+        # p = offset + amplitude*cos(frequency*theta + phase) with every entry set
+        bells = bell_states()
+        off, amp, freq, phase = 0.5, 0.3, 1.7, 0.4
+        doc = {"name": "cosine", "type": "rank-two", "layout": [2, 2],
+               "psi0": complex_to_pairs(bells["phi+"]), "psi1": complex_to_pairs(bells["psi+"]),
+               "p": {"form": "cosine", "offset": off, "amplitude": amp, "frequency": freq,
+                     "phase": phase},
+               "theta_grid": [0.3]}
+        family = parse_scenario(doc).family
+        for theta in (0.3, 1.1, -2.0):
+            p, dp = family.p_dp(theta)
+            assert p == off + amp * np.cos(freq * theta + phase)
+            assert dp == -amp * freq * np.sin(freq * theta + phase)
+            want = dp * dp / (p * (1 - p))
+            assert abs(qfi(family, theta) - want) <= 1e-12 * want
+        path, tree = tmp_path / "cosine.json", str(tmp_path / "tree.json")
+        path.write_text(json.dumps(doc))
+        assert cli_main(["synthesize", str(path), "--theta", "0.3", "--out", tree]) == 0
+        capsys.readouterr()
+        assert cli_main(["verify", str(path), "--tree", tree, "--theta", "0.3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["saturating"] is True
+        assert abs(out["fi"] - out["qfi"]) <= 1e-6 * out["qfi"]
 
 
 class TestVectorRoute:
@@ -504,6 +554,12 @@ class TestCliExportBloch:
         assert lines[0] == "theta,path,subsystem,x,y,z"
         assert len(lines) == 4      # header + root + two children
 
+    def test_order_puts_its_first_subsystem_at_the_root(self, capsys):
+        assert cli_main(["export-bloch", "ghz2", "--grid-points", "2", "--order", "1,0"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 6       # two grid points, root + two children each
+        assert [r["subsystem"] for r in rows] == ["1", "0", "0"] * 2
+
 
 class TestCliErrors:
     def test_unknown_scenario_exit_1(self, capsys):
@@ -625,9 +681,17 @@ class TestCliErrors:
         (["lm-check", "--a-mat", "{a}", "--b-mat", "{b}", "--theta", "0"],
          "--theta cannot be used with --a-mat/--b-mat"),
         (["lm-check", "lm2x2", "--a-mat", "{a}", "--b-mat", "{b}"],
-         "scenario cannot be used with --a-mat/--b-mat")])
+         "scenario cannot be used with --a-mat/--b-mat"),
+        (["synthesize", "ghz3", "--order", "0,0,1"],
+         "order (0, 0, 1) is not a permutation of the subsystems"),
+        (["lm-check", "--a-mat", "{a}"], "--a-mat and --b-mat must be given together"),
+        (["lm-check"], "give a scenario or --a-mat/--b-mat"),
+        (["lm-check", "ranktwo"], "lm-check needs a bipartite pure scenario"),
+        (["lm-check", "ghz3"], "lm-check needs a bipartite pure scenario"),
+        (["export-bloch"], "give a scenario or --tree")])
     def test_ignored_argument_exit_1(self, tmp_path, capsys, argv, error):
-        # each input file is valid, so the ignored argument is the only error
+        # each input file is valid, so the ignored, missing or malformed argument
+        # is the only error
         files = {"tree": tmp_path / "tree.json", "a": tmp_path / "a.json",
                  "b": tmp_path / "b.json"}
         assert cli_main(["synthesize", "ghz2", "--theta", "0.3", "--out", str(files["tree"])]) == 0

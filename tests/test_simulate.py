@@ -14,7 +14,7 @@ from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
 from loccfisher.locc import MeasurementTree, flatten, leaf_vectors
 from loccfisher.scenarios import builtin_scenario
 from loccfisher import simulate
-from loccfisher.simulate import _mle, _OutcomeLaw, _path_prob_fns, _trial_rng
+from loccfisher.simulate import _mle, _OutcomeLaw, _path_prob_fns, _score_root, _trial_rng
 from loccfisher.tensor import PRIOR_EDGE_REL, HilbertLayout
 
 from conftest import ghz_family, random_pure_family
@@ -263,6 +263,22 @@ class TestScoreSteps:
         with pytest.raises(DegenerateLikelihoodError):
             _mle(law, np.array([7.0, 3.0]), (0.0, 1.0))
         assert calls == []
+
+    def test_score_root_ends_where_doubles_are_coarser_than_the_width(self):
+        # doubles near 1e7 are 1.9e-9 apart, wider than MLE_WIDTH: a bisection step
+        # there rounds back onto b, and only the tolerance floor 2 eps |b| ends the search
+        b0 = 1e7 + 0.3
+        calls = []
+
+        def score(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("the score root does not end")
+            return (b0 - x) + 0.37 * np.spacing(b0)
+
+        lo, hi = b0 - 0.5, b0 + 0.5
+        root = _score_root(score, lo, hi, score(lo), score(hi))
+        assert abs(root - b0) <= 2 * np.spacing(b0)
 
     def test_score_steps_per_mle(self):
         # golden section takes 38 law evaluations per estimate from the two-cell
