@@ -132,8 +132,6 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
     p, _, d = h.shape[:3]
     u = np.zeros((p, d, d), dtype=complex)
     u.reshape(p, -1)[:, ::d + 1] = 1
-    if d == 1:
-        return u
     h = _traceless_hermitian(h)
     n = frobenius_norms(h.reshape(2 * p, d, d)).reshape(p, 2)
     floor = _TINY * scale
@@ -155,13 +153,19 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
     return u
 
 
+def _block_basis(t: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Bases (P, k, k) with every <u|t|u> = Tr(t)/k (eigh times DFT), or I where ||t|| <= floor."""
+    jl = np.outer(*2 * [np.arange(t.shape[-1])])
+    basis = np.linalg.eigh(t)[1] @ (np.exp(-2j * np.pi / len(jl) * jl) / np.sqrt(len(jl)))
+    return np.where((frobenius_norms(t) <= floor)[:, None, None], np.eye(len(jl)), basis)
+
+
 def _null_vectors(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray:
     """Unit v (P, d) with <v|h1|v> = <v|h2|v> = 0 for each pair (h1, h2) with h1 nonzero.
 
     The inductive block construction: split by the sign of h1, rescale h2
-    (case "a") or use its traceless blocks directly (case "b"), obtain block
-    vectors v1 (positive diagonal value) and v2 (negative), and combine them
-    as cos(beta) v1 + sin(beta) e^{-i alpha} v2.
+    (case "a") or not (case "b"), take block vectors v1 > 0 and v2 < 0 from
+    closed-form bases, and combine them as cos(beta) v1 + sin(beta) e^{-i alpha} v2.
     """
     p, _, d = h.shape[:3]
     # Split by the eigenvalue sign of h1. Zero eigenvalues join the positive
@@ -190,9 +194,9 @@ def _null_vectors(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndar
 
     # Per node and block, the unit u with <u|target|u> = 0 maximizing (on the
     # positive block) or minimizing <u|lam|u>: the best column of the block's
-    # zero-diagonalizing basis, ties to the lowest index. The extremal value
-    # inherits the sign of the block's trace of lam. Nodes split alike share
-    # one call per block; a 1x1 block is its own basis.
+    # zero-diagonal basis, ties to the lowest index; where target vanishes
+    # that is h1's extreme eigenvector. The extremal value inherits the sign
+    # of the block's trace of lam. Nodes split alike share one eigh per block.
     y = np.ones((p, d), dtype=complex)  # block vectors in eigenbasis coordinates
     vals = np.empty((2, 2, p))          # (<u|lam|u>, <u|target|u>) x (positive, negative)
     groups = set(c.tolist())
@@ -200,12 +204,7 @@ def _null_vectors(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndar
         at = np.flatnonzero(c == k) if len(groups) > 1 else slice(None)   # one: views
         for blk, part in enumerate((slice(d - k, d), slice(0, d - k))):
             lam_b, target_b = lam[at, part, part], target[at, part, part]
-            if part.stop - part.start == 1:
-                vals[:, blk, at] = lam_b[:, 0, 0].real, target_b[:, 0, 0].real
-                continue
-            pair = np.zeros((len(lam_b), 2) + lam_b.shape[1:], dtype=complex)
-            pair[:, 0] = target_b
-            basis = _zero_diag(pair, sub_scale[at], node[at])
+            basis = _block_basis(target_b, _TINY * sub_scale[at])
             scores = (basis.conj() * (lam_b @ basis)).sum(axis=1).real
             best = scores.argmax(axis=1) if blk == 0 else scores.argmin(axis=1)
             rows = np.arange(len(best))

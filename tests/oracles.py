@@ -306,7 +306,8 @@ def golden_mle(law, counts, prior):
     ``law`` is a ``simulate._OutcomeLaw`` and ``counts`` its leaf-indexed
     counts. The grid scan (ties toward the interval midpoint, flat-grid
     rejection) is the library's; the refinement compares log-likelihoods of
-    ``law.prob_fn`` down to an MLE_WIDTH bracket and returns its midpoint.
+    ``law.prob_fn`` down to a bracket of max(MLE_WIDTH, 2 eps |b|), the
+    score root's floor, and returns its midpoint.
     """
     from loccfisher.simulate import LOG_FLOOR, DegenerateLikelihoodError
     from loccfisher.tensor import FLAT_REL, MLE_WIDTH
@@ -331,7 +332,7 @@ def golden_mle(law, counts, prior):
     b = grid[min(best + 1, grid.size - 1)]
     c, d = b - golden * (b - a), a + golden * (b - a)
     fc, fd = loglik(c), loglik(d)
-    while b - a > MLE_WIDTH:
+    while b - a > max(MLE_WIDTH, 2 * np.finfo(float).eps * abs(b)):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - golden * (b - a)

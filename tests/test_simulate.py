@@ -1,5 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,6 +241,28 @@ class TestScoreSteps:
         assert hits > 0 and rep.boundary_hits == hits
         assert hits == int(np.sum(np.abs(golden - 0.2) < PRIOR_EDGE_REL * 0.6))
         assert np.abs(rep.estimates - golden).max() <= 1e-7
+
+    def test_golden_oracle_ends_far_from_zero(self):
+        # doubles near theta = 1e7 are farther apart than MLE_WIDTH; run as a child
+        # process so that a golden section that does not end fails on the timeout
+        script = textwrap.dedent("""
+            from loccfisher import synthesize_at
+            from loccfisher.scenarios import builtin_scenario
+            from loccfisher.simulate import _OutcomeLaw, _mle, _trial_rng
+            from oracles import golden_mle
+            fam, theta, prior = builtin_scenario("ghz2").family, 1e7 + 0.3, (1e7, 1e7 + 0.6)
+            law = _OutcomeLaw(fam, synthesize_at(fam, theta), prior)
+            for t in range(3):
+                counts = law.draw(theta, 1000, _trial_rng(0, t))
+                print(golden_mle(law, counts, prior) - _mle(law, counts, prior))
+        """)
+        paths = [str(Path(simulate.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=30)
+        assert run.returncode == 0, run.stderr
+        diffs = [float(x) for x in run.stdout.split()]
+        assert len(diffs) == 3 and max(map(abs, diffs)) <= 1e-7
 
     def test_numeric_family_evaluated_inside_the_prior(self):
         # a mixing weight near 0 with prior [0, 1]: rho(-step) is no state, and

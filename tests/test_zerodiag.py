@@ -85,6 +85,60 @@ def adversarial_pair(draw, d):
     return (h, g) if draw(st.booleans()) else (g, h)
 
 
+@st.composite
+def traceless_blocks(draw):
+    """A stack of traceless Hermitian k x k blocks, k = 1 ... 9, each zero,
+    random, low-rank or with two repeated eigenvalues, at a scale from 1e-8 to 1e8."""
+    k = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = st.sampled_from(["zero", "random", "low-rank", "repeated"])
+    blocks = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        t = (np.zeros((k, k), dtype=complex) if kind == "zero" or k == 1
+             else spectral_matrix(k, rng, kind))
+        blocks.append(t * 10.0 ** draw(st.integers(-8, 8)))
+    return np.stack(blocks)
+
+
+class TestBlockBasis:
+    @given(traceless_blocks())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_unitary_and_zero_diagonal(self, t):
+        u = zd._block_basis(t, np.zeros(len(t)))
+        k = t.shape[1]
+        for tp, up in zip(t, u):
+            assert np.abs(up.conj().T @ up - np.eye(k)).max() <= 1e-14 * k
+            assert np.abs(np.diag(up.conj().T @ tp @ up)).max() \
+                <= 1e-14 * max(1.0, np.linalg.norm(tp))
+
+    def test_vanishing_block_keeps_the_identity(self, rng):
+        t = np.stack([random_traceless_hermitian(4, rng) * s for s in (1e-13, 1.0)])
+        u = zd._block_basis(t, np.full(2, 1e-12))
+        assert np.array_equal(u[0], np.eye(4)) and not np.allclose(u[1], np.eye(4))
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_rank_one_target_needs_one_peel(self, rng, monkeypatch, d):
+        # the conditioned target of a rank-two family at its last depth: h1
+        # and h2 have rank two, so one sign block of h1 is a vanishing block
+        # of the target; its identity basis picks h1's extreme eigenvector,
+        # and the pair deflated off the null vector vanishes
+        seen = []
+        zero_diag = zd._zero_diag
+
+        def spy(h, scale, node):
+            seen.append(h.shape[2])
+            return zero_diag(h, scale, node)
+
+        monkeypatch.setattr(zd, "_zero_diag", spy)
+        for _ in range(5):
+            a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+            m = np.outer(a, (b - np.vdot(a, b) / np.vdot(a, a) * a).conj())
+            seen.clear()
+            u = zero_diag_basis(m)
+            assert seen == [d, d - 1]
+            assert np.abs(np.diag(u.conj().T @ m @ u)).max() <= 1e-14 * np.linalg.norm(m)
+
+
 class TestSolve2x2:
     def test_z_y_pair(self):
         _, _, u = solve_2x2(PAULI_Z, PAULI_Y)
@@ -207,6 +261,41 @@ class TestSimultaneousZeroDiag:
         zd.simultaneous_zero_diag(h1, h2)
         # one peel per level: the main chain passes through every dimension
         assert set(range(2, 7)).issubset(set(seen))
+
+    def test_null_vectors_never_call_the_pair_solver(self, rng, monkeypatch):
+        seen, inside = [], []
+        zero_diag, null_vectors = zd._zero_diag, zd._null_vectors
+
+        def zero_diag_spy(h, scale, node):
+            assert not inside, "_null_vectors reached _zero_diag"
+            seen.append(h.shape[2])
+            return zero_diag(h, scale, node)
+
+        def null_vectors_spy(h, scale, node):
+            inside.append(h.shape[2])
+            try:
+                return null_vectors(h, scale, node)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(zd, "_zero_diag", zero_diag_spy)
+        monkeypatch.setattr(zd, "_null_vectors", null_vectors_spy)
+        for d in (3, 6, 9):
+            seen.clear()
+            zd.simultaneous_zero_diag(random_traceless_hermitian(d, rng),
+                                      random_traceless_hermitian(d, rng))
+            # one call per deflation, nothing nested
+            assert seen == list(range(d, 1, -1))
+
+    @pytest.mark.parametrize("d", [9, 16, 32])
+    def test_random_pairs_at_large_d(self, rng, d):
+        for _ in range(3):
+            h1 = random_traceless_hermitian(d, rng)
+            h2 = random_traceless_hermitian(d, rng)
+            u = simultaneous_zero_diag(h1, h2)
+            scale = max(1.0, np.linalg.norm(h1), np.linalg.norm(h2))
+            assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-10
+            assert max(diag_residual(u, h1), diag_residual(u, h2)) <= zd.DIAG_TOL * scale
 
 
 class TestAdversarialStacks:

@@ -19,8 +19,8 @@ field, the largest relative difference (absolute, on the
 verdict scale, for residuals). The file a command writes with ``--out`` (a
 tree document, or an ``lm-check`` report with U and V) is compared too, and
 the report counts how many of those files are byte-identical and how many
-parse to equal (``==``) JSON values, which differ in whitespace at most. A
-mismatch is:
+parse to equal (``==``) JSON values, which differ in whitespace at most, and
+names every output and file that is not byte-identical. A mismatch is:
 
 - a different exit code, or a different error kind on a failing command;
 - a different boolean, string or integer (verdicts, ``leaves``, degenerate
@@ -30,6 +30,16 @@ mismatch is:
   (their entries are components of unit vectors, where a relative
   difference means nothing near 0);
 - any other number whose relative difference exceeds NUMBER_REL.
+
+An ``lm-check`` report is compared by verdict: many pairs (U, V) meet the
+conditions, so a different pair is not a wrong one. Each side's U and V are
+checked with this repository's ``check_lm_conditions`` on the job's
+coefficients (as that side's CLI read them), and a pair whose check differs
+from the ``feasible``/``projective`` its report states is a mismatch. The
+coefficients, ``feasible``, ``projective``, ``method``, ``restarts`` and
+``note`` are compared as above; the entries of U and V and the residuals
+are information: the report counts the reports whose U or V differ and
+notes the largest differences.
 
 The exit status is 1 if any workload shows a mismatch, else 0.
 """
@@ -47,6 +57,8 @@ import tempfile
 import types
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS_PY = ROOT / "bench" / "workloads.py"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -54,6 +66,7 @@ NUMBER_REL = 1e-9       # qfi, fi, J, theta, variance, ratio, ci95, U, V, ...
 RESIDUAL_ABS = 1e-12    # residual fields, times max(1, the report's qfi)
 OUT_ABS = 1e-9          # every number of an --out file, absolute
 PLACEHOLDER = "{workdir}"
+LM_INFO = ("U", "V", "phase_residual", "support_residual")   # lm-check: information only
 
 
 def load_workloads() -> types.ModuleType:
@@ -67,7 +80,9 @@ def load_workloads() -> types.ModuleType:
 def run_child(src: str, workload: str, seed: int) -> list[dict]:
     """Every command of the workload's jobs at ``seed``, run against ``src``."""
     sys.path.insert(0, src)
+    from loccfisher import cli
     from loccfisher.cli import cli_main
+    from loccfisher.tensor import complex_to_pairs
 
     workloads = load_workloads()
     results = []
@@ -84,6 +99,10 @@ def run_child(src: str, workload: str, seed: int) -> list[dict]:
                              "stderr": err.getvalue().replace(tmp, PLACEHOLDER)})
                 if code == 0 and "--out" in argv:
                     runs[-1]["out_file"] = Path(argv[argv.index("--out") + 1]).read_text()
+                if code == 0 and argv[0] == "lm-check":
+                    coeffs = cli._coeffs_from_args(cli.build_parser().parse_args(argv))
+                    runs[-1]["coeffs"] = [complex_to_pairs(coeffs.a_mat),
+                                          complex_to_pairs(coeffs.b_mat)]
                 if code != 0:
                     break
             results.append({"label": job.label, "runs": runs})
@@ -123,6 +142,9 @@ class Comparison:
         self.largest: dict[str, float] = {}
         self.outputs = self.outputs_identical = 0
         self.out_files = self.out_identical = self.out_equal = 0
+        self.lm_reports = 0
+        self.differing: list[str] = []      # outputs that are not byte-identical
+        self.lm_differ = {"U": 0, "V": 0}
 
     @property
     def ok(self) -> bool:
@@ -165,6 +187,38 @@ class Comparison:
             if diff > NUMBER_REL:
                 self.number_mismatches.append(f"{where}: {field} {a!r} vs {b!r}")
 
+    def lm_report(self, where: str, docs: tuple, coeffs: tuple) -> None:
+        """Compare two lm-check reports by verdict; see the module docstring."""
+        from loccfisher.lm import BipartiteCoeffs, IsometryPair, check_lm_conditions
+        from loccfisher.tensor import pairs_to_complex
+
+        if not all(isinstance(doc, dict) and set(LM_INFO) <= doc.keys() for doc in docs):
+            self.values(where, "", *docs, 1.0)
+            return
+        self.lm_reports += 1
+        for side, doc, pairs in zip(("base", "change"), docs, coeffs):
+            try:
+                got = check_lm_conditions(
+                    IsometryPair(pairs_to_complex(doc["U"]), pairs_to_complex(doc["V"])),
+                    BipartiteCoeffs(*map(pairs_to_complex, pairs)))
+                checked = (got.feasible, got.projective)
+            except ValueError as exc:
+                checked = f"invalid pair ({exc})"
+            if checked != (doc.get("feasible"), doc.get("projective")):
+                self.verdict_mismatches.append(
+                    f"{where}: {side} pair checks as (feasible, projective) {checked}, "
+                    f"reports ({doc.get('feasible')}, {doc.get('projective')})")
+        rest = [{k: v for k, v in doc.items() if k not in LM_INFO} for doc in docs]
+        self.values(where, "", *rest, 1.0)
+        self.values(where, "coefficients", *coeffs, 1.0)
+        for key in LM_INFO:
+            a, b = (np.asarray(doc[key], dtype=float) for doc in docs)
+            if key in self.lm_differ:
+                self.lm_differ[key] += not np.array_equal(a, b)
+            if a.shape == b.shape:
+                diff = float(np.abs(a - b).max(initial=0.0))
+                self._note(f"lm-check {key} (abs, information)", diff)
+
     def jobs(self, base: list[dict], change: list[dict]) -> None:
         for jb, jc in zip(base, change):
             for rb, rc in zip(jb["runs"], jc["runs"]):
@@ -179,15 +233,26 @@ class Comparison:
                     continue
                 self.outputs += 1
                 self.outputs_identical += rb["stdout"] == rc["stdout"]
+                if rb["stdout"] != rc["stdout"]:
+                    self.differing.append(where)
                 db, dc = _document(rb["stdout"]), _document(rc["stdout"])
                 scale = max(1.0, abs(db.get("qfi", 0.0)) if isinstance(db, dict) else 1.0)
-                self.values(where, "", db, dc, scale)
+                lm_check = rb["argv"][0] == "lm-check"
+                if lm_check and db:
+                    self.lm_report(where, (db, dc), (rb["coeffs"], rc["coeffs"]))
+                else:
+                    self.values(where, "", db, dc, scale)
                 if "out_file" in rb:
                     self.out_files += 1
                     self.out_identical += rb["out_file"] == rc["out_file"]
+                    if rb["out_file"] != rc["out_file"]:
+                        self.differing.append(f"{where} --out")
                     ob, oc = _document(rb["out_file"]), _document(rc["out_file"])
                     self.out_equal += ob == oc
-                    self.values(where, "", ob, oc, 1.0, out_file=True)
+                    if lm_check:
+                        self.lm_report(where + " --out", (ob, oc), (rb["coeffs"], rc["coeffs"]))
+                    else:
+                        self.values(where, "", ob, oc, 1.0, out_file=True)
             if len(jb["runs"]) != len(jc["runs"]):
                 self.exit_mismatches.append(f"{jb['label']}: {len(jb['runs'])} vs "
                                             f"{len(jc['runs'])} commands ran")
@@ -199,6 +264,11 @@ class Comparison:
                  f"{self.outputs_identical} of {self.outputs} outputs byte-identical; "
                  f"{self.out_identical} of {self.out_files} --out files byte-identical, "
                  f"{self.out_equal} parse-equal"]
+        if self.lm_reports:
+            lines.append(f"  lm-check reports compared by verdict: {self.lm_reports}; U differs "
+                         f"in {self.lm_differ['U']}, V in {self.lm_differ['V']} (information)")
+        if self.differing:
+            lines.append("  not byte-identical: " + ", ".join(self.differing))
         for msg in (self.exit_mismatches + self.verdict_mismatches
                     + self.number_mismatches)[:10]:
             lines.append(f"  MISMATCH {msg}")
@@ -220,6 +290,7 @@ def main(argv: list[str]) -> int:
         return 0
     if not (args.base and args.change):
         parser.error("give the BASE and CHANGE source trees")
+    sys.path.insert(0, str(ROOT / "src"))       # the lm-check pair checker
     trees = [Path(args.base).resolve(), Path(args.change).resolve()]
     for tree in trees:
         if not (tree / "src" / "loccfisher" / "__init__.py").is_file():
