@@ -57,6 +57,16 @@ def _finite(value: str) -> float:
     return x
 
 
+def _int_from(low: int, what: str):
+    """argparse type for an integer argument of at least ``low``, described as ``what``."""
+    def integer(value: str) -> int:     # argparse names it in "invalid integer value"
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{value!r} is not a {what} integer")
+        return n
+    return integer
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a validation error (exit 1, JSON on stderr)."""
 
@@ -243,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-mat", type=str, default=None)
     p.add_argument("--b-mat", type=str, default=None)
     p.add_argument("--projective-only", action="store_true")
-    p.add_argument("--restarts", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
+    # checked here, since the qubit-side construction would ignore a bad value
+    p.add_argument("--restarts", type=_int_from(1, "positive"), default=40)
+    p.add_argument("--seed", type=_int_from(0, "non-negative"), default=0)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=_cmd_lm_check)
 

@@ -157,10 +157,12 @@ class SearchReport(LmFeasibilityReport):
 
 
 class _ExpMap:
-    """x -> U = exp(iH) with H = sum_j x_j E_j, and every dU/dx_j.
+    """x -> U = exp(iH) with H = sum_j x_j E_j, and every dU/dx_j, over a stack of k exponents.
 
     Row j of ``flat`` is E_j flattened: in parameter order the diagonal units,
     then the real and then the imaginary unit pairs of the upper triangle.
+    Each exponent of the stack goes through the same eigh, exponential and
+    GEMMs as it would alone, so stacking changes no bit of any result.
     """
 
     def __init__(self, d: int):
@@ -174,34 +176,53 @@ class _ExpMap:
         self.d, self.flat = d, basis.reshape(d * d, d * d)
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(eigenvalues w and eigenvectors V of H, U = V e^{iw} V^dag)."""
-        w, v = np.linalg.eigh((x @ self.flat).reshape(self.d, self.d))
-        return w, v, (v * np.exp(1j * w)) @ v.conj().T
+        """(eigenvalues w and eigenvectors V of each H, each U = V e^{iw} V^dag) for x of shape (k, d*d)."""
+        w, v = np.linalg.eigh((x @ self.flat).reshape(-1, self.d, self.d))
+        return w, v, (v * np.exp(1j * w)[:, None]) @ v.conj().transpose(0, 2, 1)
 
     def derivative(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """dU/dx_j = V (G o V^dag E_j V) V^dag for all j (Daleckii-Krein), a (d*d, d, d) stack.
+        """dU/dx_j = V (G o V^dag E_j V) V^dag for all j (Daleckii-Krein), a (k, d*d, d, d) stack.
 
         G_kl = i e^{iw_k/2} e^{iw_l/2} sinc((w_k - w_l)/2pi) is the divided
         difference of e^{iw}, exact for equal eigenvalues too. With
         Q[(a,b),(k,l)] = conj(V_ak) V_bl, row j of flat @ Q is V^dag E_j V and
-        V M V^dag is M @ Q^dag, so all d*d derivatives take two GEMMs.
+        V M V^dag is M @ Q^dag, so all d*d derivatives of an exponent take two GEMMs.
         """
+        k, d = w.shape
         half = np.exp(0.5j * w)
-        gamma = 1j * np.outer(half, half) * np.sinc(np.subtract.outer(w, w) / (2 * np.pi))
-        q = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(self.d ** 2, -1)
-        return (((self.flat @ q) * gamma.ravel()) @ q.conj().T).reshape(-1, self.d, self.d)
+        gamma = 1j * (half[:, :, None] * half[:, None, :]) * np.sinc(
+            (w[:, :, None] - w[:, None, :]) / (2 * np.pi))
+        q = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(k, d * d, d * d)
+        return (((self.flat @ q) * gamma.reshape(k, 1, d * d)) @ q.conj().transpose(0, 2, 1)
+                ).reshape(k, d * d, d, d)
 
 
 def least_squares(fun, x0, jac, **kwargs):
-    """scipy's least_squares, imported on the first call, on fun and jac bordered by zeros.
+    """MINPACK's lmder through scipy's ``leastsq`` (imported on the first call) on fun and jac bordered by zeros.
 
+    ``kwargs`` go to ``leastsq``; the fixed ones make this the same lmder
+    call as scipy's ``least_squares(method="lm", x_scale="jac")``, without
+    its wrapper layers. Returns an ``OptimizeResult`` with ``x`` and ``nfev``.
     The zero column is a parameter that nothing depends on, and the returned
     x drops it. Without it MINPACK's iterates on a rank-deficient Jacobian
     change with the contents of newly allocated memory (glibc's
-    MALLOC_PERTURB_ shows it), so one seed could give two pairs.
+    MALLOC_PERTURB_ shows it), so one seed could give two pairs. fun and jac
+    run once per x: leastsq checks both at x0, and lmder asks for fun at x0
+    again.
     """
-    from scipy.optimize import least_squares as solve
+    from scipy.optimize import OptimizeResult, leastsq
     n = len(x0)
+
+    def once_per_x(f):
+        memo = {}
+
+        def at(y):
+            key = y.tobytes()
+            if key not in memo:
+                memo.clear()
+                memo[key] = f(y)
+            return memo[key]
+        return at
 
     def bordered(y):
         j = jac(y[:n])
@@ -209,9 +230,10 @@ def least_squares(fun, x0, jac, **kwargs):
         out[:-1, :-1] = j
         return out
 
-    sol = solve(lambda y: np.append(fun(y[:n]), 0.0), np.append(x0, 0.0), jac=bordered, **kwargs)
-    sol.x = sol.x[:n]
-    return sol
+    x, _, info, _, _ = leastsq(once_per_x(lambda y: np.append(fun(y[:n]), 0.0)),
+                               np.append(x0, 0.0), Dfun=once_per_x(bordered), full_output=True,
+                               col_deriv=False, factor=100.0, diag=None, **kwargs)
+    return OptimizeResult(x=x[:n], nfev=info["nfev"])
 
 
 def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
@@ -226,60 +248,68 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     padding enabled, V gains one extra column by taking the first d2 rows of
     a (d2+1)-dimensional unitary. Each restart minimizes the squared phase
     residual plus a narrowly weighted support penalty by MINPACK's
-    Levenberg-Marquardt (lmder; More 1978) with the exact Jacobian, from
-    the Daleckii-Krein divided differences of each exponential and the zero
-    subgradient at the support term's kink |D_ij| = 0. Exact zero residuals
-    and Jacobian rows make up the count where the 2 d1 m2 residuals are
-    fewer than the d1^2 + m2^2 parameters. ``iters`` caps each restart's
-    residual evaluations; Jacobian evaluations are not counted. The search
-    stops early once a pair meets the tolerances and returns the best pair.
+    Levenberg-Marquardt (lmder through scipy's leastsq; More 1978) with the
+    exact Jacobian, from the Daleckii-Krein divided differences of each
+    exponential and the zero subgradient at the support term's kink
+    |D_ij| = 0. When U and V have the same size (d1 = m2) their exponents go
+    through one stacked exp map. Exact zero residuals and Jacobian rows make
+    up the count where the 2 d1 m2 residuals are fewer than the
+    d1^2 + m2^2 parameters. ``iters`` caps each restart's residual
+    evaluations; Jacobian evaluations are not counted. The search stops
+    early once a pair meets the tolerances and returns the best pair.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if iters < 1:       # leastsq would read maxfev = 0 as its default, 100 (n + 1)
+        raise ValueError(f"iters must be at least 1, got {iters}")
     ab = np.stack([coeffs.a_mat, coeffs.b_mat])
     d1, d2 = coeffs.a_mat.shape
     m2 = d2 + 1 if allow_isometry_padding else d2
     n_u, n_v = d1 * d1, m2 * m2
-    exp_u, exp_v = _ExpMap(d1), _ExpMap(m2)
+    # one exp map per size: U's and V's exponents stack when d1 = m2
+    maps, parts = (([_ExpMap(d1)], [slice(None)]) if d1 == m2 else
+                   ([_ExpMap(d1), _ExpMap(m2)], [slice(n_u), slice(n_u, None)]))
     zeros = np.zeros(max(0, n_u + n_v - 2 * d1 * m2))     # MINPACK needs m >= n residuals
+    zero_rows = np.zeros((len(zeros), n_u + n_v))
     eps = 1e-3      # narrow "C entry is zero" window: small nonzero C entries stay undistorted
     last = {}   # the Jacobian is asked for at the x just evaluated
 
-    def evaluate(x):    # (eigenpairs of both exponents, U, V, [C; D]) at x
+    def evaluate(x):    # (eigenpairs per exp map, U, V, U^dag [A; B], [C; D], |D|, support weight)
         key = x.tobytes()
         if key not in last:
-            (*eig_u, u), (*eig_v, v) = exp_u(x[:n_u]), exp_v(x[n_u:])
+            exps = [emap(x[part].reshape(-1, emap.d ** 2)) for emap, part in zip(maps, parts)]
+            u, v = exps[0][2][0], exps[-1][2][-1][:d2]
+            uh_ab = u.conj().T @ ab
+            cd = uh_ab @ v
             last.clear()
-            last[key] = (eig_u, eig_v, u, v[:d2], u.conj().T @ ab @ v[:d2])
+            last[key] = ([e[:2] for e in exps], u, v, uh_ab, cd, np.abs(cd[1]),
+                         np.sqrt(np.exp(-np.abs(cd[0]) ** 2 / eps ** 2)))
         return last[key]
 
     def resid_vec(x):
-        c, d = evaluate(x)[-1]
-        weight = np.sqrt(np.exp(-np.abs(c) ** 2 / eps ** 2)).ravel()
-        return np.concatenate([np.imag(np.conj(c) * d).ravel(), weight * np.abs(d).ravel(), zeros])
+        (c, d), mag, weight = evaluate(x)[4:]
+        return np.concatenate([np.imag(np.conj(c) * d).ravel(), weight.ravel() * mag.ravel(), zeros])
 
     def jacobian(x):
-        eig_u, eig_v, u, v, cd = evaluate(x)
+        eigs, _, v, uh_ab, cd, mag, weight = evaluate(x)
+        ders = [emap.derivative(*eig) for emap, eig in zip(maps, eigs)]
         # d[C; D] is dU^dag [A; B] V along U's parameters and U^dag [A; B] dV along V's
         dcd = np.concatenate([
-            exp_u.derivative(*eig_u).conj().transpose(0, 2, 1) @ (ab @ v)[:, None],
-            (u.conj().T @ ab)[:, None] @ exp_v.derivative(*eig_v)[:, :d2]], axis=1)
+            ders[0][0].conj().transpose(0, 2, 1) @ (ab @ v)[:, None],
+            uh_ab[:, None] @ ders[-1][-1][:, :d2]], axis=1)
         (c_dc, c_dd), (d_dc, d_dd) = np.conj(cd)[:, None, None] * dcd
-        weight = np.sqrt(np.exp(-np.abs(cd[0]) ** 2 / eps ** 2))
-        mag = np.abs(cd[1])
         # d Im(conj(C) D) and d(weight |D|), with d|D| = Re(conj(D) dD) / |D| and 0 at D = 0
         d_support = weight * (np.divide(d_dd.real, mag, out=np.zeros(d_dd.shape), where=mag > 0)
                               - mag * c_dc.real / eps ** 2)
         rows = np.concatenate([(c_dd - d_dc).imag, d_support], axis=1).reshape(len(x), -1).T
-        return np.concatenate([rows, np.zeros((len(zeros), len(x)))])
+        return np.concatenate([rows, zero_rows])
 
     rng = np.random.default_rng(seed)
     best_pair, best_rep, best_val = None, None, np.inf
     for used in range(1, restarts + 1):
         sol = least_squares(resid_vec, rng.standard_normal(n_u + n_v), jac=jacobian,
-                            method="lm", x_scale="jac", max_nfev=iters,
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        pair = IsometryPair(*evaluate(sol.x)[2:4])
+                            maxfev=iters, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        pair = IsometryPair(*evaluate(sol.x)[1:3])
         rep = check_lm_conditions(pair, coeffs, phase_tol, support_tol)
         val = max(rep.phase_residual, rep.support_residual)
         if val < best_val:

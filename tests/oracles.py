@@ -222,6 +222,25 @@ def lm_search_residuals(a, b, x, padded, eps=1e-3):
                            (weight * np.abs(d)).ravel()])
 
 
+def scipy_lm(fun, x0, jac, max_nfev, tol):
+    """scipy's least_squares(method="lm", x_scale="jac") on fun and jac bordered by one zero row and column.
+
+    The problem ``lm.least_squares`` hands to MINPACK, through scipy's
+    high-level wrapper; returns x without the border parameter, and nfev.
+    """
+    from scipy.optimize import least_squares
+    n = len(x0)
+
+    def bordered(y):
+        j = jac(y[:n])
+        return np.block([[j, np.zeros((len(j), 1))], [np.zeros((1, n + 1))]])
+
+    sol = least_squares(lambda y: np.append(fun(y[:n]), 0.0), np.append(x0, 0.0), jac=bordered,
+                        method="lm", x_scale="jac", max_nfev=max_nfev,
+                        xtol=tol, ftol=tol, gtol=tol)
+    return sol.x[:n], sol.nfev
+
+
 def central_jacobian(fun, x, h=1e-6):
     """Jacobian of fun at x by central differences, one column per parameter."""
     cols = []

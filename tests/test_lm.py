@@ -21,7 +21,7 @@ from loccfisher.scenarios import bell_states, builtin_scenario
 from loccfisher.tensor import HilbertLayout, complex_to_pairs
 
 from conftest import random_state
-from oracles import central_jacobian, lm_search_residuals
+from oracles import central_jacobian, lm_search_residuals, scipy_lm
 
 S2 = np.sqrt(2)
 
@@ -222,6 +222,11 @@ class TestHeuristicSearch:
         with pytest.raises(ValueError, match="restarts"):
             heuristic_lm_search(BipartiteCoeffs(A_3X3, B_3X3), restarts=restarts)
 
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_rejects_fewer_than_one_iteration(self, iters):
+        with pytest.raises(ValueError, match="iters must be at least 1"):
+            heuristic_lm_search(BipartiteCoeffs(A_3X3, B_3X3), iters=iters)
+
 
 def search_problem(coeffs, padded):
     """The residual and Jacobian callables a search hands to ``lm.least_squares``."""
@@ -259,6 +264,27 @@ def assert_jacobian_matches_oracle(coeffs, padded, x):
     assert np.abs(f[:m] - want_f).max() < 1e-12
     want = central_jacobian(oracle, x)
     assert np.abs(j[:m] - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
+
+
+class TestExpMapStack:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=st.integers(1, 4), order=st.permutations(["random", "zero", "repeated"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_matches_each_exponent_alone_bit_for_bit(self, d, order, seed):
+        # the search stacks U's and V's exponents when they have the same size
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        rows = {"random": rng.standard_normal(d * d), "zero": np.zeros(d * d),
+                "repeated": params_from_herm((q * np.r_[1.3, 1.3, -0.4, 0.7][:d]) @ q.conj().T)}
+        x = np.stack([rows[kind] for kind in order])
+        emap = lm._ExpMap(d)
+        w, v, u = emap(x)
+        dus = emap.derivative(w, v)
+        for i in range(len(x)):
+            wi, vi, ui = emap(x[i].reshape(1, -1).copy())
+            assert np.array_equal(w[i], wi[0]) and np.array_equal(v[i], vi[0])
+            assert np.array_equal(u[i], ui[0])
+            assert np.array_equal(dus[i], emap.derivative(wi, vi)[0])
 
 
 class TestSearchJacobian:
@@ -305,6 +331,19 @@ class TestSearchJacobian:
         iters = 150
         heuristic_lm_search(BipartiteCoeffs(A_3X3, B_3X3), restarts=1, iters=iters)
         assert 0 < len(calls) <= iters + 1
+
+    @pytest.mark.parametrize("d1,d2,padded", [(3, 3, False), (3, 3, True), (2, 3, False)])
+    def test_minpack_call_matches_scipy_least_squares_bit_for_bit(self, d1, d2, padded):
+        # leastsq and least_squares(method="lm", x_scale="jac") make the same lmder call
+        coeffs = (BipartiteCoeffs(A_3X3, B_3X3) if d1 == 3
+                  else random_coeffs(d1, d2, np.random.default_rng(11)))
+        fun, jac = search_problem(coeffs, padded)
+        m2 = d2 + 1 if padded else d2
+        for seed in range(4):
+            x0 = np.random.default_rng(seed).standard_normal(d1 * d1 + m2 * m2)
+            sol = lm.least_squares(fun, x0, jac, maxfev=300, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            want_x, want_nfev = scipy_lm(fun, x0, jac, max_nfev=300, tol=1e-15)
+            assert np.array_equal(sol.x, want_x) and sol.nfev == want_nfev
 
     @pytest.mark.parametrize("padded", [False, True])
     def test_same_seed_same_result(self, padded):

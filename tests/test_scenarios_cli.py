@@ -621,6 +621,33 @@ class TestCliErrors:
         assert err["kind"] == "validation" and "restarts" in err["error"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("route", ["qubit-constructive", "heuristic-search"])
+    @pytest.mark.parametrize("flags, error", [
+        (["--restarts", "0"], "argument --restarts: '0' is not a positive integer"),
+        (["--restarts", "-3"], "argument --restarts: '-3' is not a positive integer"),
+        (["--seed", "-1"], "argument --seed: '-1' is not a non-negative integer")])
+    def test_lm_check_bad_restarts_or_seed_exit_1_on_either_route(self, tmp_path, capsys,
+                                                                  route, flags, error):
+        # a generic 2 x 2 pair is answered by the qubit construction, lm3x3 by the
+        # search; each route is checked with valid flags first
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a /= np.sqrt(np.trace(a.conj().T @ a).real)
+        b -= np.trace(a.conj().T @ b) * a
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(complex_to_pairs(a)))
+        pb.write_text(json.dumps(complex_to_pairs(b)))
+        argv = (["lm-check", "--a-mat", str(pa), "--b-mat", str(pb)]
+                if route == "qubit-constructive" else
+                ["lm-check", "lm3x3", "--projective-only", "--restarts", "1"])
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == route
+        assert cli_main(argv + flags) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": error, "kind": "validation"}
+        assert captured.out == ""
+
     @pytest.mark.parametrize("prior, error", [
         (("0.0", "0.9"), "p(theta) = 0.0 outside (0, 1)"),
         (("0.2", "1.3"), "p(theta) = 1.0007827788649708 outside (0, 1)")])
