@@ -197,7 +197,11 @@ class _ExpMap:
                 ).reshape(k, d * d, d, d)
 
 
-def least_squares(fun, x0, jac, **kwargs):
+class _Stopped(Exception):
+    """Raised with x from the residual wrapper of ``least_squares`` to end lmder there."""
+
+
+def least_squares(fun, x0, jac, stop=None, **kwargs):
     """MINPACK's lmder through scipy's ``leastsq`` (imported on the first call) on fun and jac bordered by zeros.
 
     ``kwargs`` go to ``leastsq``; the fixed ones make this the same lmder
@@ -208,10 +212,13 @@ def least_squares(fun, x0, jac, **kwargs):
     change with the contents of newly allocated memory (glibc's
     MALLOC_PERTURB_ shows it), so one seed could give two pairs. fun and jac
     run once per x: leastsq checks both at x0, and lmder asks for fun at x0
-    again.
+    again. ``stop(x, f)``, if given, is asked after every residual
+    evaluation f = fun(x); when it holds, lmder ends there and the result
+    has that x and the number of evaluations made. A stop that never holds
+    leaves the lmder call as it is without one.
     """
     from scipy.optimize import OptimizeResult, leastsq
-    n = len(x0)
+    n, nfev = len(x0), 0
 
     def once_per_x(f):
         memo = {}
@@ -224,15 +231,26 @@ def least_squares(fun, x0, jac, **kwargs):
             return memo[key]
         return at
 
+    def residuals(y):
+        nonlocal nfev
+        f = fun(y[:n])
+        nfev += 1
+        if stop is not None and stop(y[:n], f):
+            raise _Stopped(y[:n].copy())
+        return np.append(f, 0.0)
+
     def bordered(y):
         j = jac(y[:n])
         out = np.zeros((len(j) + 1, n + 1))
         out[:-1, :-1] = j
         return out
 
-    x, _, info, _, _ = leastsq(once_per_x(lambda y: np.append(fun(y[:n]), 0.0)),
-                               np.append(x0, 0.0), Dfun=once_per_x(bordered), full_output=True,
-                               col_deriv=False, factor=100.0, diag=None, **kwargs)
+    try:
+        x, _, info, _, _ = leastsq(once_per_x(residuals), np.append(x0, 0.0),
+                                   Dfun=once_per_x(bordered), full_output=True,
+                                   col_deriv=False, factor=100.0, diag=None, **kwargs)
+    except _Stopped as hit:
+        return OptimizeResult(x=hit.args[0], nfev=nfev)
     return OptimizeResult(x=x[:n], nfev=info["nfev"])
 
 
@@ -255,8 +273,11 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     through one stacked exp map. Exact zero residuals and Jacobian rows make
     up the count where the 2 d1 m2 residuals are fewer than the
     d1^2 + m2^2 parameters. ``iters`` caps each restart's residual
-    evaluations; Jacobian evaluations are not counted. The search stops
-    early once a pair meets the tolerances and returns the best pair.
+    evaluations; Jacobian evaluations are not counted. A restart ends at the
+    first evaluation whose pair meets the tolerances with both residuals
+    below 1e-10, and the search returns that pair; otherwise it returns the
+    best pair of all restarts. A restart that never meets that rule runs the
+    same lmder iterates as with no stop at all.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -304,16 +325,23 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
         rows = np.concatenate([(c_dd - d_dc).imag, d_support], axis=1).reshape(len(x), -1).T
         return np.concatenate([rows, zero_rows])
 
+    def settle(x):      # the pair at x, its report, and whether it meets the stop rule
+        pair = IsometryPair(*evaluate(x)[1:3])
+        rep = check_lm_conditions(pair, coeffs, phase_tol, support_tol)
+        return pair, rep, rep.feasible and max(rep.phase_residual, rep.support_residual) < 1e-10
+
+    def stop(x, f):     # the check's phase residual is twice the largest phase row
+        return 2 * np.abs(f[:d1 * m2]).max() < 1e-10 and settle(x)[2]
+
     rng = np.random.default_rng(seed)
     best_pair, best_rep, best_val = None, None, np.inf
     for used in range(1, restarts + 1):
-        sol = least_squares(resid_vec, rng.standard_normal(n_u + n_v), jac=jacobian,
+        sol = least_squares(resid_vec, rng.standard_normal(n_u + n_v), jac=jacobian, stop=stop,
                             maxfev=iters, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        pair = IsometryPair(*evaluate(sol.x)[1:3])
-        rep = check_lm_conditions(pair, coeffs, phase_tol, support_tol)
+        pair, rep, done = settle(sol.x)
         val = max(rep.phase_residual, rep.support_residual)
         if val < best_val:
             best_pair, best_rep, best_val = pair, rep, val
-        if rep.feasible and val < 1e-10:
+        if done:
             break
     return best_pair, SearchReport(**asdict(best_rep), restarts=used)

@@ -360,22 +360,80 @@ class TestSearchJacobian:
         # rank-deficient Jacobians change with the contents of newly allocated
         # memory, which glibc fills with the byte MALLOC_PERTURB_ names (other C
         # libraries ignore the variable)
-        code = ("import hashlib, numpy as np\n"
-                "from loccfisher import BipartiteCoeffs, heuristic_lm_search\n"
-                "coeffs = BipartiteCoeffs(np.diag([0.5 ** 0.5, 0.5, 0.5]),\n"
-                "                         np.diag([0.5 ** 0.5 * 1j, -0.5j, -0.5j]))\n"
-                "digest = hashlib.sha256()\n"
-                "for seed in range(4):\n"
-                "    pair, _ = heuristic_lm_search(coeffs, restarts=1, seed=seed)\n"
-                "    digest.update(pair.u_mat.tobytes() + pair.v_mat.tobytes())\n"
-                "print(digest.hexdigest())\n")
-        src = str(Path(lm.__file__).parents[1])
-        runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
-                                 env=dict(os.environ, PYTHONPATH=src, MALLOC_PERTURB_=byte))
-                for byte in ("0", "85", "170")]
-        digests = {run.communicate()[0] for run in runs}
-        assert all(run.returncode == 0 for run in runs)
-        assert len(digests) == 1
+        assert_same_pairs_whatever_new_memory_holds("restarts=1, seed=seed")
+
+
+def assert_same_pairs_whatever_new_memory_holds(search_args):
+    """The lm3x3 pairs of ``heuristic_lm_search(coeffs, search_args)`` at seeds 0-3 are the same
+    in child processes whose new memory holds the bytes 0, 85 and 170 (glibc's MALLOC_PERTURB_)."""
+    code = ("import hashlib, numpy as np\n"
+            "from loccfisher import BipartiteCoeffs, heuristic_lm_search\n"
+            "coeffs = BipartiteCoeffs(np.diag([0.5 ** 0.5, 0.5, 0.5]),\n"
+            "                         np.diag([0.5 ** 0.5 * 1j, -0.5j, -0.5j]))\n"
+            "digest = hashlib.sha256()\n"
+            "for seed in range(4):\n"
+            f"    pair, _ = heuristic_lm_search(coeffs, {search_args})\n"
+            "    digest.update(pair.u_mat.tobytes() + pair.v_mat.tobytes())\n"
+            "print(digest.hexdigest())\n")
+    src = str(Path(lm.__file__).parents[1])
+    runs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=src, MALLOC_PERTURB_=byte))
+            for byte in ("0", "85", "170")]
+    digests = {run.communicate()[0] for run in runs}
+    assert all(run.returncode == 0 for run in runs)
+    assert len(digests) == 1
+
+
+def scenario_coeffs(name):
+    """Coefficient matrices of a built-in bipartite pure scenario at theta = 0."""
+    sc = builtin_scenario(name)
+    psi, dpsi = sc.family.psi_dpsi(0.0)
+    return sc.family, coefficient_matrices(psi, perp_component(psi, dpsi), sc.family.layout)
+
+
+class TestStopAtFirstFeasibleEvaluation:
+    @pytest.mark.parametrize("d1,d2,padded", [(3, 3, False), (3, 3, True), (2, 3, False)])
+    def test_stop_that_never_holds_changes_no_bit(self, d1, d2, padded):
+        coeffs = (BipartiteCoeffs(A_3X3, B_3X3) if d1 == 3
+                  else random_coeffs(d1, d2, np.random.default_rng(11)))
+        fun, jac = search_problem(coeffs, padded)
+        m2 = d2 + 1 if padded else d2
+        for seed in range(4):
+            x0 = np.random.default_rng(seed).standard_normal(d1 * d1 + m2 * m2)
+            calls, asked = [], []
+            kw = dict(maxfev=300, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            sol = lm.least_squares(lambda x: calls.append(1) or fun(x), x0, jac,
+                                   stop=lambda x, f: asked.append(1) and False, **kw)
+            want = lm.least_squares(fun, x0, jac, **kw)
+            assert np.array_equal(sol.x, want.x) and sol.nfev == want.nfev
+            assert len(asked) == len(calls) > 0     # asked after every residual evaluation
+
+    @pytest.mark.parametrize("name", ["lm2x2", "lm3x3"])
+    def test_padded_search_stops_well_below_iters(self, monkeypatch, name):
+        family, coeffs = scenario_coeffs(name)
+        nfevs, residual_calls = [], []
+        real = lm.least_squares
+
+        def spy(fun, x0, jac, **kw):
+            calls = []
+            sol = real(lambda x: calls.append(1) or fun(x), x0, jac, **kw)
+            nfevs.append(sol.nfev)
+            residual_calls.append(len(calls))
+            return sol
+
+        monkeypatch.setattr(lm, "least_squares", spy)
+        iters = 300
+        pair, rep = heuristic_lm_search(coeffs, iters=iters, allow_isometry_padding=True)
+        assert rep.feasible and rep.restarts == len(nfevs)
+        # the last restart ends at its first evaluation that meets the rule
+        assert nfevs[-1] < iters // 5 and nfevs[-1] == residual_calls[-1]
+        assert max(rep.phase_residual, rep.support_residual) < 1e-10
+        assert check_saturation(lm_povm_from_pair(pair), family, 0.0).saturating
+
+    def test_stopped_pair_whatever_new_memory_holds(self):
+        # every one of these restarts ends at the stop
+        assert_same_pairs_whatever_new_memory_holds(
+            "restarts=1, seed=seed, allow_isometry_padding=True")
 
 
 class TestRandomPairVerdicts:

@@ -621,6 +621,19 @@ class TestCliErrors:
         assert err["kind"] == "validation" and "restarts" in err["error"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("bad", [{"x": 1}, [[[1, None]]], [[{"re": 1.0}, [0.0, 0.0]]]])
+    def test_lm_check_matrix_of_the_wrong_json_type_exit_1(self, tmp_path, capsys, bad):
+        # an object where a number belongs, or a null, is a validation error, not a crash
+        good = complex_to_pairs(np.eye(2) / np.sqrt(2))
+        for docs in ((bad, good), (good, bad)):
+            paths = [tmp_path / "a.json", tmp_path / "b.json"]
+            for path, doc in zip(paths, docs):
+                path.write_text(json.dumps(doc))
+            assert cli_main(["lm-check", "--a-mat", str(paths[0]), "--b-mat", str(paths[1])]) == 1
+            captured = capsys.readouterr()
+            assert json.loads(captured.err)["kind"] == "validation"
+            assert captured.out == "" and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("route", ["qubit-constructive", "heuristic-search"])
     @pytest.mark.parametrize("flags, error", [
         (["--restarts", "0"], "argument --restarts: '0' is not a positive integer"),
