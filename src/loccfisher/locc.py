@@ -232,18 +232,10 @@ def flatten(tree: MeasurementTree) -> metrology.Povm:
     return metrology.Povm(vectors=np.stack(vectors), labels=list(paths))
 
 
-def check_layout(tree: MeasurementTree, family: metrology.StateFamily) -> MeasurementTree:
-    """The tree, if it measures the family's layout (equal D with other dims is not enough)."""
-    if tree.layout != family.layout:
-        raise ValueError(f"tree layout {list(tree.layout.dims)} does not match "
-                         f"family layout {list(family.layout.dims)}")
-    return tree
-
-
 def verify_tree(tree: MeasurementTree, family: metrology.StateFamily,
                 theta: float) -> metrology.SaturationReport:
-    """The full saturation check at theta, from leaf amplitudes (no leaf vector is built)."""
-    return metrology.check_saturation(check_layout(tree, family), family, theta)
+    """``check_saturation``: layout test, then one ``amplitudes`` call; no leaf vector is built."""
+    return metrology.check_saturation(tree, family, theta)
 
 
 @dataclass

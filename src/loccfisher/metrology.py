@@ -484,18 +484,34 @@ def qfi(family: StateFamily, theta: float) -> float:
 def fisher_info(povm: Povm, rho: KetBraSum | np.ndarray, drho: KetBraSum | np.ndarray) -> float:
     """Classical Fisher information of the outcomes of a POVM or ``locc.MeasurementTree``.
 
-    ``rho`` and ``drho`` are factored or dense. Outcomes with probability
-    below P_TOL are excluded from the sum.
+    ``rho`` and ``drho`` are factored or dense and read by one ``amplitudes``
+    call. Outcomes with probability below P_TOL are excluded from the sum.
     """
-    p, dp = (_sandwich(povm, KetBraSum.of(m)).real for m in (rho, drho))
+    p, dp = _sandwiches(povm, [KetBraSum.of(rho), KetBraSum.of(drho)])[0]
+    return _fisher(p.real, dp.real)
+
+
+def _fisher(p: np.ndarray, dp: np.ndarray) -> float:
     keep = p >= P_TOL
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
-def _sandwich(povm: Povm, m: KetBraSum) -> np.ndarray:
-    """<e|M|e> per outcome of a Povm or tree; ||e||^2, read by a shift only, is 1 on leaves."""
-    norms = np.sum(np.abs(povm.vectors) ** 2, axis=1) if isinstance(povm, Povm) and m.shift else 1.0
-    return m.sandwich(povm.amplitudes(m.kets), povm.amplitudes(m.bras), norms)
+def _sandwiches(povm: Povm, sums: list[KetBraSum],
+                extra: np.ndarray = ()) -> tuple[list[np.ndarray], np.ndarray]:
+    """<e|M|e> per outcome of a Povm or tree for each M of ``sums``, and <e|row> for the
+    rows of ``extra``, from one ``amplitudes`` call on their distinct rows (equal bytes,
+    first occurrence first). ||e||^2, read by a shift only, is 1 on leaves."""
+    rows = [r for m in sums for r in (*m.kets, *m.bras)] + list(np.asarray(extra, dtype=complex))
+    distinct: dict[bytes, tuple[int, np.ndarray]] = {}
+    cols = [distinct.setdefault(r.tobytes(), (len(distinct), r))[0] for r in rows]
+    amps = povm.amplitudes(np.stack([r for _, r in distinct.values()]))[:, cols]
+    out, at = [], 0
+    for m in sums:
+        k = len(m.kets)
+        norms = np.sum(np.abs(povm.vectors) ** 2, axis=1) if m.shift and isinstance(povm, Povm) else 1
+        out.append(m.sandwich(amps[:, at:at + k], amps[:, at + k:at + 2 * k], norms))
+        at += 2 * k
+    return out, amps[:, at:]
 
 
 def perp_component(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
@@ -542,31 +558,43 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     return _frame(family, theta)
 
 
+def check_layout(tree, family: StateFamily):
+    """The tree, if it measures the family's layout (equal D with other dims is not enough)."""
+    if tree.layout != family.layout:
+        raise ValueError(f"tree layout {list(tree.layout.dims)} does not match "
+                         f"family layout {list(family.layout.dims)}")
+    return tree
+
+
 def check_saturation(povm: Povm, family: StateFamily, theta: float) -> SaturationReport:
     """Full saturation check of a POVM or ``locc.MeasurementTree`` against a family at theta.
 
-    Outcomes are read only through ``povm.amplitudes(rows)``, their overlaps
-    <e|row>. The family enters through its frame: exact rho and drho, the
-    rows psi_i spanning the support of rho and their images L psi_i under
-    the SLD. Every outcome |e><e| must satisfy the zero-sandwich condition
-    <e|M_ij|e> = 0 for M_ij = |psi_i><L psi_j| - |L psi_i><psi_j|, and every
-    outcome of zero probability the regularity condition <e|L|psi_i> = 0
-    (Braunstein & Caves, PRL 72, 3439 (1994)). For a rank-one element these
-    equal the norms of sqrt(E) M_ij sqrt(E) and sqrt(E) L |psi_i> whatever
-    the norm of e. The verdict additionally requires fi to reach qfi. Its
-    tolerances are CONDITION_REL, REGULARITY_REL, FI_REL and P_TOL of the table.
+    A tree (anything with a ``layout``) must pass ``check_layout``. Outcomes
+    are read through one ``povm.amplitudes(rows)`` call on the distinct rows
+    of rho, drho, every M_ij and L psi_i: the family's frame, with the rows
+    psi_i spanning the support of rho and their SLD images. Every outcome
+    |e><e| must satisfy the zero-sandwich condition <e|M_ij|e> = 0 for M_ij =
+    |psi_i><L psi_j| - |L psi_i><psi_j|, and every outcome of zero
+    probability the regularity condition <e|L|psi_i> = 0 (Braunstein & Caves,
+    PRL 72, 3439 (1994)). For a rank-one element these equal the norms of
+    sqrt(E) M_ij sqrt(E) and sqrt(E) L |psi_i> whatever the norm of e. The
+    verdict additionally requires fi to reach qfi. Its tolerances are
+    CONDITION_REL, REGULARITY_REL, FI_REL and P_TOL of the table.
     """
-    if isinstance(povm, Povm) and povm.vectors.shape[1] != family.layout.total:
+    if hasattr(povm, "layout"):
+        check_layout(povm, family)
+    elif povm.vectors.shape[1] != family.layout.total:
         raise ValueError(f"POVM vectors of length {povm.vectors.shape[1]} do not match "
                          f"layout {list(family.layout.dims)}")
     frame = _frame(family, theta)
     m_set = frame.conditions
     scale = max(m.norm() for m in m_set)
 
-    fi = fisher_info(povm, frame.rho, frame.drho)
-    cond_res = max(float(np.abs(_sandwich(povm, m)).max()) for m in m_set)
-    null = _sandwich(povm, frame.rho).real < P_TOL
-    reg_res = float(np.abs(povm.amplitudes(frame.l_support))[null].max(initial=0.0))
+    (p, dp, *conds), l_amps = _sandwiches(povm, [frame.rho, frame.drho, *m_set],
+                                          frame.l_support)
+    fi = _fisher(p.real, dp.real)
+    cond_res = max(float(np.abs(c).max()) for c in conds)
+    reg_res = float(np.abs(l_amps)[p.real < P_TOL].max(initial=0.0))
 
     saturating = (cond_res <= CONDITION_REL * scale
                   and reg_res <= REGULARITY_REL * scale

@@ -119,7 +119,7 @@ def _path_prob_fns(family: metrology.StateFamily, tree: locc.MeasurementTree,
     p(theta); a generic mixed family sandwiches rho(theta), one theta at a time.
     The tree must measure the family's layout.
     """
-    locc.check_layout(tree, family)
+    metrology.check_layout(tree, family)
     cap = max(sum(tree.layout.dims), SMALL_LAW // tree.layout.total)
     parts = (family.components(cap)
              if isinstance(family, metrology.UnitaryGeneratorFamily) else None)

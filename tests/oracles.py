@@ -171,6 +171,35 @@ def dense_saturation(elements, rho, drho, rank_tol=1e-9, p_tol=1e-12,
             "regularity_residual": reg, "scale": scale, "saturating": saturating}
 
 
+def per_matrix_saturation(reader, frame, p_tol=1e-12, condition_rel=1e-7, regularity_rel=1e-7,
+                          fi_rel=1e-6):
+    """Saturation check of a Povm or tree, one ``amplitudes`` call per ket block and per
+    bra block of each matrix.
+
+    ``frame`` is the family's ``SaturationMatrices``. rho and drho give fi, each
+    condition M_ij its zero-sandwich residual, and rho is read a second time for
+    the null outcomes, whose overlaps with the rows L psi_i give the regularity
+    residual: the check as it read its rows before they were stacked into one
+    contraction.
+    """
+    def sandwich(m):
+        out = np.sum(reader.amplitudes(m.kets) * reader.amplitudes(m.bras).conj(), axis=1)
+        return out + m.shift * np.sum(np.abs(reader.vectors) ** 2, axis=1) if m.shift else out
+
+    p, dp = (sandwich(m).real for m in (frame.rho, frame.drho))
+    keep = p >= p_tol
+    fi = float(np.sum(dp[keep] ** 2 / p[keep]))
+    conditions = frame.conditions
+    scale = max(m.norm() for m in conditions)
+    cond = max(float(np.abs(sandwich(m)).max()) for m in conditions)
+    null = sandwich(frame.rho).real < p_tol
+    reg = float(np.abs(reader.amplitudes(frame.l_support))[null].max(initial=0.0))
+    saturating = (cond <= condition_rel * scale and reg <= regularity_rel * scale
+                  and frame.qfi - fi <= fi_rel * frame.qfi)
+    return {"fi": fi, "qfi": frame.qfi, "condition_residual": cond,
+            "regularity_residual": reg, "scale": scale, "saturating": saturating}
+
+
 def leaf_vectors_kron(tree):
     """(path, vector) per leaf, each vector one np.kron fold in layout order.
 

@@ -4,8 +4,9 @@ import pytest
 from loccfisher import metrology
 from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily,
                         RankTwoFixedBasisFamily, UnitaryGeneratorFamily,
-                        check_saturation, eval_state, fisher_info,
-                        perp_component, qfi, saturation_matrices, sld)
+                        check_saturation, eval_state, fisher_info, flatten,
+                        perp_component, qfi, saturation_matrices, sld, verify_tree)
+from loccfisher.locc import MeasurementTree
 from loccfisher.scenarios import bell_states, builtin_scenario
 from loccfisher.tensor import HilbertLayout, herm_eig, kron
 
@@ -13,6 +14,7 @@ from conftest import (PAULI_Z, ghz_family, random_density, random_hermitian,
                       random_pure_family, random_pure_inputs, random_state,
                       random_traceless_hermitian)
 from oracles import ghz_product_basis_fi, qfi_double_sum
+from test_locc import random_tree
 
 QUBIT = HilbertLayout((2,))
 
@@ -502,21 +504,24 @@ class TestSaturationMatrices:
 
     @pytest.mark.parametrize("kind", ["pure", "rank-two", "fixed-basis", "rank-3"])
     def test_conditions_are_the_ones_check_saturation_evaluates(self, monkeypatch, kind):
-        # every <e|M|e> of the verdict goes through _sandwich: fisher_info's rho and
-        # drho, then each condition, then rho for the null outcomes
+        # every <e|M|e> of the verdict goes through one _sandwiches call: rho and drho,
+        # for fi and the null outcomes, then each condition; the extra rows are L psi_i
         family = saturation_families()[kind]
         seen = []
-        sandwich = metrology._sandwich
-        monkeypatch.setattr(metrology, "_sandwich", lambda povm, m: seen.append(m) or
-                            sandwich(povm, m))
+        sandwiches = metrology._sandwiches
+        monkeypatch.setattr(metrology, "_sandwiches", lambda povm, sums, extra=():
+                            seen.append((sums, extra)) or sandwiches(povm, sums, extra))
         d = family.layout.total
         check_saturation(projector_povm(np.eye(d, dtype=complex)), family, 0.4)
         out = saturation_matrices(family, 0.4)
         want = out.conditions
-        assert len(seen) == len(want) + 3
-        for m, w in zip(seen[2:-1], want):
+        assert len(seen) == 1
+        sums, extra = seen[0]
+        assert len(sums) == len(want) + 2
+        for m, w in zip(sums, [out.rho, out.drho, *want]):
             assert np.array_equal(m.kets, w.kets) and np.array_equal(m.bras, w.bras)
             assert m.shift == w.shift
+        assert np.array_equal(extra, out.l_support)
         # and they are the dense commutators with the SLD on the support rows
         assert len(out.support) == np.linalg.matrix_rank(out.rho.dense(), tol=1e-9)
         for m, w in zip(want, dense_conditions(family, 0.4, out.support)):
@@ -567,6 +572,14 @@ class TestCheckSaturation:
         with pytest.raises(ValueError, match=r"length 4 do not match layout \[2, 2, 2\]"):
             check_saturation(projector_povm(np.eye(4, dtype=complex)), ghz_family(3), 0.3)
 
+    @pytest.mark.parametrize("dims", [(2, 4), (4, 2)])
+    def test_tree_of_another_layout_rejected(self, dims, rng):
+        # equal D, other dims: the public check names both layouts, as verify_tree does
+        tree = random_tree(dims, (0, 1), rng)
+        with pytest.raises(ValueError, match=rf"tree layout \[{dims[0]}, {dims[1]}\] "
+                           r"does not match family layout \[2, 2, 2\]"):
+            check_saturation(tree, ghz_family(3), 0.3)
+
     def test_regularity_violation(self):
         fam = phase_qubit()
         th = 0.3
@@ -577,6 +590,30 @@ class TestCheckSaturation:
         rep = check_saturation(povm, fam, th)
         assert rep.regularity_residual > 1e-3
         assert not rep.saturating
+
+
+@pytest.mark.parametrize("kind", ["pure", "rank-two", "fixed-basis", "rank-3"])
+def test_one_contraction_per_verdict(monkeypatch, rng, kind):
+    # check_saturation, verify_tree and fisher_info read a tree or a Povm once each
+    family = saturation_families()[kind]
+    dims = family.layout.dims
+    tree = random_tree(dims, range(len(dims)), rng)
+    povm = flatten(tree)
+    rho, drho = family.rho_drho(0.4)
+    calls = []
+    for cls in (MeasurementTree, Povm):
+        amplitudes = cls.amplitudes
+        monkeypatch.setattr(cls, "amplitudes", lambda self, rows, amplitudes=amplitudes:
+                            calls.append(type(self)) or amplitudes(self, rows))
+    for reader in (tree, povm):
+        for verdict in (lambda: check_saturation(reader, family, 0.4),
+                        lambda: fisher_info(reader, rho, drho)):
+            calls.clear()
+            verdict()
+            assert calls == [type(reader)]
+    calls.clear()
+    verify_tree(tree, family, 0.4)
+    assert calls == [MeasurementTree]
 
 
 class TestInvariantProperties:

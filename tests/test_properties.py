@@ -20,11 +20,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
+from loccfisher import (DegenerateLikelihoodError, IsometryPair, MixedGenericFamily, Povm,
                         PureNumericFamily, UnitaryGeneratorFamily,
                         check_saturation, discriminate, flatten, leaf_distribution,
-                        leaf_vectors, qfi, saturation_matrices, sld, synthesize_at,
-                        synthesize_tree, verify_tree)
+                        leaf_vectors, lm_povm_from_pair, qfi, saturation_matrices, sld,
+                        synthesize_at, synthesize_tree, verify_tree)
 from loccfisher.locc import LEAF_TOL
 from loccfisher.scenarios import (PauliStringTerm, builtin_scenario, hamiltonian_from_pauli,
                                   parse_scenario, pauli_diagonal)
@@ -35,7 +35,7 @@ from loccfisher.tensor import HilbertLayout, complex_to_pairs
 from conftest import (random_density, random_hermitian, random_pure_family, random_pure_inputs,
                       random_state)
 from oracles import (dense_saturation, dense_target, golden_mle, leaf_vectors_kron,
-                     pauli_sum_matrix)
+                     pauli_sum_matrix, per_matrix_saturation)
 from test_locc import random_tree
 from test_oracle_crosscheck import assert_matches_oracle, random_rank_two_family
 
@@ -353,6 +353,71 @@ def test_generic_mixed_check_matches_the_dense_oracle(case):
     # field meets the oracle at the bounds of assert_matches_oracle
     family, theta, povm = case
     assert_matches_oracle(povm, family, theta)
+
+
+def random_rank_three_family(dims, rng):
+    """Generic mixed family of rank 3: weights (0.1 + 0.2 t, 0.35, 0.55 - 0.2 t), distinct
+    on the drawn thetas, on three Haar rows turned by exp(-i t H)."""
+    layout = HilbertLayout(dims)
+    d = layout.total
+    rows = haar_unitary(d, rng)[:3]
+    lam, q = np.linalg.eigh(random_hermitian(d, rng))
+
+    def rho(t):
+        states = (q * np.exp(-1j * t * lam)) @ q.conj().T @ rows.T
+        return (states * [0.1 + 0.2 * t, 0.35, 0.55 - 0.2 * t]) @ states.conj().T
+
+    return MixedGenericFamily(layout, rho)
+
+
+def random_fixed_basis_mixture(dims, rng):
+    """Generic mixed family t rho0 + (1 - t) rho1 of two orthogonal pure states, which the
+    frame detects as rank two over a fixed basis."""
+    family = random_rank_two_family(dims, rng)
+    p0, p1 = (np.outer(v, v.conj()) for v in (family.psi0, family.psi1))
+    return MixedGenericFamily(family.layout, lambda t: t * p0 + (1 - t) * p1)
+
+
+@st.composite
+def verdict_cases(draw):
+    """(family, theta, reader): a pure, rank-two, fixed-basis generic mixed or rank-3 mixed
+    family on (2, 2), (2, 3), (3, 3) or (2, 2, 2), read by its synthesized tree (a rank-3
+    family has none), a tree of Haar bases or the padded product Povm of an isometry pair
+    (first subsystem against the rest) whose rows are not unit vectors."""
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    make = draw(st.sampled_from([random_pure_family, random_rank_two_family,
+                                 random_fixed_basis_mixture, random_rank_three_family]))
+    family, theta = make(dims, rng), draw(st.floats(0.1, 0.9))
+    order = draw(st.permutations(range(len(dims))))
+    reader = draw(st.sampled_from(["synthesized", "random", "padded"]))
+    if reader == "synthesized" and make is not random_rank_three_family:
+        return family, theta, synthesize_at(family, theta, order)
+    if reader != "padded":
+        return family, theta, random_tree(dims, order, rng)
+    d1 = dims[0]
+    u, v = haar_unitary(d1 + 1, rng)[:d1], haar_unitary(family.layout.total // d1 + 1, rng)
+    return family, theta, lm_povm_from_pair(IsometryPair(u, v[:-1]))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(verdict_cases())
+def test_one_contraction_verdict_matches_the_per_matrix_route(case):
+    # stacking the distinct rows into one contraction only rounds differently
+    family, theta, reader = case
+    rep = check_saturation(reader, family, theta)
+    ref = per_matrix_saturation(reader, saturation_matrices(family, theta))
+    assert abs(rep.fi - ref["fi"]) <= 1e-13 * ref["fi"]
+    assert rep.qfi == ref["qfi"]
+    for name in ("condition_residual", "regularity_residual"):
+        assert abs(getattr(rep, name) - ref[name]) <= 1e-15 * max(1.0, ref["qfi"])
+    assert rep.saturating == ref["saturating"]
+    povm = reader if isinstance(reader, Povm) else flatten(reader)
+    ora = oracle_report(povm, family, theta)
+    assert abs(rep.fi - ora["fi"]) <= 1e-12 * ora["qfi"]
+    for name in ("condition_residual", "regularity_residual"):
+        assert abs(getattr(rep, name) - ora[name]) <= 1e-12 * ora["scale"]
+    assert rep.saturating == ora["saturating"]
 
 
 def random_numeric_family(dims, rng):
