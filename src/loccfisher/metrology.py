@@ -558,12 +558,11 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     return _frame(family, theta)
 
 
-def check_layout(tree, family: StateFamily):
-    """The tree, if it measures the family's layout (equal D with other dims is not enough)."""
+def check_layout(tree, family: StateFamily) -> None:
+    """Raise unless the tree measures the family's layout (equal D with other dims is not enough)."""
     if tree.layout != family.layout:
         raise ValueError(f"tree layout {list(tree.layout.dims)} does not match "
                          f"family layout {list(family.layout.dims)}")
-    return tree
 
 
 def check_saturation(povm: Povm, family: StateFamily, theta: float) -> SaturationReport:
