@@ -20,7 +20,6 @@ from .lm import (BipartiteCoeffs, IsometryPair, LmFeasibilityReport,
 from .simulate import (DegenerateLikelihoodError, SimConfig, SimReport,
                        leaf_distribution, mle, run_trials, two_step)
 from .scenarios import (PauliStringTerm, Scenario, bell_states,
-                        builtin_names, builtin_scenario,
-                        hamiltonian_from_pauli, parse_scenario, pauli_diagonal)
+                        builtin_names, builtin_scenario, parse_scenario)
 
 __version__ = "0.1.0"

@@ -139,14 +139,13 @@ def lm_povm_from_pair(pair: IsometryPair) -> metrology.Povm:
     """Rank-one product POVM encoded by the pair.
 
     Columns of U are the subsystem-1 vectors and columns of V the conjugated
-    subsystem-2 vectors; row (i, j) is kron(u_i, conj(v_j)), and the
-    row-orthonormality of U and V is exactly the completeness of the elements.
+    subsystem-2 vectors; row i * n2 + j is kron(u_i, conj(v_j)) for the n2
+    columns of V, and the row-orthonormality of U and V is exactly the
+    completeness of the elements.
     """
     u, v = pair.u_mat, pair.v_mat
     (d1, n1), (d2, n2) = u.shape, v.shape
-    vectors = np.einsum("ai,bj->ijab", u, v.conj()).reshape(n1 * n2, d1 * d2)
-    labels = [(i, j) for i in range(n1) for j in range(n2)]
-    return metrology.Povm(vectors=vectors, labels=labels)
+    return metrology.Povm(np.einsum("ai,bj->ijab", u, v.conj()).reshape(n1 * n2, d1 * d2))
 
 
 @dataclass
@@ -272,8 +271,9 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     |D_ij| = 0. When U and V have the same size (d1 = m2) their exponents go
     through one stacked exp map. Exact zero residuals and Jacobian rows make
     up the count where the 2 d1 m2 residuals are fewer than the
-    d1^2 + m2^2 parameters. ``iters`` caps each restart's residual
-    evaluations; Jacobian evaluations are not counted. A restart ends at the
+    d1^2 + m2^2 parameters. ``iters`` caps each restart's lmder function
+    calls: a repeated x counts again, though it is evaluated once, and
+    Jacobian evaluations are not counted. A restart ends at the
     first evaluation whose pair meets the tolerances with both residuals
     below 1e-10, and the search returns that pair; otherwise it returns the
     best pair of all restarts. A restart that never meets that rule runs the

@@ -25,8 +25,8 @@ from . import metrology
 # kron, partial_expectation and partial_trace are unused here; they stay
 # importable because the benchmark tracer patches them.
 from .tensor import (ORTHOGONAL_TOL, TARGET_TRACE_TOL, HilbertLayout,  # noqa: F401
-                     KetBraSum, as_layout, check_finite, check_orthonormal, check_trace,
-                     check_traceless, check_unit, complex_to_pairs, kron,
+                     KetBraSum, as_layout, check_finite, check_int, check_orthonormal,
+                     check_trace, check_traceless, check_unit, complex_to_pairs, kron,
                      pairs_to_complex, partial_expectation, partial_trace)
 from .zerodiag import zero_diag_basis
 
@@ -41,7 +41,7 @@ class SynthesisError(RuntimeError):
 def _check_order(layout: HilbertLayout, order: Sequence[int] | None) -> tuple[int, ...]:
     if order is None:
         return tuple(range(layout.nsub))
-    order = tuple(int(k) for k in order)
+    order = tuple(check_int(k, "order entry") for k in order)
     if sorted(order) != list(range(layout.nsub)):
         raise ValueError(f"order {order} is not a permutation of the subsystems")
     return order
@@ -138,33 +138,32 @@ def _node_bases(reduced: np.ndarray, depth: int, scale: float) -> np.ndarray:
                                            NODE_TRACE_TOL, scale, SynthesisError))
 
 
-def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Sequence[int],
+def synthesize_tree(m_tilde: KetBraSum, layout: HilbertLayout | Sequence[int],
                     order: Sequence[int] | None = None) -> MeasurementTree:
     """Adaptive tree whose leaves zero-sandwich the traceless target matrix.
 
-    The target is factored, m_tilde = sum_k |a_k><b_k| + c I; a dense matrix
-    enters as its D ket-bra rows. At each node the target, conditioned on all
-    previous outcomes, is traced down to the current subsystem and
-    zero-diagonalized; each basis vector spawns one child on the remaining
-    subsystems. Conditioning on outcome u maps a_k, b_k to (<u| x I) a_k,
-    (<u| x I) b_k and keeps c, so a node's reduction is A B^dag + c rest I with
-    A, B the d x (K rest) reshapes of its conditioned kets and bras. The
-    nodes of one depth are conditioned together. Conditioned matrices stay
-    traceless by construction; their numerical trace drift is re-centered
-    and asserted small.
+    The target is factored, m_tilde = sum_k |a_k><b_k| + c I; a dense matrix m
+    enters as its D ket-bra rows, ``KetBraSum.from_dense(m)``. At each node
+    the target, conditioned on all previous outcomes, is traced down to the
+    current subsystem and zero-diagonalized; each basis vector spawns one
+    child on the remaining subsystems. Conditioning on outcome u maps a_k,
+    b_k to (<u| x I) a_k, (<u| x I) b_k and keeps c, so a node's reduction
+    is A B^dag + c rest I with A, B the d x (K rest) reshapes of its
+    conditioned kets and bras. The nodes of one depth are conditioned
+    together. Conditioned matrices stay traceless by construction; their
+    numerical trace drift is re-centered and asserted small.
     """
     layout = as_layout(layout)
     order = _check_order(layout, order)
-    target = KetBraSum.of(m_tilde)
-    if target.dim != layout.total:
-        raise ValueError(f"target dimension {target.dim} does not match layout "
+    if m_tilde.dim != layout.total:
+        raise ValueError(f"target dimension {m_tilde.dim} does not match layout "
                          f"{list(layout.dims)}")
-    scale = target.norm()
+    scale = m_tilde.norm()
     # tested only: the target is conditioned as given, each node re-centers its reduction
-    check_trace(target, "target matrix", TARGET_TRACE_TOL, scale)
+    check_trace(m_tilde, "target matrix", TARGET_TRACE_TOL, scale)
 
-    k = target.kets.shape[0]
-    cur = np.concatenate([target.kets, target.bras]).reshape((1, 2 * k) + layout.dims)
+    k = m_tilde.kets.shape[0]
+    cur = np.concatenate([m_tilde.kets, m_tilde.bras]).reshape((1, 2 * k) + layout.dims)
     remaining = list(range(layout.nsub))
     levels = []
     for depth, sub in enumerate(order):
@@ -173,14 +172,14 @@ def synthesize_tree(m_tilde: KetBraSum | np.ndarray, layout: HilbertLayout | Seq
         p, d, _, rest = lead.shape
         kets = lead[:, :, :k].reshape(p, d, k * rest)
         bras = lead[:, :, k:].reshape(p, d, k * rest)
-        reduced = kets @ bras.conj().transpose(0, 2, 1) + (target.shift * rest) * np.eye(d)
+        reduced = kets @ bras.conj().transpose(0, 2, 1) + (m_tilde.shift * rest) * np.eye(d)
         bases = _node_bases(reduced, depth, scale)
         levels.append(bases)
         cur = _condition(lead, bases, tuple(layout.dims[i] for i in remaining))
 
     tree = MeasurementTree(layout, order, levels)
     amps = cur.reshape(-1, 2 * k)       # every leaf's overlaps with the kets and bras
-    worst = float(np.abs(target.sandwich(amps[:, :k], amps[:, k:])).max())
+    worst = float(np.abs(m_tilde.sandwich(amps[:, :k], amps[:, k:])).max())
     if worst > LEAF_TOL * scale:
         raise SynthesisError(
             f"leaf condition violated: residual {worst:.3e} > {LEAF_TOL:.0e} * norm")
@@ -228,8 +227,7 @@ def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarra
 
 def flatten(tree: MeasurementTree) -> metrology.Povm:
     """Rank-one product POVM with one leaf vector per outcome path (a reference helper)."""
-    paths, vectors = zip(*leaf_vectors(tree))
-    return metrology.Povm(vectors=np.stack(vectors), labels=list(paths))
+    return metrology.Povm(np.stack([v for _, v in leaf_vectors(tree)]))
 
 
 def verify_tree(tree: MeasurementTree, family: metrology.StateFamily,

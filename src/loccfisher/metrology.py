@@ -12,7 +12,7 @@ condition on zero-probability outcomes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -33,7 +33,7 @@ DENSE_LIMIT = 2 ** 12   # largest D whose generator that fallback builds and fac
 
 def _frame_rho_drho(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense rho and drho of a pure or rank-two family, read from its frame."""
-    frame = _frame(family, theta)
+    frame = saturation_matrices(family, theta)
     return frame.rho.dense(), frame.drho.dense()
 
 
@@ -94,9 +94,6 @@ class UnitaryGeneratorFamily:
             return psi, -1j * (self.generator * psi)
         levels, rows = self.generator
         return psi, (-1j * levels * np.exp(-1j * theta * levels)) @ rows
-
-    def dpsi(self, theta: float) -> np.ndarray:
-        return self.psi_dpsi(theta)[1]
 
     rho_drho = _frame_rho_drho
 
@@ -207,12 +204,10 @@ class PureNumericFamily:
             raise ValueError("evaluator output does not match the layout")
         return vec / np.linalg.norm(vec)
 
-    def dpsi(self, theta: float) -> np.ndarray:
-        h = self.step
-        return (self.psi(theta + h) - self.psi(theta - h)) / (2 * h)
-
     def psi_dpsi(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.psi(theta), self.dpsi(theta)
+        """psi and its central difference dpsi, evaluating psi at theta, theta + h, theta - h."""
+        h = self.step
+        return self.psi(theta), (self.psi(theta + h) - self.psi(theta - h)) / (2 * h)
 
     rho_drho = _frame_rho_drho
 
@@ -314,7 +309,6 @@ class SaturationMatrices:
     l_support: np.ndarray
     qfi: float
     target: KetBraSum | None
-    state_type: str
 
     @property
     def conditions(self) -> list[KetBraSum]:
@@ -334,12 +328,9 @@ class Povm:
     """
 
     vectors: np.ndarray
-    labels: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.vectors = np.asarray(self.vectors, dtype=complex)
-        if not self.labels:
-            self.labels = list(range(len(self.vectors)))
         self.validate()
 
     def validate(self) -> None:
@@ -429,8 +420,10 @@ def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
     return SldResult(L=L, eigvals=w, eigvecs=v, qfi=qfi)
 
 
-def _frame(family: StateFamily, theta: float) -> SaturationMatrices:
-    """The family at theta, from one evaluation of its state.
+def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices:
+    """The family at theta, from one evaluation of its state: its exact rho and
+    drho, support rows and their SLD images, qfi, the conditions M_ij that
+    ``check_saturation`` evaluates and the rank-one synthesis target, if any.
 
     Pure families, one ``psi_dpsi``: rho = |psi><psi|, L psi = 2 perp, qfi =
     4 (||dpsi||^2 - |<psi|dpsi>|^2) (Liu et al., J. Phys. A 53, 023001 (2020))
@@ -456,7 +449,7 @@ def _frame(family: StateFamily, theta: float) -> SaturationMatrices:
         perp = perp_component(psi, dpsi)
         target = KetBraSum(np.stack([psi, -perp]), np.stack([perp + psi, psi]),
                            -1.0 / family.layout.total)
-        return SaturationMatrices(rho, drho, rho.kets, 2 * perp[None], qfi, target, "pure")
+        return SaturationMatrices(rho, drho, rho.kets, 2 * perp[None], qfi, target)
     if family.state_type == "rank-two":
         p, dp = family.p_dp(theta)
         kets = np.stack([family.psi0, family.psi1])
@@ -464,7 +457,7 @@ def _frame(family: StateFamily, theta: float) -> SaturationMatrices:
         drho = KetBraSum(kets, np.array([[dp], [-dp]]) * kets)
         l_support = np.array([[dp / p], [-dp / (1 - p)]]) * kets
         return SaturationMatrices(rho, drho, kets, l_support, dp * dp / (p * (1 - p)),
-                                  KetBraSum(*kets), "rank-two")
+                                  KetBraSum(*kets))
     rho, drho, sides = family.rho_drho_sides(theta)
     rho, drho = _checked_state(rho, drho)
     res = _sld(rho, drho)
@@ -472,22 +465,22 @@ def _frame(family: StateFamily, theta: float) -> SaturationMatrices:
     pair = _detect_fixed_rank_two(support, rho, drho, sides, family.step)
     return SaturationMatrices(KetBraSum.from_dense(rho), KetBraSum.from_dense(drho),
                               support, support @ res.L.T, res.qfi,
-                              None if pair is None else KetBraSum(*pair),
-                              "mixed" if pair is None else "rank-two")
+                              None if pair is None else KetBraSum(*pair))
 
 
 def qfi(family: StateFamily, theta: float) -> float:
     """Quantum Fisher information at theta, as the family's frame gives it."""
-    return _frame(family, theta).qfi
+    return saturation_matrices(family, theta).qfi
 
 
-def fisher_info(povm: Povm, rho: KetBraSum | np.ndarray, drho: KetBraSum | np.ndarray) -> float:
+def fisher_info(povm: Povm, rho: KetBraSum, drho: KetBraSum) -> float:
     """Classical Fisher information of the outcomes of a POVM or ``locc.MeasurementTree``.
 
-    ``rho`` and ``drho`` are factored or dense and read by one ``amplitudes``
-    call. Outcomes with probability below P_TOL are excluded from the sum.
+    ``rho`` and ``drho`` are factored (a dense matrix m enters as
+    ``KetBraSum.from_dense(m)``) and read by one ``amplitudes`` call.
+    Outcomes with probability below P_TOL are excluded from the sum.
     """
-    p, dp = _sandwiches(povm, [KetBraSum.of(rho), KetBraSum.of(drho)])[0]
+    p, dp = _sandwiches(povm, [rho, drho])[0]
     return _fisher(p.real, dp.real)
 
 
@@ -551,13 +544,6 @@ def _detect_fixed_rank_two(support: np.ndarray, rho: np.ndarray, drho: np.ndarra
     return support
 
 
-def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices:
-    """The family at theta (``_frame``): its exact rho and drho, support rows and
-    their SLD images, qfi, the conditions M_ij that ``check_saturation``
-    evaluates and the rank-one synthesis target, if it has one."""
-    return _frame(family, theta)
-
-
 def check_layout(tree, family: StateFamily) -> None:
     """Raise unless the tree measures the family's layout (equal D with other dims is not enough)."""
     if tree.layout != family.layout:
@@ -585,7 +571,7 @@ def check_saturation(povm: Povm, family: StateFamily, theta: float) -> Saturatio
     elif povm.vectors.shape[1] != family.layout.total:
         raise ValueError(f"POVM vectors of length {povm.vectors.shape[1]} do not match "
                          f"layout {list(family.layout.dims)}")
-    frame = _frame(family, theta)
+    frame = saturation_matrices(family, theta)
     m_set = frame.conditions
     scale = max(m.norm() for m in m_set)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
-from .tensor import HilbertLayout, complex_to_pairs, pairs_to_complex
+from .tensor import HilbertLayout, check_int, complex_to_pairs, pairs_to_complex
 # kron is unused here; it stays importable because the benchmark tracer patches it.
 from .tensor import kron  # noqa: F401
 
@@ -94,24 +94,6 @@ def _pauli_generator(terms: list[PauliStringTerm], layout: HilbertLayout):
     return lambda v: sum(w * v[source] for source, w in shifts)
 
 
-def hamiltonian_from_pauli(terms: list[PauliStringTerm],
-                           layout: HilbertLayout) -> np.ndarray:
-    """The D x D matrix of a Pauli sum, scattered from the masks of its strings."""
-    h = np.zeros((layout.total, layout.total), dtype=complex)
-    index = np.arange(layout.total)
-    for flip, w in _pauli_weights(terms, layout).items():
-        h[index, index ^ flip] = w
-    return h
-
-
-def pauli_diagonal(terms: list[PauliStringTerm], layout: HilbertLayout) -> np.ndarray:
-    """Real diagonal of a sum of I/Z strings, sum_t c_t (1 - 2 parity(b & sign_t)), O(D) per term."""
-    g = _pauli_generator(terms, layout)
-    if callable(g):
-        raise ValueError("pauli_diagonal needs strings of I and Z only")
-    return g
-
-
 @dataclass
 class Scenario:
     name: str
@@ -119,9 +101,6 @@ class Scenario:
     theta_grid: np.ndarray
     notes: str
     doc: dict
-
-    def to_json(self) -> dict:
-        return self.doc
 
 
 def _p_functions(p_doc: dict):
@@ -142,7 +121,7 @@ def _p_functions(p_doc: dict):
 def _grid(doc) -> np.ndarray:
     if isinstance(doc, dict):
         grid = np.linspace(float(doc["start"]), float(doc["stop"]),
-                           int(doc.get("points", 32)))
+                           check_int(doc.get("points", 32), "theta_grid points"))
     else:
         grid = np.asarray(doc, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
@@ -163,7 +142,7 @@ def parse_scenario(doc: dict) -> Scenario:
     """Build a scenario from its JSON document; an entry of the wrong JSON type is a ValueError."""
     with _json_types():
         name, kind = doc.get("name", "scenario"), doc["type"]
-        layout = HilbertLayout(tuple(int(d) for d in doc["layout"]))
+        layout = HilbertLayout(tuple(doc["layout"]))
     if kind == "unitary-generator":
         with _json_types():
             psi_in, ham = pairs_to_complex(doc["psi_in"]), doc["hamiltonian"]

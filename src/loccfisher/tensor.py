@@ -8,10 +8,11 @@ x1*d2*...*dn + ... + xn.
 Input from outside the package is validated once, at each public entry, by
 the checks written here and nowhere else: ``check_finite``, ``check_hermitian``,
 ``check_trace``/``check_traceless`` (of a matrix or each matrix of a stack),
-``check_unit``, ``check_real_diagonal`` and ``check_orthonormal``. Their tolerances
-are relative to max(1, scale of the caller's matrix): the largest entry for
-the Hermitian test, the Frobenius norm for the trace test. Every tolerance a
-call site passes comes from the table below, which states each one's scale.
+``check_unit``, ``check_real_diagonal``, ``check_orthonormal`` and ``check_int``.
+Their tolerances are relative to max(1, scale of the caller's matrix): the
+largest entry for the Hermitian test, the Frobenius norm for the trace test.
+Every tolerance a call site passes comes from the table below, which states
+each one's scale.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ PSD_FLOOR = 1e-14         # eigenvalue floored to zero by sqrt_psd, relative to 
 FAMILY_UNIT_TOL = 1e-12   # | ||psi|| - 1 | of a family's fixed input vectors, absolute
 EVAL_UNIT_TOL = 1e-9      # | ||psi(theta)|| - 1 | of a pure evaluator's output, absolute
 ORTHOGONAL_TOL = 1e-10    # |<psi0|psi1>| of two unit vectors, absolute
-PERP_TOL = 1e-9           # |Tr(A^dag B)| of lm coefficient matrices, absolute
+PERP_TOL = 0.99e-10       # |Tr(A^dag B)| of lm coefficient matrices, absolute; under TRACE_TOL,
+                          # which construct_lm_2xd's targets, of trace |Im Tr(A^dag B)|, must pass
 ISOMETRY_TOL = 1e-9       # max |B^dag B - I| of orthonormal columns (or rows), absolute
 TARGET_TRACE_TOL = 1e-9   # |Tr m_tilde| of a synthesis target, relative to max(1, ||m_tilde||_F)
 RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace, absolute
@@ -59,7 +61,7 @@ class HilbertLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(check_int(d, "layout entry") for d in self.dims)
         if len(dims) < 1:
             raise ValueError("layout needs at least one subsystem")
         if any(d < 2 for d in dims):
@@ -83,6 +85,13 @@ def as_layout(layout: HilbertLayout | Sequence[int]) -> HilbertLayout:
     if isinstance(layout, HilbertLayout):
         return layout
     return HilbertLayout(tuple(layout))
+
+
+def check_int(value, name: str = "value") -> int:
+    """``value`` as an int, after checking it is a Python or numpy integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -213,11 +222,6 @@ class KetBraSum:
                              "must be K x D arrays of one shape")
         for part in (self.kets, self.bras, self.shift):
             check_finite(part)
-
-    @classmethod
-    def of(cls, m: "KetBraSum | np.ndarray") -> "KetBraSum":
-        """``m`` itself if it is factored, else its dense rows (``from_dense``)."""
-        return m if isinstance(m, KetBraSum) else cls.from_dense(m)
 
     @classmethod
     def from_dense(cls, m: np.ndarray) -> "KetBraSum":

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from loccfisher import UnitaryGeneratorFamily, locc
-from loccfisher.tensor import HilbertLayout, kron
+from loccfisher.scenarios import _pauli_weights
+from loccfisher.tensor import HilbertLayout, complex_to_pairs, kron
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -50,6 +51,22 @@ def ghz_family(n):
     gen = sum(kron([PAULI_Z if i == j else I2 for i in range(n)])
               for j in range(n)) / 2
     return UnitaryGeneratorFamily(layout, psi_in, gen)
+
+
+def pauli_weights_matrix(terms, layout):
+    """The D x D matrix of a Pauli sum, scattered from the package's mask weights."""
+    h, index = np.zeros((layout.total,) * 2, dtype=complex), np.arange(layout.total)
+    for flip, w in _pauli_weights(terms, layout).items():
+        h[index, index ^ flip] = w
+    return h
+
+
+def pauli_doc(layout, terms):
+    """A unitary-generator scenario document of a Pauli sum, on the uniform psi_in."""
+    return {"type": "unitary-generator", "layout": list(layout.dims),
+            "psi_in": complex_to_pairs(np.full(layout.total, layout.total ** -0.5)),
+            "hamiltonian": {"pauli": [{"coeff": t.coeff, "string": t.string} for t in terms]},
+            "theta_grid": [0.0]}
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from loccfisher import (BipartiteCoeffs, IsometryPair, Povm,
                         saturation_matrices, sld, synthesize_tree, verify_tree)
 from loccfisher.locc import bloch_rows
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import HilbertLayout, partial_trace
+from loccfisher.tensor import HilbertLayout, KetBraSum, partial_trace
 
 from conftest import PAULI_Z, ghz_family, random_hermitian, random_state
 from oracles import fisher_fd, qfi_double_sum
@@ -62,7 +62,7 @@ def test_criterion_2_type_i_locc_saturation():
                                      random_hermitian(d, rng))
         th = float(rng.uniform(0.05, 0.9))
         target = saturation_matrices(fam, th).target.dense()
-        tree = synthesize_tree(target, layout)
+        tree = synthesize_tree(KetBraSum.from_dense(target), layout)
         povm = flatten(tree)
         ok &= np.abs(sum(np.outer(v, v.conj()) for v in povm.vectors)
                      - np.eye(d)).max() < 1e-8
@@ -95,8 +95,8 @@ def test_criterion_3_type_ii_locc_saturation():
         th = float(rng.uniform(0.1, 0.9))
         p, dp = c0 + c1 * th, c1
         want = dp * dp / (p * (1 - p))
-        rep = verify_tree(synthesize_tree(saturation_matrices(fam, th).target.dense(),
-                                          layout), fam, th)
+        target = KetBraSum.from_dense(saturation_matrices(fam, th).target.dense())
+        rep = verify_tree(synthesize_tree(target, layout), fam, th)
         ok &= rep.saturating
         ok &= abs(rep.fi - want) <= 1e-6 * want
         ok &= abs(rep.qfi - want) <= 1e-6 * want
@@ -134,7 +134,7 @@ def test_criterion_5_chain4_grid_invariants():
     for th in sc.theta_grid:
         th = float(th)
         sm = saturation_matrices(sc.family, th)
-        tree = synthesize_tree(sm.target.dense(), layout)
+        tree = synthesize_tree(KetBraSum.from_dense(sm.target.dense()), layout)
         rep = verify_tree(tree, sc.family, th)
         ok &= rep.saturating and abs(rep.fi - rep.qfi) <= 1e-6 * rep.qfi
         reduced_target = partial_trace(sm.target.dense(), layout, [1, 2, 3])
@@ -272,7 +272,7 @@ def test_criterion_9_oracle_equivalence():
                             + 1j * rng.standard_normal((d, d)))
         povm = Povm(vectors=q.T)
         rho, drho = eval_state(fam, th)
-        fi_lib = fisher_info(povm, rho, drho)
+        fi_lib = fisher_info(povm, KetBraSum.from_dense(rho), KetBraSum.from_dense(drho))
         fi_ora = fisher_fd([np.outer(v, v.conj()) for v in povm.vectors],
                            lambda t: fam.rho_drho(t)[0], th)
         ok &= abs(fi_lib - fi_ora) < 1e-6

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loccfisher.lm as lm
@@ -18,7 +18,7 @@ from loccfisher import (BipartiteCoeffs, IsometryPair, UnitaryGeneratorFamily,
 from loccfisher.cli import cli_main
 from loccfisher.lm import PHASE_TOL
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import HilbertLayout, complex_to_pairs
+from loccfisher.tensor import PERP_TOL, HilbertLayout, complex_to_pairs
 
 from conftest import random_state
 from oracles import central_jacobian, lm_search_residuals, scipy_lm
@@ -70,7 +70,7 @@ class TestCoefficientMatrices:
     def test_gap_pair_matrices(self):
         sc = builtin_scenario("lm2x2")
         psi = sc.family.psi(0.0)
-        perp = perp_component(psi, sc.family.dpsi(0.0))
+        perp = perp_component(psi, sc.family.psi_dpsi(0.0)[1])
         out = coefficient_matrices(psi, perp, sc.family.layout)
         assert np.abs(out.a_mat - A_GAP).max() < 1e-12
         assert np.abs(out.b_mat - B_GAP).max() < 1e-12
@@ -78,7 +78,7 @@ class TestCoefficientMatrices:
     def test_diag_pair_matrices(self):
         sc = builtin_scenario("lm3x3")
         psi = sc.family.psi(0.0)
-        perp = perp_component(psi, sc.family.dpsi(0.0))
+        perp = perp_component(psi, sc.family.psi_dpsi(0.0)[1])
         out = coefficient_matrices(psi, perp, sc.family.layout)
         assert np.abs(out.a_mat - A_3X3).max() < 1e-12
         assert np.abs(out.b_mat - B_3X3).max() < 1e-12
@@ -142,6 +142,23 @@ class TestConstructLm2xd:
         rep = check_lm_conditions(pair, BipartiteCoeffs(A_GAP, B_GAP))
         assert rep.feasible and rep.projective
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1), size=st.floats(0.0, 1.0),
+           phase=st.floats(0.0, 2 * np.pi), scale=st.floats(-6.0, 3.0))
+    @example(d=2, seed=0, size=1.0, phase=np.pi / 2, scale=0.0)
+    def test_every_accepted_pair_is_constructed(self, d, seed, size, phase, scale):
+        # B off the complement of A by up to PERP_TOL, of norm 1e-6 .. 1e3: the skew
+        # form and the conditioned targets, of trace |Im Tr A^dag B|, pass their checks
+        coeffs = random_coeffs(2, d, np.random.default_rng(seed))
+        a, b = coeffs.a_mat, coeffs.b_mat
+        b = b * 10 ** scale / np.linalg.norm(b) + size * PERP_TOL * np.exp(1j * phase) * a
+        try:
+            coeffs = BipartiteCoeffs(a, b)
+        except ValueError:      # rounding put |Tr A^dag B| past PERP_TOL
+            assume(False)
+        rep = check_lm_conditions(construct_lm_2xd(coeffs), coeffs)
+        assert rep.phase_residual <= PHASE_TOL
+
     def test_random_2xd_phase_condition(self, rng):
         for d in (2, 3):
             for _ in range(25):
@@ -169,7 +186,7 @@ class TestLmPovm:
         pair = IsometryPair(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
         povm = lm_povm_from_pair(pair)
         assert len(povm.vectors) == 4
-        for (i, j), v in zip(povm.labels, povm.vectors):
+        for (i, j), v in zip(np.ndindex(2, 2), povm.vectors, strict=True):
             e = np.outer(v, v.conj())
             want = np.zeros((4, 4), dtype=complex)
             want[2 * i + j, 2 * i + j] = 1.0

@@ -15,7 +15,7 @@ from loccfisher.cli import cli_main
 from loccfisher.locc import (NODE_TRACE_TOL, MeasurementTree, SynthesisError, _node_bases,
                              bloch_rows)
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import HilbertLayout, check_traceless, kron
+from loccfisher.tensor import HilbertLayout, KetBraSum, check_traceless, kron
 from loccfisher.zerodiag import zero_diag_basis
 from scipy.stats import unitary_group
 
@@ -25,8 +25,8 @@ from test_zerodiag import qubit_node, qudit_node
 
 
 def synth(family, theta, order=None):
-    return synthesize_tree(saturation_matrices(family, theta).target.dense(),
-                           family.layout, order)
+    target = saturation_matrices(family, theta).target.dense()
+    return synthesize_tree(KetBraSum.from_dense(target), family.layout, order)
 
 
 class TestSynthesizeTree:
@@ -40,7 +40,7 @@ class TestSynthesizeTree:
         fam = random_pure_family((2, 2, 2), rng)
         th = 0.45
         target = saturation_matrices(fam, th).target.dense()
-        tree = synthesize_tree(target, fam.layout)
+        tree = synthesize_tree(KetBraSum.from_dense(target), fam.layout)
         psi = fam.psi(th)
         scale = np.linalg.norm(target)
         for _, vec in leaf_vectors(tree):
@@ -50,7 +50,7 @@ class TestSynthesizeTree:
     def test_bell_cross_target_gives_product_basis(self):
         bells = bell_states()
         target = np.outer(bells["phi+"], bells["phi-"].conj())
-        tree = synthesize_tree(target, HilbertLayout((2, 2)))
+        tree = synthesize_tree(KetBraSum.from_dense(target), HilbertLayout((2, 2)))
         for _, vec in leaf_vectors(tree):
             o = np.vdot(vec, bells["phi+"]) * np.vdot(bells["phi-"], vec)
             assert abs(o) < 1e-10
@@ -60,13 +60,13 @@ class TestSynthesizeTree:
 
     def test_rejects_non_traceless(self):
         with pytest.raises(ValueError):
-            synthesize_tree(np.eye(4, dtype=complex), HilbertLayout((2, 2)))
+            synthesize_tree(KetBraSum.from_dense(np.eye(4)), HilbertLayout((2, 2)))
 
     def test_rejects_bad_order(self):
         fam = ghz_family(2)
         target = saturation_matrices(fam, 0.3).target.dense()
         with pytest.raises(ValueError):
-            synthesize_tree(target, fam.layout, order=[0, 0])
+            synthesize_tree(KetBraSum.from_dense(target), fam.layout, order=[0, 0])
 
 
 class TestSynthesizeAt:
@@ -174,7 +174,8 @@ class TestFlatten:
         tree = MeasurementTree(HilbertLayout((2, 2)), (0, 1),
                                [basis[None], np.stack([basis, basis])])
         povm = flatten(tree)
-        for (i, j), v in zip(povm.labels, povm.vectors):
+        paths = [path for path, _ in leaf_vectors(tree)]
+        for (i, j), v in zip(paths, povm.vectors, strict=True):
             e = np.outer(v, v.conj())
             want = np.outer(kron([basis[:, i], basis[:, j]]),
                             kron([basis[:, i], basis[:, j]]).conj())
@@ -320,7 +321,7 @@ class TestDiscriminate:
         # the pair no product measurement can tell apart
         sc = builtin_scenario("lm2x2")
         psi = sc.family.psi(0.0)
-        perp = sc.family.dpsi(0.0)
+        perp = sc.family.psi_dpsi(0.0)[1]
         _, rep = discriminate(psi, perp / np.linalg.norm(perp), sc.family.layout)
         assert abs(rep.success_prob - 1.0) < 1e-8
 
@@ -371,7 +372,7 @@ class TestNegativeControl:
         for m in (c.dense() for c in out.conditions):
             if np.linalg.norm(m) < 1e-9:
                 continue
-            tree = synthesize_tree(m, sc.family.layout)
+            tree = synthesize_tree(KetBraSum.from_dense(m), sc.family.layout)
             rep = verify_tree(tree, sc.family, th)
             assert not rep.saturating
 
@@ -418,6 +419,15 @@ class TestTreeJson:
         doc = tree_to_json(synth(ghz_family(2), 0.3))
         edit(doc)
         with pytest.raises(ValueError, match="does not fit layout"):
+            tree_from_json(doc)
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("layout", [2.9, 2]), ("layout", ["2", 2.9]), ("order", [0, True]), ("order", [0.0, 1])])
+    def test_rejects_layout_or_order_entries_that_are_not_integers(self, field, value):
+        doc = tree_to_json(synth(ghz_family(2), 0.3))
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"{field} entry must be an integer"):
             tree_from_json(doc)
 
 

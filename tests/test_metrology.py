@@ -8,7 +8,7 @@ from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily,
                         perp_component, qfi, saturation_matrices, sld, verify_tree)
 from loccfisher.locc import MeasurementTree
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import HilbertLayout, herm_eig, kron
+from loccfisher.tensor import HilbertLayout, KetBraSum, herm_eig, kron
 
 from conftest import (PAULI_Z, ghz_family, random_density, random_hermitian,
                       random_pure_family, random_pure_inputs, random_state,
@@ -302,14 +302,14 @@ class TestFisherInfo:
         povm = projector_povm([np.array([1, 1], complex) / np.sqrt(2),
                                np.array([1, -1], complex) / np.sqrt(2)])
         for th in (0.3, 1.0):
-            rho, drho = eval_state(fam, th)
+            rho, drho = map(KetBraSum.from_dense, eval_state(fam, th))
             # closed form: P(+/-) = (1 +/- cos th)/2 gives F = 1
             assert abs(fisher_info(povm, rho, drho) - 1.0) < 1e-9
 
     def test_computational_basis_blind(self):
         fam = phase_qubit()
         povm = projector_povm([np.array([1, 0], complex), np.array([0, 1], complex)])
-        rho, drho = eval_state(fam, 0.3)
+        rho, drho = map(KetBraSum.from_dense, eval_state(fam, 0.3))
         assert abs(fisher_info(povm, rho, drho)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -320,7 +320,7 @@ class TestFisherInfo:
         minus = np.array([1, -1], complex) / np.sqrt(2)
         vecs = [kron([plus if b == 0 else minus for b in bits])
                 for bits in np.ndindex(*([2] * n))]
-        rho, drho = eval_state(fam, th)
+        rho, drho = map(KetBraSum.from_dense, eval_state(fam, th))
         fi = fisher_info(projector_povm(vecs), rho, drho)
         assert abs(fi - n * n) < 1e-8
         assert abs(fi - ghz_product_basis_fi(n, th)) < 1e-5
@@ -330,7 +330,7 @@ class TestFisherInfo:
             dims = [(2, 2), (2, 3), (2, 2, 2)][int(rng.integers(3))]
             fam = random_pure_family(tuple(dims), rng)
             th = float(rng.uniform(0, 1))
-            rho, drho = eval_state(fam, th)
+            rho, drho = map(KetBraSum.from_dense, eval_state(fam, th))
             d = fam.layout.total
             q, _ = np.linalg.qr(rng.standard_normal((d, d))
                                 + 1j * rng.standard_normal((d, d)))
@@ -344,7 +344,7 @@ class TestFisherInfo:
 
     def test_invalid_povm(self):
         fam = phase_qubit()
-        rho, drho = eval_state(fam, 0.3)
+        rho, drho = map(KetBraSum.from_dense, eval_state(fam, 0.3))
         with pytest.raises(ValueError):
             fisher_info(Povm(vectors=np.eye(2, dtype=complex) * 0.4), rho, drho)
 
@@ -380,7 +380,7 @@ class TestSaturationMatrices:
         fam = ghz_family(2)
         th = 0.0
         out = saturation_matrices(fam, th)
-        psi, dpsi = fam.psi(th), fam.dpsi(th)
+        psi, dpsi = fam.psi_dpsi(th)
         perp = dpsi - np.vdot(psi, dpsi) * psi
         m = np.outer(psi, perp.conj()) - np.outer(perp, psi.conj())
         m_set, m_tilde = [c.dense() for c in out.conditions], out.target.dense()
@@ -420,7 +420,6 @@ class TestSaturationMatrices:
         fam = MixedGenericFamily(HilbertLayout((2, 2)),
                                  lambda t: t * p0 + (1 - t) * p1)
         out = saturation_matrices(fam, 0.4)
-        assert out.state_type == "rank-two"
         assert out.target is not None
         # the target spans the cross direction of the two fixed eigenvectors,
         # up to phase and adjoint (both carry the same zero-sandwich condition)
@@ -484,7 +483,7 @@ class TestSaturationMatrices:
         fam = MixedGenericFamily(HilbertLayout((2, 2)),
                                  lambda t: calls.append(t) or t * p0 + (1 - t) * p1)
         out = saturation_matrices(fam, 0.4)
-        assert out.state_type == "rank-two"
+        assert out.target is not None
         assert len(calls) == 3      # rho at theta and theta +- h
 
     def test_mixed_rank_two_drifting_basis_rejected(self):
@@ -497,7 +496,7 @@ class TestSaturationMatrices:
         # the rank-two shortcut rejects it: the M_ij of the SLD and no target, as at rank > 2
         fam = MixedGenericFamily(QUBIT, rho_fn)
         out = saturation_matrices(fam, 0.4)
-        assert out.state_type == "mixed" and out.target is None
+        assert out.target is None
         want = dense_conditions(fam, 0.4)
         assert len(out.conditions) == len(want) == 4
         assert all(np.abs(m.dense() - w).max() < 1e-12 for m, w in zip(out.conditions, want))
@@ -584,7 +583,7 @@ class TestCheckSaturation:
         fam = phase_qubit()
         th = 0.3
         psi = fam.psi(th)
-        perp = perp_component(psi, fam.dpsi(th))
+        perp = perp_component(psi, fam.psi_dpsi(th)[1])
         phi = perp / np.linalg.norm(perp)      # orthogonal to psi, along psi_perp
         povm = projector_povm([phi, psi])
         rep = check_saturation(povm, fam, th)
@@ -599,7 +598,7 @@ def test_one_contraction_per_verdict(monkeypatch, rng, kind):
     dims = family.layout.dims
     tree = random_tree(dims, range(len(dims)), rng)
     povm = flatten(tree)
-    rho, drho = family.rho_drho(0.4)
+    rho, drho = map(KetBraSum.from_dense, family.rho_drho(0.4))
     calls = []
     for cls in (MeasurementTree, Povm):
         amplitudes = cls.amplitudes

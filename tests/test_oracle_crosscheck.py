@@ -7,7 +7,7 @@ from loccfisher import (IsometryPair, Povm, RankTwoFixedBasisFamily,
                         check_saturation, flatten, lm_povm_from_pair,
                         perp_component, saturation_matrices, synthesize_tree)
 from loccfisher.scenarios import builtin_scenario
-from loccfisher.tensor import HilbertLayout
+from loccfisher.tensor import HilbertLayout, KetBraSum
 
 from conftest import random_pure_family, random_state
 from oracles import dense_saturation
@@ -48,8 +48,8 @@ def test_random_trees(dims, rng):
     for make in (random_pure_family, random_rank_two_family):
         fam = make(dims, rng)
         th = float(rng.uniform(0.1, 0.9))
-        povm = flatten(synthesize_tree(saturation_matrices(fam, th).target.dense(),
-                                       fam.layout))
+        target = saturation_matrices(fam, th).target.dense()
+        povm = flatten(synthesize_tree(KetBraSum.from_dense(target), fam.layout))
         verdicts.add(assert_matches_oracle(povm, fam, th).saturating)
         if fam.state_type == "pure":
             verdicts.add(assert_matches_oracle(povm, fam, th + 0.3).saturating)
@@ -69,7 +69,7 @@ def test_null_outcome_povm():
     fam = phase_qubit()
     th = 0.3
     psi = fam.psi(th)
-    perp = perp_component(psi, fam.dpsi(th))
+    perp = perp_component(psi, fam.psi_dpsi(th)[1])
     povm = Povm(vectors=np.array([perp / np.linalg.norm(perp), psi]))
     rep = assert_matches_oracle(povm, fam, th)
     assert rep.regularity_residual > 1e-3 and not rep.saturating
@@ -78,6 +78,7 @@ def test_null_outcome_povm():
 def test_bell_mixture_against_rank_two_tree():
     ranktwo = builtin_scenario("ranktwo").family
     bellmix = builtin_scenario("bellmix").family
-    tree = synthesize_tree(saturation_matrices(ranktwo, 0.5).target.dense(), ranktwo.layout)
+    target = saturation_matrices(ranktwo, 0.5).target.dense()
+    tree = synthesize_tree(KetBraSum.from_dense(target), ranktwo.layout)
     rep = assert_matches_oracle(flatten(tree), bellmix, 0.5)
     assert not rep.saturating

@@ -26,14 +26,13 @@ from loccfisher import (DegenerateLikelihoodError, IsometryPair, MixedGenericFam
                         leaf_vectors, lm_povm_from_pair, qfi, saturation_matrices, sld,
                         synthesize_at, synthesize_tree, verify_tree)
 from loccfisher.locc import LEAF_TOL
-from loccfisher.scenarios import (PauliStringTerm, builtin_scenario, hamiltonian_from_pauli,
-                                  parse_scenario, pauli_diagonal)
+from loccfisher.scenarios import PauliStringTerm, builtin_scenario, parse_scenario
 from loccfisher import simulate
 from loccfisher.simulate import GRID_POINTS, LOG_FLOOR, _mle, _OutcomeLaw, _path_prob_fns
-from loccfisher.tensor import HilbertLayout, complex_to_pairs
+from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs
 
-from conftest import (random_density, random_hermitian, random_pure_family, random_pure_inputs,
-                      random_state)
+from conftest import (pauli_doc, pauli_weights_matrix, random_density, random_hermitian,
+                      random_pure_family, random_pure_inputs, random_state)
 from oracles import (dense_saturation, dense_target, golden_mle, leaf_vectors_kron,
                      pauli_sum_matrix, per_matrix_saturation)
 from test_locc import random_tree
@@ -63,7 +62,8 @@ def synthesized(draw):
     family = make(dims, rng)
     theta = draw(st.floats(0.1, 0.9))
     m_tilde = saturation_matrices(family, theta).target.dense()
-    return family, theta, synthesize_tree(m_tilde, family.layout, order), m_tilde
+    tree = synthesize_tree(KetBraSum.from_dense(m_tilde), family.layout, order)
+    return family, theta, tree, m_tilde
 
 
 def oracle_report(povm, family, theta):
@@ -112,8 +112,8 @@ def test_bell_mixture_never_saturates(seed, order, rank_two, theta):
     bellmix = builtin_scenario("bellmix").family
     make = random_rank_two_family if rank_two else random_pure_family
     family = make((2, 2), np.random.default_rng(seed))
-    tree = synthesize_tree(saturation_matrices(family, theta).target.dense(), family.layout,
-                           order)
+    target = KetBraSum.from_dense(saturation_matrices(family, theta).target.dense())
+    tree = synthesize_tree(target, family.layout, order)
     povm = flatten(tree)
     rep = check_saturation(povm, bellmix, theta)
     assert not rep.saturating
@@ -209,11 +209,13 @@ def pauli_sums(draw, max_qubits, letters="IXYZ"):
 @PROPERTY
 @given(pauli_sums(6))
 def test_pauli_masks_match_the_kron_sum_bit_for_bit(case):
+    # the mask weights scattered into a matrix, and an I/Z sum's diagonal as its family holds it
     layout, terms = case
     want = pauli_sum_matrix(terms, layout.total)
-    assert hamiltonian_from_pauli(terms, layout).tobytes() == want.tobytes()
+    assert pauli_weights_matrix(terms, layout).tobytes() == want.tobytes()
     if all(ch in "IZ" for term in terms for ch in term.string):
-        assert pauli_diagonal(terms, layout).tobytes() == np.diag(want).real.tobytes()
+        generator = parse_scenario(pauli_doc(layout, terms)).family.generator
+        assert generator.tobytes() == np.diag(want).real.tobytes()
 
 
 @PROPERTY

@@ -16,11 +16,11 @@ from loccfisher import cli, metrology
 from loccfisher.cli import build_parser, cli_main
 from loccfisher.locc import leaf_vectors, tree_from_json, tree_to_json
 from loccfisher.scenarios import (PauliStringTerm, Scenario, _ghz_doc, bell_states,
-                                  builtin_names, builtin_scenario, hamiltonian_from_pauli,
-                                  parse_scenario, pauli_diagonal)
-from loccfisher.tensor import HilbertLayout, complex_to_pairs, kron
+                                  builtin_names, builtin_scenario, parse_scenario)
+from loccfisher.tensor import PERP_TOL, HilbertLayout, complex_to_pairs, kron
 
-from conftest import I2, PAULI_X, PAULI_Z, random_density, random_hermitian
+from conftest import (I2, PAULI_X, PAULI_Z, pauli_doc, pauli_weights_matrix, random_density,
+                      random_hermitian)
 from oracles import pauli_term_matrix
 
 
@@ -44,6 +44,15 @@ def xy_chain_w_doc(n):
     return {"name": f"xyw{n}", "type": "unitary-generator", "layout": [2] * n,
             "psi_in": complex_to_pairs(psi_in), "hamiltonian": {"pauli": terms},
             "theta_grid": [0.3]}
+
+
+def generic_qubit_pair():
+    """2 x 2 coefficient matrices, Tr A^dag B = 0, that the qubit construction answers."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    a /= np.sqrt(np.trace(a.conj().T @ a).real)
+    return a, b - np.trace(a.conj().T @ b) * a
 
 
 def bell_mixture_doc():
@@ -70,28 +79,22 @@ class TestPauliStrings:
         want = (kron([PAULI_X, PAULI_X, I2, I2])
                 + kron([I2, PAULI_X, PAULI_X, I2])
                 + kron([I2, I2, PAULI_X, PAULI_X]))
-        assert np.abs(hamiltonian_from_pauli(terms, lay) - want).max() < 1e-15
+        assert np.abs(pauli_weights_matrix(terms, lay) - want).max() < 1e-15
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamiltonian_from_pauli([PauliStringTerm(1.0, "XX")],
-                                   HilbertLayout((2, 2, 2)))
+        with pytest.raises(ValueError, match="does not match 3 qubits"):
+            parse_scenario(pauli_doc(HilbertLayout((2, 2, 2)), [PauliStringTerm(1.0, "XX")]))
 
     def test_requires_qubits(self):
-        with pytest.raises(ValueError):
-            hamiltonian_from_pauli([PauliStringTerm(1.0, "XX")],
-                                   HilbertLayout((2, 3)))
+        with pytest.raises(ValueError, match="require a qubit layout"):
+            parse_scenario(pauli_doc(HilbertLayout((2, 3)), [PauliStringTerm(1.0, "XX")]))
 
     def test_iz_sum_diagonal_matches_dense(self):
         lay = HilbertLayout((2, 2, 2))
         terms = [PauliStringTerm(0.5, "ZII"), PauliStringTerm(-1.5, "IZZ"),
                  PauliStringTerm(0.25, "III")]
-        dense = hamiltonian_from_pauli(terms, lay)
-        assert np.array_equal(np.diag(pauli_diagonal(terms, lay)), dense)
-        with pytest.raises(ValueError, match="I and Z"):
-            pauli_diagonal([PauliStringTerm(1.0, "XZI")], lay)
-        with pytest.raises(ValueError, match="qubits"):
-            pauli_diagonal([PauliStringTerm(1.0, "ZZ")], lay)
+        family = parse_scenario(pauli_doc(lay, terms)).family
+        assert np.array_equal(np.diag(family.generator), pauli_weights_matrix(terms, lay))
 
     def test_dense_fallback_past_the_krylov_cap(self, monkeypatch):
         # chain4's Krylov space needs three steps; with two, G is built column by
@@ -159,8 +162,8 @@ class TestBuiltins:
     def test_round_trip_idempotent(self):
         for name in builtin_names():
             sc = builtin_scenario(name)
-            doc = sc.to_json()
-            again = parse_scenario(doc).to_json()
+            doc = sc.doc
+            again = parse_scenario(doc).doc
             assert json.dumps(doc, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
@@ -504,11 +507,7 @@ class TestCliLmCheck:
     def test_qubit_constructive_path(self, tmp_path, capsys):
         # generic coefficients: C has no zero entries, so the constructed
         # pair meets the support condition vacuously and is used directly
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        a /= np.sqrt(np.trace(a.conj().T @ a).real)
-        b -= np.trace(a.conj().T @ b) * a
+        a, b = generic_qubit_pair()
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         pa.write_text(json.dumps(complex_to_pairs(a)))
         pb.write_text(json.dumps(complex_to_pairs(b)))
@@ -517,6 +516,23 @@ class TestCliLmCheck:
         assert doc["method"] == "qubit-constructive"
         assert doc["feasible"] is True
         assert doc["phase_residual"] < 1e-8
+
+    @pytest.mark.parametrize("overlap", [0.9e-9, 0.9e-10])
+    def test_pair_off_orthogonal_refused_past_perp_tol(self, tmp_path, capsys, overlap):
+        # |Tr A^dag B| = overlap: past PERP_TOL the pair is refused at the boundary; below
+        # it the conditioned targets of the construction pass their trace check
+        a, b = generic_qubit_pair()
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(complex_to_pairs(a)))
+        pb.write_text(json.dumps(complex_to_pairs(b + 1j * overlap * a)))
+        argv = ["lm-check", "--a-mat", str(pa), "--b-mat", str(pb)]
+        if overlap > PERP_TOL:
+            assert cli_main(argv) == 1
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "coefficient matrices are not orthogonal", "kind": "validation"}
+        else:
+            assert cli_main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["method"] == "qubit-constructive"
 
     def test_matrix_file_input(self, tmp_path, capsys):
         s2 = np.sqrt(2)
@@ -643,11 +659,7 @@ class TestCliErrors:
                                                                   route, flags, error):
         # a generic 2 x 2 pair is answered by the qubit construction, lm3x3 by the
         # search; each route is checked with valid flags first
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        a /= np.sqrt(np.trace(a.conj().T @ a).real)
-        b -= np.trace(a.conj().T @ b) * a
+        a, b = generic_qubit_pair()
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         pa.write_text(json.dumps(complex_to_pairs(a)))
         pb.write_text(json.dumps(complex_to_pairs(b)))
@@ -757,6 +769,9 @@ class TestCliErrors:
         ("verify", lambda d: {**d, "order": 5}),
         ("verify", lambda d: {**d, "layout": 5}),
         ("verify", lambda d: {**d, "layout": [None, 2]}),
+        ("verify", lambda d: {**d, "layout": [2.9, 2]}),
+        ("verify", lambda d: {**d, "layout": ["2", 2.9]}),
+        ("verify", lambda d: {**d, "order": [0, True]}),
         ("verify", lambda d: [d]),
         ("verify", lambda d: None),
         ("qfi", lambda d: {**d, "layout": 5}),
@@ -769,7 +784,9 @@ class TestCliErrors:
         ("qfi", lambda d: {**builtin_scenario("ranktwo").doc, "p": 5}),
         ("qfi", lambda d: {**builtin_scenario("ranktwo").doc, "psi0": {"re": 1.0}}),
         ("qfi", lambda d: {**builtin_scenario("bellmix").doc, "rho1": {"re": 1.0}}),
-        ("qfi", lambda d: {**d, "theta_grid": {"start": None, "stop": 1.0}})])
+        ("qfi", lambda d: {**d, "theta_grid": {"start": None, "stop": 1.0}}),
+        ("qfi", lambda d: {**d, "layout": [2.5, 2.5]}),
+        ("qfi", lambda d: {**d, "theta_grid": {"start": 0.0, "stop": 1.0, "points": 3.7}})])
     def test_document_of_the_wrong_json_shape_exit_1(self, tmp_path, capsys, command, edit):
         # a tree (verify) or scenario (qfi) document whose entries have the wrong JSON type
         tree = tmp_path / "tree.json"
@@ -782,6 +799,27 @@ class TestCliErrors:
         assert cli_main([*argv, str(path)]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.err)["kind"] == "validation" and captured.out == ""
+
+    @pytest.mark.parametrize("command, field, value, error", [
+        ("verify", "layout", ["2", 2], "layout entry must be an integer, got '2'"),
+        ("verify", "order", [0, True], "order entry must be an integer, got True"),
+        ("qfi", "theta_grid", {"start": 0.0, "stop": 1.0, "points": 3.7},
+         "theta_grid points must be an integer, got 3.7")])
+    def test_integer_field_of_another_type_is_named(self, tmp_path, capsys, command, field,
+                                                    value, error):
+        # a float, bool or string where an integer belongs is refused, not truncated
+        tree = tmp_path / "tree.json"
+        assert cli_main(["synthesize", "ghz2", "--theta", "0.3", "--out", str(tree)]) == 0
+        doc = json.loads(tree.read_text()) if command == "verify" else _ghz_doc(2)
+        doc[field] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        argv = ["verify", "ghz2", "--tree"] if command == "verify" else ["qfi"]
+        assert cli_main([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": error, "kind": "validation"}
+        assert captured.out == ""
 
     @pytest.mark.parametrize("grid", [{"start": 0.0, "stop": 1.0, "points": 0}, [],
                                       [[0.1, 0.2]], 0.3, [0.1, float("nan")]])

@@ -20,15 +20,15 @@ from loccfisher.locc import MeasurementTree, flatten, leaf_vectors
 from loccfisher.scenarios import builtin_scenario
 from loccfisher import simulate
 from loccfisher.simulate import _mle, _OutcomeLaw, _path_prob_fns, _score_root, _trial_rng
-from loccfisher.tensor import PRIOR_EDGE_REL, HilbertLayout
+from loccfisher.tensor import PRIOR_EDGE_REL, HilbertLayout, KetBraSum
 
 from conftest import ghz_family, random_pure_family
 from oracles import golden_mle, sample_paths
 
 
 def synth(family, theta):
-    return synthesize_tree(saturation_matrices(family, theta).target.dense(),
-                           family.layout)
+    target = saturation_matrices(family, theta).target.dense()
+    return synthesize_tree(KetBraSum.from_dense(target), family.layout)
 
 
 def phase_qubit():
@@ -102,7 +102,7 @@ class TestLeafDistribution:
         povm = flatten(tree)
         rho = bellmix.rho_drho(th)[0]
         want = np.array([np.vdot(e, rho @ e).real for e in povm.vectors])
-        assert paths == povm.labels
+        assert paths == [path for path, _ in leaf_vectors(tree)]
         assert np.abs(probs - want / want.sum()).max() < 1e-12
 
     def test_mixed_family_law_evaluates_rho_once(self):
@@ -425,7 +425,7 @@ class TestRunTrials:
         th = 1.1
         rho, drho = eval_state(fam, th)
         povm = Povm(vectors=basis.T)
-        f = fisher_info(povm, rho, drho)
+        f = fisher_info(povm, KetBraSum.from_dense(rho), KetBraSum.from_dense(drho))
         assert 0.01 < f < 0.999
         rep = run_trials(SimConfig(family=fam, theta_true=th, shots=40_000,
                                    trials=400, seed=12, prior=(0.2, 2.0), tree=tree))

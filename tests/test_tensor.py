@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from loccfisher.tensor import (HilbertLayout, KetBraSum, check_finite, check_orthonormal,
+from loccfisher.tensor import (HilbertLayout, KetBraSum, check_finite, check_int, check_orthonormal,
                                check_real_diagonal, check_trace, check_traceless, check_unit,
                                complex_to_pairs, herm_eig, kron, pairs_to_complex,
                                partial_expectation, partial_trace, recenter, sqrt_psd)
@@ -24,6 +24,17 @@ class TestLayout:
             HilbertLayout(())
         with pytest.raises(ValueError):
             HilbertLayout((2, 1))
+
+    def test_numpy_integer_dims_are_plain_ints(self):
+        lay = HilbertLayout((np.int64(2), np.uint8(3)))
+        assert lay.dims == (2, 3) and all(type(d) is int for d in lay.dims)
+
+    @pytest.mark.parametrize("bad", [2.0, 2.9, np.float64(2.0), True, np.bool_(True), "2", None])
+    def test_check_int_refuses_every_other_type(self, bad):
+        with pytest.raises(ValueError, match=r"^count must be an integer, got "):
+            check_int(bad, "count")
+        with pytest.raises(ValueError, match="layout entry must be an integer"):
+            HilbertLayout((2, bad))
 
 
 class TestKetBraSum:
