@@ -11,13 +11,14 @@ D vanishes wherever C does (support condition).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import metrology
-from .tensor import (P_TOL, PERP_TOL, UNIT_TOL, HilbertLayout, as_layout, check_finite,
-                     check_orthonormal, check_trace)
+from .tensor import (LM_STALL_REL, LM_STALL_WINDOW, LM_STOP_TOL, P_TOL, PERP_TOL, UNIT_TOL,
+                     HilbertLayout, as_layout, check_finite, check_orthonormal, check_trace)
 from .zerodiag import ZeroDiagConvergenceError, simultaneous_zero_diag, zero_diag_basis
 
 PHASE_TOL = 1e-8
@@ -212,9 +213,10 @@ def least_squares(fun, x0, jac, stop=None, **kwargs):
     MALLOC_PERTURB_ shows it), so one seed could give two pairs. fun and jac
     run once per x: leastsq checks both at x0, and lmder asks for fun at x0
     again. ``stop(x, f)``, if given, is asked after every residual
-    evaluation f = fun(x); when it holds, lmder ends there and the result
-    has that x and the number of evaluations made. A stop that never holds
-    leaves the lmder call as it is without one.
+    evaluation f = fun(x); when it returns an x (this one or an earlier
+    one), lmder ends there and the result has that x and the number of
+    evaluations made. A stop that always returns None leaves the lmder call
+    as it is without one.
     """
     from scipy.optimize import OptimizeResult, leastsq
     n, nfev = len(x0), 0
@@ -234,8 +236,9 @@ def least_squares(fun, x0, jac, stop=None, **kwargs):
         nonlocal nfev
         f = fun(y[:n])
         nfev += 1
-        if stop is not None and stop(y[:n], f):
-            raise _Stopped(y[:n].copy())
+        end = None if stop is None else stop(y[:n], f)
+        if end is not None:
+            raise _Stopped(np.array(end))
         return np.append(f, 0.0)
 
     def bordered(y):
@@ -271,13 +274,20 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     |D_ij| = 0. When U and V have the same size (d1 = m2) their exponents go
     through one stacked exp map. Exact zero residuals and Jacobian rows make
     up the count where the 2 d1 m2 residuals are fewer than the
-    d1^2 + m2^2 parameters. ``iters`` caps each restart's lmder function
-    calls: a repeated x counts again, though it is evaluated once, and
-    Jacobian evaluations are not counted. A restart ends at the
-    first evaluation whose pair meets the tolerances with both residuals
-    below 1e-10, and the search returns that pair; otherwise it returns the
-    best pair of all restarts. A restart that never meets that rule runs the
-    same lmder iterates as with no stop at all.
+    d1^2 + m2^2 parameters. A restart ends at the first evaluation whose
+    pair meets the tolerances with both residuals below ``LM_STOP_TOL``, and
+    the search returns that pair; its lmder iterates up to there are those
+    of a call with no stop at all. A restart whose best residual norm so far
+    stays above ``LM_STOP_TOL`` and has fallen by at most ``LM_STALL_REL``
+    of itself over the last ``LM_STALL_WINDOW`` evaluations has stalled: it
+    ends there with its best evaluated pair, which need not be the pair of
+    the evaluation that saw the stall. Without a feasible restart the search
+    returns the best pair of all restarts. ``iters`` caps each restart's
+    lmder function calls, Jacobian evaluations not counted; since the
+    stall ends almost every infeasible restart first, it is rarely reached.
+    The ``nfev`` of a restart that lmder ends counts a repeated x again,
+    though it is evaluated once; a restart that the stop ends, feasible or
+    stalled, which is now most of them, reports its distinct evaluations.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -328,15 +338,30 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     def settle(x):      # the pair at x, its report, and whether it meets the stop rule
         pair = IsometryPair(*evaluate(x)[1:3])
         rep = check_lm_conditions(pair, coeffs, phase_tol, support_tol)
-        return pair, rep, rep.feasible and max(rep.phase_residual, rep.support_residual) < 1e-10
+        worst = max(rep.phase_residual, rep.support_residual)
+        return pair, rep, rep.feasible and worst < LM_STOP_TOL
 
-    def stop(x, f):     # the check's phase residual is twice the largest phase row
-        return 2 * np.abs(f[:d1 * m2]).max() < 1e-10 and settle(x)[2]
+    def restart_stop():     # one restart's stop: its first feasible x, or its best x once stalled
+        best, best_x = np.inf, None
+        back = deque([np.inf] * LM_STALL_WINDOW, maxlen=LM_STALL_WINDOW)   # best per evaluation
+
+        def stop(x, f):     # the check's phase residual is twice the largest phase row
+            nonlocal best, best_x
+            if 2 * np.abs(f[:d1 * m2]).max() < LM_STOP_TOL and settle(x)[2]:
+                return x
+            norm = np.sqrt(f @ f)
+            if norm < best:
+                best, best_x = norm, x.copy()
+            old = back[0]
+            back.append(best)
+            return best_x if LM_STOP_TOL < best >= (1 - LM_STALL_REL) * old else None
+        return stop
 
     rng = np.random.default_rng(seed)
     best_pair, best_rep, best_val = None, None, np.inf
     for used in range(1, restarts + 1):
-        sol = least_squares(resid_vec, rng.standard_normal(n_u + n_v), jac=jacobian, stop=stop,
+        sol = least_squares(resid_vec, rng.standard_normal(n_u + n_v), jac=jacobian,
+                            stop=restart_stop(),
                             maxfev=iters, xtol=1e-15, ftol=1e-15, gtol=1e-15)
         pair, rep, done = settle(sol.x)
         val = max(rep.phase_residual, rep.support_residual)

@@ -52,6 +52,11 @@ FLAT_REL = 1e-9           # log-likelihood spread of a flat grid, relative to |m
 MLE_WIDTH = 1e-10         # stopping step and half-bracket of the MLE score root, at least 4 eps |theta|
 PRIOR_EDGE_REL = 1e-9     # distance from a prior endpoint, relative to hi - lo
 KRYLOV_TOL = 1e-12        # Lanczos beta that closes a Krylov space, relative to the largest ||G v||
+LM_STOP_TOL = 1e-10       # phase and support residual that ends a search restart feasible, absolute
+LM_STALL_REL = 1e-4       # largest fall of a restart's best residual norm, relative to the best
+                          # LM_STALL_WINDOW evaluations back, that ends it as stalled while the
+                          # best stays above LM_STOP_TOL
+LM_STALL_WINDOW = 20      # residual evaluations over which LM_STALL_REL is measured, a count
 
 
 @dataclass(frozen=True)

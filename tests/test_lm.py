@@ -18,7 +18,7 @@ from loccfisher import (BipartiteCoeffs, IsometryPair, UnitaryGeneratorFamily,
 from loccfisher.cli import cli_main
 from loccfisher.lm import PHASE_TOL
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import PERP_TOL, HilbertLayout, complex_to_pairs
+from loccfisher.tensor import LM_STOP_TOL, PERP_TOL, HilbertLayout, complex_to_pairs
 
 from conftest import random_state
 from oracles import central_jacobian, lm_search_residuals, scipy_lm
@@ -376,7 +376,8 @@ class TestSearchJacobian:
         # without the zero border of lm.least_squares, MINPACK's iterates on these
         # rank-deficient Jacobians change with the contents of newly allocated
         # memory, which glibc fills with the byte MALLOC_PERTURB_ names (other C
-        # libraries ignore the variable)
+        # libraries ignore the variable); these projective restarts end stalled,
+        # so their best evaluated pairs are the same too
         assert_same_pairs_whatever_new_memory_holds("restarts=1, seed=seed")
 
 
@@ -451,6 +452,76 @@ class TestStopAtFirstFeasibleEvaluation:
         # every one of these restarts ends at the stop
         assert_same_pairs_whatever_new_memory_holds(
             "restarts=1, seed=seed, allow_isometry_padding=True")
+
+
+def pair_at(x, d1, d2, padded):
+    """The pair a search parameter vector x encodes: U = exp(iH) and the first d2 rows of V."""
+    m2 = d2 + 1 if padded else d2
+    u = lm._ExpMap(d1)(x[None, :d1 * d1])[2][0]
+    v = lm._ExpMap(m2)(x[None, d1 * d1:])[2][0][:d2]
+    return IsometryPair(u, v)
+
+
+class TestStallStop:
+    def test_projective_restarts_end_stalled_at_their_best_evaluation(self, monkeypatch):
+        _, coeffs = scenario_coeffs("lm3x3")
+        fun, _ = search_problem(coeffs, False)
+        norms, sols = [], []
+        real = lm.least_squares
+
+        def spy(fun, x0, jac, **kw):
+            seen = []
+            norms.append(seen)
+            sols.append(real(lambda x: seen.append(np.linalg.norm(f := fun(x))) or f,
+                             x0, jac, **kw))
+            return sols[-1]
+
+        monkeypatch.setattr(lm, "least_squares", spy)
+        iters = 300
+        _, rep = heuristic_lm_search(coeffs, restarts=4, iters=iters)
+        assert not rep.feasible and len(sols) == 4
+        # each ends below iters, and on average below half of it
+        assert sum(sol.nfev for sol in sols) < len(sols) * iters // 2
+        for sol, seen in zip(sols, norms):
+            assert sol.nfev == len(seen) < iters
+            # the result is the best evaluated x, whichever evaluation saw the stall
+            assert np.linalg.norm(fun(sol.x)) == min(seen)
+        # and here a stall is seen at an evaluation worse than the best
+        assert any(seen[-1] > min(seen) for seen in norms)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dims=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 3)]), padded=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # slow feasible restarts among seeds 0-149 (159-298 evaluations), cut first by a too eager stall
+    @example(dims=(3, 3), padded=True, seed=112)
+    @example(dims=(3, 3), padded=True, seed=86)
+    @example(dims=(2, 2), padded=True, seed=118)
+    @example(dims=(2, 4), padded=False, seed=149)
+    @example(dims=(2, 3), padded=False, seed=21)
+    @example(dims=(2, 2), padded=False, seed=14)
+    def test_stall_never_cuts_a_feasible_restart(self, dims, padded, seed):
+        d1, d2 = dims
+        m2 = d2 + 1 if padded else d2
+        coeffs = random_coeffs(d1, d2, np.random.default_rng(seed))
+        fun, jac = search_problem(coeffs, padded)
+
+        def feasible(x, f):     # the search's own rule, without the stall
+            if 2 * np.abs(f[:d1 * m2]).max() < LM_STOP_TOL:
+                rep = check_lm_conditions(pair_at(x, d1, d2, padded), coeffs)
+                if rep.feasible and max(rep.phase_residual, rep.support_residual) < LM_STOP_TOL:
+                    return x
+            return None
+
+        # the search's first restart starts from the seed's first draw
+        x0 = np.random.default_rng(seed).standard_normal(d1 * d1 + m2 * m2)
+        want = lm.least_squares(fun, x0, jac, stop=feasible, maxfev=300,
+                                xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        assume(feasible(want.x, fun(want.x)) is not None)
+        pair, rep = heuristic_lm_search(coeffs, restarts=1, seed=seed,
+                                        allow_isometry_padding=padded)
+        found = pair_at(want.x, d1, d2, padded)
+        assert rep.feasible
+        assert np.array_equal(pair.u_mat, found.u_mat) and np.array_equal(pair.v_mat, found.v_mat)
 
 
 class TestRandomPairVerdicts:
