@@ -13,7 +13,8 @@ from .zerodiag import (ZeroDiagConvergenceError, find_null_vector,
                        simultaneous_zero_diag, solve_2x2, zero_diag_basis)
 from .locc import (DiscriminationReport, MeasurementTree, SynthesisError,
                    bloch_rows, discriminate, flatten, leaf_vectors, synthesize_at,
-                   synthesize_tree, tree_from_json, tree_to_json, verify_tree)
+                   synthesize_tree, synthesize_trees, tree_from_json, tree_to_json,
+                   verify_tree)
 from .lm import (BipartiteCoeffs, IsometryPair, LmFeasibilityReport,
                  SearchReport, check_lm_conditions, coefficient_matrices,
                  construct_lm_2xd, heuristic_lm_search, lm_povm_from_pair)

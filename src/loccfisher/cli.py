@@ -106,11 +106,13 @@ def _cmd_qfi(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     sc, theta = _scenario_at(args)
-    if metrology.qfi(sc.family, theta) < QFI_FLOOR:
+    frame = metrology.saturation_matrices(sc.family, theta)
+    if frame.qfi < QFI_FLOOR:
         raise ValueError(
             f"scenario {sc.name!r} carries no information at theta={theta}; "
             "synthesis skipped")
-    tree = locc.synthesize_at(sc.family, theta, _order_arg(args.order))
+    order = _order_arg(args.order)
+    tree = locc.synthesize_tree(locc.synthesis_target(frame), sc.family.layout, order)
     _emit(locc.tree_to_json(tree), args.out)
     if args.out:
         # a tree has one leaf per product basis state

@@ -116,8 +116,8 @@ class MeasurementTree:
 
 def _lead(cur: np.ndarray, pos: int) -> np.ndarray:
     """(P, K, *dims) -> (P, d, K, rest): axis ``pos`` of dims first, the others flattened."""
-    p, k = cur.shape[:2]
-    return np.moveaxis(cur, 2 + pos, 1).reshape(p, cur.shape[2 + pos], k, -1)
+    axes = [0, 2 + pos, 1] + [i for i in range(2, cur.ndim) if i != 2 + pos]  # moveaxis, cheaper
+    return cur.transpose(axes).reshape(cur.shape[0], cur.shape[2 + pos], cur.shape[1], -1)
 
 
 def _condition(lead: np.ndarray, bases: np.ndarray, rest_dims: tuple[int, ...]) -> np.ndarray:
@@ -127,10 +127,10 @@ def _condition(lead: np.ndarray, bases: np.ndarray, rest_dims: tuple[int, ...]) 
     return out.reshape((p * d, k) + rest_dims)
 
 
-def _node_bases(reduced: np.ndarray, depth: int, scale: float) -> np.ndarray:
+def _node_bases(reduced: np.ndarray, depth: int, scale: np.ndarray) -> np.ndarray:
     """Zero-diagonalizing bases (P, d, d) of the P node reductions of one depth.
 
-    One trace test bounds every node's drift by NODE_TRACE_TOL * max(1, scale);
+    One trace test bounds each node's drift by NODE_TRACE_TOL * max(1, its scale);
     the nodes are re-centered together and the whole stack goes through one
     ``zero_diag_basis`` call, whatever d is.
     """
@@ -138,67 +138,77 @@ def _node_bases(reduced: np.ndarray, depth: int, scale: float) -> np.ndarray:
                                            NODE_TRACE_TOL, scale, SynthesisError))
 
 
-def synthesize_tree(m_tilde: KetBraSum, layout: HilbertLayout | Sequence[int],
-                    order: Sequence[int] | None = None) -> MeasurementTree:
-    """Adaptive tree whose leaves zero-sandwich the traceless target matrix.
+def synthesize_trees(targets: Sequence[KetBraSum], layout: HilbertLayout | Sequence[int],
+                     order: Sequence[int] | None = None) -> list[MeasurementTree]:
+    """One adaptive tree per traceless target, whose leaves zero-sandwich it.
 
-    The target is factored, m_tilde = sum_k |a_k><b_k| + c I; a dense matrix m
-    enters as its D ket-bra rows, ``KetBraSum.from_dense(m)``. At each node
-    the target, conditioned on all previous outcomes, is traced down to the
-    current subsystem and zero-diagonalized; each basis vector spawns one
-    child on the remaining subsystems. Conditioning on outcome u maps a_k,
-    b_k to (<u| x I) a_k, (<u| x I) b_k and keeps c, so a node's reduction
-    is A B^dag + c rest I with A, B the d x (K rest) reshapes of its
-    conditioned kets and bras. The nodes of one depth are conditioned
-    together. Conditioned matrices stay traceless by construction; their
-    numerical trace drift is re-centered and asserted small.
+    A target is factored, m_tilde = sum_k |a_k><b_k| + c I, with one K for all
+    (a dense m enters as ``KetBraSum.from_dense(m)``). Conditioning on outcome
+    u maps a_k, b_k to (<u| x I) a_k, (<u| x I) b_k and keeps c, so a node's
+    reduction is A B^dag + c rest I, which is zero-diagonalized; each basis
+    vector spawns one child. Depth t of every tree is one tree-major (T P_t, d,
+    d) stack with one trace check and one ``zero_diag_basis`` call (an error
+    names a node by its stack index); a node's basis does not depend on the
+    rest of the stack, and each tree keeps its own scale, shift and leaf check.
     """
     layout = as_layout(layout)
     order = _check_order(layout, order)
-    if m_tilde.dim != layout.total:
-        raise ValueError(f"target dimension {m_tilde.dim} does not match layout "
-                         f"{list(layout.dims)}")
-    scale = m_tilde.norm()
-    # tested only: the target is conditioned as given, each node re-centers its reduction
-    check_trace(m_tilde, "target matrix", TARGET_TRACE_TOL, scale)
+    if not targets:
+        return []
+    k, scales = targets[0].kets.shape[0], np.array([m_tilde.norm() for m_tilde in targets])
+    for m_tilde, scale in zip(targets, scales):
+        if m_tilde.dim != layout.total or m_tilde.kets.shape[0] != k:
+            raise ValueError(f"target of {m_tilde.kets.shape[0]} rows of dimension {m_tilde.dim} "
+                             f"does not stack with {k} rows on layout {list(layout.dims)}")
+        # tested only: the target is conditioned as given, each node re-centers its reduction
+        check_trace(m_tilde, "target matrix", TARGET_TRACE_TOL, scale)
 
-    k = m_tilde.kets.shape[0]
-    cur = np.concatenate([m_tilde.kets, m_tilde.bras]).reshape((1, 2 * k) + layout.dims)
+    trees = len(targets)
+    shifts = np.array([m_tilde.shift for m_tilde in targets])[:, None, None, None]
+    cur = np.concatenate([rows for m in targets for rows in (m.kets, m.bras)]).reshape(
+        (trees, 2 * k) + layout.dims)
     remaining = list(range(layout.nsub))
     levels = []
     for depth, sub in enumerate(order):
         lead = _lead(cur, remaining.index(sub))
         remaining.remove(sub)
         p, d, _, rest = lead.shape
-        kets = lead[:, :, :k].reshape(p, d, k * rest)
-        bras = lead[:, :, k:].reshape(p, d, k * rest)
-        reduced = kets @ bras.conj().transpose(0, 2, 1) + (m_tilde.shift * rest) * np.eye(d)
-        bases = _node_bases(reduced, depth, scale)
-        levels.append(bases)
+        a = lead[:, :, :k].reshape(p, d, k * rest)      # the A and B of each node
+        b = lead[:, :, k:].reshape(p, d, k * rest)
+        reduced = (a @ b.conj().swapaxes(1, 2)).reshape(trees, -1, d, d) + shifts * rest * np.eye(d)
+        bases = _node_bases(reduced.reshape(p, d, d), depth, scales.repeat(p // trees))
+        levels.append(bases.reshape(reduced.shape))
         cur = _condition(lead, bases, tuple(layout.dims[i] for i in remaining))
 
-    tree = MeasurementTree(layout, order, levels)
-    amps = cur.reshape(-1, 2 * k)       # every leaf's overlaps with the kets and bras
-    worst = float(np.abs(m_tilde.sandwich(amps[:, :k], amps[:, k:])).max())
-    if worst > LEAF_TOL * scale:
-        raise SynthesisError(
-            f"leaf condition violated: residual {worst:.3e} > {LEAF_TOL:.0e} * norm")
-    return tree
+    out = [MeasurementTree(layout, order, [stack[t] for stack in levels]) for t in range(trees)]
+    # every leaf's overlaps with the kets and bras, per tree
+    for m_tilde, scale, amps in zip(targets, scales, cur.reshape(trees, -1, 2 * k)):
+        worst = float(np.abs(m_tilde.sandwich(amps[:, :k], amps[:, k:])).max())
+        if worst > LEAF_TOL * scale:
+            raise SynthesisError(
+                f"leaf condition violated: residual {worst:.3e} > {LEAF_TOL:.0e} * norm")
+    return out
+
+
+def synthesize_tree(m_tilde: KetBraSum, layout: HilbertLayout | Sequence[int],
+                    order: Sequence[int] | None = None) -> MeasurementTree:
+    """The tree of one target: ``synthesize_trees`` of a stack of one."""
+    return synthesize_trees([m_tilde], layout, order)[0]
+
+
+def synthesis_target(frame: metrology.SaturationMatrices) -> KetBraSum:
+    """The frame's rank-one target; a family without one is a ValueError."""
+    if frame.target is None:
+        raise ValueError("family has no rank-one synthesis target (a generic mixed "
+                         "family of rank > 2, or of rank two with a moving eigenbasis)")
+    return frame.target
 
 
 def synthesize_at(family: metrology.StateFamily, theta: float,
                   order: Sequence[int] | None = None) -> MeasurementTree:
-    """The tree that saturates the QCRB of a pure or fixed-basis rank-two family at theta.
-
-    Synthesizes the family's rank-one target m_tilde of ``saturation_matrices``;
-    a generic mixed family of rank > 2, or of rank two with an eigenbasis that
-    moves with theta, has none, which is a ValueError.
-    """
-    target = metrology.saturation_matrices(family, theta).target
-    if target is None:
-        raise ValueError("family has no rank-one synthesis target (a generic mixed "
-                         "family of rank > 2, or of rank two with a moving eigenbasis)")
-    return synthesize_tree(target, family.layout, order)
+    """The tree that saturates the QCRB of a pure or fixed-basis rank-two family at theta."""
+    frame = metrology.saturation_matrices(family, theta)
+    return synthesize_tree(synthesis_target(frame), family.layout, order)
 
 
 def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarray]]:

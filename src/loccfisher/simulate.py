@@ -11,7 +11,7 @@ substreams so runs are reproducible bit for bit and trivially parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,7 @@ from .tensor import FLAT_REL, MLE_WIDTH, PRIOR_EDGE_REL
 LOG_FLOOR = 1e-300
 LAW_DECIMALS = 15   # decimals an outcome law keeps for drawing, far above rounding noise
 GRID_POINTS = 512
-SMALL_LAW = 2 ** 16   # K * D up to which a unitary family is always read through its components
+SMALL_LAW = 2 ** 16   # K * D always read through components; T * D of one two-step synthesis
 
 
 class DegenerateLikelihoodError(RuntimeError):
@@ -305,16 +305,32 @@ def _reference_law(config: SimConfig) -> _OutcomeLaw:
     return _OutcomeLaw(config.family, tree, config.prior)
 
 
-def _two_step(config: SimConfig, ref: _OutcomeLaw, rng: np.random.Generator) -> float:
+def _estimate(law: _OutcomeLaw, counts: np.ndarray, prior: tuple[float, float]):
+    """``_mle``, or the DegenerateLikelihoodError it raised: a degenerate trial."""
+    try:
+        return _mle(law, counts, prior)
+    except DegenerateLikelihoodError as exc:
+        return exc
+
+
+def _two_step_block(config: SimConfig, ref: _OutcomeLaw, rngs: list[np.random.Generator]
+                    ) -> list[float | DegenerateLikelihoodError]:
+    """Two-step estimates of a block of trials, one per generator: each trial's
+    rough draw and MLE, one ``synthesize_trees`` call at the rough estimates that
+    survived, then each trial's main law, draw and MLE on the same generator."""
     if config.shots < 16:
         raise ValueError("two-step needs at least 16 shots")
-    family, prior = config.family, config.prior
+    family, prior, theta = config.family, config.prior, config.theta_true
     n_rough = int(np.ceil(np.sqrt(config.shots)))
-    rough = _mle(ref, ref.draw(config.theta_true, n_rough, rng), prior)
     pad = PRIOR_EDGE_REL * (prior[1] - prior[0])
-    rough = float(np.clip(rough, prior[0] + pad, prior[1] - pad))
-    main = _OutcomeLaw(family, locc.synthesize_at(family, rough), prior)
-    return _mle(main, main.draw(config.theta_true, config.shots - n_rough, rng), prior)
+    out = [_estimate(ref, ref.draw(theta, n_rough, rng), prior) for rng in rngs]
+    live = [i for i, rough in enumerate(out) if not isinstance(rough, Exception)]
+    targets = [locc.synthesis_target(metrology.saturation_matrices(
+        family, float(np.clip(out[i], prior[0] + pad, prior[1] - pad)))) for i in live]
+    for i, tree in zip(live, locc.synthesize_trees(targets, family.layout)):
+        law = _OutcomeLaw(family, tree, prior)
+        out[i] = _estimate(law, law.draw(theta, config.shots - n_rough, rngs[i]), prior)
+    return out
 
 
 def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float:
@@ -323,9 +339,13 @@ def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float
     Spends ceil(sqrt(N)) shots on the reference tree (config.tree, else one
     synthesized at the prior midpoint), re-synthesizes at the rough estimate
     (clamped inside the prior) and returns the MLE of the remaining shots,
-    drawn from ``rng``, else from the substream of trial 0.
+    drawn from ``rng``, else from the substream of trial 0: a block of one
+    trial of ``run_trials``. A flat likelihood raises DegenerateLikelihoodError.
     """
-    return _two_step(config, _reference_law(config), rng or _trial_rng(config.seed, 0))
+    est, = _two_step_block(config, _reference_law(config), [rng or _trial_rng(config.seed, 0)])
+    if isinstance(est, DegenerateLikelihoodError):
+        raise est
+    return est
 
 
 def run_trials(config: SimConfig) -> SimReport:
@@ -333,28 +353,25 @@ def run_trials(config: SimConfig) -> SimReport:
 
     Per-trial substreams derive from (seed, trial index); trials raising a
     degenerate-likelihood flag are counted and excluded from the variance.
+    Two-step trials go in blocks of max(1, SMALL_LAW // D) trials (``_two_step_block``).
     The 95% interval on r comes from a percentile bootstrap over trials.
     """
-    j = metrology.qfi(config.family, config.theta_true)
     family, prior = config.family, config.prior
     lo, hi = prior
+    frame = metrology.saturation_matrices(family, config.theta_true)
+    rngs = (_trial_rng(config.seed, trial) for trial in range(config.trials))  # made per block
     # One outcome law per run: the fixed tree's, or the two-step reference tree's.
     if config.strategy == "fixed":
-        tree = config.tree or locc.synthesize_at(family, config.theta_true)
+        tree = config.tree or locc.synthesize_tree(locc.synthesis_target(frame), family.layout)
         law = _OutcomeLaw(family, tree, prior)
-
-        def estimate(rng: np.random.Generator) -> float:
-            return _mle(law, law.draw(config.theta_true, config.shots, rng), prior)
+        outcomes = [_estimate(law, law.draw(config.theta_true, config.shots, rng), prior)
+                    for rng in rngs]
     else:
-        estimate = partial(_two_step, config, _reference_law(config))
-    estimates = []
-    degenerate = 0
-    for trial in range(config.trials):
-        try:
-            estimates.append(estimate(_trial_rng(config.seed, trial)))
-        except DegenerateLikelihoodError:
-            degenerate += 1
-    estimates = np.asarray(estimates)
+        ref, block = _reference_law(config), max(1, SMALL_LAW // family.layout.total)
+        outcomes = [est for start in range(0, config.trials, block)
+                    for est in _two_step_block(config, ref, list(islice(rngs, block)))]
+    estimates = np.array([e for e in outcomes if not isinstance(e, Exception)])
+    degenerate = len(outcomes) - estimates.size
     edge = PRIOR_EDGE_REL * (hi - lo)
     boundary = int(np.sum((np.abs(estimates - lo) < edge) | (np.abs(estimates - hi) < edge)))
     if estimates.size >= 2:
@@ -362,12 +379,12 @@ def run_trials(config: SimConfig) -> SimReport:
         # one draw of all resamples: the same stream as drawing them one by one
         idx = _trial_rng(config.seed, config.trials).integers(
             0, estimates.size, (1000, estimates.size))
-        ratios = config.shots * j * np.var(estimates[idx], axis=1, ddof=1)
-        ci = (float(np.percentile(ratios, 2.5)), float(np.percentile(ratios, 97.5)))
+        ratios = config.shots * frame.qfi * np.var(estimates[idx], axis=1, ddof=1)
+        ci = tuple(map(float, np.percentile(ratios, (2.5, 97.5))))
     else:
         variance, ci = float("nan"), (float("nan"), float("nan"))
     return SimReport(theta_true=config.theta_true, shots=config.shots,
-                     trials=config.trials, qfi=j, estimates=estimates,
-                     variance=variance, ratio=float(config.shots * j * variance), ci95=ci,
+                     trials=config.trials, qfi=frame.qfi, estimates=estimates,
+                     variance=variance, ratio=float(config.shots * frame.qfi * variance), ci95=ci,
                      seed=config.seed, degenerate_trials=degenerate,
                      boundary_hits=boundary)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from loccfisher import (RankTwoFixedBasisFamily, discriminate, flatten,
                         leaf_vectors, qfi, saturation_matrices, synthesize_at,
-                        synthesize_tree, tree_from_json, tree_to_json,
+                        synthesize_tree, synthesize_trees, tree_from_json, tree_to_json,
                         verify_tree)
 from loccfisher import locc
 from loccfisher.cli import cli_main
@@ -67,6 +67,25 @@ class TestSynthesizeTree:
         target = saturation_matrices(fam, 0.3).target.dense()
         with pytest.raises(ValueError):
             synthesize_tree(KetBraSum.from_dense(target), fam.layout, order=[0, 0])
+
+
+    def test_stack_of_none_is_no_tree(self):
+        assert synthesize_trees([], HilbertLayout((2, 2))) == []
+
+    def test_stack_refuses_targets_of_other_row_counts(self):
+        # a pure target has two ket-bra rows, a fixed-basis rank-two target one
+        targets = [saturation_matrices(builtin_scenario(name).family, 0.3).target
+                   for name in ("ghz2", "ranktwo")]
+        with pytest.raises(ValueError, match="target of 1 rows of dimension 4 does not stack"):
+            synthesize_trees(targets, HilbertLayout((2, 2)))
+
+    def test_stack_keeps_each_targets_shift(self):
+        # targets of one family share their shift -1/D; a scaled copy has its own
+        fam = ghz_family(2)
+        big = saturation_matrices(fam, 0.3).target
+        small = KetBraSum(1e-3 * big.kets, big.bras, 1e-3 * big.shift)
+        for tree, target in zip(synthesize_trees([big, small], fam.layout), (big, small)):
+            TestSynthesizeAt.assert_same_tree(tree, synthesize_tree(target, fam.layout))
 
 
 class TestSynthesizeAt:

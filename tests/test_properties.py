@@ -24,7 +24,7 @@ from loccfisher import (DegenerateLikelihoodError, IsometryPair, MixedGenericFam
                         PureNumericFamily, UnitaryGeneratorFamily,
                         check_saturation, discriminate, flatten, leaf_distribution,
                         leaf_vectors, lm_povm_from_pair, qfi, saturation_matrices, sld,
-                        synthesize_at, synthesize_tree, verify_tree)
+                        synthesize_at, synthesize_tree, synthesize_trees, verify_tree)
 from loccfisher.locc import LEAF_TOL
 from loccfisher.scenarios import PauliStringTerm, builtin_scenario, parse_scenario
 from loccfisher import simulate
@@ -94,6 +94,26 @@ def test_tree_reaches_the_qfi_as_the_oracle_does(case):
     assert abs(rep.fi - ora["fi"]) <= 1e-9 * ora["qfi"]
     assert rep.qfi - rep.fi <= 1e-6 * rep.qfi
     assert rep.saturating and ora["saturating"]
+
+
+@PROPERTY
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 4), (2, 2, 3), (3, 3, 3)]), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1),
+       make=st.sampled_from([random_pure_family, random_rank_two_family]))
+def test_stacked_synthesis_is_one_target_at_a_time_bit_for_bit(dims, data, seed, make):
+    # a node's basis does not depend on the rest of its stack, so conditioning T
+    # targets together gives each the tree it gets alone
+    family = make(dims, np.random.default_rng(seed))
+    order = data.draw(st.permutations(range(len(dims))))
+    thetas = data.draw(st.lists(st.floats(0.1, 0.9), min_size=1, max_size=6))
+    targets = [saturation_matrices(family, theta).target for theta in thetas]
+    stacked = synthesize_trees(targets, family.layout, order)
+    assert len(stacked) == len(targets)
+    for tree, target in zip(stacked, targets):
+        alone = synthesize_tree(target, family.layout, order)
+        assert tree.order == alone.order
+        assert [(b.shape, b.tobytes()) for b in tree.bases] == [
+            (b.shape, b.tobytes()) for b in alone.bases]
 
 
 @PROPERTY

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from loccfisher import locc
+from loccfisher import locc, metrology
+from loccfisher.cli import cli_main
 from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
                         PureNumericFamily, RankTwoFixedBasisFamily, SimConfig,
                         UnitaryGeneratorFamily, eval_state, fisher_info,
@@ -387,6 +390,91 @@ class TestTwoStep:
         assert 0.0 <= est <= 1.0
 
 
+def flat_rough_family_and_reference():
+    """A (2, 2) family and a reference tree whose rough likelihood is often flat.
+
+    psi = 0.4 |00> + 0.4 e^{-i theta} |01> + sqrt(0.68) |10>; the reference tree
+    measures qubit 1 in the Hadamard basis after outcome 0 (a law that moves
+    with theta) and in the computational basis after outcome 1 (P(10) = 0.68
+    at every theta). Four rough shots all land in 10 with probability 0.21.
+    """
+    layout = HilbertLayout((2, 2))
+    psi_in = np.array([0.4, 0.4, np.sqrt(0.68), 0.0], dtype=complex)
+    family = UnitaryGeneratorFamily(layout, psi_in, np.array([0.0, 1.0, 0.0, 0.0]))
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    ref = MeasurementTree(layout, (0, 1), [np.eye(2)[None], np.stack([hadamard, np.eye(2)])])
+    return family, ref
+
+
+class TestTwoStepBlocks:
+    """Two-step trials go in blocks, one stacked synthesis per block."""
+
+    @pytest.mark.parametrize("name", ["ghz3", "ranktwo"])
+    def test_report_bytes_do_not_depend_on_the_block_bound(self, name, capsys, monkeypatch):
+        argv = ["simulate", name, "--two-step", "--theta", "0.4", "--shots", "2500",
+                "--trials", "6", "--seed", "3"]
+        assert cli_main(argv) == 0
+        default = capsys.readouterr().out
+        sizes = []
+        synthesize = locc.synthesize_trees
+        monkeypatch.setattr(locc, "synthesize_trees",
+                            lambda targets, *a: sizes.append(len(targets))
+                            or synthesize(targets, *a))
+        # SMALL_LAW = D: blocks of one trial, as many as there are trials
+        monkeypatch.setattr(simulate, "SMALL_LAW", builtin_scenario(name).family.layout.total)
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == default
+        assert sizes == [1] * 7
+
+    @pytest.mark.parametrize("small_law", [simulate.SMALL_LAW, 8])
+    def test_flat_rough_likelihood_counted_and_survivors_keep_their_substreams(
+            self, small_law, monkeypatch):
+        # D = 4: one block of twelve by default, blocks of two at 8
+        monkeypatch.setattr(simulate, "SMALL_LAW", small_law)
+        family, ref = flat_rough_family_and_reference()
+        cfg = SimConfig(family=family, theta_true=0.6, shots=16, trials=12, seed=1,
+                        prior=(0.1, 1.4), strategy="two-step", tree=ref)
+        rep = run_trials(cfg)
+        ref_law = _OutcomeLaw(family, ref, cfg.prior)
+        survivors, flat = [], 0
+        for trial in range(cfg.trials):
+            try:
+                survivors.append(two_step(cfg, _trial_rng(cfg.seed, trial)))
+            except DegenerateLikelihoodError:
+                flat += 1
+                # the rough stage's four shots found no theta dependence
+                with pytest.raises(DegenerateLikelihoodError):
+                    _mle(ref_law, ref_law.draw(0.6, 4, _trial_rng(cfg.seed, trial)), cfg.prior)
+        assert flat == rep.degenerate_trials == 5
+        assert rep.estimates.tolist() == survivors
+
+    @pytest.mark.parametrize("patch, code, kind, error", [
+        ("leaf", 2, "non-convergence", "leaf condition violated"),
+        ("target", 1, "validation", "family has no rank-one synthesis target"),
+    ])
+    def test_failing_trial_synthesis_keeps_its_exit_code(self, patch, code, kind, error,
+                                                         capsys, monkeypatch):
+        # the reference tree is synthesized as usual; only the trials' stacked synthesis fails
+        reference_law = simulate._reference_law
+        frame_at = metrology.saturation_matrices
+
+        def reference_then_fail(config):
+            law = reference_law(config)
+            if patch == "leaf":
+                monkeypatch.setattr(locc, "LEAF_TOL", -1.0)
+            else:
+                monkeypatch.setattr(metrology, "saturation_matrices",
+                                    lambda *a: dataclasses.replace(frame_at(*a), target=None))
+            return law
+        monkeypatch.setattr(simulate, "_reference_law", reference_then_fail)
+        argv = ["simulate", "ghz3", "--two-step", "--shots", "400", "--trials", "3"]
+        assert cli_main(argv) == code
+        captured = capsys.readouterr()
+        doc = json.loads(captured.err)
+        assert doc["kind"] == kind and doc["error"].startswith(error)
+        assert captured.out == ""
+
+
 class TestRunTrials:
     def test_reproducible_bit_for_bit(self):
         fam = ghz_family(2)
@@ -461,15 +549,23 @@ class TestRunTrials:
         assert peak <= 1.25 * 4096 * 512 * 8
 
     def test_two_step_synthesizes_reference_once(self, monkeypatch):
-        trials = 4
-        calls = []
-        synthesize = locc.synthesize_tree
-        monkeypatch.setattr(locc, "synthesize_tree",
-                            lambda *a: calls.append(a) or synthesize(*a))
-        run_trials(SimConfig(family=ghz_family(2), theta_true=0.4, shots=400,
-                             trials=trials, seed=8, prior=(0.0, 1.0),
-                             strategy="two-step"))
-        assert len(calls) == trials + 1
+        # the reference tree alone, then the trials' trees in one stacked call per
+        # block of max(1, SMALL_LAW // D) trials: ghz2 has D = 4, so the default
+        # bound takes all trials at once and 12 takes blocks of three
+        trials = 7
+        sizes = []
+        synthesize = locc.synthesize_trees
+        monkeypatch.setattr(locc, "synthesize_trees",
+                            lambda targets, *a: sizes.append(len(targets))
+                            or synthesize(targets, *a))
+        for small_law, blocks in ((simulate.SMALL_LAW, [7]), (12, [3, 3, 1])):
+            sizes.clear()
+            monkeypatch.setattr(simulate, "SMALL_LAW", small_law)
+            rep = run_trials(SimConfig(family=ghz_family(2), theta_true=0.4, shots=400,
+                                       trials=trials, seed=8, prior=(0.0, 1.0),
+                                       strategy="two-step"))
+            assert rep.degenerate_trials == 0
+            assert sizes == [1] + blocks
 
     def test_ci95_is_percentile_bootstrap(self):
         seed, trials, shots = 21, 30, 1000
