@@ -6,9 +6,8 @@ from .tensor import (HilbertLayout, KetBraSum, complex_to_pairs, herm_eig, kron,
 from .metrology import (MixedGenericFamily, Povm, PureNumericFamily,
                         RankTwoFixedBasisFamily, SaturationMatrices,
                         SaturationReport, SldResult, StateFamily,
-                        UnitaryGeneratorFamily, check_saturation, eval_state,
-                        fisher_info, perp_component, qfi, saturation_matrices,
-                        sld)
+                        UnitaryGeneratorFamily, check_saturation, fisher_info,
+                        perp_component, qfi, saturation_matrices, sld)
 from .zerodiag import (ZeroDiagConvergenceError, find_null_vector,
                        simultaneous_zero_diag, solve_2x2, zero_diag_basis)
 from .locc import (DiscriminationReport, MeasurementTree, SynthesisError,

@@ -199,8 +199,6 @@ def _cmd_export_bloch(args) -> int:
         sc = _load_scenario(args.scenario)
         grid = sc.theta_grid
         if args.grid_points is not None:
-            if args.grid_points < 1:
-                raise ValueError(f"--grid-points {args.grid_points} is not a positive integer")
             grid = np.linspace(grid[0], grid[-1], args.grid_points)
         order = _order_arg(args.order)
         rows = [row for theta in map(float, grid)
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", nargs="?", default=None)
     p.add_argument("--tree", type=str, default=None)
     p.add_argument("--theta", type=_finite, default=None)
-    p.add_argument("--grid-points", type=int, default=None)
+    p.add_argument("--grid-points", type=_int_from(1, "positive"), default=None)
     p.add_argument("--order", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(fn=_cmd_export_bloch)

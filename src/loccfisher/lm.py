@@ -95,10 +95,8 @@ def coefficient_matrices(psi: np.ndarray, perp: np.ndarray,
     return BipartiteCoeffs(a_mat=psi.reshape(d1, d2), b_mat=perp.reshape(d1, d2))
 
 
-def check_lm_conditions(pair: IsometryPair, coeffs: BipartiteCoeffs,
-                        phase_tol: float = PHASE_TOL,
-                        support_tol: float = SUPPORT_TOL) -> LmFeasibilityReport:
-    """Evaluate the phase and support conditions for a measurement pair."""
+def check_lm_conditions(pair: IsometryPair, coeffs: BipartiteCoeffs) -> LmFeasibilityReport:
+    """Phase and support residuals of a pair, feasible within PHASE_TOL and SUPPORT_TOL."""
     c, d = pair.cd(coeffs)
     phase = float(np.abs(c * np.conj(d) - np.conj(c) * d).max())
     # |C_ij|^2 is the outcome probability at theta; zero by check_saturation's rule
@@ -107,7 +105,7 @@ def check_lm_conditions(pair: IsometryPair, coeffs: BipartiteCoeffs,
     return LmFeasibilityReport(
         phase_residual=phase,
         support_residual=support,
-        feasible=bool(phase <= phase_tol and support <= support_tol),
+        feasible=bool(phase <= PHASE_TOL and support <= SUPPORT_TOL),
         projective=pair.projective,
     )
 
@@ -201,12 +199,12 @@ class _Stopped(Exception):
     """Raised with x from the residual wrapper of ``least_squares`` to end lmder there."""
 
 
-def least_squares(fun, x0, jac, stop=None, **kwargs):
+def least_squares(fun, x0, jac, maxfev, stop=None):
     """MINPACK's lmder through scipy's ``leastsq`` (imported on the first call) on fun and jac bordered by zeros.
 
-    ``kwargs`` go to ``leastsq``; the fixed ones make this the same lmder
-    call as scipy's ``least_squares(method="lm", x_scale="jac")``, without
-    its wrapper layers. Returns an ``OptimizeResult`` with ``x`` and ``nfev``.
+    At most ``maxfev`` function calls and xtol = ftol = gtol = 1e-15: the same lmder
+    call as scipy's ``least_squares(method="lm", x_scale="jac")``, without its
+    wrapper layers. Returns an ``OptimizeResult`` with ``x`` and ``nfev``.
     The zero column is a parameter that nothing depends on, and the returned
     x drops it. Without it MINPACK's iterates on a rank-deficient Jacobian
     change with the contents of newly allocated memory (glibc's
@@ -250,7 +248,8 @@ def least_squares(fun, x0, jac, stop=None, **kwargs):
     try:
         x, _, info, _, _ = leastsq(once_per_x(residuals), np.append(x0, 0.0),
                                    Dfun=once_per_x(bordered), full_output=True,
-                                   col_deriv=False, factor=100.0, diag=None, **kwargs)
+                                   col_deriv=False, factor=100.0, diag=None, maxfev=maxfev,
+                                   xtol=1e-15, ftol=1e-15, gtol=1e-15)
     except _Stopped as hit:
         return OptimizeResult(x=hit.args[0], nfev=nfev)
     return OptimizeResult(x=x[:n], nfev=info["nfev"])
@@ -258,10 +257,7 @@ def least_squares(fun, x0, jac, stop=None, **kwargs):
 
 def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
                         iters: int = 300, allow_isometry_padding: bool = False,
-                        seed: int = 0,
-                        phase_tol: float = PHASE_TOL,
-                        support_tol: float = SUPPORT_TOL
-                        ) -> tuple[IsometryPair, SearchReport]:
+                        seed: int = 0) -> tuple[IsometryPair, SearchReport]:
     """Multi-start local search for a feasible measurement pair.
 
     Unitaries are parameterized as exponentials of Hermitian matrices; with
@@ -275,7 +271,7 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     through one stacked exp map. Exact zero residuals and Jacobian rows make
     up the count where the 2 d1 m2 residuals are fewer than the
     d1^2 + m2^2 parameters. A restart ends at the first evaluation whose
-    pair meets the tolerances with both residuals below ``LM_STOP_TOL``, and
+    pair has both residuals below ``LM_STOP_TOL`` (so it is feasible), and
     the search returns that pair; its lmder iterates up to there are those
     of a call with no stop at all. A restart whose best residual norm so far
     stays above ``LM_STOP_TOL`` and has fallen by at most ``LM_STALL_REL``
@@ -337,9 +333,8 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
 
     def settle(x):      # the pair at x, its report, and whether it meets the stop rule
         pair = IsometryPair(*evaluate(x)[1:3])
-        rep = check_lm_conditions(pair, coeffs, phase_tol, support_tol)
-        worst = max(rep.phase_residual, rep.support_residual)
-        return pair, rep, rep.feasible and worst < LM_STOP_TOL
+        rep = check_lm_conditions(pair, coeffs)
+        return pair, rep, max(rep.phase_residual, rep.support_residual) < LM_STOP_TOL
 
     def restart_stop():     # one restart's stop: its first feasible x, or its best x once stalled
         best, best_x = np.inf, None
@@ -361,8 +356,7 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     best_pair, best_rep, best_val = None, None, np.inf
     for used in range(1, restarts + 1):
         sol = least_squares(resid_vec, rng.standard_normal(n_u + n_v), jac=jacobian,
-                            stop=restart_stop(),
-                            maxfev=iters, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+                            maxfev=iters, stop=restart_stop())
         pair, rep, done = settle(sol.x)
         val = max(rep.phase_residual, rep.support_residual)
         if val < best_val:

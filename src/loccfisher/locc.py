@@ -81,6 +81,11 @@ class MeasurementTree:
             nodes *= d
 
     @property
+    def outcome_dims(self) -> tuple[int, ...]:
+        """dims[order[t]] per depth t: every leaf reader runs over ``np.ndindex(*outcome_dims)``."""
+        return tuple(self.layout.dims[k] for k in self.order)
+
+    @property
     def root(self) -> SimpleNamespace:
         """Nodes linked through ``children`` only, for the benchmark tracer's node
         count; nothing else reads it, and it goes when the tracer stops walking it."""
@@ -92,7 +97,7 @@ class MeasurementTree:
         return nodes[0]
 
     def amplitudes(self, rows: np.ndarray) -> np.ndarray:
-        """<e|v> for every leaf e (rows, in np.ndindex path order) and row v of ``rows``.
+        """<e|v> for every leaf e (rows, in ``np.ndindex(*outcome_dims)`` order) and row v of ``rows``.
 
         ``rows`` is K x D (or one length-D vector, giving a length-L result).
         Each depth contracts the conjugated node bases into one subsystem axis,
@@ -229,8 +234,7 @@ def leaf_vectors(tree: MeasurementTree) -> list[tuple[tuple[int, ...], np.ndarra
             vecs[:, None, :, None] * cols[:, :, None, :]).reshape(len(paths) * d, -1)
         paths = [p + (x,) for p in paths for x in range(d)]
     if order != tuple(range(len(order))):
-        dims = tuple(tree.layout.dims[k] for k in order)
-        vecs = vecs.reshape((len(paths),) + dims).transpose(
+        vecs = vecs.reshape((len(paths),) + tree.outcome_dims).transpose(
             (0,) + tuple(1 + order.index(k) for k in range(len(order)))).reshape(len(paths), -1)
     return list(zip(paths, vecs))
 
@@ -272,8 +276,7 @@ def discriminate(psi0: np.ndarray, psi1: np.ndarray,
     amps = tree.amplitudes(np.stack([psi0, psi1]))
     mag = np.abs(amps)
     hyps = (mag[:, 0] < mag[:, 1]).astype(int)
-    paths = np.ndindex(*(tree.layout.dims[k] for k in tree.order))
-    assignment = {path: int(h) for path, h in zip(paths, hyps)}
+    assignment = {path: int(h) for path, h in zip(np.ndindex(*tree.outcome_dims), hyps)}
     residual = float(np.abs(amps[:, 0] * amps[:, 1].conj()).max())
     success = 0.5 * float(np.sum(mag.max(axis=1) ** 2))
     return tree, DiscriminationReport(success_prob=success,
@@ -310,7 +313,7 @@ def tree_from_json(doc: dict) -> MeasurementTree:
         try:        # an entry of the wrong JSON type fits nowhere
             cols = pairs_to_complex([node["basis"] for node in nodes])
             fits = cols.shape == (len(nodes), d, d) and all(
-                node["subsystem"] == sub and ("children" in node) != last
+                check_int(node["subsystem"], "subsystem") == sub and ("children" in node) != last
                 and (last or len(node["children"]) == d) for node in nodes)
         except (AttributeError, TypeError, ValueError):
             fits = False
@@ -331,7 +334,7 @@ def bloch_rows(tree: MeasurementTree, theta: float) -> list[dict]:
     """
     keyed = []
     for depth, (sub, bases) in enumerate(zip(tree.order, tree.bases)):
-        paths = np.ndindex(*(tree.layout.dims[k] for k in tree.order[:depth]))
+        paths = np.ndindex(*tree.outcome_dims[:depth])
         # scalar arithmetic per node: numpy's array loops round differently
         for path, (a, b) in zip(paths, bases[:, :, 0] if bases.shape[1] == 2 else ()):
             keyed.append((path, {

@@ -248,13 +248,14 @@ class RankTwoFixedBasisFamily:
 
 @dataclass
 class MixedGenericFamily:
-    """Mixed family given by a numeric evaluator theta -> rho(theta)."""
+    """Mixed family given by a numeric evaluator theta -> rho(theta); drho is its
+    central difference with the fixed step DEFAULT_FD_STEP."""
 
     layout: HilbertLayout
     evaluator: Callable[[float], np.ndarray]
-    step: float = DEFAULT_FD_STEP
 
     state_type = "mixed"
+    step = DEFAULT_FD_STEP
 
     def rho(self, theta: float) -> np.ndarray:
         d = self.layout.total
@@ -347,15 +348,14 @@ class Povm:
         return (self.vectors @ np.asarray(rows).conj().T).conj()
 
 
-@dataclass
 class Thresholds:
     """The verdict's tolerances from the tensor table, which ``check_saturation`` reads
     directly; kept only for the benchmark checker, which reads them on import."""
 
-    condition_rel: float = CONDITION_REL
-    regularity_rel: float = REGULARITY_REL
-    fi_rel: float = FI_REL
-    p_tol: float = P_TOL
+    condition_rel = CONDITION_REL
+    regularity_rel = REGULARITY_REL
+    fi_rel = FI_REL
+    p_tol = P_TOL
 
 
 @dataclass
@@ -365,18 +365,6 @@ class SaturationReport:
     condition_residual: float
     regularity_residual: float
     saturating: bool
-
-
-def eval_state(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Density matrix and derivative at theta, validated Hermitian/traceless."""
-    return _checked_state(*family.rho_drho(theta))
-
-
-def _checked_state(rho: np.ndarray, drho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rho = check_hermitian(rho, "rho", RHO_TOL)
-    drho = check_hermitian(drho, "drho", DRHO_TOL)
-    check_trace(drho, "drho", DRHO_TOL)
-    return rho, drho
 
 
 def sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
@@ -402,8 +390,8 @@ def sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
 
 
 def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
-    # rho and drho come from check_hermitian (here or in _checked_state), which
-    # returns exactly Hermitian matrices, so they are not checked again.
+    # rho and drho come from check_hermitian (here or in saturation_matrices),
+    # which returns exactly Hermitian matrices, so they are not checked again.
     # The exact drho of a PSD family has no block between two kernel
     # directions: <k|rho(theta)|k> >= 0 is at its minimum 0 for every kernel
     # vector k, so <k|drho|k> = 0. A family's central difference does carry
@@ -459,7 +447,8 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
         return SaturationMatrices(rho, drho, kets, l_support, dp * dp / (p * (1 - p)),
                                   KetBraSum(*kets))
     rho, drho, sides = family.rho_drho_sides(theta)
-    rho, drho = _checked_state(rho, drho)
+    rho = check_hermitian(rho, "rho", RHO_TOL)
+    drho = check_trace(check_hermitian(drho, "drho", DRHO_TOL), "drho", DRHO_TOL)
     res = _sld(rho, drho)
     support = res.eigvecs[:, res.eigvals > RANK_TOL].T
     pair = _detect_fixed_rank_two(support, rho, drho, sides, family.step)

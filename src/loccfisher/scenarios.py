@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
-from .tensor import HilbertLayout, check_int, complex_to_pairs, pairs_to_complex
+from .tensor import HilbertLayout, check_int, check_real, complex_to_pairs, pairs_to_complex
 # kron is unused here; it stays importable because the benchmark tracer patches it.
 from .tensor import kron  # noqa: F401
 
@@ -106,13 +106,12 @@ class Scenario:
 def _p_functions(p_doc: dict):
     form = p_doc.get("form")
     if form == "linear":
-        a, b = float(p_doc["intercept"]), float(p_doc["slope"])
+        a, b = (check_real(p_doc[key], f"p {key}") for key in ("intercept", "slope"))
         return (lambda t: a + b * t), (lambda t: b)
     if form == "cosine":
-        off = float(p_doc["offset"])
-        amp = float(p_doc["amplitude"])
-        freq = float(p_doc["frequency"])
-        phase = float(p_doc.get("phase", 0.0))
+        off, amp, freq = (check_real(p_doc[key], f"p {key}")
+                          for key in ("offset", "amplitude", "frequency"))
+        phase = check_real(p_doc.get("phase", 0.0), "p phase")
         return (lambda t: off + amp * np.cos(freq * t + phase)),\
                (lambda t: -amp * freq * np.sin(freq * t + phase))
     raise ValueError(f"unknown p form {form!r}")
@@ -120,11 +119,13 @@ def _p_functions(p_doc: dict):
 
 def _grid(doc) -> np.ndarray:
     if isinstance(doc, dict):
-        grid = np.linspace(float(doc["start"]), float(doc["stop"]),
+        grid = np.linspace(check_real(doc["start"], "theta_grid start"),
+                           check_real(doc["stop"], "theta_grid stop"),
                            check_int(doc.get("points", 32), "theta_grid points"))
-    else:
-        grid = np.asarray(doc, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+    else:       # a list of numbers; anything else is an empty grid
+        grid = np.array([check_real(t, "theta_grid entry") for t in doc]
+                        if isinstance(doc, list) else [], dtype=float)
+    if grid.size == 0 or not np.isfinite(grid).all():
         raise ValueError("theta_grid must be a non-empty 1-D list of finite numbers")
     return grid
 
@@ -146,7 +147,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if kind == "unitary-generator":
         with _json_types():
             psi_in, ham = pairs_to_complex(doc["psi_in"]), doc["hamiltonian"]
-            terms = ([PauliStringTerm(float(t["coeff"]), str(t["string"]))
+            terms = ([PauliStringTerm(check_real(t["coeff"], "Pauli coeff"), str(t["string"]))
                       for t in ham["pauli"]] if "pauli" in ham else None)
             dense = pairs_to_complex(ham["dense"]) if terms is None and "dense" in ham else None
         if terms is not None:

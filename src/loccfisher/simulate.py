@@ -211,7 +211,7 @@ def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
                       theta: float) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Outcome paths and their probabilities at theta."""
     probs = np.clip(_path_prob_fns(family, tree)[0](theta), 0.0, None)
-    return list(np.ndindex(*(tree.layout.dims[k] for k in tree.order))), probs / probs.sum()
+    return list(np.ndindex(*tree.outcome_dims)), probs / probs.sum()
 
 
 def _score_root(score: Callable[[float], float], a: float, b: float,
@@ -289,7 +289,7 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     """
     if sum(counts.values()) <= 0:
         raise ValueError("no counts")
-    dims = tuple(tree.layout.dims[k] for k in tree.order)
+    dims = tree.outcome_dims
     for path in counts:
         if len(path) != len(dims) or not all(0 <= x < d for x, d in zip(path, dims)):
             raise ValueError(f"outcome path {path} is not a leaf of the tree")

@@ -8,7 +8,8 @@ x1*d2*...*dn + ... + xn.
 Input from outside the package is validated once, at each public entry, by
 the checks written here and nowhere else: ``check_finite``, ``check_hermitian``,
 ``check_trace``/``check_traceless`` (of a matrix or each matrix of a stack),
-``check_unit``, ``check_real_diagonal``, ``check_orthonormal`` and ``check_int``.
+``check_unit``, ``check_real_diagonal``, ``check_orthonormal``, ``check_int`` and
+``check_real``.
 Their tolerances are relative to max(1, scale of the caller's matrix): the
 largest entry for the Hermitian test, the Frobenius norm for the trace test.
 Every tolerance a call site passes comes from the table below, which states
@@ -97,6 +98,13 @@ def check_int(value, name: str = "value") -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_real(value, name: str = "value") -> float:
+    """``value`` as a float, after checking it is a Python or numpy int or float and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:

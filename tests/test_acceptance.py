@@ -13,7 +13,7 @@ from loccfisher import (BipartiteCoeffs, IsometryPair, Povm,
                         RankTwoFixedBasisFamily, SimConfig,
                         UnitaryGeneratorFamily, check_lm_conditions,
                         check_saturation, construct_lm_2xd, discriminate,
-                        eval_state, fisher_info, flatten, heuristic_lm_search,
+                        fisher_info, flatten, heuristic_lm_search,
                         leaf_vectors, lm_povm_from_pair, qfi, run_trials,
                         saturation_matrices, sld, synthesize_tree, verify_tree)
 from loccfisher.locc import bloch_rows
@@ -39,7 +39,7 @@ def test_criterion_1_ghz_qfi_and_sld():
         d = 2 ** n
         for th in np.linspace(0.0, 1.4, 8):
             ok &= abs(qfi(fam, th) - n * n) < 1e-8 * n * n
-            res = sld(*eval_state(fam, th))
+            res = sld(*fam.rho_drho(th))
             want = np.zeros((d, d), dtype=complex)
             want[-1, 0] = n * 1j * np.exp(1j * n * th)
             want[0, -1] = -n * 1j * np.exp(-1j * n * th)
@@ -114,7 +114,7 @@ def test_criterion_4_bell_mixture_sld():
     bells = bell_states()
     ok = True
     for th in (0.3, 0.5, 0.7):
-        res = sld(*eval_state(sc.family, th))
+        res = sld(*sc.family.rho_drho(th))
         want = (1 / (1 + th) * np.outer(bells["phi+"], bells["phi+"].conj())
                 + 1 / th * np.outer(bells["phi-"], bells["phi-"].conj())
                 - 1 / (1 - th) * np.outer(bells["psi+"], bells["psi+"].conj()))
@@ -138,7 +138,7 @@ def test_criterion_5_chain4_grid_invariants():
         rep = verify_tree(tree, sc.family, th)
         ok &= rep.saturating and abs(rep.fi - rep.qfi) <= 1e-6 * rep.qfi
         reduced_target = partial_trace(sm.target.dense(), layout, [1, 2, 3])
-        rho = eval_state(sc.family, th)[0]
+        rho = sc.family.rho_drho(th)[0]
         reduced_dev = partial_trace(rho - np.eye(16) / 16, layout, [1, 2, 3])
         for r in (reduced_target, reduced_dev):
             coef = np.trace(PAULI_Z @ r) / 2
@@ -226,13 +226,10 @@ def test_criterion_7_negative_controls():
     # the padded search must succeed
     diag_pair = BipartiteCoeffs(A_3X3, B_3X3)
     _, proj = heuristic_lm_search(diag_pair, restarts=100, iters=150,
-                                  allow_isometry_padding=False, seed=7,
-                                  phase_tol=1e-6, support_tol=1e-6)
-    ok &= not proj.feasible and proj.restarts == 100
+                                  allow_isometry_padding=False, seed=7)
+    ok &= max(proj.phase_residual, proj.support_residual) > 1e-6 and proj.restarts == 100
     _, padded = heuristic_lm_search(diag_pair, restarts=100,
-                                    allow_isometry_padding=True, seed=7,
-                                    phase_tol=1e-6, support_tol=1e-6)
-    ok &= padded.feasible
+                                    allow_isometry_padding=True, seed=7)
     ok &= max(padded.phase_residual, padded.support_residual) < 1e-6
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 120.0
@@ -271,7 +268,7 @@ def test_criterion_9_oracle_equivalence():
         q, _ = np.linalg.qr(rng.standard_normal((d, d))
                             + 1j * rng.standard_normal((d, d)))
         povm = Povm(vectors=q.T)
-        rho, drho = eval_state(fam, th)
+        rho, drho = fam.rho_drho(th)
         fi_lib = fisher_info(povm, KetBraSum.from_dense(rho), KetBraSum.from_dense(drho))
         fi_ora = fisher_fd([np.outer(v, v.conj()) for v in povm.vectors],
                            lambda t: fam.rho_drho(t)[0], th)

@@ -432,8 +432,12 @@ class TestTreeJson:
         lambda doc: doc["node"].update(children=2),
         lambda doc: doc["node"]["children"].__setitem__(1, "leaf"),
         lambda doc: doc["node"]["children"].append(doc["node"]["children"][0]),
+        # the depth-1 nodes measure subsystem 1, which a bool or float equals under ==
+        lambda doc: [child.update(subsystem=True) for child in doc["node"]["children"]],
+        lambda doc: [child.update(subsystem=1.0) for child in doc["node"]["children"]],
     ], ids=["order", "missing-children", "extra-children", "layout", "subsystem-null",
-            "children-not-a-list", "child-not-an-object", "three-children"])
+            "children-not-a-list", "child-not-an-object", "three-children", "subsystem-bool",
+            "subsystem-float"])
     def test_rejects_structure_off_layout_and_order(self, edit):
         doc = tree_to_json(synth(ghz_family(2), 0.3))
         edit(doc)

@@ -4,7 +4,7 @@ import pytest
 from loccfisher import metrology
 from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily,
                         RankTwoFixedBasisFamily, UnitaryGeneratorFamily,
-                        check_saturation, eval_state, fisher_info, flatten,
+                        check_saturation, fisher_info, flatten,
                         perp_component, qfi, saturation_matrices, sld, verify_tree)
 from loccfisher.locc import MeasurementTree
 from loccfisher.scenarios import bell_states, builtin_scenario
@@ -32,7 +32,7 @@ def projector_povm(vectors):
 def dense_conditions(family, theta, support=None):
     """M_ij = |psi_i><psi_j| L - L |psi_i><psi_j| as D x D matrices, from the public SLD;
     the psi_i are the rows of ``support``, by default the SLD's support eigenvectors."""
-    res = sld(*eval_state(family, theta))
+    res = sld(*family.rho_drho(theta))
     if support is None:
         support = res.eigvecs[:, res.eigvals > 1e-9].T
     return [np.outer(a, b.conj()) @ res.L - res.L @ np.outer(a, b.conj())
@@ -60,7 +60,7 @@ class TestEvalState:
         psi = fam.psi(th)
         want = np.array([np.exp(-1j * th / 2), np.exp(1j * th / 2)]) / np.sqrt(2)
         assert np.abs(psi - want).max() < 1e-12
-        rho, drho = eval_state(fam, th)
+        rho, drho = fam.rho_drho(th)
         dpsi = -1j * (PAULI_Z / 2) @ psi
         want_drho = np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj())
         assert np.abs(drho - want_drho).max() < 1e-12
@@ -113,7 +113,7 @@ class TestEvalState:
         bells = bell_states()
         fam = RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
                                       bells["phi-"], lambda t: t, lambda t: 1.0)
-        _, drho = eval_state(fam, 0.4)
+        _, drho = fam.rho_drho(0.4)
         p0 = np.outer(bells["phi+"], bells["phi+"].conj())
         p1 = np.outer(bells["phi-"], bells["phi-"].conj())
         assert np.abs(drho - (p0 - p1)).max() < 1e-12
@@ -121,8 +121,8 @@ class TestEvalState:
     def test_numeric_matches_analytic(self):
         analytic = phase_qubit()
         numeric = PureNumericFamily(QUBIT, analytic.psi, step=1e-4)
-        _, d_analytic = eval_state(analytic, 0.3)
-        _, d_numeric = eval_state(numeric, 0.3)
+        _, d_analytic = analytic.rho_drho(0.3)
+        _, d_numeric = numeric.rho_drho(0.3)
         assert np.abs(d_analytic - d_numeric).max() < 1e-7
 
     def test_out_of_domain_p(self):
@@ -130,14 +130,14 @@ class TestEvalState:
         fam = RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
                                       bells["phi-"], lambda t: t, lambda t: 1.0)
         with pytest.raises(ValueError):
-            eval_state(fam, 1.5)
+            fam.rho_drho(1.5)
 
 
 class TestSld:
     def test_bell_mixture_coefficients(self):
         sc = builtin_scenario("bellmix")
         th = 0.3
-        res = sld(*eval_state(sc.family, th))
+        res = sld(*sc.family.rho_drho(th))
         bells = bell_states()
         want = (1 / (1 + th) * np.outer(bells["phi+"], bells["phi+"].conj())
                 + 1 / th * np.outer(bells["phi-"], bells["phi-"].conj())
@@ -147,7 +147,7 @@ class TestSld:
     def test_ghz_closed_form(self):
         n, th = 4, 0.35
         fam = ghz_family(n)
-        res = sld(*eval_state(fam, th))
+        res = sld(*fam.rho_drho(th))
         want = np.zeros((2 ** n, 2 ** n), dtype=complex)
         want[-1, 0] = n * 1j * np.exp(1j * n * th)
         want[0, -1] = -n * 1j * np.exp(-1j * n * th)
@@ -156,7 +156,7 @@ class TestSld:
     def test_pure_family_form(self):
         fam = phase_qubit()
         th = 0.2
-        rho, drho = eval_state(fam, th)
+        rho, drho = fam.rho_drho(th)
         res = sld(rho, drho)
         assert np.abs(res.L - 2 * drho).max() < 1e-9
 
@@ -219,7 +219,7 @@ class TestComponents:
 class TestQfi:
     def test_mixed_state_checked_once(self, monkeypatch):
         # the family checks its three evaluator outputs (theta and theta -+ h),
-        # eval_state checks rho and drho; the SLD core takes them as returned
+        # saturation_matrices checks rho and drho; the SLD core takes them as returned
         fam = builtin_scenario("bellmix").family
         calls = []
         check = metrology.check_hermitian
@@ -279,7 +279,7 @@ class TestQfi:
         fam = RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
                                       bells["phi-"], lambda t: t, lambda t: 1.0)
         th = 0.25
-        rho, drho = eval_state(fam, th)
+        rho, drho = fam.rho_drho(th)
         assert abs(qfi(fam, th) - 16.0 / 3.0) < 1e-10
         assert abs(qfi(fam, th) - qfi_double_sum(rho, drho)) < 1e-10
 
@@ -292,7 +292,7 @@ class TestQfi:
         for _ in range(10):
             fam = random_pure_family((2, 3), rng)
             th = float(rng.uniform(0, 1))
-            rho, drho = eval_state(fam, th)
+            rho, drho = fam.rho_drho(th)
             assert abs(qfi(fam, th) - qfi_double_sum(rho, drho)) < 1e-8
 
 
@@ -302,14 +302,14 @@ class TestFisherInfo:
         povm = projector_povm([np.array([1, 1], complex) / np.sqrt(2),
                                np.array([1, -1], complex) / np.sqrt(2)])
         for th in (0.3, 1.0):
-            rho, drho = map(KetBraSum.from_dense, eval_state(fam, th))
+            rho, drho = map(KetBraSum.from_dense, fam.rho_drho(th))
             # closed form: P(+/-) = (1 +/- cos th)/2 gives F = 1
             assert abs(fisher_info(povm, rho, drho) - 1.0) < 1e-9
 
     def test_computational_basis_blind(self):
         fam = phase_qubit()
         povm = projector_povm([np.array([1, 0], complex), np.array([0, 1], complex)])
-        rho, drho = map(KetBraSum.from_dense, eval_state(fam, 0.3))
+        rho, drho = map(KetBraSum.from_dense, fam.rho_drho(0.3))
         assert abs(fisher_info(povm, rho, drho)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -320,7 +320,7 @@ class TestFisherInfo:
         minus = np.array([1, -1], complex) / np.sqrt(2)
         vecs = [kron([plus if b == 0 else minus for b in bits])
                 for bits in np.ndindex(*([2] * n))]
-        rho, drho = map(KetBraSum.from_dense, eval_state(fam, th))
+        rho, drho = map(KetBraSum.from_dense, fam.rho_drho(th))
         fi = fisher_info(projector_povm(vecs), rho, drho)
         assert abs(fi - n * n) < 1e-8
         assert abs(fi - ghz_product_basis_fi(n, th)) < 1e-5
@@ -330,7 +330,7 @@ class TestFisherInfo:
             dims = [(2, 2), (2, 3), (2, 2, 2)][int(rng.integers(3))]
             fam = random_pure_family(tuple(dims), rng)
             th = float(rng.uniform(0, 1))
-            rho, drho = map(KetBraSum.from_dense, eval_state(fam, th))
+            rho, drho = map(KetBraSum.from_dense, fam.rho_drho(th))
             d = fam.layout.total
             q, _ = np.linalg.qr(rng.standard_normal((d, d))
                                 + 1j * rng.standard_normal((d, d)))
@@ -344,7 +344,7 @@ class TestFisherInfo:
 
     def test_invalid_povm(self):
         fam = phase_qubit()
-        rho, drho = map(KetBraSum.from_dense, eval_state(fam, 0.3))
+        rho, drho = map(KetBraSum.from_dense, fam.rho_drho(0.3))
         with pytest.raises(ValueError):
             fisher_info(Povm(vectors=np.eye(2, dtype=complex) * 0.4), rho, drho)
 
@@ -451,7 +451,7 @@ class TestSaturationMatrices:
         assert abs(np.linalg.norm(perp) - np.sqrt(qfi(fam, 0.3)) / 2) < 1e-12
 
     def test_mixed_state_evaluated_once(self):
-        # eval_state's rho is reused by the fixed-basis rank-two test
+        # the frame's checked rho is reused by the fixed-basis rank-two test
         bellmix = builtin_scenario("bellmix").family
         calls = []
         counted = MixedGenericFamily(
@@ -653,6 +653,6 @@ class TestInvariantProperties:
             fam = random_pure_family((2, 2), rng)
             numeric = PureNumericFamily(fam.layout, fam.psi, step=1e-4)
             th = float(rng.uniform(0, 1))
-            _, d1 = eval_state(fam, th)
-            _, d2 = eval_state(numeric, th)
+            _, d1 = fam.rho_drho(th)
+            _, d2 = numeric.rho_drho(th)
             assert np.abs(d1 - d2).max() < 1e-6

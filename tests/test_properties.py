@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from loccfisher import (DegenerateLikelihoodError, IsometryPair, MixedGenericFamily, Povm,
                         PureNumericFamily, UnitaryGeneratorFamily,
                         check_saturation, discriminate, flatten, leaf_distribution,
-                        leaf_vectors, lm_povm_from_pair, qfi, saturation_matrices, sld,
+                        leaf_vectors, lm_povm_from_pair, mle, qfi, saturation_matrices, sld,
                         synthesize_at, synthesize_tree, synthesize_trees, verify_tree)
 from loccfisher.locc import LEAF_TOL
 from loccfisher.scenarios import PauliStringTerm, builtin_scenario, parse_scenario
@@ -316,6 +316,36 @@ def test_discrimination_matches_the_per_leaf_loop(dims, data, seed):
         success += 0.5 * max(abs(o0) ** 2, abs(o1) ** 2)
     assert report.leaf_assignment == assignment
     assert abs(report.success_prob - success) <= 1e-12
+
+
+@PROPERTY
+@given(dims=st.sampled_from([(2, 3), (3, 2, 2), (2, 3, 2)]), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_path_reader_follows_the_outcome_order(dims, data, seed):
+    # leaves run over np.ndindex(*tree.outcome_dims), as the rows of tree.amplitudes
+    # do, in leaf_vectors, discriminate, leaf_distribution and mle's counted paths
+    rng = np.random.default_rng(seed)
+    order = data.draw(st.permutations(range(len(dims))))
+    family = random_pure_family(dims, rng)
+    tree = random_tree(dims, order, rng)
+    assert tree.outcome_dims == tuple(dims[k] for k in order)
+    paths = list(np.ndindex(*tree.outcome_dims))
+    leaves = leaf_vectors(tree)
+    assert [path for path, _ in leaves] == paths
+    vectors = np.stack([vec for _, vec in leaves])
+    psi = family.psi(0.4)
+    assert np.abs(tree.amplitudes(psi) - vectors.conj() @ psi).max() <= 1e-13
+    got, probs = leaf_distribution(family, tree, 0.4)
+    assert got == paths
+    assert np.abs(probs - np.abs(vectors.conj() @ psi) ** 2).max() <= 1e-12
+    # mle reads a counted path as the row of its leaf
+    law = _OutcomeLaw(family, tree, (0.0, 1.0))
+    counts = rng.multinomial(200, law.distribution(0.4))
+    assert mle({paths[e]: n for e, n in enumerate(counts) if n}, family, tree,
+               (0.0, 1.0)) == _mle(law, counts, (0.0, 1.0))
+    rank_two = random_rank_two_family(dims, rng)
+    tree, report = discriminate(rank_two.psi0, rank_two.psi1, rank_two.layout, order)
+    assert list(report.leaf_assignment) == list(np.ndindex(*tree.outcome_dims)) == paths
 
 
 def haar_unitary(d, rng):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loccfisher import (check_saturation, eval_state, flatten, qfi, saturation_matrices,
+from loccfisher import (check_saturation, flatten, qfi, saturation_matrices,
                         sld, synthesize_tree)
 import loccfisher
 from loccfisher import cli, metrology
@@ -128,7 +128,7 @@ class TestBuiltins:
     def test_ghz2_sld_closed_form(self):
         sc = builtin_scenario("ghz2")
         th = 0.25
-        res = sld(*eval_state(sc.family, th))
+        res = sld(*sc.family.rho_drho(th))
         want = np.zeros((4, 4), dtype=complex)
         want[3, 0] = 2j * np.exp(2j * th)
         want[0, 3] = -2j * np.exp(-2j * th)
@@ -148,7 +148,7 @@ class TestBuiltins:
 
     def test_bellmix_sld_at_half(self):
         sc = builtin_scenario("bellmix")
-        res = sld(*eval_state(sc.family, 0.5))
+        res = sld(*sc.family.rho_drho(0.5))
         bells = bell_states()
         for vec, want in ((bells["phi+"], 2 / 3), (bells["phi-"], 2.0),
                           (bells["psi+"], -2.0)):
@@ -176,6 +176,15 @@ class TestCliCore:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
         assert run.stdout.strip() == "[]"
+
+    def test_console_entry_point_exits_1_on_a_validation_error(self):
+        # main() exits with cli_main's code and prints the error as JSON on stderr only;
+        # test_simulate_far_from_zero_ends runs it to exit 0
+        env = dict(os.environ, PYTHONPATH=str(Path(loccfisher.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "loccfisher.cli", "qfi", "nosuch"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 1 and run.stdout == ""
+        assert json.loads(run.stderr)["kind"] == "validation"
 
     def test_scenario_list(self, capsys):
         assert cli_main(["scenario", "list"]) == 0
@@ -772,6 +781,8 @@ class TestCliErrors:
         ("verify", lambda d: {**d, "layout": [2.9, 2]}),
         ("verify", lambda d: {**d, "layout": ["2", 2.9]}),
         ("verify", lambda d: {**d, "order": [0, True]}),
+        ("verify", lambda d: {**d, "node": {**d["node"], "children": [
+            {**child, "subsystem": True} for child in d["node"]["children"]]}}),
         ("verify", lambda d: [d]),
         ("verify", lambda d: None),
         ("qfi", lambda d: {**d, "layout": 5}),
@@ -786,7 +797,15 @@ class TestCliErrors:
         ("qfi", lambda d: {**builtin_scenario("bellmix").doc, "rho1": {"re": 1.0}}),
         ("qfi", lambda d: {**d, "theta_grid": {"start": None, "stop": 1.0}}),
         ("qfi", lambda d: {**d, "layout": [2.5, 2.5]}),
-        ("qfi", lambda d: {**d, "theta_grid": {"start": 0.0, "stop": 1.0, "points": 3.7}})])
+        ("qfi", lambda d: {**d, "theta_grid": {"start": 0.0, "stop": 1.0, "points": 3.7}}),
+        ("qfi", lambda d: {**d, "theta_grid": [0.1, "0.2"]}),
+        ("qfi", lambda d: {**builtin_scenario("ranktwo").doc,
+                           "p": {"form": "linear", "intercept": False, "slope": 1.0}}),
+        ("qfi", lambda d: {**builtin_scenario("ranktwo").doc,
+                           "p": {"form": "linear", "intercept": 0.0, "slope": "1"}}),
+        ("qfi", lambda d: {**builtin_scenario("ranktwo").doc,
+                           "p": {"form": "cosine", "offset": 0.5, "amplitude": 0.3,
+                                 "frequency": 1.7, "phase": True}})])
     def test_document_of_the_wrong_json_shape_exit_1(self, tmp_path, capsys, command, edit):
         # a tree (verify) or scenario (qfi) document whose entries have the wrong JSON type
         tree = tmp_path / "tree.json"
@@ -804,10 +823,18 @@ class TestCliErrors:
         ("verify", "layout", ["2", 2], "layout entry must be an integer, got '2'"),
         ("verify", "order", [0, True], "order entry must be an integer, got True"),
         ("qfi", "theta_grid", {"start": 0.0, "stop": 1.0, "points": 3.7},
-         "theta_grid points must be an integer, got 3.7")])
+         "theta_grid points must be an integer, got 3.7"),
+        ("qfi", "theta_grid", {"start": "0", "stop": 1.0},
+         "theta_grid start must be a real number, got '0'"),
+        ("qfi", "theta_grid", {"start": 0.0, "stop": True},
+         "theta_grid stop must be a real number, got True"),
+        ("qfi", "theta_grid", [0.1, False], "theta_grid entry must be a real number, got False"),
+        ("qfi", "hamiltonian", {"pauli": [{"coeff": "0.5", "string": "ZI"}]},
+         "Pauli coeff must be a real number, got '0.5'")])
     def test_integer_field_of_another_type_is_named(self, tmp_path, capsys, command, field,
                                                     value, error):
-        # a float, bool or string where an integer belongs is refused, not truncated
+        # a float, bool or string where an integer belongs is refused, not truncated, and a
+        # bool or string where a real number belongs is refused, not converted
         tree = tmp_path / "tree.json"
         assert cli_main(["synthesize", "ghz2", "--theta", "0.3", "--out", str(tree)]) == 0
         doc = json.loads(tree.read_text()) if command == "verify" else _ghz_doc(2)

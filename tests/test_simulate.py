@@ -16,7 +16,7 @@ from loccfisher import locc, metrology
 from loccfisher.cli import cli_main
 from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
                         PureNumericFamily, RankTwoFixedBasisFamily, SimConfig,
-                        UnitaryGeneratorFamily, eval_state, fisher_info,
+                        UnitaryGeneratorFamily, fisher_info,
                         leaf_distribution, mle, run_trials,
                         saturation_matrices, synthesize_at, synthesize_tree, two_step)
 from loccfisher.locc import MeasurementTree, flatten, leaf_vectors
@@ -511,7 +511,7 @@ class TestRunTrials:
                           [np.sin(phi), np.cos(phi)]], dtype=complex)
         tree = single_node_tree(basis)
         th = 1.1
-        rho, drho = eval_state(fam, th)
+        rho, drho = fam.rho_drho(th)
         povm = Povm(vectors=basis.T)
         f = fisher_info(povm, KetBraSum.from_dense(rho), KetBraSum.from_dense(drho))
         assert 0.01 < f < 0.999
