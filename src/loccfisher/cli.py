@@ -147,11 +147,7 @@ def _coeffs_from_args(args) -> lm.BipartiteCoeffs:
         if not (args.a_mat and args.b_mat):
             raise ValueError("--a-mat and --b-mat must be given together")
         _refuse(args, "--a-mat/--b-mat", "scenario", "--theta")
-        try:
-            a, b = (pairs_to_complex(_read_json(path)) for path in (args.a_mat, args.b_mat))
-        except TypeError as exc:    # an object where numbers belong
-            raise ValueError(f"coefficient matrix file has an entry of the wrong JSON type ({exc})"
-                             ) from None
+        a, b = (pairs_to_complex(_read_json(path)) for path in (args.a_mat, args.b_mat))
         return lm.BipartiteCoeffs(a, b)
     if not args.scenario:
         raise ValueError("give a scenario or --a-mat/--b-mat")

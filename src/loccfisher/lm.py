@@ -11,8 +11,14 @@ D vanishes wherever C does (support condition).
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from collections import deque
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -199,45 +205,51 @@ class _Stopped(Exception):
     """Raised with x from the residual wrapper of ``least_squares`` to end lmder there."""
 
 
+@functools.cache
+def _minpack():
+    """scipy's compiled MINPACK extension, loaded without scipy.optimize and its __init__."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.machinery.PathFinder.find_spec("_minpack", [os.path.join(scipy_dir, "optimize")])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if sys.modules.get("_minpack") is module:   # CPython files a single-phase extension itself
+        del sys.modules["_minpack"]
+    return module
+
+
 def least_squares(fun, x0, jac, maxfev, stop=None):
-    """MINPACK's lmder through scipy's ``leastsq`` (imported on the first call) on fun and jac bordered by zeros.
+    """MINPACK's lmder from scipy's compiled ``_minpack`` (loaded on the first call) on fun and jac bordered by zeros.
 
     At most ``maxfev`` function calls and xtol = ftol = gtol = 1e-15: the same lmder
-    call as scipy's ``least_squares(method="lm", x_scale="jac")``, without its
-    wrapper layers. Returns an ``OptimizeResult`` with ``x`` and ``nfev``.
+    call as scipy's ``leastsq`` and ``least_squares(method="lm", x_scale="jac")``,
+    without their wrapper layers. Returns a namespace with ``x`` and ``nfev``;
+    fewer residuals than parameters, or maxfev < 1, raise ValueError.
     The zero column is a parameter that nothing depends on, and the returned
     x drops it. Without it MINPACK's iterates on a rank-deficient Jacobian
     change with the contents of newly allocated memory (glibc's
-    MALLOC_PERTURB_ shows it), so one seed could give two pairs. fun and jac
-    run once per x: leastsq checks both at x0, and lmder asks for fun at x0
-    again. ``stop(x, f)``, if given, is asked after every residual
-    evaluation f = fun(x); when it returns an x (this one or an earlier
-    one), lmder ends there and the result has that x and the number of
-    evaluations made. A stop that always returns None leaves the lmder call
-    as it is without one.
+    MALLOC_PERTURB_ shows it), so one seed could give two pairs. fun runs
+    once per x, though lmder sometimes asks for an x again. ``stop(x, f)``,
+    if given, is asked after every residual evaluation f = fun(x); when it
+    returns an x (this one or an earlier one), lmder ends there and the
+    result has that x and the number of evaluations made. A stop that
+    always returns None leaves the lmder call as it is without one.
     """
-    from scipy.optimize import OptimizeResult, leastsq
-    n, nfev = len(x0), 0
-
-    def once_per_x(f):
-        memo = {}
-
-        def at(y):
-            key = y.tobytes()
-            if key not in memo:
-                memo.clear()
-                memo[key] = f(y)
-            return memo[key]
-        return at
+    if maxfev < 1:      # lmder reads 0 as improper input, a negative count as no cap
+        raise ValueError(f"maxfev must be at least 1, got {maxfev}")
+    n, nfev, memo = len(x0), 0, {}
 
     def residuals(y):
         nonlocal nfev
-        f = fun(y[:n])
-        nfev += 1
-        end = None if stop is None else stop(y[:n], f)
-        if end is not None:
-            raise _Stopped(np.array(end))
-        return np.append(f, 0.0)
+        key = y.tobytes()
+        if key not in memo:
+            f = fun(y[:n])
+            nfev += 1
+            end = None if stop is None else stop(y[:n], f)
+            if end is not None:
+                raise _Stopped(np.array(end))
+            memo.clear()
+            memo[key] = np.append(f, 0.0)
+        return memo[key]
 
     def bordered(y):
         j = jac(y[:n])
@@ -246,13 +258,14 @@ def least_squares(fun, x0, jac, maxfev, stop=None):
         return out
 
     try:
-        x, _, info, _, _ = leastsq(once_per_x(residuals), np.append(x0, 0.0),
-                                   Dfun=once_per_x(bordered), full_output=True,
-                                   col_deriv=False, factor=100.0, diag=None, maxfev=maxfev,
-                                   xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        x, out, info = _minpack()._lmder(residuals, bordered, np.append(x0, 0.0), (), 1, 0,
+                                         1e-15, 1e-15, 1e-15, maxfev, 100.0, None)
     except _Stopped as hit:
-        return OptimizeResult(x=hit.args[0], nfev=nfev)
-    return OptimizeResult(x=x[:n], nfev=info["nfev"])
+        return SimpleNamespace(x=hit.args[0], nfev=nfev)
+    if info == 0:       # lmder returns x0 untouched
+        raise ValueError(f"improper input to lmder: {len(out['fvec'])} residuals "
+                         f"for {n + 1} parameters")
+    return SimpleNamespace(x=x[:n], nfev=out["nfev"])
 
 
 def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
@@ -264,7 +277,7 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     padding enabled, V gains one extra column by taking the first d2 rows of
     a (d2+1)-dimensional unitary. Each restart minimizes the squared phase
     residual plus a narrowly weighted support penalty by MINPACK's
-    Levenberg-Marquardt (lmder through scipy's leastsq; More 1978) with the
+    Levenberg-Marquardt (lmder from scipy's compiled MINPACK; More 1978) with the
     exact Jacobian, from the Daleckii-Krein divided differences of each
     exponential and the zero subgradient at the support term's kink
     |D_ij| = 0. When U and V have the same size (d1 = m2) their exponents go
@@ -287,7 +300,7 @@ def heuristic_lm_search(coeffs: BipartiteCoeffs, restarts: int = 40,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if iters < 1:       # leastsq would read maxfev = 0 as its default, 100 (n + 1)
+    if iters < 1:       # least_squares refuses maxfev < 1 too, without naming iters
         raise ValueError(f"iters must be at least 1, got {iters}")
     ab = np.stack([coeffs.a_mat, coeffs.b_mat])
     d1, d2 = coeffs.a_mat.shape

@@ -372,8 +372,15 @@ def complex_to_pairs(a: np.ndarray) -> list:
 
 
 def pairs_to_complex(data) -> np.ndarray:
-    """Decode the nested [re, im] pair representation back to a complex array."""
-    arr = np.asarray(data, dtype=float)
+    """Decode the nested [re, im] pair representation back to a complex array.
+
+    Entries must be numbers: strings (even among numbers), bools alone and other
+    objects such as None are refused; a bool among numbers reads as 0 or 1.
+    """
+    arr = np.asarray(data)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"[re, im] pairs must hold numbers, not {arr.dtype}")
+    arr = arr.astype(float)
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError("expected trailing [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -361,6 +361,17 @@ class TestSearchJacobian:
             want_x, want_nfev = scipy_lm(fun, x0, jac, max_nfev=300, tol=1e-15)
             assert np.array_equal(sol.x, want_x) and sol.nfev == want_nfev
 
+    def test_fewer_residuals_than_parameters_raise(self):
+        # lmder itself returns x0 untouched with info 0
+        with pytest.raises(ValueError, match="improper input to lmder"):
+            lm.least_squares(lambda x: x[:1], np.ones(3), lambda x: np.eye(1, 3), maxfev=100)
+
+    @pytest.mark.parametrize("maxfev", [0, -1])
+    def test_fewer_than_one_evaluation_raises(self, maxfev):
+        # lmder itself returns x0 untouched for 0 and reads a negative cap as none
+        with pytest.raises(ValueError, match="maxfev must be at least 1"):
+            lm.least_squares(lambda x: x - 1, np.zeros(2), lambda x: np.eye(2), maxfev=maxfev)
+
     @pytest.mark.parametrize("padded", [False, True])
     def test_same_seed_same_result(self, padded):
         coeffs = BipartiteCoeffs(A_3X3, B_3X3)

@@ -55,6 +55,14 @@ def generic_qubit_pair():
     return a, b - np.trace(a.conj().T @ b) * a
 
 
+def spelled(pairs):
+    """Nested [re, im] pairs whose first pair holds the strings that spell its numbers."""
+    arr = np.array(pairs, dtype=object)
+    first = (0,) * (arr.ndim - 1)
+    arr[first] = [str(v) for v in arr[first]]
+    return arr.tolist()
+
+
 def bell_mixture_doc():
     """t |phi+><phi+| + (1 - t) |phi-><phi-| as a generic mixed document."""
     bells = bell_states()
@@ -169,13 +177,27 @@ class TestBuiltins:
 
 class TestCliCore:
     def test_import_loads_no_scipy(self):
-        # scipy.optimize is imported by the first lm search, not by the package
+        # only an lm search loads scipy, and then only its compiled MINPACK
         code = ("import sys, loccfisher.cli; "
                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         env = dict(os.environ, PYTHONPATH=str(Path(loccfisher.__file__).parents[1]))
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, check=True)
         assert run.stdout.strip() == "[]"
+
+    def test_cold_search_loads_no_scipy_optimize(self, capsys):
+        # a fresh process reaches lmder without scipy.optimize and prints what one with it prints
+        argv = ["lm-check", "lm3x3", "--projective-only", "--restarts", "1"]
+        code = ("import sys; from loccfisher.cli import cli_main\n"
+                f"code = cli_main({argv!r})\n"
+                "print([m for m in sys.modules if 'scipy.optimize' in m], file=sys.stderr)\n"
+                "sys.exit(code)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(loccfisher.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0 and run.stderr.strip() == "[]"
+        assert cli_main(argv) == 0
+        assert run.stdout == capsys.readouterr().out
 
     def test_console_entry_point_exits_1_on_a_validation_error(self):
         # main() exits with cli_main's code and prints the error as JSON on stderr only;
@@ -646,9 +668,14 @@ class TestCliErrors:
         assert err["kind"] == "validation" and "restarts" in err["error"]
         assert captured.out == ""
 
-    @pytest.mark.parametrize("bad", [{"x": 1}, [[[1, None]]], [[{"re": 1.0}, [0.0, 0.0]]]])
+    @pytest.mark.parametrize("bad", [
+        {"x": 1}, [[[1, None]]], [[{"re": 1.0}, [0.0, 0.0]]],
+        spelled(complex_to_pairs(np.diag([1, -1]) / np.sqrt(2))),
+        [[[False, False], [True, False]], [[False, False], [False, False]]]])
     def test_lm_check_matrix_of_the_wrong_json_type_exit_1(self, tmp_path, capsys, bad):
-        # an object where a number belongs, or a null, is a validation error, not a crash
+        # an object where a number belongs, a null, a string that spells a number or an
+        # array of bools alone is a validation error, not a crash; the last two would
+        # otherwise read as a matrix orthogonal to the other one
         good = complex_to_pairs(np.eye(2) / np.sqrt(2))
         for docs in ((bad, good), (good, bad)):
             paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -785,6 +812,7 @@ class TestCliErrors:
             {**child, "subsystem": True} for child in d["node"]["children"]]}}),
         ("verify", lambda d: [d]),
         ("verify", lambda d: None),
+        ("verify", lambda d: {**d, "node": {**d["node"], "basis": spelled(d["node"]["basis"])}}),
         ("qfi", lambda d: {**d, "layout": 5}),
         ("qfi", lambda d: [d]),
         ("qfi", lambda d: "ghz2"),
@@ -805,7 +833,8 @@ class TestCliErrors:
                            "p": {"form": "linear", "intercept": 0.0, "slope": "1"}}),
         ("qfi", lambda d: {**builtin_scenario("ranktwo").doc,
                            "p": {"form": "cosine", "offset": 0.5, "amplitude": 0.3,
-                                 "frequency": 1.7, "phase": True}})])
+                                 "frequency": 1.7, "phase": True}}),
+        ("qfi", lambda d: {**d, "psi_in": spelled(d["psi_in"])})])
     def test_document_of_the_wrong_json_shape_exit_1(self, tmp_path, capsys, command, edit):
         # a tree (verify) or scenario (qfi) document whose entries have the wrong JSON type
         tree = tmp_path / "tree.json"

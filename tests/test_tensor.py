@@ -306,3 +306,11 @@ def test_complex_pair_round_trip(rng):
     assert np.array_equal(pairs_to_complex(complex_to_pairs(m)), m)
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     assert np.array_equal(pairs_to_complex(complex_to_pairs(v)), v)
+
+
+def test_complex_pairs_hold_numbers_only():
+    # a bool among numbers reads as 0 or 1; strings, bools alone and objects are refused
+    assert np.array_equal(pairs_to_complex([[True, 0.5], [0, False]]), [1 + 0.5j, 0])
+    for data in ([["0.5", 0.0]], [[True, False]], [[10 ** 30, "0.5"]], [[1.0, None]]):
+        with pytest.raises(ValueError, match="must hold numbers"):
+            pairs_to_complex(data)
