@@ -288,9 +288,9 @@ def cli_main(argv: list[str]) -> int:
         print(json.dumps({"error": str(exc), "kind": "non-convergence"}),
               file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "validation"}),
-              file=sys.stderr)
+    except (ValueError, OSError, KeyError) as exc:    # a KeyError is a missing document entry
+        message = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
+        print(json.dumps({"error": message, "kind": "validation"}), file=sys.stderr)
         return 1
 
 

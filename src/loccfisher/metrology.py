@@ -17,11 +17,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .tensor import (COMPLETENESS_TOL, CONDITION_REL, DRHO_TOL, DRIFT_TOL,
-                     EVAL_UNIT_TOL, FAMILY_UNIT_TOL, FI_REL, KRYLOV_TOL, ORTHOGONAL_TOL,
-                     P_TOL, RANK_TOL, REGULARITY_REL, RHO_TOL, HilbertLayout, KetBraSum,
-                     check_finite, check_hermitian, check_orthonormal, check_real_diagonal,
-                     check_trace, check_unit, eigh_desc)
+from .tensor import (COMPLETENESS_TOL, CONDITION_REL, DRHO_TOL, EVAL_UNIT_TOL, FAMILY_UNIT_TOL,
+                     FI_REL, KRYLOV_TOL, ORTHOGONAL_TOL, P_TOL, RANK_TOL, REGULARITY_REL,
+                     RHO_TOL, HilbertLayout, KetBraSum, check_finite, check_hermitian,
+                     check_orthonormal, check_real_diagonal, check_trace, check_unit, eigh_desc)
 # herm_eig and sqrt_psd are unused here; they stay importable because the
 # benchmark tracer patches them.
 from .tensor import herm_eig, sqrt_psd  # noqa: F401
@@ -199,9 +198,10 @@ class PureNumericFamily:
     state_type = "pure"
 
     def psi(self, theta: float) -> np.ndarray:
-        vec = check_unit(self.evaluator(theta), "evaluator output", EVAL_UNIT_TOL)
+        name = f"evaluator output at theta = {float(theta)!r}"
+        vec = check_unit(self.evaluator(theta), name, EVAL_UNIT_TOL)
         if vec.shape != (self.layout.total,):
-            raise ValueError("evaluator output does not match the layout")
+            raise ValueError(f"{name} does not match the layout")
         return vec / np.linalg.norm(vec)
 
     def psi_dpsi(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -258,24 +258,20 @@ class MixedGenericFamily:
     step = DEFAULT_FD_STEP
 
     def rho(self, theta: float) -> np.ndarray:
-        d = self.layout.total
-        rho = check_hermitian(self.evaluator(theta), "rho", RHO_TOL)
+        d, at = self.layout.total, f"at theta = {float(theta)!r}"
+        rho = check_hermitian(self.evaluator(theta), f"rho {at}", RHO_TOL)
         if rho.shape != (d, d):
-            raise ValueError("evaluator output does not match the layout")
+            raise ValueError(f"evaluator output {at} does not match the layout")
         w = np.linalg.eigvalsh(rho)
         if w.min() < -RHO_TOL or abs(np.trace(rho).real - 1.0) > RHO_TOL:
-            raise ValueError("evaluator output is not a unit-trace PSD matrix")
+            raise ValueError(f"evaluator output {at} is not a unit-trace PSD matrix")
         return rho
 
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.rho_drho_sides(theta)[:2]
-
-    def rho_drho_sides(self, theta: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """rho and drho at theta, and the checked rho at theta - h and theta + h."""
+        """rho and its exactly Hermitian central difference, from rho at theta + h, - h and theta."""
         h = self.step
-        plus, minus = self.rho(theta + h), self.rho(theta - h)
-        drho = (plus - minus) / (2 * h)
-        return self.rho(theta), (drho + drho.conj().T) / 2, (minus, plus)
+        drho = (self.rho(theta + h) - self.rho(theta - h)) / (2 * h)
+        return self.rho(theta), (drho + drho.conj().T) / 2
 
 
 StateFamily = Union[UnitaryGeneratorFamily, PureNumericFamily,
@@ -390,8 +386,10 @@ def sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
 
 
 def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
-    # rho and drho come from check_hermitian (here or in saturation_matrices),
-    # which returns exactly Hermitian matrices, so they are not checked again.
+    # rho and drho are exactly Hermitian, so they are not checked again: sld
+    # passes them through check_hermitian, and saturation_matrices takes them
+    # from MixedGenericFamily.rho_drho, whose rho is checked and whose drho is
+    # symmetrized.
     # The exact drho of a PSD family has no block between two kernel
     # directions: <k|rho(theta)|k> >= 0 is at its minimum 0 for every kernel
     # vector k, so <k|drho|k> = 0. A family's central difference does carry
@@ -423,10 +421,10 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     rank-two families, one ``p_dp``: L is diagonal on {psi0, psi1} with
     eigenvalues p'/p and -p'/(1 - p), qfi = p'^2 / (p (1 - p)) and the target
     is |psi0><psi1| (the scale-invariant direction, real prefactor dropped).
-    Neither builds a D x D array. Generic mixed families, one
-    ``rho_drho_sides``: the checked dense rho and drho and the SLD, and the
-    target |t0><t1| if rho(theta -+ h) keep the support eigenbasis t0, t1
-    (``_detect_fixed_rank_two``); otherwise there is no target.
+    Neither builds a D x D array. Generic mixed families, one ``rho_drho``:
+    the dense rho and drho as returned (drho checked traceless) and the SLD,
+    and the target |t0><t1| if drho is diagonal in the support eigenbasis
+    t0, t1 (``_detect_fixed_rank_two``); otherwise there is no target.
     """
     if family.state_type == "pure":
         psi, dpsi = family.psi_dpsi(theta)
@@ -446,12 +444,11 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
         l_support = np.array([[dp / p], [-dp / (1 - p)]]) * kets
         return SaturationMatrices(rho, drho, kets, l_support, dp * dp / (p * (1 - p)),
                                   KetBraSum(*kets))
-    rho, drho, sides = family.rho_drho_sides(theta)
-    rho = check_hermitian(rho, "rho", RHO_TOL)
-    drho = check_trace(check_hermitian(drho, "drho", DRHO_TOL), "drho", DRHO_TOL)
+    rho, drho = family.rho_drho(theta)
+    drho = check_trace(drho, "drho", DRHO_TOL)
     res = _sld(rho, drho)
     support = res.eigvecs[:, res.eigvals > RANK_TOL].T
-    pair = _detect_fixed_rank_two(support, rho, drho, sides, family.step)
+    pair = _detect_fixed_rank_two(support, rho, drho, family.step)
     return SaturationMatrices(KetBraSum.from_dense(rho), KetBraSum.from_dense(drho),
                               support, support @ res.L.T, res.qfi,
                               None if pair is None else KetBraSum(*pair))
@@ -504,7 +501,7 @@ def perp_component(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
 
 
 def _detect_fixed_rank_two(support: np.ndarray, rho: np.ndarray, drho: np.ndarray,
-                           sides: tuple[np.ndarray, np.ndarray], step: float):
+                           step: float):
     """The two basis rows of a dense frame's support if the rank-2 eigenbasis is theta-independent.
 
     ``support`` holds the eigenvectors of the checked ``rho``. At equal weights
@@ -512,12 +509,11 @@ def _detect_fixed_rank_two(support: np.ndarray, rho: np.ndarray, drho: np.ndarra
     so the rows are turned to the eigenbasis of ``drho`` on the support when
     rho's eigenvalue gap is below ``step`` times drho's there: the rounding
     error of the central difference drho is 1/step times that of rho.
-    ``sides`` are the checked density matrices at theta -+ h that drho came
-    from. The basis is fixed if it diagonalizes both: weight of a side off
-    that diagonal, or outside the support, above DRIFT_TOL means the basis
-    moves with theta and the rank-two shortcut does not apply, so the
-    result is None, as at any rank other than two. A side at equal weights
-    passes as well.
+    Over a fixed basis t_k only the weights move, so drho = sum_k
+    <t_k|drho|t_k> |t_k><t_k|; weight off that diagonal, or outside the
+    support, above CONDITION_REL * max(1, max |drho|) means the basis turns
+    with theta. The zero sandwich of ``check_saturation`` would then fail on
+    the tree for |t0><t1|, so the result is None, as at any rank other than two.
     """
     if len(support) != 2:
         return None
@@ -525,12 +521,9 @@ def _detect_fixed_rank_two(support: np.ndarray, rho: np.ndarray, drho: np.ndarra
     mu, turn = np.linalg.eigh(support.conj() @ drho @ support.T)
     if abs(weights[0] - weights[1]) < step * (mu[1] - mu[0]):
         support = turn.T @ support
-    for side in sides:
-        # side minus its diagonal part sum_k <t_k|side|t_k> |t_k><t_k|
-        diag = np.einsum("kd,de,ke->k", support.conj(), side, support)
-        if np.abs(side - (support.T * diag) @ support.conj()).max() > DRIFT_TOL:
-            return None
-    return support
+    diag = np.einsum("kd,de,ke->k", support.conj(), drho, support)
+    off = np.abs(drho - (support.T * diag) @ support.conj()).max()
+    return None if off > CONDITION_REL * max(1.0, np.abs(drho).max()) else support
 
 
 def check_layout(tree, family: StateFamily) -> None:

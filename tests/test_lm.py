@@ -99,6 +99,17 @@ class TestCoefficientMatrices:
         with pytest.raises(ValueError):
             BipartiteCoeffs(psi.reshape(2, 2), psi.reshape(2, 2))
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: BipartiteCoeffs(np.zeros((2, 2, 1)), np.zeros((2, 2, 1))),
+         "coefficient matrices must share a 2-D shape"),
+        (lambda: IsometryPair(np.eye(3)[:, :2], np.eye(2)),
+         "U must have at least as many columns as rows"),
+        (lambda: coefficient_matrices(np.ones(3), np.ones(4), HilbertLayout((2, 2))),
+         "vector length does not match the layout")])
+    def test_shape_refusals_named(self, call, error):
+        with pytest.raises(ValueError, match=error):
+            call()
+
 
 class TestCheckLmConditions:
     def test_explicit_isometry_pair(self):

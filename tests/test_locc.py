@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -277,6 +278,12 @@ class TestMeasurementTree:
         bases[1][1, 0, 1] = 1e-6
         with pytest.raises(ValueError, match="basis at depth 1 is not orthonormal"):
             MeasurementTree(self.LAYOUT, (0, 1, 2), bases)
+
+    def test_amplitudes_refuse_rows_of_another_length(self):
+        tree = MeasurementTree(self.LAYOUT, (0, 1, 2), self.stacks())
+        with pytest.raises(ValueError, match=re.escape(
+                "vectors of shape (2, 6) do not match layout [2, 2, 3]")):
+            tree.amplitudes(np.ones((2, 6)))
 
 
 class TestVerifyTree:

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from loccfisher import metrology
 from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily,
                         RankTwoFixedBasisFamily, UnitaryGeneratorFamily,
-                        check_saturation, fisher_info, flatten,
-                        perp_component, qfi, saturation_matrices, sld, verify_tree)
+                        check_saturation, fisher_info, flatten, perp_component, qfi,
+                        saturation_matrices, sld, synthesize_tree, verify_tree)
 from loccfisher.locc import MeasurementTree
 from loccfisher.scenarios import bell_states, builtin_scenario
 from loccfisher.tensor import HilbertLayout, KetBraSum, herm_eig, kron
@@ -108,6 +110,39 @@ class TestEvalState:
             else:
                 RankTwoFixedBasisFamily(QUBIT, **{**vecs, name: bad},
                                         p_fn=lambda t: 0.5, dp_fn=lambda t: 1.0)
+
+    @pytest.mark.parametrize("family, error", [
+        (lambda: PureNumericFamily(HilbertLayout((2, 2)), lambda t: np.array([1, 0])),
+         "evaluator output at theta = 0.3 does not match the layout"),
+        (lambda: PureNumericFamily(QUBIT, lambda t: np.array([1.0, 1.0])),
+         "evaluator output at theta = 0.3 norm"),
+        (lambda: MixedGenericFamily(HilbertLayout((2, 2)), lambda t: np.eye(2) / 2),
+         f"evaluator output at theta = {0.3 + 1e-4!r} does not match the layout"),
+        (lambda: MixedGenericFamily(QUBIT, lambda t: np.array([[0.5, 0.1], [0.0, 0.5]])),
+         f"rho at theta = {0.3 + 1e-4!r} is not Hermitian"),
+        (lambda: MixedGenericFamily(QUBIT, lambda t: np.diag([1.5, -0.5])),
+         f"evaluator output at theta = {0.3 + 1e-4!r} is not a unit-trace PSD matrix"),
+        (lambda: RankTwoFixedBasisFamily(QUBIT, np.array([1, 0]), np.array([0, 1]),
+                                         lambda t: 0.5, lambda t: np.nan),
+         "dp/dtheta = nan is not finite")])
+    def test_evaluator_refusals_name_theta(self, family, error):
+        # a numeric family evaluates theta (pure) or theta + h first (mixed)
+        with pytest.raises(ValueError, match=re.escape(error)):
+            qfi(family(), 0.3)
+
+    def test_failing_side_of_the_difference_named(self):
+        # 5e-5 lies in the domain of t |phi+><phi+| + (1 - t) |phi-><phi-|, 5e-5 - h does not
+        bells = bell_states()
+        p0, p1 = (np.outer(bells[k], bells[k].conj()) for k in ("phi+", "phi-"))
+        fam = MixedGenericFamily(HilbertLayout((2, 2)), lambda t: t * p0 + (1 - t) * p1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"evaluator output at theta = {5e-5 - 1e-4!r} is not a unit-trace PSD")):
+            qfi(fam, 5e-5)
+
+    def test_empty_povm_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "POVM needs a non-empty (outcomes x dimension) vector array")):
+            Povm(np.zeros((0, 2)))
 
     def test_rank_two_linear(self):
         bells = bell_states()
@@ -218,15 +253,15 @@ class TestComponents:
 
 class TestQfi:
     def test_mixed_state_checked_once(self, monkeypatch):
-        # the family checks its three evaluator outputs (theta and theta -+ h),
-        # saturation_matrices checks rho and drho; the SLD core takes them as returned
+        # the family checks its three evaluator outputs (theta and theta -+ h);
+        # saturation_matrices and the SLD core take rho and drho as returned
         fam = builtin_scenario("bellmix").family
         calls = []
         check = metrology.check_hermitian
         monkeypatch.setattr(metrology, "check_hermitian",
                             lambda m, *a: calls.append(a) or check(m, *a))
         qfi(fam, 0.3)
-        assert len(calls) == 5
+        assert len(calls) == 3
         rho, drho = fam.rho_drho(0.3)
         assert qfi(fam, 0.3) == sld(rho, drho).qfi
 
@@ -475,7 +510,7 @@ class TestSaturationMatrices:
         assert np.array_equal(out.target.dense(), np.outer(vecs[:, 0], vecs[:, 1].conj()))
 
     def test_mixed_rank_two_evaluated_once(self):
-        # the rank-two test reuses the rho(theta -+ h) the derivative evaluated
+        # the rank-two test reads the drho of the three evaluations
         bells = bell_states()
         p0 = np.outer(bells["phi+"], bells["phi+"].conj())
         p1 = np.outer(bells["psi+"], bells["psi+"].conj())
@@ -500,6 +535,32 @@ class TestSaturationMatrices:
         want = dense_conditions(fam, 0.4)
         assert len(out.conditions) == len(want) == 4
         assert all(np.abs(m.dense() - w).max() < 1e-12 for m, w in zip(out.conditions, want))
+
+    @staticmethod
+    def slowly_turning(omega):
+        """rho(t) = R(omega t) diag(t, 1 - t) R(omega t)^dag on the first two basis states."""
+        def rho(t):
+            c, s = np.cos(omega * t), np.sin(omega * t)
+            v0, v1 = np.array([c, s, 0, 0], complex), np.array([-s, c, 0, 0], complex)
+            return t * np.outer(v0, v0) + (1 - t) * np.outer(v1, v1)
+        return MixedGenericFamily(HilbertLayout((2, 2)), rho)
+
+    def test_mixed_rank_two_slow_turn_rejected(self):
+        # drho carries omega (1 - 2 theta) off the eigenbasis diagonal: 4e-6 at omega = 1e-5,
+        # where the tree for |t0><t1| fails the zero sandwich, so there is no target
+        fam = self.slowly_turning(1e-5)
+        assert saturation_matrices(fam, 0.3).target is None
+        w, v = np.linalg.eigh(fam.rho(0.3))
+        tree = synthesize_tree(KetBraSum(*v[:, w > 1e-9].T), fam.layout)
+        rep = check_saturation(tree, fam, 0.3)
+        assert not rep.saturating and rep.condition_residual > 1e-6
+
+    def test_mixed_rank_two_negligible_turn_accepted(self):
+        # 4e-10 off the diagonal at omega = 1e-9: the target's tree saturates
+        fam = self.slowly_turning(1e-9)
+        out = saturation_matrices(fam, 0.3)
+        assert out.target is not None
+        assert check_saturation(synthesize_tree(out.target, fam.layout), fam, 0.3).saturating
 
     @pytest.mark.parametrize("kind", ["pure", "rank-two", "fixed-basis", "rank-3"])
     def test_conditions_are_the_ones_check_saturation_evaluates(self, monkeypatch, kind):

@@ -430,6 +430,42 @@ def random_fixed_basis_mixture(dims, rng):
     return MixedGenericFamily(family.layout, lambda t: t * p0 + (1 - t) * p1)
 
 
+def turning_mixture(dims, rng, omega):
+    """(family, theta, |p0 - p1| at theta): the generic mixed family p(t) |v0><v0| +
+    (1 - p(t)) |v1><v1|, p(t) = c0 + c1 t with |c1| >= 0.05, whose two Haar rows v0, v1
+    turn by the angle omega t in their span, at a theta in [0.2, 0.8] with
+    |p(theta) - 1/2| >= 0.05."""
+    layout = HilbertLayout(dims)
+    a, b = haar_unitary(layout.total, rng)[:2]
+    c0, c1 = rng.uniform(0.3, 0.6), rng.choice([-1, 1]) * rng.uniform(0.05, 0.2)
+    theta = rng.uniform(0.2, 0.8)
+    assume(abs(c0 + c1 * theta - 0.5) >= 0.05)
+
+    def rho(t):
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        v0, v1 = c * a + s * b, c * b - s * a
+        p = c0 + c1 * t
+        return p * np.outer(v0, v0.conj()) + (1 - p) * np.outer(v1, v1.conj())
+
+    return MixedGenericFamily(layout, rho), theta, abs(2 * (c0 + c1 * theta) - 1)
+
+
+@PROPERTY
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2 ** 32 - 1),
+       exponent=st.floats(-4.0, -1.0))
+def test_fixed_rank_two_basis_decided_from_drho(dims, seed, exponent):
+    # over a fixed basis the tree for |t0><t1| saturates; a basis turning at omega puts
+    # omega |p0 - p1| off the diagonal of drho, and from 1e-4 on there is no target
+    family, theta, _ = turning_mixture(dims, np.random.default_rng(seed), 0.0)
+    target = saturation_matrices(family, theta).target
+    assert target is not None
+    assert check_saturation(synthesize_tree(target, family.layout), family, theta).saturating
+    omega = 10.0 ** exponent
+    family, theta, gap = turning_mixture(dims, np.random.default_rng(seed), omega)
+    assume(omega * gap >= 1e-4)
+    assert saturation_matrices(family, theta).target is None
+
+
 @st.composite
 def verdict_cases(draw):
     """(family, theta, reader): a pure, rank-two, fixed-basis generic mixed or rank-3 mixed

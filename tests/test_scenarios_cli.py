@@ -776,7 +776,13 @@ class TestCliErrors:
         (["lm-check"], "give a scenario or --a-mat/--b-mat"),
         (["lm-check", "ranktwo"], "lm-check needs a bipartite pure scenario"),
         (["lm-check", "ghz3"], "lm-check needs a bipartite pure scenario"),
-        (["export-bloch"], "give a scenario or --tree")])
+        (["export-bloch"], "give a scenario or --tree"),
+        (["simulate", "ghz2", "--shots", "0"], "shots and trials must be positive"),
+        (["simulate", "ghz2", "--trials", "0"], "shots and trials must be positive"),
+        (["simulate", "ghz2", "--two-step", "--shots", "10"], "two-step needs at least 16 shots"),
+        (["simulate", "ghz2", "--theta", "2", "--prior", "0", "1"],
+         "theta_true outside the prior interval"),
+        (["lm-check", "--a-mat", "{b}", "--b-mat", "{a}"], "state coefficients are not normalized")])
     def test_ignored_argument_exit_1(self, tmp_path, capsys, argv, error):
         # each input file is valid, so the ignored, missing or malformed argument
         # is the only error
@@ -847,6 +853,40 @@ class TestCliErrors:
         assert cli_main([*argv, str(path)]) == 1
         captured = capsys.readouterr()
         assert json.loads(captured.err)["kind"] == "validation" and captured.out == ""
+
+    @pytest.mark.parametrize("command, edit, error", [
+        ("qfi", lambda d: {k: v for k, v in d.items() if k != "psi_in"}, "missing entry 'psi_in'"),
+        ("qfi", lambda d: {**builtin_scenario("ranktwo").doc,
+                           "p": {"form": "cosine", "offset": 0.5, "frequency": 1.0}},
+         "missing entry 'amplitude'"),
+        ("verify", lambda d: {k: v for k, v in d.items() if k != "node"}, "missing entry 'node'"),
+        ("qfi", lambda d: {**d, "type": "mystery"}, "unknown scenario type 'mystery'"),
+        ("qfi", lambda d: {**builtin_scenario("ranktwo").doc, "p": {"form": "cubic"}},
+         "unknown p form 'cubic'"),
+        ("qfi", lambda d: {**d, "hamiltonian": {}}, "hamiltonian needs a 'pauli' or 'dense' entry"),
+        ("qfi", lambda d: {**d, "hamiltonian": {"dense": complex_to_pairs(np.eye(3))}},
+         "psi_in / generator shapes do not match the layout"),
+        ("qfi", lambda d: {**builtin_scenario("ranktwo").doc,
+                           "psi1": builtin_scenario("ranktwo").doc["psi0"]},
+         "psi0 and psi1 must be orthogonal"),
+        ("qfi", lambda d: {**bell_mixture_doc(), "layout": [2, 3]},
+         f"evaluator output at theta = {0.5 + 1e-4!r} does not match the layout"),
+        ("qfi", lambda d: {**bell_mixture_doc(),
+                           "rho1": complex_to_pairs(np.diag([2.0, -1.0, 0.0, 0.0]))},
+         f"evaluator output at theta = {0.5 + 1e-4!r} is not a unit-trace PSD matrix")])
+    def test_refused_document_names_its_fault(self, tmp_path, capsys, command, edit, error):
+        # each refusal names its fault; a missing entry is named as one, not as a bare key
+        tree = tmp_path / "tree.json"
+        assert cli_main(["synthesize", "ghz2", "--theta", "0.3", "--out", str(tree)]) == 0
+        doc = json.loads(tree.read_text()) if command == "verify" else _ghz_doc(2)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(edit(doc)))
+        capsys.readouterr()
+        argv = ["verify", "ghz2", "--tree"] if command == "verify" else ["qfi"]
+        assert cli_main([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": error, "kind": "validation"}
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command, field, value, error", [
         ("verify", "layout", ["2", 2], "layout entry must be an integer, got '2'"),

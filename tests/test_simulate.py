@@ -179,6 +179,11 @@ class TestMle:
         with pytest.raises(ValueError, match=re.escape(f"outcome path {path}")):
             mle(counts, fam, tree, (0.0, 1.0))
 
+    def test_no_counts_rejected(self):
+        fam = ghz_family(2)
+        with pytest.raises(ValueError, match="no counts"):
+            mle({}, fam, synth(fam, 0.4), (0.0, 1.0))
+
     def test_matches_run_trials_on_the_same_draw(self):
         # public mle on the dict of one fixed-strategy draw is trial 0's estimate
         fam, prior = ghz_family(3), (0.1, 0.8)
@@ -286,6 +291,24 @@ class TestScoreSteps:
         assert rep.boundary_hits == int(np.sum(golden < PRIOR_EDGE_REL)) > 0
         assert np.abs(rep.estimates - golden).max() <= 1e-7
 
+    def test_two_step_numeric_family_evaluated_inside_the_prior(self, monkeypatch):
+        # with few rough shots many rough estimates sit at 0; each is clamped a step
+        # inside the prior, so the frame there evaluates rho(theta -+ step) in [0, 1]
+        phi_p, phi_m = (np.outer(v, v.conj()) for v in
+                        (np.array([1, 0, 0, s], complex) / np.sqrt(2) for s in (1, -1)))
+        seen, frames = [], []
+        fam = MixedGenericFamily(HilbertLayout((2, 2)),
+                                 lambda t: seen.append(t) or t * phi_p + (1 - t) * phi_m)
+        frame = metrology.saturation_matrices
+        monkeypatch.setattr(metrology, "saturation_matrices",
+                            lambda f, t: frames.append(t) or frame(f, t))
+        cfg = SimConfig(family=fam, theta_true=0.05, shots=100, trials=20, seed=0,
+                        prior=(0.0, 1.0), strategy="two-step")
+        rep = run_trials(cfg)
+        assert 0.0 <= min(seen) and max(seen) <= 1.0
+        assert min(frames) == fam.step
+        assert rep.estimates.size + rep.degenerate_trials == 20
+
     def test_flat_likelihood_raises_before_any_score_step(self):
         law = _OutcomeLaw(phase_qubit(), single_node_tree(np.eye(2)), (0.0, 1.0))
         calls = []
@@ -366,6 +389,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=re.escape(f"prior {list(prior)} is not finite")):
             SimConfig(family=ghz_family(2), theta_true=0.5, shots=100, trials=2,
                       seed=0, prior=prior)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("prior", (1.0, 0.0), "prior interval is empty"),
+        ("strategy", "adaptive", "unknown strategy 'adaptive'")])
+    def test_refusals_named(self, field, value, error):
+        cfg = dict(family=ghz_family(2), theta_true=0.5, shots=100, trials=2, seed=0,
+                   prior=(0.0, 1.0))
+        with pytest.raises(ValueError, match=re.escape(error)):
+            SimConfig(**{**cfg, field: value})
 
 
 class TestTwoStep:

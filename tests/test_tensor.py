@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -150,6 +152,18 @@ class TestChecks:
         check_orthonormal(u.T, "rows")
         with pytest.raises(ValueError, match="columns"):
             check_orthonormal(u, "columns")
+
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: check_real_diagonal(np.eye(2), "g"), "g must be a vector, got shape (2, 2)"),
+        (lambda: KetBraSum.from_dense(np.ones((2, 3))), "matrix must be square, got shape (2, 3)"),
+        (lambda: partial_expectation(np.eye(3), HilbertLayout((2, 2)), 0, np.array([1, 0])),
+         "matrix shape (3, 3) does not match layout (2, 2)"),
+        (lambda: partial_expectation(np.eye(4), HilbertLayout((2, 2)), 0, np.array([1, 0, 0])),
+         "vector length 3 does not match subsystem dim 2")])
+    def test_shape_refusals_named(self, call, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            call()
 
 
 class TestKron:

@@ -169,6 +169,13 @@ class TestSolve2x2:
         with pytest.raises(ValueError):
             solve_2x2(np.eye(2), PAULI_Z)
 
+    @pytest.mark.parametrize("h1, h2, error", [
+        (PAULI_Z, np.diag([1.0, -1.0, 0.0]), "dimension mismatch"),
+        (np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0]), "solve_2x2 expects 2x2 matrices")])
+    def test_rejects_other_shapes(self, h1, h2, error):
+        with pytest.raises(ValueError, match=error):
+            solve_2x2(h1, h2)
+
     @given(st.lists(qubit_node(), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def test_stack_matches_scalar_closed_form_bit_for_bit(self, nodes):
