@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # The tolerance table: one entry per decision, with its scale rule. Constants
-# that one module owns stay there: DIAG_TOL, NULL_TOL and _TINY in zerodiag,
+# that one module owns stay there: DIAG_TOL and _TINY in zerodiag,
 # LEAF_TOL and NODE_TRACE_TOL in locc, PHASE_TOL and SUPPORT_TOL in lm.
 HERM_TOL = 1e-10          # max |M - M^dag|, relative to max(1, max |M_ij|)
 TRACE_TOL = 1e-10         # |Tr M|, relative to max(1, ||M||_F)

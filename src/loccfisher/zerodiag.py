@@ -2,10 +2,11 @@
 
 Any traceless matrix admits an orthonormal basis in which all its diagonal
 entries vanish. Its Hermitian and anti-Hermitian parts form a traceless
-Hermitian pair to zero-diagonalize at once. One recursion solves a stack of
-P such d x d pairs: a 2x2 pair by a closed-form rotation, a larger one by the
-inductive construction, which finds a common null vector v and solves the
-deflated (P, d-1, d-1) stack on v's complement. Every branch is a mask, so a
+Hermitian pair to zero-diagonalize at once. One pass solves a stack of P such
+d x d pairs: a 2x2 pair by a closed-form rotation, a larger one by a basis
+that zeroes h1's diagonal followed by d - 1 closed-form plane rotations that
+zero h2's diagonal and keep h1's. This is a constructive proof of the same
+lemma that the paper proves by induction on d. Every branch is a mask, so a
 pair's basis does not depend on the rest of its stack; one pair is a stack of one.
 """
 
@@ -17,7 +18,6 @@ from .tensor import (TARGET_TRACE_TOL, check_hermitian, check_trace, check_trace
                      frobenius_norms, recenter)
 
 DIAG_TOL = 1e-8        # admissible diagonal residual relative to the pair scale
-NULL_TOL = 1e-9        # admissible null-vector residual relative to the pair scale
 _TINY = 1e-12          # relative zero floor, mostly against the pair scale
 
 
@@ -28,10 +28,10 @@ class ZeroDiagConvergenceError(RuntimeError):
 def _check_pair(h1: np.ndarray, h2: np.ndarray) -> float:
     """Scale max(1, ||h1||, ||h2||) of a public input pair, checked traceless Hermitian.
 
-    Every floor and bound of the construction is relative to this scale;
-    sub-problems inherit it, so a deflated pair that is rounding noise at
-    the caller's scale counts as zero. The recursion trusts its input and
-    only projects it exactly onto traceless Hermitian matrices.
+    Every floor and bound of the construction is relative to this scale, so
+    a diagonal or a coupling that is rounding noise at the caller's scale
+    counts as zero. The construction trusts its input and only projects it
+    exactly onto traceless Hermitian matrices.
     """
     h1 = check_traceless(check_hermitian(h1, "h1"), "h1")
     h2 = check_traceless(check_hermitian(h2, "h2"), "h2")
@@ -43,15 +43,6 @@ def _check_pair(h1: np.ndarray, h2: np.ndarray) -> float:
 def _traceless_hermitian(m: np.ndarray) -> np.ndarray:
     """Re-centered Hermitian part of each matrix of a stack, traceless Hermitian up to rounding."""
     return recenter((m + m.conj().swapaxes(-1, -2)) / 2)
-
-
-def _check_residual(res: np.ndarray, tol: float, scale: np.ndarray, node: np.ndarray,
-                    what: str) -> None:
-    worst = np.argmax(res / scale)
-    if res[worst] > tol * scale[worst]:
-        raise ZeroDiagConvergenceError(
-            f"{what} residual {res[worst]:.3e} of node {node[worst]} exceeds "
-            f"{tol:.0e} * scale {scale[worst]:.3e}")
 
 
 def _canonical_sign(m: np.ndarray) -> np.ndarray:
@@ -125,9 +116,15 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
 
     ``h`` (P, 2, d, d) holds the pairs, ``scale`` (P,) their scales and
     ``node`` (P,) the indices by which an error names them. A vanishing pair
-    gets the identity, a pair whose first matrix vanishes is swapped, a 2x2
-    pair gets the closed form, and a larger pair gets its common null vector
-    as first column and the solved deflated pair on the complement.
+    gets the identity, a pair whose first matrix vanishes is swapped, and a
+    2x2 pair gets the closed form. A larger pair starts from ``_block_basis``
+    of h1, so every <u|h1|u> = 0, and then rotates d - 1 times in the plane
+    of the columns i, j with the largest x >= 0 and smallest y <= 0 of
+    <u|h2|u>. There h1's compression [[0, a], [a*, 0]] keeps a zero diagonal
+    on the circle cos(phi/2) u_i + sin(phi/2) w u_j with w = i a*/|a|, along
+    which <u|h2|u> runs from x to y; at its zero column i vanishes in both
+    matrices and column j takes x + y. Each step zeroes one more entry, and
+    the last one left equals Tr h2 = 0.
     """
     p, _, d = h.shape[:3]
     u = np.zeros((p, d, d), dtype=complex)
@@ -141,111 +138,52 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
     h = np.where((n[:, 0] <= floor)[:, None, None, None], h[:, ::-1], h)
     if d == 2:
         return np.where(live[:, None, None], _solve_2x2(h[:, 0], h[:, 1])[2], u)
-    h, scale, node = h[live], scale[live], node[live]
+    h, scale, node, floor = h[live], scale[live], node[live], floor[live]
 
-    v = _null_vectors(h, scale, node)
-    w = np.linalg.qr(v[:, :, None], mode="complete")[0][:, :, 1:]   # v's complement
-    sub = _zero_diag(recenter(w.conj().swapaxes(1, 2)[:, None] @ h @ w[:, None]), scale, node)
-    ul = np.concatenate([v[:, :, None], w @ sub], axis=2)
-    diag = (ul.conj()[:, None] * (h @ ul[:, None])).sum(axis=2)
-    _check_residual(np.abs(diag).max(axis=(1, 2)), DIAG_TOL, scale, node, "diagonal")
+    ul = _block_basis(h[:, 0])
+    g = (ul.conj() * (h[:, 1] @ ul)).sum(axis=1).real      # <u|h2|u>, updated in closed form
+    rows = np.arange(len(h))
+    for _ in range(d - 1):
+        i, j = g.argmax(axis=1), g.argmin(axis=1)           # ties to the lowest index
+        x, y = g[rows, i], g[rows, j]
+        go = x - y > floor                                   # then x > 0 > y
+        k, i, j, x, y = rows[go], i[go], j[go], x[go], y[go]
+        ui, uj = ul[k, :, i], ul[k, :, j]
+        a, b = (ui.conj()[:, None] * (h[k] @ uj[:, None, :, None])[..., 0]).sum(axis=2).T
+        mod = np.hypot(a.real, a.imag)
+        coupled = mod > floor[k]
+        w = np.where(coupled, 1j * a.conj() / np.where(coupled, mod, 1.0), 1.0)     # e^{i chi}
+        # <u|h2|u> = 0 at tan(phi/2) = t >= 0, the root of y t^2 + 2 sig t + x = 0;
+        # with r^2 = sig^2 - x y, t = (sig + r) / -y = x / (r - sig) without cancellation
+        sig = w.real * b.real - w.imag * b.imag
+        r = np.sqrt(sig * sig - x * y)
+        half = np.where(sig >= 0, (-y, sig + r), (r - sig, x))    # (cos, sin)(phi/2) unscaled
+        cos, sin = half / np.hypot(*half)
+        ul[k, :, i] = cos[:, None] * ui + (sin * w)[:, None] * uj
+        ul[k, :, j] = cos[:, None] * uj - (sin * w.conj())[:, None] * ui
+        g[k, i], g[k, j] = 0.0, x + y
+
+    res = np.abs((ul.conj()[:, None] * (h @ ul[:, None])).sum(axis=2)).max(axis=(1, 2))
+    worst = np.argmax(res / scale)
+    if res[worst] > DIAG_TOL * scale[worst]:
+        raise ZeroDiagConvergenceError(
+            f"diagonal residual {res[worst]:.3e} of node {node[worst]} exceeds "
+            f"{DIAG_TOL:.0e} * scale {scale[worst]:.3e}")
     u[live] = ul
     return u
 
 
-def _block_basis(t: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Bases (P, k, k) with every <u|t|u> = Tr(t)/k (eigh times DFT), or I where ||t|| <= floor."""
+def _block_basis(t: np.ndarray) -> np.ndarray:
+    """Bases (P, d, d) with every <u|t|u> = Tr(t)/d: eigh times the unitary DFT."""
     jl = np.outer(*2 * [np.arange(t.shape[-1])])
-    basis = np.linalg.eigh(t)[1] @ (np.exp(-2j * np.pi / len(jl) * jl) / np.sqrt(len(jl)))
-    return np.where((frobenius_norms(t) <= floor)[:, None, None], np.eye(len(jl)), basis)
-
-
-def _null_vectors(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray:
-    """Unit v (P, d) with <v|h1|v> = <v|h2|v> = 0 for each pair (h1, h2) with h1 nonzero.
-
-    The inductive block construction: split by the sign of h1, rescale h2
-    (case "a") or not (case "b"), take block vectors v1 > 0 and v2 < 0 from
-    closed-form bases, and combine them as cos(beta) v1 + sin(beta) e^{-i alpha} v2.
-    """
-    p, _, d = h.shape[:3]
-    # Split by the eigenvalue sign of h1. Zero eigenvalues join the positive
-    # block; only the block traces matter and they stay strictly signed. The
-    # zero floor is relative to h1's own spectrum, so a traceless h1 always
-    # has both signs. eigh is ascending: a node's positive block is its last
-    # c eigenvectors.
-    w, vecs = np.linalg.eigh(h[:, 0])
-    c = (w >= -_TINY * np.maximum(-w[:, :1], w[:, -1:])).sum(axis=1)
-    split = (c > 0) & (c < d)
-    if not split.all():
-        raise ZeroDiagConvergenceError(f"h1 of node {node[split.argmin()]} must have "
-                                       "eigenvalues of both signs (traceless, nonzero)")
-    pos = np.arange(d) >= (d - c)[:, None]
-    blocks = vecs.conj().swapaxes(1, 2)[:, None] @ h @ vecs[:, None]
-    # Case "a" rescales h2 by gamma so the block traces of both matrices
-    # agree; an error e in the rescaled blocks costs e in h1 and e/|gamma| in
-    # h2, so the block sub-problems get the scale min(1, |gamma|) * scale.
-    # Case "b" applies when h2's blocks are already traceless.
-    t_lam, t_sig = np.where(pos[:, None], blocks.diagonal(axis1=2, axis2=3).real, 0.0).sum(axis=2).T
-    case_a = np.abs(t_sig) >= _TINY * scale
-    gamma = np.where(case_a, t_lam / np.where(case_a, t_sig, 1.0), 1.0)
-    lam, sig = blocks[:, 0], blocks[:, 1] * gamma[:, None, None]
-    sub_scale = scale * np.minimum(1.0, np.abs(gamma))
-    target = np.where(case_a[:, None, None], lam - sig, sig)
-
-    # Per node and block, the unit u with <u|target|u> = 0 maximizing (on the
-    # positive block) or minimizing <u|lam|u>: the best column of the block's
-    # zero-diagonal basis, ties to the lowest index; where target vanishes
-    # that is h1's extreme eigenvector. The extremal value inherits the sign
-    # of the block's trace of lam. Nodes split alike share one eigh per block.
-    y = np.ones((p, d), dtype=complex)  # block vectors in eigenbasis coordinates
-    vals = np.empty((2, 2, p))          # (<u|lam|u>, <u|target|u>) x (positive, negative)
-    groups = set(c.tolist())
-    for k in groups:
-        at = np.flatnonzero(c == k) if len(groups) > 1 else slice(None)   # one: views
-        for blk, part in enumerate((slice(d - k, d), slice(0, d - k))):
-            lam_b, target_b = lam[at, part, part], target[at, part, part]
-            basis = _block_basis(target_b, _TINY * sub_scale[at])
-            scores = (basis.conj() * (lam_b @ basis)).sum(axis=1).real
-            best = scores.argmax(axis=1) if blk == 0 else scores.argmin(axis=1)
-            rows = np.arange(len(best))
-            ub = basis[rows, :, best]
-            y[at, part] = ub
-            vals[:, blk, at] = (scores[rows, best],
-                                (ub.conj()[:, None] @ target_b @ ub[:, :, None]).real[:, 0, 0])
-    (lam1, lam2), _ = vals
-    signed = (lam1 > 0) & (lam2 < 0)
-    if not signed.all():
-        k = signed.argmin()
-        raise ZeroDiagConvergenceError(f"block construction produced non-signed values "
-                                       f"{lam1[k]:.3e}, {lam2[k]:.3e} at node {node[k]}")
-
-    # Sandwich values of the (rescaled) h2 blocks; the near-zero inner
-    # residuals <u|target|u> are carried along so alpha can cancel them
-    # exactly below.
-    sig1, sig2 = np.where(case_a, vals[0] - vals[1], vals[1])
-    beta = np.arctan2(np.sqrt(lam1), np.sqrt(-lam2))
-    cb, sb = np.cos(beta), np.sin(beta)
-    cross = ((y.conj() * pos)[:, None] @ sig @ (y * ~pos)[:, :, None])[:, 0, 0]
-    base = cb * cb * sig1 + sb * sb * sig2
-    # Solve cos(arg(cross) - alpha) exactly so the residual block term and
-    # the cross term cancel; |ratio| exceeds 1 only by rounding.
-    mag = np.abs(cross)
-    turn = mag > _TINY * sub_scale
-    ratio = -base / np.where(turn, 2 * cb * sb * mag, 1.0)
-    alpha = np.where(turn, np.angle(cross) - np.arccos(np.clip(ratio, -1.0, 1.0)), 0.0)
-    y *= np.where(pos, cb[:, None], (sb * np.exp(-1j * alpha))[:, None])
-    v = (vecs @ y[:, :, None])[:, :, 0]
-    v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=1, keepdims=True))
-    res = np.abs(v.conj()[:, None, None] @ h @ v[:, None, :, None]).max(axis=(1, 2, 3))
-    _check_residual(res, NULL_TOL, scale, node, "null-vector")
-    return v
+    return np.linalg.eigh(t)[1] @ (np.exp(-2j * np.pi / len(jl) * jl) / np.sqrt(len(jl)))
 
 
 def find_null_vector(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Unit vector v with <v|h1|v> = <v|h2|v> = 0 for traceless Hermitian inputs.
 
-    The first column of ``simultaneous_zero_diag``: for d >= 3 the vector
-    of the inductive block construction, for d = 2 a column of the closed form.
+    The first column of ``simultaneous_zero_diag``: for d >= 3 a column of
+    the rotation sweep, for d = 2 a column of the closed form.
     """
     return simultaneous_zero_diag(h1, h2)[:, 0]
 
@@ -253,9 +191,8 @@ def find_null_vector(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 def simultaneous_zero_diag(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     """Unitary whose basis zero-diagonalizes both traceless Hermitian matrices.
 
-    Recursion peels one null vector per step (depth d-1 overall); the deflated
-    pair is re-centered to exactly traceless before descending, which is
-    admissible because the peeled vector carries zero diagonal value.
+    The pair is re-centered to exactly traceless first; a 2x2 pair gets the
+    closed form of ``solve_2x2``, a larger one the rotation sweep.
     """
     scale = _check_pair(h1, h2)
     return _zero_diag(np.asarray([[h1, h2]], dtype=complex), np.array([scale]),
@@ -270,7 +207,7 @@ def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
     times max(1, its norm); its Hermitian and anti-Hermitian parts are then
     zero-diagonalized together at the scale max(1, ||h1||, ||h2||).
     """
-    # tested only: the recursion gets the stack as given, not re-centered
+    # tested only: the construction gets the stack as given, not re-centered
     m = check_trace(m_tilde, "matrix", TARGET_TRACE_TOL)
     stack = m.reshape((-1,) + m.shape[-2:])
     mh = stack.conj().swapaxes(1, 2)

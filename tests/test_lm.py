@@ -177,6 +177,16 @@ class TestConstructLm2xd:
                 rep = check_lm_conditions(construct_lm_2xd(coeffs), coeffs)
                 assert rep.phase_residual < 1e-8
 
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_random_2xd_pairs_are_feasible_and_saturate(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(8):
+            coeffs = random_coeffs(2, d, rng)
+            pair = construct_lm_2xd(coeffs)
+            assert check_lm_conditions(pair, coeffs).feasible
+            fam = interpolation_family(coeffs.a_mat, coeffs.b_mat)
+            assert check_saturation(lm_povm_from_pair(pair), fam, 0.0).saturating
+
     def test_conditioned_targets_traceless(self, rng):
         from loccfisher.zerodiag import zero_diag_basis
         coeffs = random_coeffs(2, 3, rng)

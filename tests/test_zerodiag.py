@@ -86,6 +86,37 @@ def adversarial_pair(draw, d):
 
 
 @st.composite
+def sweep_pair(draw, d):
+    """A traceless Hermitian d x d pair at a scale from 1e-8 to 1e8: random,
+    low-rank, the parts of a rank-one target, h1 with repeated eigenvalues,
+    commuting, h2 = +-h1, or with h1 or h2 zero."""
+    kind = draw(st.sampled_from(["random", "low-rank", "rank-one", "repeated", "commuting",
+                                 "h2=h1", "h2=-h1", "h1=0", "h2=0"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g, h = random_traceless_hermitian(d, rng), random_traceless_hermitian(d, rng)
+    if kind == "low-rank":
+        g, h = spectral_matrix(d, rng, "low-rank"), spectral_matrix(d, rng, "low-rank")
+    elif kind == "rank-one":
+        a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        m = np.outer(a, (b - np.vdot(a, b) / np.vdot(a, a) * a).conj())
+        g, h = (m + m.conj().T) / 2, (m - m.conj().T) / 2j
+    elif kind == "repeated":
+        g = spectral_matrix(d, rng, "repeated")
+    elif kind == "commuting":
+        q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        g, h = ((q * w) @ q.conj().T for w in rng.standard_normal((2, d)))
+        g, h = (x - np.trace(x) / d * np.eye(d) for x in (g, h))
+    elif kind in ("h2=h1", "h2=-h1"):
+        h = g if kind == "h2=h1" else -g
+    elif kind == "h1=0":
+        g = np.zeros((d, d), dtype=complex)
+    elif kind == "h2=0":
+        h = np.zeros((d, d), dtype=complex)
+    scale = 10.0 ** draw(st.sampled_from([-8, -4, 0, 4, 8]))
+    return g * scale, h * scale
+
+
+@st.composite
 def traceless_blocks(draw):
     """A stack of traceless Hermitian k x k blocks, k = 1 ... 9, each zero,
     random, low-rank or with two repeated eigenvalues, at a scale from 1e-8 to 1e8."""
@@ -104,39 +135,12 @@ class TestBlockBasis:
     @given(traceless_blocks())
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     def test_unitary_and_zero_diagonal(self, t):
-        u = zd._block_basis(t, np.zeros(len(t)))
+        u = zd._block_basis(t)
         k = t.shape[1]
         for tp, up in zip(t, u):
             assert np.abs(up.conj().T @ up - np.eye(k)).max() <= 1e-14 * k
             assert np.abs(np.diag(up.conj().T @ tp @ up)).max() \
                 <= 1e-14 * max(1.0, np.linalg.norm(tp))
-
-    def test_vanishing_block_keeps_the_identity(self, rng):
-        t = np.stack([random_traceless_hermitian(4, rng) * s for s in (1e-13, 1.0)])
-        u = zd._block_basis(t, np.full(2, 1e-12))
-        assert np.array_equal(u[0], np.eye(4)) and not np.allclose(u[1], np.eye(4))
-
-    @pytest.mark.parametrize("d", [3, 5, 9])
-    def test_rank_one_target_needs_one_peel(self, rng, monkeypatch, d):
-        # the conditioned target of a rank-two family at its last depth: h1
-        # and h2 have rank two, so one sign block of h1 is a vanishing block
-        # of the target; its identity basis picks h1's extreme eigenvector,
-        # and the pair deflated off the null vector vanishes
-        seen = []
-        zero_diag = zd._zero_diag
-
-        def spy(h, scale, node):
-            seen.append(h.shape[2])
-            return zero_diag(h, scale, node)
-
-        monkeypatch.setattr(zd, "_zero_diag", spy)
-        for _ in range(5):
-            a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
-            m = np.outer(a, (b - np.vdot(a, b) / np.vdot(a, a) * a).conj())
-            seen.clear()
-            u = zero_diag_basis(m)
-            assert seen == [d, d - 1]
-            assert np.abs(np.diag(u.conj().T @ m @ u)).max() <= 1e-14 * np.linalg.norm(m)
 
 
 class TestSolve2x2:
@@ -254,46 +258,6 @@ class TestSimultaneousZeroDiag:
         u = simultaneous_zero_diag(np.zeros((3, 3), complex), np.zeros((3, 3), complex))
         assert np.array_equal(u, np.eye(3))
 
-    def test_recursion_visits_every_dimension(self, rng, monkeypatch):
-        seen = []
-        original = zd._zero_diag
-
-        def spy(h, scale, node):
-            seen.append(h.shape[2])
-            return original(h, scale, node)
-
-        monkeypatch.setattr(zd, "_zero_diag", spy)
-        h1 = random_traceless_hermitian(6, rng)
-        h2 = random_traceless_hermitian(6, rng)
-        zd.simultaneous_zero_diag(h1, h2)
-        # one peel per level: the main chain passes through every dimension
-        assert set(range(2, 7)).issubset(set(seen))
-
-    def test_null_vectors_never_call_the_pair_solver(self, rng, monkeypatch):
-        seen, inside = [], []
-        zero_diag, null_vectors = zd._zero_diag, zd._null_vectors
-
-        def zero_diag_spy(h, scale, node):
-            assert not inside, "_null_vectors reached _zero_diag"
-            seen.append(h.shape[2])
-            return zero_diag(h, scale, node)
-
-        def null_vectors_spy(h, scale, node):
-            inside.append(h.shape[2])
-            try:
-                return null_vectors(h, scale, node)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(zd, "_zero_diag", zero_diag_spy)
-        monkeypatch.setattr(zd, "_null_vectors", null_vectors_spy)
-        for d in (3, 6, 9):
-            seen.clear()
-            zd.simultaneous_zero_diag(random_traceless_hermitian(d, rng),
-                                      random_traceless_hermitian(d, rng))
-            # one call per deflation, nothing nested
-            assert seen == list(range(d, 1, -1))
-
     @pytest.mark.parametrize("d", [9, 16, 32])
     def test_random_pairs_at_large_d(self, rng, d):
         for _ in range(3):
@@ -320,23 +284,58 @@ class TestAdversarialStacks:
                 <= zd.DIAG_TOL * scale
 
 
+class TestSweep:
+    # d >= 3: h1's block basis, then d - 1 plane rotations that zero h2's diagonal
+
+    @given(st.integers(3, 12).flatmap(lambda d: st.lists(sweep_pair(d), min_size=1,
+                                                         max_size=4)))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_stack_is_unitary_zero_diagonal_and_pairwise(self, pairs):
+        h1, h2 = (np.stack(hs) for hs in zip(*pairs))
+        u = zero_diag_basis(h1 + 1j * h2)
+        d = h1.shape[1]
+        for p in range(len(pairs)):
+            scale = max(1.0, np.linalg.norm(h1[p]), np.linalg.norm(h2[p]))
+            assert np.abs(u[p].conj().T @ u[p] - np.eye(d)).max() <= 1e-12 * d
+            assert max(diag_residual(u[p], h1[p]), diag_residual(u[p], h2[p])) \
+                <= zd.DIAG_TOL * scale
+            alone = zero_diag_basis(h1[p] + 1j * h2[p]).view(float)
+            assert np.array_equal(u[p].view(float), alone)
+            assert np.array_equal(np.signbit(u[p].view(float)), np.signbit(alone))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 9])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    def test_rounding_perturbation_barely_moves_the_basis(self, d, seed):
+        # full-rank targets: eigh of h1 and the rotation angles are continuous
+        rng = np.random.default_rng(seed)
+        m, e = (x - np.trace(x) / d * np.eye(d)
+                for x in rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+        moved = m + 1e-15 * np.linalg.norm(m) * e / np.linalg.norm(e)
+        assert np.abs(zero_diag_basis(m) - zero_diag_basis(moved)).max() <= 1e-9
+
+
 class TestScaleRelativeFloors:
     # Floors and tolerances are relative to max(1, ||h1||, ||h2||) of the
-    # caller's pair, and sub-problems keep that scale.
+    # caller's pair.
 
-    def test_deflated_pair_is_noise_at_parent_scale(self):
-        # After the first null vector is peeled off, the deflated h1 vanishes
-        # exactly, so it holds only rounding noise of the 3e3 scale, which is
-        # above 1e-12 in absolute terms.
+    def test_noise_at_pair_scale_is_not_rotated(self):
+        # h2 = +-h1 of rank two at 3e5: in h1's block basis h2's diagonal is
+        # rounding noise of the 3e5 scale, far above 1e-12 in absolute terms,
+        # so the sweep keeps the block basis as it is.
         for seed in range(5):
             rng = np.random.default_rng(seed)
             q, _ = np.linalg.qr(rng.standard_normal((4, 4))
                                 + 1j * rng.standard_normal((4, 4)))
-            h1 = 3e3 * (np.outer(q[:, 0], q[:, 0].conj())
+            h1 = 3e5 * (np.outer(q[:, 0], q[:, 0].conj())
                         - np.outer(q[:, 1], q[:, 1].conj()))
-            u = simultaneous_zero_diag(h1, np.zeros_like(h1))
-            assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-10
-            assert diag_residual(u, h1) < zd.DIAG_TOL * 3e3
+            block = zd._block_basis(zd._traceless_hermitian(h1[None]))[0]
+            noise = np.diag(block.conj().T @ h1 @ block).real
+            assert noise.max() - noise.min() > 1e-12
+            for sign in (1, -1):
+                u = simultaneous_zero_diag(h1, sign * h1)
+                assert np.array_equal(u, block)
+                assert diag_residual(u, h1) < zd.DIAG_TOL * 3e5
 
     @pytest.mark.parametrize("c1, c2", [(1e-10, 1.0), (1e-6, 1.0), (1.0, 1e-9),
                                         (1e-8, 1e-8), (1e8, 1e3), (1e4, 1e8)])
