@@ -54,9 +54,10 @@ class MeasurementTree:
     ``bases[t]`` is the (P_t, d, d) stack of the nodes at depth t, which all
     measure subsystem order[t] of dimension d. A node's basis holds its
     measurement vectors as columns, and the child of node p after outcome x
-    is node p * d + x of the next depth. Construction checks the order, the
-    count and shapes of the stacks, finiteness and every node's
-    orthonormality, once; readers trust the stacks.
+    is node p * d + x of the next depth. The constructor (and so
+    ``tree_from_json``) checks the order, the count and shapes of the stacks,
+    finiteness and every node's orthonormality; ``synthesize_trees`` checks
+    each depth of all its trees at once and skips it. Readers trust the stacks.
     """
 
     layout: HilbertLayout
@@ -74,10 +75,7 @@ class MeasurementTree:
             if stack.shape != (nodes, d, d):
                 raise ValueError(f"bases at depth {depth} have shape {stack.shape}, "
                                  f"not {(nodes, d, d)}")
-            # the orthonormality test fails NaN too, but this names the cause
-            if not np.isfinite(stack).all():
-                raise ValueError(f"bases at depth {depth} contain non-finite entries")
-            check_orthonormal(stack, f"a basis at depth {depth} is not orthonormal")
+            _check_depth(stack, depth)
             nodes *= d
 
     @property
@@ -119,6 +117,14 @@ class MeasurementTree:
         return amps[:, 0] if v.ndim == 1 else amps
 
 
+def _check_depth(stack: np.ndarray, depth: int) -> None:
+    """Checks every basis of a depth's (P, d, d) stack finite and orthonormal; an error names the depth."""
+    # the orthonormality test fails NaN too, but this names the cause
+    if not np.isfinite(stack).all():
+        raise ValueError(f"bases at depth {depth} contain non-finite entries")
+    check_orthonormal(stack, f"a basis at depth {depth} is not orthonormal")
+
+
 def _lead(cur: np.ndarray, pos: int) -> np.ndarray:
     """(P, K, *dims) -> (P, d, K, rest): axis ``pos`` of dims first, the others flattened."""
     axes = [0, 2 + pos, 1] + [i for i in range(2, cur.ndim) if i != 2 + pos]  # moveaxis, cheaper
@@ -152,9 +158,11 @@ def synthesize_trees(targets: Sequence[KetBraSum], layout: HilbertLayout | Seque
     u maps a_k, b_k to (<u| x I) a_k, (<u| x I) b_k and keeps c, so a node's
     reduction is A B^dag + c rest I, which is zero-diagonalized; each basis
     vector spawns one child. Depth t of every tree is one tree-major (T P_t, d,
-    d) stack with one trace check and one ``zero_diag_basis`` call (an error
-    names a node by its stack index); a node's basis does not depend on the
-    rest of the stack, and each tree keeps its own scale, shift and leaf check.
+    d) stack with one trace check, one ``zero_diag_basis`` call (an error
+    names a node by its stack index) and one finiteness and orthonormality
+    check of its bases; a node's basis does not depend on the rest of the
+    stack, and each tree keeps its own scale, shift and leaf check. The trees
+    are built from the checked stacks, without the constructor's checks.
     """
     layout = as_layout(layout)
     order = _check_order(layout, order)
@@ -182,14 +190,17 @@ def synthesize_trees(targets: Sequence[KetBraSum], layout: HilbertLayout | Seque
         b = lead[:, :, k:].reshape(p, d, k * rest)
         reduced = (a @ b.conj().swapaxes(1, 2)).reshape(trees, -1, d, d) + shifts * rest * np.eye(d)
         bases = _node_bases(reduced.reshape(p, d, d), depth, scales.repeat(p // trees))
+        _check_depth(bases, depth)
         levels.append(bases.reshape(reduced.shape))
         cur = _condition(lead, bases, tuple(layout.dims[i] for i in remaining))
 
-    out = [MeasurementTree(layout, order, [stack[t] for stack in levels]) for t in range(trees)]
+    out = [object.__new__(MeasurementTree) for _ in range(trees)]   # stacks checked per depth
+    for t, tree in enumerate(out):
+        tree.layout, tree.order, tree.bases = layout, order, tuple(stack[t] for stack in levels)
     # every leaf's overlaps with the kets and bras, per tree
     for m_tilde, scale, amps in zip(targets, scales, cur.reshape(trees, -1, 2 * k)):
         worst = float(np.abs(m_tilde.sandwich(amps[:, :k], amps[:, k:])).max())
-        if worst > LEAF_TOL * scale:
+        if not worst <= LEAF_TOL * scale:       # NaN fails too
             raise SynthesisError(
                 f"leaf condition violated: residual {worst:.3e} > {LEAF_TOL:.0e} * norm")
     return out

@@ -186,7 +186,7 @@ def check_unit(v: np.ndarray, name: str = "vector", tol: float = UNIT_TOL) -> np
     nrm = np.linalg.norm(v)
     if not abs(nrm - 1.0) <= tol:       # a non-finite entry fails here, and is named
         check_finite(v, name)
-        raise ValueError(f"{name} norm {nrm!r} is not 1")
+        raise ValueError(f"{name} norm {float(nrm)!r} is not 1")
     return v
 
 

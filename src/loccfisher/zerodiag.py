@@ -3,11 +3,12 @@
 Any traceless matrix admits an orthonormal basis in which all its diagonal
 entries vanish. Its Hermitian and anti-Hermitian parts form a traceless
 Hermitian pair to zero-diagonalize at once. One pass solves a stack of P such
-d x d pairs: a 2x2 pair by a closed-form rotation, a larger one by a basis
-that zeroes h1's diagonal followed by d - 1 closed-form plane rotations that
-zero h2's diagonal and keep h1's. This is a constructive proof of the same
-lemma that the paper proves by induction on d. Every branch is a mask, so a
-pair's basis does not depend on the rest of its stack; one pair is a stack of one.
+d x d pairs: a 2x2 pair by a closed-form rotation of its entries, a larger
+one by a basis that zeroes h1's diagonal followed by d - 1 closed-form plane
+rotations that zero h2's diagonal and keep h1's. This is a constructive
+proof of the same lemma that the paper proves by induction on d. Every
+branch is a mask, so a pair's basis does not depend on the rest of its
+stack; one pair is a stack of one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .tensor import (TARGET_TRACE_TOL, check_hermitian, check_trace, check_trace
 
 DIAG_TOL = 1e-8        # admissible diagonal residual relative to the pair scale
 _TINY = 1e-12          # relative zero floor, mostly against the pair scale
+_PLUS_MINUS_I = np.array([[1j], [-1j]])     # i alpha and -i alpha: the rows of both phases
 
 
 class ZeroDiagConvergenceError(RuntimeError):
@@ -45,15 +47,10 @@ def _traceless_hermitian(m: np.ndarray) -> np.ndarray:
     return recenter((m + m.conj().swapaxes(-1, -2)) / 2)
 
 
-def _canonical_sign(m: np.ndarray) -> np.ndarray:
-    # Zero-diagonalization is invariant under scaling; fixing the sign of the
-    # leading diagonal entry of each 2x2 matrix of the stack keeps the
-    # returned basis stable across inputs that differ only by a
-    # (theta-dependent) negative factor.
-    d = m.diagonal(axis1=1, axis2=2).real
-    big = np.abs(d) > _TINY * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))[:, None]
-    lead = np.where(big[:, 0], d[:, 0], d[:, 1])
-    return np.where(((big[:, 0] | big[:, 1]) & (lead < 0))[:, None, None], -m, m)
+def _recentered(d0: np.ndarray, d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal (d0, d1) of 2x2 matrices minus its mean, rounded as by ``recenter``."""
+    t = (d0 + d1) * 0.5
+    return d0 - t, d1 - t
 
 
 def solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -74,57 +71,81 @@ def solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[float, float, np.ndarray]
 
 
 def _solve_2x2(h1: np.ndarray, h2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_2x2`` for every pair of two (P, 2, 2) stacks, elementwise.
+    """``solve_2x2`` of every pair of two (P, 2, 2) stacks, by ``_closed_form``."""
+    return _closed_form(*_entries(np.array([h1, h2])))
 
-    The branches (both diagonals zero, a vanishing compatibility vector, the
-    larger diagonal choosing beta) are masks, so every pair takes the same
-    floating-point steps it would alone. Moduli are hypot(re, im), which
-    rounds like scalar abs(); numpy's complex-array abs does not. The
-    matrices of all pairs are prepared as one (2P, 2, 2) stack.
+
+def _entries(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals d0, d1 (2, P) and upper entries z of the Hermitian parts of a (2, P, 2, 2) stack."""
+    return h[..., 0, 0].real, h[..., 1, 1].real, (h[..., 0, 1] + h[..., 1, 0].conj()) / 2
+
+
+def _closed_form(d0: np.ndarray, d1: np.ndarray, z: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, beta, U) of P Hermitian 2x2 pairs whose matrix k has the diagonal
+    (d0[k], d1[k]) and the upper entry z[k], once the diagonals are re-centered.
+
+    Each matrix is first signed so that its leading diagonal entry above the
+    floor is positive: the basis then stays stable across inputs that differ
+    by a (theta-dependent) negative factor. Every branch is a mask, so every
+    pair takes the same floating-point steps it would alone. Moduli are
+    hypot(re, im), which rounds like scalar abs(); numpy's array abs does not.
     """
-    p = len(h1)
-    h = _canonical_sign(_traceless_hermitian(np.concatenate([h1, h2])))
-    a, z = h[:, 0, 0].real, h[:, 0, 1]
-    b, phi = np.hypot(z.real, z.imag), np.arctan2(z.imag, z.real)
-    norms = frobenius_norms(h)
-    size = np.maximum(np.maximum(norms[:p], norms[p:]), _TINY)   # the closed form is scale-free
+    (d0, d1), b = _recentered(d0, d1), np.hypot(z.real, z.imag)
+    mag, n = np.abs(d0), np.hypot(np.hypot(d0, d1), 2 ** 0.5 * b)
+    floor = _TINY * np.maximum(np.maximum(b, 1.0), np.maximum(mag, np.abs(d1)))
+    sign = np.where(np.where(mag > floor, d0, d1) < -floor, -1.0, 1.0)
+    a, phi = sign * d0, np.arctan2(sign * z.imag, sign * z.real)
+    size = np.maximum(np.maximum(n[0], n[1]), _TINY)      # the closed form is scale-free
 
     # x = b1 a2 cos(phi1) - b2 a1 cos(phi2), y likewise with sin; row k of ba is b_k a_(3-k)
-    ba = b.reshape(2, p) * a.reshape(2, p)[::-1]
-    cos_t, sin_t = ba * np.cos(phi).reshape(2, p), ba * np.sin(phi).reshape(2, p)
+    ba = b * a[::-1]
+    cos_t, sin_t = ba * np.cos(phi), ba * np.sin(phi)
     x, y = cos_t[0] - cos_t[1], sin_t[0] - sin_t[1]
     alpha = np.where(np.maximum(np.abs(x), np.abs(y)) <= _TINY * size ** 2,
                      0.0, np.arctan2(-x, y))
-    mag = np.abs(a).reshape(2, p)
-    k = np.where(mag[0] >= mag[1], 0, p) + np.arange(p)
-    beta = 0.5 * np.arctan2(-a[k], b[k] * np.cos(alpha - phi[k]))
-    # both diagonals already vanish
-    done = (mag <= _TINY * size).all(axis=0)
-    alpha, beta = np.where(done, 0.0, alpha), np.where(done, 0.0, beta)
+    beta = 0.5 * np.arctan2(-a, b * np.cos(alpha - phi))     # from either matrix
+    # the larger diagonal chooses beta, unless both diagonals already vanish
+    done = np.maximum(mag[0], mag[1]) <= _TINY * size
+    alpha = np.where(done, 0.0, alpha)
+    beta = np.where(done, 0.0, np.where(mag[0] >= mag[1], beta[0], beta[1]))
 
     c, s = np.cos(beta), np.sin(beta)
-    phase = np.exp(np.multiply.outer((1j, -1j), alpha))
-    u = np.empty((p, 2, 2), dtype=complex)
+    phase = np.exp(_PLUS_MINUS_I * alpha)
+    u = np.empty((len(alpha), 2, 2), dtype=complex)
     u[:, 0, 0] = u[:, 1, 1] = c
     u[:, 0, 1] = -s * phase[0]
     u[:, 1, 0] = s * phase[1]
     return alpha, beta, u
 
 
+def _qubit_bases(d0: np.ndarray, d1: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Unitaries (P, 2, 2) of P qubit pairs given as their ``_entries``: ``_closed_form``
+    of the entries re-centered once more, which leaves each diagonal exactly
+    opposite. Against the floor _TINY * max(1, ||h1||, ||h2||), a vanishing pair
+    gets the identity and a pair whose first matrix vanishes is swapped."""
+    d0, d1 = _recentered(d0, d1)
+    n = np.hypot(np.hypot(d0, d1), 2 ** 0.5 * np.hypot(z.real, z.imag))
+    big = np.maximum(n[0], n[1])
+    floor = _TINY * np.maximum(big, 1.0)
+    d0, d1, z = (np.where(n[0] <= floor, e[::-1], e) for e in (d0, d1, z))
+    return np.where((big > floor)[:, None, None], _closed_form(d0, d1, z)[2], np.eye(2))
+
+
 def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray:
     """Unitaries (P, d, d) whose columns zero-diagonalize both matrices of each pair.
 
     ``h`` (P, 2, d, d) holds the pairs, ``scale`` (P,) their scales and
-    ``node`` (P,) the indices by which an error names them. A vanishing pair
-    gets the identity, a pair whose first matrix vanishes is swapped, and a
-    2x2 pair gets the closed form. A larger pair starts from ``_block_basis``
-    of h1, so every <u|h1|u> = 0, and then rotates d - 1 times in the plane
-    of the columns i, j with the largest x >= 0 and smallest y <= 0 of
-    <u|h2|u>. There h1's compression [[0, a], [a*, 0]] keeps a zero diagonal
-    on the circle cos(phi/2) u_i + sin(phi/2) w u_j with w = i a*/|a|, along
-    which <u|h2|u> runs from x to y; at its zero column i vanishes in both
-    matrices and column j takes x + y. Each step zeroes one more entry, and
-    the last one left equals Tr h2 = 0.
+    ``node`` (P,) the indices by which an error names them; d >= 3, as 2x2
+    pairs go to ``_qubit_bases``. A vanishing pair gets the identity and a
+    pair whose first matrix vanishes is swapped. Every other pair starts from
+    ``_block_basis`` of h1, so every <u|h1|u> = 0, and then rotates d - 1
+    times in the plane of the columns i, j with the largest x >= 0 and
+    smallest y <= 0 of <u|h2|u>. There h1's compression [[0, a], [a*, 0]]
+    keeps a zero diagonal on the circle cos(phi/2) u_i + sin(phi/2) w u_j
+    with w = i a*/|a|, along which <u|h2|u> runs from x to y; at its zero
+    column i vanishes in both matrices and column j takes x + y. Each step
+    zeroes one more entry, and the last one left equals Tr h2 = 0.
     """
     p, _, d = h.shape[:3]
     u = np.zeros((p, d, d), dtype=complex)
@@ -136,8 +157,6 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
     if not live.any():
         return u
     h = np.where((n[:, 0] <= floor)[:, None, None, None], h[:, ::-1], h)
-    if d == 2:
-        return np.where(live[:, None, None], _solve_2x2(h[:, 0], h[:, 1])[2], u)
     h, scale, node, floor = h[live], scale[live], node[live], floor[live]
 
     ul = _block_basis(h[:, 0])
@@ -165,7 +184,7 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
 
     res = np.abs((ul.conj()[:, None] * (h @ ul[:, None])).sum(axis=2)).max(axis=(1, 2))
     worst = np.argmax(res / scale)
-    if res[worst] > DIAG_TOL * scale[worst]:
+    if not res[worst] <= DIAG_TOL * scale[worst]:     # NaN fails too
         raise ZeroDiagConvergenceError(
             f"diagonal residual {res[worst]:.3e} of node {node[worst]} exceeds "
             f"{DIAG_TOL:.0e} * scale {scale[worst]:.3e}")
@@ -195,8 +214,10 @@ def simultaneous_zero_diag(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     closed form of ``solve_2x2``, a larger one the rotation sweep.
     """
     scale = _check_pair(h1, h2)
-    return _zero_diag(np.asarray([[h1, h2]], dtype=complex), np.array([scale]),
-                      np.zeros(1, dtype=int))[0]
+    h = np.asarray([h1, h2], dtype=complex)[:, None]
+    if h.shape[-1] == 2:
+        return _qubit_bases(*_entries(h))[0]
+    return _zero_diag(h.swapaxes(0, 1), np.array([scale]), np.zeros(1, dtype=int))[0]
 
 
 def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
@@ -210,9 +231,16 @@ def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
     # tested only: the construction gets the stack as given, not re-centered
     m = check_trace(m_tilde, "matrix", TARGET_TRACE_TOL)
     stack = m.reshape((-1,) + m.shape[-2:])
-    mh = stack.conj().swapaxes(1, 2)
-    h = np.empty((len(stack), 2) + stack.shape[1:], dtype=complex)
-    h[:, 0], h[:, 1] = (stack + mh) / 2, (stack - mh) / 2j
-    n = frobenius_norms(h.reshape((-1,) + stack.shape[1:])).reshape(-1, 2)
-    u = _zero_diag(h, np.maximum(1.0, np.maximum(n[:, 0], n[:, 1])), np.arange(len(stack)))
+    if stack.shape[-1] == 2:
+        # the entries of h1 = (m + m^H)/2 and h2 = (m - m^H)/2i, as ``_entries`` reads
+        # them: + 0 gives h2's upper entry the signed zeros of its Hermitian part
+        p, q, r, s = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 0].conj(), stack[:, 1, 1]
+        u = _qubit_bases(np.array([p.real, p.imag]), np.array([s.real, s.imag]),
+                         np.array([(q + r) / 2, (q - r) / 2j + 0]))
+    else:
+        mh = stack.conj().swapaxes(1, 2)
+        h = np.empty((len(stack), 2) + stack.shape[1:], dtype=complex)
+        h[:, 0], h[:, 1] = (stack + mh) / 2, (stack - mh) / 2j
+        n = frobenius_norms(h.reshape((-1,) + stack.shape[1:])).reshape(-1, 2)
+        u = _zero_diag(h, np.maximum(1.0, np.maximum(n[:, 0], n[:, 1])), np.arange(len(stack)))
     return u if m.ndim == 3 else u[0]

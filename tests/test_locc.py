@@ -166,6 +166,21 @@ class TestNodeBases:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "non-convergence" and "leaf condition" in err["error"]
 
+    def test_nan_leaf_residual_raises(self, monkeypatch):
+        # NaN compares false, so a bound alone would let it through
+        monkeypatch.setattr(KetBraSum, "sandwich", lambda self, *rows: np.array([np.nan]))
+        fam = ghz_family(3)
+        with pytest.raises(SynthesisError, match="leaf condition violated: residual nan"):
+            synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
+
+    def test_nan_leaf_residual_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(KetBraSum, "sandwich", lambda self, *rows: np.array([np.nan]))
+        assert cli_main(["synthesize", "ghz3", "--theta", "0.3"]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert err["kind"] == "non-convergence" and "residual nan" in err["error"]
+
     def test_each_depth_calls_zero_diag_basis_once(self, rng, monkeypatch):
         seen = []
 
@@ -177,6 +192,83 @@ class TestNodeBases:
         fam = random_pure_family((2, 3, 2), rng)
         synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
         assert seen == [(1, 2, 2), (2, 3, 3), (6, 2, 2)]
+
+
+def stacked_targets(kind, dims, trees, seed):
+    """``trees`` traceless targets of one row count on ``dims``: random complex or
+    exactly real factors, a diagonal matrix (diagonal reductions), a product
+    ket-bra |a><b| of two basis states (whole branches of zero nodes), or GHZ
+    saturation targets at random theta (the structured nodes of GHZ trees)."""
+    rng = np.random.default_rng(seed)
+    total = int(np.prod(dims))
+    out = []
+    for _ in range(trees):
+        if kind == "ghz":
+            fam = builtin_scenario(f"ghz{len(dims)}").family
+            out.append(saturation_matrices(fam, float(rng.uniform(-3, 3))).target)
+            continue
+        if kind == "product":
+            a, b = rng.choice(total, 2, replace=False)
+            out.append(KetBraSum(np.eye(total)[a], np.eye(total)[b]))
+            continue
+        if kind == "diagonal":
+            kets, bras = np.diag(rng.standard_normal(total)), np.eye(total)
+        else:
+            kets, bras = rng.standard_normal((2, 2, total)) + (
+                1j * rng.standard_normal((2, 2, total)) if kind == "complex" else 0)
+        shift = -np.sum(bras.conj() * kets) / total
+        out.append(KetBraSum(kets, bras, shift))
+    return out
+
+
+class TestStackedTreesFromCheckedStacks:
+    @given(kind=st.sampled_from(["complex", "real", "diagonal", "product", "ghz"]),
+           dims=st.sampled_from([(2, 2), (2, 2, 2), (3, 3), (2, 3, 2), (3, 2)]),
+           trees=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    def test_every_tree_passes_the_public_constructor_unchanged(self, kind, dims, trees, seed):
+        if kind == "ghz" and set(dims) != {2}:
+            dims = (2, 2, 2)
+        out = synthesize_trees(stacked_targets(kind, dims, trees, seed), dims)
+        assert len(out) == trees
+        for tree in out:
+            again = MeasurementTree(tree.layout, tree.order, tree.bases)
+            assert (again.layout, again.order) == (tree.layout, tree.order)
+            assert isinstance(tree.bases, tuple) and len(again.bases) == len(tree.bases)
+            for got, want in zip(tree.bases, again.bases):
+                assert got.dtype == want.dtype and got.flags.c_contiguous
+                assert np.array_equal(got.view(float), want.view(float))
+
+    def test_product_targets_reach_zero_nodes(self, monkeypatch):
+        # the property above runs over zero nodes: a product ket-bra zeroes whole branches
+        seen = []
+
+        def spy(m):
+            seen.append(np.abs(m).max(axis=(1, 2)))
+            return zero_diag_basis(m)
+
+        monkeypatch.setattr(locc, "zero_diag_basis", spy)
+        synthesize_trees(stacked_targets("product", (2, 3, 2), 3, 7), (2, 3, 2))
+        assert any((level == 0).any() for level in seen)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("fault, message", [
+        ("nan", "bases at depth {} contain non-finite entries"),
+        ("skew", "a basis at depth {} is not orthonormal")])
+    def test_a_depth_of_bad_bases_is_refused_by_name(self, monkeypatch, depth, fault, message):
+        calls = []
+
+        def corrupt(m):
+            u = zero_diag_basis(m)
+            if len(calls) == depth:
+                u[-1, 0, 0] = np.nan if fault == "nan" else u[-1, 0, 0] + 1e-6
+            calls.append(len(m))
+            return u
+
+        monkeypatch.setattr(locc, "zero_diag_basis", corrupt)
+        with pytest.raises(ValueError, match=message.format(depth)):
+            synthesize_trees(stacked_targets("complex", (2, 3, 2), 3, 11), (2, 3, 2))
+        assert len(calls) == depth + 1
 
 
 class TestFlatten:

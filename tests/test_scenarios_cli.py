@@ -637,6 +637,21 @@ class TestCliErrors:
         assert cli_main(["synthesize", str(path), "--theta", "0.5"]) == 1
         assert "no information" in capsys.readouterr().err
 
+    def test_unnormalized_psi0_names_its_norm_as_a_plain_number(self, tmp_path, capsys):
+        bells = bell_states()
+        doc = {"type": "rank-two", "layout": [2, 2],
+               "psi0": complex_to_pairs(2 * bells["phi+"]),
+               "psi1": complex_to_pairs(bells["phi-"]),
+               "p": {"form": "linear", "intercept": 0.0, "slope": 1.0},
+               "theta_grid": [0.5]}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["qfi", str(path), "--theta", "0.5"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        norm = err["error"].removeprefix("psi0 norm ").removesuffix(" is not 1")
+        assert err["kind"] == "validation" and "np." not in err["error"]
+        assert abs(float(norm) - 2.0) <= 1e-12
+
     def test_nan_psi_in_exit_1(self, tmp_path, capsys):
         # JSON NaN parses; the family names the vector instead of a later anonymous check
         doc = {"type": "unitary-generator", "layout": [2],

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loccfisher.zerodiag as zd
+from loccfisher.cli import cli_main
 from loccfisher.zerodiag import (find_null_vector, simultaneous_zero_diag,
                                  solve_2x2, zero_diag_basis)
 
@@ -193,6 +196,43 @@ class TestSolve2x2:
             assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
+@st.composite
+def qubit_stack(draw):
+    """A stack of 1 ... 12 traceless 2x2 matrices, each generic, exactly real,
+    diagonal, Hermitian, anti-Hermitian (the swap branch) or zero, at a scale
+    from 1e-8 to 1e8, with trace drift of rounding size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["generic", "real", "diagonal", "hermitian",
+                                           "anti-hermitian", "zero"]), min_size=1, max_size=12))
+    out = []
+    for kind in kinds:
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        m = {"generic": m, "real": m.real, "diagonal": np.diag(np.diag(m)),
+             "hermitian": m + m.conj().T, "anti-hermitian": m - m.conj().T,
+             "zero": 0 * m}[kind] * 10.0 ** rng.uniform(-8, 8)
+        m = m - np.trace(m) / 2 * np.eye(2)
+        out.append(m + rng.choice([0.0, 1e-17, -3e-16]) * np.abs(m).max() * np.eye(2))
+    return np.stack(out)
+
+
+class TestQubitStack:
+    @given(qubit_stack())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_matches_the_scalar_closed_form_of_each_pair(self, m):
+        # a vanishing pair keeps the identity and a vanishing h1 swaps the pair
+        u = zero_diag_basis(m)
+        for mp, up in zip(m, u):
+            h1, h2 = (mp + mp.conj().T) / 2, (mp - mp.conj().T) / 2j
+            n1, n2 = (np.linalg.norm(h - np.trace(h) / 2 * np.eye(2)) for h in (h1, h2))
+            floor = zd._TINY * max(1.0, n1, n2)
+            want = (np.eye(2) if max(n1, n2) <= floor else
+                    closed_form_2x2(h2, h1, zd._TINY)[2] if n1 <= floor else
+                    closed_form_2x2(h1, h2, zd._TINY)[2])
+            assert np.abs(up - want).max() <= 1e-14
+            assert np.abs(up.conj().T @ up - np.eye(2)).max() <= 1e-14
+            assert np.abs(np.diag(up.conj().T @ mp @ up)).max() <= 1e-14 * max(1.0, n1, n2)
+
+
 class TestFindNullVector:
     def test_single_matrix(self):
         h1 = np.diag([1.0, -1.0, 0.0]).astype(complex)
@@ -313,6 +353,26 @@ class TestSweep:
                 for x in rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
         moved = m + 1e-15 * np.linalg.norm(m) * e / np.linalg.norm(e)
         assert np.abs(zero_diag_basis(m) - zero_diag_basis(moved)).max() <= 1e-9
+
+
+    @staticmethod
+    def nan_block_basis(t):
+        return np.full(t.shape, np.nan, dtype=complex)
+
+    def test_nan_residual_raises(self, rng, monkeypatch):
+        # NaN compares false, so a bound alone would let it through
+        monkeypatch.setattr(zd, "_block_basis", self.nan_block_basis)
+        m = random_traceless_hermitian(3, rng) + 1j * random_traceless_hermitian(3, rng)
+        with pytest.raises(zd.ZeroDiagConvergenceError, match="diagonal residual nan of node 0"):
+            zero_diag_basis(m)
+
+    def test_nan_residual_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(zd, "_block_basis", self.nan_block_basis)
+        assert cli_main(["synthesize", "lm3x3", "--theta", "0.3"]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert err["kind"] == "non-convergence" and "diagonal residual nan" in err["error"]
 
 
 class TestScaleRelativeFloors:
