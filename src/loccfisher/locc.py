@@ -22,13 +22,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import metrology
-# kron, partial_expectation and partial_trace are unused here; they stay
-# importable because the benchmark tracer patches them.
+# kron, partial_expectation, partial_trace and zero_diag_basis are unused here; they
+# stay importable because the benchmark tracer patches them.
 from .tensor import (ORTHOGONAL_TOL, TARGET_TRACE_TOL, HilbertLayout,  # noqa: F401
                      KetBraSum, as_layout, check_finite, check_int, check_orthonormal,
                      check_trace, check_traceless, check_unit, complex_to_pairs, kron,
                      pairs_to_complex, partial_expectation, partial_trace)
-from .zerodiag import zero_diag_basis
+from .zerodiag import zero_diag_basis, zero_diag_stack  # noqa: F401
 
 LEAF_TOL = 1e-7           # admissible |<E|target|E>| relative to target norm
 NODE_TRACE_TOL = 1e-9     # admissible conditioned-trace drift, absolute vs target scale
@@ -107,14 +107,22 @@ class MeasurementTree:
         if flat.ndim != 2 or flat.shape[1] != self.layout.total:
             raise ValueError(f"vectors of shape {v.shape} do not match layout {list(dims)}")
         check_finite(flat, "vector array")
-        cur = flat.reshape((1, flat.shape[0]) + dims)
-        remaining = list(range(len(dims)))
-        for sub, bases in zip(self.order, self.bases):
-            lead = _lead(cur, remaining.index(sub))
-            remaining.remove(sub)
-            cur = _condition(lead, bases, tuple(dims[i] for i in remaining))
-        amps = cur.reshape(-1, flat.shape[0])
+        amps = stacked_amplitudes([self], flat)[0]
         return amps[:, 0] if v.ndim == 1 else amps
+
+
+def stacked_amplitudes(trees: Sequence[MeasurementTree], rows: np.ndarray) -> np.ndarray:
+    """``amplitudes`` (T, L, K) of T trees of one layout and order, of trusted K x D rows or
+    a (T, K, D) stack: one contraction per depth, in which each tree gets its arithmetic alone."""
+    dims, k = trees[0].layout.dims, rows.shape[-2]
+    cur = np.broadcast_to(rows, (len(trees), k, rows.shape[-1])).reshape((len(trees), k) + dims)
+    remaining = list(range(len(dims)))
+    for depth, sub in enumerate(trees[0].order):
+        lead = _lead(cur, remaining.index(sub))
+        remaining.remove(sub)
+        bases = np.concatenate([tree.bases[depth] for tree in trees])
+        cur = _condition(lead, bases, tuple(dims[i] for i in remaining))
+    return cur.reshape(len(trees), -1, k)
 
 
 def _check_depth(stack: np.ndarray, depth: int) -> None:
@@ -143,9 +151,9 @@ def _node_bases(reduced: np.ndarray, depth: int, scale: np.ndarray) -> np.ndarra
 
     One trace test bounds each node's drift by NODE_TRACE_TOL * max(1, its scale);
     the nodes are re-centered together and the whole stack goes through one
-    ``zero_diag_basis`` call, whatever d is.
+    ``zero_diag_stack`` call, whatever d is: ``zero_diag_basis`` without its own trace test.
     """
-    return zero_diag_basis(check_traceless(reduced, f"conditioned matrix at depth {depth}",
+    return zero_diag_stack(check_traceless(reduced, f"conditioned matrix at depth {depth}",
                                            NODE_TRACE_TOL, scale, SynthesisError))
 
 
@@ -158,7 +166,7 @@ def synthesize_trees(targets: Sequence[KetBraSum], layout: HilbertLayout | Seque
     u maps a_k, b_k to (<u| x I) a_k, (<u| x I) b_k and keeps c, so a node's
     reduction is A B^dag + c rest I, which is zero-diagonalized; each basis
     vector spawns one child. Depth t of every tree is one tree-major (T P_t, d,
-    d) stack with one trace check, one ``zero_diag_basis`` call (an error
+    d) stack with one trace check, one ``zero_diag_stack`` call (an error
     names a node by its stack index) and one finiteness and orthonormality
     check of its bases; a node's basis does not depend on the rest of the
     stack, and each tree keeps its own scale, shift and leaf check. The trees

@@ -11,8 +11,7 @@ substreams so runs are reproducible bit for bit and trivially parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -22,9 +21,8 @@ from .tensor import FLAT_REL, MLE_WIDTH, PRIOR_EDGE_REL
 LOG_FLOOR = 1e-300
 LAW_DECIMALS = 15   # decimals an outcome law keeps for drawing, far above rounding noise
 GRID_POINTS = 512
-SMALL_LAW = 2 ** 16   # K * D always read through components; T * D of one two-step synthesis
-
-
+SMALL_LAW = 2 ** 16   # K * D always read through components; T * L of one stack of trials
+_TWO_EPS = 2 * float(np.finfo(float).eps)
 class DegenerateLikelihoodError(RuntimeError):
     """Raised when the outcome distribution carries no parameter dependence."""
 
@@ -99,132 +97,146 @@ def _p_dp(a: np.ndarray, da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(a) ** 2, 2 * (a.conj() * da).real
 
 
-def _path_prob_fns(family: metrology.StateFamily, tree: locc.MeasurementTree,
-                   prior: tuple[float, float] = (-np.inf, np.inf)
-                   ) -> tuple[Callable, Callable, Callable]:
-    """A tree's outcome law, read through ``tree.amplitudes``, as theta -> P (the
-    L leaf probabilities), theta -> (P, dP/dtheta) and a block of m thetas -> P
-    as one L x m array. P at one theta is the block law of that theta alone;
-    a wider block is within rounding of it. The derivative is exact except for
-    a numeric family (``PureNumericFamily``, ``MixedGenericFamily``): there it is
-    the central difference of P with the family's step, one-sided within a step
-    of a prior end, so no theta outside the prior is evaluated.
+def _path_prob_fns(family: metrology.StateFamily, trees: list[locc.MeasurementTree],
+                   prior: tuple[float, float] = (-np.inf, np.inf)) -> tuple[Callable, Callable]:
+    """Outcome laws of trees read through ``locc.stacked_amplitudes``: block(thetas, ts)
+    -> (len(ts), L, m), the law of each tree ts[j] at every theta, and prob_dprob(thetas,
+    rows) -> (P, dP/dtheta), each (m, L), row i of tree rows[i] at thetas[i] by elementwise
+    products and stacked contractions, never a product whose kernel changes with m. The
+    derivative is exact except for a numeric family (``PureNumericFamily``,
+    ``MixedGenericFamily``): there it is the central difference of P with the family's
+    step, one-sided within a step of a prior end, so no theta outside the prior is evaluated.
 
-    A unitary family whose psi_in touches K generator levels is read through
-    its components C: their amplitudes are taken once and each theta costs
-    O(L K). That holds when K <= d_1 + ... + d_n, where this cost meets the
-    O(D (d_1 + ... + d_n)) per theta of the amplitudes of psi(theta), which
-    every other pure family reads, or when K D <= SMALL_LAW, below the fixed
-    overhead of one tree contraction. A rank-two family mixes its basis laws by
-    p(theta); a generic mixed family sandwiches rho(theta), one theta at a time.
-    The tree must measure the family's layout.
+    A unitary family whose psi_in touches K generator levels is read through its components
+    C: their amplitudes are taken once per tree and each theta costs O(L K). That holds when
+    K <= d_1 + ... + d_n, where this cost meets the O(D (d_1 + ... + d_n)) per theta of the
+    amplitudes of psi(theta), which every other pure family reads, or when K D <= SMALL_LAW,
+    below the fixed overhead of one tree contraction. A rank-two family mixes its basis laws
+    by p(theta); a generic mixed family sandwiches rho(theta), one theta at a time. The trees
+    must measure the family's layout.
     """
-    metrology.check_layout(tree, family)
-    cap = max(sum(tree.layout.dims), SMALL_LAW // tree.layout.total)
+    metrology.check_layout(trees[0], family)
+    cap = max(sum(trees[0].layout.dims), SMALL_LAW // trees[0].layout.total)
     parts = (family.components(cap)
              if isinstance(family, metrology.UnitaryGeneratorFamily) else None)
     if parts is not None:
-        levels, amps = parts[0], tree.amplitudes(parts[1])
+        levels, amps = parts[0], locc.stacked_amplitudes(trees, parts[1])     # (T, L, K)
 
-        def block(thetas: np.ndarray) -> np.ndarray:
-            return np.abs(amps @ np.exp(np.outer(levels, -1j * thetas))) ** 2
+        def block(thetas: np.ndarray, ts) -> np.ndarray:
+            return np.abs(amps[ts] @ np.exp(np.outer(levels, -1j * thetas))) ** 2
 
-        def prob_dprob(theta: float) -> tuple[np.ndarray, np.ndarray]:
-            phases = np.exp(-1j * theta * levels)
-            return _p_dp(*(amps @ np.stack([phases, -1j * levels * phases], axis=1)).T)
+        def prob_dprob(thetas: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            a = da = 0.0            # summed over the levels in order: one fixed reduction
+            for lam, col, phase in zip(levels, amps.T, np.exp(np.outer(levels, -1j * thetas))):
+                term = phase[:, None] * col.T[rows]
+                a, da = a + term, da + -1j * lam * term
+            return _p_dp(a, da)
     elif family.state_type == "pure":
-        def block(thetas: np.ndarray) -> np.ndarray:
-            return np.abs(tree.amplitudes(np.stack([family.psi(t) for t in thetas]))) ** 2
+        def block(thetas: np.ndarray, ts) -> np.ndarray:
+            psi = np.stack([family.psi(t) for t in thetas])
+            return np.abs(locc.stacked_amplitudes([trees[t] for t in ts], psi)) ** 2
 
-        def prob_dprob(theta: float) -> tuple[np.ndarray, np.ndarray]:
+        def prob_dprob(thetas: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # a unitary family's; a numeric family's is replaced below
-            return _p_dp(*tree.amplitudes(np.stack(family.psi_dpsi(theta))).T)
+            psi = np.array([family.psi_dpsi(t) for t in thetas])
+            return _p_dp(*locc.stacked_amplitudes([trees[r] for r in rows], psi).transpose(2, 0, 1))
     elif family.state_type == "rank-two":
-        o0, o1 = (np.abs(tree.amplitudes(np.stack([family.psi0, family.psi1]))) ** 2).T
+        o0, o1 = (np.abs(locc.stacked_amplitudes(trees, np.stack([family.psi0, family.psi1])))
+                  ** 2).transpose(2, 0, 1)
 
-        def block(thetas: np.ndarray) -> np.ndarray:
+        def block(thetas: np.ndarray, ts) -> np.ndarray:
             # p is a user callable: evaluated (and checked) point by point, in order
             p = np.array([family.p(t) for t in thetas])
-            return np.outer(o0, p) + np.outer(o1, 1 - p)
+            return o0[ts, :, None] * p + o1[ts, :, None] * (1 - p)
 
-        def prob_dprob(theta: float) -> tuple[np.ndarray, np.ndarray]:
-            p, dp = family.p_dp(theta)
-            return p * o0 + (1 - p) * o1, dp * (o0 - o1)
+        def prob_dprob(thetas: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            p, dp = np.array([family.p_dp(t) for t in thetas]).T[:, :, None]
+            return p * o0[rows] + (1 - p) * o1[rows], dp * (o0[rows] - o1[rows])
     else:
-        amps = tree.amplitudes(np.eye(tree.layout.total))   # <e|i>, fixed per tree
+        amps = locc.stacked_amplitudes(trees, np.eye(trees[0].layout.total))  # <e|i>, per tree
 
-        def block(thetas: np.ndarray) -> np.ndarray:
-            return np.stack([np.sum(amps * np.conj(amps @ family.rho(t).conj().T), axis=1).real
-                             for t in thetas], axis=1)
-
-    def probs(theta: float) -> np.ndarray:
-        return block(np.array([theta]))[:, 0]
+        def block(thetas: np.ndarray, ts) -> np.ndarray:
+            return np.stack([np.sum(amps[ts] * np.conj(amps[ts] @ family.rho(t).conj().T),
+                                    axis=-1).real for t in thetas], axis=-1)
 
     if isinstance(family, (metrology.PureNumericFamily, metrology.MixedGenericFamily)):
-        def prob_dprob(theta: float) -> tuple[np.ndarray, np.ndarray]:
-            up, down = min(theta + family.step, prior[1]), max(theta - family.step, prior[0])
-            return probs(theta), (probs(up) - probs(down)) / (up - down)
-    return probs, prob_dprob, block
+        def prob_dprob(thetas: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            up, down = np.clip(thetas + family.step, *prior), np.clip(thetas - family.step, *prior)
+            p, p_up, p_down = (np.stack([block(np.array([t]), [r])[0, :, 0]
+                                         for t, r in zip(at, rows)]) for at in (thetas, up, down))
+            return p, (p_up - p_down) / (up - down)[:, None]
+    return block, prob_dprob
 
 
 class _OutcomeLaw:
-    """One tree's outcome law for one family, tabulated on the prior grid.
-
-    Outcomes are leaf indices in ``tree.amplitudes`` row order, so counts are
-    the vector that ``draw`` returns, and ``prob_fn`` reads leaf amplitudes,
-    never leaf vectors. ``log_table[e, g]`` is log(max(P_e(grid[g]), LOG_FLOOR)),
-    filled by the batched law max(1, SMALL_LAW // L) grid columns at a time, so
-    a block holds at most SMALL_LAW entries beside the table; psi(theta) and
-    p(theta) are still evaluated, and checked, at every grid point. Only the
-    grid scan reads the table: draws call ``prob_fn`` and the MLE's score steps
-    call ``prob_dprob``. A run builds one law per tree and draws and estimates with it.
+    """Outcome laws of one family, tabulated on the prior grid in blocks of ``width`` =
+    max(1, SMALL_LAW // L) columns; psi(theta) and p(theta) are still evaluated, and
+    checked, at every grid point. One tree is a run's law and measures every count row:
+    ``log_table[e, g]`` = log(max(P_e(grid[g]), LOG_FLOOR)) is filled once. A list of
+    trees is the main laws of a two-step block: tree i measures count row i, and its
+    table is reduced block by block to that row's grid values, never kept. Outcomes are
+    leaf indices in ``tree.amplitudes`` row order: counts are the rows ``draw`` returns.
     """
 
-    def __init__(self, family: metrology.StateFamily, tree: locc.MeasurementTree,
+    def __init__(self, family: metrology.StateFamily, trees: locc.MeasurementTree | list,
                  prior: tuple[float, float]):
-        self.prob_fn, self.prob_dprob, block = _path_prob_fns(family, tree, prior)
+        self.stacked = not isinstance(trees, locc.MeasurementTree)
+        self.trees = trees if self.stacked else [trees]
+        self.block, self.prob_dprob = _path_prob_fns(family, self.trees, prior)
         self.grid = np.linspace(prior[0], prior[1], GRID_POINTS)
-        table = np.empty((tree.layout.total, GRID_POINTS))    # logged in place: one table at peak
-        width = max(1, SMALL_LAW // tree.layout.total)
-        for start in range(0, GRID_POINTS, width):
-            table[:, start:start + width] = block(self.grid[start:start + width])
-        self.log_table = np.log(np.maximum(table, LOG_FLOOR, out=table), out=table)
+        self.width = max(1, SMALL_LAW // self.trees[0].layout.total)
+        if not self.stacked:
+            table = np.empty((self.trees[0].layout.total, GRID_POINTS))  # logged in place
+            for start in range(0, GRID_POINTS, self.width):
+                cols = slice(start, start + self.width)
+                table[:, cols] = self.block(self.grid[cols], [0])[0]
+            self.log_table = np.log(np.maximum(table, LOG_FLOOR, out=table), out=table)
 
-    def distribution(self, theta: float) -> np.ndarray:
-        """The law at theta, rounded to LAW_DECIMALS for drawing.
+    def grid_values(self, counts: np.ndarray) -> np.ndarray:
+        """Log-likelihoods (n, GRID_POINTS) of n count rows: a vector-matrix product per row."""
+        if not self.stacked:
+            return (counts[:, None] @ self.log_table)[:, 0]
+        values, n = np.empty((len(counts), GRID_POINTS)), len(counts)
+        chunk = max(1, SMALL_LAW // (counts.shape[1] * min(self.width, GRID_POINTS)))
+        for ts in np.split(np.arange(n), range(chunk, n, chunk)):
+            for start in range(0, GRID_POINTS, self.width):
+                cols = slice(start, start + self.width)
+                log = np.log(np.maximum(self.block(self.grid[cols], ts), LOG_FLOOR))
+                values[ts, cols] = (counts[ts, None] @ log)[:, 0]
+        return values
 
-        numpy draws a multinomial as a chain of binomials and takes another
-        branch at p = 0.5 than at p = 0.5 + 1 ulp, so a law that is uniform up
-        to rounding (every tree synthesized at the true theta gives one) would
-        draw different counts from trees that differ only by rounding noise.
-        """
-        probs = np.clip(self.prob_fn(theta), 0.0, None)
-        return np.round(probs / probs.sum(), LAW_DECIMALS)
-
-    def draw(self, theta: float, shots: int, rng: np.random.Generator) -> np.ndarray:
-        # Leaf-indexed counts: equal in distribution to drawing each shot's
-        # path node by node through the tree, and far cheaper.
-        return rng.multinomial(shots, self.distribution(theta))
+    def draw(self, theta: float, shots: int, rng) -> np.ndarray:
+        """Leaf-indexed counts, equal in distribution to walking each shot's path through the
+        tree: rows (n, L) on a list of generators, row i from tree i of a list, else from the one
+        tree, or one vector of the first tree on one generator. Each law at theta is computed once
+        and rounded to LAW_DECIMALS: numpy's multinomial, a chain of binomials, takes another
+        branch at p = 0.5 than at p = 0.5 + 1 ulp, so a law uniform up to rounding (as at a tree
+        synthesized at the true theta) would draw other counts from trees equal up to noise."""
+        probs = np.clip(self.block(np.array([theta]), np.arange(len(self.trees)))[:, :, 0], 0, None)
+        law = np.round(probs / probs.sum(axis=1, keepdims=True), LAW_DECIMALS)
+        if isinstance(rng, np.random.Generator):
+            return rng.multinomial(shots, law[0])
+        return np.array([r.multinomial(shots, law[i if self.stacked else 0])
+                         for i, r in enumerate(rng)], dtype=float)
 
 
 def leaf_distribution(family: metrology.StateFamily, tree: locc.MeasurementTree,
                       theta: float) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Outcome paths and their probabilities at theta."""
-    probs = np.clip(_path_prob_fns(family, tree)[0](theta), 0.0, None)
+    probs = np.clip(_path_prob_fns(family, [tree])[0](np.array([theta]), [0])[0, :, 0], 0.0, None)
     return list(np.ndindex(*tree.outcome_dims)), probs / probs.sum()
 
 
-def _score_root(score: Callable[[float], float], a: float, b: float,
-                fa: float, fb: float) -> float:
-    """Root of the score in [a, b], where fa = score(a) > 0 > score(b) = fb, by
-    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973, ch. 4):
-    b is the best point, a the previous one and c the other end of the bracket.
-    The tolerance is floored at 2 eps |b|, which no step or bracket can undercut."""
+def _score_root(a: float, b: float, fa: float, fb: float) -> Generator[float, float, float]:
+    """Root of the score in [a, b], where fa = score(a) > 0 > score(b) = fb, by Brent's zeroin
+    (Algorithms for Minimization without Derivatives, 1973, ch. 4): b is the best point, a the
+    previous one and c the other end of the bracket. The tolerance is floored at 2 eps |b|,
+    which no step or bracket can undercut. A coroutine: yields each theta, is sent its score."""
     c, fc, d, e = a, fa, b - a, b - a
     while True:
         if abs(fc) < abs(fb):
             a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
-        tol = max(0.5 * MLE_WIDTH, 2 * np.finfo(float).eps * abs(b))
+        tol = max(0.5 * MLE_WIDTH, _TWO_EPS * abs(b))
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0:
             return b
@@ -244,35 +256,56 @@ def _score_root(score: Callable[[float], float], a: float, b: float,
         if abs(d) < tol:
             return b + d
         a, fa, b = b, fb, b + d
-        fb = score(b)
+        fb = yield b
         if (fb > 0) == (fc > 0):
             c, fc, d, e = a, fa, b - a, b - a
 
 
+def _estimates(law: _OutcomeLaw, counts: np.ndarray, prior: tuple[float, float]
+               ) -> list[float | DegenerateLikelihoodError]:
+    """MLEs of a stack of count rows, see ``mle``, a DegenerateLikelihoodError for a flat
+    one: one grid scan, then score roots in lockstep, one ``prob_dprob`` call per round at
+    every pending theta, about four per stack. No row's estimate depends on the others."""
+    rows = np.arange(len(counts)) if law.stacked else np.zeros(len(counts), dtype=int)
+    grid, values = law.grid, law.grid_values(counts)
+    peak = values.max(axis=1)
+    flat = peak - values.min(axis=1) < FLAT_REL * (np.abs(peak) + 1.0)
+    # ties go to the grid point nearest the interval midpoint, the first of equals
+    best = np.where(values >= peak[:, None], np.abs(grid - 0.5 * sum(prior)), np.inf).argmin(1)
+    ends = np.stack([np.maximum(best - 1, 0), np.minimum(best + 1, grid.size - 1)], axis=1)
+    out = [DegenerateLikelihoodError("likelihood is flat on the prior interval")] * len(counts)
+
+    def score(trials: list[int], thetas: list[float]) -> list[float]:
+        probs, dprobs = law.prob_dprob(np.array(thetas), rows[trials])
+        return (counts[trials] * (dprobs / np.maximum(probs, LOG_FLOOR))).sum(axis=1).tolist()
+
+    live = np.flatnonzero(~flat).tolist()
+    brackets = score(live * 2, grid[ends[live]].T.ravel().tolist()) if live else []
+    roots, replies = {}, {}
+    for i, fa, fb in zip(live, brackets, brackets[len(live):]):
+        a, b = grid[ends[i]].tolist()
+        if fa > 0 > fb:
+            roots[i] = _score_root(a, b, fa, fb)
+        else:   # no maximum inside: the grid end with the larger likelihood
+            out[i] = a if values[i, ends[i, 0]] >= values[i, ends[i, 1]] else b
+    while roots:
+        asks = {}
+        for i, root in roots.items():
+            try:
+                asks[i] = root.send(replies.get(i))     # None starts a root
+            except StopIteration as stop:
+                out[i] = float(stop.value)
+        roots = {i: roots[i] for i in asks}
+        replies = dict(zip(asks, score(list(asks), list(asks.values())) if asks else []))
+    return out
+
+
 def _mle(law: _OutcomeLaw, counts: np.ndarray, prior: tuple[float, float]) -> float:
-    """Maximum-likelihood estimate from leaf-indexed counts; see ``mle``."""
-    count_vec = np.asarray(counts, dtype=float)
-    seen = np.flatnonzero(count_vec)
-    n_seen = count_vec[seen]
-
-    def score(theta: float) -> float:
-        probs, dprobs = law.prob_dprob(theta)
-        return float(n_seen @ (dprobs[seen] / np.maximum(probs[seen], LOG_FLOOR)))
-
-    grid = law.grid
-    values = count_vec @ law.log_table
-    peak = values.max()
-    if peak - values.min() < FLAT_REL * (abs(peak) + 1.0):
-        raise DegenerateLikelihoodError("likelihood is flat on the prior interval")
-    ties = np.flatnonzero(values >= peak)
-    mid = 0.5 * (prior[0] + prior[1])
-    best = int(ties[np.argmin(np.abs(grid[ties] - mid))])
-
-    ia, ib = max(best - 1, 0), min(best + 1, grid.size - 1)
-    fa, fb = score(grid[ia]), score(grid[ib])
-    if not fa > 0 > fb:     # no maximum inside: the grid end with the larger likelihood
-        return float(grid[ia] if values[ia] >= values[ib] else grid[ib])
-    return float(_score_root(score, grid[ia], grid[ib], fa, fb))
+    """Maximum-likelihood estimate from one row of leaf-indexed counts; see ``mle``."""
+    est, = _estimates(law, np.asarray(counts, dtype=float)[None], prior)
+    if isinstance(est, DegenerateLikelihoodError):
+        raise est
+    return est
 
 
 def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
@@ -305,19 +338,12 @@ def _reference_law(config: SimConfig) -> _OutcomeLaw:
     return _OutcomeLaw(config.family, tree, config.prior)
 
 
-def _estimate(law: _OutcomeLaw, counts: np.ndarray, prior: tuple[float, float]):
-    """``_mle``, or the DegenerateLikelihoodError it raised: a degenerate trial."""
-    try:
-        return _mle(law, counts, prior)
-    except DegenerateLikelihoodError as exc:
-        return exc
-
-
 def _two_step_block(config: SimConfig, ref: _OutcomeLaw, rngs: list[np.random.Generator]
                     ) -> list[float | DegenerateLikelihoodError]:
-    """Two-step estimates of a block of trials, one per generator: each trial's
-    rough draw and MLE, one ``synthesize_trees`` call at the rough estimates that
-    survived, then each trial's main law, draw and MLE on the same generator."""
+    """Two-step estimates of a block of trials, one per generator, in two stacks: the
+    rough draws from the reference law and their MLEs, one ``synthesize_trees`` call
+    at the rough estimates that survived, then one stacked law of those trees, each
+    trial's main draw from its tree's law on the same generator, and their MLEs."""
     if config.shots < 16:
         raise ValueError("two-step needs at least 16 shots")
     family, prior, theta = config.family, config.prior, config.theta_true
@@ -325,13 +351,15 @@ def _two_step_block(config: SimConfig, ref: _OutcomeLaw, rngs: list[np.random.Ge
     pad = PRIOR_EDGE_REL * (prior[1] - prior[0])
     if isinstance(family, (metrology.PureNumericFamily, metrology.MixedGenericFamily)):
         pad = max(pad, family.step)     # the frame evaluates the family at theta -+ step
-    out = [_estimate(ref, ref.draw(theta, n_rough, rng), prior) for rng in rngs]
+    out = _estimates(ref, ref.draw(theta, n_rough, rngs), prior)
     live = [i for i, rough in enumerate(out) if not isinstance(rough, Exception)]
     targets = [locc.synthesis_target(metrology.saturation_matrices(
         family, float(np.clip(out[i], prior[0] + pad, prior[1] - pad)))) for i in live]
-    for i, tree in zip(live, locc.synthesize_trees(targets, family.layout)):
-        law = _OutcomeLaw(family, tree, prior)
-        out[i] = _estimate(law, law.draw(theta, config.shots - n_rough, rngs[i]), prior)
+    if live:
+        law = _OutcomeLaw(family, locc.synthesize_trees(targets, family.layout), prior)
+        counts = law.draw(theta, config.shots - n_rough, [rngs[i] for i in live])
+        for i, est in zip(live, _estimates(law, counts, prior)):
+            out[i] = est
     return out
 
 
@@ -356,23 +384,24 @@ def run_trials(config: SimConfig) -> SimReport:
 
     Per-trial substreams derive from (seed, trial index); trials raising a
     degenerate-likelihood flag are counted and excluded from the variance.
-    Two-step trials go in blocks of max(1, SMALL_LAW // D) trials (``_two_step_block``).
+    Trials go in blocks of max(1, SMALL_LAW // D), each one stack (``_two_step_block``).
     The 95% interval on r comes from a percentile bootstrap over trials.
     """
     family, prior = config.family, config.prior
     lo, hi = prior
     frame = metrology.saturation_matrices(family, config.theta_true)
-    rngs = (_trial_rng(config.seed, trial) for trial in range(config.trials))  # made per block
+    size = max(1, SMALL_LAW // family.layout.total)
+    blocks = ([_trial_rng(config.seed, t) for t in range(first, min(first + size, config.trials))]
+              for first in range(0, config.trials, size))     # substreams made per block
     # One outcome law per run: the fixed tree's, or the two-step reference tree's.
     if config.strategy == "fixed":
         tree = config.tree or locc.synthesize_tree(locc.synthesis_target(frame), family.layout)
         law = _OutcomeLaw(family, tree, prior)
-        outcomes = [_estimate(law, law.draw(config.theta_true, config.shots, rng), prior)
-                    for rng in rngs]
+        outcomes = [est for block in blocks for est in _estimates(
+            law, law.draw(config.theta_true, config.shots, block), prior)]
     else:
-        ref, block = _reference_law(config), max(1, SMALL_LAW // family.layout.total)
-        outcomes = [est for start in range(0, config.trials, block)
-                    for est in _two_step_block(config, ref, list(islice(rngs, block)))]
+        ref = _reference_law(config)
+        outcomes = [est for block in blocks for est in _two_step_block(config, ref, block)]
     estimates = np.array([e for e in outcomes if not isinstance(e, Exception)])
     degenerate = len(outcomes) - estimates.size
     edge = PRIOR_EDGE_REL * (hi - lo)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (TARGET_TRACE_TOL, check_hermitian, check_trace, check_traceless,
-                     frobenius_norms, recenter)
+from .tensor import TARGET_TRACE_TOL, check_hermitian, check_trace, frobenius_norms, recenter
 
 DIAG_TOL = 1e-8        # admissible diagonal residual relative to the pair scale
 _TINY = 1e-12          # relative zero floor, mostly against the pair scale
@@ -27,19 +26,18 @@ class ZeroDiagConvergenceError(RuntimeError):
     """Raised when the construction cannot reach the residual target."""
 
 
-def _check_pair(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Scale max(1, ||h1||, ||h2||) of a public input pair, checked traceless Hermitian.
+def _check_pair(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """Hermitian parts (2, d, d) of a public input pair, checked traceless Hermitian.
 
-    Every floor and bound of the construction is relative to this scale, so
-    a diagonal or a coupling that is rounding noise at the caller's scale
-    counts as zero. The construction trusts its input and only projects it
-    exactly onto traceless Hermitian matrices.
+    The construction trusts its input and only projects it exactly onto traceless
+    Hermitian matrices. A larger pair re-centers these parts; its floors and bounds
+    are relative to their scale max(1, ||h1||, ||h2||), so a diagonal or a coupling
+    that is rounding noise at the caller's scale counts as zero.
     """
-    h1 = check_traceless(check_hermitian(h1, "h1"), "h1")
-    h2 = check_traceless(check_hermitian(h2, "h2"), "h2")
-    if h1.shape != h2.shape:
+    pair = [check_trace(check_hermitian(m, name), name) for m, name in ((h1, "h1"), (h2, "h2"))]
+    if pair[0].shape != pair[1].shape:
         raise ValueError("dimension mismatch")
-    return max(1.0, float(np.linalg.norm(h1)), float(np.linalg.norm(h2)))
+    return np.array(pair)
 
 
 def _traceless_hermitian(m: np.ndarray) -> np.ndarray:
@@ -135,7 +133,7 @@ def _qubit_bases(d0: np.ndarray, d1: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray:
     """Unitaries (P, d, d) whose columns zero-diagonalize both matrices of each pair.
 
-    ``h`` (P, 2, d, d) holds the pairs, ``scale`` (P,) their scales and
+    ``h`` (P, 2, d, d) holds the pairs, traceless Hermitian, ``scale`` (P,) their scales and
     ``node`` (P,) the indices by which an error names them; d >= 3, as 2x2
     pairs go to ``_qubit_bases``. A vanishing pair gets the identity and a
     pair whose first matrix vanishes is swapped. Every other pair starts from
@@ -150,7 +148,6 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
     p, _, d = h.shape[:3]
     u = np.zeros((p, d, d), dtype=complex)
     u.reshape(p, -1)[:, ::d + 1] = 1
-    h = _traceless_hermitian(h)
     n = frobenius_norms(h.reshape(2 * p, d, d)).reshape(p, 2)
     floor = _TINY * scale
     live = np.maximum(n[:, 0], n[:, 1]) > floor
@@ -213,11 +210,12 @@ def simultaneous_zero_diag(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     The pair is re-centered to exactly traceless first; a 2x2 pair gets the
     closed form of ``solve_2x2``, a larger one the rotation sweep.
     """
-    scale = _check_pair(h1, h2)
-    h = np.asarray([h1, h2], dtype=complex)[:, None]
+    h = _check_pair(h1, h2)
     if h.shape[-1] == 2:
-        return _qubit_bases(*_entries(h))[0]
-    return _zero_diag(h.swapaxes(0, 1), np.array([scale]), np.zeros(1, dtype=int))[0]
+        return _qubit_bases(*_entries(np.asarray([h1, h2], dtype=complex)[:, None]))[0]
+    h = recenter(h)
+    scale = max(1.0, float(np.linalg.norm(h[0])), float(np.linalg.norm(h[1])))
+    return _zero_diag(h[None], np.array([scale]), np.zeros(1, dtype=int))[0]
 
 
 def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
@@ -226,11 +224,16 @@ def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
     ``m_tilde`` is one (d, d) matrix or a (P, d, d) stack, which gives one
     basis per matrix. Each matrix's trace is checked against TARGET_TRACE_TOL
     times max(1, its norm); its Hermitian and anti-Hermitian parts are then
-    zero-diagonalized together at the scale max(1, ||h1||, ||h2||).
+    zero-diagonalized together at the scale max(1, ||h1||, ||h2||) by ``zero_diag_stack``.
     """
     # tested only: the construction gets the stack as given, not re-centered
     m = check_trace(m_tilde, "matrix", TARGET_TRACE_TOL)
-    stack = m.reshape((-1,) + m.shape[-2:])
+    u = zero_diag_stack(m.reshape((-1,) + m.shape[-2:]))
+    return u if m.ndim == 3 else u[0]
+
+
+def zero_diag_stack(stack: np.ndarray) -> np.ndarray:
+    """``zero_diag_basis`` of a (P, d, d) stack whose traces the caller has checked."""
     if stack.shape[-1] == 2:
         # the entries of h1 = (m + m^H)/2 and h2 = (m - m^H)/2i, as ``_entries`` reads
         # them: + 0 gives h2's upper entry the signed zeros of its Hermitian part
@@ -241,6 +244,6 @@ def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
         mh = stack.conj().swapaxes(1, 2)
         h = np.empty((len(stack), 2) + stack.shape[1:], dtype=complex)
         h[:, 0], h[:, 1] = (stack + mh) / 2, (stack - mh) / 2j
-        n = frobenius_norms(h.reshape((-1,) + stack.shape[1:])).reshape(-1, 2)
-        u = _zero_diag(h, np.maximum(1.0, np.maximum(n[:, 0], n[:, 1])), np.arange(len(stack)))
-    return u if m.ndim == 3 else u[0]
+        n = frobenius_norms(h.reshape((-1,) + stack.shape[1:])).reshape(-1, 2).max(axis=1)
+        u = _zero_diag(_traceless_hermitian(h), np.maximum(1.0, n), np.arange(len(stack)))
+    return u

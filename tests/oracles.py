@@ -348,14 +348,20 @@ def closed_form_2x2(h1, h2, tiny=1e-12):
                                   [s * np.exp(-1j * alpha), c]])
 
 
+def prob_at(block, theta):
+    """The law of a stack's first tree at theta, through its batched ``block``
+    (``simulate._path_prob_fns``'s, or ``_OutcomeLaw.block``)."""
+    return block(np.array([theta]), [0])[0, :, 0]
+
+
 def golden_mle(law, counts, prior):
     """Maximum-likelihood estimate by the grid scan and golden-section search.
 
     ``law`` is a ``simulate._OutcomeLaw`` and ``counts`` its leaf-indexed
     counts. The grid scan (ties toward the interval midpoint, flat-grid
     rejection) is the library's; the refinement compares log-likelihoods of
-    ``law.prob_fn`` down to a bracket of max(MLE_WIDTH, 2 eps |b|), the
-    score root's floor, and returns its midpoint.
+    ``prob_at(law.block, theta)`` down to a bracket of max(MLE_WIDTH,
+    2 eps |b|), the score root's floor, and returns its midpoint.
     """
     from loccfisher.simulate import LOG_FLOOR, DegenerateLikelihoodError
     from loccfisher.tensor import FLAT_REL, MLE_WIDTH
@@ -364,7 +370,7 @@ def golden_mle(law, counts, prior):
     count_vec = np.asarray(counts, dtype=float)
 
     def loglik(theta):
-        probs = np.maximum(law.prob_fn(theta), LOG_FLOOR)
+        probs = np.maximum(prob_at(law.block, theta), LOG_FLOOR)
         return float(count_vec @ np.log(probs))
 
     grid = law.grid

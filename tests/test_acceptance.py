@@ -254,6 +254,21 @@ def test_criterion_8_statistical_saturation():
                f"({elapsed:.2f}s)")
 
 
+def test_criterion_8_statistical_saturation_at_2000_trials():
+    # Var of the sample variance gives N J Var a standard error of about
+    # sqrt(2 / 2000) = 0.032, so [0.9, 1.1] is about +-3 standard errors, where
+    # 100 trials (0.14) cover about +-0.7
+    t0 = time.perf_counter()
+    fam = ghz_family(3)
+    ratios = [run_trials(SimConfig(family=fam, theta_true=0.5, shots=10 ** 5, trials=2000,
+                                   seed=0, prior=(0.0, 1.0), strategy=strategy)).ratio
+              for strategy in ("fixed", "two-step")]
+    elapsed = time.perf_counter() - t0
+    ok = all(0.9 <= r <= 1.1 for r in ratios) and elapsed < 10.0
+    report(ok, f"criterion 8 at 2000 trials: N J Var in [0.9, 1.1] for fixed "
+               f"({ratios[0]:.3f}) and two-step ({ratios[1]:.3f}) ({elapsed:.2f}s)")
+
+
 def test_criterion_9_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)

@@ -11,12 +11,12 @@ from loccfisher import (RankTwoFixedBasisFamily, discriminate, flatten,
                         leaf_vectors, qfi, saturation_matrices, synthesize_at,
                         synthesize_tree, synthesize_trees, tree_from_json, tree_to_json,
                         verify_tree)
-from loccfisher import locc
+from loccfisher import locc, zerodiag
 from loccfisher.cli import cli_main
 from loccfisher.locc import (NODE_TRACE_TOL, MeasurementTree, SynthesisError, _node_bases,
                              bloch_rows)
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import HilbertLayout, KetBraSum, check_traceless, kron
+from loccfisher.tensor import HilbertLayout, KetBraSum, check_trace, check_traceless, kron
 from loccfisher.zerodiag import zero_diag_basis
 from scipy.stats import unitary_group
 
@@ -155,13 +155,13 @@ class TestNodeBases:
         return np.broadcast_to(np.eye(2), m.shape).copy() if len(m) == 4 else zero_diag_basis(m)
 
     def test_violated_leaf_condition_raises(self, monkeypatch):
-        monkeypatch.setattr(locc, "zero_diag_basis", self.identity_at_last_depth)
+        monkeypatch.setattr(locc, "zero_diag_stack", self.identity_at_last_depth)
         fam = ghz_family(3)
         with pytest.raises(SynthesisError, match="leaf condition violated"):
             synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
 
     def test_violated_leaf_condition_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setattr(locc, "zero_diag_basis", self.identity_at_last_depth)
+        monkeypatch.setattr(locc, "zero_diag_stack", self.identity_at_last_depth)
         assert cli_main(["synthesize", "ghz3", "--theta", "0.3"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "non-convergence" and "leaf condition" in err["error"]
@@ -181,6 +181,15 @@ class TestNodeBases:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert err["kind"] == "non-convergence" and "residual nan" in err["error"]
 
+    def test_each_depth_tests_its_trace_once(self, rng, monkeypatch):
+        # the node check of ``_node_bases``; zero_diag_basis's own test is for outside callers
+        calls = []
+        monkeypatch.setattr(zerodiag, "check_trace",
+                            lambda *a, **kw: calls.append(a[0].shape) or check_trace(*a, **kw))
+        fam = random_pure_family((2, 3, 2), rng)
+        synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
+        assert calls == []
+
     def test_each_depth_calls_zero_diag_basis_once(self, rng, monkeypatch):
         seen = []
 
@@ -188,7 +197,7 @@ class TestNodeBases:
             seen.append(m.shape)
             return zero_diag_basis(m)
 
-        monkeypatch.setattr(locc, "zero_diag_basis", spy)
+        monkeypatch.setattr(locc, "zero_diag_stack", spy)
         fam = random_pure_family((2, 3, 2), rng)
         synthesize_tree(saturation_matrices(fam, 0.3).target, fam.layout)
         assert seen == [(1, 2, 2), (2, 3, 3), (6, 2, 2)]
@@ -247,7 +256,7 @@ class TestStackedTreesFromCheckedStacks:
             seen.append(np.abs(m).max(axis=(1, 2)))
             return zero_diag_basis(m)
 
-        monkeypatch.setattr(locc, "zero_diag_basis", spy)
+        monkeypatch.setattr(locc, "zero_diag_stack", spy)
         synthesize_trees(stacked_targets("product", (2, 3, 2), 3, 7), (2, 3, 2))
         assert any((level == 0).any() for level in seen)
 
@@ -265,7 +274,7 @@ class TestStackedTreesFromCheckedStacks:
             calls.append(len(m))
             return u
 
-        monkeypatch.setattr(locc, "zero_diag_basis", corrupt)
+        monkeypatch.setattr(locc, "zero_diag_stack", corrupt)
         with pytest.raises(ValueError, match=message.format(depth)):
             synthesize_trees(stacked_targets("complex", (2, 3, 2), 3, 11), (2, 3, 2))
         assert len(calls) == depth + 1

@@ -34,7 +34,7 @@ from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs
 from conftest import (pauli_doc, pauli_weights_matrix, random_density, random_hermitian,
                       random_pure_family, random_pure_inputs, random_state)
 from oracles import (dense_saturation, dense_target, golden_mle, leaf_vectors_kron,
-                     pauli_sum_matrix, per_matrix_saturation)
+                     pauli_sum_matrix, per_matrix_saturation, prob_at)
 from test_locc import random_tree
 from test_oracle_crosscheck import assert_matches_oracle, random_rank_two_family
 
@@ -340,7 +340,7 @@ def test_every_path_reader_follows_the_outcome_order(dims, data, seed):
     assert np.abs(probs - np.abs(vectors.conj() @ psi) ** 2).max() <= 1e-12
     # mle reads a counted path as the row of its leaf
     law = _OutcomeLaw(family, tree, (0.0, 1.0))
-    counts = rng.multinomial(200, law.distribution(0.4))
+    counts = law.draw(0.4, 200, rng)
     assert mle({paths[e]: n for e, n in enumerate(counts) if n}, family, tree,
                (0.0, 1.0)) == _mle(law, counts, (0.0, 1.0))
     rank_two = random_rank_two_family(dims, rng)
@@ -525,11 +525,11 @@ def assert_law_matches_leaf_vectors(family, tree, thetas):
     """The amplitude law against <e|rho|e> over the oracle's kron-built leaf vectors."""
     leaves = leaf_vectors_kron(tree)
     vectors = np.stack([vec for _, vec in leaves])
-    prob_fn = _path_prob_fns(family, tree)[0]
+    block = _path_prob_fns(family, [tree])[0]
     for theta in thetas:
         rho = family.rho_drho(theta)[0]
         want = np.einsum("ea,ab,eb->e", vectors.conj(), rho, vectors).real
-        assert np.abs(prob_fn(theta) - want).max() <= 1e-12
+        assert np.abs(prob_at(block, theta) - want).max() <= 1e-12
         paths, probs = leaf_distribution(family, tree, theta)
         assert paths == [path for path, _ in leaves]
         assert np.abs(probs - want / want.sum()).max() <= 1e-12
@@ -538,7 +538,7 @@ def assert_law_matches_leaf_vectors(family, tree, thetas):
     # block is one BLAS product or contraction, equal to rounding
     law = _OutcomeLaw(family, tree, (0.1, 0.9))
     assert law.log_table.shape == (tree.layout.total, GRID_POINTS)
-    per_theta = np.stack([np.maximum(prob_fn(t), LOG_FLOOR) for t in law.grid], axis=1)
+    per_theta = np.stack([np.maximum(prob_at(block, t), LOG_FLOOR) for t in law.grid], axis=1)
     if family.state_type == "pure":
         assert np.abs(np.exp(law.log_table) - per_theta).max() <= 1e-12
     else:
@@ -617,3 +617,41 @@ def test_score_root_meets_golden_section(name, shots, theta, shift, seed):
             _mle(law, counts, prior)
         return
     assert abs(_mle(law, counts, prior) - want) <= 1e-7
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("name", ["ghz3", "psi-unitary", "psi:ghz3", "ranktwo", "bellmix"])
+@settings(PROPERTY, max_examples=3)
+@given(shots=st.sampled_from([10 ** 2, 10 ** 4, 10 ** 5]), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_estimates_are_their_stack_of_one(name, stacked, shots, data, seed):
+    # Each row of a stack of T = 1..12 count rows, all-zero (flat) rows among them,
+    # gets the estimate or flag it gets alone, bit for bit, and golden section's
+    # maximum. Rows go to one tree (a fixed run), or row i to tree i of one
+    # stacked law (the main laws of a two-step block) against a stacked law of one.
+    family, tree_family = mle_family(name)
+    prior, rng = (0.1, 0.7), np.random.default_rng(seed)
+    trials = data.draw(st.integers(1, 12))
+    flat = data.draw(st.lists(st.booleans(), min_size=trials, max_size=trials))
+    targets = [saturation_matrices(tree_family, t).target
+               for t in rng.uniform(0.2, 0.6, trials if stacked else 1)]
+    trees = synthesize_trees(targets, tree_family.layout)
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "psi-unitary":   # eight levels, above the component cap of 56 // 8 = 7
+            mp.setattr(simulate, "SMALL_LAW", 56)
+        law = _OutcomeLaw(family, trees if stacked else trees[0], prior)
+        counts = law.draw(float(rng.uniform(0.2, 0.6)), shots,
+                          [np.random.default_rng([seed, i]) for i in range(trials)])
+        counts[np.array(flat)] = 0
+        got = simulate._estimates(law, counts, prior)
+        for i, est in enumerate(got):
+            one = _OutcomeLaw(family, [trees[i]], prior) if stacked else law
+            alone = simulate._estimates(one, counts[i:i + 1], prior)[0]
+            oracle = _OutcomeLaw(family, trees[i], prior) if stacked else law
+            if isinstance(est, DegenerateLikelihoodError):
+                assert isinstance(alone, DegenerateLikelihoodError)
+                with pytest.raises(DegenerateLikelihoodError):
+                    golden_mle(oracle, counts[i], prior)
+            else:
+                assert est == alone
+                assert abs(est - golden_mle(oracle, counts[i], prior)) <= 1e-7

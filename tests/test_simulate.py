@@ -26,7 +26,7 @@ from loccfisher.simulate import _mle, _OutcomeLaw, _path_prob_fns, _score_root, 
 from loccfisher.tensor import PRIOR_EDGE_REL, HilbertLayout, KetBraSum
 
 from conftest import ghz_family, random_pure_family
-from oracles import golden_mle, sample_paths
+from oracles import golden_mle, prob_at, sample_paths
 
 
 def synth(family, theta):
@@ -220,19 +220,19 @@ ROUTES = ["components", "psi", "psi-numeric", "rank-two", "mixed"]
 class TestScoreSteps:
     @pytest.mark.parametrize("route", ROUTES)
     def test_prob_dprob_matches_the_law(self, route, monkeypatch):
-        # P from the (P, dP) product is the per-theta law: the same products for
-        # rank two and the numeric families, one more BLAS column otherwise; dP
-        # is its slope
+        # P from the (P, dP) step is the per-theta law: the same products for
+        # rank two and the numeric families, one more contracted row for psi(theta)
+        # and elementwise sums over the levels for the components; dP is its slope
         family, tree = route_case(route, monkeypatch)
-        prob_fn, prob_dprob, _ = _path_prob_fns(family, tree)
+        block, prob_dprob = _path_prob_fns(family, [tree])
         h = 1e-5
         for theta in (0.25, 0.4, 0.55):
-            p, dp = prob_dprob(theta)
+            p, dp = (x[0] for x in prob_dprob(np.array([theta]), np.zeros(1, dtype=int)))
             if route in ("psi-numeric", "rank-two", "mixed"):
-                assert np.array_equal(p, prob_fn(theta))
+                assert np.array_equal(p, prob_at(block, theta))
             else:
-                assert np.abs(p - prob_fn(theta)).max() <= 1e-14
-            central = (prob_fn(theta + h) - prob_fn(theta - h)) / (2 * h)
+                assert np.abs(p - prob_at(block, theta)).max() <= 1e-14
+            central = (prob_at(block, theta + h) - prob_at(block, theta - h)) / (2 * h)
             assert np.abs(dp - central).max() <= 1e-6 * np.abs(dp).max()
 
     def test_peak_at_a_prior_end_returns_that_end(self):
@@ -330,7 +330,13 @@ class TestScoreSteps:
             return (b0 - x) + 0.37 * np.spacing(b0)
 
         lo, hi = b0 - 0.5, b0 + 0.5
-        root = _score_root(score, lo, hi, score(lo), score(hi))
+        steps = _score_root(lo, hi, score(lo), score(hi))
+        try:
+            x = next(steps)
+            while True:
+                x = steps.send(score(x))
+        except StopIteration as stop:
+            root = stop.value
         assert abs(root - b0) <= 2 * np.spacing(b0)
 
     def test_score_steps_per_mle(self):
@@ -342,7 +348,7 @@ class TestScoreSteps:
             law = _OutcomeLaw(fam, synth(fam, 0.4), (0.2, 0.7))
             prob_dprob = law.prob_dprob
             calls = []
-            law.prob_dprob = lambda theta: calls.append(theta) or prob_dprob(theta)
+            law.prob_dprob = lambda thetas, rows: calls.extend(thetas) or prob_dprob(thetas, rows)
             for shots in (10 ** 2, 10 ** 5):
                 for trial in range(25):
                     calls.clear()
