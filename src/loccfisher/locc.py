@@ -26,8 +26,8 @@ from . import metrology
 # stay importable because the benchmark tracer patches them.
 from .tensor import (ORTHOGONAL_TOL, TARGET_TRACE_TOL, HilbertLayout,  # noqa: F401
                      KetBraSum, as_layout, check_finite, check_int, check_orthonormal,
-                     check_trace, check_traceless, check_unit, complex_to_pairs, kron,
-                     pairs_to_complex, partial_expectation, partial_trace)
+                     check_trace, check_traceless, check_unit, complex_to_pairs, identity,
+                     kron, pairs_to_complex, partial_expectation, partial_trace)
 from .zerodiag import zero_diag_basis, zero_diag_stack  # noqa: F401
 
 LEAF_TOL = 1e-7           # admissible |<E|target|E>| relative to target norm
@@ -196,7 +196,7 @@ def synthesize_trees(targets: Sequence[KetBraSum], layout: HilbertLayout | Seque
         p, d, _, rest = lead.shape
         a = lead[:, :, :k].reshape(p, d, k * rest)      # the A and B of each node
         b = lead[:, :, k:].reshape(p, d, k * rest)
-        reduced = (a @ b.conj().swapaxes(1, 2)).reshape(trees, -1, d, d) + shifts * rest * np.eye(d)
+        reduced = (a @ b.conj().swapaxes(1, 2)).reshape(trees, -1, d, d) + shifts * rest * identity(d)
         bases = _node_bases(reduced.reshape(p, d, d), depth, scales.repeat(p // trees))
         _check_depth(bases, depth)
         levels.append(bases.reshape(reduced.shape))

@@ -19,6 +19,7 @@ each one's scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence
 
@@ -174,10 +175,18 @@ def check_traceless(m: np.ndarray, name: str = "matrix", tol: float = TRACE_TOL,
     return recenter(check_trace(m, name, tol, scale, error))
 
 
+@lru_cache(maxsize=16)
+def identity(d: int) -> np.ndarray:
+    """The d x d identity of a node dimension d, built once and read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def recenter(m: np.ndarray) -> np.ndarray:
     """M - (Tr M / d) I: the traceless part of a square matrix, or of each matrix of a stack."""
     d = m.shape[-1]
-    return m - (m.trace(axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d)
+    return m - (m.trace(axis1=-2, axis2=-1) / d)[..., None, None] * identity(d)
 
 
 def check_unit(v: np.ndarray, name: str = "vector", tol: float = UNIT_TOL) -> np.ndarray:
@@ -193,8 +202,9 @@ def check_unit(v: np.ndarray, name: str = "vector", tol: float = UNIT_TOL) -> np
 def check_orthonormal(b: np.ndarray, failure: str, tol: float = ISOMETRY_TOL) -> np.ndarray:
     """``b`` after checking max |B^dag B - I| <= tol (orthonormal columns; for rows pass B^T)
     for B or each matrix of a stack, else ValueError(failure). NaN fails it too."""
-    dev = np.abs(b.conj().swapaxes(-1, -2) @ b - np.eye(b.shape[-1])).max()
-    if not dev <= tol:
+    gram = b.conj().swapaxes(-1, -2) @ b      # minus I in place: a POVM builds no D x D identity
+    gram.reshape(gram.shape[:-2] + (-1,))[..., ::gram.shape[-1] + 1] -= 1
+    if not np.abs(gram).max() <= tol:
         raise ValueError(failure)
     return b
 

@@ -13,9 +13,12 @@ stack; one pair is a stack of one.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .tensor import TARGET_TRACE_TOL, check_hermitian, check_trace, frobenius_norms, recenter
+from .tensor import (TARGET_TRACE_TOL, check_hermitian, check_trace, frobenius_norms, identity,
+                     recenter)
 
 DIAG_TOL = 1e-8        # admissible diagonal residual relative to the pair scale
 _TINY = 1e-12          # relative zero floor, mostly against the pair scale
@@ -126,8 +129,10 @@ def _qubit_bases(d0: np.ndarray, d1: np.ndarray, z: np.ndarray) -> np.ndarray:
     n = np.hypot(np.hypot(d0, d1), 2 ** 0.5 * np.hypot(z.real, z.imag))
     big = np.maximum(n[0], n[1])
     floor = _TINY * np.maximum(big, 1.0)
-    d0, d1, z = (np.where(n[0] <= floor, e[::-1], e) for e in (d0, d1, z))
-    return np.where((big > floor)[:, None, None], _closed_form(d0, d1, z)[2], np.eye(2))
+    if (swap := n[0] <= floor).any():       # h1 vanishes, as it does in a vanishing pair
+        d0, d1, z = (np.where(swap, e[::-1], e) for e in (d0, d1, z))
+        return np.where((big > floor)[:, None, None], _closed_form(d0, d1, z)[2], identity(2))
+    return _closed_form(d0, d1, z)[2]
 
 
 def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray:
@@ -146,15 +151,16 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
     zeroes one more entry, and the last one left equals Tr h2 = 0.
     """
     p, _, d = h.shape[:3]
-    u = np.zeros((p, d, d), dtype=complex)
-    u.reshape(p, -1)[:, ::d + 1] = 1
     n = frobenius_norms(h.reshape(2 * p, d, d)).reshape(p, 2)
     floor = _TINY * scale
-    live = np.maximum(n[:, 0], n[:, 1]) > floor
-    if not live.any():
+    if (swap := n[:, 0] <= floor).any():        # some h1 vanishes, as in a vanishing pair
+        live = np.maximum(n[:, 0], n[:, 1]) > floor
+        u = np.zeros((p, d, d), dtype=complex)
+        u.reshape(p, -1)[:, ::d + 1] = 1
+        if live.any():      # the live pairs, swapped: no h1 vanishes
+            h = np.where(swap[:, None, None, None], h[:, ::-1], h)
+            u[live] = _zero_diag(h[live], scale[live], node[live])
         return u
-    h = np.where((n[:, 0] <= floor)[:, None, None, None], h[:, ::-1], h)
-    h, scale, node, floor = h[live], scale[live], node[live], floor[live]
 
     ul = _block_basis(h[:, 0])
     g = (ul.conj() * (h[:, 1] @ ul)).sum(axis=1).real      # <u|h2|u>, updated in closed form
@@ -163,11 +169,13 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
         i, j = g.argmax(axis=1), g.argmin(axis=1)           # ties to the lowest index
         x, y = g[rows, i], g[rows, j]
         go = x - y > floor                                   # then x > 0 > y
-        k, i, j, x, y = rows[go], i[go], j[go], x[go], y[go]
+        k, hk, fk = rows, h, floor
+        if not go.all():        # a finished pair stays finished: its g no longer changes
+            k, i, j, x, y, hk, fk = rows[go], i[go], j[go], x[go], y[go], h[go], floor[go]
         ui, uj = ul[k, :, i], ul[k, :, j]
-        a, b = (ui.conj()[:, None] * (h[k] @ uj[:, None, :, None])[..., 0]).sum(axis=2).T
+        a, b = (ui.conj()[:, None] * (hk @ uj[:, None, :, None])[..., 0]).sum(axis=2).T
         mod = np.hypot(a.real, a.imag)
-        coupled = mod > floor[k]
+        coupled = mod > fk
         w = np.where(coupled, 1j * a.conj() / np.where(coupled, mod, 1.0), 1.0)     # e^{i chi}
         # <u|h2|u> = 0 at tan(phi/2) = t >= 0, the root of y t^2 + 2 sig t + x = 0;
         # with r^2 = sig^2 - x y, t = (sig + r) / -y = x / (r - sig) without cancellation
@@ -185,14 +193,20 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
         raise ZeroDiagConvergenceError(
             f"diagonal residual {res[worst]:.3e} of node {node[worst]} exceeds "
             f"{DIAG_TOL:.0e} * scale {scale[worst]:.3e}")
-    u[live] = ul
-    return u
+    return ul
 
 
 def _block_basis(t: np.ndarray) -> np.ndarray:
     """Bases (P, d, d) with every <u|t|u> = Tr(t)/d: eigh times the unitary DFT."""
-    jl = np.outer(*2 * [np.arange(t.shape[-1])])
-    return np.linalg.eigh(t)[1] @ (np.exp(-2j * np.pi / len(jl) * jl) / np.sqrt(len(jl)))
+    return np.linalg.eigh(t)[1] @ _dft(t.shape[-1])
+
+
+@lru_cache(maxsize=16)
+def _dft(d: int) -> np.ndarray:
+    """The unitary d x d DFT of a node dimension d, built once and read-only."""
+    f = np.exp(-2j * np.pi / d * np.outer(*2 * [np.arange(d)])) / np.sqrt(d)
+    f.flags.writeable = False
+    return f
 
 
 def find_null_vector(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -210,10 +224,14 @@ def simultaneous_zero_diag(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
     The pair is re-centered to exactly traceless first; a 2x2 pair gets the
     closed form of ``solve_2x2``, a larger one the rotation sweep.
     """
-    h = _check_pair(h1, h2)
+    return zero_diag_pair(_check_pair(h1, h2))
+
+
+def zero_diag_pair(h: np.ndarray) -> np.ndarray:
+    """``simultaneous_zero_diag`` of a (2, d, d) pair whose traces the caller has checked."""
     if h.shape[-1] == 2:
-        return _qubit_bases(*_entries(np.asarray([h1, h2], dtype=complex)[:, None]))[0]
-    h = recenter(h)
+        return _qubit_bases(*_entries(h[:, None]))[0]
+    h = _traceless_hermitian(h)
     scale = max(1.0, float(np.linalg.norm(h[0])), float(np.linalg.norm(h[1])))
     return _zero_diag(h[None], np.array([scale]), np.zeros(1, dtype=int))[0]
 

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import loccfisher.lm as lm
+import loccfisher.zerodiag as zd
 from loccfisher import (BipartiteCoeffs, IsometryPair, UnitaryGeneratorFamily,
                         check_lm_conditions, check_saturation,
                         coefficient_matrices, construct_lm_2xd,
@@ -18,7 +19,8 @@ from loccfisher import (BipartiteCoeffs, IsometryPair, UnitaryGeneratorFamily,
 from loccfisher.cli import cli_main
 from loccfisher.lm import PHASE_TOL
 from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import LM_STOP_TOL, PERP_TOL, HilbertLayout, complex_to_pairs
+from loccfisher.tensor import LM_STOP_TOL, PERP_TOL, HilbertLayout, complex_to_pairs, identity
+from loccfisher.zerodiag import simultaneous_zero_diag
 
 from conftest import random_state
 from oracles import central_jacobian, lm_search_residuals, scipy_lm
@@ -186,6 +188,34 @@ class TestConstructLm2xd:
             assert check_lm_conditions(pair, coeffs).feasible
             fam = interpolation_family(coeffs.a_mat, coeffs.b_mat)
             assert check_saturation(lm_povm_from_pair(pair), fam, 0.0).saturating
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1), real=st.booleans())
+    def test_unchecked_pair_entry_matches_the_public_route(self, d, seed, real):
+        # construct_lm_2xd hands its conditioned targets to zero_diag_pair without the
+        # pair check; simultaneous_zero_diag of the same targets stays the reference
+        rng = np.random.default_rng(seed)
+        coeffs = random_coeffs(2, d, rng)
+        if real:
+            a = rng.standard_normal((2, d))
+            a /= np.linalg.norm(a)
+            b = rng.standard_normal((2, d))
+            coeffs = BipartiteCoeffs(a, b - np.sum(a * b) * a)
+        pair = construct_lm_2xd(coeffs)
+        a, b, u = coeffs.a_mat, coeffs.b_mat, pair.u_mat
+        targets = []
+        for i in range(2):
+            p = np.outer(u[:, i], u[:, i].conj())
+            targets.append(-1j * (b.conj().T @ p @ a - a.conj().T @ p @ b))
+        v = simultaneous_zero_diag(*targets).view(float)
+        assert np.array_equal(pair.v_mat.view(float), v)
+        assert np.array_equal(np.signbit(pair.v_mat.view(float)), np.signbit(v))
+
+    def test_cached_node_constants_are_read_only(self):
+        # the DFT and identity of a node dimension are built once and shared by every call
+        for const in (zd._dft(3), identity(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                const[0, 0] = 0
 
     def test_conditioned_targets_traceless(self, rng):
         from loccfisher.zerodiag import zero_diag_basis

@@ -92,9 +92,9 @@ def adversarial_pair(draw, d):
 def sweep_pair(draw, d):
     """A traceless Hermitian d x d pair at a scale from 1e-8 to 1e8: random,
     low-rank, the parts of a rank-one target, h1 with repeated eigenvalues,
-    commuting, h2 = +-h1, or with h1 or h2 zero."""
+    commuting, h2 = +-h1, or with h1, h2 or both zero."""
     kind = draw(st.sampled_from(["random", "low-rank", "rank-one", "repeated", "commuting",
-                                 "h2=h1", "h2=-h1", "h1=0", "h2=0"]))
+                                 "h2=h1", "h2=-h1", "h1=0", "h2=0", "h1=h2=0"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     g, h = random_traceless_hermitian(d, rng), random_traceless_hermitian(d, rng)
     if kind == "low-rank":
@@ -115,6 +115,8 @@ def sweep_pair(draw, d):
         g = np.zeros((d, d), dtype=complex)
     elif kind == "h2=0":
         h = np.zeros((d, d), dtype=complex)
+    elif kind == "h1=h2=0":
+        g = h = np.zeros((d, d), dtype=complex)
     scale = 10.0 ** draw(st.sampled_from([-8, -4, 0, 4, 8]))
     return g * scale, h * scale
 
