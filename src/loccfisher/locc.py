@@ -223,8 +223,7 @@ def synthesize_tree(m_tilde: KetBraSum, layout: HilbertLayout | Sequence[int],
 def synthesis_target(frame: metrology.SaturationMatrices) -> KetBraSum:
     """The frame's rank-one target; a family without one is a ValueError."""
     if frame.target is None:
-        raise ValueError("family has no rank-one synthesis target (a generic mixed "
-                         "family of rank > 2, or of rank two with a moving eigenbasis)")
+        raise ValueError("family has no rank-one synthesis target (a generic mixed family)")
     return frame.target
 
 

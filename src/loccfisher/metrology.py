@@ -296,8 +296,7 @@ class SaturationMatrices:
     builds the matrix). The rows of ``support`` span the support of rho and
     the rows of ``l_support`` are their images L psi_i under the SLD; ``qfi``
     is the quantum Fisher information. ``target`` is the factored rank-one
-    synthesis target m_tilde, or None for a generic mixed family of rank
-    > 2, or of rank two with an eigenbasis that moves with theta.
+    synthesis target m_tilde, or None for a generic mixed family.
     """
 
     rho: KetBraSum
@@ -423,8 +422,8 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     is |psi0><psi1| (the scale-invariant direction, real prefactor dropped).
     Neither builds a D x D array. Generic mixed families, one ``rho_drho``:
     the dense rho and drho as returned (drho checked traceless) and the SLD,
-    and the target |t0><t1| if drho is diagonal in the support eigenbasis
-    t0, t1 (``_detect_fixed_rank_two``); otherwise there is no target.
+    and no target; a mixture over a fixed rank-two basis is a
+    ``RankTwoFixedBasisFamily``, as ``scenarios`` reads a commuting document.
     """
     if family.state_type == "pure":
         psi, dpsi = family.psi_dpsi(theta)
@@ -448,10 +447,8 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     drho = check_trace(drho, "drho", DRHO_TOL)
     res = _sld(rho, drho)
     support = res.eigvecs[:, res.eigvals > RANK_TOL].T
-    pair = _detect_fixed_rank_two(support, rho, drho, family.step)
     return SaturationMatrices(KetBraSum.from_dense(rho), KetBraSum.from_dense(drho),
-                              support, support @ res.L.T, res.qfi,
-                              None if pair is None else KetBraSum(*pair))
+                              support, support @ res.L.T, res.qfi, None)
 
 
 def qfi(family: StateFamily, theta: float) -> float:
@@ -498,32 +495,6 @@ def perp_component(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     psi = check_unit(psi, "psi")
     dpsi = np.asarray(dpsi, dtype=complex).reshape(-1)
     return dpsi - np.vdot(psi, dpsi) * psi
-
-
-def _detect_fixed_rank_two(support: np.ndarray, rho: np.ndarray, drho: np.ndarray,
-                           step: float):
-    """The two basis rows of a dense frame's support if the rank-2 eigenbasis is theta-independent.
-
-    ``support`` holds the eigenvectors of the checked ``rho``. At equal weights
-    (p = 1/2) rho fixes only its support and ``eigh`` returns any basis of it,
-    so the rows are turned to the eigenbasis of ``drho`` on the support when
-    rho's eigenvalue gap is below ``step`` times drho's there: the rounding
-    error of the central difference drho is 1/step times that of rho.
-    Over a fixed basis t_k only the weights move, so drho = sum_k
-    <t_k|drho|t_k> |t_k><t_k|; weight off that diagonal, or outside the
-    support, above CONDITION_REL * max(1, max |drho|) means the basis turns
-    with theta. The zero sandwich of ``check_saturation`` would then fail on
-    the tree for |t0><t1|, so the result is None, as at any rank other than two.
-    """
-    if len(support) != 2:
-        return None
-    weights = np.einsum("kd,de,ke->k", support.conj(), rho, support).real
-    mu, turn = np.linalg.eigh(support.conj() @ drho @ support.T)
-    if abs(weights[0] - weights[1]) < step * (mu[1] - mu[0]):
-        support = turn.T @ support
-    diag = np.einsum("kd,de,ke->k", support.conj(), drho, support)
-    off = np.abs(drho - (support.T * diag) @ support.conj()).max()
-    return None if off > CONDITION_REL * max(1.0, np.abs(drho).max()) else support
 
 
 def check_layout(tree, family: StateFamily) -> None:

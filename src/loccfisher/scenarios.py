@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
-from .tensor import HilbertLayout, check_int, check_real, complex_to_pairs, pairs_to_complex
+from .tensor import (RANK_TOL, RHO_TOL, HilbertLayout, check_finite, check_int, check_real,
+                     complex_to_pairs, pairs_to_complex)
 # kron is unused here; it stays importable because the benchmark tracer patches it.
 from .tensor import kron  # noqa: F401
 
@@ -130,6 +131,36 @@ def _grid(doc) -> np.ndarray:
     return grid
 
 
+def _mixed_family(layout: HilbertLayout, rho1: np.ndarray,
+                  rho2: np.ndarray) -> metrology.StateFamily:
+    """The family rho(theta) = theta rho1 + (1 - theta) rho2 of a "mixed" document.
+
+    When rho1 and rho2 are unit-trace states of the layout, both diagonal within
+    RHO_TOL in one basis t0, t1 of a rank-two joint support, it is the fixed-basis
+    rank-two family with p(theta) = <t0|rho2|t0> + theta <t0|rho1 - rho2|t0>. t is the
+    eigenbasis of rho1 - rho2 on the top two eigenvectors of rho1 + rho2, so equal
+    weights need no rule. Any other pair is a generic mixed family, which checks
+    and names its faults where it is evaluated.
+    """
+    generic = metrology.MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2)
+    try:    # the rank first, then rho at 1 and 0, each checked as a state of the layout
+        lam, v = np.linalg.eigh(rho1 + rho2)
+        if np.count_nonzero(lam > RANK_TOL) != 2:
+            return generic
+        ends = generic.rho(1.0), generic.rho(0.0)
+    except ValueError:      # LinAlgError too: no two square matrices of one shape
+        return generic
+    support = v[:, -2:]
+    turn = np.linalg.eigh(support.conj().T @ (ends[0] - ends[1]) @ support)[1]
+    t = (support @ turn[:, ::-1]).T     # t0 takes the larger weight change
+    weights = np.einsum("kd,sde,ke->sk", t.conj(), np.array(ends), t).real
+    if max(np.abs(r - (t.T * w) @ t.conj()).max() for r, w in zip(ends, weights)) > RHO_TOL:
+        return generic
+    p_fn, dp_fn = _p_functions({"form": "linear", "intercept": weights[1, 0],
+                                "slope": weights[0, 0] - weights[1, 0]})
+    return metrology.RankTwoFixedBasisFamily(layout, t[0], t[1], p_fn, dp_fn)
+
+
 @contextmanager
 def _json_types():
     """Report a TypeError or AttributeError of reading document entries as a ValueError."""
@@ -163,13 +194,9 @@ def parse_scenario(doc: dict) -> Scenario:
             psi0, psi1 = pairs_to_complex(doc["psi0"]), pairs_to_complex(doc["psi1"])
         family = metrology.RankTwoFixedBasisFamily(layout, psi0, psi1, p_fn, dp_fn)
     elif kind == "mixed":
-        with _json_types():
-            rho1, rho2 = pairs_to_complex(doc["rho1"]), pairs_to_complex(doc["rho2"])
-
-        def rho_fn(t: float, rho1=rho1, rho2=rho2) -> np.ndarray:
-            return t * rho1 + (1 - t) * rho2
-
-        family = metrology.MixedGenericFamily(layout, rho_fn)
+        with _json_types(), np.errstate(invalid="ignore"):     # a non-finite entry is named
+            rho1, rho2 = (check_finite(pairs_to_complex(doc[key]), key) for key in ("rho1", "rho2"))
+        family = _mixed_family(layout, rho1, rho2)
     else:
         raise ValueError(f"unknown scenario type {kind!r}")
     with _json_types():

@@ -40,13 +40,13 @@ PERP_TOL = 0.99e-10       # |Tr(A^dag B)| of lm coefficient matrices, absolute; 
                           # which construct_lm_2xd's targets, of trace |Im Tr(A^dag B)|, must pass
 ISOMETRY_TOL = 1e-9       # max |B^dag B - I| of orthonormal columns (or rows), absolute
 TARGET_TRACE_TOL = 1e-9   # |Tr m_tilde| of a synthesis target, relative to max(1, ||m_tilde||_F)
-RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace, absolute
+RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace and a mixed
+                          # document's states off a rank-two basis diagonal, absolute
 DRHO_TOL = 1e-8           # drho Hermitian, traceless (rel. max(1, scale)); kernel weight, absolute
 RANK_TOL = 1e-9           # eigenvalue of rho counted as support (else kernel), absolute
 COMPLETENESS_TOL = 1e-8   # max |sum_e |e><e| - I| of a POVM, absolute
 P_TOL = 1e-12             # outcome probability treated as zero, absolute
-CONDITION_REL = 1e-7      # zero-sandwich residual, relative to the largest target norm; drho off a
-                          # rank-two basis diagonal, relative to max(1, max |drho_ij|)
+CONDITION_REL = 1e-7      # zero-sandwich residual, relative to the largest target norm
 REGULARITY_REL = 1e-7     # null-outcome residual, relative to the largest target norm
 FI_REL = 1e-6             # admissible qfi - fi, relative to qfi
 QFI_FLOOR = 1e-12         # qfi below which a scenario carries no information, absolute

@@ -135,12 +135,13 @@ def _qubit_bases(d0: np.ndarray, d1: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _closed_form(d0, d1, z)[2]
 
 
-def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray:
+def _zero_diag(h: np.ndarray, node: np.ndarray) -> np.ndarray:
     """Unitaries (P, d, d) whose columns zero-diagonalize both matrices of each pair.
 
-    ``h`` (P, 2, d, d) holds the pairs, traceless Hermitian, ``scale`` (P,) their scales and
-    ``node`` (P,) the indices by which an error names them; d >= 3, as 2x2
-    pairs go to ``_qubit_bases``. A vanishing pair gets the identity and a
+    ``h`` (P, 2, d, d) holds the pairs, traceless Hermitian, and ``node`` (P,) the
+    indices by which an error names them; d >= 3, as 2x2 pairs go to
+    ``_qubit_bases``. Each pair's scale max(1, ||h1||, ||h2||) comes from the norms
+    of its swap test. A vanishing pair gets the identity and a
     pair whose first matrix vanishes is swapped. Every other pair starts from
     ``_block_basis`` of h1, so every <u|h1|u> = 0, and then rotates d - 1
     times in the plane of the columns i, j with the largest x >= 0 and
@@ -152,14 +153,16 @@ def _zero_diag(h: np.ndarray, scale: np.ndarray, node: np.ndarray) -> np.ndarray
     """
     p, _, d = h.shape[:3]
     n = frobenius_norms(h.reshape(2 * p, d, d)).reshape(p, 2)
+    big = np.maximum(n[:, 0], n[:, 1])
+    scale = np.maximum(big, 1.0)
     floor = _TINY * scale
     if (swap := n[:, 0] <= floor).any():        # some h1 vanishes, as in a vanishing pair
-        live = np.maximum(n[:, 0], n[:, 1]) > floor
+        live = big > floor
         u = np.zeros((p, d, d), dtype=complex)
         u.reshape(p, -1)[:, ::d + 1] = 1
         if live.any():      # the live pairs, swapped: no h1 vanishes
             h = np.where(swap[:, None, None, None], h[:, ::-1], h)
-            u[live] = _zero_diag(h[live], scale[live], node[live])
+            u[live] = _zero_diag(h[live], node[live])
         return u
 
     ul = _block_basis(h[:, 0])
@@ -231,9 +234,7 @@ def zero_diag_pair(h: np.ndarray) -> np.ndarray:
     """``simultaneous_zero_diag`` of a (2, d, d) pair whose traces the caller has checked."""
     if h.shape[-1] == 2:
         return _qubit_bases(*_entries(h[:, None]))[0]
-    h = _traceless_hermitian(h)
-    scale = max(1.0, float(np.linalg.norm(h[0])), float(np.linalg.norm(h[1])))
-    return _zero_diag(h[None], np.array([scale]), np.zeros(1, dtype=int))[0]
+    return _zero_diag(_traceless_hermitian(h)[None], np.zeros(1, dtype=int))[0]
 
 
 def zero_diag_basis(m_tilde: np.ndarray) -> np.ndarray:
@@ -262,6 +263,5 @@ def zero_diag_stack(stack: np.ndarray) -> np.ndarray:
         mh = stack.conj().swapaxes(1, 2)
         h = np.empty((len(stack), 2) + stack.shape[1:], dtype=complex)
         h[:, 0], h[:, 1] = (stack + mh) / 2, (stack - mh) / 2j
-        n = frobenius_norms(h.reshape((-1,) + stack.shape[1:])).reshape(-1, 2).max(axis=1)
-        u = _zero_diag(_traceless_hermitian(h), np.maximum(1.0, n), np.arange(len(stack)))
+        u = _zero_diag(_traceless_hermitian(h), np.arange(len(stack)))
     return u

@@ -9,8 +9,8 @@ from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily,
                         check_saturation, fisher_info, flatten, perp_component, qfi,
                         saturation_matrices, sld, synthesize_tree, verify_tree)
 from loccfisher.locc import MeasurementTree
-from loccfisher.scenarios import bell_states, builtin_scenario
-from loccfisher.tensor import HilbertLayout, KetBraSum, herm_eig, kron
+from loccfisher.scenarios import bell_states, builtin_scenario, parse_scenario
+from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs, kron
 
 from conftest import (PAULI_Z, ghz_family, random_density, random_hermitian,
                       random_pure_family, random_pure_inputs, random_state,
@@ -448,20 +448,25 @@ class TestSaturationMatrices:
         imag = np.sort(vals.imag)
         assert np.abs(imag + imag[::-1]).max() < 1e-10
 
-    def test_mixed_rank_two_fixed_basis_detected(self, rng):
+    def test_mixed_rank_two_fixed_basis_detected(self):
+        # the pair read as a document is rank two over its fixed basis; the same
+        # mixture as a generic mixed family carries no target
         bells = bell_states()
         p0 = np.outer(bells["phi+"], bells["phi+"].conj())
         p1 = np.outer(bells["psi+"], bells["psi+"].conj())
-        fam = MixedGenericFamily(HilbertLayout((2, 2)),
-                                 lambda t: t * p0 + (1 - t) * p1)
+        doc = {"type": "mixed", "layout": [2, 2], "theta_grid": [0.4],
+               "rho1": complex_to_pairs(p0), "rho2": complex_to_pairs(p1)}
+        fam = parse_scenario(doc).family
+        assert isinstance(fam, RankTwoFixedBasisFamily)
         out = saturation_matrices(fam, 0.4)
-        assert out.target is not None
         # the target spans the cross direction of the two fixed eigenvectors,
         # up to phase and adjoint (both carry the same zero-sandwich condition)
         direction = np.outer(bells["phi+"], bells["psi+"].conj())
         overlap = max(abs(np.trace(out.target.dense().conj().T @ direction)),
                       abs(np.trace(out.target.dense().conj().T @ direction.conj().T)))
         assert abs(overlap - 1) < 1e-8
+        generic = MixedGenericFamily(HilbertLayout((2, 2)), lambda t: t * p0 + (1 - t) * p1)
+        assert saturation_matrices(generic, 0.4).target is None
 
     @pytest.mark.parametrize("entry", [qfi, saturation_matrices])
     def test_pure_state_evaluated_once(self, monkeypatch, entry):
@@ -486,7 +491,7 @@ class TestSaturationMatrices:
         assert abs(np.linalg.norm(perp) - np.sqrt(qfi(fam, 0.3)) / 2) < 1e-12
 
     def test_mixed_state_evaluated_once(self):
-        # the frame's checked rho is reused by the fixed-basis rank-two test
+        # the frame reads rho and drho from one rho_drho call
         bellmix = builtin_scenario("bellmix").family
         calls = []
         counted = MixedGenericFamily(
@@ -497,30 +502,6 @@ class TestSaturationMatrices:
         assert all(np.array_equal(m.dense(), w.dense())
                    for m, w in zip(out.conditions, want.conditions))
 
-    def test_mixed_rank_two_target_from_checked_rho(self):
-        # same bits as the spectral decomposition of family.rho at theta
-        bells = bell_states()
-        p0 = np.outer(bells["phi+"], bells["phi+"].conj())
-        p1 = np.outer(bells["psi+"], bells["psi+"].conj())
-        fam = MixedGenericFamily(HilbertLayout((2, 2)),
-                                 lambda t: t * p0 + (1 - t) * p1)
-        w, v = herm_eig(fam.rho(0.4))
-        vecs = v[:, w > 1e-9]
-        out = saturation_matrices(fam, 0.4)
-        assert np.array_equal(out.target.dense(), np.outer(vecs[:, 0], vecs[:, 1].conj()))
-
-    def test_mixed_rank_two_evaluated_once(self):
-        # the rank-two test reads the drho of the three evaluations
-        bells = bell_states()
-        p0 = np.outer(bells["phi+"], bells["phi+"].conj())
-        p1 = np.outer(bells["psi+"], bells["psi+"].conj())
-        calls = []
-        fam = MixedGenericFamily(HilbertLayout((2, 2)),
-                                 lambda t: calls.append(t) or t * p0 + (1 - t) * p1)
-        out = saturation_matrices(fam, 0.4)
-        assert out.target is not None
-        assert len(calls) == 3      # rho at theta and theta +- h
-
     def test_mixed_rank_two_drifting_basis_rejected(self):
         def rho_fn(t):
             c, s = np.cos(t), np.sin(t)
@@ -528,7 +509,7 @@ class TestSaturationMatrices:
             v1 = np.array([-s, c], dtype=complex)
             return 0.7 * np.outer(v0, v0.conj()) + 0.3 * np.outer(v1, v1.conj())
 
-        # the rank-two shortcut rejects it: the M_ij of the SLD and no target, as at rank > 2
+        # the M_ij of the SLD and no target, as for every generic mixed family
         fam = MixedGenericFamily(QUBIT, rho_fn)
         out = saturation_matrices(fam, 0.4)
         assert out.target is None
@@ -554,13 +535,6 @@ class TestSaturationMatrices:
         tree = synthesize_tree(KetBraSum(*v[:, w > 1e-9].T), fam.layout)
         rep = check_saturation(tree, fam, 0.3)
         assert not rep.saturating and rep.condition_residual > 1e-6
-
-    def test_mixed_rank_two_negligible_turn_accepted(self):
-        # 4e-10 off the diagonal at omega = 1e-9: the target's tree saturates
-        fam = self.slowly_turning(1e-9)
-        out = saturation_matrices(fam, 0.3)
-        assert out.target is not None
-        assert check_saturation(synthesize_tree(out.target, fam.layout), fam, 0.3).saturating
 
     @pytest.mark.parametrize("kind", ["pure", "rank-two", "fixed-basis", "rank-3"])
     def test_conditions_are_the_ones_check_saturation_evaluates(self, monkeypatch, kind):

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loccfisher import (DegenerateLikelihoodError, IsometryPair, MixedGenericFamily, Povm,
-                        PureNumericFamily, UnitaryGeneratorFamily,
+                        PureNumericFamily, RankTwoFixedBasisFamily, UnitaryGeneratorFamily,
                         check_saturation, discriminate, flatten, leaf_distribution,
                         leaf_vectors, lm_povm_from_pair, mle, qfi, saturation_matrices, sld,
                         synthesize_at, synthesize_tree, synthesize_trees, verify_tree)
@@ -34,7 +34,7 @@ from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs
 from conftest import (pauli_doc, pauli_weights_matrix, random_density, random_hermitian,
                       random_pure_family, random_pure_inputs, random_state)
 from oracles import (dense_saturation, dense_target, golden_mle, leaf_vectors_kron,
-                     pauli_sum_matrix, per_matrix_saturation, prob_at)
+                     pauli_sum_matrix, per_matrix_saturation, prob_at, qfi_double_sum)
 from test_locc import random_tree
 from test_oracle_crosscheck import assert_matches_oracle, random_rank_two_family
 
@@ -423,47 +423,82 @@ def random_rank_three_family(dims, rng):
 
 
 def random_fixed_basis_mixture(dims, rng):
-    """Generic mixed family t rho0 + (1 - t) rho1 of two orthogonal pure states, which the
-    frame detects as rank two over a fixed basis."""
+    """Generic mixed family t rho0 + (1 - t) rho1 of two orthogonal pure states, which a
+    document of the same pair reads as rank two over a fixed basis."""
     family = random_rank_two_family(dims, rng)
     p0, p1 = (np.outer(v, v.conj()) for v in (family.psi0, family.psi1))
     return MixedGenericFamily(family.layout, lambda t: t * p0 + (1 - t) * p1)
 
 
-def turning_mixture(dims, rng, omega):
-    """(family, theta, |p0 - p1| at theta): the generic mixed family p(t) |v0><v0| +
-    (1 - p(t)) |v1><v1|, p(t) = c0 + c1 t with |c1| >= 0.05, whose two Haar rows v0, v1
-    turn by the angle omega t in their span, at a theta in [0.2, 0.8] with
-    |p(theta) - 1/2| >= 0.05."""
-    layout = HilbertLayout(dims)
-    a, b = haar_unitary(layout.total, rng)[:2]
-    c0, c1 = rng.uniform(0.3, 0.6), rng.choice([-1, 1]) * rng.uniform(0.05, 0.2)
-    theta = rng.uniform(0.2, 0.8)
-    assume(abs(c0 + c1 * theta - 0.5) >= 0.05)
+def affine_doc(dims, rho1, rho2):
+    """The "mixed" document rho(t) = t rho1 + (1 - t) rho2 on ``dims``."""
+    return {"type": "mixed", "layout": list(dims), "theta_grid": [0.5],
+            "rho1": complex_to_pairs(rho1), "rho2": complex_to_pairs(rho2)}
 
-    def rho(t):
-        c, s = np.cos(omega * t), np.sin(omega * t)
-        v0, v1 = c * a + s * b, c * b - s * a
-        p = c0 + c1 * t
-        return p * np.outer(v0, v0.conj()) + (1 - p) * np.outer(v1, v1.conj())
 
-    return MixedGenericFamily(layout, rho), theta, abs(2 * (c0 + c1 * theta) - 1)
+def diagonal_in(rows, weights):
+    """sum_k weights_k |rows_k><rows_k|."""
+    return (rows.T * weights) @ rows.conj()
 
 
 @PROPERTY
-@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2 ** 32 - 1),
-       exponent=st.floats(-4.0, -1.0))
-def test_fixed_rank_two_basis_decided_from_drho(dims, seed, exponent):
-    # over a fixed basis the tree for |t0><t1| saturates; a basis turning at omega puts
-    # omega |p0 - p1| off the diagonal of drho, and from 1e-4 on there is no target
-    family, theta, _ = turning_mixture(dims, np.random.default_rng(seed), 0.0)
-    target = saturation_matrices(family, theta).target
-    assert target is not None
-    assert check_saturation(synthesize_tree(target, family.layout), family, theta).saturating
-    omega = 10.0 ** exponent
-    family, theta, gap = turning_mixture(dims, np.random.default_rng(seed), omega)
-    assume(omega * gap >= 1e-4)
-    assert saturation_matrices(family, theta).target is None
+@given(dims=st.sampled_from([(2,), (2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2 ** 32 - 1),
+       weights=st.sampled_from(["random", "mirrored", "pure"]), data=st.data())
+def test_commuting_rank_two_document_reads_as_fixed_basis(dims, seed, weights, data):
+    # rho1 = a |t0><t0| + (1 - a) |t1><t1| and rho2 likewise with b: mirrored weights
+    # (b = 1 - a) and pure ends make rho1 + rho2 degenerate on the support, and the
+    # theta where p = 1/2 fixes no basis of rho(theta)
+    rng = np.random.default_rng(seed)
+    rows = haar_unitary(prod(dims), rng)[:2]
+    a, b = {"random": rng.uniform(0.0, 1.0, 2), "mirrored": (lambda a: (a, 1 - a))(
+        rng.uniform(0.0, 1.0)), "pure": (1.0, 0.0)}[weights]
+    assume(abs(a - b) >= 0.05)
+    rho1, rho2 = diagonal_in(rows, [a, 1 - a]), diagonal_in(rows, [b, 1 - b])
+    family = parse_scenario(affine_doc(dims, rho1, rho2)).family
+    assert isinstance(family, RankTwoFixedBasisFamily)
+    half = (0.5 - b) / (a - b)
+    low, high = sorted(((0.05 - b) / (a - b), (0.95 - b) / (a - b)))
+    for theta in (half, data.draw(st.floats(low, high))):
+        rho = theta * rho1 + (1 - theta) * rho2
+        want = qfi_double_sum(rho, rho1 - rho2)
+        assert abs(qfi(family, theta) - want) <= 1e-12 * want
+        tree = synthesize_at(family, theta)
+        generic = MixedGenericFamily(family.layout, lambda t: t * rho1 + (1 - t) * rho2)
+        assert check_saturation(tree, family, theta).saturating
+        assert check_saturation(tree, generic, theta).saturating
+
+
+@PROPERTY
+@given(dims=st.sampled_from([(2,), (2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["non-commuting", "turned", "rank-three", "rank-one", "trace"]),
+       exponent=st.floats(-6.0, -2.0))
+def test_other_affine_documents_stay_generic(dims, seed, kind, exponent):
+    # a pair that does not commute, a basis turned by 10^exponent, a commuting pair of
+    # rank three, one pure state twice, and ends of trace 1 +- eps with eps in [2e-9, 4e-9]:
+    # above RHO_TOL, while rho at 1/2 +- h and drho = rho1 - rho2 pass the generic checks
+    rng = np.random.default_rng(seed)
+    d = prod(dims)
+    assume(kind != "rank-three" or d >= 3)
+    rows = haar_unitary(d, rng)[:3 if kind == "rank-three" else 2]
+    a, b = rng.uniform(0.1, 0.9, 2)
+    assume(abs(a - b) >= 0.05 and min(abs(2 * a - 1), abs(2 * b - 1)) >= 0.1)
+    rho1 = diagonal_in(rows[:2], [a, 1 - a])
+    if kind == "non-commuting":
+        turn = haar_unitary(2, rng)
+    else:
+        c, s = np.cos(10.0 ** exponent), np.sin(10.0 ** exponent)
+        turn = np.array([[c, s], [-s, c]]) if kind == "turned" else np.eye(2)
+    rho2 = diagonal_in(turn @ rows[:2], [b, 1 - b])
+    if kind == "rank-three":
+        rho2 = diagonal_in(rows[1:], [b, 1 - b])
+    if kind == "rank-one":
+        rho1 = rho2 = diagonal_in(rows[:1], [1.0])
+    if kind == "trace":
+        eps = 1e-9 * (3 + (exponent + 4) / 2)
+        rho1, rho2 = (1 + eps) * rho1, (1 - eps) * rho2
+    family = parse_scenario(affine_doc(dims, rho1, rho2)).family
+    assert isinstance(family, MixedGenericFamily)
+    assert saturation_matrices(family, 0.5).target is None
 
 
 @st.composite
@@ -479,6 +514,10 @@ def verdict_cases(draw):
     family, theta = make(dims, rng), draw(st.floats(0.1, 0.9))
     order = draw(st.permutations(range(len(dims))))
     reader = draw(st.sampled_from(["synthesized", "random", "padded"]))
+    if reader == "synthesized" and make is random_fixed_basis_mixture:
+        # the generic family has no target; the same mixture read as a document has one
+        doc = affine_doc(dims, family.rho(1.0), family.rho(0.0))
+        return family, theta, synthesize_at(parse_scenario(doc).family, theta, order)
     if reader == "synthesized" and make is not random_rank_three_family:
         return family, theta, synthesize_at(family, theta, order)
     if reader != "padded":

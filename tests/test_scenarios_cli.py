@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,7 @@ from oracles import pauli_term_matrix
 
 NO_TARGET_COMMANDS = [["synthesize"], ["export-bloch"],
                       ["simulate", "--shots", "100", "--trials", "2"]]
-NO_TARGET_ERROR = {"error": "family has no rank-one synthesis target (a generic mixed family "
-                            "of rank > 2, or of rank two with a moving eigenbasis)",
+NO_TARGET_ERROR = {"error": "family has no rank-one synthesis target (a generic mixed family)",
                    "kind": "validation"}
 
 
@@ -325,8 +325,8 @@ class TestCliCore:
         assert capsys.readouterr().out == first
 
     def test_rank_two_mixture_at_equal_weights_saturates(self, tmp_path, capsys):
-        # at t = 1/2, rho fixes only its support; drho fixes the basis on it,
-        # and at t = 1/2 + h the side at equal weights passes the basis test
+        # at t = 1/2, rho fixes only its support; the document's rho1 - rho2 fixes
+        # the basis on it when the document is read
         path, tree = tmp_path / "mix.json", str(tmp_path / "tree.json")
         path.write_text(json.dumps(bell_mixture_doc()))
         for theta in ("0.5", "0.5001"):
@@ -345,6 +345,21 @@ class TestCliCore:
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["J"] - 4.0) < 1e-6 and doc["degenerate_trials"] == 0
         assert doc["ci95"][0] <= 1.0 <= doc["ci95"][1]
+
+    def test_bell_mixture_document_reads_exactly(self, tmp_path, capsys):
+        # rho1 - rho2 is drho exactly: qfi = 1/(theta (1 - theta)) to rounding, also a
+        # step from theta = 0, and the two-step J is the qfi at the prior midpoint
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps(bell_mixture_doc()))
+        family = parse_scenario(bell_mixture_doc()).family
+        assert isinstance(family, metrology.RankTwoFixedBasisFamily)
+        for theta in np.arange(1, 10) / 10:
+            assert abs(metrology.qfi(family, theta) * theta * (1 - theta) - 1) <= 1e-13
+        assert cli_main(["qfi", str(path), "--theta", "0.00005"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["qfi"] * 5e-5 * (1 - 5e-5) - 1) <= 1e-9
+        assert cli_main(["simulate", str(path), "--two-step", "--prior", "0.1", "0.9"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["J"] - 4.0) <= 1e-12
 
     def test_simulate_far_from_zero_ends(self):
         # doubles near theta = 1e7 are farther apart than MLE_WIDTH; run as a child
@@ -746,6 +761,23 @@ class TestCliErrors:
         err = json.loads(captured.err)
         assert err["kind"] == "validation" and "not a finite number" in err["error"]
         assert captured.out == "" and len(recwarn) == 0
+
+    @pytest.mark.parametrize("key", ["rho1", "rho2"])
+    @pytest.mark.parametrize("part, value", [(0, float("nan")), (1, float("inf")),
+                                             (0, float("-inf"))])
+    def test_non_finite_mixed_entry_named(self, tmp_path, capsys, key, part, value):
+        # named when the document is read, before any arithmetic can warn
+        doc = bell_mixture_doc()
+        doc[key][1][2][part] = value
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["qfi", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": f"{key} contains non-finite entries",
+                                            "kind": "validation"}
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", NO_TARGET_COMMANDS)
     def test_no_synthesis_target_exit_1_with_one_message(self, capsys, command):

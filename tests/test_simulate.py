@@ -293,12 +293,11 @@ class TestScoreSteps:
 
     def test_two_step_numeric_family_evaluated_inside_the_prior(self, monkeypatch):
         # with few rough shots many rough estimates sit at 0; each is clamped a step
-        # inside the prior, so the frame there evaluates rho(theta -+ step) in [0, 1]
-        phi_p, phi_m = (np.outer(v, v.conj()) for v in
-                        (np.array([1, 0, 0, s], complex) / np.sqrt(2) for s in (1, -1)))
+        # inside the prior, so the frame there evaluates psi(theta -+ step) in [0, 1]
+        phi_p, phi_m = (np.array([1, 0, 0, s], complex) / np.sqrt(2) for s in (1, -1))
         seen, frames = [], []
-        fam = MixedGenericFamily(HilbertLayout((2, 2)),
-                                 lambda t: seen.append(t) or t * phi_p + (1 - t) * phi_m)
+        fam = PureNumericFamily(HilbertLayout((2, 2)), lambda t: seen.append(t)
+                                or np.sqrt(t) * phi_p + np.sqrt(1 - t) * phi_m)
         frame = metrology.saturation_matrices
         monkeypatch.setattr(metrology, "saturation_matrices",
                             lambda f, t: frames.append(t) or frame(f, t))
