@@ -214,13 +214,14 @@ class PureNumericFamily:
 
 @dataclass
 class RankTwoFixedBasisFamily:
-    """Mixture p(theta)|psi0><psi0| + (1-p(theta))|psi1><psi1|, fixed basis."""
+    """Mixture p(theta)|psi0><psi0| + (1-p(theta))|psi1><psi1|, fixed basis, p in (0, 1)."""
 
     layout: HilbertLayout
     psi0: np.ndarray
     psi1: np.ndarray
     p_fn: Callable[[float], float]
     dp_fn: Callable[[float], float]
+    closed: bool = False    # p may reach 0, 1 within RHO_TOL, clipped: a "mixed" document's pure ends
 
     def __post_init__(self) -> None:
         self.psi0 = check_unit(self.psi0, "psi0", FAMILY_UNIT_TOL)
@@ -232,12 +233,12 @@ class RankTwoFixedBasisFamily:
 
     def p(self, theta: float) -> float:
         p = float(self.p_fn(theta))
-        if not 0.0 < p < 1.0:
+        if not (-RHO_TOL <= p <= 1.0 + RHO_TOL if self.closed else 0.0 < p < 1.0):
             raise ValueError(f"p(theta) = {p} outside (0, 1)")
-        return p
+        return min(max(p, 0.0), 1.0)
 
     def p_dp(self, theta: float) -> tuple[float, float]:
-        """p(theta) inside (0, 1) and its finite derivative."""
+        """p(theta), see ``p``, and its finite derivative."""
         p, dp = self.p(theta), float(self.dp_fn(theta))
         if not np.isfinite(dp):
             raise ValueError(f"dp/dtheta = {dp} is not finite")
@@ -437,6 +438,8 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
         return SaturationMatrices(rho, drho, rho.kets, 2 * perp[None], qfi, target)
     if family.state_type == "rank-two":
         p, dp = family.p_dp(theta)
+        if not 0.0 < p < 1.0:       # a closed family's pure end: qfi divides by p (1 - p)
+            raise ValueError(f"p(theta) = {p} outside (0, 1)")
         kets = np.stack([family.psi0, family.psi1])
         rho = KetBraSum(kets, np.array([[p], [1 - p]]) * kets)
         drho = KetBraSum(kets, np.array([[dp], [-dp]]) * kets)

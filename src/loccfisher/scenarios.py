@@ -133,15 +133,10 @@ def _grid(doc) -> np.ndarray:
 
 def _mixed_family(layout: HilbertLayout, rho1: np.ndarray,
                   rho2: np.ndarray) -> metrology.StateFamily:
-    """The family rho(theta) = theta rho1 + (1 - theta) rho2 of a "mixed" document.
-
-    When rho1 and rho2 are unit-trace states of the layout, both diagonal within
-    RHO_TOL in one basis t0, t1 of a rank-two joint support, it is the fixed-basis
-    rank-two family with p(theta) = <t0|rho2|t0> + theta <t0|rho1 - rho2|t0>. t is the
-    eigenbasis of rho1 - rho2 on the top two eigenvectors of rho1 + rho2, so equal
-    weights need no rule. Any other pair is a generic mixed family, which checks
-    and names its faults where it is evaluated.
-    """
+    """The family rho(theta) = theta rho1 + (1 - theta) rho2 of a "mixed" document: when rho1
+    and rho2 are unit-trace states of the layout, both diagonal within RHO_TOL in one basis t
+    of a rank-two joint support (the eigenbasis of rho1 - rho2 on the top two eigenvectors of
+    rho1 + rho2), the closed fixed-basis family with p = <t0|rho(theta)|t0>, else generic."""
     generic = metrology.MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2)
     try:    # the rank first, then rho at 1 and 0, each checked as a state of the layout
         lam, v = np.linalg.eigh(rho1 + rho2)
@@ -158,7 +153,7 @@ def _mixed_family(layout: HilbertLayout, rho1: np.ndarray,
         return generic
     p_fn, dp_fn = _p_functions({"form": "linear", "intercept": weights[1, 0],
                                 "slope": weights[0, 0] - weights[1, 0]})
-    return metrology.RankTwoFixedBasisFamily(layout, t[0], t[1], p_fn, dp_fn)
+    return metrology.RankTwoFixedBasisFamily(layout, t[0], t[1], p_fn, dp_fn, closed=True)
 
 
 @contextmanager

@@ -349,7 +349,7 @@ def _two_step_block(config: SimConfig, ref: _OutcomeLaw, rngs: list[np.random.Ge
     family, prior, theta = config.family, config.prior, config.theta_true
     n_rough = int(np.ceil(np.sqrt(config.shots)))
     pad = PRIOR_EDGE_REL * (prior[1] - prior[0])
-    if isinstance(family, (metrology.PureNumericFamily, metrology.MixedGenericFamily)):
+    if isinstance(family, metrology.PureNumericFamily):
         pad = max(pad, family.step)     # the frame evaluates the family at theta -+ step
     out = _estimates(ref, ref.draw(theta, n_rough, rngs), prior)
     live = [i for i, rough in enumerate(out) if not isinstance(rough, Exception)]
@@ -368,7 +368,7 @@ def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float
 
     Spends ceil(sqrt(N)) shots on the reference tree (config.tree, else one
     synthesized at the prior midpoint), re-synthesizes at the rough estimate
-    (clamped inside the prior, a step inside for a numeric family) and returns
+    (clamped inside the prior, a step inside for a ``PureNumericFamily``) and returns
     the MLE of the remaining shots, drawn from ``rng``, else from the substream
     of trial 0: a block of one trial of ``run_trials``. A flat likelihood
     raises DegenerateLikelihoodError.

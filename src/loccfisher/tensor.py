@@ -40,8 +40,8 @@ PERP_TOL = 0.99e-10       # |Tr(A^dag B)| of lm coefficient matrices, absolute; 
                           # which construct_lm_2xd's targets, of trace |Im Tr(A^dag B)|, must pass
 ISOMETRY_TOL = 1e-9       # max |B^dag B - I| of orthonormal columns (or rows), absolute
 TARGET_TRACE_TOL = 1e-9   # |Tr m_tilde| of a synthesis target, relative to max(1, ||m_tilde||_F)
-RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace and a mixed
-                          # document's states off a rank-two basis diagonal, absolute
+RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace, a mixed
+                          # document off its rank-two diagonal, a closed p off [0, 1], absolute
 DRHO_TOL = 1e-8           # drho Hermitian, traceless (rel. max(1, scale)); kernel weight, absolute
 RANK_TOL = 1e-9           # eigenvalue of rho counted as support (else kernel), absolute
 COMPLETENESS_TOL = 1e-8   # max |sum_e |e><e| - I| of a POVM, absolute

@@ -167,6 +167,22 @@ class TestEvalState:
         with pytest.raises(ValueError):
             fam.rho_drho(1.5)
 
+    def test_closed_p_reaches_its_ends_only_in_outcome_laws(self):
+        # a closed family clips p within RHO_TOL of [0, 1]; its frame still needs
+        # 0 < p < 1, and an open family refuses p = 0 already
+        bells = bell_states()
+        args = (HilbertLayout((2, 2)), bells["phi+"], bells["phi-"], lambda t: t, lambda t: 1.0)
+        fam = RankTwoFixedBasisFamily(*args, closed=True)
+        assert [fam.p(t) for t in (-5e-10, 0.0, 0.5, 1.0, 1 + 5e-10)] == [0.0, 0.0, 0.5, 1.0, 1.0]
+        for theta, p in ((0.0, 0.0), (1 + 5e-10, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"p(theta) = {p} outside (0, 1)")):
+                qfi(fam, theta)
+        for theta in (-2e-9, 1 + 2e-9):
+            with pytest.raises(ValueError, match=re.escape(f"p(theta) = {theta} outside")):
+                fam.p(theta)
+        with pytest.raises(ValueError, match=re.escape("p(theta) = 0.0 outside (0, 1)")):
+            RankTwoFixedBasisFamily(*args).p(0.0)
+
 
 class TestSld:
     def test_bell_mixture_coefficients(self):

@@ -361,6 +361,19 @@ class TestCliCore:
         assert cli_main(["simulate", str(path), "--two-step", "--prior", "0.1", "0.9"]) == 0
         assert abs(json.loads(capsys.readouterr().out)["J"] - 4.0) <= 1e-12
 
+    @pytest.mark.parametrize("flags", [[], ["--two-step"]])
+    def test_bell_mixture_simulates_over_its_pure_ends(self, tmp_path, capsys, flags):
+        # rho(0) and rho(1) are pure states: the outcome law reads them on the grid
+        # ends, while the frame there, whose qfi divides by p (1 - p), refuses them
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps(bell_mixture_doc()))
+        argv = ["simulate", str(path), "--theta", "0.05", "--prior", "0", "1", *flags]
+        assert cli_main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["J"] * 0.05 * 0.95 - 1) <= 1e-13 and doc["degenerate_trials"] == 0
+        assert cli_main(["qfi", str(path), "--theta", "0"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "p(theta) = 0.0 outside (0, 1)"
+
     def test_simulate_far_from_zero_ends(self):
         # doubles near theta = 1e7 are farther apart than MLE_WIDTH; run as a child
         # process so that a search that does not end fails on the timeout
