@@ -3,9 +3,8 @@
 from .tensor import (HilbertLayout, KetBraSum, complex_to_pairs, herm_eig, kron,
                      pairs_to_complex, partial_expectation, partial_trace,
                      sqrt_psd)
-from .metrology import (MixedGenericFamily, Povm, PureNumericFamily,
-                        RankTwoFixedBasisFamily, SaturationMatrices,
-                        SaturationReport, SldResult, StateFamily,
+from .metrology import (FixedBasisFamily, MixedGenericFamily, Povm, PureNumericFamily,
+                        SaturationMatrices, SaturationReport, SldResult, StateFamily,
                         UnitaryGeneratorFamily, check_saturation, fisher_info,
                         perp_component, qfi, saturation_matrices, sld)
 from .zerodiag import (ZeroDiagConvergenceError, find_null_vector,

@@ -223,13 +223,14 @@ def synthesize_tree(m_tilde: KetBraSum, layout: HilbertLayout | Sequence[int],
 def synthesis_target(frame: metrology.SaturationMatrices) -> KetBraSum:
     """The frame's rank-one target; a family without one is a ValueError."""
     if frame.target is None:
-        raise ValueError("family has no rank-one synthesis target (a generic mixed family)")
+        raise ValueError("family has no rank-one synthesis target (neither pure nor a "
+                         "fixed-basis mixture of rank two)")
     return frame.target
 
 
 def synthesize_at(family: metrology.StateFamily, theta: float,
                   order: Sequence[int] | None = None) -> MeasurementTree:
-    """The tree that saturates the QCRB of a pure or fixed-basis rank-two family at theta."""
+    """The tree that saturates the QCRB of a pure or rank-two fixed-basis family at theta."""
     frame = metrology.saturation_matrices(family, theta)
     return synthesize_tree(synthesis_target(frame), family.layout, order)
 

@@ -2,8 +2,8 @@
 
 A state family maps a real parameter theta to a density matrix. Four kinds
 are supported: pure states generated by exp(-i theta G), numerically
-tabulated pure states, rank-two mixtures over a theta-independent basis, and
-generic numeric mixed families. The module computes the symmetric logarithmic
+tabulated pure states, mixtures of any rank over a theta-independent basis,
+and generic numeric mixed families. The module computes the symmetric logarithmic
 derivative, quantum and classical Fisher information, the traceless target
 matrices used by the measurement synthesis, and the full saturation check for
 a POVM (zero-sandwich condition on every outcome plus the regularity
@@ -13,7 +13,7 @@ condition on zero-probability outcomes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -31,7 +31,7 @@ DENSE_LIMIT = 2 ** 12   # largest D whose generator that fallback builds and fac
 
 
 def _frame_rho_drho(family: StateFamily, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense rho and drho of a pure or rank-two family, read from its frame."""
+    """Dense rho and drho of a pure or fixed-basis family, read from its frame."""
     frame = saturation_matrices(family, theta)
     return frame.rho.dense(), frame.drho.dense()
 
@@ -213,38 +213,57 @@ class PureNumericFamily:
 
 
 @dataclass
-class RankTwoFixedBasisFamily:
-    """Mixture p(theta)|psi0><psi0| + (1-p(theta))|psi1><psi1|, fixed basis, p in (0, 1)."""
+class FixedBasisFamily:
+    """rho(theta) = sum_k p_k(theta) |t_k><t_k| over the fixed orthonormal rows t_k of ``basis``.
+    At r = 2, the paper's class, only p = p_0 of ``p_fn`` and ``dp_fn`` is read: the weights are
+    p and 1 - p. On a closed theta ``domain``, a "mixed" document's, the weights are clipped to
+    [0, 1], so that outcome laws read its pure ends; without one each must lie in (0, 1)."""
 
     layout: HilbertLayout
-    psi0: np.ndarray
-    psi1: np.ndarray
-    p_fn: Callable[[float], float]
-    dp_fn: Callable[[float], float]
-    closed: bool = False    # p may reach 0, 1 within RHO_TOL, clipped: a "mixed" document's pure ends
+    basis: np.ndarray
+    p_fn: Callable[[float], float | Sequence[float]]
+    dp_fn: Callable[[float], float | Sequence[float]]
+    domain: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        self.psi0 = check_unit(self.psi0, "psi0", FAMILY_UNIT_TOL)
-        self.psi1 = check_unit(self.psi1, "psi1", FAMILY_UNIT_TOL)
-        if abs(np.vdot(self.psi0, self.psi1)) > ORTHOGONAL_TOL:
-            raise ValueError("psi0 and psi1 must be orthogonal")
+        names = [f"psi{k}" for k in range(len(self.basis))]
+        self.basis = np.stack([check_unit(t, k, FAMILY_UNIT_TOL) for t, k in zip(self.basis, names)])
+        check_orthonormal(self.basis.T, " and ".join(names) + " must be orthogonal", ORTHOGONAL_TOL)
 
-    state_type = "rank-two"
+    state_type = "fixed-basis"
 
-    def p(self, theta: float) -> float:
-        p = float(self.p_fn(theta))
-        if not (-RHO_TOL <= p <= 1.0 + RHO_TOL if self.closed else 0.0 < p < 1.0):
-            raise ValueError(f"p(theta) = {p} outside (0, 1)")
-        return min(max(p, 0.0), 1.0)
-
-    def p_dp(self, theta: float) -> tuple[float, float]:
-        """p(theta), see ``p``, and its finite derivative."""
-        p, dp = self.p(theta), float(self.dp_fn(theta))
-        if not np.isfinite(dp):
-            raise ValueError(f"dp/dtheta = {dp} is not finite")
+    def p_dp(self, thetas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, r) weights at m thetas and their finite derivatives, naming the first fault."""
+        p, dp = (np.array([f(t) for t in thetas], dtype=float).reshape(len(thetas), -1)
+                 for f in (self.p_fn, self.dp_fn))
+        if len(self.basis) == 2:
+            p, dp = np.stack([p[:, 0], 1 - p[:, 0]], 1), np.stack([dp[:, 0], -dp[:, 0]], 1)
+        if not p.shape == dp.shape == (len(thetas), len(self.basis)):
+            raise ValueError(f"p_fn and dp_fn give {p.shape[1]} and {dp.shape[1]} weights, "
+                             f"not one per row of the basis ({len(self.basis)})")
+        lo, hi = self.domain or (-np.inf, np.inf)
+        outside = [float(t) for t in thetas if not lo <= t <= hi]
+        if outside:
+            raise ValueError(f"theta = {outside[0]!r} outside the domain [{lo!r}, {hi!r}]")
+        inside = (0.0 < p) & (p < 1.0)
+        if self.domain is None and not inside.all():
+            raise ValueError(f"p(theta) = {p.flat[inside.argmin()]} outside (0, 1)")
+        p = np.clip(p, 0.0, 1.0)
+        if not np.isfinite(dp).all():
+            raise ValueError(f"dp/dtheta = {dp.flat[np.isfinite(dp).argmin()]} is not finite")
         return p, dp
 
     rho_drho = _frame_rho_drho
+
+
+def check_state(rho: np.ndarray, layout: HilbertLayout, name: str) -> np.ndarray:
+    """rho made exactly Hermitian, after checking it a unit-trace PSD matrix of the layout."""
+    rho = check_hermitian(rho, name, RHO_TOL)
+    if rho.shape != (layout.total,) * 2:
+        raise ValueError(f"{name} does not match the layout")
+    if np.linalg.eigvalsh(rho)[0] < -RHO_TOL or abs(np.trace(rho).real - 1.0) > RHO_TOL:
+        raise ValueError(f"{name} is not a unit-trace PSD matrix")
+    return rho
 
 
 @dataclass
@@ -259,14 +278,8 @@ class MixedGenericFamily:
     step = DEFAULT_FD_STEP
 
     def rho(self, theta: float) -> np.ndarray:
-        d, at = self.layout.total, f"at theta = {float(theta)!r}"
-        rho = check_hermitian(self.evaluator(theta), f"rho {at}", RHO_TOL)
-        if rho.shape != (d, d):
-            raise ValueError(f"evaluator output {at} does not match the layout")
-        w = np.linalg.eigvalsh(rho)
-        if w.min() < -RHO_TOL or abs(np.trace(rho).real - 1.0) > RHO_TOL:
-            raise ValueError(f"evaluator output {at} is not a unit-trace PSD matrix")
-        return rho
+        return check_state(self.evaluator(theta), self.layout,
+                           f"evaluator output at theta = {float(theta)!r}")
 
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
         """rho and its exactly Hermitian central difference, from rho at theta + h, - h and theta."""
@@ -276,7 +289,8 @@ class MixedGenericFamily:
 
 
 StateFamily = Union[UnitaryGeneratorFamily, PureNumericFamily,
-                    RankTwoFixedBasisFamily, MixedGenericFamily]
+                    FixedBasisFamily, MixedGenericFamily]
+RankTwoFixedBasisFamily = FixedBasisFamily  # the name the benchmark tracer counts rho_drho under
 
 
 @dataclass
@@ -418,13 +432,12 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     deviation term enters as the Hermitian part so that a zero sandwich
     forces <E|M|E> = 0 and |<E|psi>|^2 = 1/D separately; in the
     anti-Hermitian part the two contributions could cancel. Fixed-basis
-    rank-two families, one ``p_dp``: L is diagonal on {psi0, psi1} with
-    eigenvalues p'/p and -p'/(1 - p), qfi = p'^2 / (p (1 - p)) and the target
-    is |psi0><psi1| (the scale-invariant direction, real prefactor dropped).
-    Neither builds a D x D array. Generic mixed families, one ``rho_drho``:
+    families, one ``p_dp``: L t_k = (p_k'/p_k) t_k and qfi = sum_k p_k'^2 / p_k,
+    p'^2 / (p (1 - p)) at r = 2, whose target is |t0><t1| (the scale-invariant
+    direction, real prefactor dropped); no other rank has one. Neither builds a
+    D x D array. Generic mixed families, one ``rho_drho``:
     the dense rho and drho as returned (drho checked traceless) and the SLD,
-    and no target; a mixture over a fixed rank-two basis is a
-    ``RankTwoFixedBasisFamily``, as ``scenarios`` reads a commuting document.
+    and no target; ``scenarios`` reads a commuting document as a fixed-basis family.
     """
     if family.state_type == "pure":
         psi, dpsi = family.psi_dpsi(theta)
@@ -436,16 +449,15 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
         target = KetBraSum(np.stack([psi, -perp]), np.stack([perp + psi, psi]),
                            -1.0 / family.layout.total)
         return SaturationMatrices(rho, drho, rho.kets, 2 * perp[None], qfi, target)
-    if family.state_type == "rank-two":
-        p, dp = family.p_dp(theta)
-        if not 0.0 < p < 1.0:       # a closed family's pure end: qfi divides by p (1 - p)
-            raise ValueError(f"p(theta) = {p} outside (0, 1)")
-        kets = np.stack([family.psi0, family.psi1])
-        rho = KetBraSum(kets, np.array([[p], [1 - p]]) * kets)
-        drho = KetBraSum(kets, np.array([[dp], [-dp]]) * kets)
-        l_support = np.array([[dp / p], [-dp / (1 - p)]]) * kets
-        return SaturationMatrices(rho, drho, kets, l_support, dp * dp / (p * (1 - p)),
-                                  KetBraSum(*kets))
+    if family.state_type == "fixed-basis":
+        p, dp = (w[0] for w in family.p_dp([theta]))
+        if p.min() <= 0.0:      # a pure end of a "mixed" document: qfi divides by each p_k
+            raise ValueError(f"p(theta) = {p.min()} outside (0, 1)")
+        rows, two = family.basis, len(p) == 2
+        qfi = float(dp[0] * dp[0] / (p[0] * p[1]) if two else np.sum(dp * dp / p))
+        return SaturationMatrices(KetBraSum(rows, p[:, None] * rows),
+                                  KetBraSum(rows, dp[:, None] * rows), rows,
+                                  (dp / p)[:, None] * rows, qfi, KetBraSum(*rows) if two else None)
     rho, drho = family.rho_drho(theta)
     drho = check_trace(drho, "drho", DRHO_TOL)
     res = _sld(rho, drho)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
-from .tensor import (RANK_TOL, RHO_TOL, HilbertLayout, check_finite, check_int, check_real,
-                     complex_to_pairs, pairs_to_complex)
+from .tensor import (RANK_TOL, RHO_TOL, HilbertLayout, check_int, check_real, complex_to_pairs,
+                     pairs_to_complex)
 # kron is unused here; it stays importable because the benchmark tracer patches it.
 from .tensor import kron  # noqa: F401
 
@@ -133,27 +133,29 @@ def _grid(doc) -> np.ndarray:
 
 def _mixed_family(layout: HilbertLayout, rho1: np.ndarray,
                   rho2: np.ndarray) -> metrology.StateFamily:
-    """The family rho(theta) = theta rho1 + (1 - theta) rho2 of a "mixed" document: when rho1
-    and rho2 are unit-trace states of the layout, both diagonal within RHO_TOL in one basis t
-    of a rank-two joint support (the eigenbasis of rho1 - rho2 on the top two eigenvectors of
-    rho1 + rho2), the closed fixed-basis family with p = <t0|rho(theta)|t0>, else generic."""
-    generic = metrology.MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2)
-    try:    # the rank first, then rho at 1 and 0, each checked as a state of the layout
-        lam, v = np.linalg.eigh(rho1 + rho2)
-        if np.count_nonzero(lam > RANK_TOL) != 2:
-            return generic
-        ends = generic.rho(1.0), generic.rho(0.0)
-    except ValueError:      # LinAlgError too: no two square matrices of one shape
-        return generic
-    support = v[:, -2:]
-    turn = np.linalg.eigh(support.conj().T @ (ends[0] - ends[1]) @ support)[1]
-    t = (support @ turn[:, ::-1]).T     # t0 takes the larger weight change
-    weights = np.einsum("kd,sde,ke->sk", t.conj(), np.array(ends), t).real
-    if max(np.abs(r - (t.T * w) @ t.conj()).max() for r, w in zip(ends, weights)) > RHO_TOL:
-        return generic
-    p_fn, dp_fn = _p_functions({"form": "linear", "intercept": weights[1, 0],
-                                "slope": weights[0, 0] - weights[1, 0]})
-    return metrology.RankTwoFixedBasisFamily(layout, t[0], t[1], p_fn, dp_fn, closed=True)
+    """rho(theta) = theta rho1 + (1 - theta) rho2 of a "mixed" document, its ends checked as
+    states. t is the eigenbasis of rho1 - rho2 on the support of rho1 + rho2, largest first, each
+    cluster of equal eigenvalues (within RHO_TOL) turned to diagonalize rho2. When both ends are
+    diagonal in t within RHO_TOL, the fixed-basis family of p_k = <t_k|rho(theta)|t_k> on the
+    theta interval where each p_k >= -RHO_TOL; any other pair is generic."""
+    ends = np.array([metrology.check_state(rho, layout, key)
+                     for rho, key in ((rho1, "rho1"), (rho2, "rho2"))])
+    lam, v = np.linalg.eigh(rho1 + rho2)
+    support = v[:, lam > RANK_TOL]
+    delta, turn = np.linalg.eigh(support.conj().T @ (ends[0] - ends[1]) @ support)
+    for cluster in np.split(np.arange(len(delta)), np.flatnonzero(np.diff(delta) > RHO_TOL) + 1):
+        if len(cluster) > 1:    # a degenerate weight change: rho2 fixes the basis
+            block = support @ turn[:, cluster]
+            turn[:, cluster] = turn[:, cluster] @ np.linalg.eigh(block.conj().T @ ends[1] @ block)[1]
+    t = (support @ turn[:, ::-1]).T
+    w = np.einsum("kd,sde,ke->sk", t.conj(), ends, t).real
+    if max(np.abs(r - (t.T * p) @ t.conj()).max() for r, p in zip(ends, w)) > RHO_TOL:
+        return metrology.MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2)
+    slope = w[0] - w[1]
+    bound = (-RHO_TOL - w[1]) / np.where(slope == 0.0, 1.0, slope)  # where p_k = -RHO_TOL
+    domain = (float(bound[slope > 0].max(initial=-np.inf)), float(bound[slope < 0].min(initial=np.inf)))
+    return metrology.FixedBasisFamily(layout, t, lambda x: x * w[0] + (1 - x) * w[1],
+                                      lambda x: slope, domain)
 
 
 @contextmanager
@@ -187,10 +189,10 @@ def parse_scenario(doc: dict) -> Scenario:
         with _json_types():
             p_fn, dp_fn = _p_functions(doc["p"])
             psi0, psi1 = pairs_to_complex(doc["psi0"]), pairs_to_complex(doc["psi1"])
-        family = metrology.RankTwoFixedBasisFamily(layout, psi0, psi1, p_fn, dp_fn)
+        family = metrology.FixedBasisFamily(layout, [psi0, psi1], p_fn, dp_fn)
     elif kind == "mixed":
-        with _json_types(), np.errstate(invalid="ignore"):     # a non-finite entry is named
-            rho1, rho2 = (check_finite(pairs_to_complex(doc[key]), key) for key in ("rho1", "rho2"))
+        with _json_types():
+            rho1, rho2 = pairs_to_complex(doc["rho1"]), pairs_to_complex(doc["rho2"])
         family = _mixed_family(layout, rho1, rho2)
     else:
         raise ValueError(f"unknown scenario type {kind!r}")

@@ -111,9 +111,10 @@ def _path_prob_fns(family: metrology.StateFamily, trees: list[locc.MeasurementTr
     C: their amplitudes are taken once per tree and each theta costs O(L K). That holds when
     K <= d_1 + ... + d_n, where this cost meets the O(D (d_1 + ... + d_n)) per theta of the
     amplitudes of psi(theta), which every other pure family reads, or when K D <= SMALL_LAW,
-    below the fixed overhead of one tree contraction. A rank-two family mixes its basis laws
-    by p(theta); a generic mixed family sandwiches rho(theta), one theta at a time. The trees
-    must measure the family's layout.
+    below the fixed overhead of one tree contraction. A fixed-basis family mixes the laws o_k of
+    its rows by p_k(theta), and their differences to the last by dp_k, which sum to zero; a
+    generic mixed family sandwiches rho(theta), one theta at a time. The trees must measure the
+    family's layout.
     """
     metrology.check_layout(trees[0], family)
     cap = max(sum(trees[0].layout.dims), SMALL_LAW // trees[0].layout.total)
@@ -140,18 +141,17 @@ def _path_prob_fns(family: metrology.StateFamily, trees: list[locc.MeasurementTr
             # a unitary family's; a numeric family's is replaced below
             psi = np.array([family.psi_dpsi(t) for t in thetas])
             return _p_dp(*locc.stacked_amplitudes([trees[r] for r in rows], psi).transpose(2, 0, 1))
-    elif family.state_type == "rank-two":
-        o0, o1 = (np.abs(locc.stacked_amplitudes(trees, np.stack([family.psi0, family.psi1])))
-                  ** 2).transpose(2, 0, 1)
+    elif family.state_type == "fixed-basis":
+        laws = (np.abs(locc.stacked_amplitudes(trees, family.basis)) ** 2).transpose(2, 0, 1)
 
         def block(thetas: np.ndarray, ts) -> np.ndarray:
             # p is a user callable: evaluated (and checked) point by point, in order
-            p = np.array([family.p(t) for t in thetas])
-            return o0[ts, :, None] * p + o1[ts, :, None] * (1 - p)
+            return (laws[:, ts, :, None] * family.p_dp(thetas)[0].T[:, None, None]).sum(axis=0)
 
         def prob_dprob(thetas: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            p, dp = np.array([family.p_dp(t) for t in thetas]).T[:, :, None]
-            return p * o0[rows] + (1 - p) * o1[rows], dp * (o0[rows] - o1[rows])
+            p, dp = (w.T[:, :, None] for w in family.p_dp(thetas))
+            return ((p * laws[:, rows]).sum(axis=0),
+                    (dp[:-1] * (laws[:-1, rows] - laws[-1, rows])).sum(axis=0))
     else:
         amps = locc.stacked_amplitudes(trees, np.eye(trees[0].layout.total))  # <e|i>, per tree
 

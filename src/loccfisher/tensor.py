@@ -41,7 +41,7 @@ PERP_TOL = 0.99e-10       # |Tr(A^dag B)| of lm coefficient matrices, absolute; 
 ISOMETRY_TOL = 1e-9       # max |B^dag B - I| of orthonormal columns (or rows), absolute
 TARGET_TRACE_TOL = 1e-9   # |Tr m_tilde| of a synthesis target, relative to max(1, ||m_tilde||_F)
 RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace, a mixed
-                          # document off its rank-two diagonal, a closed p off [0, 1], absolute
+                          # document off its eigenbasis, rho1 - rho2's equal eigenvalues, absolute
 DRHO_TOL = 1e-8           # drho Hermitian, traceless (rel. max(1, scale)); kernel weight, absolute
 RANK_TOL = 1e-9           # eigenvalue of rho counted as support (else kernel), absolute
 COMPLETENESS_TOL = 1e-8   # max |sum_e |e><e| - I| of a POVM, absolute
@@ -135,7 +135,8 @@ def check_hermitian(m: np.ndarray, name: str = "matrix",
     m = _as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    dev = np.abs(m - m.conj().T).max()
+    with np.errstate(over="ignore"):    # entries near the float limit: an inf deviation
+        dev = np.abs(m - m.conj().T).max()
     if dev > tol * max(1.0, np.abs(m).max()):
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
     return (m + m.conj().T) / 2
@@ -192,7 +193,8 @@ def recenter(m: np.ndarray) -> np.ndarray:
 def check_unit(v: np.ndarray, name: str = "vector", tol: float = UNIT_TOL) -> np.ndarray:
     """v as a flat complex array, after checking it finite and | ||v|| - 1 | <= tol."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):    # entries near the float limit: norm inf
+        nrm = np.linalg.norm(v)
     if not abs(nrm - 1.0) <= tol:       # a non-finite entry fails here, and is named
         check_finite(v, name)
         raise ValueError(f"{name} norm {float(nrm)!r} is not 1")
@@ -202,8 +204,9 @@ def check_unit(v: np.ndarray, name: str = "vector", tol: float = UNIT_TOL) -> np
 def check_orthonormal(b: np.ndarray, failure: str, tol: float = ISOMETRY_TOL) -> np.ndarray:
     """``b`` after checking max |B^dag B - I| <= tol (orthonormal columns; for rows pass B^T)
     for B or each matrix of a stack, else ValueError(failure). NaN fails it too."""
-    gram = b.conj().swapaxes(-1, -2) @ b      # minus I in place: a POVM builds no D x D identity
-    gram.reshape(gram.shape[:-2] + (-1,))[..., ::gram.shape[-1] + 1] -= 1
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit fail
+        gram = b.conj().swapaxes(-1, -2) @ b    # minus I in place: a POVM builds no D x D identity
+        gram.reshape(gram.shape[:-2] + (-1,))[..., ::gram.shape[-1] + 1] -= 1
     if not np.abs(gram).max() <= tol:
         raise ValueError(failure)
     return b
@@ -393,4 +396,5 @@ def pairs_to_complex(data) -> np.ndarray:
     arr = arr.astype(float)
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError("expected trailing [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    with np.errstate(invalid="ignore"):     # an infinite imaginary part: a NaN real part
+        return arr[..., 0] + 1j * arr[..., 1]

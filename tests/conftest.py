@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from loccfisher import UnitaryGeneratorFamily, locc
-from loccfisher.scenarios import _pauli_weights
+from loccfisher.scenarios import _bellmix_doc, _pauli_weights, bell_states, parse_scenario
 from loccfisher.tensor import HilbertLayout, complex_to_pairs, kron
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,6 +41,15 @@ def random_pure_inputs(dims, rng):
 
 def random_pure_family(dims, rng):
     return UnitaryGeneratorFamily(*random_pure_inputs(dims, rng))
+
+
+def generic_bell_mixture():
+    """A rank-three MixedGenericFamily on two qubits: the "mixed" document of bellmix's rho1
+    and 1/3 |phi+><phi+| + 2/3 |chi><chi|, chi = (phi- + sqrt(3) psi+)/2, which do not commute."""
+    bells = bell_states()
+    chi = (bells["phi-"] + np.sqrt(3) * bells["psi+"]) / 2
+    rho2 = np.outer(bells["phi+"], bells["phi+"].conj()) / 3 + 2 / 3 * np.outer(chi, chi.conj())
+    return parse_scenario({**_bellmix_doc(), "rho2": complex_to_pairs(rho2)}).family
 
 
 def ghz_family(n):

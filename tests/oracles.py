@@ -49,10 +49,10 @@ def dense_target(family, theta, generator=None):
     Pure families (unitary generator, given as the matrix or diagonal
     ``generator`` the family was built from): psi = expm(-i theta G) psi_in,
     dpsi = -i G psi, perp = dpsi - <psi|dpsi> psi and m_tilde = |psi><perp| -
-    |perp><psi| + |psi><psi| - I/D. Rank-two families: |psi0><psi1|.
+    |perp><psi| + |psi><psi| - I/D. Rank-two fixed-basis families: |t0><t1|.
     """
-    if family.state_type == "rank-two":
-        return np.outer(family.psi0, family.psi1.conj())
+    if family.state_type == "fixed-basis":
+        return np.outer(family.basis[0], family.basis[1].conj())
     gen = np.asarray(generator)
     gen = np.diag(gen) if gen.ndim == 1 else gen
     psi = sla.expm(-1j * theta * gen) @ family.psi_in

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccfisher import (RankTwoFixedBasisFamily, discriminate, flatten,
+from loccfisher import (FixedBasisFamily, discriminate, flatten,
                         leaf_vectors, qfi, saturation_matrices, synthesize_at,
                         synthesize_tree, synthesize_trees, tree_from_json, tree_to_json,
                         verify_tree)
@@ -400,8 +400,7 @@ class TestVerifyTree:
         lay = HilbertLayout((2, 3))
         a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         q, _ = np.linalg.qr(a)
-        fam = RankTwoFixedBasisFamily(lay, q[:, 0], q[:, 1],
-                                      lambda t: 0.3 + 0.4 * t, lambda t: 0.4)
+        fam = FixedBasisFamily(lay, [q[:, 0], q[:, 1]], lambda t: 0.3 + 0.4 * t, lambda t: 0.4)
         th = 0.5
         rep = verify_tree(synth(fam, th), fam, th)
         p, dp = 0.3 + 0.4 * th, 0.4
@@ -479,8 +478,7 @@ class TestDiscriminate:
         lay = HilbertLayout((2, 2))
         a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         q, _ = np.linalg.qr(a)
-        fam = RankTwoFixedBasisFamily(lay, q[:, 0], q[:, 1],
-                                      lambda t: t, lambda t: 1.0)
+        fam = FixedBasisFamily(lay, [q[:, 0], q[:, 1]], lambda t: t, lambda t: 1.0)
         tree = synth(fam, 0.5)
         worst = max(abs(np.vdot(v, q[:, 0]) * np.vdot(q[:, 1], v))
                     for _, v in leaf_vectors(tree))

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from loccfisher import metrology
-from loccfisher import (MixedGenericFamily, Povm, PureNumericFamily,
-                        RankTwoFixedBasisFamily, UnitaryGeneratorFamily,
+from loccfisher import (FixedBasisFamily, MixedGenericFamily, Povm, PureNumericFamily,
+                        UnitaryGeneratorFamily,
                         check_saturation, fisher_info, flatten, perp_component, qfi,
                         saturation_matrices, sld, synthesize_tree, verify_tree)
 from loccfisher.locc import MeasurementTree
 from loccfisher.scenarios import bell_states, builtin_scenario, parse_scenario
 from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs, kron
 
-from conftest import (PAULI_Z, ghz_family, random_density, random_hermitian,
-                      random_pure_family, random_pure_inputs, random_state,
+from conftest import (PAULI_Z, generic_bell_mixture, ghz_family, random_density,
+                      random_hermitian, random_pure_family, random_pure_inputs, random_state,
                       random_traceless_hermitian)
 from oracles import ghz_product_basis_fi, qfi_double_sum
 from test_locc import random_tree
@@ -42,16 +42,18 @@ def dense_conditions(family, theta, support=None):
 
 
 def saturation_families():
-    """A pure, a rank-two, a fixed-basis generic and a rank-3 generic mixed family."""
+    """A pure, a rank-two, a fixed-basis generic, a rank-3 generic mixed family and bellmix,
+    a rank-3 fixed-basis family."""
     bells = bell_states()
     p0 = np.outer(bells["phi+"], bells["phi+"].conj())
     p1 = np.outer(bells["psi+"], bells["psi+"].conj())
     return {"pure": ghz_family(3),
-            "rank-two": RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
-                                                bells["phi-"], lambda t: t, lambda t: 1.0),
+            "rank-two": FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
+                                         lambda t: t, lambda t: 1.0),
             "fixed-basis": MixedGenericFamily(HilbertLayout((2, 2)),
                                               lambda t: t * p0 + (1 - t) * p1),
-            "rank-3": builtin_scenario("bellmix").family}
+            "rank-3": generic_bell_mixture(),
+            "bellmix": builtin_scenario("bellmix").family}
 
 
 class TestEvalState:
@@ -108,8 +110,8 @@ class TestEvalState:
             if name == "psi_in":
                 UnitaryGeneratorFamily(QUBIT, bad, np.array([0.0, 1.0]))
             else:
-                RankTwoFixedBasisFamily(QUBIT, **{**vecs, name: bad},
-                                        p_fn=lambda t: 0.5, dp_fn=lambda t: 1.0)
+                FixedBasisFamily(QUBIT, list({**vecs, name: bad}.values()), lambda t: 0.5,
+                                 lambda t: 1.0)
 
     @pytest.mark.parametrize("family, error", [
         (lambda: PureNumericFamily(HilbertLayout((2, 2)), lambda t: np.array([1, 0])),
@@ -119,12 +121,14 @@ class TestEvalState:
         (lambda: MixedGenericFamily(HilbertLayout((2, 2)), lambda t: np.eye(2) / 2),
          f"evaluator output at theta = {0.3 + 1e-4!r} does not match the layout"),
         (lambda: MixedGenericFamily(QUBIT, lambda t: np.array([[0.5, 0.1], [0.0, 0.5]])),
-         f"rho at theta = {0.3 + 1e-4!r} is not Hermitian"),
+         f"evaluator output at theta = {0.3 + 1e-4!r} is not Hermitian"),
         (lambda: MixedGenericFamily(QUBIT, lambda t: np.diag([1.5, -0.5])),
          f"evaluator output at theta = {0.3 + 1e-4!r} is not a unit-trace PSD matrix"),
-        (lambda: RankTwoFixedBasisFamily(QUBIT, np.array([1, 0]), np.array([0, 1]),
-                                         lambda t: 0.5, lambda t: np.nan),
-         "dp/dtheta = nan is not finite")])
+        (lambda: FixedBasisFamily(QUBIT, [np.array([1, 0]), np.array([0, 1])],
+                                  lambda t: 0.5, lambda t: np.nan),
+         "dp/dtheta = nan is not finite"),
+        (lambda: FixedBasisFamily(HilbertLayout((3,)), np.eye(3), lambda t: 0.3, lambda t: 1.0),
+         "p_fn and dp_fn give 1 and 1 weights, not one per row of the basis (3)")])
     def test_evaluator_refusals_name_theta(self, family, error):
         # a numeric family evaluates theta (pure) or theta + h first (mixed)
         with pytest.raises(ValueError, match=re.escape(error)):
@@ -146,8 +150,8 @@ class TestEvalState:
 
     def test_rank_two_linear(self):
         bells = bell_states()
-        fam = RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
-                                      bells["phi-"], lambda t: t, lambda t: 1.0)
+        fam = FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
+                               lambda t: t, lambda t: 1.0)
         _, drho = fam.rho_drho(0.4)
         p0 = np.outer(bells["phi+"], bells["phi+"].conj())
         p1 = np.outer(bells["phi-"], bells["phi-"].conj())
@@ -162,26 +166,43 @@ class TestEvalState:
 
     def test_out_of_domain_p(self):
         bells = bell_states()
-        fam = RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
-                                      bells["phi-"], lambda t: t, lambda t: 1.0)
+        fam = FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
+                               lambda t: t, lambda t: 1.0)
         with pytest.raises(ValueError):
             fam.rho_drho(1.5)
 
-    def test_closed_p_reaches_its_ends_only_in_outcome_laws(self):
-        # a closed family clips p within RHO_TOL of [0, 1]; its frame still needs
-        # 0 < p < 1, and an open family refuses p = 0 already
+    def test_domain_clips_weights_only_in_outcome_laws(self):
+        # weights on a domain are clipped to [0, 1]; the frame still needs every p_k > 0,
+        # and a family without a domain refuses p = 0 already
         bells = bell_states()
-        args = (HilbertLayout((2, 2)), bells["phi+"], bells["phi-"], lambda t: t, lambda t: 1.0)
-        fam = RankTwoFixedBasisFamily(*args, closed=True)
-        assert [fam.p(t) for t in (-5e-10, 0.0, 0.5, 1.0, 1 + 5e-10)] == [0.0, 0.0, 0.5, 1.0, 1.0]
-        for theta, p in ((0.0, 0.0), (1 + 5e-10, 1.0)):
-            with pytest.raises(ValueError, match=re.escape(f"p(theta) = {p} outside (0, 1)")):
+        args = (HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]], lambda t: (t, 1 - t),
+                lambda t: (1.0, -1.0))
+        fam = FixedBasisFamily(*args, domain=(-1e-9, 1 + 1e-9))
+        p, dp = fam.p_dp([-5e-10, 0.0, 0.5, 1.0, 1 + 5e-10])
+        assert p.tolist() == [[0.0, 1.0], [0.0, 1.0], [0.5, 0.5], [1.0, 0.0], [1.0, 0.0]]
+        assert dp.tolist() == [[1.0, -1.0]] * 5
+        for theta in (0.0, 1 + 5e-10):
+            with pytest.raises(ValueError, match=re.escape("p(theta) = 0.0 outside (0, 1)")):
                 qfi(fam, theta)
         for theta in (-2e-9, 1 + 2e-9):
-            with pytest.raises(ValueError, match=re.escape(f"p(theta) = {theta} outside")):
-                fam.p(theta)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"theta = {theta!r} outside the domain [-1e-09, 1.000000001]")):
+                fam.p_dp([0.5, theta])
         with pytest.raises(ValueError, match=re.escape("p(theta) = 0.0 outside (0, 1)")):
-            RankTwoFixedBasisFamily(*args).p(0.0)
+            FixedBasisFamily(*args).p_dp([0.0])
+
+    def test_bellmix_domain_and_weights(self):
+        # (1 + t)/3, t/3 and 2 (1 - t)/3 on phi+, phi- and psi+, each at least -RHO_TOL on the
+        # domain; the equal weight changes of phi+ and phi- are told apart by rho2
+        fam = builtin_scenario("bellmix").family
+        assert isinstance(fam, FixedBasisFamily)
+        assert np.allclose(fam.domain, (-3e-9, 1 + 1.5e-9), rtol=0, atol=1e-15)
+        bells = bell_states()
+        overlaps = np.abs(fam.basis.conj() @ np.stack([bells[k] for k in ("phi+", "phi-", "psi+")]).T)
+        assert np.abs(overlaps - np.eye(3)).max() < 1e-12
+        p, dp = fam.p_dp([0.3])
+        assert np.abs(p - [1.3 / 3, 0.1, 1.4 / 3]).max() < 1e-15
+        assert np.abs(dp - [1 / 3, 1 / 3, -2 / 3]).max() < 1e-15
 
 
 class TestSld:
@@ -271,7 +292,7 @@ class TestQfi:
     def test_mixed_state_checked_once(self, monkeypatch):
         # the family checks its three evaluator outputs (theta and theta -+ h);
         # saturation_matrices and the SLD core take rho and drho as returned
-        fam = builtin_scenario("bellmix").family
+        fam = generic_bell_mixture()
         calls = []
         check = metrology.check_hermitian
         monkeypatch.setattr(metrology, "check_hermitian",
@@ -327,8 +348,8 @@ class TestQfi:
 
     def test_rank_two_against_double_sum(self):
         bells = bell_states()
-        fam = RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
-                                      bells["phi-"], lambda t: t, lambda t: 1.0)
+        fam = FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
+                               lambda t: t, lambda t: 1.0)
         th = 0.25
         rho, drho = fam.rho_drho(th)
         assert abs(qfi(fam, th) - 16.0 / 3.0) < 1e-10
@@ -442,8 +463,8 @@ class TestSaturationMatrices:
 
     def test_rank_two_value(self):
         bells = bell_states()
-        fam = RankTwoFixedBasisFamily(HilbertLayout((2, 2)), bells["phi+"],
-                                      bells["phi-"], lambda t: t, lambda t: 1.0)
+        fam = FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
+                               lambda t: t, lambda t: 1.0)
         out = saturation_matrices(fam, 0.5)
         want = np.outer(bells["phi+"], bells["phi-"].conj())
         assert np.abs(out.target.dense() - want).max() < 1e-12
@@ -473,7 +494,7 @@ class TestSaturationMatrices:
         doc = {"type": "mixed", "layout": [2, 2], "theta_grid": [0.4],
                "rho1": complex_to_pairs(p0), "rho2": complex_to_pairs(p1)}
         fam = parse_scenario(doc).family
-        assert isinstance(fam, RankTwoFixedBasisFamily)
+        assert isinstance(fam, FixedBasisFamily)
         out = saturation_matrices(fam, 0.4)
         # the target spans the cross direction of the two fixed eigenvectors,
         # up to phase and adjoint (both carry the same zero-sandwich condition)
@@ -508,13 +529,13 @@ class TestSaturationMatrices:
 
     def test_mixed_state_evaluated_once(self):
         # the frame reads rho and drho from one rho_drho call
-        bellmix = builtin_scenario("bellmix").family
+        generic = generic_bell_mixture()
         calls = []
         counted = MixedGenericFamily(
-            bellmix.layout, lambda t: calls.append(t) or bellmix.evaluator(t))
+            generic.layout, lambda t: calls.append(t) or generic.evaluator(t))
         out = saturation_matrices(counted, 0.5)
         assert len(calls) == 3      # rho at theta and theta +- h for drho
-        want = saturation_matrices(bellmix, 0.5)
+        want = saturation_matrices(generic, 0.5)
         assert all(np.array_equal(m.dense(), w.dense())
                    for m, w in zip(out.conditions, want.conditions))
 
@@ -552,7 +573,7 @@ class TestSaturationMatrices:
         rep = check_saturation(tree, fam, 0.3)
         assert not rep.saturating and rep.condition_residual > 1e-6
 
-    @pytest.mark.parametrize("kind", ["pure", "rank-two", "fixed-basis", "rank-3"])
+    @pytest.mark.parametrize("kind", ["pure", "rank-two", "fixed-basis", "rank-3", "bellmix"])
     def test_conditions_are_the_ones_check_saturation_evaluates(self, monkeypatch, kind):
         # every <e|M|e> of the verdict goes through one _sandwiches call: rho and drho,
         # for fi and the null outcomes, then each condition; the extra rows are L psi_i
@@ -642,7 +663,7 @@ class TestCheckSaturation:
         assert not rep.saturating
 
 
-@pytest.mark.parametrize("kind", ["pure", "rank-two", "fixed-basis", "rank-3"])
+@pytest.mark.parametrize("kind", ["pure", "rank-two", "fixed-basis", "rank-3", "bellmix"])
 def test_one_contraction_per_verdict(monkeypatch, rng, kind):
     # check_saturation, verify_tree and fisher_info read a tree or a Povm once each
     family = saturation_families()[kind]

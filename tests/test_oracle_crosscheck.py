@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from loccfisher import (IsometryPair, Povm, RankTwoFixedBasisFamily,
+from loccfisher import (FixedBasisFamily, IsometryPair, Povm,
                         check_saturation, flatten, lm_povm_from_pair,
                         perp_component, saturation_matrices, synthesize_tree)
 from loccfisher.scenarios import builtin_scenario
@@ -36,8 +36,8 @@ def random_rank_two_family(dims, rng):
     psi0 = random_state(layout.total, rng)
     psi1 = random_state(layout.total, rng)
     psi1 = psi1 - np.vdot(psi0, psi1) * psi0
-    return RankTwoFixedBasisFamily(layout, psi0, psi1 / np.linalg.norm(psi1),
-                                   lambda t: 0.2 + 0.5 * t, lambda t: 0.5)
+    return FixedBasisFamily(layout, [psi0, psi1 / np.linalg.norm(psi1)],
+                            lambda t: 0.2 + 0.5 * t, lambda t: 0.5)
 
 
 @pytest.mark.parametrize("dims", LAYOUTS)

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loccfisher import (DegenerateLikelihoodError, IsometryPair, MixedGenericFamily, Povm,
-                        PureNumericFamily, RankTwoFixedBasisFamily, UnitaryGeneratorFamily,
+                        FixedBasisFamily, PureNumericFamily, UnitaryGeneratorFamily,
                         check_saturation, discriminate, flatten, leaf_distribution,
                         leaf_vectors, lm_povm_from_pair, mle, qfi, saturation_matrices, sld,
                         synthesize_at, synthesize_tree, synthesize_trees, verify_tree)
@@ -31,8 +31,8 @@ from loccfisher import simulate
 from loccfisher.simulate import GRID_POINTS, LOG_FLOOR, _mle, _OutcomeLaw, _path_prob_fns
 from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs
 
-from conftest import (pauli_doc, pauli_weights_matrix, random_density, random_hermitian,
-                      random_pure_family, random_pure_inputs, random_state)
+from conftest import (generic_bell_mixture, pauli_doc, pauli_weights_matrix, random_density,
+                      random_hermitian, random_pure_family, random_pure_inputs, random_state)
 from oracles import (dense_saturation, dense_target, golden_mle, leaf_vectors_kron,
                      pauli_sum_matrix, per_matrix_saturation, prob_at, qfi_double_sum)
 from test_locc import random_tree
@@ -121,7 +121,7 @@ def test_stacked_synthesis_is_one_target_at_a_time_bit_for_bit(dims, data, seed,
 def test_rank_two_tree_discriminates_with_certainty(dims, data, seed):
     family = random_rank_two_family(dims, np.random.default_rng(seed))
     order = data.draw(st.permutations(range(len(dims))))
-    _, report = discriminate(family.psi0, family.psi1, family.layout, order)
+    _, report = discriminate(*family.basis, family.layout, order)
     assert report.success_prob >= 1 - 1e-9
 
 
@@ -308,10 +308,10 @@ def test_tree_amplitudes_match_leaf_vectors(dims, order):
 def test_discrimination_matches_the_per_leaf_loop(dims, data, seed):
     family = random_rank_two_family(dims, np.random.default_rng(seed))
     order = data.draw(st.permutations(range(len(dims))))
-    tree, report = discriminate(family.psi0, family.psi1, family.layout, order)
+    tree, report = discriminate(*family.basis, family.layout, order)
     assignment, success = {}, 0.0
     for path, vec in leaf_vectors(tree):
-        o0, o1 = np.vdot(vec, family.psi0), np.vdot(vec, family.psi1)
+        o0, o1 = np.vdot(vec, family.basis[0]), np.vdot(vec, family.basis[1])
         assignment[path] = 0 if abs(o0) >= abs(o1) else 1
         success += 0.5 * max(abs(o0) ** 2, abs(o1) ** 2)
     assert report.leaf_assignment == assignment
@@ -344,7 +344,7 @@ def test_every_path_reader_follows_the_outcome_order(dims, data, seed):
     assert mle({paths[e]: n for e, n in enumerate(counts) if n}, family, tree,
                (0.0, 1.0)) == _mle(law, counts, (0.0, 1.0))
     rank_two = random_rank_two_family(dims, rng)
-    tree, report = discriminate(rank_two.psi0, rank_two.psi1, rank_two.layout, order)
+    tree, report = discriminate(*rank_two.basis, rank_two.layout, order)
     assert list(report.leaf_assignment) == list(np.ndindex(*tree.outcome_dims)) == paths
 
 
@@ -426,7 +426,7 @@ def random_fixed_basis_mixture(dims, rng):
     """Generic mixed family t rho0 + (1 - t) rho1 of two orthogonal pure states, which a
     document of the same pair reads as rank two over a fixed basis."""
     family = random_rank_two_family(dims, rng)
-    p0, p1 = (np.outer(v, v.conj()) for v in (family.psi0, family.psi1))
+    p0, p1 = (np.outer(v, v.conj()) for v in family.basis)
     return MixedGenericFamily(family.layout, lambda t: t * p0 + (1 - t) * p1)
 
 
@@ -455,7 +455,7 @@ def test_commuting_rank_two_document_reads_as_fixed_basis(dims, seed, weights, d
     assume(abs(a - b) >= 0.05)
     rho1, rho2 = diagonal_in(rows, [a, 1 - a]), diagonal_in(rows, [b, 1 - b])
     family = parse_scenario(affine_doc(dims, rho1, rho2)).family
-    assert isinstance(family, RankTwoFixedBasisFamily)
+    assert isinstance(family, FixedBasisFamily)
     half = (0.5 - b) / (a - b)
     low, high = sorted(((0.05 - b) / (a - b), (0.95 - b) / (a - b)))
     for theta in (half, data.draw(st.floats(low, high))):
@@ -468,34 +468,57 @@ def test_commuting_rank_two_document_reads_as_fixed_basis(dims, seed, weights, d
         assert check_saturation(tree, generic, theta).saturating
 
 
+def test_commuting_documents_of_every_rank_read_as_fixed_basis():
+    # rank 2, 3 and 4 on (2, 2), (2, 3) and (3, 3): random weights, from rank three two rows
+    # of equal weights at both ends (any basis of theirs will do) or of equal weight changes
+    # (rho2 tells them apart), and a pure end; seeded, the same 36 documents on every run
+    rng = np.random.default_rng(36)
+    for case in range(36):
+        dims, r = [(2, 2), (2, 3), (3, 3)][case % 3], 2 + case // 3 % 3
+        kind = ["random", "equal weights", "equal changes", "pure end"][case // 9]
+        rows = haar_unitary(prod(dims), rng)[:r]
+        w1, w2 = rng.dirichlet(np.ones(r), 2)
+        if kind == "equal weights" and r > 2:
+            w1[:2], w2[:2] = w1[:2].mean(), w2[:2].mean()
+        if kind == "equal changes" and r > 2:
+            w1 = w2 + rng.uniform(0.1, 0.9) * w2[2] / 2 * np.array([1, 1, -2, 0][:r])
+        if kind == "pure end":
+            w1 = np.eye(r)[0]
+        rho1, rho2 = diagonal_in(rows, w1), diagonal_in(rows, w2)
+        family = parse_scenario(affine_doc(dims, rho1, rho2)).family
+        assert isinstance(family, FixedBasisFamily) and len(family.basis) == r
+        tree = random_tree(dims, range(len(dims)), rng)
+        vectors = np.stack([vec for _, vec in leaf_vectors_kron(tree)])
+        block = _path_prob_fns(family, [tree])[0]
+        for theta in rng.uniform(0.05, 0.95, 2):
+            rho = theta * rho1 + (1 - theta) * rho2
+            want = qfi_double_sum(rho, rho1 - rho2)
+            assert abs(qfi(family, theta) - want) <= 1e-12 * want
+            law = np.einsum("ea,ab,eb->e", vectors.conj(), rho, vectors).real
+            assert np.abs(prob_at(block, theta) - law).max() <= 1e-14
+    # one pure state twice: a family of one row, which carries no information
+    rho = diagonal_in(haar_unitary(4, rng)[:1], [1.0])
+    family = parse_scenario(affine_doc((2, 2), rho, rho)).family
+    assert len(family.basis) == 1 and qfi(family, 0.5) == 0.0
+    assert saturation_matrices(family, 0.5).target is None
+
+
 @PROPERTY
 @given(dims=st.sampled_from([(2,), (2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2 ** 32 - 1),
-       kind=st.sampled_from(["non-commuting", "turned", "rank-three", "rank-one", "trace"]),
-       exponent=st.floats(-6.0, -2.0))
+       kind=st.sampled_from(["non-commuting", "turned"]), exponent=st.floats(-6.0, -2.0))
 def test_other_affine_documents_stay_generic(dims, seed, kind, exponent):
-    # a pair that does not commute, a basis turned by 10^exponent, a commuting pair of
-    # rank three, one pure state twice, and ends of trace 1 +- eps with eps in [2e-9, 4e-9]:
-    # above RHO_TOL, while rho at 1/2 +- h and drho = rho1 - rho2 pass the generic checks
+    # a pair that does not commute, and a basis turned by 10^exponent
     rng = np.random.default_rng(seed)
-    d = prod(dims)
-    assume(kind != "rank-three" or d >= 3)
-    rows = haar_unitary(d, rng)[:3 if kind == "rank-three" else 2]
+    rows = haar_unitary(prod(dims), rng)[:2]
     a, b = rng.uniform(0.1, 0.9, 2)
     assume(abs(a - b) >= 0.05 and min(abs(2 * a - 1), abs(2 * b - 1)) >= 0.1)
-    rho1 = diagonal_in(rows[:2], [a, 1 - a])
+    rho1 = diagonal_in(rows, [a, 1 - a])
     if kind == "non-commuting":
         turn = haar_unitary(2, rng)
     else:
         c, s = np.cos(10.0 ** exponent), np.sin(10.0 ** exponent)
-        turn = np.array([[c, s], [-s, c]]) if kind == "turned" else np.eye(2)
-    rho2 = diagonal_in(turn @ rows[:2], [b, 1 - b])
-    if kind == "rank-three":
-        rho2 = diagonal_in(rows[1:], [b, 1 - b])
-    if kind == "rank-one":
-        rho1 = rho2 = diagonal_in(rows[:1], [1.0])
-    if kind == "trace":
-        eps = 1e-9 * (3 + (exponent + 4) / 2)
-        rho1, rho2 = (1 + eps) * rho1, (1 - eps) * rho2
+        turn = np.array([[c, s], [-s, c]])
+    rho2 = diagonal_in(turn @ rows, [b, 1 - b])
     family = parse_scenario(affine_doc(dims, rho1, rho2)).family
     assert isinstance(family, MixedGenericFamily)
     assert saturation_matrices(family, 0.5).target is None
@@ -621,7 +644,8 @@ def mle_family(name):
     three-qubit generator with eight levels, takes the psi(theta) route once
     SMALL_LAW is 0; ``psi:`` wraps a built-in family's psi in a PureNumericFamily
     (the psi(theta) route, with a difference derivative); ranktwo is the
-    rank-two route and bellmix, measured by the ranktwo tree, the generic mixed one.
+    rank-two route, and bellmix and generic, a non-commuting rank-three mixture, measured by
+    the ranktwo tree, the rank-three fixed-basis and the generic mixed routes.
     """
     if name.startswith("psi:"):
         family = builtin_scenario(name[4:]).family
@@ -629,13 +653,16 @@ def mle_family(name):
     if name == "psi-unitary":
         family = random_pure_family((2, 2, 2), np.random.default_rng(7))
         return family, family
+    if name in ("bellmix", "generic"):
+        family = builtin_scenario(name).family if name == "bellmix" else generic_bell_mixture()
+        return family, builtin_scenario("ranktwo").family
     family = builtin_scenario(name).family
-    return family, builtin_scenario("ranktwo").family if name == "bellmix" else family
+    return family, family
 
 
 @PROPERTY
 @given(name=st.sampled_from(["ghz2", "ghz3", "ghz4", "chain4", "psi-unitary", "psi:ghz3",
-                             "psi:chain4", "ranktwo", "bellmix"]),
+                             "psi:chain4", "ranktwo", "bellmix", "generic"]),
        shots=st.sampled_from([10 ** 2, 10 ** 4, 10 ** 5]), theta=st.floats(0.2, 0.6),
        shift=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2 ** 32 - 1))
 def test_score_root_meets_golden_section(name, shots, theta, shift, seed):
@@ -659,7 +686,8 @@ def test_score_root_meets_golden_section(name, shots, theta, shift, seed):
 
 
 @pytest.mark.parametrize("stacked", [False, True])
-@pytest.mark.parametrize("name", ["ghz3", "psi-unitary", "psi:ghz3", "ranktwo", "bellmix"])
+@pytest.mark.parametrize("name", ["ghz3", "psi-unitary", "psi:ghz3", "ranktwo", "bellmix",
+                                  "generic"])
 @settings(PROPERTY, max_examples=3)
 @given(shots=st.sampled_from([10 ** 2, 10 ** 4, 10 ** 5]), data=st.data(),
        seed=st.integers(0, 2 ** 32 - 1))

@@ -27,8 +27,8 @@ from oracles import pauli_term_matrix
 
 NO_TARGET_COMMANDS = [["synthesize"], ["export-bloch"],
                       ["simulate", "--shots", "100", "--trials", "2"]]
-NO_TARGET_ERROR = {"error": "family has no rank-one synthesis target (a generic mixed family)",
-                   "kind": "validation"}
+NO_TARGET_ERROR = {"error": "family has no rank-one synthesis target (neither pure nor a "
+                            "fixed-basis mixture of rank two)", "kind": "validation"}
 
 
 def xy_chain_w_doc(n):
@@ -64,7 +64,7 @@ def spelled(pairs):
 
 
 def bell_mixture_doc():
-    """t |phi+><phi+| + (1 - t) |phi-><phi-| as a generic mixed document."""
+    """t |phi+><phi+| + (1 - t) |phi-><phi-| as a "mixed" document."""
     bells = bell_states()
     return {"type": "mixed", "layout": [2, 2], "theta_grid": [0.5],
             **{key: complex_to_pairs(np.outer(bells[name], bells[name].conj()))
@@ -352,7 +352,7 @@ class TestCliCore:
         path = tmp_path / "mix.json"
         path.write_text(json.dumps(bell_mixture_doc()))
         family = parse_scenario(bell_mixture_doc()).family
-        assert isinstance(family, metrology.RankTwoFixedBasisFamily)
+        assert isinstance(family, metrology.FixedBasisFamily)
         for theta in np.arange(1, 10) / 10:
             assert abs(metrology.qfi(family, theta) * theta * (1 - theta) - 1) <= 1e-13
         assert cli_main(["qfi", str(path), "--theta", "0.00005"]) == 0
@@ -360,6 +360,17 @@ class TestCliCore:
         assert abs(doc["qfi"] * 5e-5 * (1 - 5e-5) - 1) <= 1e-9
         assert cli_main(["simulate", str(path), "--two-step", "--prior", "0.1", "0.9"]) == 0
         assert abs(json.loads(capsys.readouterr().out)["J"] - 4.0) <= 1e-12
+
+    def test_bellmix_reads_exactly(self, capsys):
+        # weights (1 + t)/3, t/3 and 2 (1 - t)/3 on three fixed Bell states: the qfi is their
+        # Fisher information, also a step from either end, where no difference reaches
+        family = builtin_scenario("bellmix").family
+        for theta in (1e-5, 0.3, 0.5, 0.7, 1 - 1e-5):
+            want = (1 / (1 + theta) + 1 / theta + 2 / (1 - theta)) / 3
+            assert abs(qfi(family, theta) - want) <= 1e-13 * want
+        assert cli_main(["qfi", "bellmix", "--theta", "0.00005"]) == 0
+        want = (1 / (1 + 5e-5) + 1 / 5e-5 + 2 / (1 - 5e-5)) / 3
+        assert abs(json.loads(capsys.readouterr().out)["qfi"] - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("flags", [[], ["--two-step"]])
     def test_bell_mixture_simulates_over_its_pure_ends(self, tmp_path, capsys, flags):
@@ -456,7 +467,7 @@ class TestCliCore:
                "theta_grid": [0.3]}
         family = parse_scenario(doc).family
         for theta in (0.3, 1.1, -2.0):
-            p, dp = family.p_dp(theta)
+            (p, _), (dp, _) = (w[0] for w in family.p_dp([theta]))
             assert p == off + amp * np.cos(freq * theta + phase)
             assert dp == -amp * freq * np.sin(freq * theta + phase)
             want = dp * dp / (p * (1 - p))
@@ -792,6 +803,51 @@ class TestCliErrors:
                                             "kind": "validation"}
         assert captured.out == ""
 
+    @pytest.mark.parametrize("entry, value, error", [
+        ("psi_in", [[1e308, 0.0], [1e308, 0.0]], "psi_in norm inf is not 1"),
+        ("psi_in", [[1.0, float("inf")], [0.0, 0.0]], "psi_in contains non-finite entries"),
+        ("psi0", [[1e308, 0.0]] * 4, "psi0 norm inf is not 1"),
+        ("psi1", [[1.0, float("inf")]] + [[0.0, 0.0]] * 3, "psi1 contains non-finite entries"),
+        ("dense", [[[0.0, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [0.0, 0.0]]],
+         "generator is not Hermitian (max deviation inf)"),
+        ("dense", [[[0.0, 0.0], [1.0, float("inf")]], [[1.0, 0.0], [0.0, 0.0]]],
+         "generator contains non-finite entries"),
+        ("basis", [1e308, 0.0], "a basis at depth 0 is not orthonormal"),
+        ("basis", [1.0, float("inf")], "bases at depth 0 contain non-finite entries"),
+        ("a-mat", [[[1.0, float("inf")], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+         "coefficient matrix contains non-finite entries")])
+    def test_entry_near_the_float_limit_or_infinite_refused_without_a_warning(
+            self, tmp_path, capsys, entry, value, error):
+        # a finite entry near 1e308 overflows a norm or product, and an infinite imaginary
+        # part decodes to a NaN real part: each is refused by its own check, with no warning
+        path, other = tmp_path / "doc.json", tmp_path / "b.json"
+        if entry == "basis":
+            assert cli_main(["synthesize", "ghz2", "--theta", "0.3", "--out", str(path)]) == 0
+            doc = json.loads(path.read_text())
+            doc["node"]["basis"][0][0] = value
+            argv = ["verify", "ghz2", "--tree", str(path), "--theta", "0.3"]
+        elif entry == "a-mat":
+            doc = value
+            other.write_text(json.dumps(complex_to_pairs(np.diag([0.5j, -0.5j]))))
+            argv = ["lm-check", "--a-mat", str(path), "--b-mat", str(other)]
+        elif entry in ("psi0", "psi1"):
+            doc, argv = {**builtin_scenario("ranktwo").doc, entry: value}, ["qfi", str(path)]
+        else:
+            doc = {"type": "unitary-generator", "layout": [2], "theta_grid": [0.3],
+                   "psi_in": [[1.0, 0.0], [0.0, 0.0]],
+                   "hamiltonian": {"pauli": [{"coeff": 1.0, "string": "Z"}]}}
+            doc["hamiltonian" if entry == "dense" else entry] = (
+                {"dense": value} if entry == "dense" else value)
+            argv = ["qfi", str(path)]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": error, "kind": "validation"}
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", NO_TARGET_COMMANDS)
     def test_no_synthesis_target_exit_1_with_one_message(self, capsys, command):
         assert cli_main([command[0], "bellmix", *command[1:]]) == 1
@@ -802,7 +858,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("command", NO_TARGET_COMMANDS)
     def test_moving_rank_two_basis_gets_the_same_message(self, capsys, monkeypatch, command):
         # rho(theta) = e^{-i theta H} rho0 e^{i theta H}, rho0 of rank 2 on C^4
-        # (seed 1): the rank-two shortcut does not apply, and there is no target
+        # (seed 1): no fixed basis reads it, and there is no target
         rng = np.random.default_rng(1)
         h, rho0 = random_hermitian(4, rng), random_density(4, rng, rank=2)
         lam, q = np.linalg.eigh(h)
@@ -929,11 +985,13 @@ class TestCliErrors:
         ("qfi", lambda d: {**builtin_scenario("ranktwo").doc,
                            "psi1": builtin_scenario("ranktwo").doc["psi0"]},
          "psi0 and psi1 must be orthogonal"),
-        ("qfi", lambda d: {**bell_mixture_doc(), "layout": [2, 3]},
-         f"evaluator output at theta = {0.5 + 1e-4!r} does not match the layout"),
+        ("qfi", lambda d: {**bell_mixture_doc(), "layout": [2, 3]}, "rho1 does not match the layout"),
         ("qfi", lambda d: {**bell_mixture_doc(),
                            "rho1": complex_to_pairs(np.diag([2.0, -1.0, 0.0, 0.0]))},
-         f"evaluator output at theta = {0.5 + 1e-4!r} is not a unit-trace PSD matrix")])
+         "rho1 is not a unit-trace PSD matrix"),
+        ("qfi", lambda d: {**bell_mixture_doc(),
+                           "rho2": complex_to_pairs(np.diag([0.0, 0.5, 0.5 + 3e-9, 0.0]))},
+         "rho2 is not a unit-trace PSD matrix")])
     def test_refused_document_names_its_fault(self, tmp_path, capsys, command, edit, error):
         # each refusal names its fault; a missing entry is named as one, not as a bare key
         tree = tmp_path / "tree.json"

@@ -15,7 +15,7 @@ from scipy import stats
 from loccfisher import locc, metrology
 from loccfisher.cli import cli_main
 from loccfisher import (DegenerateLikelihoodError, MixedGenericFamily, Povm,
-                        PureNumericFamily, RankTwoFixedBasisFamily, SimConfig,
+                        FixedBasisFamily, PureNumericFamily, SimConfig,
                         UnitaryGeneratorFamily, fisher_info,
                         leaf_distribution, mle, run_trials,
                         saturation_matrices, synthesize_at, synthesize_tree, two_step)
@@ -25,7 +25,7 @@ from loccfisher import simulate
 from loccfisher.simulate import _mle, _OutcomeLaw, _path_prob_fns, _score_root, _trial_rng
 from loccfisher.tensor import PRIOR_EDGE_REL, HilbertLayout, KetBraSum
 
-from conftest import ghz_family, random_pure_family
+from conftest import generic_bell_mixture, ghz_family, random_pure_family
 from oracles import golden_mle, prob_at, sample_paths
 
 
@@ -95,28 +95,30 @@ class TestSamplePath:
 
 
 class TestLeafDistribution:
-    def test_mixed_family_outcome_law(self):
-        # bellmix is a generic mixed family: its law is <e|rho|e> per leaf
-        bellmix = builtin_scenario("bellmix").family
+    @pytest.mark.parametrize("name", ["generic", "bellmix"])
+    def test_mixed_family_outcome_law(self, name):
+        # a generic mixed family's law is <e|rho|e> per leaf, and so is bellmix's, which
+        # mixes the laws of its three Bell rows
+        family = generic_bell_mixture() if name == "generic" else builtin_scenario(name).family
         ranktwo = builtin_scenario("ranktwo").family
         th = 0.3
         tree = synth(ranktwo, th)
-        paths, probs = leaf_distribution(bellmix, tree, th)
+        paths, probs = leaf_distribution(family, tree, th)
         povm = flatten(tree)
-        rho = bellmix.rho_drho(th)[0]
+        rho = family.rho_drho(th)[0]
         want = np.array([np.vdot(e, rho @ e).real for e in povm.vectors])
         assert paths == [path for path, _ in leaf_vectors(tree)]
         assert np.abs(probs - want / want.sum()).max() < 1e-12
 
     def test_mixed_family_law_evaluates_rho_once(self):
-        bellmix = builtin_scenario("bellmix").family
+        generic = generic_bell_mixture()
         calls = []
         counted = MixedGenericFamily(
-            bellmix.layout, lambda t: calls.append(t) or bellmix.evaluator(t))
+            generic.layout, lambda t: calls.append(t) or generic.evaluator(t))
         tree = synth(builtin_scenario("ranktwo").family, 0.3)
         _, probs = leaf_distribution(counted, tree, 0.3)
         assert calls == [0.3]
-        assert np.array_equal(probs, leaf_distribution(bellmix, tree, 0.3)[1])
+        assert np.array_equal(probs, leaf_distribution(generic, tree, 0.3)[1])
 
 
 class TestLawReadsAmplitudes:
@@ -143,7 +145,7 @@ class TestMle:
         lay = HilbertLayout((2, 2))
         psi0 = np.array([1, 0, 0, 1], complex) / np.sqrt(2)
         psi1 = np.array([1, 0, 0, -1], complex) / np.sqrt(2)
-        fam = RankTwoFixedBasisFamily(lay, psi0, psi1, lambda t: t, lambda t: 1.0)
+        fam = FixedBasisFamily(lay, [psi0, psi1], lambda t: t, lambda t: 1.0)
         tree = synth(fam, 0.5)
         counts = {}
         for path, vec in leaf_vectors(tree):
@@ -211,24 +213,26 @@ def route_case(route, monkeypatch):
         return PureNumericFamily(ghz3.layout, ghz3.psi), synth(ghz3, 0.4)
     if route == "rank-two":
         return ranktwo, synth(ranktwo, 0.4)
-    return builtin_scenario("bellmix").family, synth(ranktwo, 0.4)
+    if route == "rank-three":
+        return builtin_scenario("bellmix").family, synth(ranktwo, 0.4)
+    return generic_bell_mixture(), synth(ranktwo, 0.4)
 
 
-ROUTES = ["components", "psi", "psi-numeric", "rank-two", "mixed"]
+ROUTES = ["components", "psi", "psi-numeric", "rank-two", "rank-three", "mixed"]
 
 
 class TestScoreSteps:
     @pytest.mark.parametrize("route", ROUTES)
     def test_prob_dprob_matches_the_law(self, route, monkeypatch):
         # P from the (P, dP) step is the per-theta law: the same products for
-        # rank two and the numeric families, one more contracted row for psi(theta)
+        # fixed-basis and numeric families, one more contracted row for psi(theta)
         # and elementwise sums over the levels for the components; dP is its slope
         family, tree = route_case(route, monkeypatch)
         block, prob_dprob = _path_prob_fns(family, [tree])
         h = 1e-5
         for theta in (0.25, 0.4, 0.55):
             p, dp = (x[0] for x in prob_dprob(np.array([theta]), np.zeros(1, dtype=int)))
-            if route in ("psi-numeric", "rank-two", "mixed"):
+            if route in ("psi-numeric", "rank-two", "rank-three", "mixed"):
                 assert np.array_equal(p, prob_at(block, theta))
             else:
                 assert np.abs(p - prob_at(block, theta)).max() <= 1e-14
