@@ -21,8 +21,10 @@ from .zerodiag import ZeroDiagConvergenceError
 
 
 def _read_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document of a file, refusing the non-finite constants NaN and +-Infinity."""
+    def refuse(constant: str):
+        raise ValueError(f"{path} holds the non-finite JSON constant {constant}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
 
 
 def _load_scenario(arg: str) -> scenarios.Scenario:

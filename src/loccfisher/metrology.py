@@ -1,13 +1,15 @@
 """Parameterized state families, Fisher information and saturation checking.
 
-A state family maps a real parameter theta to a density matrix. Four kinds
-are supported: pure states generated by exp(-i theta G), numerically
-tabulated pure states, mixtures of any rank over a theta-independent basis,
-and generic numeric mixed families. The module computes the symmetric logarithmic
-derivative, quantum and classical Fisher information, the traceless target
-matrices used by the measurement synthesis, and the full saturation check for
-a POVM (zero-sandwich condition on every outcome plus the regularity
-condition on zero-probability outcomes).
+A state family maps a real parameter theta to a density matrix and gives its
+exact derivative. Four kinds are supported: pure states generated by
+exp(-i theta G), pure states given by numeric callables for psi and dpsi,
+mixtures of any rank over a theta-independent basis, and generic mixed
+families given by numeric callables for rho and drho. The module computes
+the symmetric logarithmic derivative, quantum and classical Fisher
+information, the traceless target matrices used by the measurement
+synthesis, and the full saturation check for a POVM (zero-sandwich
+condition on every outcome plus the regularity condition on
+zero-probability outcomes).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .tensor import (COMPLETENESS_TOL, CONDITION_REL, DRHO_TOL, EVAL_UNIT_TOL, F
 # benchmark tracer patches them.
 from .tensor import herm_eig, sqrt_psd  # noqa: F401
 
-DEFAULT_FD_STEP = 1e-4
 KRYLOV_CAP = 512        # Lanczos steps before a matrix-free generator is built as a matrix
 DENSE_LIMIT = 2 ** 12   # largest D whose generator that fallback builds and factors
 
@@ -185,29 +186,28 @@ def _eigh_levels(gen: np.ndarray, psi_in: np.ndarray) -> tuple[np.ndarray, np.nd
 
 @dataclass
 class PureNumericFamily:
-    """Pure family given by a numeric evaluator theta -> psi(theta).
+    """Pure family given by numeric callables theta -> psi(theta) and theta -> dpsi(theta).
 
-    The evaluator must be continuous in theta (its output is renormalized but
-    a jumpy global phase would corrupt the finite-difference derivative).
+    The evaluator's output is renormalized; ``derivative`` gives the derivative
+    of that output, in the same global phase.
     """
 
     layout: HilbertLayout
     evaluator: Callable[[float], np.ndarray]
-    step: float = DEFAULT_FD_STEP
+    derivative: Callable[[float], np.ndarray]
 
     state_type = "pure"
 
     def psi(self, theta: float) -> np.ndarray:
         name = f"evaluator output at theta = {float(theta)!r}"
         vec = check_unit(self.evaluator(theta), name, EVAL_UNIT_TOL)
-        if vec.shape != (self.layout.total,):
-            raise ValueError(f"{name} does not match the layout")
-        return vec / np.linalg.norm(vec)
+        return _check_shape(vec, (self.layout.total,), name) / np.linalg.norm(vec)
 
     def psi_dpsi(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """psi and its central difference dpsi, evaluating psi at theta, theta + h, theta - h."""
-        h = self.step
-        return self.psi(theta), (self.psi(theta + h) - self.psi(theta - h)) / (2 * h)
+        """psi and the derivative's dpsi at theta, checked finite and of psi's shape."""
+        psi, name = self.psi(theta), f"derivative at theta = {float(theta)!r}"
+        dpsi = check_finite(np.asarray(self.derivative(theta), dtype=complex), name)
+        return psi, _check_shape(dpsi, psi.shape, name)
 
     rho_drho = _frame_rho_drho
 
@@ -256,11 +256,16 @@ class FixedBasisFamily:
     rho_drho = _frame_rho_drho
 
 
+def _check_shape(a: np.ndarray, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``a`` unchanged, after checking it has the ``shape`` the layout gives it."""
+    if a.shape != shape:
+        raise ValueError(f"{name} does not match the layout")
+    return a
+
+
 def check_state(rho: np.ndarray, layout: HilbertLayout, name: str) -> np.ndarray:
     """rho made exactly Hermitian, after checking it a unit-trace PSD matrix of the layout."""
-    rho = check_hermitian(rho, name, RHO_TOL)
-    if rho.shape != (layout.total,) * 2:
-        raise ValueError(f"{name} does not match the layout")
+    rho = _check_shape(check_hermitian(rho, name, RHO_TOL), (layout.total,) * 2, name)
     if np.linalg.eigvalsh(rho)[0] < -RHO_TOL or abs(np.trace(rho).real - 1.0) > RHO_TOL:
         raise ValueError(f"{name} is not a unit-trace PSD matrix")
     return rho
@@ -268,24 +273,24 @@ def check_state(rho: np.ndarray, layout: HilbertLayout, name: str) -> np.ndarray
 
 @dataclass
 class MixedGenericFamily:
-    """Mixed family given by a numeric evaluator theta -> rho(theta); drho is its
-    central difference with the fixed step DEFAULT_FD_STEP."""
+    """Mixed family given by numeric callables theta -> rho(theta) and theta -> drho(theta)."""
 
     layout: HilbertLayout
     evaluator: Callable[[float], np.ndarray]
+    derivative: Callable[[float], np.ndarray]
 
     state_type = "mixed"
-    step = DEFAULT_FD_STEP
 
     def rho(self, theta: float) -> np.ndarray:
         return check_state(self.evaluator(theta), self.layout,
                            f"evaluator output at theta = {float(theta)!r}")
 
     def rho_drho(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """rho and its exactly Hermitian central difference, from rho at theta + h, - h and theta."""
-        h = self.step
-        drho = (self.rho(theta + h) - self.rho(theta - h)) / (2 * h)
-        return self.rho(theta), (drho + drho.conj().T) / 2
+        """rho and the derivative's drho at theta, made exactly Hermitian after checking it
+        Hermitian and traceless within DRHO_TOL and of rho's shape."""
+        rho, name = self.rho(theta), f"derivative at theta = {float(theta)!r}"
+        drho = check_trace(check_hermitian(self.derivative(theta), name, DRHO_TOL), name, DRHO_TOL)
+        return rho, _check_shape(drho, rho.shape, name)
 
 
 StateFamily = Union[UnitaryGeneratorFamily, PureNumericFamily,
@@ -402,12 +407,11 @@ def sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
 def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
     # rho and drho are exactly Hermitian, so they are not checked again: sld
     # passes them through check_hermitian, and saturation_matrices takes them
-    # from MixedGenericFamily.rho_drho, whose rho is checked and whose drho is
-    # symmetrized.
+    # from MixedGenericFamily.rho_drho, which checks and symmetrizes both.
     # The exact drho of a PSD family has no block between two kernel
     # directions: <k|rho(theta)|k> >= 0 is at its minimum 0 for every kernel
-    # vector k, so <k|drho|k> = 0. A family's central difference does carry
-    # O(h^2) weight there when the kernel moves with theta; L leaves it out.
+    # vector k, so <k|drho|k> = 0. A derivative given with rounding error (or
+    # a difference quotient) may carry weight there; L leaves it out.
     w, v = eigh_desc(rho)
     t = v.conj().T @ drho @ v
     kernel = w <= RANK_TOL
@@ -436,7 +440,7 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     p'^2 / (p (1 - p)) at r = 2, whose target is |t0><t1| (the scale-invariant
     direction, real prefactor dropped); no other rank has one. Neither builds a
     D x D array. Generic mixed families, one ``rho_drho``:
-    the dense rho and drho as returned (drho checked traceless) and the SLD,
+    the dense rho and drho as returned (the family checks both) and the SLD,
     and no target; ``scenarios`` reads a commuting document as a fixed-basis family.
     """
     if family.state_type == "pure":
@@ -459,7 +463,6 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
                                   KetBraSum(rows, dp[:, None] * rows), rows,
                                   (dp / p)[:, None] * rows, qfi, KetBraSum(*rows) if two else None)
     rho, drho = family.rho_drho(theta)
-    drho = check_trace(drho, "drho", DRHO_TOL)
     res = _sld(rho, drho)
     support = res.eigvecs[:, res.eigvals > RANK_TOL].T
     return SaturationMatrices(KetBraSum.from_dense(rho), KetBraSum.from_dense(drho),

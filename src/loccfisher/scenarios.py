@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
-from .tensor import (RANK_TOL, RHO_TOL, HilbertLayout, check_int, check_real, complex_to_pairs,
-                     pairs_to_complex)
+from .tensor import (RANK_TOL, RHO_TOL, HilbertLayout, check_finite, check_int, check_real,
+                     complex_to_pairs, pairs_to_complex)
 # kron is unused here; it stays importable because the benchmark tracer patches it.
 from .tensor import kron  # noqa: F401
 
@@ -76,12 +76,13 @@ def _pauli_weights(terms: list[PauliStringTerm], layout: HilbertLayout) -> dict[
     index = np.arange(layout.total)
     parity = _parity_table(layout.nsub)
     weights: dict[int, np.ndarray] = {}
-    for term in terms:
-        flip, sign, n_y = term.masks()
-        w = weights.setdefault(flip, np.zeros(layout.total, dtype=complex))
-        # row b holds the term's phase on the column state b ^ flip
-        w += term.coeff * _I_POWERS[n_y % 4] * (1.0 - 2.0 * parity[(index ^ flip) & sign])
-    return weights
+    with np.errstate(over="ignore", invalid="ignore"):  # coefficients near the float limit
+        for term in terms:
+            flip, sign, n_y = term.masks()
+            w = weights.setdefault(flip, np.zeros(layout.total, dtype=complex))
+            # row b holds the term's phase on the column state b ^ flip
+            w += term.coeff * _I_POWERS[n_y % 4] * (1.0 - 2.0 * parity[(index ^ flip) & sign])
+    return {flip: check_finite(w, "generator") for flip, w in weights.items()}
 
 
 def _pauli_generator(terms: list[PauliStringTerm], layout: HilbertLayout):
@@ -137,12 +138,13 @@ def _mixed_family(layout: HilbertLayout, rho1: np.ndarray,
     states. t is the eigenbasis of rho1 - rho2 on the support of rho1 + rho2, largest first, each
     cluster of equal eigenvalues (within RHO_TOL) turned to diagonalize rho2. When both ends are
     diagonal in t within RHO_TOL, the fixed-basis family of p_k = <t_k|rho(theta)|t_k> on the
-    theta interval where each p_k >= -RHO_TOL; any other pair is generic."""
+    theta interval where each p_k >= -RHO_TOL; any other pair is generic, with drho = rho1 - rho2."""
     ends = np.array([metrology.check_state(rho, layout, key)
                      for rho, key in ((rho1, "rho1"), (rho2, "rho2"))])
+    drho = ends[0] - ends[1]
     lam, v = np.linalg.eigh(rho1 + rho2)
     support = v[:, lam > RANK_TOL]
-    delta, turn = np.linalg.eigh(support.conj().T @ (ends[0] - ends[1]) @ support)
+    delta, turn = np.linalg.eigh(support.conj().T @ drho @ support)
     for cluster in np.split(np.arange(len(delta)), np.flatnonzero(np.diff(delta) > RHO_TOL) + 1):
         if len(cluster) > 1:    # a degenerate weight change: rho2 fixes the basis
             block = support @ turn[:, cluster]
@@ -150,7 +152,8 @@ def _mixed_family(layout: HilbertLayout, rho1: np.ndarray,
     t = (support @ turn[:, ::-1]).T
     w = np.einsum("kd,sde,ke->sk", t.conj(), ends, t).real
     if max(np.abs(r - (t.T * p) @ t.conj()).max() for r, p in zip(ends, w)) > RHO_TOL:
-        return metrology.MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2)
+        return metrology.MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2,
+                                            lambda t: drho)
     slope = w[0] - w[1]
     bound = (-RHO_TOL - w[1]) / np.where(slope == 0.0, 1.0, slope)  # where p_k = -RHO_TOL
     domain = (float(bound[slope > 0].max(initial=-np.inf)), float(bound[slope < 0].min(initial=np.inf)))

@@ -97,15 +97,13 @@ def _p_dp(a: np.ndarray, da: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(a) ** 2, 2 * (a.conj() * da).real
 
 
-def _path_prob_fns(family: metrology.StateFamily, trees: list[locc.MeasurementTree],
-                   prior: tuple[float, float] = (-np.inf, np.inf)) -> tuple[Callable, Callable]:
+def _path_prob_fns(family: metrology.StateFamily,
+                   trees: list[locc.MeasurementTree]) -> tuple[Callable, Callable]:
     """Outcome laws of trees read through ``locc.stacked_amplitudes``: block(thetas, ts)
     -> (len(ts), L, m), the law of each tree ts[j] at every theta, and prob_dprob(thetas,
     rows) -> (P, dP/dtheta), each (m, L), row i of tree rows[i] at thetas[i] by elementwise
-    products and stacked contractions, never a product whose kernel changes with m. The
-    derivative is exact except for a numeric family (``PureNumericFamily``,
-    ``MixedGenericFamily``): there it is the central difference of P with the family's
-    step, one-sided within a step of a prior end, so no theta outside the prior is evaluated.
+    products and stacked contractions, never a product whose kernel changes with m. dP is
+    exact: it reads the derivative the family gives.
 
     A unitary family whose psi_in touches K generator levels is read through its components
     C: their amplitudes are taken once per tree and each theta costs O(L K). That holds when
@@ -113,8 +111,8 @@ def _path_prob_fns(family: metrology.StateFamily, trees: list[locc.MeasurementTr
     amplitudes of psi(theta), which every other pure family reads, or when K D <= SMALL_LAW,
     below the fixed overhead of one tree contraction. A fixed-basis family mixes the laws o_k of
     its rows by p_k(theta), and their differences to the last by dp_k, which sum to zero; a
-    generic mixed family sandwiches rho(theta), one theta at a time. The trees must measure the
-    family's layout.
+    generic mixed family sandwiches rho(theta), and drho(theta) for dP, one theta at a time.
+    The trees must measure the family's layout.
     """
     metrology.check_layout(trees[0], family)
     cap = max(sum(trees[0].layout.dims), SMALL_LAW // trees[0].layout.total)
@@ -138,7 +136,6 @@ def _path_prob_fns(family: metrology.StateFamily, trees: list[locc.MeasurementTr
             return np.abs(locc.stacked_amplitudes([trees[t] for t in ts], psi)) ** 2
 
         def prob_dprob(thetas: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # a unitary family's; a numeric family's is replaced below
             psi = np.array([family.psi_dpsi(t) for t in thetas])
             return _p_dp(*locc.stacked_amplitudes([trees[r] for r in rows], psi).transpose(2, 0, 1))
     elif family.state_type == "fixed-basis":
@@ -155,16 +152,15 @@ def _path_prob_fns(family: metrology.StateFamily, trees: list[locc.MeasurementTr
     else:
         amps = locc.stacked_amplitudes(trees, np.eye(trees[0].layout.total))  # <e|i>, per tree
 
-        def block(thetas: np.ndarray, ts) -> np.ndarray:
-            return np.stack([np.sum(amps[ts] * np.conj(amps[ts] @ family.rho(t).conj().T),
-                                    axis=-1).real for t in thetas], axis=-1)
+        def sandwich(m: np.ndarray, ts) -> np.ndarray:
+            return np.sum(amps[ts] * np.conj(amps[ts] @ m.conj().T), axis=-1).real
 
-    if isinstance(family, (metrology.PureNumericFamily, metrology.MixedGenericFamily)):
+        def block(thetas: np.ndarray, ts) -> np.ndarray:
+            return np.stack([sandwich(family.rho(t), ts) for t in thetas], axis=-1)
+
         def prob_dprob(thetas: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            up, down = np.clip(thetas + family.step, *prior), np.clip(thetas - family.step, *prior)
-            p, p_up, p_down = (np.stack([block(np.array([t]), [r])[0, :, 0]
-                                         for t, r in zip(at, rows)]) for at in (thetas, up, down))
-            return p, (p_up - p_down) / (up - down)[:, None]
+            return tuple(np.array([[sandwich(m, r) for m in family.rho_drho(t)]
+                                   for t, r in zip(thetas, rows)]).transpose(1, 0, 2))
     return block, prob_dprob
 
 
@@ -182,8 +178,12 @@ class _OutcomeLaw:
                  prior: tuple[float, float]):
         self.stacked = not isinstance(trees, locc.MeasurementTree)
         self.trees = trees if self.stacked else [trees]
-        self.block, self.prob_dprob = _path_prob_fns(family, self.trees, prior)
+        self.block, self.prob_dprob = _path_prob_fns(family, self.trees)
         self.grid = np.linspace(prior[0], prior[1], GRID_POINTS)
+        # the grid with its ends PRIOR_EDGE_REL (hi - lo) inside the prior, where a score
+        # or frame is read: a family's derivative may diverge on a prior end
+        pad = PRIOR_EDGE_REL * (prior[1] - prior[0])
+        self.inner = np.clip(self.grid, prior[0] + pad, prior[1] - pad)
         self.width = max(1, SMALL_LAW // self.trees[0].layout.total)
         if not self.stacked:
             table = np.empty((self.trees[0].layout.total, GRID_POINTS))  # logged in place
@@ -280,14 +280,13 @@ def _estimates(law: _OutcomeLaw, counts: np.ndarray, prior: tuple[float, float]
         return (counts[trials] * (dprobs / np.maximum(probs, LOG_FLOOR))).sum(axis=1).tolist()
 
     live = np.flatnonzero(~flat).tolist()
-    brackets = score(live * 2, grid[ends[live]].T.ravel().tolist()) if live else []
+    brackets = score(live * 2, law.inner[ends[live]].T.ravel().tolist()) if live else []
     roots, replies = {}, {}
     for i, fa, fb in zip(live, brackets, brackets[len(live):]):
-        a, b = grid[ends[i]].tolist()
         if fa > 0 > fb:
-            roots[i] = _score_root(a, b, fa, fb)
-        else:   # no maximum inside: the grid end with the larger likelihood
-            out[i] = a if values[i, ends[i, 0]] >= values[i, ends[i, 1]] else b
+            roots[i] = _score_root(*law.inner[ends[i]].tolist(), fa, fb)
+        else:   # no maximum inside: the grid end with the larger likelihood, the first of equals
+            out[i] = float(grid[ends[i][values[i, ends[i]].argmax()]])
     while roots:
         asks = {}
         for i, root in roots.items():
@@ -315,8 +314,9 @@ def mle(counts: dict[tuple[int, ...], int], family: metrology.StateFamily,
     Scans a uniform grid, breaking exact ties toward the interval midpoint,
     then follows the score sum_e n_e P_e'/P_e of the observed outcomes to its
     root in the two grid cells around the grid maximum by safeguarded secant
-    steps, down to MLE_WIDTH; if the score does not fall through zero there,
-    the cell end with the larger likelihood is the estimate.
+    steps, down to MLE_WIDTH; a cell end on a prior end is scored PRIOR_EDGE_REL
+    (hi - lo) inside it. If the score does not fall through zero there, the cell
+    end with the larger likelihood is the estimate.
     Raises ValueError if a counted path is not a leaf of the tree, and
     DegenerateLikelihoodError if the likelihood is flat on the grid.
     """
@@ -348,13 +348,10 @@ def _two_step_block(config: SimConfig, ref: _OutcomeLaw, rngs: list[np.random.Ge
         raise ValueError("two-step needs at least 16 shots")
     family, prior, theta = config.family, config.prior, config.theta_true
     n_rough = int(np.ceil(np.sqrt(config.shots)))
-    pad = PRIOR_EDGE_REL * (prior[1] - prior[0])
-    if isinstance(family, metrology.PureNumericFamily):
-        pad = max(pad, family.step)     # the frame evaluates the family at theta -+ step
     out = _estimates(ref, ref.draw(theta, n_rough, rngs), prior)
     live = [i for i, rough in enumerate(out) if not isinstance(rough, Exception)]
     targets = [locc.synthesis_target(metrology.saturation_matrices(
-        family, float(np.clip(out[i], prior[0] + pad, prior[1] - pad)))) for i in live]
+        family, float(np.clip(out[i], *ref.inner[[0, -1]])))) for i in live]
     if live:
         law = _OutcomeLaw(family, locc.synthesize_trees(targets, family.layout), prior)
         counts = law.draw(theta, config.shots - n_rough, [rngs[i] for i in live])
@@ -368,7 +365,7 @@ def two_step(config: SimConfig, rng: np.random.Generator | None = None) -> float
 
     Spends ceil(sqrt(N)) shots on the reference tree (config.tree, else one
     synthesized at the prior midpoint), re-synthesizes at the rough estimate
-    (clamped inside the prior, a step inside for a ``PureNumericFamily``) and returns
+    (clamped PRIOR_EDGE_REL (hi - lo) inside the prior) and returns
     the MLE of the remaining shots, drawn from ``rng``, else from the substream
     of trial 0: a block of one trial of ``run_trials``. A flat likelihood
     raises DegenerateLikelihoodError.

@@ -131,15 +131,16 @@ def frobenius_norms(h: np.ndarray) -> np.ndarray:
 
 def check_hermitian(m: np.ndarray, name: str = "matrix",
                     tol: float = HERM_TOL) -> np.ndarray:
-    """(M + M^dag)/2, after checking max |M - M^dag| <= tol * max(1, max |M_ij|)."""
+    """(M + M^dag)/2, after checking max |M - M^dag| <= tol * max(1, max |M_ij|) and
+    that the sum stays finite."""
     m = _as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    with np.errstate(over="ignore"):    # entries near the float limit: an inf deviation
-        dev = np.abs(m - m.conj().T).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # entries near the float limit: inf
+        dev, herm = np.abs(m - m.conj().T).max(), (m + m.conj().T) / 2
     if dev > tol * max(1.0, np.abs(m).max()):
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
-    return (m + m.conj().T) / 2
+    return check_finite(herm, name)
 
 
 def check_trace(m: KetBraSum | np.ndarray, name: str = "matrix", tol: float = TRACE_TOL,

@@ -43,13 +43,18 @@ def random_pure_family(dims, rng):
     return UnitaryGeneratorFamily(*random_pure_inputs(dims, rng))
 
 
-def generic_bell_mixture():
-    """A rank-three MixedGenericFamily on two qubits: the "mixed" document of bellmix's rho1
-    and 1/3 |phi+><phi+| + 2/3 |chi><chi|, chi = (phi- + sqrt(3) psi+)/2, which do not commute."""
+def generic_bell_mixture_doc():
+    """The "mixed" document of bellmix's rho1 and 1/3 |phi+><phi+| + 2/3 |chi><chi|,
+    chi = (phi- + sqrt(3) psi+)/2, which do not commute."""
     bells = bell_states()
     chi = (bells["phi-"] + np.sqrt(3) * bells["psi+"]) / 2
     rho2 = np.outer(bells["phi+"], bells["phi+"].conj()) / 3 + 2 / 3 * np.outer(chi, chi.conj())
-    return parse_scenario({**_bellmix_doc(), "rho2": complex_to_pairs(rho2)}).family
+    return {**_bellmix_doc(), "rho2": complex_to_pairs(rho2)}
+
+
+def generic_bell_mixture():
+    """The rank-three MixedGenericFamily on two qubits of ``generic_bell_mixture_doc``."""
+    return parse_scenario(generic_bell_mixture_doc()).family
 
 
 def ghz_family(n):

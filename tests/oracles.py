@@ -63,6 +63,12 @@ def dense_target(family, theta, generator=None):
             + np.outer(psi, psi.conj()) - np.eye(d) / d)
 
 
+def central_difference(fn, h):
+    """theta -> (fn(theta + h) - fn(theta - h)) / (2 h): a derivative callable for a
+    numeric family, for tests of what a difference quotient does."""
+    return lambda theta: (np.asarray(fn(theta + h)) - np.asarray(fn(theta - h))) / (2 * h)
+
+
 def fisher_fd(elements, rho_fn, theta, h=1e-5, p_tol=1e-12):
     """Classical Fisher information by finite differences of Tr(E rho(theta))."""
     total = 0.0

@@ -15,7 +15,7 @@ from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs, kron
 from conftest import (PAULI_Z, generic_bell_mixture, ghz_family, random_density,
                       random_hermitian, random_pure_family, random_pure_inputs, random_state,
                       random_traceless_hermitian)
-from oracles import ghz_product_basis_fi, qfi_double_sum
+from oracles import central_difference, ghz_product_basis_fi, qfi_double_sum
 from test_locc import random_tree
 
 QUBIT = HilbertLayout((2,))
@@ -51,7 +51,7 @@ def saturation_families():
             "rank-two": FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
                                          lambda t: t, lambda t: 1.0),
             "fixed-basis": MixedGenericFamily(HilbertLayout((2, 2)),
-                                              lambda t: t * p0 + (1 - t) * p1),
+                                              lambda t: t * p0 + (1 - t) * p1, lambda t: p0 - p1),
             "rank-3": generic_bell_mixture(),
             "bellmix": builtin_scenario("bellmix").family}
 
@@ -114,34 +114,41 @@ class TestEvalState:
                                  lambda t: 1.0)
 
     @pytest.mark.parametrize("family, error", [
-        (lambda: PureNumericFamily(HilbertLayout((2, 2)), lambda t: np.array([1, 0])),
+        (lambda: PureNumericFamily(HilbertLayout((2, 2)), lambda t: np.array([1, 0]),
+                                   lambda t: np.zeros(4)),
          "evaluator output at theta = 0.3 does not match the layout"),
-        (lambda: PureNumericFamily(QUBIT, lambda t: np.array([1.0, 1.0])),
+        (lambda: PureNumericFamily(QUBIT, lambda t: np.array([1.0, 1.0]), lambda t: np.zeros(2)),
          "evaluator output at theta = 0.3 norm"),
-        (lambda: MixedGenericFamily(HilbertLayout((2, 2)), lambda t: np.eye(2) / 2),
-         f"evaluator output at theta = {0.3 + 1e-4!r} does not match the layout"),
-        (lambda: MixedGenericFamily(QUBIT, lambda t: np.array([[0.5, 0.1], [0.0, 0.5]])),
-         f"evaluator output at theta = {0.3 + 1e-4!r} is not Hermitian"),
-        (lambda: MixedGenericFamily(QUBIT, lambda t: np.diag([1.5, -0.5])),
-         f"evaluator output at theta = {0.3 + 1e-4!r} is not a unit-trace PSD matrix"),
+        (lambda: PureNumericFamily(QUBIT, lambda t: np.array([1, 0]), lambda t: np.zeros(3)),
+         "derivative at theta = 0.3 does not match the layout"),
+        (lambda: PureNumericFamily(QUBIT, lambda t: np.array([1, 0]),
+                                   lambda t: np.array([np.nan, 0])),
+         "derivative at theta = 0.3 contains non-finite entries"),
+        (lambda: MixedGenericFamily(HilbertLayout((2, 2)), lambda t: np.eye(2) / 2,
+                                    lambda t: np.zeros((4, 4))),
+         "evaluator output at theta = 0.3 does not match the layout"),
+        (lambda: MixedGenericFamily(QUBIT, lambda t: np.array([[0.5, 0.1], [0.0, 0.5]]),
+                                    lambda t: np.zeros((2, 2))),
+         "evaluator output at theta = 0.3 is not Hermitian"),
+        (lambda: MixedGenericFamily(QUBIT, lambda t: np.diag([1.5, -0.5]),
+                                    lambda t: np.zeros((2, 2))),
+         "evaluator output at theta = 0.3 is not a unit-trace PSD matrix"),
+        (lambda: MixedGenericFamily(QUBIT, lambda t: np.eye(2) / 2,
+                                    lambda t: np.array([[1.0, 0.1], [0.0, -1.0]])),
+         "derivative at theta = 0.3 is not Hermitian"),
+        (lambda: MixedGenericFamily(QUBIT, lambda t: np.eye(2) / 2, lambda t: np.eye(2)),
+         "derivative at theta = 0.3 is not traceless"),
+        (lambda: MixedGenericFamily(QUBIT, lambda t: np.eye(2) / 2, lambda t: np.zeros((4, 4))),
+         "derivative at theta = 0.3 does not match the layout"),
         (lambda: FixedBasisFamily(QUBIT, [np.array([1, 0]), np.array([0, 1])],
                                   lambda t: 0.5, lambda t: np.nan),
          "dp/dtheta = nan is not finite"),
         (lambda: FixedBasisFamily(HilbertLayout((3,)), np.eye(3), lambda t: 0.3, lambda t: 1.0),
          "p_fn and dp_fn give 1 and 1 weights, not one per row of the basis (3)")])
     def test_evaluator_refusals_name_theta(self, family, error):
-        # a numeric family evaluates theta (pure) or theta + h first (mixed)
+        # a numeric family evaluates its state at theta, then its derivative there
         with pytest.raises(ValueError, match=re.escape(error)):
             qfi(family(), 0.3)
-
-    def test_failing_side_of_the_difference_named(self):
-        # 5e-5 lies in the domain of t |phi+><phi+| + (1 - t) |phi-><phi-|, 5e-5 - h does not
-        bells = bell_states()
-        p0, p1 = (np.outer(bells[k], bells[k].conj()) for k in ("phi+", "phi-"))
-        fam = MixedGenericFamily(HilbertLayout((2, 2)), lambda t: t * p0 + (1 - t) * p1)
-        with pytest.raises(ValueError, match=re.escape(
-                f"evaluator output at theta = {5e-5 - 1e-4!r} is not a unit-trace PSD")):
-            qfi(fam, 5e-5)
 
     def test_empty_povm_rejected(self):
         with pytest.raises(ValueError, match=re.escape(
@@ -159,7 +166,7 @@ class TestEvalState:
 
     def test_numeric_matches_analytic(self):
         analytic = phase_qubit()
-        numeric = PureNumericFamily(QUBIT, analytic.psi, step=1e-4)
+        numeric = PureNumericFamily(QUBIT, analytic.psi, central_difference(analytic.psi, 1e-4))
         _, d_analytic = analytic.rho_drho(0.3)
         _, d_numeric = numeric.rho_drho(0.3)
         assert np.abs(d_analytic - d_numeric).max() < 1e-7
@@ -290,7 +297,7 @@ class TestComponents:
 
 class TestQfi:
     def test_mixed_state_checked_once(self, monkeypatch):
-        # the family checks its three evaluator outputs (theta and theta -+ h);
+        # the family checks its evaluator output and its derivative at theta;
         # saturation_matrices and the SLD core take rho and drho as returned
         fam = generic_bell_mixture()
         calls = []
@@ -298,7 +305,7 @@ class TestQfi:
         monkeypatch.setattr(metrology, "check_hermitian",
                             lambda m, *a: calls.append(a) or check(m, *a))
         qfi(fam, 0.3)
-        assert len(calls) == 3
+        assert len(calls) == 2
         rho, drho = fam.rho_drho(0.3)
         assert qfi(fam, 0.3) == sld(rho, drho).qfi
 
@@ -329,7 +336,7 @@ class TestQfi:
                 u = (q * np.exp(-1j * t * lam)) @ q.conj().T
                 return u @ rho0 @ u.conj().T
 
-            fam = MixedGenericFamily(HilbertLayout((2, 2)), rho)
+            fam = MixedGenericFamily(HilbertLayout((2, 2)), rho, central_difference(rho, 1e-4))
             r = rho(0.4)
             want = qfi_double_sum(r, -1j * (h @ r - r @ h))
             assert abs(qfi(fam, 0.4) - want) <= 1e-6 * want
@@ -502,7 +509,8 @@ class TestSaturationMatrices:
         overlap = max(abs(np.trace(out.target.dense().conj().T @ direction)),
                       abs(np.trace(out.target.dense().conj().T @ direction.conj().T)))
         assert abs(overlap - 1) < 1e-8
-        generic = MixedGenericFamily(HilbertLayout((2, 2)), lambda t: t * p0 + (1 - t) * p1)
+        generic = MixedGenericFamily(HilbertLayout((2, 2)), lambda t: t * p0 + (1 - t) * p1,
+                                     lambda t: p0 - p1)
         assert saturation_matrices(generic, 0.4).target is None
 
     @pytest.mark.parametrize("entry", [qfi, saturation_matrices])
@@ -532,9 +540,9 @@ class TestSaturationMatrices:
         generic = generic_bell_mixture()
         calls = []
         counted = MixedGenericFamily(
-            generic.layout, lambda t: calls.append(t) or generic.evaluator(t))
+            generic.layout, lambda t: calls.append(t) or generic.evaluator(t), generic.derivative)
         out = saturation_matrices(counted, 0.5)
-        assert len(calls) == 3      # rho at theta and theta +- h for drho
+        assert calls == [0.5]       # rho at theta; drho is the derivative's
         want = saturation_matrices(generic, 0.5)
         assert all(np.array_equal(m.dense(), w.dense())
                    for m, w in zip(out.conditions, want.conditions))
@@ -546,8 +554,12 @@ class TestSaturationMatrices:
             v1 = np.array([-s, c], dtype=complex)
             return 0.7 * np.outer(v0, v0.conj()) + 0.3 * np.outer(v1, v1.conj())
 
+        def drho_fn(t):     # v0' = v1 and v1' = -v0
+            v0, v1 = np.array([np.cos(t), np.sin(t)]), np.array([-np.sin(t), np.cos(t)])
+            return 0.4 * (np.outer(v0, v1) + np.outer(v1, v0))
+
         # the M_ij of the SLD and no target, as for every generic mixed family
-        fam = MixedGenericFamily(QUBIT, rho_fn)
+        fam = MixedGenericFamily(QUBIT, rho_fn, drho_fn)
         out = saturation_matrices(fam, 0.4)
         assert out.target is None
         want = dense_conditions(fam, 0.4)
@@ -557,11 +569,19 @@ class TestSaturationMatrices:
     @staticmethod
     def slowly_turning(omega):
         """rho(t) = R(omega t) diag(t, 1 - t) R(omega t)^dag on the first two basis states."""
-        def rho(t):
+        def frame(t):
             c, s = np.cos(omega * t), np.sin(omega * t)
-            v0, v1 = np.array([c, s, 0, 0], complex), np.array([-s, c, 0, 0], complex)
+            return np.array([c, s, 0, 0], complex), np.array([-s, c, 0, 0], complex)
+
+        def rho(t):
+            v0, v1 = frame(t)
             return t * np.outer(v0, v0) + (1 - t) * np.outer(v1, v1)
-        return MixedGenericFamily(HilbertLayout((2, 2)), rho)
+
+        def drho(t):        # v0' = omega v1 and v1' = -omega v0
+            v0, v1 = frame(t)
+            return (np.outer(v0, v0) - np.outer(v1, v1)
+                    + omega * (2 * t - 1) * (np.outer(v0, v1) + np.outer(v1, v0)))
+        return MixedGenericFamily(HilbertLayout((2, 2)), rho, drho)
 
     def test_mixed_rank_two_slow_turn_rejected(self):
         # drho carries omega (1 - 2 theta) off the eigenbasis diagonal: 4e-6 at omega = 1e-5,
@@ -700,11 +720,13 @@ class TestInvariantProperties:
         assert np.abs(m1 - m2).max() < 1e-9
 
     def test_gauge_invariance_numeric_route(self, rng):
-        # same statement through the finite-difference evaluator path
+        # same statement through a numeric family with a central-difference derivative
         base = random_pure_family((2, 2), rng)
-        gauged = PureNumericFamily(base.layout,
-                                   lambda t: np.exp(1j * 0.9 * t) * base.psi(t),
-                                   step=1e-5)
+
+        def gauged_psi(t):
+            return np.exp(1j * 0.9 * t) * base.psi(t)
+
+        gauged = PureNumericFamily(base.layout, gauged_psi, central_difference(gauged_psi, 1e-5))
         th = 0.37
         assert abs(qfi(base, th) - qfi(gauged, th)) < 1e-6
         m1 = saturation_matrices(base, th).target.dense()
@@ -723,7 +745,7 @@ class TestInvariantProperties:
     def test_analytic_vs_finite_difference(self, rng):
         for _ in range(10):
             fam = random_pure_family((2, 2), rng)
-            numeric = PureNumericFamily(fam.layout, fam.psi, step=1e-4)
+            numeric = PureNumericFamily(fam.layout, fam.psi, central_difference(fam.psi, 1e-4))
             th = float(rng.uniform(0, 1))
             _, d1 = fam.rho_drho(th)
             _, d2 = numeric.rho_drho(th)

@@ -12,7 +12,10 @@ through bit masks and Lanczos against their kron products, and the MLE's
 score root against golden section.
 """
 
+import contextlib
+import io
 import itertools
+import json
 from math import prod
 
 import numpy as np
@@ -28,11 +31,13 @@ from loccfisher import (DegenerateLikelihoodError, IsometryPair, MixedGenericFam
 from loccfisher.locc import LEAF_TOL
 from loccfisher.scenarios import PauliStringTerm, builtin_scenario, parse_scenario
 from loccfisher import simulate
+from loccfisher.cli import cli_main
 from loccfisher.simulate import GRID_POINTS, LOG_FLOOR, _mle, _OutcomeLaw, _path_prob_fns
-from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs
+from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs, pairs_to_complex
 
-from conftest import (generic_bell_mixture, pauli_doc, pauli_weights_matrix, random_density,
-                      random_hermitian, random_pure_family, random_pure_inputs, random_state)
+from conftest import (generic_bell_mixture, generic_bell_mixture_doc, pauli_doc,
+                      pauli_weights_matrix, random_density, random_hermitian, random_pure_family,
+                      random_pure_inputs, random_state)
 from oracles import (dense_saturation, dense_target, golden_mle, leaf_vectors_kron,
                      pauli_sum_matrix, per_matrix_saturation, prob_at, qfi_double_sum)
 from test_locc import random_tree
@@ -358,15 +363,14 @@ def haar_unitary(d, rng):
 def generic_mixed(draw):
     """(family, theta, povm): rho(theta) = U(theta) diag(w) U(theta)^dag, D <= 16.
 
-    U(theta) = V exp(-i theta H) with V Haar. Full rank: every weight is at
-    least 0.01. Rank r < D: the last D - r coordinates carry weight 0 and, in
-    some draws, one weight in (0, RANK_TOL]. H acts on all of C^D, or, for a
-    kernel that does not move with theta, on the first r coordinates only. A
-    moving kernel gives the central-difference drho O(h^2) weight between
-    kernel directions, above DRHO_TOL in some draws, which the SLD of a
-    family leaves out as it does the exact drho's zero block. The POVM is the rows
-    of a Haar unitary with one pair of rows padded to three through a 2 x 3
-    isometry, so it is complete and rank-one with non-unit rows.
+    U(theta) = V exp(-i theta H) with V Haar, so drho = -i [V H V^dag, rho]. Full
+    rank: every weight is at least 0.01. Rank r < D: the last D - r coordinates
+    carry weight 0 and, in some draws, one weight in (0, RANK_TOL]. H acts on all
+    of C^D, or, for a kernel that does not move with theta, on the first r
+    coordinates only; the exact drho has no block between kernel directions
+    either way, up to rounding, which the SLD of a family leaves out. The POVM
+    is the rows of a Haar unitary with one pair of rows padded to three through
+    a 2 x 3 isometry, so it is complete and rank-one with non-unit rows.
     """
     dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3),
                                  (2, 2, 2, 2), (4, 4)]))
@@ -389,12 +393,14 @@ def generic_mixed(draw):
         u = v @ (q * np.exp(-1j * theta * lam)) @ q.conj().T
         return (u * w) @ u.conj().T
 
+    g = v @ h @ v.conj().T
+
     rows = haar_unitary(d, rng)
     k, l = rng.choice(d, size=2, replace=False)
     pad = haar_unitary(3, rng)[:2]
     vectors = np.concatenate([np.delete(rows, [k, l], axis=0),
                               pad.conj().T @ rows[[k, l]]])
-    family = MixedGenericFamily(layout, rho)
+    family = MixedGenericFamily(layout, rho, lambda t: -1j * (g @ rho(t) - rho(t) @ g))
     return family, draw(st.floats(-1.0, 1.0)), Povm(vectors=vectors)
 
 
@@ -409,17 +415,25 @@ def test_generic_mixed_check_matches_the_dense_oracle(case):
 
 def random_rank_three_family(dims, rng):
     """Generic mixed family of rank 3: weights (0.1 + 0.2 t, 0.35, 0.55 - 0.2 t), distinct
-    on the drawn thetas, on three Haar rows turned by exp(-i t H)."""
+    on the drawn thetas, on three Haar rows turned by exp(-i t H), so that drho is
+    -i [H, rho] plus the weights' change (0.2, 0, -0.2) on the turned rows."""
     layout = HilbertLayout(dims)
     d = layout.total
     rows = haar_unitary(d, rng)[:3]
-    lam, q = np.linalg.eigh(random_hermitian(d, rng))
+    h = random_hermitian(d, rng)
+    lam, q = np.linalg.eigh(h)
+
+    def states(t):
+        return (q * np.exp(-1j * t * lam)) @ q.conj().T @ rows.T
 
     def rho(t):
-        states = (q * np.exp(-1j * t * lam)) @ q.conj().T @ rows.T
-        return (states * [0.1 + 0.2 * t, 0.35, 0.55 - 0.2 * t]) @ states.conj().T
+        return (states(t) * [0.1 + 0.2 * t, 0.35, 0.55 - 0.2 * t]) @ states(t).conj().T
 
-    return MixedGenericFamily(layout, rho)
+    def drho(t):
+        return (-1j * (h @ rho(t) - rho(t) @ h)
+                + (states(t) * [0.2, 0.0, -0.2]) @ states(t).conj().T)
+
+    return MixedGenericFamily(layout, rho, drho)
 
 
 def random_fixed_basis_mixture(dims, rng):
@@ -427,7 +441,7 @@ def random_fixed_basis_mixture(dims, rng):
     document of the same pair reads as rank two over a fixed basis."""
     family = random_rank_two_family(dims, rng)
     p0, p1 = (np.outer(v, v.conj()) for v in family.basis)
-    return MixedGenericFamily(family.layout, lambda t: t * p0 + (1 - t) * p1)
+    return MixedGenericFamily(family.layout, lambda t: t * p0 + (1 - t) * p1, lambda t: p0 - p1)
 
 
 def affine_doc(dims, rho1, rho2):
@@ -463,7 +477,8 @@ def test_commuting_rank_two_document_reads_as_fixed_basis(dims, seed, weights, d
         want = qfi_double_sum(rho, rho1 - rho2)
         assert abs(qfi(family, theta) - want) <= 1e-12 * want
         tree = synthesize_at(family, theta)
-        generic = MixedGenericFamily(family.layout, lambda t: t * rho1 + (1 - t) * rho2)
+        generic = MixedGenericFamily(family.layout, lambda t: t * rho1 + (1 - t) * rho2,
+                                     lambda t: rho1 - rho2)
         assert check_saturation(tree, family, theta).saturating
         assert check_saturation(tree, generic, theta).saturating
 
@@ -501,6 +516,47 @@ def test_commuting_documents_of_every_rank_read_as_fixed_basis():
     family = parse_scenario(affine_doc((2, 2), rho, rho)).family
     assert len(family.basis) == 1 and qfi(family, 0.5) == 0.0
     assert saturation_matrices(family, 0.5).target is None
+
+
+def cli_qfi(doc, theta, directory):
+    """The qfi that ``qfi``, run in process on ``doc`` written to a file, prints on exit 0."""
+    path = directory / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["qfi", str(path), "--theta", repr(theta)]) == 0
+    return json.loads(out.getvalue())["qfi"]
+
+
+@PROPERTY
+@example(dims=None, seed=0)
+@given(dims=st.sampled_from([(2,), (2, 2), (2, 3), None]), seed=st.integers(0, 2 ** 32 - 1))
+def test_non_commuting_mixed_documents_read_exactly(tmp_path_factory, dims, seed):
+    # random full-rank ends on (2,), (2, 2) and (2, 3), or generic_bell_mixture's document
+    # (dims None): drho is rho1 - rho2, so qfi meets the spectral double sum inside [0, 1]
+    # and within 1e-5 of either end, and the generic outcome law's dP is the sandwich of
+    # rho1 - rho2 on every leaf
+    rng = np.random.default_rng(seed)
+    if dims is None:
+        doc = generic_bell_mixture_doc()
+        dims = tuple(doc["layout"])
+    else:
+        d = prod(dims)
+        doc = affine_doc(dims, random_density(d, rng), random_density(d, rng))
+    rho1, rho2 = (pairs_to_complex(doc[key]) for key in ("rho1", "rho2"))
+    family = parse_scenario(doc).family
+    assert isinstance(family, MixedGenericFamily)
+    directory = tmp_path_factory.mktemp("mixed")
+    tree = random_tree(dims, rng.permutation(len(dims)), rng)
+    vectors = np.stack([vec for _, vec in leaf_vectors_kron(tree)])
+    want_dp = np.einsum("ea,ab,eb->e", vectors.conj(), rho1 - rho2, vectors).real
+    prob_dprob = _path_prob_fns(family, [tree])[1]
+    for theta, rel in ((0.3, 1e-13), (0.5, 1e-13), (0.7, 1e-13), (1e-5, 1e-9), (1 - 1e-5, 1e-9)):
+        want = qfi_double_sum(theta * rho1 + (1 - theta) * rho2, rho1 - rho2)
+        got = qfi(family, theta) if rel == 1e-13 else cli_qfi(doc, theta, directory)
+        assert abs(got - want) <= rel * want
+        p, dp = (x[0] for x in prob_dprob(np.array([theta]), np.zeros(1, dtype=int)))
+        assert np.abs(dp - want_dp).max() <= 1e-14 * p.max()
 
 
 @PROPERTY
@@ -571,16 +627,16 @@ def test_one_contraction_verdict_matches_the_per_matrix_route(case):
 
 
 def random_numeric_family(dims, rng):
-    """PureNumericFamily whose evaluator is a random dense-generator family's psi."""
+    """PureNumericFamily whose evaluator and derivative are a random dense-generator family's."""
     family = random_pure_family(dims, rng)
-    return PureNumericFamily(family.layout, family.psi)
+    return PureNumericFamily(family.layout, family.psi, lambda t: family.psi_dpsi(t)[1])
 
 
 def random_mixed_family(dims, rng):
     """Generic mixed family theta rho1 + (1 - theta) rho2, as the Bell mixture is built."""
     layout = HilbertLayout(dims)
     rho1, rho2 = random_density(layout.total, rng), random_density(layout.total, rng)
-    return MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2)
+    return MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2, lambda t: rho1 - rho2)
 
 
 def assert_law_matches_leaf_vectors(family, tree, thetas):
@@ -642,14 +698,14 @@ def mle_family(name):
 
     ghzN and chain4 are read through their components; psi-unitary, a dense
     three-qubit generator with eight levels, takes the psi(theta) route once
-    SMALL_LAW is 0; ``psi:`` wraps a built-in family's psi in a PureNumericFamily
-    (the psi(theta) route, with a difference derivative); ranktwo is the
-    rank-two route, and bellmix and generic, a non-commuting rank-three mixture, measured by
-    the ranktwo tree, the rank-three fixed-basis and the generic mixed routes.
+    SMALL_LAW is 0; ``psi:`` wraps a built-in family's psi and dpsi in a
+    PureNumericFamily (the psi(theta) route); ranktwo is the rank-two route, and
+    bellmix and generic, a non-commuting rank-three mixture, measured by the ranktwo
+    tree, the rank-three fixed-basis and the generic mixed routes.
     """
     if name.startswith("psi:"):
         family = builtin_scenario(name[4:]).family
-        return PureNumericFamily(family.layout, family.psi), family
+        return PureNumericFamily(family.layout, family.psi, lambda t: family.psi_dpsi(t)[1]), family
     if name == "psi-unitary":
         family = random_pure_family((2, 2, 2), np.random.default_rng(7))
         return family, family

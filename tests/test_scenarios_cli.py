@@ -63,6 +63,19 @@ def spelled(pairs):
     return arr.tolist()
 
 
+def overflowing_json(doc):
+    """The JSON text of ``doc`` with each +-infinity spelled +-1e400, a number beyond the
+    float range that the reader parses to +-inf, where it refuses the constant Infinity."""
+    return json.dumps(doc).replace("Infinity", "1e400")
+
+
+def strict_json(text):
+    """The one JSON document of ``text``, which must hold no NaN or Infinity constant."""
+    def refuse(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def bell_mixture_doc():
     """t |phi+><phi+| + (1 - t) |phi-><phi-| as a "mixed" document."""
     bells = bell_states()
@@ -691,18 +704,17 @@ class TestCliErrors:
         assert err["kind"] == "validation" and "np." not in err["error"]
         assert abs(float(norm) - 2.0) <= 1e-12
 
-    def test_nan_psi_in_exit_1(self, tmp_path, capsys):
-        # JSON NaN parses; the family names the vector instead of a later anonymous check
+    def test_nan_psi_in_named(self):
+        # no file reaches the CLI with a NaN (the reader refuses the constant), so the
+        # document is parsed directly: the family names the vector instead of a later
+        # anonymous check
         doc = {"type": "unitary-generator", "layout": [2],
                "psi_in": [[float("nan"), 0.0], [1.0, 0.0]],
                "hamiltonian": {"pauli": [{"coeff": 1.0, "string": "Z"}]},
                "theta_grid": [0.3]}
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps(doc))
-        assert cli_main(["qfi", str(path)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["kind"] == "validation"
-        assert err["error"] == "psi_in contains non-finite entries"
+        with pytest.raises(ValueError) as info:
+            parse_scenario(doc)
+        assert str(info.value) == "psi_in contains non-finite entries"
 
     def test_krylov_space_past_the_dense_limit_exit_1(self, monkeypatch, capsys):
         # chain4 needs three Lanczos steps and D = 16 is above the patched limit
@@ -790,17 +802,24 @@ class TestCliErrors:
     @pytest.mark.parametrize("part, value", [(0, float("nan")), (1, float("inf")),
                                              (0, float("-inf"))])
     def test_non_finite_mixed_entry_named(self, tmp_path, capsys, key, part, value):
-        # named when the document is read, before any arithmetic can warn
+        # named when the document is read, before any arithmetic can warn; an infinity is
+        # written 1e400 and read through the CLI, a NaN, which no file can carry past the
+        # reader, is parsed directly
         doc = bell_mixture_doc()
         doc[key][1][2][part] = value
-        path = tmp_path / "mix.json"
-        path.write_text(json.dumps(doc))
+        error = f"{key} contains non-finite entries"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if np.isnan(value):
+                with pytest.raises(ValueError) as info:
+                    parse_scenario(doc)
+                assert str(info.value) == error
+                return
+            path = tmp_path / "mix.json"
+            path.write_text(overflowing_json(doc))
             assert cli_main(["qfi", str(path)]) == 1
         captured = capsys.readouterr()
-        assert json.loads(captured.err) == {"error": f"{key} contains non-finite entries",
-                                            "kind": "validation"}
+        assert json.loads(captured.err) == {"error": error, "kind": "validation"}
         assert captured.out == ""
 
     @pytest.mark.parametrize("entry, value, error", [
@@ -819,7 +838,8 @@ class TestCliErrors:
     def test_entry_near_the_float_limit_or_infinite_refused_without_a_warning(
             self, tmp_path, capsys, entry, value, error):
         # a finite entry near 1e308 overflows a norm or product, and an infinite imaginary
-        # part decodes to a NaN real part: each is refused by its own check, with no warning
+        # part (written 1e400) decodes to a NaN real part: each is refused by its own check,
+        # with no warning
         path, other = tmp_path / "doc.json", tmp_path / "b.json"
         if entry == "basis":
             assert cli_main(["synthesize", "ghz2", "--theta", "0.3", "--out", str(path)]) == 0
@@ -839,7 +859,7 @@ class TestCliErrors:
             doc["hamiltonian" if entry == "dense" else entry] = (
                 {"dense": value} if entry == "dense" else value)
             argv = ["qfi", str(path)]
-        path.write_text(json.dumps(doc))
+        path.write_text(overflowing_json(doc))
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -847,6 +867,48 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert json.loads(captured.err) == {"error": error, "kind": "validation"}
         assert captured.out == ""
+
+    @pytest.mark.parametrize("entry, error", [
+        ("notes", "{path} holds the non-finite JSON constant NaN"),
+        ("dense", "generator contains non-finite entries"),
+        ("pauli", "generator contains non-finite entries"),
+        ("tree", "{path} holds the non-finite JSON constant Infinity"),
+        ("a-mat", "{path} holds the non-finite JSON constant -Infinity")])
+    def test_non_finite_constant_or_overflow_refused_with_one_json_line(
+            self, tmp_path, capsys, entry, error):
+        # the reader refuses NaN and +-Infinity in a scenario file, a --tree and an --a-mat,
+        # naming the file; a symmetric dense generator or a sum of Pauli coefficients that
+        # overflows is refused as a generator, each before any arithmetic can warn
+        path = tmp_path / "doc.json"
+        argv = ["qfi", str(path)]
+        if entry == "notes":
+            text = json.dumps({**builtin_scenario("ranktwo").doc, "notes": float("nan")})
+        elif entry == "tree":
+            assert cli_main(["synthesize", "ghz2", "--theta", "0.3", "--out", str(path)]) == 0
+            doc = json.loads(path.read_text())
+            doc["node"]["basis"][0][0] = [1.0, float("inf")]
+            text = json.dumps(doc)
+            argv = ["verify", "ghz2", "--tree", str(path), "--theta", "0.3"]
+        elif entry == "a-mat":
+            other = tmp_path / "b.json"
+            other.write_text(json.dumps(complex_to_pairs(np.diag([0.5j, -0.5j]))))
+            text = json.dumps([[[1.0, float("-inf")], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]])
+            argv = ["lm-check", "--a-mat", str(path), "--b-mat", str(other)]
+        else:
+            ham = ({"dense": [[[0.0, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.0, 0.0]]]}
+                   if entry == "dense" else
+                   {"pauli": [{"coeff": 1e308, "string": "X"}, {"coeff": 1e308, "string": "X"}]})
+            text = json.dumps({"type": "unitary-generator", "layout": [2], "theta_grid": [0.3],
+                               "psi_in": [[1.0, 0.0], [0.0, 0.0]], "hamiltonian": ham})
+        path.write_text(text)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert strict_json(captured.err) == {"error": error.format(path=path),
+                                             "kind": "validation"}
 
     @pytest.mark.parametrize("command", NO_TARGET_COMMANDS)
     def test_no_synthesis_target_exit_1_with_one_message(self, capsys, command):
@@ -868,7 +930,8 @@ class TestCliErrors:
             return u @ rho0 @ u.conj().T
 
         rotated = Scenario(name="rotated", family=metrology.MixedGenericFamily(
-            HilbertLayout((2, 2)), rho), theta_grid=np.array([0.3, 0.4, 0.5]), notes="", doc={})
+            HilbertLayout((2, 2)), rho, lambda t: -1j * (h @ rho(t) - rho(t) @ h)),
+            theta_grid=np.array([0.3, 0.4, 0.5]), notes="", doc={})
         monkeypatch.setattr(cli, "_load_scenario", lambda arg: rotated)
         assert cli_main([command[0], "rotated", *command[1:]]) == 1
         captured = capsys.readouterr()

@@ -114,7 +114,7 @@ class TestLeafDistribution:
         generic = generic_bell_mixture()
         calls = []
         counted = MixedGenericFamily(
-            generic.layout, lambda t: calls.append(t) or generic.evaluator(t))
+            generic.layout, lambda t: calls.append(t) or generic.evaluator(t), generic.derivative)
         tree = synth(builtin_scenario("ranktwo").family, 0.3)
         _, probs = leaf_distribution(counted, tree, 0.3)
         assert calls == [0.3]
@@ -210,7 +210,8 @@ def route_case(route, monkeypatch):
         assert fam.components(6) is None
         return fam, synth(fam, 0.4)
     if route == "psi-numeric":
-        return PureNumericFamily(ghz3.layout, ghz3.psi), synth(ghz3, 0.4)
+        fam = PureNumericFamily(ghz3.layout, ghz3.psi, lambda t: ghz3.psi_dpsi(t)[1])
+        return fam, synth(ghz3, 0.4)
     if route == "rank-two":
         return ranktwo, synth(ranktwo, 0.4)
     if route == "rank-three":
@@ -225,14 +226,15 @@ class TestScoreSteps:
     @pytest.mark.parametrize("route", ROUTES)
     def test_prob_dprob_matches_the_law(self, route, monkeypatch):
         # P from the (P, dP) step is the per-theta law: the same products for
-        # fixed-basis and numeric families, one more contracted row for psi(theta)
-        # and elementwise sums over the levels for the components; dP is its slope
+        # fixed-basis and generic mixed families, one more contracted row for psi(theta)
+        # of a unitary or numeric pure family and elementwise sums over the levels for
+        # the components; dP is its slope
         family, tree = route_case(route, monkeypatch)
         block, prob_dprob = _path_prob_fns(family, [tree])
         h = 1e-5
         for theta in (0.25, 0.4, 0.55):
             p, dp = (x[0] for x in prob_dprob(np.array([theta]), np.zeros(1, dtype=int)))
-            if route in ("psi-numeric", "rank-two", "rank-three", "mixed"):
+            if route in ("rank-two", "rank-three", "mixed"):
                 assert np.array_equal(p, prob_at(block, theta))
             else:
                 assert np.abs(p - prob_at(block, theta)).max() <= 1e-14
@@ -277,13 +279,14 @@ class TestScoreSteps:
         assert len(diffs) == 3 and max(map(abs, diffs)) <= 1e-7
 
     def test_numeric_family_evaluated_inside_the_prior(self):
-        # a mixing weight near 0 with prior [0, 1]: rho(-step) is no state, and
-        # most draws peak at 0, where the difference derivative turns one-sided
+        # a mixing weight near 0 with prior [0, 1]: rho(theta < 0) is no state, and
+        # most draws peak at 0, where the score is read at the prior end itself
         phi_p, phi_m = (np.outer(v, v.conj()) for v in
                         (np.array([1, 0, 0, s], complex) / np.sqrt(2) for s in (1, -1)))
         seen = []
         fam = MixedGenericFamily(HilbertLayout((2, 2)),
-                                 lambda t: seen.append(t) or t * phi_p + (1 - t) * phi_m)
+                                 lambda t: seen.append(t) or t * phi_p + (1 - t) * phi_m,
+                                 lambda t: phi_p - phi_m)
         tree = synth(builtin_scenario("ranktwo").family, 0.3)
         cfg = SimConfig(family=fam, theta_true=0.003, shots=100, trials=20, seed=1,
                         prior=(0.0, 1.0), tree=tree)
@@ -296,12 +299,14 @@ class TestScoreSteps:
         assert np.abs(rep.estimates - golden).max() <= 1e-7
 
     def test_two_step_numeric_family_evaluated_inside_the_prior(self, monkeypatch):
-        # with few rough shots many rough estimates sit at 0; each is clamped a step
-        # inside the prior, so the frame there evaluates psi(theta -+ step) in [0, 1]
+        # with few rough shots many rough estimates sit at the lower prior end; each is
+        # clamped PRIOR_EDGE_REL (hi - lo) inside the prior, where the frame evaluates psi.
+        # dpsi diverges at theta = 0 and 1, so no score is read on a prior end
         phi_p, phi_m = (np.array([1, 0, 0, s], complex) / np.sqrt(2) for s in (1, -1))
         seen, frames = [], []
         fam = PureNumericFamily(HilbertLayout((2, 2)), lambda t: seen.append(t)
-                                or np.sqrt(t) * phi_p + np.sqrt(1 - t) * phi_m)
+                                or np.sqrt(t) * phi_p + np.sqrt(1 - t) * phi_m,
+                                lambda t: phi_p / (2 * np.sqrt(t)) - phi_m / (2 * np.sqrt(1 - t)))
         frame = metrology.saturation_matrices
         monkeypatch.setattr(metrology, "saturation_matrices",
                             lambda f, t: frames.append(t) or frame(f, t))
@@ -309,7 +314,7 @@ class TestScoreSteps:
                         prior=(0.0, 1.0), strategy="two-step")
         rep = run_trials(cfg)
         assert 0.0 <= min(seen) and max(seen) <= 1.0
-        assert min(frames) == fam.step
+        assert min(frames) == PRIOR_EDGE_REL
         assert rep.estimates.size + rep.degenerate_trials == 20
 
     def test_flat_likelihood_raises_before_any_score_step(self):
@@ -564,10 +569,10 @@ class TestRunTrials:
 
     def test_fixed_tree_law_tabulated_once(self, monkeypatch):
         # one 512-point table for the run, then per trial a draw and a few
-        # score steps (three psi each: psi_dpsi differences psi at theta +- h);
+        # score steps (one psi each, beside the derivative);
         # re-scoring the grid per trial costs 20 * 512 more
         ghz2 = ghz_family(2)
-        fam = PureNumericFamily(ghz2.layout, ghz2.psi)
+        fam = PureNumericFamily(ghz2.layout, ghz2.psi, lambda t: ghz2.psi_dpsi(t)[1])
         calls = []
         psi = fam.psi
         monkeypatch.setattr(fam, "psi", lambda t: calls.append(t) or psi(t))
