@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_finite, default=None)
     p.add_argument("--shots", type=int, default=10000)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0, "non-negative"), default=0)
     p.add_argument("--two-step", action="store_true")
     p.add_argument("--prior", type=_finite, nargs=2, default=None)
     p.set_defaults(fn=_cmd_simulate)

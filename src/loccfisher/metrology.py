@@ -20,8 +20,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .tensor import (COMPLETENESS_TOL, CONDITION_REL, DRHO_TOL, EVAL_UNIT_TOL, FAMILY_UNIT_TOL,
-                     FI_REL, KRYLOV_TOL, ORTHOGONAL_TOL, P_TOL, RANK_TOL, REGULARITY_REL,
-                     RHO_TOL, HilbertLayout, KetBraSum, check_finite, check_hermitian,
+                     FI_REL, KERNEL_REL, KRYLOV_TOL, ORTHOGONAL_TOL, P_TOL, RANK_TOL,
+                     REGULARITY_REL, RHO_TOL, HilbertLayout, KetBraSum, check_finite, check_hermitian,
                      check_orthonormal, check_real_diagonal, check_trace, check_unit, eigh_desc)
 # herm_eig and sqrt_psd are unused here; they stay importable because the
 # benchmark tracer patches them.
@@ -215,15 +215,14 @@ class PureNumericFamily:
 @dataclass
 class FixedBasisFamily:
     """rho(theta) = sum_k p_k(theta) |t_k><t_k| over the fixed orthonormal rows t_k of ``basis``.
-    At r = 2, the paper's class, only p = p_0 of ``p_fn`` and ``dp_fn`` is read: the weights are
-    p and 1 - p. On a closed theta ``domain``, a "mixed" document's, the weights are clipped to
-    [0, 1], so that outcome laws read its pure ends; without one each must lie in (0, 1)."""
+    ``p_fn`` and ``dp_fn`` give one weight p_k and one derivative per row, at every rank r. Each
+    weight must be finite and within RHO_TOL of [0, 1], and is clipped to [0, 1], so that outcome
+    laws read the pure ends; the weights are not checked to sum to 1."""
 
     layout: HilbertLayout
     basis: np.ndarray
-    p_fn: Callable[[float], float | Sequence[float]]
-    dp_fn: Callable[[float], float | Sequence[float]]
-    domain: tuple[float, float] | None = None
+    p_fn: Callable[[float], Sequence[float]]
+    dp_fn: Callable[[float], Sequence[float]]
 
     def __post_init__(self) -> None:
         names = [f"psi{k}" for k in range(len(self.basis))]
@@ -236,18 +235,14 @@ class FixedBasisFamily:
         """The (m, r) weights at m thetas and their finite derivatives, naming the first fault."""
         p, dp = (np.array([f(t) for t in thetas], dtype=float).reshape(len(thetas), -1)
                  for f in (self.p_fn, self.dp_fn))
-        if len(self.basis) == 2:
-            p, dp = np.stack([p[:, 0], 1 - p[:, 0]], 1), np.stack([dp[:, 0], -dp[:, 0]], 1)
         if not p.shape == dp.shape == (len(thetas), len(self.basis)):
             raise ValueError(f"p_fn and dp_fn give {p.shape[1]} and {dp.shape[1]} weights, "
                              f"not one per row of the basis ({len(self.basis)})")
-        lo, hi = self.domain or (-np.inf, np.inf)
-        outside = [float(t) for t in thetas if not lo <= t <= hi]
-        if outside:
-            raise ValueError(f"theta = {outside[0]!r} outside the domain [{lo!r}, {hi!r}]")
-        inside = (0.0 < p) & (p < 1.0)
-        if self.domain is None and not inside.all():
-            raise ValueError(f"p(theta) = {p.flat[inside.argmin()]} outside (0, 1)")
+        outside = ~((-RHO_TOL <= p) & (p <= 1.0 + RHO_TOL))    # NaN is outside too
+        if outside.any():
+            i, k = np.argwhere(outside)[0]
+            raise ValueError(f"weight p_{k}(theta = {float(thetas[i])!r}) = {float(p[i, k])!r} "
+                             "outside [0, 1]")
         p = np.clip(p, 0.0, 1.0)
         if not np.isfinite(dp).all():
             raise ValueError(f"dp/dtheta = {dp.flat[np.isfinite(dp).argmin()]} is not finite")
@@ -388,34 +383,33 @@ def sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
     Built on the eigenbasis of rho: L_jk = 2 <j|drho|k> / (p_j + p_k) over
     all pairs but those of two kernel directions (p <= RANK_TOL). Raises for
     a rho with an eigenvalue below -RHO_TOL, and for components of drho
-    between two kernel directions, which no L represents.
+    above DRHO_TOL between two kernel directions, which no L represents.
     """
     rho = check_hermitian(rho, "rho")
     drho = check_hermitian(drho, "drho", DRHO_TOL)
     low = np.linalg.eigvalsh(rho)[0]
     if low < -RHO_TOL:
         raise ValueError(f"rho has eigenvalue {low:.3e}; it is not PSD")
-    res = _sld(rho, drho)
-    kernel = res.eigvecs[:, res.eigvals <= RANK_TOL]
-    blocked = float(np.abs(kernel.conj().T @ drho @ kernel).max(initial=0.0))
-    if blocked > DRHO_TOL:
-        raise ValueError(f"drho has weight {blocked:.3e} between kernel directions; "
-                         "no SLD reproduces it")
-    return res
+    return _sld(rho, drho, DRHO_TOL, "drho")
 
 
-def _sld(rho: np.ndarray, drho: np.ndarray) -> SldResult:
+def _sld(rho: np.ndarray, drho: np.ndarray, limit: float, name: str) -> SldResult:
     # rho and drho are exactly Hermitian, so they are not checked again: sld
     # passes them through check_hermitian, and saturation_matrices takes them
     # from MixedGenericFamily.rho_drho, which checks and symmetrizes both.
     # The exact drho of a PSD family has no block between two kernel
     # directions: <k|rho(theta)|k> >= 0 is at its minimum 0 for every kernel
     # vector k, so <k|drho|k> = 0. A derivative given with rounding error (or
-    # a difference quotient) may carry weight there; L leaves it out.
+    # a difference quotient) may carry weight there; L leaves it out, and
+    # more than ``limit`` of it is refused.
     w, v = eigh_desc(rho)
     t = v.conj().T @ drho @ v
     kernel = w <= RANK_TOL
     mask = ~(kernel[:, None] & kernel[None, :])
+    blocked = float(np.abs(t[~mask]).max(initial=0.0))
+    if blocked > limit:
+        raise ValueError(f"{name} has weight {blocked:.3e} between kernel directions of rho; "
+                         "no SLD reproduces it")
     coeff = np.zeros_like(t)
     coeff[mask] = 2 * t[mask] / (w[:, None] + w[None, :])[mask]
     L = v @ coeff @ v.conj().T
@@ -439,9 +433,10 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
     families, one ``p_dp``: L t_k = (p_k'/p_k) t_k and qfi = sum_k p_k'^2 / p_k,
     p'^2 / (p (1 - p)) at r = 2, whose target is |t0><t1| (the scale-invariant
     direction, real prefactor dropped); no other rank has one. Neither builds a
-    D x D array. Generic mixed families, one ``rho_drho``:
-    the dense rho and drho as returned (the family checks both) and the SLD,
-    and no target; ``scenarios`` reads a commuting document as a fixed-basis family.
+    D x D array. Generic mixed families, one ``rho_drho``: the dense rho and
+    drho as returned (the family checks both), the SLD, which refuses drho's
+    weight between kernel directions above KERNEL_REL, and no target;
+    ``scenarios`` reads a commuting document as a fixed-basis family.
     """
     if family.state_type == "pure":
         psi, dpsi = family.psi_dpsi(theta)
@@ -455,7 +450,7 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
         return SaturationMatrices(rho, drho, rho.kets, 2 * perp[None], qfi, target)
     if family.state_type == "fixed-basis":
         p, dp = (w[0] for w in family.p_dp([theta]))
-        if p.min() <= 0.0:      # a pure end of a "mixed" document: qfi divides by each p_k
+        if p.min() <= 0.0:      # a pure end, which outcome laws read: qfi divides by each p_k
             raise ValueError(f"p(theta) = {p.min()} outside (0, 1)")
         rows, two = family.basis, len(p) == 2
         qfi = float(dp[0] * dp[0] / (p[0] * p[1]) if two else np.sum(dp * dp / p))
@@ -463,7 +458,8 @@ def saturation_matrices(family: StateFamily, theta: float) -> SaturationMatrices
                                   KetBraSum(rows, dp[:, None] * rows), rows,
                                   (dp / p)[:, None] * rows, qfi, KetBraSum(*rows) if two else None)
     rho, drho = family.rho_drho(theta)
-    res = _sld(rho, drho)
+    res = _sld(rho, drho, KERNEL_REL * max(1.0, float(np.linalg.norm(drho))),
+               f"drho at theta = {float(theta)!r}")
     support = res.eigvecs[:, res.eigvals > RANK_TOL].T
     return SaturationMatrices(KetBraSum.from_dense(rho), KetBraSum.from_dense(drho),
                               support, support @ res.L.T, res.qfi, None)

@@ -106,16 +106,17 @@ class Scenario:
 
 
 def _p_functions(p_doc: dict):
+    """A "rank-two" document's weights (p, 1 - p) and their derivatives (dp, -dp)."""
     form = p_doc.get("form")
     if form == "linear":
         a, b = (check_real(p_doc[key], f"p {key}") for key in ("intercept", "slope"))
-        return (lambda t: a + b * t), (lambda t: b)
+        return (lambda t: ((p := a + b * t), 1 - p)), (lambda t: (b, -b))
     if form == "cosine":
         off, amp, freq = (check_real(p_doc[key], f"p {key}")
                           for key in ("offset", "amplitude", "frequency"))
         phase = check_real(p_doc.get("phase", 0.0), "p phase")
-        return (lambda t: off + amp * np.cos(freq * t + phase)),\
-               (lambda t: -amp * freq * np.sin(freq * t + phase))
+        return (lambda t: ((p := off + amp * np.cos(freq * t + phase)), 1 - p)),\
+               (lambda t: ((dp := -amp * freq * np.sin(freq * t + phase)), -dp))
     raise ValueError(f"unknown p form {form!r}")
 
 
@@ -137,8 +138,8 @@ def _mixed_family(layout: HilbertLayout, rho1: np.ndarray,
     """rho(theta) = theta rho1 + (1 - theta) rho2 of a "mixed" document, its ends checked as
     states. t is the eigenbasis of rho1 - rho2 on the support of rho1 + rho2, largest first, each
     cluster of equal eigenvalues (within RHO_TOL) turned to diagonalize rho2. When both ends are
-    diagonal in t within RHO_TOL, the fixed-basis family of p_k = <t_k|rho(theta)|t_k> on the
-    theta interval where each p_k >= -RHO_TOL; any other pair is generic, with drho = rho1 - rho2."""
+    diagonal in t within RHO_TOL, the fixed-basis family of p_k = <t_k|rho(theta)|t_k>; any other
+    pair is generic, with drho = rho1 - rho2."""
     ends = np.array([metrology.check_state(rho, layout, key)
                      for rho, key in ((rho1, "rho1"), (rho2, "rho2"))])
     drho = ends[0] - ends[1]
@@ -155,10 +156,8 @@ def _mixed_family(layout: HilbertLayout, rho1: np.ndarray,
         return metrology.MixedGenericFamily(layout, lambda t: t * rho1 + (1 - t) * rho2,
                                             lambda t: drho)
     slope = w[0] - w[1]
-    bound = (-RHO_TOL - w[1]) / np.where(slope == 0.0, 1.0, slope)  # where p_k = -RHO_TOL
-    domain = (float(bound[slope > 0].max(initial=-np.inf)), float(bound[slope < 0].min(initial=np.inf)))
     return metrology.FixedBasisFamily(layout, t, lambda x: x * w[0] + (1 - x) * w[1],
-                                      lambda x: slope, domain)
+                                      lambda x: slope)
 
 
 @contextmanager
@@ -175,6 +174,9 @@ def parse_scenario(doc: dict) -> Scenario:
     with _json_types():
         name, kind = doc.get("name", "scenario"), doc["type"]
         layout = HilbertLayout(tuple(doc["layout"]))
+    for key, value in (("name", name), ("notes", doc.get("notes", ""))):
+        if not isinstance(value, str):
+            raise ValueError(f"scenario {key} must be a string, not {type(value).__name__}")
     if kind == "unitary-generator":
         with _json_types():
             psi_in, ham = pairs_to_complex(doc["psi_in"]), doc["hamiltonian"]

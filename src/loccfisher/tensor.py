@@ -40,9 +40,10 @@ PERP_TOL = 0.99e-10       # |Tr(A^dag B)| of lm coefficient matrices, absolute; 
                           # which construct_lm_2xd's targets, of trace |Im Tr(A^dag B)|, must pass
 ISOMETRY_TOL = 1e-9       # max |B^dag B - I| of orthonormal columns (or rows), absolute
 TARGET_TRACE_TOL = 1e-9   # |Tr m_tilde| of a synthesis target, relative to max(1, ||m_tilde||_F)
-RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); PSD, unit trace, a mixed
-                          # document off its eigenbasis, rho1 - rho2's equal eigenvalues, absolute
-DRHO_TOL = 1e-8           # drho Hermitian, traceless (rel. max(1, scale)); kernel weight, absolute
+RHO_TOL = 1e-9            # rho Hermitian (rel. max(1, max |rho_ij|)); absolute: PSD, unit trace, a
+                          # weight off [0, 1], a document off its eigenbasis, rho1 - rho2 ties
+DRHO_TOL = 1e-8           # drho Hermitian, traceless (rel. max(1, scale)); sld's kernel weight, absolute
+KERNEL_REL = 1e-6         # a generic family's drho between kernel directions, rel. max(1, ||drho||_F)
 RANK_TOL = 1e-9           # eigenvalue of rho counted as support (else kernel), absolute
 COMPLETENESS_TOL = 1e-8   # max |sum_e |e><e| - I| of a POVM, absolute
 P_TOL = 1e-12             # outcome probability treated as zero, absolute

@@ -88,8 +88,9 @@ def test_criterion_3_type_ii_locc_saturation():
         q, _ = np.linalg.qr(a)
         c0 = float(rng.uniform(0.25, 0.65))
         c1 = float(rng.uniform(0.1, 0.3))
-        fam = FixedBasisFamily(layout, [q[:, 0], q[:, 1]], lambda t, c0=c0, c1=c1: c0 + c1 * t,
-                               lambda t, c1=c1: c1)
+        fam = FixedBasisFamily(layout, [q[:, 0], q[:, 1]],
+                               lambda t, c0=c0, c1=c1: (c0 + c1 * t, 1 - (c0 + c1 * t)),
+                               lambda t, c1=c1: (c1, -c1))
         th = float(rng.uniform(0.1, 0.9))
         p, dp = c0 + c1 * th, c1
         want = dp * dp / (p * (1 - p))

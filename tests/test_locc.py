@@ -400,7 +400,8 @@ class TestVerifyTree:
         lay = HilbertLayout((2, 3))
         a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         q, _ = np.linalg.qr(a)
-        fam = FixedBasisFamily(lay, [q[:, 0], q[:, 1]], lambda t: 0.3 + 0.4 * t, lambda t: 0.4)
+        fam = FixedBasisFamily(lay, [q[:, 0], q[:, 1]],
+                               lambda t: (0.3 + 0.4 * t, 1 - (0.3 + 0.4 * t)), lambda t: (0.4, -0.4))
         th = 0.5
         rep = verify_tree(synth(fam, th), fam, th)
         p, dp = 0.3 + 0.4 * th, 0.4
@@ -478,7 +479,7 @@ class TestDiscriminate:
         lay = HilbertLayout((2, 2))
         a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         q, _ = np.linalg.qr(a)
-        fam = FixedBasisFamily(lay, [q[:, 0], q[:, 1]], lambda t: t, lambda t: 1.0)
+        fam = FixedBasisFamily(lay, [q[:, 0], q[:, 1]], lambda t: (t, 1 - t), lambda t: (1.0, -1.0))
         tree = synth(fam, 0.5)
         worst = max(abs(np.vdot(v, q[:, 0]) * np.vdot(q[:, 1], v))
                     for _, v in leaf_vectors(tree))

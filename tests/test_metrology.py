@@ -49,7 +49,7 @@ def saturation_families():
     p1 = np.outer(bells["psi+"], bells["psi+"].conj())
     return {"pure": ghz_family(3),
             "rank-two": FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
-                                         lambda t: t, lambda t: 1.0),
+                                         lambda t: (t, 1 - t), lambda t: (1.0, -1.0)),
             "fixed-basis": MixedGenericFamily(HilbertLayout((2, 2)),
                                               lambda t: t * p0 + (1 - t) * p1, lambda t: p0 - p1),
             "rank-3": generic_bell_mixture(),
@@ -110,8 +110,8 @@ class TestEvalState:
             if name == "psi_in":
                 UnitaryGeneratorFamily(QUBIT, bad, np.array([0.0, 1.0]))
             else:
-                FixedBasisFamily(QUBIT, list({**vecs, name: bad}.values()), lambda t: 0.5,
-                                 lambda t: 1.0)
+                FixedBasisFamily(QUBIT, list({**vecs, name: bad}.values()),
+                                 lambda t: (0.5, 0.5), lambda t: (1.0, -1.0))
 
     @pytest.mark.parametrize("family, error", [
         (lambda: PureNumericFamily(HilbertLayout((2, 2)), lambda t: np.array([1, 0]),
@@ -141,7 +141,7 @@ class TestEvalState:
         (lambda: MixedGenericFamily(QUBIT, lambda t: np.eye(2) / 2, lambda t: np.zeros((4, 4))),
          "derivative at theta = 0.3 does not match the layout"),
         (lambda: FixedBasisFamily(QUBIT, [np.array([1, 0]), np.array([0, 1])],
-                                  lambda t: 0.5, lambda t: np.nan),
+                                  lambda t: (0.5, 0.5), lambda t: (np.nan, np.nan)),
          "dp/dtheta = nan is not finite"),
         (lambda: FixedBasisFamily(HilbertLayout((3,)), np.eye(3), lambda t: 0.3, lambda t: 1.0),
          "p_fn and dp_fn give 1 and 1 weights, not one per row of the basis (3)")])
@@ -158,7 +158,7 @@ class TestEvalState:
     def test_rank_two_linear(self):
         bells = bell_states()
         fam = FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
-                               lambda t: t, lambda t: 1.0)
+                               lambda t: (t, 1 - t), lambda t: (1.0, -1.0))
         _, drho = fam.rho_drho(0.4)
         p0 = np.outer(bells["phi+"], bells["phi+"].conj())
         p1 = np.outer(bells["phi-"], bells["phi-"].conj())
@@ -174,17 +174,16 @@ class TestEvalState:
     def test_out_of_domain_p(self):
         bells = bell_states()
         fam = FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
-                               lambda t: t, lambda t: 1.0)
+                               lambda t: (t, 1 - t), lambda t: (1.0, -1.0))
         with pytest.raises(ValueError):
             fam.rho_drho(1.5)
 
     def test_domain_clips_weights_only_in_outcome_laws(self):
-        # weights on a domain are clipped to [0, 1]; the frame still needs every p_k > 0,
-        # and a family without a domain refuses p = 0 already
+        # weights within RHO_TOL of [0, 1] are clipped to it; the frame still needs every
+        # p_k > 0, and a weight farther out is refused, naming theta, k and the weight
         bells = bell_states()
-        args = (HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]], lambda t: (t, 1 - t),
-                lambda t: (1.0, -1.0))
-        fam = FixedBasisFamily(*args, domain=(-1e-9, 1 + 1e-9))
+        fam = FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
+                               lambda t: (t, 1 - t), lambda t: (1.0, -1.0))
         p, dp = fam.p_dp([-5e-10, 0.0, 0.5, 1.0, 1 + 5e-10])
         assert p.tolist() == [[0.0, 1.0], [0.0, 1.0], [0.5, 0.5], [1.0, 0.0], [1.0, 0.0]]
         assert dp.tolist() == [[1.0, -1.0]] * 5
@@ -193,17 +192,20 @@ class TestEvalState:
                 qfi(fam, theta)
         for theta in (-2e-9, 1 + 2e-9):
             with pytest.raises(ValueError, match=re.escape(
-                    f"theta = {theta!r} outside the domain [-1e-09, 1.000000001]")):
+                    f"weight p_0(theta = {theta!r}) = {theta!r} outside [0, 1]")):
                 fam.p_dp([0.5, theta])
-        with pytest.raises(ValueError, match=re.escape("p(theta) = 0.0 outside (0, 1)")):
-            FixedBasisFamily(*args).p_dp([0.0])
 
     def test_bellmix_domain_and_weights(self):
-        # (1 + t)/3, t/3 and 2 (1 - t)/3 on phi+, phi- and psi+, each at least -RHO_TOL on the
-        # domain; the equal weight changes of phi+ and phi- are told apart by rho2
+        # (1 + t)/3, t/3 and 2 (1 - t)/3 on phi+, phi- and psi+, each refused below -RHO_TOL,
+        # which puts the ends of the valid range at -3e-9 and 1 + 1.5e-9; the equal weight
+        # changes of phi+ and phi- are told apart by rho2
         fam = builtin_scenario("bellmix").family
         assert isinstance(fam, FixedBasisFamily)
-        assert np.allclose(fam.domain, (-3e-9, 1 + 1.5e-9), rtol=0, atol=1e-15)
+        fam.p_dp([-2.9e-9, 1 + 1.4e-9])
+        for theta, k in ((-3.1e-9, 1), (1 + 1.6e-9, 2)):
+            weight = re.escape(f"weight p_{k}(theta = {theta!r}) = -1.0")
+            with pytest.raises(ValueError, match=weight):
+                fam.p_dp([theta])
         bells = bell_states()
         overlaps = np.abs(fam.basis.conj() @ np.stack([bells[k] for k in ("phi+", "phi-", "psi+")]).T)
         assert np.abs(overlaps - np.eye(3)).max() < 1e-12
@@ -356,7 +358,7 @@ class TestQfi:
     def test_rank_two_against_double_sum(self):
         bells = bell_states()
         fam = FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
-                               lambda t: t, lambda t: 1.0)
+                               lambda t: (t, 1 - t), lambda t: (1.0, -1.0))
         th = 0.25
         rho, drho = fam.rho_drho(th)
         assert abs(qfi(fam, th) - 16.0 / 3.0) < 1e-10
@@ -471,7 +473,7 @@ class TestSaturationMatrices:
     def test_rank_two_value(self):
         bells = bell_states()
         fam = FixedBasisFamily(HilbertLayout((2, 2)), [bells["phi+"], bells["phi-"]],
-                               lambda t: t, lambda t: 1.0)
+                               lambda t: (t, 1 - t), lambda t: (1.0, -1.0))
         out = saturation_matrices(fam, 0.5)
         want = np.outer(bells["phi+"], bells["phi-"].conj())
         assert np.abs(out.target.dense() - want).max() < 1e-12

@@ -37,7 +37,7 @@ def random_rank_two_family(dims, rng):
     psi1 = random_state(layout.total, rng)
     psi1 = psi1 - np.vdot(psi0, psi1) * psi0
     return FixedBasisFamily(layout, [psi0, psi1 / np.linalg.norm(psi1)],
-                            lambda t: 0.2 + 0.5 * t, lambda t: 0.5)
+                            lambda t: (0.2 + 0.5 * t, 1 - (0.2 + 0.5 * t)), lambda t: (0.5, -0.5))
 
 
 @pytest.mark.parametrize("dims", LAYOUTS)

@@ -16,6 +16,7 @@ import contextlib
 import io
 import itertools
 import json
+import re
 from math import prod
 
 import numpy as np
@@ -33,7 +34,8 @@ from loccfisher.scenarios import PauliStringTerm, builtin_scenario, parse_scenar
 from loccfisher import simulate
 from loccfisher.cli import cli_main
 from loccfisher.simulate import GRID_POINTS, LOG_FLOOR, _mle, _OutcomeLaw, _path_prob_fns
-from loccfisher.tensor import HilbertLayout, KetBraSum, complex_to_pairs, pairs_to_complex
+from loccfisher.tensor import (RHO_TOL, HilbertLayout, KetBraSum, complex_to_pairs,
+                               pairs_to_complex)
 
 from conftest import (generic_bell_mixture, generic_bell_mixture_doc, pauli_doc,
                       pauli_weights_matrix, random_density, random_hermitian, random_pure_family,
@@ -516,6 +518,50 @@ def test_commuting_documents_of_every_rank_read_as_fixed_basis():
     family = parse_scenario(affine_doc((2, 2), rho, rho)).family
     assert len(family.basis) == 1 and qfi(family, 0.5) == 0.0
     assert saturation_matrices(family, 0.5).target is None
+
+
+@PROPERTY
+@given(r=st.sampled_from([2, 3, 4]), form=st.sampled_from(["affine", "cosine"]),
+       seed=st.integers(0, 2 ** 32 - 1), theta=st.floats(-1.0, 2.0))
+def test_fixed_basis_weights_follow_one_contract(r, form, seed, theta):
+    # p(t) = c(t) e_j + (1 - c(t)) w over r rows, with c(t) = t or (1 + a cos t) / 2 for a in
+    # [1, 1.5]: the family reads the pure row j where c = 1, and c leaves [0, 1] on either
+    # side of its range. A weight is refused exactly where it leaves [-RHO_TOL, 1 + RHO_TOL],
+    # and is clipped to [0, 1] inside; a function of any other width than r is refused
+    rng = np.random.default_rng(seed)
+    dims = [(2, 2), (2, 3)][seed % 2]
+    rows = haar_unitary(prod(dims), rng)[:r]
+    e, w = np.eye(r)[rng.integers(r)], rng.dirichlet(np.ones(r))
+    a = rng.uniform(1.0, 1.5)
+    c, dc, pure = {"affine": (lambda t: t, lambda t: 1.0, 1.0),
+                   "cosine": (lambda t: (1 + a * np.cos(t)) / 2, lambda t: -a * np.sin(t) / 2,
+                              np.arccos(1 / a))}[form]
+    weights = (lambda t: c(t) * e + (1 - c(t)) * w), (lambda t: dc(t) * (e - w))
+    family = FixedBasisFamily(HilbertLayout(dims), rows, *weights)
+    # the affine weights cross -RHO_TOL at 1 + RHO_TOL / max w_k over k != j: just inside,
+    # just outside
+    edge = RHO_TOL / w[e == 0].max()
+    for t in (theta, pure, *((1 + 0.5 * edge, 1 + 2 * edge) if form == "affine" else ())):
+        want = weights[0](t)
+        outside = ~((-RHO_TOL <= want) & (want <= 1 + RHO_TOL))
+        if outside.any():
+            k = int(np.argmax(outside))
+            with pytest.raises(ValueError, match=re.escape(
+                    f"weight p_{k}(theta = {float(t)!r}) = {float(want[k])!r} outside [0, 1]")):
+                family.p_dp([pure, t])
+        else:
+            p, dp = family.p_dp([t])
+            assert np.array_equal(p[0], np.clip(want, 0.0, 1.0))
+            assert np.array_equal(dp[0], weights[1](t))
+    tree = random_tree(dims, range(len(dims)), rng)
+    vectors = np.stack([vec for _, vec in leaf_vectors_kron(tree)])
+    law = np.abs(vectors.conj() @ rows[np.argmax(e)]) ** 2
+    assert np.abs(prob_at(_path_prob_fns(family, [tree])[0], pure) - law).max() <= 1e-14
+    for p_fn, dp_fn in ((lambda t: weights[0](t)[:1], weights[1]),
+                        (lambda t: [*weights[0](t), 0.0], lambda t: [*weights[1](t), 0.0])):
+        with pytest.raises(ValueError, match="not one per row of the basis"):
+            FixedBasisFamily(HilbertLayout(dims), rows, p_fn, dp_fn).p_dp([0.5])
+
 
 
 def cli_qfi(doc, theta, directory):

@@ -22,7 +22,7 @@ from loccfisher.tensor import PERP_TOL, HilbertLayout, complex_to_pairs, kron
 
 from conftest import (I2, PAULI_X, PAULI_Z, pauli_doc, pauli_weights_matrix, random_density,
                       random_hermitian)
-from oracles import pauli_term_matrix
+from oracles import pauli_term_matrix, qfi_double_sum
 
 
 NO_TARGET_COMMANDS = [["synthesize"], ["export-bloch"],
@@ -385,17 +385,30 @@ class TestCliCore:
         want = (1 / (1 + 5e-5) + 1 / 5e-5 + 2 / (1 - 5e-5)) / 3
         assert abs(json.loads(capsys.readouterr().out)["qfi"] - want) <= 1e-13 * want
 
+    @pytest.mark.parametrize("theta, k, weight", [(1.5, 2, -1 / 3), (-0.001, 1, -0.001 / 3)])
+    def test_bellmix_refuses_a_weight_outside_its_range(self, capsys, theta, k, weight):
+        assert cli_main(["qfi", "bellmix", f"--theta={theta}"]) == 1
+        captured = capsys.readouterr()
+        err, head, tail = (json.loads(captured.err), f"weight p_{k}(theta = {theta!r}) = ",
+                           " outside [0, 1]")
+        assert err["kind"] == "validation" and captured.out == ""
+        assert err["error"].startswith(head) and err["error"].endswith(tail)
+        assert abs(float(err["error"][len(head):-len(tail)]) - weight) <= 1e-15
+
+    @pytest.mark.parametrize("source", ["mixed", "ranktwo"])
     @pytest.mark.parametrize("flags", [[], ["--two-step"]])
-    def test_bell_mixture_simulates_over_its_pure_ends(self, tmp_path, capsys, flags):
-        # rho(0) and rho(1) are pure states: the outcome law reads them on the grid
-        # ends, while the frame there, whose qfi divides by p (1 - p), refuses them
+    def test_bell_mixture_simulates_over_its_pure_ends(self, tmp_path, capsys, flags, source):
+        # rho(0) and rho(1) are pure states, of a "mixed" document or of ranktwo's p = theta:
+        # the outcome law reads them on the grid ends, while the frame there, whose qfi
+        # divides by p (1 - p), refuses them
         path = tmp_path / "mix.json"
         path.write_text(json.dumps(bell_mixture_doc()))
-        argv = ["simulate", str(path), "--theta", "0.05", "--prior", "0", "1", *flags]
+        scenario = str(path) if source == "mixed" else source
+        argv = ["simulate", scenario, "--theta", "0.05", "--prior", "0", "1", *flags]
         assert cli_main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert abs(doc["J"] * 0.05 * 0.95 - 1) <= 1e-13 and doc["degenerate_trials"] == 0
-        assert cli_main(["qfi", str(path), "--theta", "0"]) == 1
+        assert cli_main(["qfi", scenario, "--theta", "0"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "p(theta) = 0.0 outside (0, 1)"
 
     def test_simulate_far_from_zero_ends(self):
@@ -776,8 +789,9 @@ class TestCliErrors:
         assert captured.out == ""
 
     @pytest.mark.parametrize("prior, error", [
-        (("0.0", "0.9"), "p(theta) = 0.0 outside (0, 1)"),
-        (("0.2", "1.3"), "p(theta) = 1.0007827788649708 outside (0, 1)")])
+        (("-0.1", "0.9"), "weight p_0(theta = -0.1) = -0.1 outside [0, 1]"),
+        (("0.2", "1.3"),
+         "weight p_0(theta = 1.0007827788649708) = 1.0007827788649708 outside [0, 1]")])
     def test_simulate_prior_outside_p_range_names_first_grid_point(self, capsys, prior, error):
         # the outcome law checks p at every grid point in ascending order, so the
         # error names the first offending point
@@ -785,6 +799,47 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert json.loads(captured.err) == {"error": error, "kind": "validation"}
         assert captured.out == ""
+
+    def test_simulate_negative_seed_exit_1(self, capsys):
+        assert cli_main(["simulate", "ghz2", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {
+            "error": "argument --seed: '-1' is not a non-negative integer", "kind": "validation"}
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key, text", [
+        ("name", "5"), ("name", "1e400"), ("notes", "1e400"), ("notes", '["a"]')])
+    def test_non_string_name_or_notes_exit_1(self, tmp_path, capsys, key, text):
+        # 1e400 parses to inf, which the report could not print
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({**_ghz_doc(2), key: "@"}).replace('"@"', text))
+        assert cli_main(["qfi", str(path)]) == 1
+        captured = capsys.readouterr()
+        kind = type(json.loads(text)).__name__
+        assert json.loads(captured.err) == {
+            "error": f"scenario {key} must be a string, not {kind}", "kind": "validation"}
+        assert captured.out == ""
+
+    def test_drho_between_kernel_directions_exit_1(self, tmp_path, capsys):
+        # rho(theta) = theta |+><+| x I/2 + (1 - theta) |0><0| x I/2 has an eigenvalue near
+        # theta / 4; at or below RANK_TOL it counts as kernel, where drho = rho1 - rho2 has
+        # weight 1/4 that no SLD carries, so the qfi would read 1.25 instead of about 1/theta
+        plus, zero = np.array([1, 1]) / np.sqrt(2), np.array([1, 0])
+        rho1, rho2 = (np.kron(np.outer(v, v), I2 / 2).astype(complex) for v in (plus, zero))
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"type": "mixed", "layout": [2, 2], "theta_grid": [0.5],
+                                    "rho1": complex_to_pairs(rho1),
+                                    "rho2": complex_to_pairs(rho2)}))
+        for theta in (1e-12, 1e-9, 3e-9):
+            assert cli_main(["qfi", str(path), "--theta", str(theta)]) == 1
+            captured = capsys.readouterr()
+            err = json.loads(captured.err)
+            assert err["kind"] == "validation" and captured.out == ""
+            assert err["error"] == (f"drho at theta = {theta!r} has weight 2.500e-01 between "
+                                    "kernel directions of rho; no SLD reproduces it")
+        assert cli_main(["qfi", str(path), "--theta", "5e-9"]) == 0
+        want = qfi_double_sum(5e-9 * rho1 + (1 - 5e-9) * rho2, rho1 - rho2)
+        assert abs(json.loads(capsys.readouterr().out)["qfi"] - want) <= 1e-6 * want
 
     @pytest.mark.parametrize("argv", [
         ["qfi", "ghz2", "--theta", "inf"],

@@ -145,7 +145,7 @@ class TestMle:
         lay = HilbertLayout((2, 2))
         psi0 = np.array([1, 0, 0, 1], complex) / np.sqrt(2)
         psi1 = np.array([1, 0, 0, -1], complex) / np.sqrt(2)
-        fam = FixedBasisFamily(lay, [psi0, psi1], lambda t: t, lambda t: 1.0)
+        fam = FixedBasisFamily(lay, [psi0, psi1], lambda t: (t, 1 - t), lambda t: (1.0, -1.0))
         tree = synth(fam, 0.5)
         counts = {}
         for path, vec in leaf_vectors(tree):
